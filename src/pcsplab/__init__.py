@@ -38,7 +38,7 @@ from .properties import (
     KneserGraph,
     PropertyReport,
     SelectorSpec,
-    check_property,
+    check_properties,
     chromatic_number,
     compute_Ef,
     kneser_graph,

@@ -243,13 +243,13 @@ def _appendix_b(as_json: bool = False) -> int:
     return 1
 
 
-def _lemma_worker(payload) -> dict:
-    template_name, property_id, max_arity, force = payload
+def _lemma_worker(payload) -> list[dict]:
+    template_name, property_ids, max_arity, force = payload
     template = TemplatePair(named_template("1in3"), named_template(template_name))
-    report = props.check_property(
-        template, property_id, max_arity, template_label=template_name, force=force
+    reports = props.check_properties(
+        template, property_ids, max_arity, template_label=template_name, force=force
     )
-    return report.to_dict()
+    return [report.to_dict() for report in reports]
 
 
 def _cmd_verify(args) -> int:
@@ -261,14 +261,18 @@ def _cmd_verify(args) -> int:
         if not ids:
             print(f"no catalog properties for template {args.template!r}", file=sys.stderr)
             return 2
-        payloads = [(args.template, pid, args.max_arity, args.force) for pid in ids]
-        if args.jobs > 1:
+        # one shared enumeration pass per group; group i takes ids[i::groups]
+        groups = max(1, min(args.jobs, len(ids)))
+        payloads = [(args.template, ids[i::groups], args.max_arity, args.force) for i in range(groups)]
+        if groups > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(args.jobs) as pool:
-                reports = pool.map(_lemma_worker, payloads)
+            with multiprocessing.Pool(groups) as pool:
+                chunks = pool.map(_lemma_worker, payloads)
         else:
-            reports = [_lemma_worker(p) for p in payloads]
+            chunks = [_lemma_worker(payloads[0])]
+        by_id = {report["property"]: report for chunk in chunks for report in chunk}
+        reports = [by_id[pid] for pid in ids]
         if args.json:
             print(json.dumps(reports, indent=2))
         failed = 0

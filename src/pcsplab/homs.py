@@ -1,9 +1,9 @@
 """Homomorphism search between finite structures and the induced order.
 
 The search is plain backtracking over source elements in degree-descending
-order with forward checking; at the desk scales used here (domains of size
-two to four, instances with a few dozen variables) this is exhaustive and
-fast.  The lattice construction groups structures into mutual-homomorphism
+order; each constraint tuple is tested once, when its last-ranked element is
+assigned.  At the desk scales used here (domains of size two to four,
+instances with a few dozen variables) this is exhaustive and fast.  The lattice construction groups structures into mutual-homomorphism
 classes and emits the cover edges of the induced partial order.
 """
 
@@ -56,8 +56,10 @@ def _check_signatures(a: RelStructure, b: RelStructure) -> None:
 def find_homomorphism(source: RelStructure, target: RelStructure) -> HomMap | None:
     """First homomorphism in deterministic search order, or None.
 
-    Elements are assigned in degree-descending order (ties by index) and
-    candidate values are pruned against every partially instantiated tuple.
+    Elements are assigned in degree-descending order (ties by index).  A
+    value is rejected when some tuple whose last-ranked element it completes
+    maps outside the target relation; partially assigned tuples are not
+    checked, so no candidate values are pruned ahead of assignment.
     """
     _check_signatures(source, target)
     n, k = source.domain_size, target.domain_size

@@ -23,13 +23,7 @@ from .polymorphisms import (
     preimage_set,
     subset_masks,
 )
-from .structures import TemplatePair, named_template
-
-_popcount = getattr(int, "bit_count", None) or (lambda self: bin(self).count("1"))
-
-
-def _pc(mask: int) -> int:
-    return _popcount(mask)
+from .structures import TemplatePair
 
 
 # --- i-set helpers (3-element targets) ----------------------------------------
@@ -57,7 +51,7 @@ def _e_mask(f: tuple[int, ...], n: int) -> int:
 def _masks_with(f, n, color, max_size=None):
     return [
         m for m in range(1 << n)
-        if f[m] == color and (max_size is None or _pc(m) <= max_size)
+        if f[m] == color and (max_size is None or m.bit_count() <= max_size)
     ]
 
 
@@ -96,7 +90,7 @@ def _p_d1_no_disjoint(f, n):
 
 def _p_d1_small_iset(f, n):
     for m in range(1 << n):
-        if _pc(m) <= 3 and f[m] in (1, 2):
+        if m.bit_count() <= 3 and f[m] in (1, 2):
             return None
     return ("no-small-set",)
 
@@ -130,10 +124,10 @@ def _p_d2_successor(f, n):
     if f[0] != 1:
         return None
     for j in range(2, n + 1):
-        if all(f[m] == 1 for m in range(1 << n) if _pc(m) <= j):
+        if all(f[m] == 1 for m in range(1 << n) if m.bit_count() <= j):
             if j >= n:
                 return ("full-cube-of-1-sets", j)
-            bad = next((m for m in range(1 << n) if _pc(m) == j + 1 and f[m] != 1), None)
+            bad = next((m for m in range(1 << n) if m.bit_count() == j + 1 and f[m] != 1), None)
             if bad is not None:
                 return ("successor-size-fails", j, bad)
     return None
@@ -143,7 +137,7 @@ def _p_d2_small02(f, n):
     if f[0] != 1:
         return None
     for m in range(1 << n):
-        if _pc(m) <= 2 and f[m] in (0, 2):
+        if m.bit_count() <= 2 and f[m] in (0, 2):
             return None
     return ("no-small-0-or-2-set",)
 
@@ -171,16 +165,16 @@ def _p_t1_parity(f, n):
     if f[0] != 0:
         return None
     e = _e_mask(f, n)
-    if _pc(e) % 2 == 0:
+    if e.bit_count() % 2 == 0:
         return ("even-split-size", e)
     for m in range(1 << n):
-        if _residue(f[m]) != _pc(m & e) % 2:
+        if _residue(f[m]) != (m & e).bit_count() % 2:
             return ("parity-mismatch", m, e)
     return None
 
 
 def _p_t1_addif(f, n):
-    if f[0] != 0 or any(f[m] == 2 and _pc(m) == 2 for m in range(1 << n)):
+    if f[0] != 0 or any(f[m] == 2 and m.bit_count() == 2 for m in range(1 << n)):
         return None
     e = _e_mask(f, n)
     i_mask = ((1 << n) - 1) ^ e
@@ -194,18 +188,18 @@ def _p_t1_sizes(f, n):
     if f[0] != 0 or any(f[1 << i] == 2 for i in range(n)):
         return None
     e = _e_mask(f, n)
-    sizes_with_1 = {_pc(m) for m in range(1 << n) if m & ~e == 0 and f[m] == 1}
+    sizes_with_1 = {m.bit_count() for m in range(1 << n) if m & ~e == 0 and f[m] == 1}
     for m in range(1 << n):
-        if m & ~e == 0 and _pc(m) in sizes_with_1 and f[m] != 1:
+        if m & ~e == 0 and m.bit_count() in sizes_with_1 and f[m] != 1:
             return ("size-class-splits", m)
     return None
 
 
 def _p_t1_smallef(f, n):
-    if f[0] != 0 or any(f[m] == 2 and _pc(m) <= 2 for m in range(1 << n)):
+    if f[0] != 0 or any(f[m] == 2 and m.bit_count() <= 2 for m in range(1 << n)):
         return None
     e = _e_mask(f, n)
-    if _pc(e) > 5:
+    if e.bit_count() > 5:
         return ("split-too-large", e)
     return None
 
@@ -213,7 +207,7 @@ def _p_t1_smallef(f, n):
 def _p_t1_nonidemp(f, n):
     if f[0] != 1:
         return None
-    if any(f[m] == 2 and _pc(m) <= 2 for m in range(1 << n)):
+    if any(f[m] == 2 and m.bit_count() <= 2 for m in range(1 << n)):
         return None
     return ("no-small-2-set",)
 
@@ -244,7 +238,7 @@ def _p_ch_union(f, n):
 
 def _p_ch_singleton(f, n):
     i = f[0]
-    if any(f[m] == (i + 3) % 4 and _pc(m) <= 2 for m in range(1 << n)):
+    if any(f[m] == (i + 3) % 4 and m.bit_count() <= 2 for m in range(1 << n)):
         return None
     if any(f[1 << x] == (i + 1) % 4 for x in range(n)):
         return None
@@ -315,44 +309,43 @@ class PropertyReport:
         }
 
 
-_stream_cache: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-
-
-def cached_polymorphism_values(template: TemplatePair, n: int, force: bool = False) -> tuple[tuple[int, ...], ...]:
-    key = (template.source.encoding(), template.target.encoding(), n)
-    if key not in _stream_cache:
-        _stream_cache[key] = tuple(
-            t.values for t in enumerate_polymorphisms(template, n, force=force)
-        )
-    return _stream_cache[key]
-
-
-def check_property(
+def check_properties(
     template: TemplatePair,
-    property_id: str,
+    property_ids,
     max_arity: int,
     *,
     template_label: str = "",
     force: bool = False,
     counterexample_cap: int = 25,
-) -> PropertyReport:
-    """Evaluate one catalog property over every polymorphism up to max_arity."""
-    if property_id not in PROPERTY_CATALOG:
-        raise KeyError(f"unknown property id {property_id!r}")
-    spec = PROPERTY_CATALOG[property_id]
+) -> tuple[PropertyReport, ...]:
+    """Evaluate catalog properties over every polymorphism up to max_arity.
+
+    Each arity is enumerated once and every table is fed to all requested
+    predicates, so memory does not grow with the enumeration.  One report per
+    id comes back, in the given order; each keeps its own counterexample cap
+    and carries the elapsed time of the shared pass.
+    """
+    for property_id in property_ids:
+        if property_id not in PROPERTY_CATALOG:
+            raise KeyError(f"unknown property id {property_id!r}")
+    specs = [PROPERTY_CATALOG[pid] for pid in property_ids]
+    checks = [(spec.predicate, []) for spec in specs]
     start = time.perf_counter()
     examined = 0
-    counterexamples: list[Counterexample] = []
-    k = template.target.domain_size
     for n in range(1, max_arity + 1):
-        for values in cached_polymorphism_values(template, n, force=force):
+        for table in enumerate_polymorphisms(template, n, force=force):
             examined += 1
-            witness = spec.predicate(values, n)
-            if witness is not None and len(counterexamples) < counterexample_cap:
-                counterexamples.append(Counterexample(n, PolyTable(n, k, values), witness))
+            values = table.values
+            for predicate, counterexamples in checks:
+                witness = predicate(values, n)
+                if witness is not None and len(counterexamples) < counterexample_cap:
+                    counterexamples.append(Counterexample(n, table, witness))
     elapsed = (time.perf_counter() - start) * 1000.0
-    return PropertyReport(
-        template_label or spec.template_name, property_id, max_arity, examined, tuple(counterexamples), elapsed
+    return tuple(
+        PropertyReport(
+            template_label or spec.template_name, spec.property_id, max_arity, examined, tuple(found), elapsed
+        )
+        for spec, (_, found) in zip(specs, checks)
     )
 
 
@@ -462,13 +455,9 @@ def chromatic_number(graph, limit: int) -> int | None:
 # --- selector verification ----------------------------------------------------
 
 
-def _canonical_masks(n: int):
-    return subset_masks(n)
-
-
 def _first_mask(f, n, color, max_size):
-    for m in _canonical_masks(n):
-        if _pc(m) <= max_size and f[m] == color:
+    for m in subset_masks(n):
+        if m.bit_count() <= max_size and f[m] == color:
             return m
     return None
 
@@ -580,7 +569,9 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
     asserted on every extension step.
     """
     start = time.perf_counter()
-    polys = {n: cached_polymorphism_values(template, n) for n in range(1, max_arity + 1)}
+    polys = {
+        n: [t.values for t in enumerate_polymorphisms(template, n)] for n in range(1, max_arity + 1)
+    }
     poly_sets = {n: set(polys[n]) for n in polys}
     k_target = template.target.domain_size
 
@@ -594,7 +585,7 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
             mask = spec.rule(values, n)
             if mask is None:
                 totality_failures.append((n, values))
-            elif _pc(mask) > spec.k:
+            elif mask.bit_count() > spec.k:
                 bound_failures.append((n, values))
             sel_cache[key] = mask
         return sel_cache[key]
@@ -662,7 +653,3 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
         tuple(bound_failures),
         elapsed,
     )
-
-
-def selector_template(spec: SelectorSpec) -> TemplatePair:
-    return TemplatePair(named_template("1in3"), named_template(spec.template_name))

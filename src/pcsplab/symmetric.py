@@ -311,10 +311,7 @@ class _Network:
         return True
 
     def search(self, seed: dict[int, int], wlog_colors, deadline) -> list[int] | None:
-        import sys
-
-        if sys.getrecursionlimit() < self.ncells + 300:
-            sys.setrecursionlimit(self.ncells + 300)
+        """Depth-first search with an explicit stack of (cand, val, cell, remaining colors) frames."""
         cand = [self.full] * self.ncells
         val = [-1] * self.ncells
         queue = []
@@ -325,33 +322,38 @@ class _Network:
         self.nodes = 1
         if not self.propagate_from(cand, val, queue):
             return None
-        first_colors = wlog_colors if (wlog_colors is not None and not seed) else None
-        return self._dfs(cand, val, first_colors, deadline)
-
-    def _dfs(self, cand, val, first_colors, deadline):
-        cell = -1
-        for c in self.branch_order:
-            if val[c] < 0:
-                cell = c
-                break
-        if cell < 0:
-            return val
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
-        colors = first_colors if first_colors is not None else range(self.k)
-        for v in colors:
-            if not cand[cell] >> v & 1:
-                continue
-            self.nodes += 1
-            cand2 = list(cand)
-            val2 = list(val)
-            cand2[cell] = 1 << v
-            val2[cell] = v
-            if self.propagate_from(cand2, val2, [cell]):
-                result = self._dfs(cand2, val2, None, deadline)
-                if result is not None:
-                    return result
-        return None
+        colors = wlog_colors if (wlog_colors is not None and not seed) else range(self.k)
+        stack = []
+        while True:
+            # expand the node (cand, val) at its first unassigned cell
+            for cell in self.branch_order:
+                if val[cell] < 0:
+                    break
+            else:
+                return val
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
+            stack.append((cand, val, cell, iter(colors)))
+            colors = range(self.k)
+            # descend into the next child whose propagation succeeds, backtracking as needed
+            cand = None
+            while cand is None:
+                if not stack:
+                    return None
+                parent_cand, parent_val, cell, remaining = stack[-1]
+                for v in remaining:
+                    if not parent_cand[cell] >> v & 1:
+                        continue
+                    self.nodes += 1
+                    cand2 = list(parent_cand)
+                    val2 = list(parent_val)
+                    cand2[cell] = 1 << v
+                    val2[cell] = v
+                    if self.propagate_from(cand2, val2, [cell]):
+                        cand, val = cand2, val2
+                        break
+                else:
+                    stack.pop()
 
 
 def _wlog_colors(target: RelStructure) -> tuple[int, ...]:

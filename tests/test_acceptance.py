@@ -14,7 +14,7 @@ from pcsplab.polymorphisms import enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
     SELECTOR_CATALOG,
-    check_property,
+    check_properties,
     chromatic_number,
     kneser_graph,
     verify_selector,
@@ -135,7 +135,7 @@ def test_criterion_3_lemma_suites():
         start = time.monotonic()
         for pid, spec in sorted(PROPERTY_CATALOG.items()):
             template = pair("1in3", spec.template_name)
-            report = check_property(template, pid, 4, template_label=spec.template_name)
+            report = check_properties(template, [pid], 4, template_label=spec.template_name)[0]
             assert report.holds, (pid, report.counterexamples[:1])
         assert time.monotonic() - start <= 600
 

@@ -209,13 +209,15 @@ def test_poly_verify_appendix_b_json(capsys):
 
 
 def test_verify_lemmas_jobs_deterministic(capsys):
-    code1, out1, _ = run(capsys, "verify", "lemmas", "CH", "--max-arity", "3", "--json")
-    code2, out2, _ = run(capsys, "verify", "lemmas", "CH", "--max-arity", "3", "--jobs", "2", "--json")
-    assert code1 == code2 == 0
     strip = lambda text: [
         {k: v for k, v in report.items() if k != "elapsed_ms"} for report in json.loads(text)
     ]
-    assert strip(out1) == strip(out2)
+    # 3 properties over 2 jobs, 6 over 4 (uneven groups), 3 over 8 (more jobs than properties)
+    for template, jobs in (("CH", "2"), ("T1", "4"), ("CH", "8")):
+        code1, out1, _ = run(capsys, "verify", "lemmas", template, "--max-arity", "3", "--json")
+        code2, out2, _ = run(capsys, "verify", "lemmas", template, "--max-arity", "3", "--jobs", jobs, "--json")
+        assert code1 == code2 == 0
+        assert strip(out1) == strip(out2)
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):

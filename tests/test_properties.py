@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +7,7 @@ from pcsplab.polymorphisms import PolyTable, dictator, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
     SELECTOR_CATALOG,
-    check_property,
+    check_properties,
     chromatic_number,
     compute_Ef,
     kneser_graph,
@@ -89,20 +90,20 @@ def test_property_catalog_complete():
 def test_all_properties_hold_at_arity_three():
     for pid, spec in PROPERTY_CATALOG.items():
         template = pair("1in3", spec.template_name)
-        report = check_property(template, pid, 3, template_label=spec.template_name)
+        report = check_properties(template, [pid], 3, template_label=spec.template_name)[0]
         assert report.holds, (pid, report.counterexamples[:1])
         assert report.examined > 0
 
 
 def test_property_sanity_on_projection_minion():
-    report = check_property(pair("1in3", "1in3"), "D1_no_disjoint", 3)
+    report = check_properties(pair("1in3", "1in3"), ["D1_no_disjoint"], 3)[0]
     assert report.holds
 
 
 def test_property_counterexample_reporting_and_reverification():
     # the no-disjoint fact is specific to its home template: against the
     # not-all-equal target it fails and every witness must re-verify
-    report = check_property(pair("1in3", "NAE"), "D1_no_disjoint", 3)
+    report = check_properties(pair("1in3", "NAE"), ["D1_no_disjoint"], 3)[0]
     assert not report.holds
     for ce in report.counterexamples:
         tag, color, x, y = ce.witness
@@ -111,13 +112,26 @@ def test_property_counterexample_reporting_and_reverification():
         assert ce.table.values[x] == color and ce.table.values[y] == color
 
 
+def test_one_pass_reports_match_single_property_checks():
+    # the shared pass keeps each property's own counterexamples and cap;
+    # D1_no_disjoint fails against NAE, so its cap of two is reached
+    template = pair("1in3", "NAE")
+    ids = ["D1_small_iset", "D1_no_disjoint"]
+    joint = check_properties(template, ids, 3, counterexample_cap=2)
+    assert [report.property_id for report in joint] == ids
+    assert len(joint[1].counterexamples) == 2
+    for pid, report in zip(ids, joint):
+        single = check_properties(template, [pid], 3, counterexample_cap=2)[0]
+        assert replace(report, elapsed_ms=0.0) == replace(single, elapsed_ms=0.0)
+
+
 def test_unknown_property_id():
     with pytest.raises(KeyError):
-        check_property(pair("1in3", "T1"), "NOSUCH", 2)
+        check_properties(pair("1in3", "T1"), ["NOSUCH"], 2)
 
 
 def test_report_json_shape():
-    report = check_property(pair("1in3", "D2plus"), "D2_unions", 2)
+    report = check_properties(pair("1in3", "D2plus"), ["D2_unions"], 2)[0]
     data = report.to_dict()
     assert data["property"] == "D2_unions"
     assert data["examined"] == report.examined

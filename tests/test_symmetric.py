@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -246,6 +247,20 @@ def test_search_block_chplus_23_24_nonexistence():
     chp = pair("1in3", "CHplus")
     result = search_block_symmetric(chp, 23, 24)
     assert result.table is None
+
+
+def test_search_leaves_recursion_limit_alone():
+    # the search keeps its own stack: a low interpreter limit is enough and stays as set
+    chp = pair("1in3", "CHplus")
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        result = search_block_symmetric(chp, 23, 24)
+        assert result.table is None
+        assert result.nodes == 74
+        assert sys.getrecursionlimit() == 300
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_restrict_block_to_symmetric():
