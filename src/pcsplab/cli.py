@@ -23,7 +23,7 @@ from .polymorphisms import (
     parse_poly_table,
     subset_masks,
 )
-from .structures import TemplatePair, named_template
+from .structures import TemplatePair, all_symmetric_ternary_structures, named_template
 
 
 def _load_structure(arg: str) -> structures.RelStructure:
@@ -42,24 +42,6 @@ def _named_catalog() -> dict[tuple, str]:
     for name in structures.template_names_3() + ["CH", "CHplus"]:
         labels.setdefault(named_template(name).encoding(), []).append(name)
     return {enc: "=".join(sorted(names)) for enc, names in labels.items()}
-
-
-def all_symmetric_ternary_structures(domain_size: int = 3) -> list[structures.RelStructure]:
-    """Every nonempty symmetric ternary relation on the domain, one structure each."""
-    import itertools
-
-    orbits: dict[tuple, set] = {}
-    for t in itertools.product(range(domain_size), repeat=3):
-        orbits.setdefault(tuple(sorted(t)), set()).add(t)
-    orbit_list = sorted(orbits)
-    out = []
-    for bits in range(1, 1 << len(orbit_list)):
-        tuples: set = set()
-        for i, key in enumerate(orbit_list):
-            if bits >> i & 1:
-                tuples |= orbits[key]
-        out.append(structures.make_structure(domain_size, [tuples]))
-    return out
 
 
 def _cmd_template(args) -> int:
@@ -128,7 +110,7 @@ def _cmd_poly(args) -> int:
             return 2
         count = 0
         order = subset_masks(args.arity)
-        for table in enumerate_polymorphisms(template, args.arity, force=args.force):
+        for table in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
             print("".join(str(table.values[m]) for m in order))
             count += 1
         print(f"count {count}", file=sys.stderr)
@@ -369,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("target")
     p_enum.add_argument("arity", type=int)
     p_enum.add_argument("--force", action="store_true")
+    p_enum.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p_enum.set_defaults(func=_cmd_poly)
     for name in ("search-sym", "search-block"):
         p_search = poly_sub.add_parser(name)

@@ -8,10 +8,12 @@ coordinate i) and ordered canonically by (cardinality, element order).
 from __future__ import annotations
 
 import itertools
+import time
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._network import Network, allowed_table
 from .errors import ArityBoundError, FormatError
 from .structures import TemplatePair, named_template
 
@@ -279,35 +281,18 @@ def is_polymorphism_general(table: GeneralTable, template: TemplatePair) -> bool
     return True
 
 
-@lru_cache(maxsize=None)
-def _partition_checks(n: int):
-    """Unordered coordinate 3-partitions grouped by their last canonical cell."""
-    order = subset_masks(n)
-    position = {mask: i for i, mask in enumerate(order)}
-    by_last: list[list[tuple[int, int, int]]] = [[] for _ in order]
-    seen = set()
-    full = (1 << n) - 1
-    for x in range(1 << n):
-        rest = full ^ x
-        y = rest
-        while True:
-            z = rest ^ y
-            key = tuple(sorted((x, y, z)))
-            if key not in seen:
-                seen.add(key)
-                by_last[max(position[x], position[y], position[z])].append(key)
-            if y == 0:
-                break
-            y = (y - 1) & rest
-    return order, by_last
-
-
-def enumerate_polymorphisms(template: TemplatePair, n: int, *, arity_cap: int = DEFAULT_ARITY_CAP, force: bool = False):
+def enumerate_polymorphisms(
+    template: TemplatePair, n: int, *, arity_cap: int = DEFAULT_ARITY_CAP, force: bool = False, time_budget: float | None = None
+):
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
     The stream order is lexicographic in the value vector read along the
-    canonical subset order.  Backtracks over cells, pruning as soon as all
-    three cells of some partition are assigned.
+    canonical subset order.  The cells are the subset masks and each
+    3-partition is one triple constraint of the search network; every
+    assignment forward-checks the partitions it shares with one other
+    assigned cell, removing the values of their third cell that no
+    ordering of the relation admits.  Raises TimeBudgetExceeded once the
+    search runs past time_budget seconds.
     """
     _require_boolean_one_in_three_source(template)
     if n > arity_cap:
@@ -316,33 +301,14 @@ def enumerate_polymorphisms(template: TemplatePair, n: int, *, arity_cap: int = 
         warnings.warn(f"enumerating at arity {n} beyond the default cap; table space is large", stacklevel=2)
     if n < 1:
         raise ValueError("arity must be >= 1")
-    rel = template.target.single_ternary().as_set
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     k = template.target.domain_size
-    order, by_last = _partition_checks(n)
-
-    # allowed value triples per partition, tested in every ordering
-    def triple_ok(a: int, b: int, c: int) -> bool:
-        return (
-            (a, b, c) in rel or (a, c, b) in rel or (b, a, c) in rel
-            or (b, c, a) in rel or (c, a, b) in rel or (c, b, a) in rel
-        )
-
-    values = [-1] * (1 << n)
-    ncells = len(order)
-
-    def rec(i: int):
-        if i == ncells:
-            yield PolyTable(n, k, tuple(values))
-            return
-        cell = order[i]
-        checks = by_last[i]
-        for v in range(k):
-            values[cell] = v
-            if all(triple_ok(values[x], values[y], values[z]) for x, y, z in checks):
-                yield from rec(i + 1)
-        values[cell] = -1
-
-    yield from rec(0)
+    full = (1 << n) - 1
+    # one sorted cell triple per unordered 3-partition {x, y, rest} of [n], cells possibly empty
+    triples = {tuple(sorted((x, y, full ^ x ^ y))) for x in range(1 << n) for y in range(1 << n) if not x & y}
+    net = Network(1 << n, k, triples, subset_masks(n), allowed_table(template.target))
+    for values in net.solutions({}, None, deadline):
+        yield PolyTable(n, k, tuple(values))
 
 
 def i_sets(table: PolyTable, color: int, max_size: int) -> list[CoordSet]:

@@ -213,6 +213,22 @@ def template_names_3() -> list[str]:
     return [n for base in _BASE_ORBITS if base != "CH" for n in (base, base + "plus")]
 
 
+def all_symmetric_ternary_structures(domain_size: int = 3) -> list[RelStructure]:
+    """Every nonempty symmetric ternary relation on the domain, one structure each."""
+    orbits: dict[tuple, set] = {}
+    for t in itertools.product(range(domain_size), repeat=3):
+        orbits.setdefault(tuple(sorted(t)), set()).add(t)
+    orbit_list = sorted(orbits)
+    out = []
+    for bits in range(1, 1 << len(orbit_list)):
+        tuples: set = set()
+        for i, key in enumerate(orbit_list):
+            if bits >> i & 1:
+                tuples |= orbits[key]
+        out.append(make_structure(domain_size, [tuples]))
+    return out
+
+
 def symmetrize(structure: RelStructure) -> RelStructure:
     """Close every relation under coordinate permutations."""
     rels = [Relation(rel.arity, tuple(sorted(_perm_closure(rel.tuples)))) for rel in structure.relations]

@@ -15,7 +15,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .errors import TimeBudgetExceeded
+from ._network import Network, allowed_table
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
 Cell = int | tuple[int, int]
@@ -140,26 +140,6 @@ def sym_compatible_triples(n: int) -> list[tuple[int, int, int]]:
     return [(a, b, n - a - b) for a in range(n + 1) for b in range(a, n + 1) if n - a - b >= b]
 
 
-def _allowed_table(target: RelStructure) -> list[list[int]]:
-    """allowed[x][y] = bitmask of v such that the multiset (x, y, v) maps into R.
-
-    Every ordering is required, which is what the compatibility condition
-    demands of weight-indexed tables; for symmetric relations this equals
-    the single-order test.
-    """
-    rel = target.single_ternary().as_set
-    k = target.domain_size
-    table = [[0] * k for _ in range(k)]
-    for x in range(k):
-        for y in range(k):
-            mask = 0
-            for v in range(k):
-                if all(p in rel for p in set(itertools.permutations((x, y, v)))):
-                    mask |= 1 << v
-            table[x][y] = mask
-    return table
-
-
 def is_symmetric_polymorphism(table: SymTable, template: TemplatePair) -> bool:
     """Compatibility of a fully assigned weight table with the target relation."""
     if not table.fully_assigned:
@@ -210,7 +190,7 @@ def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, Prop
         raise ValueError(
             f"table target size {k} does not match template target {template.target.domain_size}"
         )
-    allowed = _allowed_table(template.target)
+    allowed = allowed_table(template.target)
     full = (1 << k) - 1
     cand = [full] * (n + 1)
     assigned: list[int | None] = list(partial.values)
@@ -266,96 +246,6 @@ class SearchResult:
     wlog_colors: tuple[int, ...] | None  # colors tried at the first branched cell
 
 
-class _Network:
-    """Backtracking with queue-based candidate propagation over cell triples."""
-
-    def __init__(self, ncells: int, ncolors: int, triples, branch_order, allowed):
-        self.ncells = ncells
-        self.k = ncolors
-        self.full = (1 << ncolors) - 1
-        self.branch_order = branch_order
-        self.allowed = allowed
-        self.watch: list[list[tuple[int, int]]] = [[] for _ in range(ncells)]
-        for a, b, c in triples:
-            self.watch[a].append((b, c))
-            self.watch[b].append((a, c))
-            self.watch[c].append((a, b))
-        self.nodes = 0
-
-    def propagate_from(self, cand, val, queue) -> bool:
-        allowed = self.allowed
-        while queue:
-            cell = queue.pop()
-            v = val[cell]
-            for o1, o2 in self.watch[cell]:
-                v1 = val[o1]
-                if v1 >= 0:
-                    new = cand[o2] & allowed[v][v1]
-                    if new != cand[o2]:
-                        if not new:
-                            return False
-                        cand[o2] = new
-                        if new & (new - 1) == 0 and val[o2] < 0:
-                            val[o2] = new.bit_length() - 1
-                            queue.append(o2)
-                v2 = val[o2]
-                if v2 >= 0:
-                    new = cand[o1] & allowed[v][v2]
-                    if new != cand[o1]:
-                        if not new:
-                            return False
-                        cand[o1] = new
-                        if new & (new - 1) == 0 and val[o1] < 0:
-                            val[o1] = new.bit_length() - 1
-                            queue.append(o1)
-        return True
-
-    def search(self, seed: dict[int, int], wlog_colors, deadline) -> list[int] | None:
-        """Depth-first search with an explicit stack of (cand, val, cell, remaining colors) frames."""
-        cand = [self.full] * self.ncells
-        val = [-1] * self.ncells
-        queue = []
-        for cell, v in seed.items():
-            cand[cell] = 1 << v
-            val[cell] = v
-            queue.append(cell)
-        self.nodes = 1
-        if not self.propagate_from(cand, val, queue):
-            return None
-        colors = wlog_colors if (wlog_colors is not None and not seed) else range(self.k)
-        stack = []
-        while True:
-            # expand the node (cand, val) at its first unassigned cell
-            for cell in self.branch_order:
-                if val[cell] < 0:
-                    break
-            else:
-                return val
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
-            stack.append((cand, val, cell, iter(colors)))
-            colors = range(self.k)
-            # descend into the next child whose propagation succeeds, backtracking as needed
-            cand = None
-            while cand is None:
-                if not stack:
-                    return None
-                parent_cand, parent_val, cell, remaining = stack[-1]
-                for v in remaining:
-                    if not parent_cand[cell] >> v & 1:
-                        continue
-                    self.nodes += 1
-                    cand2 = list(parent_cand)
-                    val2 = list(parent_val)
-                    cand2[cell] = 1 << v
-                    val2[cell] = v
-                    if self.propagate_from(cand2, val2, [cell]):
-                        cand, val = cand2, val2
-                        break
-                else:
-                    stack.pop()
-
-
 def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
     """One representative color per automorphism orbit of the target domain.
 
@@ -384,15 +274,15 @@ def search_symmetric(
         )
     deadline = None if time_budget is None else time.monotonic() + time_budget
     seed = partial.assigned_weights() if partial is not None else {}
-    net = _Network(
+    net = Network(
         n + 1,
         k,
         sym_compatible_triples(n),
         list(range(n + 1)),
-        _allowed_table(template.target),
+        allowed_table(template.target),
     )
     wlog = _wlog_colors(template.target) if use_wlog else None
-    val = net.search(seed, wlog, deadline)
+    val = next(net.solutions(seed, wlog, deadline), None)
     if val is None:
         _, root_trace = propagate(template, partial if partial is not None else empty_sym_table(n, k))
         return SearchResult(None, root_trace, net.nodes, wlog)
@@ -455,15 +345,15 @@ def search_block_symmetric(
         raise ValueError("block sizes must be >= 1")
     k = template.target.domain_size
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    net = _Network(
+    net = Network(
         (k1 + 1) * (k2 + 1),
         k,
         _block_triples(k1, k2),
         _block_branch_order(k1, k2),
-        _allowed_table(template.target),
+        allowed_table(template.target),
     )
     wlog = _wlog_colors(template.target) if use_wlog else None
-    val = net.search({}, wlog, deadline)
+    val = next(net.solutions({}, wlog, deadline), None)
     if val is None:
         return SearchResult(None, None, net.nodes, wlog)
     table = BlockSymTable(k1, k2, k, tuple(val))
@@ -529,7 +419,7 @@ def chplus23_certificate(template: TemplatePair, seed_color: int = 0) -> Forcing
     """
     n = 23
     k = template.target.domain_size
-    allowed = _allowed_table(template.target)
+    allowed = allowed_table(template.target)
     assigned: dict[int, int] = {8: seed_color}
     forced: list[ForceEvent] = []
     for weight, triple in _REPLAY_SCRIPT:

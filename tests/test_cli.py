@@ -182,6 +182,11 @@ def test_search_time_budget_zero(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_poly_enumerate_time_budget(capsys):
+    code, _, err = run(capsys, "poly", "enumerate", "1in3", "D1plus", "5", "--force", "--time-budget", "0.001")
+    assert code == 2 and "aborted:" in err and "budget" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["template"])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import warnings
@@ -228,6 +229,48 @@ def test_enumerated_minors_stay_polymorphisms():
         m = rng.randint(1, 3)
         alpha = MinorMap(3, m, tuple(rng.randint(1, m) for _ in range(3)))
         assert is_polymorphism(minor(f, alpha), template)
+
+
+def test_enumerate_non_symmetric_target_matches_brute_force():
+    # a table value triple must fit the relation in every order, not in some order
+    target = make_structure(3, [{(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 1)}])
+    template = TemplatePair(named_template("1in3"), target)
+    for n in (1, 2, 3):
+        order = subset_masks(n)
+        brute = []
+        for row in itertools.product(range(3), repeat=1 << n):
+            values = [0] * (1 << n)
+            for mask, v in zip(order, row):
+                values[mask] = v
+            table = PolyTable(n, 3, tuple(values))
+            if is_polymorphism(table, template):
+                brute.append(table)
+        assert list(enumerate_polymorphisms(template, n)) == brute, n
+
+
+# count and SHA-256 of `poly enumerate` stdout (one line of values along the
+# canonical subset order per table): the stream order drives counterexample
+# order and the selectors' lexicographically first picks
+STREAM_PINS = [
+    ("T1", 4, 1118, "10c75921076c83b954fec3d04f4325b945c61ddf9acb84f1615e6f882c189e06"),
+    ("D2plus", 4, 1136, "4e58fd69f25232748c42b72cc7e2cdb69c4dd33fa61b56ac2c6e8c439ab47de4"),
+    ("CH", 4, 40, "785ced6dc44b518315a125999568368a3676bf55fe2da7c20cb5bdfc0bd62b16"),
+    ("D1plus", 4, 14080, "d2d6ae10508eac9cce69069acc7298a3aec8464eaca5fabf10386127a138f35b"),
+    ("CH", 5, 60, "382318fad2142bb1a703154e19d837a15fd9308b74bf5ab278392b8a308f6e97"),
+]
+
+
+@pytest.mark.parametrize("name, n, count, digest", STREAM_PINS)
+def test_enumeration_stream_pinned(name, n, count, digest):
+    order = subset_masks(n)
+    sha = hashlib.sha256()
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for table in enumerate_polymorphisms(pair("1in3", name), n, force=True):
+            sha.update(("".join(str(table.values[m]) for m in order) + "\n").encode())
+            seen += 1
+    assert (seen, sha.hexdigest()) == (count, digest)
 
 
 def test_enumerate_arity_cap():

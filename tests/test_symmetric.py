@@ -263,6 +263,24 @@ def test_search_leaves_recursion_limit_alone():
         sys.setrecursionlimit(saved)
 
 
+@pytest.mark.parametrize(
+    "target, shape, found, nodes",
+    [
+        ("LO_3", (50,), False, 37484),
+        ("LO_3", (6, 5), True, 28),
+        ("NAE", (31, 30), True, 342),
+    ],
+)
+def test_search_node_counts_pinned(target, shape, found, nodes):
+    # the branch order and the wlog colors fix these counts; any engine change that alters them shows here
+    template = pair("1in3", target)
+    if len(shape) == 1:
+        result = search_symmetric(template, *shape)
+    else:
+        result = search_block_symmetric(template, *shape)
+    assert (result.table is not None, result.nodes) == (found, nodes)
+
+
 def test_restrict_block_to_symmetric():
     nae = pair("1in3", "NAE")
     g = search_block_symmetric(nae, 4, 3).table
