@@ -102,6 +102,18 @@ def _print_trace(trace: symmetric.PropagationTrace | None) -> None:
         print(line)
 
 
+def _print_search_json(result: symmetric.SearchResult, **extra) -> int:
+    """One JSON line: found, nodes and values, then the extra keys in order."""
+    payload = {
+        "found": result.table is not None,
+        "nodes": result.nodes,
+        "values": None if result.table is None else list(result.table.values),
+        **extra,
+    }
+    print(json.dumps(payload))
+    return 0 if result.table is not None else 1
+
+
 def _cmd_poly(args) -> int:
     if args.action == "enumerate":
         template = _template_pair(args.source, args.target)
@@ -122,14 +134,7 @@ def _cmd_poly(args) -> int:
             template, args.arity, use_wlog=not args.no_wlog, time_budget=args.time_budget
         )
         if args.json:
-            payload = {
-                "found": result.table is not None,
-                "nodes": result.nodes,
-                "values": None if result.table is None else list(result.table.values),
-                "trace": None if result.trace is None else result.trace.to_dict(),
-            }
-            print(json.dumps(payload))
-            return 0 if result.table is not None else 1
+            return _print_search_json(result, trace=None if result.trace is None else result.trace.to_dict())
         if result.table is None:
             _print_trace(result.trace)
             print(f"none (search exhausted, {result.nodes} nodes)")
@@ -144,13 +149,7 @@ def _cmd_poly(args) -> int:
             template, args.k1, args.k2, use_wlog=not args.no_wlog, time_budget=args.time_budget
         )
         if args.json:
-            payload = {
-                "found": result.table is not None,
-                "nodes": result.nodes,
-                "values": None if result.table is None else list(result.table.values),
-            }
-            print(json.dumps(payload))
-            return 0 if result.table is not None else 1
+            return _print_search_json(result)
         if result.table is None:
             print(f"none (search exhausted, {result.nodes} nodes)")
             if args.k2 % 3 == 0:
@@ -235,10 +234,11 @@ def _lemma_worker(payload) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_arity > DEFAULT_ARITY_CAP and not (args.action == "lemmas" and args.force):
+        hint = "; pass --force" if args.action == "lemmas" else ""  # only lemmas has --force
+        print(f"max arity {args.max_arity} exceeds the default cap {DEFAULT_ARITY_CAP}{hint}", file=sys.stderr)
+        return 2
     if args.action == "lemmas":
-        if args.max_arity > DEFAULT_ARITY_CAP and not args.force:
-            print(f"max arity {args.max_arity} exceeds the default cap {DEFAULT_ARITY_CAP}; pass --force", file=sys.stderr)
-            return 2
         ids = props.properties_for_template(args.template)
         if not ids:
             print(f"no catalog properties for template {args.template!r}", file=sys.stderr)

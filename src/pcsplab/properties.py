@@ -20,7 +20,6 @@ from .polymorphisms import (
     enumerate_polymorphisms,
     image_mask,
     minor,
-    preimage_set,
     subset_masks,
 )
 from .structures import TemplatePair
@@ -328,6 +327,8 @@ def check_properties(
     for property_id in property_ids:
         if property_id not in PROPERTY_CATALOG:
             raise KeyError(f"unknown property id {property_id!r}")
+    if max_arity < 1:
+        raise ValueError(f"max arity must be >= 1, got {max_arity}")
     specs = [PROPERTY_CATALOG[pid] for pid in property_ids]
     checks = [(spec.predicate, []) for spec in specs]
     start = time.perf_counter()
@@ -565,15 +566,16 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
     selection; an extension whose new selection meets any image already
     witnesses the required intersection, so only image-avoiding extensions
     are explored (with memoization).  Any completed avoiding chain is a
-    violation.  The preimage identity minor(f, a)(X) = f(preimage(a, X)) is
-    asserted on every extension step.
+    violation.  Minors are read through one pull-mask tuple per map, as
+    g[X] = f[pull[X]]; test_pull_masks_are_preimages checks the masks.
     """
+    if max_arity < 1:
+        raise ValueError(f"max arity must be >= 1, got {max_arity}")
     start = time.perf_counter()
     polys = {
         n: [t.values for t in enumerate_polymorphisms(template, n)] for n in range(1, max_arity + 1)
     }
     poly_sets = {n: set(polys[n]) for n in polys}
-    k_target = template.target.domain_size
 
     sel_cache: dict[tuple, int | None] = {}
     totality_failures: list[tuple[int, tuple[int, ...]]] = []
@@ -590,14 +592,12 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
             sel_cache[key] = mask
         return sel_cache[key]
 
-    all_maps = {
-        n: [
-            MinorMap(n, m, mapping)
-            for m in range(1, max_arity + 1)
-            for mapping in itertools.product(range(1, m + 1), repeat=n)
-        ]
-        for n in range(1, max_arity + 1)
-    }
+    all_maps = {n: [] for n in range(1, max_arity + 1)}
+    for n, m in itertools.product(all_maps, repeat=2):
+        identity = PolyTable(n, 1 << n, tuple(range(1 << n)))  # its minor along alpha maps X to the preimage of X
+        for mapping in itertools.product(range(1, m + 1), repeat=n):
+            alpha = MinorMap(n, m, mapping)
+            all_maps[n].append((alpha, minor(identity, alpha).values))
 
     states = 0
     memo: dict[tuple, tuple | None] = {}
@@ -612,23 +612,20 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
         if key in memo:
             return memo[key]
         result = None
-        table = PolyTable(n, k_target, values)
-        for alpha in all_maps[n]:
-            g = minor(table, alpha)
-            if g.values not in poly_sets[alpha.target_arity]:
+        for alpha, pull in all_maps[n]:
+            m = alpha.target_arity
+            g = tuple([values[p] for p in pull])  # a generator would over-allocate each tuple
+            if g not in poly_sets[m]:
                 raise AssertionError("minor of a polymorphism left the enumerated stream")
-            for probe in range(1 << alpha.target_arity):
-                if g.values[probe] != values[preimage_set(alpha, CoordSet.from_mask(alpha.target_arity, probe)).mask]:
-                    raise AssertionError("preimage identity failed")
-            sel_g = get_sel(g.values, alpha.target_arity)
+            sel_g = get_sel(g, m)
             if sel_g is None:
                 continue
             images = [image_mask(alpha, x) for x in frontier]
             if any(im & sel_g for im in images):
                 continue
-            suffix = extend(g.values, alpha.target_arity, images + [sel_g], steps - 1)
+            suffix = extend(g, m, images + [sel_g], steps - 1)
             if suffix is not None:
-                result = ((alpha.target_arity, g.values, alpha.mapping),) + suffix
+                result = ((m, g, alpha.mapping),) + suffix
                 break
         memo[key] = result
         return result

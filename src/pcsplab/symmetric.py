@@ -109,14 +109,13 @@ class PropagationTrace:
     def forced(self) -> list[ForceEvent]:
         return [e for e in self.events if isinstance(e, ForceEvent)]
 
-    def format_lines(self, cell_name=None) -> list[str]:
-        name = cell_name or (lambda c: f"f({c})")
+    def format_lines(self) -> list[str]:
         lines = []
         for e in self.events:
             if isinstance(e, ForceEvent):
-                lines.append(f"force {name(e.cell)} = {e.color} via {e.triple}")
+                lines.append(f"force f({e.cell}) = {e.color} via {e.triple}")
             else:
-                lines.append(f"contradiction at {name(e.cell)}")
+                lines.append(f"contradiction at f({e.cell})")
         return lines
 
     def to_dict(self) -> dict:

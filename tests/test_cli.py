@@ -79,6 +79,21 @@ def test_poly_search_sym_json(capsys):
     assert payload["found"] is True and len(payload["values"]) == 8
 
 
+# exact stdout of the search --json schemas: search-sym carries "trace", search-block does not
+SEARCH_JSON_PINS = [
+    (("search-sym", "1in3", "T2", "6"), 1, '{"found": false, "nodes": 5, "values": null, "trace": {"events": []}}\n'),
+    (("search-sym", "1in3", "T2", "7"), 0,
+     '{"found": true, "nodes": 4, "values": [0, 1, 2, 0, 1, 2, 0, 1], "trace": null}\n'),
+    (("search-block", "1in3", "NAE", "3", "2"), 0,
+     '{"found": true, "nodes": 7, "values": [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", SEARCH_JSON_PINS)
+def test_poly_search_json_pinned(capsys, argv, code, stdout):
+    assert run(capsys, "poly", *argv, "--json")[:2] == (code, stdout)
+
+
 def test_poly_search_block(capsys):
     code, out, _ = run(capsys, "poly", "search-block", "1in3", "NAE", "3", "2")
     assert code == 0 and "g(0,*):" in out
@@ -124,6 +139,19 @@ def test_verify_lemmas(capsys):
 def test_verify_lemmas_bound_guard(capsys):
     code, _, err = run(capsys, "verify", "lemmas", "D1plus", "--max-arity", "99")
     assert code == 2 and "cap" in err
+
+
+def test_verify_empty_arity_range_is_an_error(capsys):
+    for action in ("lemmas", "selector"):
+        code, out, err = run(capsys, "verify", action, "T1", "--max-arity", "0")
+        assert code == 2 and out == "" and err.startswith("error:"), action
+
+
+def test_verify_selector_bound_guard(capsys):
+    # the selector has no --force, so its message must not offer one
+    code, out, err = run(capsys, "verify", "selector", "T1", "--max-arity", "6")
+    assert code == 2 and out == ""
+    assert err == "max arity 6 exceeds the default cap 5\n"
 
 
 def test_verify_lemmas_unknown_template(capsys):

@@ -169,6 +169,19 @@ def test_preimage_examples():
     assert preimage_set(alpha, CoordSet(2, frozenset({2}))).members == {1, 3}
 
 
+def test_pull_masks_are_preimages():
+    # verify_selector reads minors through these pull masks; this covers every
+    # map it can use up to the default arity cap
+    for n in range(1, 6):
+        identity = PolyTable(n, 1 << n, tuple(range(1 << n)))
+        for m in range(1, 6):
+            for mapping in itertools.product(range(1, m + 1), repeat=n):
+                alpha = MinorMap(n, m, mapping)
+                pull = minor(identity, alpha).values
+                for x in range(1 << m):
+                    assert pull[x] == preimage_set(alpha, CoordSet.from_mask(m, x)).mask, (mapping, x)
+
+
 def test_i_sets_examples():
     at3 = alternating_threshold()
     ones = i_sets(at3, 1, 1)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -7,6 +9,7 @@ from pcsplab.polymorphisms import PolyTable, dictator, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
     SELECTOR_CATALOG,
+    SelectorSpec,
     check_properties,
     chromatic_number,
     compute_Ef,
@@ -170,6 +173,39 @@ def test_verify_selectors_hold_at_arity_two():
         report = verify_selector(template, spec, 2)
         assert report.holds, (spec.name, report.violations[:1])
         assert report.states_explored > 0
+
+
+# states explored per selector: a rewrite of the chain search must do the same work
+SELECTOR_STATE_PINS = [
+    ("SEL_D1", 3, 398),
+    ("SEL_D2", 3, 227),
+    ("SEL_T1", 3, 125),
+    ("SEL_CH", 4, 3588),
+    ("SEL_T1", 4, 4995),
+    ("SEL_D2", 4, 19499),
+]
+
+
+@pytest.mark.parametrize("name, max_arity, states", SELECTOR_STATE_PINS)
+def test_verify_selector_states_pinned(name, max_arity, states):
+    spec = SELECTOR_CATALOG[name]
+    report = verify_selector(pair("1in3", spec.template_name), spec, max_arity)
+    assert report.holds
+    assert report.states_explored == states
+
+
+def test_verify_selector_violation_chains_pinned():
+    # SHA-256 of the report without elapsed_ms: pins every chain (arity, values, mapping)
+    empty_rule = SelectorSpec("SEL_EMPTY", 1, 2, "T1", "always empty", lambda f, n: 0)
+    pins = {
+        2: (31, 14, "0c441301eb3755c8a98a13d4954888a2e3061cb06d36d48e3745d30d7ba81d53"),
+        3: (157, 77, "b44dd77f8e9244a78e2f22feb8e17a0c50c2e6bd1b9d481e0f9d879e5f3d67fe"),
+    }
+    for max_arity, (states, chains, digest) in pins.items():
+        data = verify_selector(pair("1in3", "T1"), empty_rule, max_arity).to_dict()
+        del data["elapsed_ms"]
+        assert (data["states_explored"], len(data["violations"])) == (states, chains)
+        assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
 
 
 def test_verify_selector_report_shape():
