@@ -56,7 +56,15 @@ class Network:
             self.watch[c].append((a, b))
         self.nodes = 0
 
-    def propagate_from(self, cand, val, queue) -> bool:
+    def propagate_from(self, cand, val, queue, on_narrow=None) -> bool:
+        """Narrow candidates from the queued assigned cells; False on an emptied cell.
+
+        Cells are popped last in, first out.  When `on_narrow` is given it is
+        called as on_narrow(cell, removed, triple) each time a cell's mask
+        shrinks, before `cand` and `val` change: `removed` is the mask of
+        colors taken away and `triple` the narrowing constraint's cells in
+        ascending order.  The narrowing that empties a cell is reported too.
+        """
         allowed = self.allowed
         while queue:
             cell = queue.pop()
@@ -66,6 +74,8 @@ class Network:
                 if v1 >= 0:
                     new = cand[o2] & allowed[v][v1]
                     if new != cand[o2]:
+                        if on_narrow is not None:
+                            on_narrow(o2, cand[o2] & ~new, tuple(sorted((cell, o1, o2))))
                         if not new:
                             return False
                         cand[o2] = new
@@ -76,6 +86,8 @@ class Network:
                 if v2 >= 0:
                     new = cand[o1] & allowed[v][v2]
                     if new != cand[o1]:
+                        if on_narrow is not None:
+                            on_narrow(o1, cand[o1] & ~new, tuple(sorted((cell, o1, o2))))
                         if not new:
                             return False
                         cand[o1] = new
@@ -84,19 +96,22 @@ class Network:
                             queue.append(o1)
         return True
 
+    def seeded(self, seed: dict[int, int]):
+        """Masks, values and propagation queue with the seed cells assigned, in seed order."""
+        cand = [self.full] * self.ncells
+        val = [-1] * self.ncells
+        for cell, v in seed.items():
+            cand[cell] = 1 << v
+            val[cell] = v
+        return cand, val, list(seed)
+
     def solutions(self, seed: dict[int, int], first_colors, deadline):
         """Yield every solution; the stack holds (cand, val, branch position, remaining colors) frames.
 
         The first branched cell tries only `first_colors` when it is given and
         nothing is seeded; every other cell tries the colors 0..k-1 in order.
         """
-        cand = [self.full] * self.ncells
-        val = [-1] * self.ncells
-        queue = []
-        for cell, v in seed.items():
-            cand[cell] = 1 << v
-            val[cell] = v
-            queue.append(cell)
+        cand, val, queue = self.seeded(seed)
         self.nodes = 1
         if not self.propagate_from(cand, val, queue):
             return

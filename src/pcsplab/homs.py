@@ -89,18 +89,19 @@ def find_homomorphism(source: RelStructure, target: RelStructure) -> HomMap | No
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
+    # positions before i hold feasible values; position i resumes after its current value
+    i = 0
+    while 0 <= i < n:
         x = order[i]
-        for v in range(k):
+        for v in range(assignment[x] + 1, k):
             assignment[x] = v
-            if feasible(i) and extend(i + 1):
-                return True
-        assignment[x] = -1
-        return False
-
-    if extend(0):
+            if feasible(i):
+                i += 1
+                break
+        else:
+            assignment[x] = -1
+            i -= 1
+    if i == n:
         hom = HomMap(n, k, tuple(assignment))
         assert hom.preserves(source, target)
         return hom

@@ -405,7 +405,6 @@ def _k_colorable(adjacency, k: int, clique) -> bool:
     for i, v in enumerate(clique):
         color[v] = i
     by_degree = sorted(range(nvert), key=lambda v: (-len(adjacency[v]), v))
-    used = len(clique)
 
     def pick():
         best_v, best_key = -1, None
@@ -418,22 +417,29 @@ def _k_colorable(adjacency, k: int, clique) -> bool:
                 best_v, best_key = v, key
         return best_v
 
-    def extend(remaining: int, used: int) -> bool:
-        if remaining == 0:
-            return True
+    todo = nvert - len(clique)
+    if todo == 0:
+        return True
+    stack = []  # one (vertex, untried colors, colors used before it) frame per colored vertex
+
+    def push(used: int) -> None:
         v = pick()
         taken = {color[w] for w in adjacency[v] if color[w] >= 0}
         # at most one brand-new color keeps color classes canonical
-        for c in range(min(k, used + 1)):
-            if c in taken:
-                continue
-            color[v] = c
-            if extend(remaining - 1, max(used, c + 1)):
-                return True
-            color[v] = -1
-        return False
+        stack.append((v, iter([c for c in range(min(k, used + 1)) if c not in taken]), used))
 
-    return extend(nvert - len(clique), used)
+    push(len(clique))
+    while stack:
+        v, colors, used = stack[-1]
+        c = next(colors, -1)
+        color[v] = c
+        if c < 0:
+            stack.pop()
+        elif len(stack) == todo:
+            return True
+        else:
+            push(max(used, c + 1))
+    return False
 
 
 def chromatic_number(graph, limit: int) -> int | None:
@@ -553,8 +559,8 @@ class SelectorReport:
             "chain_length": self.chain_length,
             "states_explored": self.states_explored,
             "violations": [list(map(list, chain)) for chain in self.violations],
-            "totality_failures": [list(map(list, t)) for t in self.totality_failures],
-            "bound_failures": [list(map(list, t)) for t in self.bound_failures],
+            "totality_failures": [[arity, list(values)] for arity, values in self.totality_failures],
+            "bound_failures": [[arity, list(values)] for arity, values in self.bound_failures],
             "elapsed_ms": self.elapsed_ms,
         }
 

@@ -255,23 +255,18 @@ def solve_via_relaxation(instance: Instance, target: RelStructure, prefer: str =
     re-verified.  When both routes apply the cyclic one is taken (cheaper
     exact algebra) unless prefer = "nae".
     """
-    t2 = named_template("T2")
-    nae = named_template("NAE")
-    routes = []
-    if hom_exists(t2, target):
-        routes.append("t2")
-    if hom_exists(nae, target):
-        routes.append("nae")
-    if not routes:
+    base_homs = {}
+    for route, base_structure in (("t2", named_template("T2")), ("nae", named_template("NAE"))):
+        hom = find_homomorphism(base_structure, target)
+        if hom is not None:
+            base_homs[route] = hom
+    if not base_homs:
         raise UnsupportedTargetError("target admits neither the cyclic nor the not-all-equal relaxation")
-    route = prefer if prefer in routes else routes[0]
-    if route == "t2":
-        base, base_structure = solve_t2(instance), t2
-    else:
-        base, base_structure = solve_nae(instance), nae
+    route = prefer if prefer in base_homs else next(iter(base_homs))
+    base = solve_t2(instance) if route == "t2" else solve_nae(instance)
     if base is None:
         return None
-    hom = find_homomorphism(base_structure, target)
+    hom = base_homs[route]
     coloring = {v: hom(c) for v, c in base.items()}
     assert check_coloring(instance, coloring, target)
     return coloring

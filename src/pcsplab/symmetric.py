@@ -175,66 +175,52 @@ def _ordered_compositions(total: int) -> list[tuple[int, int, int]]:
     return [(a, b, total - a - b) for a in range(total + 1) for b in range(total + 1 - a)]
 
 
-def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, PropagationTrace]:
-    """Narrowing fixpoint over weight triples, scanned in canonical order.
+def _sym_network(template: TemplatePair, n: int) -> Network:
+    """One cell per weight 0..n and one constraint per weight triple, branched by weight."""
+    return Network(
+        n + 1,
+        template.target.domain_size,
+        sym_compatible_triples(n),
+        list(range(n + 1)),
+        allowed_table(template.target),
+    )
 
-    For every triple with two assigned slots the third slot's candidate set
-    is intersected with the values compatible with the assigned pair;
-    singletons are forced immediately and a contradiction (empty candidate
-    set) stops the scan.  The event order is deterministic.
+
+def _traced_propagation(net: Network, seed: dict[int, int]) -> tuple[SymTable, PropagationTrace]:
+    """Propagate the seeded weights on a weight network, recording every force and the contradiction."""
+    cand, val, queue = net.seeded(seed)
+    events: list = []
+    eliminations: list[list[tuple[int, tuple]]] = [[] for _ in range(net.ncells)]
+
+    def on_narrow(cell: int, removed: int, triple: tuple) -> None:
+        eliminations[cell].extend((v, triple) for v in range(net.k) if removed >> v & 1)
+        new = cand[cell] & ~removed
+        if not new:
+            events.append(ContradictionEvent(cell, tuple(eliminations[cell])))
+        elif new & (new - 1) == 0 and val[cell] < 0:
+            events.append(ForceEvent(cell, new.bit_length() - 1, triple))
+
+    net.propagate_from(cand, val, queue, on_narrow)
+    table = SymTable(net.ncells - 1, net.k, tuple(v if v >= 0 else None for v in val))
+    return table, PropagationTrace(tuple(events))
+
+
+def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, PropagationTrace]:
+    """Narrowing fixpoint of the search network from the assigned weights of `partial`.
+
+    For every triple with two assigned weights the third weight's candidate
+    set is intersected with the values compatible with the assigned pair;
+    singletons are forced and propagate in turn, and an emptied candidate
+    set stops propagation.  The assigned weights are queued in ascending
+    order and the queue propagates its newest weight first, so the event
+    order is deterministic.
     """
-    n = partial.arity
     k = partial.target_size
     if k != template.target.domain_size:
         raise ValueError(
             f"table target size {k} does not match template target {template.target.domain_size}"
         )
-    allowed = allowed_table(template.target)
-    full = (1 << k) - 1
-    cand = [full] * (n + 1)
-    assigned: list[int | None] = list(partial.values)
-    for w, v in enumerate(partial.values):
-        if v is not None:
-            cand[w] = 1 << v
-    triples = sym_compatible_triples(n)
-    events: list = []
-    eliminations: dict[int, list[tuple[int, tuple]]] = {w: [] for w in range(n + 1)}
-
-    def narrow(target_w: int, other1: int, other2: int, triple) -> bool:
-        """Returns False on contradiction."""
-        if assigned[other1] is None or assigned[other2] is None:
-            return True
-        mask = allowed[assigned[other1]][assigned[other2]]
-        new = cand[target_w] & mask
-        if new == cand[target_w]:
-            return True
-        removed = cand[target_w] & ~new
-        for v in range(k):
-            if removed >> v & 1:
-                eliminations[target_w].append((v, triple))
-        cand[target_w] = new
-        if new == 0:
-            events.append(ContradictionEvent(target_w, tuple(eliminations[target_w])))
-            return False
-        if new & (new - 1) == 0 and assigned[target_w] is None:
-            v = new.bit_length() - 1
-            assigned[target_w] = v
-            events.append(ForceEvent(target_w, v, triple))
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for triple in triples:
-            a, b, c = triple
-            before = tuple(cand)
-            ok = narrow(a, b, c, triple) and narrow(b, a, c, triple) and narrow(c, a, b, triple)
-            if not ok:
-                return seeded_sym_table(n, k, {w: v for w, v in enumerate(assigned) if v is not None}), PropagationTrace(tuple(events))
-            if tuple(cand) != before:
-                changed = True
-    result = seeded_sym_table(n, k, {w: v for w, v in enumerate(assigned) if v is not None})
-    return result, PropagationTrace(tuple(events))
+    return _traced_propagation(_sym_network(template, partial.arity), partial.assigned_weights())
 
 
 @dataclass(frozen=True)
@@ -273,17 +259,11 @@ def search_symmetric(
         )
     deadline = None if time_budget is None else time.monotonic() + time_budget
     seed = partial.assigned_weights() if partial is not None else {}
-    net = Network(
-        n + 1,
-        k,
-        sym_compatible_triples(n),
-        list(range(n + 1)),
-        allowed_table(template.target),
-    )
+    net = _sym_network(template, n)
     wlog = _wlog_colors(template.target) if use_wlog else None
     val = next(net.solutions(seed, wlog, deadline), None)
     if val is None:
-        _, root_trace = propagate(template, partial if partial is not None else empty_sym_table(n, k))
+        _, root_trace = _traced_propagation(net, seed)
         return SearchResult(None, root_trace, net.nodes, wlog)
     table = SymTable(n, k, tuple(val))
     assert is_symmetric_polymorphism(table, template)

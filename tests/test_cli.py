@@ -125,6 +125,10 @@ def test_poly_verify_appendix_b(capsys):
         "force f(14) = 2 via (2, 7, 14)",
         "force f(0) = 3 via (0, 9, 14)",
         "contradiction at f(6)",
+        "  f(6) = 0 refuted: empty candidates at f(9)",
+        "  f(6) = 1 refuted: empty candidates at f(4)",
+        "  f(6) = 2 refuted: empty candidates at f(8)",
+        "  f(6) = 3 refuted: empty candidates at f(3)",
         "no symmetric polymorphism of arity 23 exists",
     ):
         assert line in out

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -65,6 +66,18 @@ def test_hom_exists_examples():
     assert hom_exists(named_template("T2"), named_template("S"))
     assert not hom_exists(named_template("LO_3"), named_template("1in3"))
     assert not brute_hom_exists(named_template("LO_3"), named_template("1in3"))
+
+
+def test_hom_search_leaves_recursion_limit_alone():
+    # the search keeps its own stack: a source far longer than the interpreter limit still maps
+    path = make_structure(1500, [[(i, i + 1, i + 2) for i in range(1498)]])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert hom_exists(path, named_template("NAE"))
+        assert sys.getrecursionlimit() == 300
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_signature_mismatch():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -64,6 +65,18 @@ def test_kneser_graph_matching_and_point():
     assert all(len(nb) == 1 for nb in g.adjacency)
     point = kneser_graph(3, 3)
     assert len(point.vertices) == 1 and point.edge_count == 0
+
+
+def test_chromatic_number_leaves_recursion_limit_alone():
+    # the coloring search keeps its own stack: a path far longer than the interpreter limit is fine
+    path_adjacency = [[w for w in (v - 1, v + 1) if 0 <= w < 1200] for v in range(1200)]
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert chromatic_number(path_adjacency, 3) == 2
+        assert sys.getrecursionlimit() == 300
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_kneser_graph_bad_parameters():
@@ -250,8 +263,14 @@ def test_verify_selector_detects_bad_rules():
     )
     report = verify_selector(template, partial_rule, 2)
     assert report.totality_failures
+    entries = json.loads(json.dumps(report.to_dict()))["totality_failures"]
+    assert len(entries) == len(report.totality_failures)
+    assert all(arity == 2 and len(values) == 4 for arity, values in entries)
 
     # an oversized selection is flagged against the bound
     big_rule = SelectorSpec("SEL_BIG", 1, 2, "T1", "whole coordinate set", lambda f, n: (1 << n) - 1)
     report = verify_selector(template, big_rule, 2)
     assert report.bound_failures
+    entries = json.loads(json.dumps(report.to_dict()))["bound_failures"]
+    assert entries == [[arity, list(values)] for arity, values in report.bound_failures]
+    assert all(arity == 2 and len(values) == 4 for arity, values in entries)

@@ -410,6 +410,12 @@ def test_propagate_soundness_random_seeds():
         n = rng.randint(1, 6)
         seed = {w: rng.randrange(k) for w in rng.sample(range(n + 1), rng.randint(0, min(2, n)))}
         table, trace = propagate(template, seeded_sym_table(n, k, seed))
+        # differential check against the order-free fixpoint
+        cand = fixpoint_oracle(target, n, seed)
+        assert (trace.contradiction is not None) == any(not c for c in cand), (name, n, seed)
+        if trace.contradiction is None:
+            singletons = {w: next(iter(c)) for w, c in enumerate(cand) if len(c) == 1}
+            assert table.assigned_weights() == singletons, (name, n, seed)
         completions = brute_completions(target, n, seed)
         if trace.contradiction is not None:
             assert not completions, (name, n, seed)
