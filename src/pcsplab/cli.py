@@ -185,22 +185,7 @@ def _appendix_b(as_json: bool = False) -> int:
         payload = {
             "arity": head.arity,
             "seed_weight": head.seed_weight,
-            "certificates": [
-                {
-                    "seed_color": cert.seed_color,
-                    "forced": [
-                        {"weight": e.cell, "color": e.color, "triple": list(e.triple)}
-                        for e in cert.forced
-                    ],
-                    "contradiction_weight": cert.contradiction_weight,
-                    "refutations": [
-                        {"color": color, "trace": trace.to_dict()}
-                        for color, trace in cert.refutations
-                    ],
-                    "complete": cert.complete,
-                }
-                for cert in certificates
-            ],
+            "certificates": [cert.to_dict() for cert in certificates],
             "automorphism_transitive": all(c.automorphism_transitive for c in certificates),
         }
         print(json.dumps(payload))

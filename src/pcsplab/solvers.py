@@ -163,35 +163,18 @@ class IntAffineSystem:
 def hnf_solve(system: IntAffineSystem) -> list[int] | None:
     """An integer solution of A x = 1 via column reduction, or None.
 
-    Columns are combined by exact integer operations (a unimodular
-    transform is accumulated) until each processed row has a single pivot;
-    back-substitution demands exact divisibility.  Free parameters are 0.
+    Column j is one list: column j of A, then column j of a unimodular
+    transform T that starts as the identity, so each column operation acts
+    on A T and T at once.  Once each row has at most one pivot,
+    back-substitution solves (A T) y = 1 with exact divisibility (free
+    parameters 0), and x = T y.
     """
     m = len(system.rows)
     n = system.variable_count
-    matrix = [[0] * n for _ in range(m)]
+    cols = [[0] * m + [1 if r == j else 0 for r in range(n)] for j in range(n)]
     for r, (i, j, k) in enumerate(system.rows):
         for v in (i, j, k):
-            matrix[r][v - 1] += 1
-    transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def add_column(dst: int, src: int, factor: int) -> None:
-        for r in range(m):
-            matrix[r][dst] += factor * matrix[r][src]
-        for r in range(n):
-            transform[r][dst] += factor * transform[r][src]
-
-    def swap_columns(a: int, b: int) -> None:
-        for r in range(m):
-            matrix[r][a], matrix[r][b] = matrix[r][b], matrix[r][a]
-        for r in range(n):
-            transform[r][a], transform[r][b] = transform[r][b], transform[r][a]
-
-    def negate_column(j: int) -> None:
-        for r in range(m):
-            matrix[r][j] = -matrix[r][j]
-        for r in range(n):
-            transform[r][j] = -transform[r][j]
+            cols[v - 1][r] += 1
 
     pivots: dict[int, int] = {}  # row -> pivot column
     col = 0
@@ -199,34 +182,37 @@ def hnf_solve(system: IntAffineSystem) -> list[int] | None:
         if col >= n:
             break
         while True:
-            nonzero = [j for j in range(col, n) if matrix[row][j]]
+            nonzero = [j for j in range(col, n) if cols[j][row]]
             if len(nonzero) <= 1:
                 break
-            best = min(nonzero, key=lambda j: (abs(matrix[row][j]), j))
+            best = min(nonzero, key=lambda j: (abs(cols[j][row]), j))
             for j in nonzero:
                 if j != best:
-                    add_column(j, best, -(matrix[row][j] // matrix[row][best]))
-        nonzero = [j for j in range(col, n) if matrix[row][j]]
+                    f = -(cols[j][row] // cols[best][row])
+                    cols[j] = [a + f * b for a, b in zip(cols[j], cols[best])]
         if not nonzero:
             continue
         if nonzero[0] != col:
-            swap_columns(nonzero[0], col)
-        if matrix[row][col] < 0:
-            negate_column(col)
+            cols[nonzero[0]], cols[col] = cols[col], cols[nonzero[0]]
+        if cols[col][row] < 0:
+            cols[col] = [-a for a in cols[col]]
         pivots[row] = col
         col += 1
 
-    y = [0] * n
+    y: dict[int, int] = {}  # pivot column -> nonzero y_j
     for row in range(m):
-        residual = 1 - sum(matrix[row][j] * y[j] for j in range(n) if matrix[row][j])
+        residual = 1 - sum(cols[j][row] * yj for j, yj in y.items())
         if row in pivots:
-            pivot = matrix[row][pivots[row]]
+            pivot = cols[pivots[row]][row]
             if residual % pivot:
                 return None
-            y[pivots[row]] = residual // pivot
+            if residual:
+                y[pivots[row]] = residual // pivot
         elif residual:
             return None
-    solution = [sum(transform[r][j] * y[j] for j in range(n)) for r in range(n)]
+    solution = [0] * n
+    for j, yj in y.items():
+        solution = [x + yj * t for x, t in zip(solution, cols[j][m:])]
     for i, j, k in system.rows:
         assert solution[i - 1] + solution[j - 1] + solution[k - 1] == 1
     return solution

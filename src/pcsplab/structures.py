@@ -254,17 +254,36 @@ def associated_digraph(structure: RelStructure) -> Digraph:
 
 
 def automorphisms(structure: RelStructure) -> list[tuple[int, ...]]:
-    """All domain permutations mapping every relation onto itself."""
+    """All domain permutations mapping every relation onto itself, in lexicographic order.
+
+    Images of 0, 1, ... are chosen in turn, each in ascending order.  A tuple
+    is checked once its largest element is mapped, and a partial permutation
+    sending it outside its relation is not extended: an injective map sends a
+    finite relation into itself only if it sends it onto itself.
+    """
+    k = structure.domain_size
+    completes = [[] for _ in range(k)]  # v -> (tuple, relation) pairs whose largest entry is v
+    for rel in structure.relations:
+        for t in rel.tuples:
+            completes[max(t)].append((t, rel.as_set))
     out = []
-    for perm in itertools.permutations(range(structure.domain_size)):
-        ok = True
-        for rel in structure.relations:
-            image = {tuple(perm[x] for x in t) for t in rel.tuples}
-            if image != rel.as_set:
-                ok = False
-                break
-        if ok:
-            out.append(perm)
+    perm: list[int] = []
+    stack = [iter(range(k))]  # stack[v] yields the images still to try for v
+    while stack:
+        image = next((b for b in stack[-1] if b not in perm), None)
+        if image is None:
+            stack.pop()
+            if perm:
+                perm.pop()
+            continue
+        perm.append(image)
+        if not all(tuple(perm[x] for x in t) in rel for t, rel in completes[len(perm) - 1]):
+            perm.pop()
+        elif len(perm) == k:
+            out.append(tuple(perm))
+            perm.pop()
+        else:
+            stack.append(iter(range(k)))
     return out
 
 

@@ -385,6 +385,15 @@ class ForcingCertificate:
         colors_refuted = {color for color, trace in self.refutations if trace.contradiction is not None}
         return len(colors_refuted) == len(self.refutations) and len(self.refutations) > 0
 
+    def to_dict(self) -> dict:
+        return {
+            "seed_color": self.seed_color,
+            "forced": [{"weight": e.cell, "color": e.color, "triple": list(e.triple)} for e in self.forced],
+            "contradiction_weight": self.contradiction_weight,
+            "refutations": [{"color": color, "trace": trace.to_dict()} for color, trace in self.refutations],
+            "complete": self.complete,
+        }
+
 
 def chplus23_certificate(template: TemplatePair, seed_color: int = 0) -> ForcingCertificate:
     """Replay the arity-23 forced chain from f(8) = seed over the 4-cycle-plus target.

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import pytest
@@ -188,6 +190,25 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
     assert out.count("v ") == 20
 
 
+# SHA-256 of exit code and stdout of `gen 240 180 S | solve T [--prefer nae]`
+# over the cases below, recorded before the HNF column operations moved onto
+# one list per column
+GEN_SOLVE_DIGEST = "37453588d94dcd0e7ebe2e89d61df1c2ffcadacd9dbbc4362fda2850db0f4582"
+
+
+def test_gen_solve_pinned(monkeypatch, capsys):
+    sha = hashlib.sha256()
+    for seed in ("1", "2"):
+        code, instance_text, _ = run(capsys, "gen", "240", "180", seed)
+        assert code == 0
+        for target in ("T2", "NAE", "Splus"):
+            for prefer in ((), ("--prefer", "nae")):
+                monkeypatch.setattr("sys.stdin", io.StringIO(instance_text))
+                code, out, _ = run(capsys, "solve", target, *prefer)
+                sha.update(f"{code}\n{out}".encode())
+    assert sha.hexdigest() == GEN_SOLVE_DIGEST
+
+
 def test_solve_insoluble_edge(tmp_path, capsys):
     path = tmp_path / "bad.hyp"
     path.write_text(format_instance(Instance(1, ((1, 1, 1),))))
@@ -212,6 +233,12 @@ def test_solve_parse_error(tmp_path, capsys):
 def test_search_time_budget_zero(capsys):
     code, _, err = run(capsys, "poly", "search-sym", "1in3", "CHplus", "23", "--time-budget", "0")
     assert code == 2 and "budget" in err
+
+
+def test_search_sym_large_linear_order_within_budget(capsys):
+    # the wlog colours come from the automorphisms of LO_9, found before the budget starts
+    code, out, _ = run(capsys, "poly", "search-sym", "1in3", "LO_9", "5", "--time-budget", "5")
+    assert code == 0 and out.startswith("f(0)=")
 
 
 def test_poly_enumerate_time_budget(capsys):
@@ -243,6 +270,8 @@ def test_poly_verify_appendix_b_json(capsys):
     ]
     assert head["contradiction_weight"] == 6
     assert all(cert["complete"] for cert in payload["certificates"])
+    # exact stdout, recorded before the certificate dicts moved into ForcingCertificate.to_dict
+    assert hashlib.sha256(out.encode()).hexdigest() == "ce9110748d79001521d8118d1abf213fa7a4abd945ef7980d25ca5c570f24dbf"
 
 
 def test_verify_lemmas_jobs_deterministic(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -156,6 +158,41 @@ def test_hnf_agrees_with_bounded_brute_force():
             assert solution is not None
         if solution is not None:
             assert all(solution[i - 1] + solution[j - 1] + solution[k - 1] == 1 for i, j, k in rows)
+
+
+def random_system(rng, nv, ne):
+    return IntAffineSystem(nv, tuple(tuple(rng.randint(1, nv) for _ in range(3)) for _ in range(ne)))
+
+
+def pinned_systems():
+    """Seeded planted systems, then random ones with repeated coordinates (many insoluble)."""
+    systems = [
+        IntAffineSystem(nv, generate_planted(nv, ne, seed)[0].edges)
+        for nv, ne, seed in ((240, 180, 1), (240, 180, 2), (240, 180, 3), (400, 800, 1))
+    ]
+    rng = random.Random(8)
+    systems += [random_system(rng, nv, ne) for nv, ne in ((240, 180), (240, 180), (120, 150), (30, 45))]
+    for _ in range(300):
+        nv = rng.randint(1, 6)
+        systems.append(random_system(rng, nv, rng.randint(1, 7)))
+    return systems
+
+
+# count of None and SHA-256 of the JSON list of solutions over pinned_systems(),
+# recorded before the HNF column operations moved onto one list per column: a
+# change in the choice or order of any column operation changes the solutions
+SOLVER_PINS = [
+    ("hnf_solve", hnf_solve, 203, "76692299e2af0de6948c631a7b34abd7724efdf0a3112515eebd69994ba7fcd6"),
+    ("gauss_gf3", lambda s: gauss_gf3(GF3System(tuple((row, 1) for row in s.rows)), s.variable_count), 202,
+     "9b89cb674cb6e3a3c6e447a77890d9bc07106521429e1cc46f1837ea956ff6a4"),
+]
+
+
+@pytest.mark.parametrize("name, solve, nones, digest", SOLVER_PINS, ids=[p[0] for p in SOLVER_PINS])
+def test_solver_outputs_pinned(name, solve, nones, digest):
+    solutions = [solve(system) for system in pinned_systems()]
+    assert solutions.count(None) == nones
+    assert hashlib.sha256(json.dumps(solutions).encode()).hexdigest() == digest
 
 
 def test_solve_nae_examples():

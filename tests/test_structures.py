@@ -5,6 +5,7 @@ import pytest
 
 from pcsplab.errors import FormatError, SignatureMismatchError
 from pcsplab.structures import (
+    all_symmetric_ternary_structures,
     associated_digraph,
     automorphisms,
     format_structure,
@@ -14,6 +15,7 @@ from pcsplab.structures import (
     plus_closure,
     rainbow_triples,
     symmetrize,
+    template_names_3,
     ternary_structure,
 )
 
@@ -164,6 +166,25 @@ def test_automorphisms_form_a_group():
             assert inverse in autos
             for q in autos:
                 assert tuple(p[q[v]] for v in range(s.domain_size)) in autos
+
+
+def brute_automorphisms(structure):
+    """Reference: every permutation, in itertools order, that maps each relation onto itself."""
+    return [
+        perm
+        for perm in itertools.permutations(range(structure.domain_size))
+        if all({tuple(perm[x] for x in t) for t in rel.tuples} == rel.as_set for rel in structure.relations)
+    ]
+
+
+def test_automorphisms_match_permutation_filter():
+    rng = random.Random(29)
+    names = template_names_3() + ["CH", "CHplus", "LO_3", "LO_5", "NAE_3", "NAE_5"]
+    structures = all_symmetric_ternary_structures() + [named_template(n) for n in names]
+    structures += [random_ternary(rng, domain_size) for domain_size in (2, 3, 4) for _ in range(20)]
+    structures.append(make_structure(4, [{(0, 1)}, {(2, 3, 3), (3, 2, 2)}]))
+    for s in structures:
+        assert automorphisms(s) == brute_automorphisms(s)
 
 
 def test_exactly_two_structures_per_digraph():
