@@ -1,19 +1,28 @@
 """The propagation engine shared by the polymorphism searches and enumeration.
 
-A network has cells 0..ncells-1 that each take a color below k, and triple
-constraints on cells: the colors of a triple's cells must map into the
-target relation in every order.  `allowed_table` gives, per color pair, the
-mask of colors that complete it.  Search is depth-first over a fixed branch
-order with ascending colors; after each assignment, every triple with two
-assigned cells narrows the candidate mask of its third cell, and a cell left
-with one candidate is assigned and propagates in turn.  Narrowing only
-removes colors that no solution can use, so solutions come out in
-lexicographic order along the branch order.
+A network is built from a tuple of coordinate-block sizes.  Its cells are
+the weight vectors (w_1, ..., w_b) with 0 <= w_i <= blocks[i], indexed in
+mixed radix with the last block least significant: `(n,)` gives one cell
+per weight 0..n, `(k1, k2)` the cell w1 * (k2 + 1) + w2, and `(1,) * n` one
+cell per subset mask of [n].  A table on the cells is a function of the
+subsets of the coordinates that only sees how many coordinates of each block
+a subset holds.  Each unordered 3-partition of the coordinates gives one
+constraint: the colors of its three parts' cells must map into the target
+relation in every order.  `allowed_table` gives, per color pair, the mask of
+colors that complete it.
+
+Search is depth-first over a fixed branch order with ascending colors; after
+each assignment, every constraint with two assigned cells narrows the
+candidate mask of its third cell, and a cell left with one candidate is
+assigned and propagates in turn.  Narrowing only removes colors that no
+solution can use, so solutions come out in lexicographic order along the
+branch order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 from .errors import TimeBudgetExceeded
@@ -40,17 +49,37 @@ def allowed_table(target: RelStructure) -> list[list[int]]:
     return table
 
 
-class Network:
-    """Backtracking with queue-based candidate propagation over cell triples."""
+def _partition_triples(blocks):
+    """One sorted cell triple per unordered 3-partition of the coordinates, in sorted order.
 
-    def __init__(self, ncells: int, ncolors: int, triples, branch_order, allowed):
-        self.ncells = ncells
-        self.k = ncolors
-        self.full = (1 << ncolors) - 1
+    A 3-partition is an ordered composition of each block's size into three
+    parts; the product over the blocks runs through chained generators, so
+    only the deduplicated triples are held.
+    """
+    triples = iter([(0, 0, 0)])
+    stride = 1
+    for size in reversed(blocks):
+        triples = _add_block(triples, size, stride)
+        stride *= size + 1
+    return sorted({tuple(sorted(t)) for t in triples})
+
+
+def _add_block(triples, size, stride):
+    parts = [(a * stride, b * stride, (size - a - b) * stride) for a in range(size + 1) for b in range(size + 1 - a)]
+    return ((x + a, y + b, z + c) for x, y, z in triples for a, b, c in parts)
+
+
+class Network:
+    """Backtracking with queue-based candidate propagation over the 3-partition constraints of `blocks`."""
+
+    def __init__(self, blocks: tuple[int, ...], branch_order, allowed):
+        self.ncells = math.prod(size + 1 for size in blocks)
+        self.k = len(allowed)
+        self.full = (1 << self.k) - 1
         self.branch_order = branch_order
         self.allowed = allowed
-        self.watch: list[list[tuple[int, int]]] = [[] for _ in range(ncells)]
-        for a, b, c in triples:
+        self.watch: list[list[tuple[int, int]]] = [[] for _ in range(self.ncells)]
+        for a, b, c in _partition_triples(blocks):
             self.watch[a].append((b, c))
             self.watch[b].append((a, c))
             self.watch[c].append((a, b))

@@ -226,22 +226,16 @@ def hom_lattice(structures, jobs: int = 1) -> HomLattice:
             class_of_rep[j] = len(classes_reps)
         classes_reps.append(cls)
 
-    hom_classes = []
+    classes = []  # (hom class, one of its isomorphism-class representatives), by representative encoding
     for rep_ids in classes_reps:
         member_ids = sorted(itertools.chain.from_iterable(iso_groups[iso_keys[r]] for r in rep_ids))
         members = tuple(structures[i] for i in member_ids)
         representative = min(members, key=lambda s: s.encoding())
-        hom_classes.append(HomClass(members, representative))
-
-    order_key = sorted(range(len(hom_classes)), key=lambda c: hom_classes[c].representative.encoding())
-    relabel = {old: new for new, old in enumerate(order_key)}
-    hom_classes = [hom_classes[old] for old in order_key]
-
-    below = [[False] * len(hom_classes) for _ in hom_classes]
-    for ci, rep_ids in enumerate(classes_reps):
-        for cj, rep_ids2 in enumerate(classes_reps):
-            if ci != cj and matrix[rep_ids[0]][rep_ids2[0]]:
-                below[relabel[ci]][relabel[cj]] = True
+        classes.append((HomClass(members, representative), rep_ids[0]))
+    classes.sort(key=lambda c: c[0].representative.encoding())
+    hom_classes = [c for c, _ in classes]
+    heads = [r for _, r in classes]
+    below = [[i != j and matrix[a][b] for j, b in enumerate(heads)] for i, a in enumerate(heads)]
 
     nclasses = len(hom_classes)
     covers = set()

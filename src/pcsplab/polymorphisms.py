@@ -287,12 +287,14 @@ def enumerate_polymorphisms(
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
     The stream order is lexicographic in the value vector read along the
-    canonical subset order.  The cells are the subset masks and each
-    3-partition is one triple constraint of the search network; every
-    assignment forward-checks the partitions it shares with one other
-    assigned cell, removing the values of their third cell that no
-    ordering of the relation admits.  Raises TimeBudgetExceeded once the
-    search runs past time_budget seconds.
+    canonical subset order.  The search network has one unit block per
+    coordinate, so its cells are the 2**n subset masks and each unordered
+    3-partition of [n] is one constraint; the network numbers the blocks
+    from the high bit down, which relabels coordinates and leaves the set
+    of 3-partitions as it is.  Every assignment forward-checks the
+    partitions it shares with one other assigned cell, removing the values
+    of their third cell that no ordering of the relation admits.  Raises
+    TimeBudgetExceeded once the search runs past time_budget seconds.
     """
     _require_boolean_one_in_three_source(template)
     if n > arity_cap:
@@ -303,10 +305,7 @@ def enumerate_polymorphisms(
         raise ValueError("arity must be >= 1")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     k = template.target.domain_size
-    full = (1 << n) - 1
-    # one sorted cell triple per unordered 3-partition {x, y, rest} of [n], cells possibly empty
-    triples = {tuple(sorted((x, y, full ^ x ^ y))) for x in range(1 << n) for y in range(1 << n) if not x & y}
-    net = Network(1 << n, k, triples, subset_masks(n), allowed_table(template.target))
+    net = Network((1,) * n, subset_masks(n), allowed_table(template.target))
     for values in net.solutions({}, None, deadline):
         yield PolyTable(n, k, tuple(values))
 

@@ -145,15 +145,10 @@ def is_symmetric_polymorphism(table: SymTable, template: TemplatePair) -> bool:
         raise ValueError("table has unassigned cells")
     if table.target_size != template.target.domain_size:
         raise ValueError("table target size does not match template target")
-    rel = template.target.single_ternary()
-    rel_set = rel.as_set
-    symmetric = rel.is_symmetric()
+    rel = template.target.single_ternary().as_set
     for a, b, c in sym_compatible_triples(table.arity):
         vals = (table.values[a], table.values[b], table.values[c])
-        if symmetric:
-            if vals not in rel_set:
-                return False
-        elif not all(p in rel_set for p in set(itertools.permutations(vals))):
+        if not all(p in rel for p in itertools.permutations(vals)):
             return False
     return True
 
@@ -173,17 +168,6 @@ def is_block_symmetric_polymorphism(table: BlockSymTable, template: TemplatePair
 
 def _ordered_compositions(total: int) -> list[tuple[int, int, int]]:
     return [(a, b, total - a - b) for a in range(total + 1) for b in range(total + 1 - a)]
-
-
-def _sym_network(template: TemplatePair, n: int) -> Network:
-    """One cell per weight 0..n and one constraint per weight triple, branched by weight."""
-    return Network(
-        n + 1,
-        template.target.domain_size,
-        sym_compatible_triples(n),
-        list(range(n + 1)),
-        allowed_table(template.target),
-    )
 
 
 def _traced_propagation(net: Network, seed: dict[int, int]) -> tuple[SymTable, PropagationTrace]:
@@ -220,7 +204,8 @@ def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, Prop
         raise ValueError(
             f"table target size {k} does not match template target {template.target.domain_size}"
         )
-    return _traced_propagation(_sym_network(template, partial.arity), partial.assigned_weights())
+    net = Network((partial.arity,), range(partial.arity + 1), allowed_table(template.target))
+    return _traced_propagation(net, partial.assigned_weights())
 
 
 @dataclass(frozen=True)
@@ -259,8 +244,8 @@ def search_symmetric(
         )
     deadline = None if time_budget is None else time.monotonic() + time_budget
     seed = partial.assigned_weights() if partial is not None else {}
-    net = _sym_network(template, n)
-    wlog = _wlog_colors(template.target) if use_wlog else None
+    net = Network((n,), range(n + 1), allowed_table(template.target))
+    wlog = _wlog_colors(template.target) if use_wlog and not seed else None
     val = next(net.solutions(seed, wlog, deadline), None)
     if val is None:
         _, root_trace = _traced_propagation(net, seed)
@@ -272,20 +257,6 @@ def search_symmetric(
 
 def _block_cells(k1: int, k2: int) -> list[tuple[int, int]]:
     return [(w1, w2) for w1 in range(k1 + 1) for w2 in range(k2 + 1)]
-
-
-def _block_triples(k1: int, k2: int) -> list[tuple[int, int, int]]:
-    """Constraint triples as sorted cell-index multisets, deduplicated."""
-    width = k2 + 1
-    seen = set()
-    for a1, b1, c1 in _ordered_compositions(k1):
-        if not a1 <= b1 <= c1:
-            continue
-        for a2, b2, c2 in _ordered_compositions(k2):
-            for p2 in set(itertools.permutations((a2, b2, c2))):
-                cells = tuple(sorted((a1 * width + p2[0], b1 * width + p2[1], c1 * width + p2[2])))
-                seen.add(cells)
-    return sorted(seen)
 
 
 def _block_branch_order(k1: int, k2: int) -> list[int]:
@@ -324,13 +295,7 @@ def search_block_symmetric(
         raise ValueError("block sizes must be >= 1")
     k = template.target.domain_size
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    net = Network(
-        (k1 + 1) * (k2 + 1),
-        k,
-        _block_triples(k1, k2),
-        _block_branch_order(k1, k2),
-        allowed_table(template.target),
-    )
+    net = Network((k1, k2), _block_branch_order(k1, k2), allowed_table(template.target))
     wlog = _wlog_colors(template.target) if use_wlog else None
     val = next(net.solutions({}, wlog, deadline), None)
     if val is None:

@@ -67,6 +67,12 @@ def test_poly_enumerate_cap(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_poly_enumerate_rejects_nonpositive_arity(capsys):
+    for arity in ("0", "-1"):
+        code, out, err = run(capsys, "poly", "enumerate", "1in3", "NAE", arity)
+        assert (code, out, err) == (2, "", "error: arity must be >= 1\n")
+
+
 def test_poly_search_sym(capsys):
     code, out, _ = run(capsys, "poly", "search-sym", "1in3", "T2", "7")
     assert code == 0 and "f(0)=" in out

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -19,7 +20,7 @@ from pcsplab.homs import (
     lattice_to_dot,
 )
 from pcsplab.solvers import Instance
-from pcsplab.structures import make_structure, named_template, symmetrize
+from pcsplab.structures import make_structure, named_template, symmetrize, template_names_3
 
 
 def brute_hom_exists(source, target):
@@ -199,10 +200,20 @@ def test_lattice_dot_output():
 
 
 def test_lattice_all3_jobs_identical():
-    from pcsplab.cli import all_symmetric_ternary_structures
+    from pcsplab.cli import _named_catalog, all_symmetric_ternary_structures
 
     structures = all_symmetric_ternary_structures()
     sequential = hom_lattice(structures, jobs=1)
     parallel = hom_lattice(structures, jobs=2)
     assert sequential == parallel
     assert len(sequential.classes) == 21
+    # SHA-256 of `hom lattice --all3` and `--named3` stdout, recorded before the
+    # classes were sorted ahead of building the order relation
+    catalog = _named_catalog()
+    labeler = lambda s: catalog.get(s.encoding())
+    named = hom_lattice([named_template(name) for name in template_names_3()])
+    digests = [hashlib.sha256(lattice_to_dot(lat, labeler).encode()).hexdigest() for lat in (sequential, named)]
+    assert digests == [
+        "1e4e34d2e5cc2ac18186f58fc5491e91d0588d6179be79546ffc7ba808af3612",
+        "6bc20cdd9c6c56822026a95fd3e1fcc165cd857590288c5d98ae426237812c77",
+    ]

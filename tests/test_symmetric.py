@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from pcsplab import symmetric
 from pcsplab.errors import TimeBudgetExceeded
 from pcsplab.polymorphisms import PolyTable, is_polymorphism
 from pcsplab.structures import TemplatePair, named_template
@@ -217,6 +218,21 @@ def test_search_symmetric_respects_seed():
     assert result.table is not None
     assert result.table.values[0] == 1
     assert is_symmetric_polymorphism(result.table, t2)
+
+
+def test_seeded_search_skips_automorphisms(monkeypatch):
+    # wlog colors only apply to an unseeded search, so a seeded one must not compute them
+    template = pair("1in3", "NAE_7")
+    seeded = seeded_sym_table(5, 7, {0: 0})
+    plain = search_symmetric(template, 5, partial=seeded, use_wlog=False)
+
+    def refuse(structure):
+        raise AssertionError("automorphism orbits computed for a seeded search")
+
+    monkeypatch.setattr(symmetric, "automorphism_orbits", refuse)
+    result = search_symmetric(template, 5, partial=seeded)
+    assert (result.table, result.nodes, result.wlog_colors) == (plain.table, plain.nodes, None)
+    assert result.table is not None
 
 
 def test_search_block_nae_exists():
