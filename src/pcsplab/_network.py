@@ -11,12 +11,23 @@ constraint: the colors of its three parts' cells must map into the target
 relation in every order.  `allowed_table` gives, per color pair, the mask of
 colors that complete it.
 
-Search is depth-first over a fixed branch order with ascending colors; after
-each assignment, every constraint with two assigned cells narrows the
-candidate mask of its third cell, and a cell left with one candidate is
-assigned and propagates in turn.  Narrowing only removes colors that no
-solution can use, so solutions come out in lexicographic order along the
-branch order.
+The state of a search is one candidate mask per cell; a cell is assigned
+when its mask is a singleton.  Propagation pops a cell and narrows the other
+two cells of each of its constraints through a support row: row[m] is the
+mask of colors that the popped cell's mask and the mask m can complete.
+Two kinds of rows exist, each built on first use of a mask pair:
+
+- `support` ORs `allowed` over every color pair of the two masks.  Search
+  and enumeration use it from a root that queues every cell, so each node
+  is propagated to full (generalised) arc consistency: every candidate of
+  every cell has a completing pair in each of its constraints.
+- `forward` is `allowed` when both masks are singletons and every color
+  otherwise, which is forward checking: a constraint with two assigned
+  cells narrows the third.  Propagation traces use it.
+
+Search is depth-first over a fixed branch order with ascending colors.
+Narrowing only removes colors that no solution can use, so solutions come
+out in lexicographic order along the branch order, whichever rows narrow.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from operator import itemgetter
 
 from .errors import TimeBudgetExceeded
 from .structures import RelStructure
@@ -54,11 +66,14 @@ def _partition_triples(blocks):
 
     A 3-partition is an ordered composition of each block's size into three
     parts; the product over the blocks runs through chained generators, so
-    only the deduplicated triples are held.
+    only the deduplicated triples are held.  Reordering the parts of any
+    3-partition sorts the last block's parts, so that block contributes
+    only its compositions a <= b <= c.
     """
-    triples = iter([(0, 0, 0)])
-    stride = 1
-    for size in reversed(blocks):
+    last = blocks[-1]
+    triples = [(a, b, last - a - b) for a in range(last // 3 + 1) for b in range(a, (last - a) // 2 + 1)]
+    stride = last + 1
+    for size in reversed(blocks[:-1]):
         triples = _add_block(triples, size, stride)
         stride *= size + 1
     return sorted({tuple(sorted(t)) for t in triples})
@@ -69,15 +84,37 @@ def _add_block(triples, size, stride):
     return ((x + a, y + b, z + c) for x, y, z in triples for a, b, c in parts)
 
 
+class _Lazy(dict):
+    """A dict that builds a missing entry as make(key) and keeps it."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _rows(k: int, entry):
+    """rows[m1][m2] = entry(m1, m2) over k-color masks, each row built on the first lookup of its m1.
+
+    With at most 8 colors a row is a list over every m2 (at most 256
+    entries), the fastest lookup; with more, a row is a dict filled on
+    lookup, so memory follows the mask pairs that occur instead of 4**k.
+    """
+    if k <= 8:
+        return _Lazy(lambda m1: [entry(m1, m2) for m2 in range(1 << k)])
+    return _Lazy(lambda m1: _Lazy(lambda m2: entry(m1, m2)))
+
+
 class Network:
-    """Backtracking with queue-based candidate propagation over the 3-partition constraints of `blocks`."""
+    """Depth-first search over candidate masks, arc consistent at every node, over the 3-partition constraints of `blocks`."""
 
     def __init__(self, blocks: tuple[int, ...], branch_order, allowed):
         self.ncells = math.prod(size + 1 for size in blocks)
-        self.k = len(allowed)
-        self.full = (1 << self.k) - 1
+        self.k = k = len(allowed)
+        self.full = full = (1 << k) - 1
         self.branch_order = branch_order
-        self.allowed = allowed
         self.watch: list[list[tuple[int, int]]] = [[] for _ in range(self.ncells)]
         for a, b, c in _partition_triples(blocks):
             self.watch[a].append((b, c))
@@ -85,97 +122,112 @@ class Network:
             self.watch[c].append((a, b))
         self.nodes = 0
 
-    def propagate_from(self, cand, val, queue, on_narrow=None) -> bool:
-        """Narrow candidates from the queued assigned cells; False on an emptied cell.
+        # the row builders close over locals only, so a network is freed as soon as it is dropped
+        def colors(mask):
+            return [v for v in range(k) if mask >> v & 1]
 
-        Cells are popped last in, first out.  When `on_narrow` is given it is
-        called as on_narrow(cell, removed, triple) each time a cell's mask
-        shrinks, before `cand` and `val` change: `removed` is the mask of
-        colors taken away and `triple` the narrowing constraint's cells in
-        ascending order.  The narrowing that empties a cell is reported too.
+        def pair_support(m1, m2):
+            mask = 0
+            for x in colors(m1):
+                for y in colors(m2):
+                    mask |= allowed[x][y]
+            return mask
+
+        def pair_forward(m1, m2):
+            if m1 & (m1 - 1) or m2 & (m2 - 1):
+                return full
+            return allowed[m1.bit_length() - 1][m2.bit_length() - 1]
+
+        self.support = _rows(k, pair_support)
+        self.forward = _rows(k, pair_forward)
+
+    def propagate_from(self, cand, queue, rows, on_narrow=None) -> bool:
+        """Narrow candidates from the queued cells through `rows`; False on an emptied cell.
+
+        Cells are popped last in, first out, and every narrowed cell is
+        pushed.  When `on_narrow` is given it is called as
+        on_narrow(cell, removed, triple) each time a cell's mask shrinks,
+        before `cand` changes: `removed` is the mask of colors taken away and
+        `triple` the narrowing constraint's cells in ascending order.  The
+        narrowing that empties a cell is reported too.
         """
-        allowed = self.allowed
+        watch = self.watch
         while queue:
             cell = queue.pop()
-            v = val[cell]
-            for o1, o2 in self.watch[cell]:
-                v1 = val[o1]
-                if v1 >= 0:
-                    new = cand[o2] & allowed[v][v1]
-                    if new != cand[o2]:
-                        if on_narrow is not None:
-                            on_narrow(o2, cand[o2] & ~new, tuple(sorted((cell, o1, o2))))
-                        if not new:
-                            return False
-                        cand[o2] = new
-                        if new & (new - 1) == 0 and val[o2] < 0:
-                            val[o2] = new.bit_length() - 1
-                            queue.append(o2)
-                v2 = val[o2]
-                if v2 >= 0:
-                    new = cand[o1] & allowed[v][v2]
-                    if new != cand[o1]:
-                        if on_narrow is not None:
-                            on_narrow(o1, cand[o1] & ~new, tuple(sorted((cell, o1, o2))))
-                        if not new:
-                            return False
-                        cand[o1] = new
-                        if new & (new - 1) == 0 and val[o1] < 0:
-                            val[o1] = new.bit_length() - 1
-                            queue.append(o1)
+            row = rows[cand[cell]]
+            for o1, o2 in watch[cell]:
+                m1 = cand[o1]
+                m2 = cand[o2]
+                new = m2 & row[m1]
+                if new != m2:
+                    if on_narrow is not None:
+                        on_narrow(o2, m2 & ~new, tuple(sorted((cell, o1, o2))))
+                    if not new:
+                        return False
+                    cand[o2] = m2 = new
+                    queue.append(o2)
+                    m1 = cand[o1]  # o1 is o2 when the triple repeats a cell
+                new = m1 & row[m2]
+                if new != m1:
+                    if on_narrow is not None:
+                        on_narrow(o1, m1 & ~new, tuple(sorted((cell, o1, o2))))
+                    if not new:
+                        return False
+                    cand[o1] = new
+                    queue.append(o1)
         return True
 
-    def seeded(self, seed: dict[int, int]):
-        """Masks, values and propagation queue with the seed cells assigned, in seed order."""
+    def seeded(self, seed: dict[int, int]) -> list[int]:
+        """Candidate masks with the seed cells assigned."""
         cand = [self.full] * self.ncells
-        val = [-1] * self.ncells
         for cell, v in seed.items():
             cand[cell] = 1 << v
-            val[cell] = v
-        return cand, val, list(seed)
+        return cand
 
     def solutions(self, seed: dict[int, int], first_colors, deadline):
-        """Yield every solution; the stack holds (cand, val, branch position, remaining colors) frames.
+        """Yield the value tuple of every solution; the stack holds (cand, branch position, remaining colors) frames.
 
         The first branched cell tries only `first_colors` when it is given and
-        nothing is seeded; every other cell tries the colors 0..k-1 in order.
+        nothing is seeded; every other cell tries its candidates in ascending
+        order.
         """
-        cand, val, queue = self.seeded(seed)
+        cand = self.seeded(seed)
         self.nodes = 1
-        if not self.propagate_from(cand, val, queue):
+        support = self.support
+        if not self.propagate_from(cand, list(range(self.ncells)), support):
             return
+        color_of = {1 << v: v for v in range(self.k)}
         colors = first_colors if (first_colors is not None and not seed) else range(self.k)
         order = self.branch_order
         stack = []
         start = 0  # every cell before this position in the branch order is assigned
         while True:
-            # expand the node (cand, val) at its first unassigned cell
+            # expand the node at its first unassigned cell
             for i in range(start, len(order)):
-                if val[order[i]] < 0:
+                mask = cand[order[i]]
+                if mask & (mask - 1):
                     if deadline is not None and time.monotonic() > deadline:
                         raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
-                    stack.append((cand, val, i, iter(colors)))
+                    stack.append((cand, i, iter(colors)))
                     colors = range(self.k)
                     break
             else:
-                yield val
+                yield itemgetter(*cand)(color_of)  # a tuple: every network has at least two cells
             # descend into the next child whose propagation succeeds, backtracking as needed
             cand = None
             while cand is None:
                 if not stack:
                     return
-                parent_cand, parent_val, start, remaining = stack[-1]
+                parent, start, remaining = stack[-1]
                 cell = order[start]
                 for v in remaining:
-                    if not parent_cand[cell] >> v & 1:
+                    if not parent[cell] >> v & 1:
                         continue
                     self.nodes += 1
-                    cand2 = list(parent_cand)
-                    val2 = list(parent_val)
-                    cand2[cell] = 1 << v
-                    val2[cell] = v
-                    if self.propagate_from(cand2, val2, [cell]):
-                        cand, val = cand2, val2
+                    child = list(parent)
+                    child[cell] = 1 << v
+                    if self.propagate_from(child, [cell], support):
+                        cand = child
                         break
                 else:
                     stack.pop()

@@ -87,9 +87,10 @@ class PolyTable:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if len(self.values) != 1 << self.arity:
             raise ValueError(f"expected {1 << self.arity} entries, got {len(self.values)}")
-        for v in self.values:
-            if not 0 <= v < self.target_size:
-                raise ValueError(f"value {v} outside target domain")
+        if not frozenset(range(self.target_size)).issuperset(self.values):
+            for v in self.values:
+                if not 0 <= v < self.target_size:
+                    raise ValueError(f"value {v} outside target domain")
 
     def value_on(self, mask: int) -> int:
         return self.values[mask]
@@ -291,10 +292,10 @@ def enumerate_polymorphisms(
     coordinate, so its cells are the 2**n subset masks and each unordered
     3-partition of [n] is one constraint; the network numbers the blocks
     from the high bit down, which relabels coordinates and leaves the set
-    of 3-partitions as it is.  Every assignment forward-checks the
-    partitions it shares with one other assigned cell, removing the values
-    of their third cell that no ordering of the relation admits.  Raises
-    TimeBudgetExceeded once the search runs past time_budget seconds.
+    of 3-partitions as it is.  Every node is propagated to arc consistency:
+    a value stays only while each partition through its cell has values of
+    the other two cells that complete it in every ordering of the relation.
+    Raises TimeBudgetExceeded once the search runs past time_budget seconds.
     """
     _require_boolean_one_in_three_source(template)
     if n > arity_cap:
@@ -307,7 +308,7 @@ def enumerate_polymorphisms(
     k = template.target.domain_size
     net = Network((1,) * n, subset_masks(n), allowed_table(template.target))
     for values in net.solutions({}, None, deadline):
-        yield PolyTable(n, k, tuple(values))
+        yield PolyTable(n, k, values)
 
 
 def i_sets(table: PolyTable, color: int, max_size: int) -> list[CoordSet]:

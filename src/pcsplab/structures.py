@@ -10,6 +10,7 @@ but fixing it keeps all output reproducible).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -254,7 +255,26 @@ def associated_digraph(structure: RelStructure) -> Digraph:
 
 
 def automorphisms(structure: RelStructure) -> list[tuple[int, ...]]:
-    """All domain permutations mapping every relation onto itself, in lexicographic order.
+    """All domain permutations mapping every relation onto itself, in lexicographic order."""
+    return list(_automorphism_search(structure, _invariant_classes(structure)))
+
+
+def _invariant_classes(structure: RelStructure) -> list[tuple[int, ...]]:
+    """classes[v] = the elements whose count of (relation, multiplicity) over the tuples containing them equals v's.
+
+    An automorphism maps each element into its class.
+    """
+    k = structure.domain_size
+    counts = [Counter() for _ in range(k)]
+    for r, rel in enumerate(structure.relations):
+        for t in rel.tuples:
+            for v in set(t):
+                counts[v][r, t.count(v)] += 1
+    return [tuple(w for w in range(k) if counts[w] == counts[v]) for v in range(k)]
+
+
+def _automorphism_search(structure: RelStructure, images: list[tuple[int, ...]]):
+    """Yield the automorphisms p with p[v] in images[v] for every v, in lexicographic order.
 
     Images of 0, 1, ... are chosen in turn, each in ascending order.  A tuple
     is checked once its largest element is mapped, and a partial permutation
@@ -266,9 +286,8 @@ def automorphisms(structure: RelStructure) -> list[tuple[int, ...]]:
     for rel in structure.relations:
         for t in rel.tuples:
             completes[max(t)].append((t, rel.as_set))
-    out = []
     perm: list[int] = []
-    stack = [iter(range(k))]  # stack[v] yields the images still to try for v
+    stack = [iter(images[0])]  # stack[v] yields the images still to try for v
     while stack:
         image = next((b for b in stack[-1] if b not in perm), None)
         if image is None:
@@ -280,25 +299,32 @@ def automorphisms(structure: RelStructure) -> list[tuple[int, ...]]:
         if not all(tuple(perm[x] for x in t) in rel for t, rel in completes[len(perm) - 1]):
             perm.pop()
         elif len(perm) == k:
-            out.append(tuple(perm))
+            yield tuple(perm)
             perm.pop()
         else:
-            stack.append(iter(range(k)))
-    return out
+            stack.append(iter(images[len(perm)]))
 
 
 def automorphism_orbits(structure: RelStructure) -> list[frozenset[int]]:
-    """Orbits of the domain under the automorphism group, sorted by minimum."""
-    autos = automorphisms(structure)
-    seen: set[int] = set()
-    orbits = []
-    for v in range(structure.domain_size):
-        if v in seen:
-            continue
-        orbit = frozenset(perm[v] for perm in autos)
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
+    """Orbits of the domain under the automorphism group, sorted by minimum.
+
+    Only elements of one invariant class can share an orbit.  For each pair
+    v < w of a class not yet known to share one, a single automorphism
+    sending v to w is searched for, and one that is found joins the orbit of
+    every element with that of its image; the group itself is never listed.
+    """
+    classes = _invariant_classes(structure)
+    orbit = [frozenset([v]) for v in range(structure.domain_size)]
+    for v, cls in enumerate(classes):
+        for w in cls:
+            if w > v and w not in orbit[v]:
+                perm = next(_automorphism_search(structure, classes[:v] + [(w,)] + classes[v + 1 :]), None)
+                for x, y in enumerate(perm or ()):
+                    if orbit[y] is not orbit[x]:
+                        merged = orbit[x] | orbit[y]
+                        for z in merged:
+                            orbit[z] = merged
+    return sorted(set(orbit), key=min)
 
 
 @dataclass(frozen=True)

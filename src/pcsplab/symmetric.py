@@ -4,9 +4,9 @@ A symmetric table stores one value per Hamming weight 0..n; compatibility
 says every weight triple (a, b, c) with a+b+c = n must map into the target
 relation (in every order, which is free when the relation is symmetric).
 A two-block table stores one value per weight pair.  Search is chronological
-backtracking with candidate-set propagation; when the target's automorphism
-group identifies colors, the first branched cell only tries orbit
-representatives.
+backtracking that keeps every node arc consistent; when the target's
+automorphism group identifies colors, the first branched cell only tries
+orbit representatives.  Propagation traces record forward checking.
 """
 
 from __future__ import annotations
@@ -171,8 +171,11 @@ def _ordered_compositions(total: int) -> list[tuple[int, int, int]]:
 
 
 def _traced_propagation(net: Network, seed: dict[int, int]) -> tuple[SymTable, PropagationTrace]:
-    """Propagate the seeded weights on a weight network, recording every force and the contradiction."""
-    cand, val, queue = net.seeded(seed)
+    """Forward-check the seeded weights on a weight network, recording every force and the contradiction."""
+    cand = net.seeded(seed)
+    values: list[int | None] = [None] * net.ncells
+    for w, v in seed.items():
+        values[w] = v
     events: list = []
     eliminations: list[list[tuple[int, tuple]]] = [[] for _ in range(net.ncells)]
 
@@ -181,16 +184,16 @@ def _traced_propagation(net: Network, seed: dict[int, int]) -> tuple[SymTable, P
         new = cand[cell] & ~removed
         if not new:
             events.append(ContradictionEvent(cell, tuple(eliminations[cell])))
-        elif new & (new - 1) == 0 and val[cell] < 0:
-            events.append(ForceEvent(cell, new.bit_length() - 1, triple))
+        elif new & (new - 1) == 0:
+            values[cell] = new.bit_length() - 1
+            events.append(ForceEvent(cell, values[cell], triple))
 
-    net.propagate_from(cand, val, queue, on_narrow)
-    table = SymTable(net.ncells - 1, net.k, tuple(v if v >= 0 else None for v in val))
-    return table, PropagationTrace(tuple(events))
+    net.propagate_from(cand, list(seed), net.forward, on_narrow)
+    return SymTable(net.ncells - 1, net.k, tuple(values)), PropagationTrace(tuple(events))
 
 
 def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, PropagationTrace]:
-    """Narrowing fixpoint of the search network from the assigned weights of `partial`.
+    """Forward-checking fixpoint of the search network from the assigned weights of `partial`.
 
     For every triple with two assigned weights the third weight's candidate
     set is intersected with the values compatible with the assigned pair;
@@ -246,11 +249,11 @@ def search_symmetric(
     seed = partial.assigned_weights() if partial is not None else {}
     net = Network((n,), range(n + 1), allowed_table(template.target))
     wlog = _wlog_colors(template.target) if use_wlog and not seed else None
-    val = next(net.solutions(seed, wlog, deadline), None)
-    if val is None:
+    values = next(net.solutions(seed, wlog, deadline), None)
+    if values is None:
         _, root_trace = _traced_propagation(net, seed)
         return SearchResult(None, root_trace, net.nodes, wlog)
-    table = SymTable(n, k, tuple(val))
+    table = SymTable(n, k, values)
     assert is_symmetric_polymorphism(table, template)
     return SearchResult(table, None, net.nodes, wlog)
 
@@ -297,10 +300,10 @@ def search_block_symmetric(
     deadline = None if time_budget is None else time.monotonic() + time_budget
     net = Network((k1, k2), _block_branch_order(k1, k2), allowed_table(template.target))
     wlog = _wlog_colors(template.target) if use_wlog else None
-    val = next(net.solutions({}, wlog, deadline), None)
-    if val is None:
+    values = next(net.solutions({}, wlog, deadline), None)
+    if values is None:
         return SearchResult(None, None, net.nodes, wlog)
-    table = BlockSymTable(k1, k2, k, tuple(val))
+    table = BlockSymTable(k1, k2, k, values)
     assert is_block_symmetric_polymorphism(table, template)
     return SearchResult(table, None, net.nodes, wlog)
 

@@ -247,6 +247,13 @@ def test_search_sym_large_linear_order_within_budget(capsys):
     assert code == 0 and out.startswith("f(0)=")
 
 
+@pytest.mark.parametrize("target", ["LO_12", "NAE_9"])
+def test_search_sym_large_targets_within_budget(capsys, target):
+    # support rows are built per mask that occurs, and the orbits never list NAE_9's 9! automorphisms
+    code, out, _ = run(capsys, "poly", "search-sym", "1in3", target, "5", "--time-budget", "5")
+    assert code == 0 and out.startswith("f(0)=")
+
+
 def test_poly_enumerate_time_budget(capsys):
     code, _, err = run(capsys, "poly", "enumerate", "1in3", "D1plus", "5", "--force", "--time-budget", "0.001")
     assert code == 2 and "aborted:" in err and "budget" in err

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
+import random
 import warnings
 
 import pytest
 
-from pcsplab._network import Network
+from pcsplab._network import Network, allowed_table
 from pcsplab.polymorphisms import enumerate_polymorphisms
 from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
 from pcsplab.symmetric import search_block_symmetric, search_symmetric
@@ -77,29 +79,114 @@ def catalog_pairs():
 
 
 def search_matrix():
-    """(target, kind, shape, found, nodes or count) over the catalog targets with a 1in3 pair."""
+    """(target, kind, shape, found, nodes or count, table values or count) over the catalog targets with a 1in3 pair."""
     entries = []
     for name, template in catalog_pairs():
         for n in range(1, 13):
             result = search_symmetric(template, n)
-            entries.append((name, "sym", (n,), result.table is not None, result.nodes))
+            entries.append((name, "sym", (n,), result.table is not None, result.nodes, table_values(result)))
         for k in range(1, 5):
             for shape in ((k + 1, k), (k, k + 1)):
                 result = search_block_symmetric(template, *shape)
-                entries.append((name, "block", shape, result.table is not None, result.nodes))
+                entries.append((name, "block", shape, result.table is not None, result.nodes, table_values(result)))
         for n in range(1, 4):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 count = sum(1 for _ in enumerate_polymorphisms(template, n))
-            entries.append((name, "enumerate", (n,), count > 0, count))
+            entries.append((name, "enumerate", (n,), count > 0, count, count))
     return entries
 
 
-# recorded before the network built its own constraints from coordinate blocks
-MATRIX_DIGEST = "435c84a47c43ab98297a129e903d45af8208cc1e4c48e7b441cafeea02710ef4"
+def table_values(result):
+    return None if result.table is None else result.table.values
 
 
-def test_search_matrix_pinned():
-    entries = search_matrix()
+@pytest.fixture(scope="module")
+def matrix():
+    return search_matrix()
+
+
+# node counts move with the strength of propagation; re-recorded when the network became arc consistent
+MATRIX_DIGEST = "a1a24ce1fd324610208eadc175c0c6a177b740d5b85db6fb4832ae3600baf4e4"
+# verdicts, first tables and enumeration counts must not move with the engine; recorded under forward checking
+VERDICT_DIGEST = "eb2d2b0b5e607053be89f09c8cf4fe76739362bedab6ef054e73f0fcfac5e805"
+
+
+def test_search_matrix_pinned(matrix):
+    entries = [entry[:5] for entry in matrix]
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert digest == MATRIX_DIGEST, "\n".join(map(repr, entries))
+
+
+def test_search_verdicts_pinned(matrix):
+    entries = [entry[:4] + entry[5:] for entry in matrix]
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == VERDICT_DIGEST, "\n".join(map(repr, entries))
+
+
+def gac_oracle(triples, ok, domains):
+    """Order-free arc consistency over sets of colors.
+
+    Every pass shrinks each position of each constraint to the colors that
+    some pair from its other two positions completes, until a pass changes
+    nothing; a cell repeated in a triple counts as independent positions.
+    """
+    domains = [set(d) for d in domains]
+    changed = True
+    while changed:
+        changed = False
+        for t in triples:
+            for i in range(3):
+                x, y, z = t[i], t[i - 1], t[i - 2]
+                keep = {v for v in domains[x] if any(ok(v, a, b) for a in domains[y] for b in domains[z])}
+                if keep != domains[x]:
+                    domains[x] = keep
+                    changed = True
+    return domains
+
+
+def completions(ncells, triples, ok, domains):
+    """Every table on the cells inside `domains` that satisfies each triple, by plain backtracking."""
+    closing = [[t for t in triples if max(t) == cell] for cell in range(ncells)]
+    values = []
+
+    def extend(cell):
+        if cell == ncells:
+            yield tuple(values)
+            return
+        for v in sorted(domains[cell]):
+            values.append(v)
+            if all(ok(values[a], values[b], values[c]) for a, b, c in closing[cell]):
+                yield from extend(cell + 1)
+            values.pop()
+
+    return list(extend(0))
+
+
+GAC_SHAPES = [(n,) for n in range(1, 7)] + [(k1, k2) for k1 in range(1, 4) for k2 in range(1, 4)]
+
+
+@pytest.mark.parametrize("target", ["LO_3", "NAE", "T2", "CHplus", "D1plus", "1in3"])
+def test_propagation_reaches_arc_consistency(target):
+    structure = named_template(target)
+    rel = structure.single_ternary().as_set
+    k = structure.domain_size
+
+    def ok(a, b, c):
+        return all(p in rel for p in itertools.permutations((a, b, c)))
+
+    rng = random.Random(target)
+    for blocks in GAC_SHAPES:
+        net = Network(blocks, None, allowed_table(structure))
+        triples = partition_triples(blocks)
+        for _ in range(8):
+            seed = {cell: rng.randrange(k) for cell in rng.sample(range(net.ncells), rng.randint(0, 2))}
+            domains = [{seed[c]} if c in seed else set(range(k)) for c in range(net.ncells)]
+            expected = gac_oracle(triples, ok, domains)
+            cand = net.seeded(seed)
+            consistent = net.propagate_from(cand, list(range(net.ncells)), net.support)
+            assert consistent == all(expected)
+            if consistent:
+                assert [{v for v in range(k) if m >> v & 1} for m in cand] == expected
+            for table in completions(net.ncells, triples, ok, domains):
+                assert consistent and all(cand[c] >> v & 1 for c, v in enumerate(table))

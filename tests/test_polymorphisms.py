@@ -103,6 +103,16 @@ def test_general_table_rejects_arity_zero():
         PolyTable(0, 2, (0,))
 
 
+def test_poly_table_rejects_values_outside_target():
+    with pytest.raises(ValueError, match="value 2 outside target domain"):
+        PolyTable(2, 2, (0, 1, 2, 0))
+    with pytest.raises(ValueError, match="value -1 outside target domain"):
+        PolyTable(1, 3, (-1, 0))
+    with pytest.raises(TypeError):
+        PolyTable(1, 2, (0, "1"))
+    assert PolyTable(1, 2, (True, 0)).values == (True, 0)
+
+
 def test_checker_agreement_exhaustive():
     # partition test vs column-wise definition on every table of arity <= 3
     for name in ("T1", "D2plus"):

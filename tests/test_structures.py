@@ -7,6 +7,7 @@ from pcsplab.errors import FormatError, SignatureMismatchError
 from pcsplab.structures import (
     all_symmetric_ternary_structures,
     associated_digraph,
+    automorphism_orbits,
     automorphisms,
     format_structure,
     make_structure,
@@ -185,6 +186,18 @@ def test_automorphisms_match_permutation_filter():
     structures.append(make_structure(4, [{(0, 1)}, {(2, 3, 3), (3, 2, 2)}]))
     for s in structures:
         assert automorphisms(s) == brute_automorphisms(s)
+
+
+def test_automorphism_orbits_match_group():
+    rng = random.Random(31)
+    names = template_names_3() + ["CH", "CHplus", "LO_3", "LO_6", "NAE_3", "NAE_6"]
+    structures = all_symmetric_ternary_structures() + [named_template(n) for n in names]
+    structures += [random_ternary(rng, domain_size) for domain_size in (4, 5) for _ in range(40)]
+    structures.append(make_structure(4, [{(0, 1)}, {(2, 3, 3), (3, 2, 2)}]))
+    for s in structures:
+        autos = automorphisms(s)
+        group_orbits = sorted({frozenset(p[v] for p in autos) for v in range(s.domain_size)}, key=min)
+        assert automorphism_orbits(s) == group_orbits
 
 
 def test_exactly_two_structures_per_digraph():

@@ -273,7 +273,7 @@ def test_search_leaves_recursion_limit_alone():
     try:
         result = search_block_symmetric(chp, 23, 24)
         assert result.table is None
-        assert result.nodes == 74
+        assert result.nodes == 55
         assert sys.getrecursionlimit() == 300
     finally:
         sys.setrecursionlimit(saved)
@@ -282,8 +282,8 @@ def test_search_leaves_recursion_limit_alone():
 @pytest.mark.parametrize(
     "target, shape, found, nodes",
     [
-        ("LO_3", (50,), False, 37484),
-        ("LO_3", (6, 5), True, 28),
+        ("LO_3", (50,), False, 6336),
+        ("LO_3", (6, 5), True, 21),
         ("NAE", (31, 30), True, 342),
     ],
 )
