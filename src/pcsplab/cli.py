@@ -209,10 +209,10 @@ def _appendix_b(as_json: bool = False) -> int:
 
 
 def _lemma_worker(payload) -> list[dict]:
-    template_name, property_ids, max_arity, force = payload
+    template_name, property_ids, max_arity, force, time_budget = payload
     template = TemplatePair(named_template("1in3"), named_template(template_name))
     reports = props.check_properties(
-        template, property_ids, max_arity, template_label=template_name, force=force
+        template, property_ids, max_arity, template_label=template_name, force=force, time_budget=time_budget
     )
     return [report.to_dict() for report in reports]
 
@@ -229,7 +229,7 @@ def _cmd_verify(args) -> int:
             return 2
         # one shared enumeration pass per group; group i takes ids[i::groups]
         groups = max(1, min(args.jobs, len(ids)))
-        payloads = [(args.template, ids[i::groups], args.max_arity, args.force) for i in range(groups)]
+        payloads = [(args.template, ids[i::groups], args.max_arity, args.force, args.time_budget) for i in range(groups)]
         if groups > 1:
             import multiprocessing
 
@@ -364,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas.add_argument("--max-arity", type=int, default=4)
     p_lemmas.add_argument("--force", action="store_true")
     p_lemmas.add_argument("--jobs", type=int, default=1)
+    p_lemmas.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p_lemmas.add_argument("--json", action="store_true")
     p_lemmas.set_defaults(func=_cmd_verify)
     p_selector = verify_sub.add_parser("selector")

@@ -5,11 +5,18 @@ streams the polymorphism enumeration for each arity and collects violating
 tables together with witness data, so a reported counterexample can be
 re-verified independently.  Conditional statements pass vacuously when
 their hypotheses fail.
+
+Predicates read a table bit-sliced: a SlicedTable holds one plane per
+colour, an integer whose bit m is set iff the table maps the subset m to
+that colour, and a MaskTables holds the planes that depend on the arity
+only.  check_properties builds the MaskTables once per arity and one
+SlicedTable per table; nothing is built at import or kept between calls.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -47,199 +54,288 @@ def _e_mask(f: tuple[int, ...], n: int) -> int:
     return sum(1 << i for i in range(n) if _residue(f[1 << i]) == 1)
 
 
-def _masks_with(f, n, color, max_size=None):
-    return [
-        m for m in range(1 << n)
-        if f[m] == color and (max_size is None or m.bit_count() <= max_size)
-    ]
+# --- the sliced view ------------------------------------------------------------
+#
+# A plane is an integer of 2**n bits, bit m standing for the subset mask m, so a
+# family of subsets is one integer and "every set of size <= j is a 1-set" is
+# one AND.  For y disjoint from x, x | y == x + y: shifting a plane left by x
+# unions x into each of its members.
 
 
-def _disjoint_pair(masks):
-    for x in masks:
-        for y in masks:
-            if x & y == 0:
-                return (x, y)
+class MaskTables:
+    """The planes fixed by the arity n and target size k; check_properties builds one per arity.
+
+    down[u] holds the subsets of u, layers[j] the sets of size j, upto[j] the
+    sets of size at most j (both listed up to j = max(n, 3)), has[i] the sets
+    containing coordinate i (from 0) and par[e] the sets m with |m & e| odd.
+    split maps the singleton bits of a plane to the coordinate mask they
+    stand for.
+    """
+
+    __slots__ = ("n", "top", "every", "lower", "down", "layers", "upto", "singles", "has", "lacks", "par", "split", "color_bytes", "padding")
+
+    def __init__(self, n: int, k: int):
+        size = 1 << n
+        self.n = n
+        self.top = size - 1
+        self.every = (1 << size) - 1
+        self.lower = (1 << (size >> 1)) - 1  # the sets without the top coordinate
+        self.down = [sum(1 << m for m in range(size) if m & u == m) for u in range(size)]
+        self.layers = [sum(1 << m for m in range(size) if m.bit_count() == j) for j in range(max(n, 3) + 1)]
+        self.upto = list(itertools.accumulate(self.layers, operator.or_))
+        self.singles = self.layers[1]
+        self.has = [sum(1 << m for m in range(size) if m >> i & 1) for i in range(n)]
+        self.lacks = [(1 << i, self.every ^ has) for i, has in enumerate(self.has)]
+        self.par = [sum(1 << m for m in range(size) if (m & e).bit_count() % 2) for e in range(size)]
+        self.split = {sum(1 << (1 << i) for i in range(n) if e >> i & 1): e for e in range(size)}
+        # translate the reversed value bytes to the binary digits of the plane of colour c, 1 <= c < k
+        self.color_bytes = [bytes(49 if b == c else 48 for b in range(256)) for c in range(1, k)]
+        self.padding = [0] * (4 - k)
+
+
+class SlicedTable:
+    """One table as colour planes: bit m of planes[c] is set iff values[m] == c.
+
+    planes has an entry for each colour below max(k, 4), so the CH facts may
+    name colours mod 4 on a table of any target.  nonzero is the plane of the
+    sets with a non-zero value and e the split of compute_Ef as a mask.
+    """
+
+    __slots__ = ("values", "masks", "planes", "nonzero", "e")
+
+    def __init__(self, values: tuple[int, ...], masks: MaskTables):
+        digits = bytes(values)[::-1]
+        planes = [int(digits.translate(color), 2) for color in masks.color_bytes]
+        nonzero = sum(planes)  # the planes are disjoint
+        self.values = values
+        self.masks = masks
+        self.planes = [masks.every ^ nonzero, *planes, *masks.padding]
+        self.nonzero = nonzero
+        self.e = masks.split[nonzero & masks.singles]
+
+
+def _lowest(plane: int) -> int:
+    return (plane & -plane).bit_length() - 1
+
+
+def _disjoint_pair(t: SlicedTable, color: int):
+    """The first (x, y) of disjoint color-sets, x ascending, then y ascending.
+
+    The pair relation is symmetric and one of two disjoint sets lacks the top
+    coordinate, so the first x lies below 2**(n-1).
+    """
+    plane = t.planes[color]
+    masks = t.masks
+    lower = plane & masks.lower
+    while lower:
+        low = lower & -lower
+        x = low.bit_length() - 1
+        partners = plane & masks.down[masks.top ^ x]
+        if partners:
+            return x, _lowest(partners)
+        lower ^= low
     return None
 
 
-def _ordered_disjoint_pairs(n):
-    full = (1 << n) - 1
-    for x in range(1 << n):
-        rest = full ^ x
-        y = rest
-        while True:
-            yield x, y
-            if y == 0:
-                break
-            y = (y - 1) & rest
+def _union_witness(t: SlicedTable, cases):
+    """The first (tag, x, y) over disjoint pairs, x ascending, then y descending.
+
+    Each case is (tag, xs, ys, bad) and is violated by x in xs, y in ys and
+    x | y in bad; the xs are disjoint, so at most one case is live per x.
+    """
+    masks = t.masks
+    live = 0
+    for _, xs, _, _ in cases:
+        live |= xs
+    while live:
+        low = live & -live
+        x = low.bit_length() - 1
+        for tag, xs, ys, bad in cases:
+            if xs & low:
+                hits = ys & masks.down[masks.top ^ x] & (bad >> x)
+                if hits:
+                    return tag, x, hits.bit_length() - 1
+        live ^= low
+    return None
 
 
 # --- property predicates ------------------------------------------------------
-# Each returns None when the table satisfies the property, otherwise a small
-# witness tuple (tag, masks...) sufficient to re-check the violation.
+# Each reads one SlicedTable and returns None when the table satisfies the
+# property, otherwise a small witness tuple (tag, masks...) sufficient to
+# re-check the violation.  The witness is the first one in the order of the
+# plain loops kept in tests/loop_properties.py: the lowest bit stands for an
+# ascending scan and the highest for a descending submask walk.
 
 
-def _p_d1_no_disjoint(f, n):
+def _p_d1_no_disjoint(t):
     for color in (1, 2):
-        pair = _disjoint_pair(_masks_with(f, n, color))
+        pair = _disjoint_pair(t, color)
         if pair:
             return ("disjoint-sets", color, *pair)
     return None
 
 
-def _p_d1_small_iset(f, n):
-    for m in range(1 << n):
-        if m.bit_count() <= 3 and f[m] in (1, 2):
-            return None
+def _p_d1_small_iset(t):
+    if (t.planes[1] | t.planes[2]) & t.masks.upto[3]:
+        return None
     return ("no-small-set",)
 
 
-def _p_d2_unions(f, n):
-    for x, y in _ordered_disjoint_pairs(n):
-        u = x | y
-        if f[0] == 0 and f[x] == 0 and f[y] in (0, 2) and f[u] not in (0, 2):
-            return ("a", x, y)
-        if f[0] == 0 and f[x] == 1 and f[y] in (0, 1) and f[u] != 1:
-            return ("b", x, y)
-        if f[0] == 1 and f[x] == 1 and f[y] == 1 and f[u] not in (0, 1):
-            return ("c", x, y)
-        if f[0] == 1 and f[x] == 0 and f[y] == 0 and f[u] != 2:
-            return ("d", x, y)
-    return None
-
-
-def _p_d2_singleton(f, n):
-    if f[0] != 0 or any(f[1 << i] == 2 for i in range(n)):
+def _p_d2_unions(t):
+    p0, p1, p2 = t.planes[:3]
+    every = t.masks.every
+    if t.values[0] == 0:
+        cases = (("a", p0, p0 | p2, every ^ p0 ^ p2), ("b", p1, p0 | p1, every ^ p1))
+    elif t.values[0] == 1:
+        cases = (("c", p1, p1, every ^ p0 ^ p1), ("d", p0, p0, every ^ p2))
+    else:
         return None
-    if not any(f[1 << i] == 1 for i in range(n)):
+    return _union_witness(t, cases)
+
+
+def _p_d2_singleton(t):
+    singles = t.masks.singles
+    if t.values[0] != 0 or t.planes[2] & singles:
+        return None
+    if not t.planes[1] & singles:
         return ("no-singleton-1-set",)
-    pair = _disjoint_pair(_masks_with(f, n, 1))
+    pair = _disjoint_pair(t, 1)
     if pair:
         return ("disjoint-1-sets", *pair)
     return None
 
 
-def _p_d2_successor(f, n):
-    if f[0] != 1:
+def _p_d2_successor(t):
+    if t.values[0] != 1:
         return None
+    masks = t.masks
+    n = masks.n
+    others = masks.every ^ t.planes[1]
     for j in range(2, n + 1):
-        if all(f[m] == 1 for m in range(1 << n) if m.bit_count() <= j):
-            if j >= n:
-                return ("full-cube-of-1-sets", j)
-            bad = next((m for m in range(1 << n) if m.bit_count() == j + 1 and f[m] != 1), None)
-            if bad is not None:
-                return ("successor-size-fails", j, bad)
+        if masks.upto[j] & others:
+            return None  # then no larger j qualifies either
+        if j >= n:
+            return ("full-cube-of-1-sets", j)
+        bad = masks.layers[j + 1] & others
+        if bad:
+            return ("successor-size-fails", j, _lowest(bad))
     return None
 
 
-def _p_d2_small02(f, n):
-    if f[0] != 1:
+def _p_d2_small02(t):
+    if t.values[0] != 1 or (t.planes[0] | t.planes[2]) & t.masks.upto[2]:
         return None
-    for m in range(1 << n):
-        if m.bit_count() <= 2 and f[m] in (0, 2):
-            return None
     return ("no-small-0-or-2-set",)
 
 
-def _p_t1_subunion(f, n):
+def _p_t1_subunion(t):
     # disjoint 1-sets; the union argument needs the pair to partition with
     # its complement (overlapping pairs admit arity-2 counterexamples)
-    ones = _masks_with(f, n, 1)
-    for x in ones:
-        for y in ones:
-            if x & y:
-                continue
-            u = x | y
-            z = u
-            while True:
-                if f[z] == 2:
-                    return ("2-set-inside-union", x, y, z)
-                if z == 0:
-                    break
-                z = (z - 1) & u
+    twos = t.planes[2]
+    if not twos:
+        return None
+    masks = t.masks
+    covering = twos  # the unions that hold a 2-set: the superset closure of the 2-sets
+    for shift, lacks in masks.lacks:
+        covering |= (covering & lacks) << shift
+    ones = t.planes[1]
+    down = masks.down
+    top = masks.top
+    # as for _disjoint_pair, the first x of a symmetric pair relation lies in the lower half
+    lower = ones & masks.lower
+    while lower:
+        low = lower & -lower
+        x = low.bit_length() - 1
+        hits = ((ones & down[top ^ x]) << x) & covering
+        if hits:
+            u = _lowest(hits)
+            return ("2-set-inside-union", x, u - x, (twos & down[u]).bit_length() - 1)
+        lower ^= low
     return None
 
 
-def _p_t1_parity(f, n):
-    if f[0] != 0:
+def _p_t1_parity(t):
+    if t.values[0] != 0:
         return None
-    e = _e_mask(f, n)
+    e = t.e
     if e.bit_count() % 2 == 0:
         return ("even-split-size", e)
-    for m in range(1 << n):
-        if _residue(f[m]) != (m & e).bit_count() % 2:
-            return ("parity-mismatch", m, e)
+    mismatch = t.nonzero ^ t.masks.par[e]
+    if mismatch:
+        return ("parity-mismatch", _lowest(mismatch), e)
     return None
 
 
-def _p_t1_addif(f, n):
-    if f[0] != 0 or any(f[m] == 2 and m.bit_count() == 2 for m in range(1 << n)):
+def _p_t1_addif(t):
+    masks = t.masks
+    if t.values[0] != 0 or t.planes[2] & masks.layers[2]:
         return None
-    e = _e_mask(f, n)
-    i_mask = ((1 << n) - 1) ^ e
-    for m in range(1 << n):
-        if f[m] == 1 and (e & ~m) and f[m | i_mask] != 1:
-            return ("augmented-not-1-set", m)
+    # bit m of fails: m | i_mask is not a 1-set, where m | i_mask is not the full set
+    fails = (masks.every ^ t.planes[1]) & ~(1 << masks.top)
+    for i, has in enumerate(masks.has):
+        if not t.e >> i & 1:  # m | i_mask does not depend on coordinate i of m
+            fails &= has
+            fails |= fails >> (1 << i)
+    fails &= t.planes[1]
+    if fails:
+        return ("augmented-not-1-set", _lowest(fails))
     return None
 
 
-def _p_t1_sizes(f, n):
-    if f[0] != 0 or any(f[1 << i] == 2 for i in range(n)):
+def _p_t1_sizes(t):
+    masks = t.masks
+    if t.values[0] != 0 or t.planes[2] & masks.singles:
         return None
-    e = _e_mask(f, n)
-    sizes_with_1 = {m.bit_count() for m in range(1 << n) if m & ~e == 0 and f[m] == 1}
-    for m in range(1 << n):
-        if m & ~e == 0 and m.bit_count() in sizes_with_1 and f[m] != 1:
-            return ("size-class-splits", m)
+    inside = masks.down[t.e]
+    ones = t.planes[1] & inside
+    split_class = 0
+    for layer in masks.layers:
+        if layer & ones:
+            split_class |= layer & inside
+    bad = split_class & ~ones
+    if bad:
+        return ("size-class-splits", _lowest(bad))
     return None
 
 
-def _p_t1_smallef(f, n):
-    if f[0] != 0 or any(f[m] == 2 and m.bit_count() <= 2 for m in range(1 << n)):
+def _p_t1_smallef(t):
+    if t.values[0] != 0 or t.planes[2] & t.masks.upto[2]:
         return None
-    e = _e_mask(f, n)
-    if e.bit_count() > 5:
-        return ("split-too-large", e)
+    if t.e.bit_count() > 5:
+        return ("split-too-large", t.e)
     return None
 
 
-def _p_t1_nonidemp(f, n):
-    if f[0] != 1:
-        return None
-    if any(f[m] == 2 and m.bit_count() <= 2 for m in range(1 << n)):
+def _p_t1_nonidemp(t):
+    if t.values[0] != 1 or t.planes[2] & t.masks.upto[2]:
         return None
     return ("no-small-2-set",)
 
 
-def _p_ch_forbid(f, n):
-    i = f[0]
-    opposite = (i + 2) % 4
-    for m in range(1 << n):
-        if f[m] == opposite:
-            return ("opposite-color-set", m)
-    pair = _disjoint_pair(_masks_with(f, n, (i + 1) % 4))
+def _p_ch_forbid(t):
+    i = t.values[0]
+    opposite = t.planes[(i + 2) % 4]
+    if opposite:
+        return ("opposite-color-set", _lowest(opposite))
+    pair = _disjoint_pair(t, (i + 1) % 4)
     if pair:
         return ("disjoint-successor-sets", *pair)
     return None
 
 
-def _p_ch_union(f, n):
-    i = f[0]
-    prev = (i + 3) % 4
-    succ = (i + 1) % 4
-    for x, y in _ordered_disjoint_pairs(n):
-        if f[x] == i and f[y] == i and f[x | y] != i:
-            return ("a", x, y)
-        if f[x] == prev and f[y] == prev and f[x | y] != succ:
-            return ("b", x, y)
-    return None
+def _p_ch_union(t):
+    i = t.values[0]
+    every = t.masks.every
+    own = t.planes[i]
+    prev = t.planes[(i + 3) % 4]
+    return _union_witness(t, (("a", own, own, every ^ own), ("b", prev, prev, every ^ t.planes[(i + 1) % 4])))
 
 
-def _p_ch_singleton(f, n):
-    i = f[0]
-    if any(f[m] == (i + 3) % 4 and m.bit_count() <= 2 for m in range(1 << n)):
+def _p_ch_singleton(t):
+    i = t.values[0]
+    if t.planes[(i + 3) % 4] & t.masks.upto[2]:
         return None
-    if any(f[1 << x] == (i + 1) % 4 for x in range(n)):
+    if t.planes[(i + 1) % 4] & t.masks.singles:
         return None
     return ("no-successor-singleton",)
 
@@ -249,7 +345,7 @@ class PropertySpec:
     property_id: str
     template_name: str
     description: str
-    predicate: object  # (values, arity) -> witness | None
+    predicate: object  # (SlicedTable) -> witness | None; the sliced view is built once per table
 
 
 PROPERTY_CATALOG: dict[str, PropertySpec] = {
@@ -316,13 +412,17 @@ def check_properties(
     template_label: str = "",
     force: bool = False,
     counterexample_cap: int = 25,
+    time_budget: float | None = None,
 ) -> tuple[PropertyReport, ...]:
     """Evaluate catalog properties over every polymorphism up to max_arity.
 
-    Each arity is enumerated once and every table is fed to all requested
-    predicates, so memory does not grow with the enumeration.  One report per
-    id comes back, in the given order; each keeps its own counterexample cap
-    and carries the elapsed time of the shared pass.
+    Each arity is enumerated once; every table is sliced into one
+    SlicedTable, over that arity's MaskTables, and fed to all requested
+    predicates, so memory does not grow with the enumeration.  One report
+    per id comes back, in the given order; each keeps its own counterexample
+    cap and carries the elapsed time of the shared pass.  time_budget bounds
+    the whole pass: each arity's enumeration gets the time that is left and
+    raises TimeBudgetExceeded once it runs out.
     """
     for property_id in property_ids:
         if property_id not in PROPERTY_CATALOG:
@@ -332,13 +432,16 @@ def check_properties(
     specs = [PROPERTY_CATALOG[pid] for pid in property_ids]
     checks = [(spec.predicate, []) for spec in specs]
     start = time.perf_counter()
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     examined = 0
     for n in range(1, max_arity + 1):
-        for table in enumerate_polymorphisms(template, n, force=force):
+        masks = MaskTables(n, template.target.domain_size)
+        left = None if deadline is None else deadline - time.monotonic()
+        for table in enumerate_polymorphisms(template, n, force=force, time_budget=left):
             examined += 1
-            values = table.values
+            view = SlicedTable(table.values, masks)
             for predicate, counterexamples in checks:
-                witness = predicate(values, n)
+                witness = predicate(view)
                 if witness is not None and len(counterexamples) < counterexample_cap:
                     counterexamples.append(Counterexample(n, table, witness))
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -397,49 +500,71 @@ def _greedy_clique(adjacency) -> list[int]:
     return best
 
 
-def _k_colorable(adjacency, k: int, clique) -> bool:
+def _dsatur_picks(adjacency, k: int, clique):
+    """Search for a k-coloring extending the clique's, yielding each vertex as it is picked.
+
+    Yields None and stops once every vertex is colored; stops without it
+    when no k-coloring exists.  A pick is the uncolored vertex of highest
+    saturation (distinct neighbor colors), then highest degree, then lowest
+    index.  seen[v][c] counts the neighbors of v colored c and sat[v] the
+    nonzero entries, both updated as colors are set and cleared.
+    """
     nvert = len(adjacency)
     if len(clique) > k:
-        return False
+        return
     color = [-1] * nvert
+    seen = [[0] * k for _ in range(nvert)]
+    sat = [0] * nvert
+
+    def paint(v: int, c: int) -> None:
+        old = color[v]
+        color[v] = c
+        if old >= 0:
+            for w in adjacency[v]:
+                row = seen[w]
+                row[old] -= 1
+                if not row[old]:
+                    sat[w] -= 1
+        if c >= 0:
+            for w in adjacency[v]:
+                row = seen[w]
+                if not row[c]:
+                    sat[w] += 1
+                row[c] += 1
+
     for i, v in enumerate(clique):
-        color[v] = i
+        paint(v, i)
+    # scanning in (-degree, v) order and keeping strictly higher saturation picks the least (-saturation, -degree, v)
     by_degree = sorted(range(nvert), key=lambda v: (-len(adjacency[v]), v))
-
-    def pick():
-        best_v, best_key = -1, None
-        for v in by_degree:
-            if color[v] >= 0:
-                continue
-            saturation = len({color[w] for w in adjacency[v] if color[w] >= 0})
-            key = (-saturation, -len(adjacency[v]), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
-
     todo = nvert - len(clique)
     if todo == 0:
-        return True
+        yield None
+        return
     stack = []  # one (vertex, untried colors, colors used before it) frame per colored vertex
-
-    def push(used: int) -> None:
-        v = pick()
-        taken = {color[w] for w in adjacency[v] if color[w] >= 0}
+    used = len(clique)
+    while True:
+        v, best = -1, -1
+        for w in by_degree:
+            if color[w] < 0 and sat[w] > best:
+                v, best = w, sat[w]
+        yield v
+        taken = seen[v]
         # at most one brand-new color keeps color classes canonical
-        stack.append((v, iter([c for c in range(min(k, used + 1)) if c not in taken]), used))
-
-    push(len(clique))
-    while stack:
-        v, colors, used = stack[-1]
-        c = next(colors, -1)
-        color[v] = c
-        if c < 0:
-            stack.pop()
-        elif len(stack) == todo:
-            return True
+        stack.append((v, iter([c for c in range(min(k, used + 1)) if not taken[c]]), used))
+        while stack:
+            v, colors, used = stack[-1]
+            c = next(colors, -1)
+            paint(v, c)
+            if c < 0:
+                stack.pop()
+            elif len(stack) == todo:
+                yield None
+                return
+            else:
+                used = max(used, c + 1)
+                break
         else:
-            push(max(used, c + 1))
-    return False
+            return
 
 
 def chromatic_number(graph, limit: int) -> int | None:
@@ -454,7 +579,7 @@ def chromatic_number(graph, limit: int) -> int | None:
         return 0
     clique = _greedy_clique(adjacency)
     for k in range(max(1, len(clique)), limit + 1):
-        if _k_colorable(adjacency, k, clique):
+        if None in _dsatur_picks(adjacency, k, clique):  # None marks a completed coloring
             return k
     return None
 

@@ -1,16 +1,28 @@
+import gc
 import hashlib
 import itertools
 import json
+import os
+import random
+import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
+from loop_properties import LOOP_PREDICATES
 
+import pcsplab.properties as properties_module
+from pcsplab.cli import main
 from pcsplab.polymorphisms import PolyTable, dictator, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
     SELECTOR_CATALOG,
+    MaskTables,
     SelectorSpec,
+    SlicedTable,
+    _dsatur_picks,
+    _greedy_clique,
     check_properties,
     chromatic_number,
     compute_Ef,
@@ -19,7 +31,7 @@ from pcsplab.properties import (
     selector_rule,
     verify_selector,
 )
-from pcsplab.structures import TemplatePair, named_template
+from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
 
 
 def pair(src, tgt):
@@ -86,6 +98,73 @@ def test_kneser_graph_bad_parameters():
         kneser_graph(3, 0)
 
 
+def test_chromatic_number_of_kneser_graphs():
+    # Lovasz: chi(KG(n, m)) = n - 2m + 2 whenever n >= 2m
+    for n in range(2, 10):
+        for m in range(1, n // 2 + 1):
+            assert chromatic_number(kneser_graph(n, m), n) == n - 2 * m + 2, (n, m)
+
+
+def _loop_dsatur_picks(adjacency, k, clique):
+    """The coloring search with saturation recomputed at every pick, yielding each picked vertex."""
+    nvert = len(adjacency)
+    if len(clique) > k:
+        return
+    color = [-1] * nvert
+    for i, v in enumerate(clique):
+        color[v] = i
+    by_degree = sorted(range(nvert), key=lambda v: (-len(adjacency[v]), v))
+
+    def pick():
+        best_v, best_key = -1, None
+        for v in by_degree:
+            if color[v] >= 0:
+                continue
+            saturation = len({color[w] for w in adjacency[v] if color[w] >= 0})
+            key = (-saturation, -len(adjacency[v]), v)
+            if best_key is None or key < best_key:
+                best_v, best_key = v, key
+        return best_v
+
+    todo = nvert - len(clique)
+    if todo == 0:
+        yield None
+        return
+    stack = []
+
+    def push(used):
+        v = pick()
+        taken = {color[w] for w in adjacency[v] if color[w] >= 0}
+        stack.append((v, iter([c for c in range(min(k, used + 1)) if c not in taken]), used))
+        return v
+
+    yield push(len(clique))
+    while stack:
+        v, colors, used = stack[-1]
+        c = next(colors, -1)
+        color[v] = c
+        if c < 0:
+            stack.pop()
+        elif len(stack) == todo:
+            yield None
+            return
+        else:
+            yield push(max(used, c + 1))
+
+
+def test_dsatur_picks_match_recomputed_saturation():
+    # every color budget chromatic_number tries on the Kneser graphs of the suites benchmark
+    pairs = [(n, m) for n in range(2, 10) for m in range(1, 5) if n >= 2 * m] + [(10, 4)]
+    budgets = 0
+    for n, m in pairs:
+        adjacency = kneser_graph(n, m).adjacency
+        clique = _greedy_clique(adjacency)
+        for k in range(max(1, len(clique)), n - 2 * m + 3):
+            assert list(_dsatur_picks(adjacency, k, clique)) == list(_loop_dsatur_picks(adjacency, k, clique)), (n, m, k)
+            budgets += 1
+    assert budgets == 38
+
+
 def test_chromatic_number_examples():
     assert chromatic_number(kneser_graph(5, 2), 5) == 3
     assert chromatic_number([[], [], []], 5) == 1  # edgeless
@@ -139,6 +218,78 @@ def test_one_pass_reports_match_single_property_checks():
     for pid, report in zip(ids, joint):
         single = check_properties(template, [pid], 3, counterexample_cap=2)[0]
         assert replace(report, elapsed_ms=0.0) == replace(single, elapsed_ms=0.0)
+
+
+def _assert_loops_agree(values, masks):
+    """Compares every catalog predicate with its loop; returns the ids the table violates."""
+    view = SlicedTable(values, masks)
+    violated = []
+    for pid, loop in LOOP_PREDICATES.items():
+        expected = loop(values, masks.n)
+        assert PROPERTY_CATALOG[pid].predicate(view) == expected, (pid, values)
+        if expected is not None:
+            violated.append(pid)
+    return violated
+
+
+def test_sliced_predicates_match_loops_on_catalog_tables():
+    # every predicate on every template's tables: the cross-template pairs give real violations
+    violations = 0
+    for name in NAMED_TEMPLATES:
+        if "<" in name:
+            continue
+        template = pair("1in3", name)
+        for n in (1, 2, 3):
+            masks = MaskTables(n, template.target.domain_size)
+            for table in enumerate_polymorphisms(template, n):
+                violations += len(_assert_loops_agree(table.values, masks))
+    assert violations > 30000
+
+
+def test_sliced_predicates_match_loops_on_random_tables():
+    # arity 6 lets T1_smallEf fail; every predicate must see violations
+    rng = random.Random(11)
+    violated = set()
+    for _ in range(6000):
+        n = rng.randint(1, 6)
+        k = rng.choice((3, 4))
+        weights = [rng.random() ** 3 for _ in range(k)]  # skewed color mixes
+        values = tuple(rng.choices(range(k), weights=weights, k=1 << n))
+        violated.update(_assert_loops_agree(values, MaskTables(n, k)))
+    assert violated == set(LOOP_PREDICATES)
+
+
+@pytest.mark.parametrize("name", ["T1", "CH"])
+def test_sliced_predicates_match_loops_on_arity_four_streams(name):
+    template = pair("1in3", name)
+    masks = MaskTables(4, template.target.domain_size)
+    for table in enumerate_polymorphisms(template, 4):
+        _assert_loops_agree(table.values, masks)
+
+
+def test_check_properties_keeps_no_module_state():
+    # the mask tables live in one pass: none at import, none after it
+    code = "import gc, pcsplab.properties as p; print(sum(isinstance(o, p.MaskTables) for o in gc.get_objects()))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout == "0\n"
+    before = dict(vars(properties_module))
+    template = pair("1in3", "T1")
+    ids = properties_for_template("T1")
+    first = check_properties(template, ids, 3)
+    second = check_properties(template, ids, 3)
+    assert [replace(r, elapsed_ms=0.0) for r in first] == [replace(r, elapsed_ms=0.0) for r in second]
+    assert dict(vars(properties_module)) == before
+    gc.collect()
+    assert not any(isinstance(o, MaskTables) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_lemmas_honours_time_budget(jobs, capsys):
+    start = time.monotonic()
+    code = main(["verify", "lemmas", "D1plus", "--max-arity", "5", "--force", "--time-budget", "1", "--jobs", jobs])
+    assert code == 2
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err.startswith("aborted: ")
 
 
 def test_unknown_property_id():
@@ -244,7 +395,7 @@ def test_subunion_disjointness_is_needed():
     assert table.values[x] == 1 and table.values[y] == 1
     assert z & ~(x | y) == 0 and table.values[z] == 2
     # the catalog predicate (disjoint pairs only) accepts this table
-    assert PROPERTY_CATALOG["T1_subunion"].predicate(values, 2) is None
+    assert PROPERTY_CATALOG["T1_subunion"].predicate(SlicedTable(values, MaskTables(2, 3))) is None
 
 
 def test_verify_selector_detects_bad_rules():

@@ -282,9 +282,9 @@ def test_search_leaves_recursion_limit_alone():
 @pytest.mark.parametrize(
     "target, shape, found, nodes",
     [
-        ("LO_3", (50,), False, 6336),
-        ("LO_3", (6, 5), True, 21),
-        ("NAE", (31, 30), True, 342),
+        pytest.param("LO_3", (50,), False, 6336, id="LO_3-50"),
+        pytest.param("LO_3", (6, 5), True, 21, id="LO_3-6x5"),
+        pytest.param("NAE", (31, 30), True, 342, id="NAE-31x30"),
     ],
 )
 def test_search_node_counts_pinned(target, shape, found, nodes):
