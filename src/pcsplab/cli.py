@@ -79,7 +79,7 @@ def _cmd_hom(args) -> int:
         inputs = all_symmetric_ternary_structures()
     else:
         inputs = [named_template(name) for name in structures.template_names_3()]
-    lattice = hom_lattice(inputs, jobs=args.jobs)
+    lattice = hom_lattice(inputs, jobs=args.jobs, time_budget=args.time_budget)
     catalog = _named_catalog()
     dot = lattice_to_dot(lattice, labeler=lambda s: catalog.get(s.encoding()))
     if args.out:
@@ -259,7 +259,7 @@ def _cmd_verify(args) -> int:
         results = []
         for spec in specs:
             template = TemplatePair(named_template("1in3"), named_template(spec.template_name))
-            report = props.verify_selector(template, spec, args.max_arity)
+            report = props.verify_selector(template, spec, args.max_arity, time_budget=args.time_budget)
             results.append(report.to_dict())
             if not args.json:
                 status = "ok" if report.holds else "FAIL"
@@ -326,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all3", action="store_true", help="all 1023 symmetric ternary structures")
     p_lattice.add_argument("--out", help="write DOT here instead of stdout")
     p_lattice.add_argument("--jobs", type=int, default=1)
+    p_lattice.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p_lattice.set_defaults(func=_cmd_hom)
 
     p_poly = sub.add_parser("poly", help="polymorphism searches and table checks")
@@ -370,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_selector = verify_sub.add_parser("selector")
     p_selector.add_argument("template")
     p_selector.add_argument("--max-arity", type=int, default=3)
+    p_selector.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p_selector.add_argument("--json", action="store_true")
     p_selector.set_defaults(func=_cmd_verify)
 

@@ -10,9 +10,10 @@ classes and emits the cover edges of the induced partial order.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
-from .errors import SignatureMismatchError
+from .errors import SignatureMismatchError, TimeBudgetExceeded
 from .structures import RelStructure
 
 STRICTLY_BELOW = "strictly_below"
@@ -172,7 +173,7 @@ def _iso_key(structure: RelStructure) -> tuple:
     return (structure.domain_size, best)
 
 
-def _pairwise_hom_matrix(reps: list[RelStructure], jobs: int = 1) -> list[list[bool]]:
+def _pairwise_hom_matrix(reps: list[RelStructure], jobs: int = 1, deadline: float | None = None) -> list[list[bool]]:
     m = len(reps)
     pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
     if jobs > 1 and len(pairs) > 512:
@@ -180,27 +181,35 @@ def _pairwise_hom_matrix(reps: list[RelStructure], jobs: int = 1) -> list[list[b
 
         chunks = [pairs[i::jobs] for i in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_hom_chunk, [(reps, chunk) for chunk in chunks])
+            results = pool.starmap(_hom_chunk, [(reps, chunk, deadline) for chunk in chunks])
         answers = dict(itertools.chain.from_iterable(results))
     else:
-        answers = dict(_hom_chunk(reps, pairs))
+        answers = dict(_hom_chunk(reps, pairs, deadline))
     matrix = [[True] * m for _ in range(m)]
     for (i, j), ok in answers.items():
         matrix[i][j] = ok
     return matrix
 
 
-def _hom_chunk(reps, pairs):
-    return [((i, j), hom_exists(reps[i], reps[j])) for i, j in pairs]
+def _hom_chunk(reps, pairs, deadline=None):
+    answers = []
+    for i, j in pairs:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(f"hom lattice ran past its time budget after {len(answers)} of {len(pairs)} pairs")
+        answers.append(((i, j), hom_exists(reps[i], reps[j])))
+    return answers
 
 
-def hom_lattice(structures, jobs: int = 1) -> HomLattice:
+def hom_lattice(structures, jobs: int = 1, time_budget: float | None = None) -> HomLattice:
     """Mutual-homomorphism classes of the input and their Hasse cover edges.
 
     Structures are first grouped up to isomorphism so the pairwise search
     runs once per isomorphism class; the emitted lattice is identical to a
-    full sequential pairwise computation.
+    full sequential pairwise computation.  time_budget bounds the whole call
+    in seconds; the deadline is checked before each pair, in every worker,
+    and TimeBudgetExceeded is raised once it passes.
     """
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     structures = list(structures)
     if not structures:
         raise ValueError("lattice needs at least one structure")
@@ -213,7 +222,7 @@ def hom_lattice(structures, jobs: int = 1) -> HomLattice:
     iso_keys = sorted(iso_groups)
     reps = [structures[iso_groups[key][0]] for key in iso_keys]
 
-    matrix = _pairwise_hom_matrix(reps, jobs=jobs)
+    matrix = _pairwise_hom_matrix(reps, jobs=jobs, deadline=deadline)
 
     m = len(reps)
     class_of_rep = [-1] * m

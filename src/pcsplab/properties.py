@@ -20,6 +20,7 @@ import operator
 import time
 from dataclasses import dataclass
 
+from .errors import TimeBudgetExceeded
 from .polymorphisms import (
     CoordSet,
     MinorMap,
@@ -690,7 +691,9 @@ class SelectorReport:
         }
 
 
-def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) -> SelectorReport:
+def verify_selector(
+    template: TemplatePair, spec: SelectorSpec, max_arity: int, *, time_budget: float | None = None
+) -> SelectorReport:
     """Search for a minor chain of length spec.l whose selections never meet.
 
     States carry the current table plus the forward images of every earlier
@@ -699,13 +702,18 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
     are explored (with memoization).  Any completed avoiding chain is a
     violation.  Minors are read through one pull-mask tuple per map, as
     g[X] = f[pull[X]]; test_pull_masks_are_preimages checks the masks.
+    time_budget bounds the enumeration and the chain search together, in
+    seconds; the deadline is checked at each state, and TimeBudgetExceeded
+    is raised once it passes.
     """
     if max_arity < 1:
         raise ValueError(f"max arity must be >= 1, got {max_arity}")
     start = time.perf_counter()
-    polys = {
-        n: [t.values for t in enumerate_polymorphisms(template, n)] for n in range(1, max_arity + 1)
-    }
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    polys = {}
+    for n in range(1, max_arity + 1):
+        left = None if deadline is None else deadline - time.monotonic()
+        polys[n] = [t.values for t in enumerate_polymorphisms(template, n, time_budget=left)]
     poly_sets = {n: set(polys[n]) for n in polys}
 
     sel_cache: dict[tuple, int | None] = {}
@@ -737,6 +745,8 @@ def verify_selector(template: TemplatePair, spec: SelectorSpec, max_arity: int) 
         """Returns a violating chain suffix (possibly empty tuple) or None."""
         nonlocal states
         states += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(f"selector search ran past its time budget after {states} states")
         if steps == 0:
             return ()
         key = (n, values, frozenset(frontier), steps)

@@ -5,6 +5,12 @@ modulo 3; the not-all-equal route solves the integer system "each edge sums
 to one" exactly (Hermite-style column reduction over arbitrary-precision
 integers) and thresholds the solution at >= 1, which can never color an
 edge all-equal because its three integers sum to 1.
+
+Both matrices are a few per cent non-zero: `gauss_gf3` packs each row into
+two integer bitplanes (bit-slicing, Boothby and Bradshaw 2009) and
+`hnf_solve` keeps each column as a dict of its non-zero entries.  Each does
+the operations of the dense kernels in `tests/loop_solvers.py` in the same
+order, so every answer is theirs.
 """
 
 from __future__ import annotations
@@ -108,35 +114,47 @@ class GF3System:
 
 
 def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
-    """Gaussian elimination modulo 3; free variables are set to 0."""
-    matrix = []
+    """Gauss-Jordan elimination modulo 3; free variables are set to 0.
+
+    Each row is two bitplanes (p, m): bit c of p is set iff the coefficient
+    of column c is 1, bit c of m iff it is 2, and bit nv holds the
+    right-hand side.  Negating a row swaps its planes, and adding one row
+    into another is a dozen bitwise operations on whole planes.  The pivot
+    of each column is the first row at or after the rank with a non-zero
+    entry there, as in a dense elimination, so the reduced echelon form and
+    the solution are those of the dense rows (`tests/loop_solvers.py`).
+    """
+    rows = []
     for (i, j, k), rhs in system.rows:
-        row = [0] * (nv + 1)
-        for v in (i, j, k):
-            row[v - 1] = (row[v - 1] + 1) % 3
-        row[nv] = rhs % 3
-        matrix.append(row)
+        e = (i, j, k)
+        p = sum(1 << (v - 1) for v in set(e) if e.count(v) == 1)
+        m = sum(1 << (v - 1) for v in set(e) if e.count(v) == 2)  # three times is 0
+        rows.append((p | (rhs % 3 == 1) << nv, m | (rhs % 3 == 2) << nv))
     pivot_of_col: dict[int, int] = {}
     rank = 0
     for col in range(nv):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        bit = 1 << col
+        pivot = next((r for r in range(rank, len(rows)) if (rows[r][0] | rows[r][1]) & bit), None)
         if pivot is None:
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = matrix[rank][col]  # inverses mod 3: 1 -> 1, 2 -> 2
-        matrix[rank] = [(x * inv) % 3 for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [(a - factor * b) % 3 for a, b in zip(matrix[r], matrix[rank])]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if rows[rank][1] & bit:  # times the inverse of 2, that is negated
+            rows[rank] = rows[rank][::-1]
+        ap, am = rows[rank]
+        keep = ~(ap | am)
+        for r, (q, n) in enumerate(rows):
+            if r != rank and (q | n) & bit:
+                # subtract the pivot row times the entry: add its negation for 1, itself for 2
+                bp, bm = (am, ap) if q & bit else (ap, am)
+                skip = ~(q | n)
+                rows[r] = ((q & keep) | (bp & skip) | (n & bm), (n & keep) | (bm & skip) | (q & bp))
         pivot_of_col[col] = rank
         rank += 1
-    for r in range(rank, len(matrix)):
-        if matrix[r][nv]:
-            return None
+    if any((p | m) >> nv for p, m in rows[rank:]):
+        return None
     solution = [0] * nv
     for col, r in pivot_of_col.items():
-        solution[col] = matrix[r][nv]
+        solution[col] = (rows[r][0] >> nv) + 2 * (rows[r][1] >> nv)
     return solution
 
 
@@ -163,18 +181,21 @@ class IntAffineSystem:
 def hnf_solve(system: IntAffineSystem) -> list[int] | None:
     """An integer solution of A x = 1 via column reduction, or None.
 
-    Column j is one list: column j of A, then column j of a unimodular
-    transform T that starts as the identity, so each column operation acts
-    on A T and T at once.  Once each row has at most one pivot,
-    back-substitution solves (A T) y = 1 with exact divisibility (free
-    parameters 0), and x = T y.
+    Column j is one dict of its non-zero entries: rows 0..m-1 hold column j
+    of A and rows m..m+n-1 column j of a unimodular transform T that starts
+    as the identity, so each column operation acts on A T and T at once.
+    Once each row has at most one pivot, back-substitution solves
+    (A T) y = 1 with exact divisibility (free parameters 0), and x = T y.
+    The choice of each operation and their order are those of dense columns
+    (`tests/loop_solvers.py`), so the solution is the same; the matrices are
+    a few per cent non-zero, and the dicts skip the zeros.
     """
     m = len(system.rows)
     n = system.variable_count
-    cols = [[0] * m + [1 if r == j else 0 for r in range(n)] for j in range(n)]
+    cols: list[dict[int, int]] = [{m + j: 1} for j in range(n)]
     for r, (i, j, k) in enumerate(system.rows):
         for v in (i, j, k):
-            cols[v - 1][r] += 1
+            cols[v - 1][r] = cols[v - 1].get(r, 0) + 1
 
     pivots: dict[int, int] = {}  # row -> pivot column
     col = 0
@@ -182,37 +203,42 @@ def hnf_solve(system: IntAffineSystem) -> list[int] | None:
         if col >= n:
             break
         while True:
-            nonzero = [j for j in range(col, n) if cols[j][row]]
+            nonzero = [j for j in range(col, n) if row in cols[j]]
             if len(nonzero) <= 1:
                 break
             best = min(nonzero, key=lambda j: (abs(cols[j][row]), j))
+            source = cols[best]
             for j in nonzero:
                 if j != best:
-                    f = -(cols[j][row] // cols[best][row])
-                    cols[j] = [a + f * b for a, b in zip(cols[j], cols[best])]
+                    # never 0: best holds the least absolute value in this row
+                    f = -(cols[j][row] // source[row])
+                    target = cols[j]
+                    for idx, b in source.items():
+                        a = target.get(idx, 0) + f * b
+                        if a:
+                            target[idx] = a
+                        else:
+                            del target[idx]
         if not nonzero:
             continue
         if nonzero[0] != col:
             cols[nonzero[0]], cols[col] = cols[col], cols[nonzero[0]]
         if cols[col][row] < 0:
-            cols[col] = [-a for a in cols[col]]
+            cols[col] = {idx: -a for idx, a in cols[col].items()}
         pivots[row] = col
         col += 1
 
-    y: dict[int, int] = {}  # pivot column -> nonzero y_j
+    acc = [0] * (m + n)  # sum of y_j times column j: A T y in rows 0..m-1, then x = T y
     for row in range(m):
-        residual = 1 - sum(cols[j][row] * yj for j, yj in y.items())
-        if row in pivots:
-            pivot = cols[pivots[row]][row]
-            if residual % pivot:
+        residual = 1 - acc[row]
+        if residual:
+            j = pivots.get(row)
+            if j is None or residual % cols[j][row]:
                 return None
-            if residual:
-                y[pivots[row]] = residual // pivot
-        elif residual:
-            return None
-    solution = [0] * n
-    for j, yj in y.items():
-        solution = [x + yj * t for x, t in zip(solution, cols[j][m:])]
+            yj = residual // cols[j][row]
+            for idx, a in cols[j].items():
+                acc[idx] += a * yj
+    solution = acc[m:]
     for i, j, k in system.rows:
         assert solution[i - 1] + solution[j - 1] + solution[k - 1] == 1
     return solution

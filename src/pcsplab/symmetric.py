@@ -214,7 +214,10 @@ def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, Prop
 @dataclass(frozen=True)
 class SearchResult:
     table: SymTable | BlockSymTable | None
-    trace: PropagationTrace | None  # root propagation trace when no table found
+    # when no table is found: forward checking from the seed alone, not the
+    # arc-consistent search that refuted it, so an unseeded search gives an
+    # empty trace; the trace is not evidence for the "none"
+    trace: PropagationTrace | None
     nodes: int
     wlog_colors: tuple[int, ...] | None  # colors tried at the first branched cell
 
@@ -236,7 +239,14 @@ def search_symmetric(
     use_wlog: bool = True,
     time_budget: float | None = None,
 ) -> SearchResult:
-    """Backtracking search for a weight table; lowest unassigned weight first."""
+    """Backtracking search for a weight table; lowest unassigned weight first.
+
+    When no table exists, the result carries a root trace: forward checking
+    of the seeded weights of `partial`, recorded after the search.  It is not
+    a refutation.  The search itself refutes under arc consistency and keeps
+    no record of how, so an unseeded exhausted search has an empty trace, and
+    the node count is the only account of the "none".
+    """
     if n < 1:
         raise ValueError("arity must be >= 1")
     k = template.target.domain_size

@@ -259,6 +259,17 @@ def test_poly_enumerate_time_budget(capsys):
     assert code == 2 and "aborted:" in err and "budget" in err
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
+def test_hom_lattice_time_budget(capsys, jobs):
+    code, out, err = run(capsys, "hom", "lattice", "--all3", "--time-budget", "0.01", *jobs)
+    assert code == 2 and out == "" and err.startswith("aborted: ") and "budget" in err
+
+
+def test_verify_selector_time_budget(capsys):
+    code, out, err = run(capsys, "verify", "selector", "T1", "--max-arity", "4", "--time-budget", "0.01")
+    assert code == 2 and out == "" and err.startswith("aborted: ") and "budget" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["template"])

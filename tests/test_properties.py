@@ -14,6 +14,7 @@ from loop_properties import LOOP_PREDICATES
 
 import pcsplab.properties as properties_module
 from pcsplab.cli import main
+from pcsplab.errors import TimeBudgetExceeded
 from pcsplab.polymorphisms import PolyTable, dictator, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
@@ -356,6 +357,17 @@ def test_verify_selector_states_pinned(name, max_arity, states):
     report = verify_selector(pair("1in3", spec.template_name), spec, max_arity)
     assert report.holds
     assert report.states_explored == states
+
+
+def test_verify_selector_deadline_checked_per_state(monkeypatch):
+    # let the enumeration ignore the budget, so that the chain search meets the deadline
+    def unbounded(template, n, time_budget=None):
+        return enumerate_polymorphisms(template, n)
+
+    monkeypatch.setattr(properties_module, "enumerate_polymorphisms", unbounded)
+    spec = SELECTOR_CATALOG["SEL_T1"]
+    with pytest.raises(TimeBudgetExceeded, match="after 1 states"):
+        verify_selector(pair("1in3", spec.template_name), spec, 2, time_budget=0)
 
 
 def test_verify_selector_violation_chains_pinned():
