@@ -121,8 +121,9 @@ def _cmd_poly(args) -> int:
             print(f"arity {args.arity} exceeds the default cap {DEFAULT_ARITY_CAP}; pass --force", file=sys.stderr)
             return 2
         count = 0
+        order = subset_masks(args.arity)
         for table in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
-            print("".join(str(table.values[m]) for m in subset_masks(table.arity)))
+            print("".join(str(table.values[m]) for m in order))
             count += 1
         print(f"count {count}", file=sys.stderr)
         return 0

@@ -1,10 +1,12 @@
 """Homomorphism search between finite structures and the induced order.
 
-The search is plain backtracking over source elements in degree-descending
-order; each constraint tuple is tested once, when its last-ranked element is
-assigned.  At the desk scales used here (domains of size two to four,
-instances with a few dozen variables) this is exhaustive and fast.  The lattice construction groups structures into mutual-homomorphism
-classes and emits the cover edges of the induced partial order.
+The search is the map backtracker of the structures module, run over source
+elements in degree-descending order; each constraint tuple is tested once,
+when its last-ranked element is assigned.  At the desk scales used here
+(domains of size two to four, instances with a few dozen variables) this is
+exhaustive and fast.  The lattice construction groups structures into
+mutual-homomorphism classes and emits the cover edges of the induced
+partial order.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import SignatureMismatchError, TimeBudgetExceeded
-from .structures import RelStructure
+from .structures import RelStructure, _maps
 
 STRICTLY_BELOW = "strictly_below"
 STRICTLY_ABOVE = "strictly_above"
@@ -57,56 +59,26 @@ def _check_signatures(a: RelStructure, b: RelStructure) -> None:
 def find_homomorphism(source: RelStructure, target: RelStructure) -> HomMap | None:
     """First homomorphism in deterministic search order, or None.
 
-    Elements are assigned in degree-descending order (ties by index).  A
-    value is rejected when some tuple whose last-ranked element it completes
-    maps outside the target relation; partially assigned tuples are not
-    checked, so no candidate values are pruned ahead of assignment.
+    Elements are assigned in degree-descending order (ties by index), each
+    trying the target values in ascending order.  A value is rejected when
+    some tuple whose last-ranked element it completes maps outside the target
+    relation; partially assigned tuples are not checked, so no candidate
+    values are pruned ahead of assignment.
     """
     _check_signatures(source, target)
     n, k = source.domain_size, target.domain_size
-
     degree = [0] * n
-    constraints = []  # (source tuple, target tuple-set)
-    for rel_x, rel_b in zip(source.relations, target.relations):
-        for t in rel_x.tuples:
-            constraints.append((t, rel_b.as_set))
+    for rel in source.relations:
+        for t in rel.tuples:
             for x in t:
                 degree[x] += 1
     order = sorted(range(n), key=lambda x: (-degree[x], x))
-    rank = [0] * n
-    for i, x in enumerate(order):
-        rank[x] = i
-    # constraints become checkable once their latest element is assigned
-    by_rank: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
-    for t, allowed in constraints:
-        by_rank[max(rank[x] for x in t)].append((t, allowed))
-
-    assignment: list[int] = [-1] * n
-
-    def feasible(i: int) -> bool:
-        for t, allowed in by_rank[i]:
-            image = tuple(assignment[x] for x in t)
-            if image not in allowed:
-                return False
-        return True
-
-    # positions before i hold feasible values; position i resumes after its current value
-    i = 0
-    while 0 <= i < n:
-        x = order[i]
-        for v in range(assignment[x] + 1, k):
-            assignment[x] = v
-            if feasible(i):
-                i += 1
-                break
-        else:
-            assignment[x] = -1
-            i -= 1
-    if i == n:
-        hom = HomMap(n, k, tuple(assignment))
-        assert hom.preserves(source, target)
-        return hom
-    return None
+    assignment = next(_maps(source, target, order, [range(k)] * n), None)
+    if assignment is None:
+        return None
+    hom = HomMap(n, k, assignment)
+    assert hom.preserves(source, target)
+    return hom
 
 
 def hom_exists(source: RelStructure, target: RelStructure) -> bool:

@@ -11,7 +11,6 @@ import itertools
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._network import Network, allowed_table
 from .errors import ArityBoundError, FormatError
@@ -20,13 +19,9 @@ from .structures import TemplatePair, named_template
 DEFAULT_ARITY_CAP = 5
 
 
-@lru_cache(maxsize=None)
 def subset_masks(n: int) -> tuple[int, ...]:
     """All masks over [n] in canonical (cardinality, lexicographic) order."""
-    def key(mask: int):
-        return (bin(mask).count("1"), [i for i in range(n) if mask >> i & 1])
-
-    return tuple(sorted(range(1 << n), key=key))
+    return tuple(sum(1 << i for i in c) for j in range(n + 1) for c in itertools.combinations(range(n), j))
 
 
 def coords_of(mask: int) -> tuple[int, ...]:
@@ -211,25 +206,45 @@ def _require_boolean_one_in_three_source(template: TemplatePair) -> None:
         raise ValueError("partition compatibility requires the exactly-one-1 Boolean source")
 
 
+def _split_block(triples, size: int):
+    """Extend each cell triple by every composition (a, b, c) of one more block of the given size."""
+    r = size + 1
+    for x, y, z in triples:
+        for a in range(r):
+            for b in range(r - a):
+                yield x * r + a, y * r + b, z * r + size - a - b
+
+
+def _partitions_map_into(blocks, values, rel) -> bool:
+    """Does every ordered 3-partition of the coordinates map into rel?
+
+    The coordinates come in blocks of the given sizes, and a cell is a weight
+    vector (w_1, ..., w_m), 0 <= w_j <= blocks[j], indexed in mixed radix
+    with the last block least significant.  A partition putting (a_j, b_j,
+    c_j) elements of block j into its three parts must send its cell triple
+    to a triple of values in rel.  The partitions are streamed, never listed.
+    """
+    triples = iter([(0, 0, 0)])
+    for size in blocks:
+        triples = _split_block(triples, size)
+    for x, y, z in triples:
+        if (values[x], values[y], values[z]) not in rel:
+            return False
+    return True
+
+
 def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
-    """Partition test: every ordered 3-partition of [n] must map into the relation."""
+    """Partition test: every ordered 3-partition of [n] must map into the relation.
+
+    One unit block per coordinate makes the cells the subset masks; the walk
+    numbers the blocks from the high bit down, which relabels coordinates
+    and leaves the set of 3-partitions as it is.
+    """
     _require_boolean_one_in_three_source(template)
     rel = template.target.single_ternary().as_set
     if table.target_size != template.target.domain_size:
         raise ValueError("table target size does not match template target")
-    values = table.values
-    full = (1 << table.arity) - 1
-    for x in range(1 << table.arity):
-        rest = full ^ x
-        y = rest
-        vx = values[x]
-        while True:
-            if (vx, values[y], values[rest ^ y]) not in rel:
-                return False
-            if y == 0:
-                break
-            y = (y - 1) & rest
-    return True
+    return _partitions_map_into((1,) * table.arity, table.values, rel)
 
 
 @dataclass(frozen=True)
@@ -360,12 +375,12 @@ def parse_poly_table(text: str) -> PolyTable:
     n, k = header
     if len(rows) != 1 << n:
         raise FormatError(f"expected {1 << n} table rows, got {len(rows)}")
-    values = [-1] * (1 << n)
+    values = [None] * (1 << n)
     for lineno, bits, value in rows:
         if len(bits) != n or any(ch not in "01" for ch in bits):
             raise FormatError(f"line {lineno}: bad subset bits {bits!r}")
         mask = sum(1 << i for i, ch in enumerate(bits) if ch == "1")
-        if values[mask] != -1:
+        if values[mask] is not None:
             raise FormatError(f"line {lineno}: duplicate subset {bits!r}")
         values[mask] = int(value)
     try:

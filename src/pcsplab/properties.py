@@ -28,7 +28,6 @@ from .polymorphisms import (
     enumerate_polymorphisms,
     image_mask,
     minor,
-    subset_masks,
 )
 from .structures import TemplatePair
 
@@ -46,9 +45,8 @@ def compute_Ef(table: PolyTable) -> tuple[CoordSet, CoordSet]:
     if table.target_size != 3:
         raise ValueError("residue split is defined for 3-element targets")
     n = table.arity
-    e_members = frozenset(i for i in range(1, n + 1) if _residue(table.values[1 << (i - 1)]) == 1)
-    i_members = frozenset(range(1, n + 1)) - e_members
-    return CoordSet(n, e_members), CoordSet(n, i_members)
+    e = _e_mask(table.values, n)
+    return CoordSet.from_mask(n, e), CoordSet.from_mask(n, e ^ ((1 << n) - 1))
 
 
 def _e_mask(f: tuple[int, ...], n: int) -> int:
@@ -589,9 +587,12 @@ def chromatic_number(graph, limit: int) -> int | None:
 
 
 def _first_mask(f, n, color, max_size):
-    for m in subset_masks(n):
-        if m.bit_count() <= max_size and f[m] == color:
-            return m
+    """The first mask of size <= max_size in canonical order with f[m] == color, or None."""
+    for j in range(max_size + 1):
+        for c in itertools.combinations(range(n), j):
+            m = sum(1 << i for i in c)
+            if f[m] == color:
+                return m
     return None
 
 

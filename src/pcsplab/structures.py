@@ -4,7 +4,9 @@ A structure is a finite domain {0, ..., k-1} together with an ordered list of
 nonempty relations.  The workhorse here is a single ternary relation on a
 small domain; the catalog below fixes one concrete vertex labelling for every
 named template (the labelling is irrelevant up to homomorphic equivalence,
-but fixing it keeps all output reproducible).
+but fixing it keeps all output reproducible).  One backtracker, _maps,
+searches the maps between two structures: homomorphisms, the validity of
+a template pair and automorphisms all run on it.
 """
 
 from __future__ import annotations
@@ -254,9 +256,53 @@ def associated_digraph(structure: RelStructure) -> Digraph:
     return Digraph(structure.domain_size, arcs)
 
 
+def _maps(source: RelStructure, target: RelStructure, order, images, injective: bool = False):
+    """Yield every map h with h[x] in images[x] that sends each relation of source into its counterpart.
+
+    Elements are assigned along order, each trying its images in the order
+    given, so the maps come lexicographically by (h[order[0]], h[order[1]],
+    ...) read in those image orders.  A tuple is checked once its last-ranked
+    element is assigned, and a partial map sending it outside the target
+    relation is not extended.  With injective, no two elements share an image.
+    """
+    n = source.domain_size
+    rank = [0] * n
+    for i, x in enumerate(order):
+        rank[x] = i
+    checks = [[] for _ in range(n)]  # i -> (tuple, allowed) pairs completed by position i
+    for rel_x, rel_b in zip(source.relations, target.relations):
+        for t in rel_x.tuples:
+            checks[max(rank[x] for x in t)].append((t, rel_b.as_set))
+    h = [-1] * n
+    pending = [iter(images[order[0]])] + [None] * (n - 1)  # pending[i] yields the images still to try at position i
+    i = 0
+    while i >= 0:
+        x = order[i]
+        for v in pending[i]:
+            if injective and v in h:
+                continue
+            h[x] = v
+            for t, allowed in checks[i]:
+                if tuple(h[y] for y in t) not in allowed:
+                    break
+            else:
+                if i == n - 1:
+                    yield tuple(h)
+                    continue
+                i += 1
+                pending[i] = iter(images[order[i]])
+                break
+        else:
+            h[x] = -1
+            i -= 1
+
+
 def automorphisms(structure: RelStructure) -> list[tuple[int, ...]]:
-    """All domain permutations mapping every relation onto itself, in lexicographic order."""
-    return list(_automorphism_search(structure, _invariant_classes(structure)))
+    """All domain permutations mapping every relation onto itself, in lexicographic order.
+
+    An injective map sends a finite relation into itself only if it sends it onto itself.
+    """
+    return list(_maps(structure, structure, range(structure.domain_size), _invariant_classes(structure), injective=True))
 
 
 def _invariant_classes(structure: RelStructure) -> list[tuple[int, ...]]:
@@ -273,38 +319,6 @@ def _invariant_classes(structure: RelStructure) -> list[tuple[int, ...]]:
     return [tuple(w for w in range(k) if counts[w] == counts[v]) for v in range(k)]
 
 
-def _automorphism_search(structure: RelStructure, images: list[tuple[int, ...]]):
-    """Yield the automorphisms p with p[v] in images[v] for every v, in lexicographic order.
-
-    Images of 0, 1, ... are chosen in turn, each in ascending order.  A tuple
-    is checked once its largest element is mapped, and a partial permutation
-    sending it outside its relation is not extended: an injective map sends a
-    finite relation into itself only if it sends it onto itself.
-    """
-    k = structure.domain_size
-    completes = [[] for _ in range(k)]  # v -> (tuple, relation) pairs whose largest entry is v
-    for rel in structure.relations:
-        for t in rel.tuples:
-            completes[max(t)].append((t, rel.as_set))
-    perm: list[int] = []
-    stack = [iter(images[0])]  # stack[v] yields the images still to try for v
-    while stack:
-        image = next((b for b in stack[-1] if b not in perm), None)
-        if image is None:
-            stack.pop()
-            if perm:
-                perm.pop()
-            continue
-        perm.append(image)
-        if not all(tuple(perm[x] for x in t) in rel for t, rel in completes[len(perm) - 1]):
-            perm.pop()
-        elif len(perm) == k:
-            yield tuple(perm)
-            perm.pop()
-        else:
-            stack.append(iter(images[len(perm)]))
-
-
 def automorphism_orbits(structure: RelStructure) -> list[frozenset[int]]:
     """Orbits of the domain under the automorphism group, sorted by minimum.
 
@@ -313,12 +327,14 @@ def automorphism_orbits(structure: RelStructure) -> list[frozenset[int]]:
     sending v to w is searched for, and one that is found joins the orbit of
     every element with that of its image; the group itself is never listed.
     """
+    k = structure.domain_size
     classes = _invariant_classes(structure)
-    orbit = [frozenset([v]) for v in range(structure.domain_size)]
+    orbit = [frozenset([v]) for v in range(k)]
     for v, cls in enumerate(classes):
         for w in cls:
             if w > v and w not in orbit[v]:
-                perm = next(_automorphism_search(structure, classes[:v] + [(w,)] + classes[v + 1 :]), None)
+                images = classes[:v] + [(w,)] + classes[v + 1 :]
+                perm = next(_maps(structure, structure, range(k), images, injective=True), None)
                 for x, y in enumerate(perm or ()):
                     if orbit[y] is not orbit[x]:
                         merged = orbit[x] | orbit[y]
@@ -339,9 +355,8 @@ class TemplatePair:
             raise SignatureMismatchError(
                 f"signatures differ: {self.source.signature} vs {self.target.signature}"
             )
-        from .homs import hom_exists
-
-        if not hom_exists(self.source, self.target):
+        n, k = self.source.domain_size, self.target.domain_size
+        if next(_maps(self.source, self.target, range(n), [range(k)] * n), None) is None:
             raise ValueError("invalid template: no homomorphism from source to target")
 
 

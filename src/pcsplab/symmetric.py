@@ -11,11 +11,11 @@ orbit representatives.  Propagation traces record forward checking.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
 from ._network import Network, allowed_table
+from .polymorphisms import _partitions_map_into
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
 Cell = int | tuple[int, int]
@@ -145,29 +145,14 @@ def is_symmetric_polymorphism(table: SymTable, template: TemplatePair) -> bool:
         raise ValueError("table has unassigned cells")
     if table.target_size != template.target.domain_size:
         raise ValueError("table target size does not match template target")
-    rel = template.target.single_ternary().as_set
-    for a, b, c in sym_compatible_triples(table.arity):
-        vals = (table.values[a], table.values[b], table.values[c])
-        if not all(p in rel for p in itertools.permutations(vals)):
-            return False
-    return True
+    return _partitions_map_into((table.arity,), table.values, template.target.single_ternary().as_set)
 
 
 def is_block_symmetric_polymorphism(table: BlockSymTable, template: TemplatePair) -> bool:
     """Compatibility over every pair of weight compositions of the two blocks."""
     if not table.fully_assigned:
         raise ValueError("table has unassigned cells")
-    rel = template.target.single_ternary().as_set
-    for comp1 in _ordered_compositions(table.k1):
-        for comp2 in _ordered_compositions(table.k2):
-            vals = tuple(table.value(w1, w2) for w1, w2 in zip(comp1, comp2))
-            if vals not in rel:
-                return False
-    return True
-
-
-def _ordered_compositions(total: int) -> list[tuple[int, int, int]]:
-    return [(a, b, total - a - b) for a in range(total + 1) for b in range(total + 1 - a)]
+    return _partitions_map_into((table.k1, table.k2), table.values, template.target.single_ternary().as_set)
 
 
 def _traced_propagation(net: Network, seed: dict[int, int]) -> tuple[SymTable, PropagationTrace]:

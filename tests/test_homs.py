@@ -97,6 +97,48 @@ def test_completeness_against_brute_force():
         assert hom_exists(x, b) == brute_hom_exists(x, b)
 
 
+def random_structure(rng, domain_size, signature, density):
+    """One relation per arity in the signature, each tuple kept with the given probability; not symmetric."""
+    relations = []
+    for arity in signature:
+        all_tuples = list(itertools.product(range(domain_size), repeat=arity))
+        chosen = [t for t in all_tuples if rng.random() < density] or [rng.choice(all_tuples)]
+        relations.append(chosen)
+    return make_structure(domain_size, relations)
+
+
+def brute_first_hom(source, target):
+    """Oracle: the first preserving map in lexicographic order of its values along the degree order."""
+    n, k = source.domain_size, target.domain_size
+    degree = [0] * n
+    for rel in source.relations:
+        for t in rel.tuples:
+            for x in t:
+                degree[x] += 1
+    order = sorted(range(n), key=lambda x: (-degree[x], x))
+    for values in itertools.product(range(k), repeat=n):
+        assignment = [0] * n
+        for x, v in zip(order, values):
+            assignment[x] = v
+        hom = HomMap(n, k, tuple(assignment))
+        if hom.preserves(source, target):
+            return hom
+    return None
+
+
+def test_find_homomorphism_is_first_map_along_degree_order():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for trial in range(360):
+        signature = (2, 3) if trial % 3 == 0 else (3,)
+        source = random_structure(rng, rng.randint(1, 4), signature, rng.choice((0.1, 0.3)))
+        target = random_structure(rng, rng.randint(1, 4), signature, rng.choice((0.3, 0.6)))
+        expected = brute_first_hom(source, target)
+        assert find_homomorphism(source, target) == expected
+        outcomes[expected is not None] += 1
+    assert min(outcomes.values()) >= 60
+
+
 def test_hom_order_examples():
     assert hom_order_compare(named_template("1in3"), named_template("NAE")) == STRICTLY_BELOW
     assert hom_order_compare(named_template("NAE"), named_template("1in3")) == STRICTLY_ABOVE

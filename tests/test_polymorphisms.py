@@ -333,3 +333,9 @@ def test_table_text_errors():
     good = format_poly_table(dictator(2, 1))
     with pytest.raises(FormatError):
         parse_poly_table(good.replace("10 1", "10 9"))
+
+
+def test_table_text_duplicate_after_negative_value():
+    # a negative value must not hide the duplicate row that follows it
+    with pytest.raises(FormatError, match="line 3: duplicate subset '0'"):
+        parse_poly_table("poly 1 2\n0 -1\n0 0\n")

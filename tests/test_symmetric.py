@@ -1,11 +1,12 @@
 import itertools
+import random
 import sys
 
 import pytest
 
 from pcsplab import symmetric
 from pcsplab.errors import TimeBudgetExceeded
-from pcsplab.polymorphisms import PolyTable, is_polymorphism
+from pcsplab.polymorphisms import PolyTable, boolean_to_general, is_polymorphism, is_polymorphism_general
 from pcsplab.structures import TemplatePair, named_template
 from pcsplab.symmetric import (
     BlockSymTable,
@@ -70,6 +71,47 @@ def test_is_symmetric_polymorphism_examples():
 
     with pytest.raises(ValueError):
         is_symmetric_polymorphism(SymTable(2, 2, (0, None, 1)), pair("1in3", "NAE"))
+
+
+def expand_weight_table(shape, values):
+    """Values on every subset of [n]: blocks of the shape in coordinate order, cells in mixed radix."""
+    n = sum(shape)
+    full = []
+    for mask in range(1 << n):
+        index, low = 0, 0
+        for size in shape:
+            index = index * (size + 1) + (mask >> low & ((1 << size) - 1)).bit_count()
+            low += size
+        full.append(values[index])
+    return full
+
+
+@pytest.mark.parametrize("target", ["T1", "D2plus", "NAE", "CHplus"])
+def test_weight_checkers_agree_with_general_test(target):
+    template = pair("1in3", target)
+    k = template.target.domain_size
+    rng = random.Random(target)
+    shapes = [(n,) for n in range(1, 7)] + [(k1, k2) for k1 in range(1, 4) for k2 in range(1, 4)]
+    verdicts = []
+    for shape in shapes:
+        if len(shape) == 1:
+            found = search_symmetric(template, shape[0]).table
+        else:
+            found = search_block_symmetric(template, *shape).table
+        ncells = (shape[0] + 1) * (shape[1] + 1) if len(shape) == 2 else shape[0] + 1
+        tables = [] if found is None else [found.values]
+        for _ in range(6):
+            colors = rng.sample(range(k), rng.randint(1, k))
+            tables.append(tuple(rng.choice(colors) for _ in range(ncells)))
+        for values in tables:
+            if len(shape) == 1:
+                got = is_symmetric_polymorphism(SymTable(shape[0], k, values), template)
+            else:
+                got = is_block_symmetric_polymorphism(BlockSymTable(*shape, k, values), template)
+            full = PolyTable(sum(shape), k, tuple(expand_weight_table(shape, values)))
+            assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_propagate_single_weight_force():
