@@ -191,8 +191,7 @@ def _appendix_b(as_json: bool = False) -> int:
         print(json.dumps(payload))
         return 0 if all(c.complete for c in certificates) else 1
     print(f"arity-23 replay over CHplus, seed f({head.seed_weight}) = {head.seed_color}")
-    for event in head.forced:
-        print(f"force f({event.cell}) = {event.color} via {event.triple}")
+    _print_trace(symmetric.PropagationTrace(head.forced))
     print(f"contradiction at f({head.contradiction_weight})")
     for color, trace in head.refutations:
         contradiction = trace.contradiction

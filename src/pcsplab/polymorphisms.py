@@ -87,9 +87,6 @@ class PolyTable:
                 if not 0 <= v < self.target_size:
                     raise ValueError(f"value {v} outside target domain")
 
-    def value_on(self, mask: int) -> int:
-        return self.values[mask]
-
 
 def dictator(n: int, coordinate: int, target_size: int = 2) -> PolyTable:
     """The projection onto one coordinate."""
@@ -233,6 +230,22 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     return True
 
 
+def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bool:
+    """Check a full table on the cells of the coordinate blocks; exactly-one-1 source only."""
+    _require_boolean_one_in_three_source(template)
+    if None in values:
+        raise ValueError("table has unassigned cells")
+    if target_size != template.target.domain_size:
+        raise ValueError("table target size does not match template target")
+    return _partitions_map_into(blocks, values, template.target.single_ternary().as_set)
+
+
+def _search_network(template: TemplatePair, blocks, branch_order) -> Network:
+    """The search network on the cells of the coordinate blocks; exactly-one-1 source only."""
+    _require_boolean_one_in_three_source(template)
+    return Network(blocks, branch_order, allowed_table(template.target))
+
+
 def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
     """Partition test: every ordered 3-partition of [n] must map into the relation.
 
@@ -240,11 +253,7 @@ def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
     numbers the blocks from the high bit down, which relabels coordinates
     and leaves the set of 3-partitions as it is.
     """
-    _require_boolean_one_in_three_source(template)
-    rel = template.target.single_ternary().as_set
-    if table.target_size != template.target.domain_size:
-        raise ValueError("table target size does not match template target")
-    return _partitions_map_into((1,) * table.arity, table.values, rel)
+    return _table_holds(template, (1,) * table.arity, table.target_size, table.values)
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,7 @@ def is_polymorphism_general(table: GeneralTable, template: TemplatePair) -> bool
 
 
 def enumerate_polymorphisms(
-    template: TemplatePair, n: int, *, arity_cap: int = DEFAULT_ARITY_CAP, force: bool = False, time_budget: float | None = None
+    template: TemplatePair, n: int, *, force: bool = False, time_budget: float | None = None
 ):
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
@@ -312,16 +321,15 @@ def enumerate_polymorphisms(
     the other two cells that complete it in every ordering of the relation.
     Raises TimeBudgetExceeded once the search runs past time_budget seconds.
     """
-    _require_boolean_one_in_three_source(template)
-    if n > arity_cap:
+    if n > DEFAULT_ARITY_CAP:
         if not force:
-            raise ArityBoundError(f"arity {n} exceeds cap {arity_cap}; pass force to override")
+            raise ArityBoundError(f"arity {n} exceeds cap {DEFAULT_ARITY_CAP}; pass force to override")
         warnings.warn(f"enumerating at arity {n} beyond the default cap; table space is large", stacklevel=2)
     if n < 1:
         raise ValueError("arity must be >= 1")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     k = template.target.domain_size
-    net = Network((1,) * n, subset_masks(n), allowed_table(template.target))
+    net = _search_network(template, (1,) * n, subset_masks(n))
     for values in net.solutions({}, None, deadline):
         yield PolyTable(n, k, values)
 

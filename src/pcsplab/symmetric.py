@@ -7,6 +7,8 @@ A two-block table stores one value per weight pair.  Search is chronological
 backtracking that keeps every node arc consistent; when the target's
 automorphism group identifies colors, the first branched cell only tries
 orbit representatives.  Propagation traces record forward checking.
+The checks and the search networks come from `polymorphisms`, which
+accepts only the exactly-one-1 source.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from ._network import Network, allowed_table
-from .polymorphisms import _partitions_map_into
+from .polymorphisms import _search_network, _table_holds
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
 Cell = int | tuple[int, int]
@@ -141,18 +143,12 @@ def sym_compatible_triples(n: int) -> list[tuple[int, int, int]]:
 
 def is_symmetric_polymorphism(table: SymTable, template: TemplatePair) -> bool:
     """Compatibility of a fully assigned weight table with the target relation."""
-    if not table.fully_assigned:
-        raise ValueError("table has unassigned cells")
-    if table.target_size != template.target.domain_size:
-        raise ValueError("table target size does not match template target")
-    return _partitions_map_into((table.arity,), table.values, template.target.single_ternary().as_set)
+    return _table_holds(template, (table.arity,), table.target_size, table.values)
 
 
 def is_block_symmetric_polymorphism(table: BlockSymTable, template: TemplatePair) -> bool:
     """Compatibility over every pair of weight compositions of the two blocks."""
-    if not table.fully_assigned:
-        raise ValueError("table has unassigned cells")
-    return _partitions_map_into((table.k1, table.k2), table.values, template.target.single_ternary().as_set)
+    return _table_holds(template, (table.k1, table.k2), table.target_size, table.values)
 
 
 def _traced_propagation(net: Network, seed: dict[int, int]) -> tuple[SymTable, PropagationTrace]:
@@ -192,7 +188,7 @@ def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, Prop
         raise ValueError(
             f"table target size {k} does not match template target {template.target.domain_size}"
         )
-    net = Network((partial.arity,), range(partial.arity + 1), allowed_table(template.target))
+    net = _search_network(template, (partial.arity,), range(partial.arity + 1))
     return _traced_propagation(net, partial.assigned_weights())
 
 
@@ -242,7 +238,7 @@ def search_symmetric(
         )
     deadline = None if time_budget is None else time.monotonic() + time_budget
     seed = partial.assigned_weights() if partial is not None else {}
-    net = Network((n,), range(n + 1), allowed_table(template.target))
+    net = _search_network(template, (n,), range(n + 1))
     wlog = _wlog_colors(template.target) if use_wlog and not seed else None
     values = next(net.solutions(seed, wlog, deadline), None)
     if values is None:
@@ -251,10 +247,6 @@ def search_symmetric(
     table = SymTable(n, k, values)
     assert is_symmetric_polymorphism(table, template)
     return SearchResult(table, None, net.nodes, wlog)
-
-
-def _block_cells(k1: int, k2: int) -> list[tuple[int, int]]:
-    return [(w1, w2) for w1 in range(k1 + 1) for w2 in range(k2 + 1)]
 
 
 def _block_branch_order(k1: int, k2: int) -> list[int]:
@@ -266,18 +258,14 @@ def _block_branch_order(k1: int, k2: int) -> list[int]:
     live inside the subnetwork without hurting satisfiable cases.
     """
     width = k2 + 1
-    order = []
+    ncells = (k1 + 1) * width
     if k2 % 3 == 0:
-        z = k2 // 3
-        order = [w1 * width + z for w1 in range(k1 + 1)]
-        order += [w1 * width + w2 for w1, w2 in _block_cells(k1, k2) if w2 != z]
+        first = range(k2 // 3, ncells, width)  # column w2 = k2/3
     elif k1 % 3 == 0:
-        z = k1 // 3
-        order = [z * width + w2 for w2 in range(k2 + 1)]
-        order += [w1 * width + w2 for w1, w2 in _block_cells(k1, k2) if w1 != z]
+        first = range(k1 // 3 * width, (k1 // 3 + 1) * width)  # row w1 = k1/3
     else:
-        order = list(range((k1 + 1) * width))
-    return order
+        first = range(0)
+    return [*first, *(cell for cell in range(ncells) if cell not in first)]
 
 
 def search_block_symmetric(
@@ -293,7 +281,7 @@ def search_block_symmetric(
         raise ValueError("block sizes must be >= 1")
     k = template.target.domain_size
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    net = Network((k1, k2), _block_branch_order(k1, k2), allowed_table(template.target))
+    net = _search_network(template, (k1, k2), _block_branch_order(k1, k2))
     wlog = _wlog_colors(template.target) if use_wlog else None
     values = next(net.solutions({}, wlog, deadline), None)
     if values is None:

@@ -327,3 +327,16 @@ def test_solve_failure_label_names_target(tmp_path, capsys):
     path.write_text(format_instance(Instance(1, ((1, 1, 1),))))
     code, out, _ = run(capsys, "solve", "T2", str(path))
     assert code == 1 and "no T2-coloring found" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("search-sym", "NAE", "NAE", "4"), ("search-block", "NAE", "NAE", "2", "2")],
+    ids=["search-sym", "search-block"],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_poly_search_rejects_other_sources(capsys, argv, json_flag):
+    # weight tables are checked and searched only against the exactly-one-1 source
+    code, out, err = run(capsys, "poly", *argv, *json_flag)
+    assert (code, out) == (2, "")
+    assert err == "error: partition compatibility requires the exactly-one-1 Boolean source\n"

@@ -527,3 +527,28 @@ def test_chplus_symmetric_frontier():
     assert search_symmetric(chp, 14).table is not None
     assert search_symmetric(chp, 17).table is None
     assert search_symmetric(chp, 20).table is None
+
+
+# every weight-table check and search, each on a shape that fits a target of k colors
+WEIGHT_CALLS = {
+    "search_sym": lambda t, k: search_symmetric(t, 4),
+    "search_block": lambda t, k: search_block_symmetric(t, 2, 2),
+    "propagate": lambda t, k: propagate(t, seeded_sym_table(3, k, {0: 0})),
+    "is_sym": lambda t, k: is_symmetric_polymorphism(SymTable(3, k, (0,) * 4), t),
+    "is_block": lambda t, k: is_block_symmetric_polymorphism(BlockSymTable(2, 2, k, (0,) * 9), t),
+}
+
+
+@pytest.mark.parametrize("src, tgt", [("NAE", "NAE"), ("D1", "T1")])
+@pytest.mark.parametrize("call", WEIGHT_CALLS.values(), ids=WEIGHT_CALLS.keys())
+def test_weight_tables_need_one_in_three_source(src, tgt, call):
+    # weight tables mean a + b + c = n only for the exactly-one-1 source
+    template = pair(src, tgt)
+    with pytest.raises(ValueError, match="exactly-one-1 Boolean source"):
+        call(template, template.target.domain_size)
+
+
+def test_block_checker_rejects_target_size_mismatch():
+    table = BlockSymTable(1, 1, 5, (4, 4, 4, 4))
+    with pytest.raises(ValueError, match="table target size does not match template target"):
+        is_block_symmetric_polymorphism(table, pair("1in3", "CHplus"))
