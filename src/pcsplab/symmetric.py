@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ._network import Network, allowed_table
+from ._network import allowed_table
 from .polymorphisms import _search_network, _table_holds
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
@@ -39,10 +39,6 @@ class SymTable:
         for v in self.values:
             if v is not None and not 0 <= v < self.target_size:
                 raise ValueError(f"value {v} outside target domain")
-
-    @property
-    def fully_assigned(self) -> bool:
-        return all(v is not None for v in self.values)
 
     def assigned_weights(self) -> dict[int, int]:
         return {w: v for w, v in enumerate(self.values) if v is not None}
@@ -151,28 +147,6 @@ def is_block_symmetric_polymorphism(table: BlockSymTable, template: TemplatePair
     return _table_holds(template, (table.k1, table.k2), table.target_size, table.values)
 
 
-def _traced_propagation(net: Network, seed: dict[int, int]) -> tuple[SymTable, PropagationTrace]:
-    """Forward-check the seeded weights on a weight network, recording every force and the contradiction."""
-    cand = net.seeded(seed)
-    values: list[int | None] = [None] * net.ncells
-    for w, v in seed.items():
-        values[w] = v
-    events: list = []
-    eliminations: list[list[tuple[int, tuple]]] = [[] for _ in range(net.ncells)]
-
-    def on_narrow(cell: int, removed: int, triple: tuple) -> None:
-        eliminations[cell].extend((v, triple) for v in range(net.k) if removed >> v & 1)
-        new = cand[cell] & ~removed
-        if not new:
-            events.append(ContradictionEvent(cell, tuple(eliminations[cell])))
-        elif new & (new - 1) == 0:
-            values[cell] = new.bit_length() - 1
-            events.append(ForceEvent(cell, values[cell], triple))
-
-    net.propagate_from(cand, list(seed), net.forward, on_narrow)
-    return SymTable(net.ncells - 1, net.k, tuple(values)), PropagationTrace(tuple(events))
-
-
 def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, PropagationTrace]:
     """Forward-checking fixpoint of the search network from the assigned weights of `partial`.
 
@@ -189,16 +163,28 @@ def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, Prop
             f"table target size {k} does not match template target {template.target.domain_size}"
         )
     net = _search_network(template, (partial.arity,), range(partial.arity + 1))
-    return _traced_propagation(net, partial.assigned_weights())
+    seed = partial.assigned_weights()
+    cand = net.seeded(seed)
+    values = list(partial.values)
+    events: list = []
+    eliminations: list[list[tuple[int, tuple]]] = [[] for _ in range(net.ncells)]
+
+    def on_narrow(cell: int, removed: int, triple: tuple) -> None:
+        eliminations[cell].extend((v, triple) for v in range(k) if removed >> v & 1)
+        new = cand[cell] & ~removed
+        if not new:
+            events.append(ContradictionEvent(cell, tuple(eliminations[cell])))
+        elif new & (new - 1) == 0:
+            values[cell] = new.bit_length() - 1
+            events.append(ForceEvent(cell, values[cell], triple))
+
+    net.propagate_from(cand, list(seed), net.forward, on_narrow)
+    return SymTable(partial.arity, k, tuple(values)), PropagationTrace(tuple(events))
 
 
 @dataclass(frozen=True)
 class SearchResult:
     table: SymTable | BlockSymTable | None
-    # when no table is found: forward checking from the seed alone, not the
-    # arc-consistent search that refuted it, so an unseeded search gives an
-    # empty trace; the trace is not evidence for the "none"
-    trace: PropagationTrace | None
     nodes: int
     wlog_colors: tuple[int, ...] | None  # colors tried at the first branched cell
 
@@ -220,14 +206,7 @@ def search_symmetric(
     use_wlog: bool = True,
     time_budget: float | None = None,
 ) -> SearchResult:
-    """Backtracking search for a weight table; lowest unassigned weight first.
-
-    When no table exists, the result carries a root trace: forward checking
-    of the seeded weights of `partial`, recorded after the search.  It is not
-    a refutation.  The search itself refutes under arc consistency and keeps
-    no record of how, so an unseeded exhausted search has an empty trace, and
-    the node count is the only account of the "none".
-    """
+    """Backtracking search for a weight table; lowest unassigned weight first."""
     if n < 1:
         raise ValueError("arity must be >= 1")
     k = template.target.domain_size
@@ -242,11 +221,10 @@ def search_symmetric(
     wlog = _wlog_colors(template.target) if use_wlog and not seed else None
     values = next(net.solutions(seed, wlog, deadline), None)
     if values is None:
-        _, root_trace = _traced_propagation(net, seed)
-        return SearchResult(None, root_trace, net.nodes, wlog)
+        return SearchResult(None, net.nodes, wlog)
     table = SymTable(n, k, values)
     assert is_symmetric_polymorphism(table, template)
-    return SearchResult(table, None, net.nodes, wlog)
+    return SearchResult(table, net.nodes, wlog)
 
 
 def _block_branch_order(k1: int, k2: int) -> list[int]:
@@ -285,10 +263,10 @@ def search_block_symmetric(
     wlog = _wlog_colors(template.target) if use_wlog else None
     values = next(net.solutions({}, wlog, deadline), None)
     if values is None:
-        return SearchResult(None, None, net.nodes, wlog)
+        return SearchResult(None, net.nodes, wlog)
     table = BlockSymTable(k1, k2, k, values)
     assert is_block_symmetric_polymorphism(table, template)
-    return SearchResult(table, None, net.nodes, wlog)
+    return SearchResult(table, net.nodes, wlog)
 
 
 def restrict_block_to_symmetric(table: BlockSymTable) -> SymTable:

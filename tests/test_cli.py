@@ -242,7 +242,7 @@ def test_search_time_budget_zero(capsys):
 
 
 def test_search_sym_large_linear_order_within_budget(capsys):
-    # the wlog colours come from the automorphisms of LO_9, found before the budget starts
+    # the budget's clock also runs while the wlog colours are found from the automorphisms of LO_9
     code, out, _ = run(capsys, "poly", "search-sym", "1in3", "LO_9", "5", "--time-budget", "5")
     assert code == 0 and out.startswith("f(0)=")
 

@@ -169,6 +169,7 @@ def test_dsatur_picks_match_recomputed_saturation():
 def test_chromatic_number_examples():
     assert chromatic_number(kneser_graph(5, 2), 5) == 3
     assert chromatic_number([[], [], []], 5) == 1  # edgeless
+    assert chromatic_number([], 3) == 0  # no vertices
     assert chromatic_number(kneser_graph(6, 2), 6) == 4
     assert chromatic_number(kneser_graph(6, 2), 3) is None
 
@@ -330,6 +331,22 @@ def test_selector_d1_tie_breaking():
         mask = chosen.mask
         if table.values[mask] == 1:
             assert all(table.values[m] != 2 for m in range(8) if bin(m).count("1") <= 3)
+
+
+@pytest.mark.parametrize(
+    "name, target_size, values, expected",
+    [
+        ("SEL_D1", 3, (0, 0, 0, 0), None),
+        ("SEL_D2", 3, (1, 0, 1, 1), {1}),  # no small 2-set or 1-singleton: the first small 0-set
+        ("SEL_D2", 3, (0, 0, 0, 0), None),
+        ("SEL_T1", 3, (1, 1, 1, 1), None),
+        ("SEL_CH", 4, (0, 0, 0, 0), None),
+    ],
+)
+def test_selector_rule_fallbacks(name, target_size, values, expected):
+    # hand-built arity-2 tables, not polymorphisms, that reach each rule's last branches
+    chosen = selector_rule(SELECTOR_CATALOG[name], PolyTable(2, target_size, values))
+    assert (None if chosen is None else set(chosen.members)) == expected
 
 
 def test_verify_selectors_hold_at_arity_two():
