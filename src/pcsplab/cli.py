@@ -115,8 +115,8 @@ def _cmd_poly(args) -> int:
             return 2
         count = 0
         order = subset_masks(args.arity)
-        for table in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
-            print("".join(str(table.values[m]) for m in order))
+        for values in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
+            print("".join(str(values[m]) for m in order))
             count += 1
         print(f"count {count}", file=sys.stderr)
         return 0
@@ -202,15 +202,6 @@ def _appendix_b(as_json: bool = False) -> int:
     return 1
 
 
-def _lemma_worker(payload) -> list[dict]:
-    template_name, property_ids, max_arity, force, time_budget = payload
-    template = TemplatePair(named_template("1in3"), named_template(template_name))
-    reports = props.check_properties(
-        template, property_ids, max_arity, template_label=template_name, force=force, time_budget=time_budget
-    )
-    return [report.to_dict() for report in reports]
-
-
 def _cmd_verify(args) -> int:
     if args.max_arity > DEFAULT_ARITY_CAP and not (args.action == "lemmas" and args.force):
         hint = "; pass --force" if args.action == "lemmas" else ""  # only lemmas has --force
@@ -221,26 +212,16 @@ def _cmd_verify(args) -> int:
         if not ids:
             print(f"no catalog properties for template {args.template!r}", file=sys.stderr)
             return 2
-        # one shared enumeration pass per group; group i takes ids[i::groups]
-        groups = max(1, min(args.jobs, len(ids)))
-        payloads = [(args.template, ids[i::groups], args.max_arity, args.force, args.time_budget) for i in range(groups)]
-        if groups > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(groups) as pool:
-                chunks = pool.map(_lemma_worker, payloads)
-        else:
-            chunks = [_lemma_worker(payloads[0])]
-        by_id = {report["property"]: report for chunk in chunks for report in chunk}
-        reports = [by_id[pid] for pid in ids]
+        template = TemplatePair(named_template("1in3"), named_template(args.template))
+        reports = props.check_properties(template, ids, args.max_arity, force=args.force, time_budget=args.time_budget)
         if args.json:
-            print(json.dumps(reports, indent=2))
+            print(json.dumps([report.to_dict() for report in reports], indent=2))
         failed = 0
         for report in reports:
-            bad = len(report["counterexamples"])
+            bad = len(report.counterexamples)
             status = "ok" if bad == 0 else f"FAIL ({bad} counterexamples)"
             if not args.json:
-                print(f"{report['property']}: {status} (examined {report['examined']}, {report['elapsed_ms']:.0f} ms)")
+                print(f"{report.property_id}: {status} (examined {report.examined}, {report.elapsed_ms:.0f} ms)")
             failed += bad
         return 0 if failed == 0 else 1
 
@@ -358,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas.add_argument("template")
     p_lemmas.add_argument("--max-arity", type=int, default=4)
     p_lemmas.add_argument("--force", action="store_true")
-    p_lemmas.add_argument("--jobs", type=int, default=1)
     p_lemmas.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p_lemmas.add_argument("--json", action="store_true")
     p_lemmas.set_defaults(func=_cmd_verify)

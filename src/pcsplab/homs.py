@@ -12,6 +12,7 @@ partial order.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass
 
@@ -148,6 +149,7 @@ def _iso_key(structure: RelStructure) -> tuple:
 def _pairwise_hom_matrix(reps: list[RelStructure], jobs: int = 1, deadline: float | None = None) -> list[list[bool]]:
     m = len(reps)
     pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    jobs = min(jobs, os.cpu_count() or 1)  # the answers do not depend on the chunking
     if jobs > 1 and len(pairs) > 512:
         import multiprocessing
 

@@ -82,10 +82,9 @@ class PolyTable:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if len(self.values) != 1 << self.arity:
             raise ValueError(f"expected {1 << self.arity} entries, got {len(self.values)}")
-        if not frozenset(range(self.target_size)).issuperset(self.values):
-            for v in self.values:
-                if not 0 <= v < self.target_size:
-                    raise ValueError(f"value {v} outside target domain")
+        for v in self.values:
+            if not 0 <= v < self.target_size:
+                raise ValueError(f"value {v} outside target domain")
 
 
 def dictator(n: int, coordinate: int, target_size: int = 2) -> PolyTable:
@@ -311,6 +310,7 @@ def enumerate_polymorphisms(
 ):
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
+    Each item is a value tuple indexed by subset mask, like PolyTable.values.
     The stream order is lexicographic in the value vector read along the
     canonical subset order.  The search network has one unit block per
     coordinate, so its cells are the 2**n subset masks and each unordered
@@ -328,10 +328,8 @@ def enumerate_polymorphisms(
     if n < 1:
         raise ValueError("arity must be >= 1")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    k = template.target.domain_size
     net = _search_network(template, (1,) * n, subset_masks(n))
-    for values in net.solutions({}, None, deadline):
-        yield PolyTable(n, k, values)
+    yield from net.solutions({}, None, deadline)
 
 
 def i_sets(table: PolyTable, color: int, max_size: int) -> list[CoordSet]:

@@ -20,8 +20,9 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .errors import TimeBudgetExceeded
+from .errors import ArityBoundError, TimeBudgetExceeded
 from .polymorphisms import (
+    DEFAULT_ARITY_CAP,
     CoordSet,
     MinorMap,
     PolyTable,
@@ -408,7 +409,6 @@ def check_properties(
     property_ids,
     max_arity: int,
     *,
-    template_label: str = "",
     force: bool = False,
     counterexample_cap: int = 25,
     time_budget: float | None = None,
@@ -421,33 +421,35 @@ def check_properties(
     per id comes back, in the given order; each keeps its own counterexample
     cap and carries the elapsed time of the shared pass.  time_budget bounds
     the whole pass: each arity's enumeration gets the time that is left and
-    raises TimeBudgetExceeded once it runs out.
+    raises TimeBudgetExceeded once it runs out.  A max_arity above the cap
+    raises ArityBoundError before any enumeration unless force is set.
     """
     for property_id in property_ids:
         if property_id not in PROPERTY_CATALOG:
             raise KeyError(f"unknown property id {property_id!r}")
     if max_arity < 1:
         raise ValueError(f"max arity must be >= 1, got {max_arity}")
+    if max_arity > DEFAULT_ARITY_CAP and not force:
+        raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}; pass force to override")
     specs = [PROPERTY_CATALOG[pid] for pid in property_ids]
     checks = [(spec.predicate, []) for spec in specs]
     start = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     examined = 0
+    k = template.target.domain_size
     for n in range(1, max_arity + 1):
-        masks = MaskTables(n, template.target.domain_size)
+        masks = MaskTables(n, k)
         left = None if deadline is None else deadline - time.monotonic()
-        for table in enumerate_polymorphisms(template, n, force=force, time_budget=left):
+        for values in enumerate_polymorphisms(template, n, force=force, time_budget=left):
             examined += 1
-            view = SlicedTable(table.values, masks)
+            view = SlicedTable(values, masks)
             for predicate, counterexamples in checks:
                 witness = predicate(view)
                 if witness is not None and len(counterexamples) < counterexample_cap:
-                    counterexamples.append(Counterexample(n, table, witness))
+                    counterexamples.append(Counterexample(n, PolyTable(n, k, values), witness))
     elapsed = (time.perf_counter() - start) * 1000.0
     return tuple(
-        PropertyReport(
-            template_label or spec.template_name, spec.property_id, max_arity, examined, tuple(found), elapsed
-        )
+        PropertyReport(spec.template_name, spec.property_id, max_arity, examined, tuple(found), elapsed)
         for spec, (_, found) in zip(specs, checks)
     )
 
@@ -705,16 +707,19 @@ def verify_selector(
     g[X] = f[pull[X]]; test_pull_masks_are_preimages checks the masks.
     time_budget bounds the enumeration and the chain search together, in
     seconds; the deadline is checked at each state, and TimeBudgetExceeded
-    is raised once it passes.
+    is raised once it passes.  A max_arity above the cap raises
+    ArityBoundError before any enumeration.
     """
     if max_arity < 1:
         raise ValueError(f"max arity must be >= 1, got {max_arity}")
+    if max_arity > DEFAULT_ARITY_CAP:
+        raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}")
     start = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     polys = {}
     for n in range(1, max_arity + 1):
         left = None if deadline is None else deadline - time.monotonic()
-        polys[n] = [t.values for t in enumerate_polymorphisms(template, n, time_budget=left)]
+        polys[n] = list(enumerate_polymorphisms(template, n, time_budget=left))
     poly_sets = {n: set(polys[n]) for n in polys}
 
     sel_cache: dict[tuple, int | None] = {}

@@ -276,6 +276,16 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_lemmas_has_no_jobs_option(capsys):
+    # the fact suite is one enumeration pass in one process
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemmas", "CH", "--jobs", "2"])
+    assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemmas", "--help"])
+    assert exc.value.code == 0 and "--jobs" not in capsys.readouterr().out
+
+
 def test_poly_search_sym_json_failure_carries_trace(capsys):
     code, out, _ = run(capsys, "poly", "search-sym", "1in3", "T2", "6", "--json")
     assert code == 1
@@ -296,18 +306,6 @@ def test_poly_verify_appendix_b_json(capsys):
     assert all(cert["complete"] for cert in payload["certificates"])
     # exact stdout, recorded before the certificate dicts moved into ForcingCertificate.to_dict
     assert hashlib.sha256(out.encode()).hexdigest() == "ce9110748d79001521d8118d1abf213fa7a4abd945ef7980d25ca5c570f24dbf"
-
-
-def test_verify_lemmas_jobs_deterministic(capsys):
-    strip = lambda text: [
-        {k: v for k, v in report.items() if k != "elapsed_ms"} for report in json.loads(text)
-    ]
-    # 3 properties over 2 jobs, 6 over 4 (uneven groups), 3 over 8 (more jobs than properties)
-    for template, jobs in (("CH", "2"), ("T1", "4"), ("CH", "8")):
-        code1, out1, _ = run(capsys, "verify", "lemmas", template, "--max-arity", "3", "--json")
-        code2, out2, _ = run(capsys, "verify", "lemmas", template, "--max-arity", "3", "--jobs", jobs, "--json")
-        assert code1 == code2 == 0
-        assert strip(out1) == strip(out2)
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):

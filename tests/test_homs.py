@@ -20,7 +20,13 @@ from pcsplab.homs import (
     lattice_to_dot,
 )
 from pcsplab.solvers import Instance
-from pcsplab.structures import make_structure, named_template, symmetrize, template_names_3
+from pcsplab.structures import (
+    all_symmetric_ternary_structures,
+    make_structure,
+    named_template,
+    symmetrize,
+    template_names_3,
+)
 
 
 def brute_hom_exists(source, target):
@@ -239,6 +245,38 @@ def test_lattice_dot_output():
     dot = lattice_to_dot(lattice)
     assert dot.startswith("digraph")
     assert dot.count("->") >= 1
+
+
+def test_lattice_pool_capped_at_cpu_count(monkeypatch):
+    # an in-process stand-in records the pool size, so no worker is ever started
+    import multiprocessing
+    import os
+
+    from pcsplab import homs
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args):
+            return [func(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    reps = all_symmetric_ternary_structures()[:30]  # 870 pairs, past the serial threshold
+    serial = homs._pairwise_hom_matrix(reps)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert homs._pairwise_hom_matrix(reps, jobs=10000) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert homs._pairwise_hom_matrix(reps, jobs=10000) == serial
+    assert sizes == [3]
 
 
 def test_lattice_all3_jobs_identical():

@@ -14,7 +14,7 @@ from loop_properties import LOOP_PREDICATES
 
 import pcsplab.properties as properties_module
 from pcsplab.cli import main
-from pcsplab.errors import TimeBudgetExceeded
+from pcsplab.errors import ArityBoundError, TimeBudgetExceeded
 from pcsplab.polymorphisms import PolyTable, dictator, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
@@ -60,9 +60,9 @@ def test_compute_Ef_requires_three_colors():
 
 def test_Ef_odd_for_enumerated_t1_polymorphisms():
     template = pair("1in3", "T1")
-    for table in enumerate_polymorphisms(template, 3):
-        if table.values[0] == 0:
-            e, _ = compute_Ef(table)
+    for values in enumerate_polymorphisms(template, 3):
+        if values[0] == 0:
+            e, _ = compute_Ef(PolyTable(3, 3, values))
             assert len(e.members) % 2 == 1
 
 
@@ -187,7 +187,7 @@ def test_property_catalog_complete():
 def test_all_properties_hold_at_arity_three():
     for pid, spec in PROPERTY_CATALOG.items():
         template = pair("1in3", spec.template_name)
-        report = check_properties(template, [pid], 3, template_label=spec.template_name)[0]
+        report = check_properties(template, [pid], 3)[0]
         assert report.holds, (pid, report.counterexamples[:1])
         assert report.examined > 0
 
@@ -243,8 +243,8 @@ def test_sliced_predicates_match_loops_on_catalog_tables():
         template = pair("1in3", name)
         for n in (1, 2, 3):
             masks = MaskTables(n, template.target.domain_size)
-            for table in enumerate_polymorphisms(template, n):
-                violations += len(_assert_loops_agree(table.values, masks))
+            for values in enumerate_polymorphisms(template, n):
+                violations += len(_assert_loops_agree(values, masks))
     assert violations > 30000
 
 
@@ -265,8 +265,8 @@ def test_sliced_predicates_match_loops_on_random_tables():
 def test_sliced_predicates_match_loops_on_arity_four_streams(name):
     template = pair("1in3", name)
     masks = MaskTables(4, template.target.domain_size)
-    for table in enumerate_polymorphisms(template, 4):
-        _assert_loops_agree(table.values, masks)
+    for values in enumerate_polymorphisms(template, 4):
+        _assert_loops_agree(values, masks)
 
 
 def test_check_properties_keeps_no_module_state():
@@ -285,13 +285,28 @@ def test_check_properties_keeps_no_module_state():
     assert not any(isinstance(o, MaskTables) for o in gc.get_objects())
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_lemmas_honours_time_budget(jobs, capsys):
+@pytest.mark.parametrize("budget", ["1", "2"])
+def test_verify_lemmas_honours_time_budget(budget, capsys):
     start = time.monotonic()
-    code = main(["verify", "lemmas", "D1plus", "--max-arity", "5", "--force", "--time-budget", "1", "--jobs", jobs])
+    code = main(["verify", "lemmas", "D1plus", "--max-arity", "5", "--force", "--time-budget", budget])
     assert code == 2
     assert time.monotonic() - start < 10
     assert capsys.readouterr().err.startswith("aborted: ")
+
+
+def test_arity_cap_refused_before_any_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the arity check")
+
+    monkeypatch.setattr(properties_module, "enumerate_polymorphisms", refuse)
+    template = pair("1in3", "T1")
+    with pytest.raises(ArityBoundError):
+        check_properties(template, properties_for_template("T1"), 6)
+    with pytest.raises(ArityBoundError):
+        verify_selector(template, SELECTOR_CATALOG["SEL_T1"], 6)
+    # force lets the suite past the cap, so it reaches the enumeration
+    with pytest.raises(AssertionError, match="enumerated"):
+        check_properties(template, properties_for_template("T1"), 6, force=True)
 
 
 def test_unknown_property_id():
@@ -307,6 +322,15 @@ def test_report_json_shape():
     assert data["counterexamples"] == []
 
 
+def test_counterexample_report_json_pinned():
+    # SHA-256 of the failing report without elapsed_ms: pins the --json schema of counterexamples
+    data = check_properties(pair("1in3", "NAE"), ["D1_no_disjoint"], 3)[0].to_dict()
+    del data["elapsed_ms"]
+    assert (data["examined"], len(data["counterexamples"])) == (44, 25)
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert digest == "8554534b21e0f860ea30c385a537b0bc052ecaa669447b048dadfcd58f9f6b1d"
+
+
 def test_selector_catalog_parameters():
     params = {(s.name, s.k, s.l) for s in SELECTOR_CATALOG.values()}
     assert params == {("SEL_D1", 3, 2), ("SEL_D2", 2, 5), ("SEL_T1", 5, 2), ("SEL_CH", 2, 5)}
@@ -316,8 +340,8 @@ def test_selector_rules_total_and_bounded():
     for spec in SELECTOR_CATALOG.values():
         template = pair("1in3", spec.template_name)
         for n in (1, 2, 3):
-            for table in enumerate_polymorphisms(template, n):
-                chosen = selector_rule(spec, table)
+            for values in enumerate_polymorphisms(template, n):
+                chosen = selector_rule(spec, PolyTable(n, template.target.domain_size, values))
                 assert chosen is not None
                 assert len(chosen.members) <= spec.k
 
@@ -326,11 +350,10 @@ def test_selector_d1_tie_breaking():
     # prefers a 2-set over a 1-set, then smaller, then lexicographic
     spec = SELECTOR_CATALOG["SEL_D1"]
     template = pair("1in3", "D1plus")
-    for table in enumerate_polymorphisms(template, 3):
-        chosen = selector_rule(spec, table)
-        mask = chosen.mask
-        if table.values[mask] == 1:
-            assert all(table.values[m] != 2 for m in range(8) if bin(m).count("1") <= 3)
+    for values in enumerate_polymorphisms(template, 3):
+        chosen = selector_rule(spec, PolyTable(3, 3, values))
+        if values[chosen.mask] == 1:
+            assert all(values[m] != 2 for m in range(8) if bin(m).count("1") <= 3)
 
 
 @pytest.mark.parametrize(
