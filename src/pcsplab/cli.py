@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import properties as props
 from . import solvers, structures, symmetric
@@ -79,7 +80,7 @@ def _cmd_hom(args) -> int:
         inputs = all_symmetric_ternary_structures()
     else:
         inputs = [named_template(name) for name in structures.template_names_3()]
-    lattice = hom_lattice(inputs, jobs=args.jobs, time_budget=args.time_budget)
+    lattice = hom_lattice(inputs, time_budget=args.time_budget)
     catalog = _named_catalog()
     dot = lattice_to_dot(lattice, labeler=lambda s: catalog.get(s.encoding()))
     if args.out:
@@ -110,14 +111,18 @@ def _print_search_json(result: symmetric.SearchResult, **extra) -> int:
 def _cmd_poly(args) -> int:
     if args.action == "enumerate":
         template = _template_pair(args.source, args.target)
-        if args.arity > DEFAULT_ARITY_CAP and not args.force:
-            print(f"arity {args.arity} exceeds the default cap {DEFAULT_ARITY_CAP}; pass --force", file=sys.stderr)
-            return 2
+        if args.arity > DEFAULT_ARITY_CAP:
+            if not args.force:
+                print(f"arity {args.arity} exceeds the default cap {DEFAULT_ARITY_CAP}; pass --force", file=sys.stderr)
+                return 2
+            print(f"note: arity {args.arity} is past the default cap {DEFAULT_ARITY_CAP}; table space is large", file=sys.stderr)
         count = 0
         order = subset_masks(args.arity)
-        for values in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
-            print("".join(str(values[m]) for m in order))
-            count += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the note above says it without a source location
+            for values in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
+                print("".join(str(values[m]) for m in order))
+                count += 1
         print(f"count {count}", file=sys.stderr)
         return 0
 
@@ -300,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--named3", action="store_true", help="named 3-element catalog (default)")
     group.add_argument("--all3", action="store_true", help="all 1023 symmetric ternary structures")
     p_lattice.add_argument("--out", help="write DOT here instead of stdout")
-    p_lattice.add_argument("--jobs", type=int, default=1)
     p_lattice.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p_lattice.set_defaults(func=_cmd_hom)
 

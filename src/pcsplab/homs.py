@@ -4,15 +4,13 @@ The search is the map backtracker of the structures module, run over source
 elements in degree-descending order; each constraint tuple is tested once,
 when its last-ranked element is assigned.  At the desk scales used here
 (domains of size two to four, instances with a few dozen variables) this is
-exhaustive and fast.  The lattice construction groups structures into
-mutual-homomorphism classes and emits the cover edges of the induced
-partial order.
+exhaustive and fast.  The lattice construction inserts structures one at a
+time into mutual-homomorphism classes, testing each only against one head
+per class, and emits the cover edges of the induced partial order.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import time
 from dataclasses import dataclass
 
@@ -133,55 +131,16 @@ class HomLattice:
         raise ValueError("structure not in lattice input")
 
 
-def _iso_key(structure: RelStructure) -> tuple:
-    """Canonical encoding minimized over domain permutations."""
-    best = None
-    for perm in itertools.permutations(range(structure.domain_size)):
-        enc = tuple(
-            (rel.arity, tuple(sorted(tuple(perm[x] for x in t) for t in rel.tuples)))
-            for rel in structure.relations
-        )
-        if best is None or enc < best:
-            best = enc
-    return (structure.domain_size, best)
-
-
-def _pairwise_hom_matrix(reps: list[RelStructure], jobs: int = 1, deadline: float | None = None) -> list[list[bool]]:
-    m = len(reps)
-    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-    jobs = min(jobs, os.cpu_count() or 1)  # the answers do not depend on the chunking
-    if jobs > 1 and len(pairs) > 512:
-        import multiprocessing
-
-        chunks = [pairs[i::jobs] for i in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_hom_chunk, [(reps, chunk, deadline) for chunk in chunks])
-        answers = dict(itertools.chain.from_iterable(results))
-    else:
-        answers = dict(_hom_chunk(reps, pairs, deadline))
-    matrix = [[True] * m for _ in range(m)]
-    for (i, j), ok in answers.items():
-        matrix[i][j] = ok
-    return matrix
-
-
-def _hom_chunk(reps, pairs, deadline=None):
-    answers = []
-    for i, j in pairs:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(f"hom lattice ran past its time budget after {len(answers)} of {len(pairs)} pairs")
-        answers.append(((i, j), hom_exists(reps[i], reps[j])))
-    return answers
-
-
-def hom_lattice(structures, jobs: int = 1, time_budget: float | None = None) -> HomLattice:
+def hom_lattice(structures, time_budget: float | None = None) -> HomLattice:
     """Mutual-homomorphism classes of the input and their Hasse cover edges.
 
-    Structures are first grouped up to isomorphism so the pairwise search
-    runs once per isomorphism class; the emitted lattice is identical to a
-    full sequential pairwise computation.  time_budget bounds the whole call
-    in seconds; the deadline is checked before each pair, in every worker,
-    and TimeBudgetExceeded is raised once it passes.
+    Structures are placed in input order.  Each is tested against the head
+    (first member) of every class found so far, in both directions; it joins
+    the first class it is equivalent to, and otherwise heads a new class whose
+    order relation to every earlier head those tests already gave.
+    Homomorphisms compose, so a head stands for its whole class.  time_budget
+    bounds the whole call in seconds; the deadline is checked before each hom
+    test, and TimeBudgetExceeded is raised once it passes.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     structures = list(structures)
@@ -190,35 +149,39 @@ def hom_lattice(structures, jobs: int = 1, time_budget: float | None = None) -> 
     for s in structures:
         _check_signatures(structures[0], s)
 
-    iso_groups: dict[tuple, list[int]] = {}
-    for idx, s in enumerate(structures):
-        iso_groups.setdefault(_iso_key(s), []).append(idx)
-    iso_keys = sorted(iso_groups)
-    reps = [structures[iso_groups[key][0]] for key in iso_keys]
+    def hom(source, target, placed):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(
+                f"hom lattice ran past its time budget after placing {placed} of {len(structures)} structures"
+            )
+        return hom_exists(source, target)
 
-    matrix = _pairwise_hom_matrix(reps, jobs=jobs, deadline=deadline)
+    members: list[list[RelStructure]] = []  # per class in order found; members[c][0] is its head
+    above: list[set[int]] = []  # above[c]: the other classes d with a homomorphism from head c to head d
+    for placed, s in enumerate(structures):
+        up, down = set(), set()
+        for c, cls in enumerate(members):
+            to_head, from_head = hom(s, cls[0], placed), hom(cls[0], s, placed)
+            if to_head and from_head:
+                cls.append(s)
+                break
+            if to_head:
+                up.add(c)
+            if from_head:
+                down.add(c)
+        else:
+            for c in down:
+                above[c].add(len(members))
+            members.append([s])
+            above.append(up)
 
-    m = len(reps)
-    class_of_rep = [-1] * m
-    classes_reps: list[list[int]] = []
-    for i in range(m):
-        if class_of_rep[i] >= 0:
-            continue
-        cls = [j for j in range(m) if matrix[i][j] and matrix[j][i]]
-        for j in cls:
-            class_of_rep[j] = len(classes_reps)
-        classes_reps.append(cls)
-
-    classes = []  # (hom class, one of its isomorphism-class representatives), by representative encoding
-    for rep_ids in classes_reps:
-        member_ids = sorted(itertools.chain.from_iterable(iso_groups[iso_keys[r]] for r in rep_ids))
-        members = tuple(structures[i] for i in member_ids)
-        representative = min(members, key=lambda s: s.encoding())
-        classes.append((HomClass(members, representative), rep_ids[0]))
-    classes.sort(key=lambda c: c[0].representative.encoding())
-    hom_classes = [c for c, _ in classes]
-    heads = [r for _, r in classes]
-    below = [[i != j and matrix[a][b] for j, b in enumerate(heads)] for i, a in enumerate(heads)]
+    classes = []  # (hom class, its index in members), by representative encoding
+    for c, cls in enumerate(members):
+        classes.append((HomClass(tuple(cls), min(cls, key=lambda s: s.encoding())), c))
+    classes.sort(key=lambda item: item[0].representative.encoding())
+    hom_classes = [cls for cls, _ in classes]
+    heads = [c for _, c in classes]
+    below = [[b in above[a] for b in heads] for a in heads]
 
     nclasses = len(hom_classes)
     covers = set()

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -259,9 +260,17 @@ def test_poly_enumerate_time_budget(capsys):
     assert code == 2 and "aborted:" in err and "budget" in err
 
 
-@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
-def test_hom_lattice_time_budget(capsys, jobs):
-    code, out, err = run(capsys, "hom", "lattice", "--all3", "--time-budget", "0.01", *jobs)
+def test_poly_enumerate_past_cap_notice(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "poly", "enumerate", "1in3", "T1", "6", "--force", "--time-budget", "0.05")
+    assert code == 2 and "aborted:" in err
+    assert err.startswith("note: arity 6 is past the default cap 5")
+    assert "UserWarning" not in err and ".py:" not in err and not caught
+
+
+def test_hom_lattice_time_budget(capsys):
+    code, out, err = run(capsys, "hom", "lattice", "--all3", "--time-budget", "0.01")
     assert code == 2 and out == "" and err.startswith("aborted: ") and "budget" in err
 
 
@@ -283,6 +292,16 @@ def test_verify_lemmas_has_no_jobs_option(capsys):
     assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "lemmas", "--help"])
+    assert exc.value.code == 0 and "--jobs" not in capsys.readouterr().out
+
+
+def test_hom_lattice_has_no_jobs_option(capsys):
+    # the lattice is built by class insertion in one process
+    with pytest.raises(SystemExit) as exc:
+        main(["hom", "lattice", "--jobs", "2"])
+    assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["hom", "lattice", "--help"])
     assert exc.value.code == 0 and "--jobs" not in capsys.readouterr().out
 
 

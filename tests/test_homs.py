@@ -11,6 +11,8 @@ from pcsplab.homs import (
     INCOMPARABLE,
     STRICTLY_ABOVE,
     STRICTLY_BELOW,
+    HomClass,
+    HomLattice,
     HomMap,
     check_coloring,
     find_homomorphism,
@@ -247,52 +249,62 @@ def test_lattice_dot_output():
     assert dot.count("->") >= 1
 
 
-def test_lattice_pool_capped_at_cpu_count(monkeypatch):
-    # an in-process stand-in records the pool size, so no worker is ever started
-    import multiprocessing
-    import os
+def test_lattice_matches_pairwise_oracle():
+    # the reference: every ordered pair tested, classes and covers read off the full matrix
+    inputs = all_symmetric_ternary_structures()[::12] + [named_template(name) for name in template_names_3()]
+    m = len(inputs)
+    hom = [[hom_exists(a, b) for b in inputs] for a in inputs]
+    class_ids = []
+    for i in range(m):
+        if not any(i in ids for ids in class_ids):
+            class_ids.append([j for j in range(m) if hom[i][j] and hom[j][i]])
+    classes = [tuple(inputs[j] for j in ids) for ids in class_ids]
+    order = sorted(range(len(classes)), key=lambda c: min(s.encoding() for s in classes[c]))
+    below = [[a != b and hom[class_ids[a][0]][class_ids[b][0]] for b in order] for a in order]
+    n = len(order)
+    covers = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))
+    }
+    expected = HomLattice(
+        tuple(HomClass(classes[c], min(classes[c], key=lambda s: s.encoding())) for c in order),
+        frozenset(covers),
+    )
+    assert len(expected.classes) > 1 and expected.cover_edges
+    assert hom_lattice(inputs) == expected
 
+
+def test_lattice_hom_test_count_pinned(monkeypatch):
     from pcsplab import homs
 
-    sizes = []
+    calls = []
+    real = homs.hom_exists
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def counting(source, target):
+        calls.append(None)
+        return real(source, target)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, func, args):
-            return [func(*a) for a in args]
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    reps = all_symmetric_ternary_structures()[:30]  # 870 pairs, past the serial threshold
-    serial = homs._pairwise_hom_matrix(reps)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert homs._pairwise_hom_matrix(reps, jobs=10000) == serial
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert homs._pairwise_hom_matrix(reps, jobs=10000) == serial
-    assert sizes == [3]
-
-
-def test_lattice_all3_jobs_identical():
-    from pcsplab.cli import _named_catalog, all_symmetric_ternary_structures
-
+    monkeypatch.setattr(homs, "hom_exists", counting)
     structures = all_symmetric_ternary_structures()
-    sequential = hom_lattice(structures, jobs=1)
-    parallel = hom_lattice(structures, jobs=2)
-    assert sequential == parallel
-    assert len(sequential.classes) == 21
+    lattice = hom_lattice(structures)
+    # each structure is tested both ways against at most one head per class
+    assert len(calls) <= 2 * len(structures) * len(lattice.classes)
+    assert len(calls) == 3718
+
+
+def test_lattice_dot_digests_pinned():
+    from pcsplab.cli import _named_catalog
+
+    lattice = hom_lattice(all_symmetric_ternary_structures())
+    assert len(lattice.classes) == 21
     # SHA-256 of `hom lattice --all3` and `--named3` stdout, recorded before the
     # classes were sorted ahead of building the order relation
     catalog = _named_catalog()
     labeler = lambda s: catalog.get(s.encoding())
     named = hom_lattice([named_template(name) for name in template_names_3()])
-    digests = [hashlib.sha256(lattice_to_dot(lat, labeler).encode()).hexdigest() for lat in (sequential, named)]
+    digests = [hashlib.sha256(lattice_to_dot(lat, labeler).encode()).hexdigest() for lat in (lattice, named)]
     assert digests == [
         "1e4e34d2e5cc2ac18186f58fc5491e91d0588d6179be79546ffc7ba808af3612",
         "6bc20cdd9c6c56822026a95fd3e1fcc165cd857590288c5d98ae426237812c77",
