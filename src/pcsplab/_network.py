@@ -184,12 +184,16 @@ class Network:
             cand[cell] = 1 << v
         return cand
 
-    def solutions(self, seed: dict[int, int], first_colors, deadline):
+    def solutions(self, seed: dict[int, int], first_colors, deadline, prune=None):
         """Yield the value tuple of every solution; the stack holds (cand, branch position, remaining colors) frames.
 
         The first branched cell tries only `first_colors` when it is given and
         nothing is seeded; every other cell tries its candidates in ascending
-        order.
+        order.  When `prune` is given it is called as prune(cand, start, stop)
+        on every node to be expanded and on every solution, after the
+        deadline check: the cells at branch positions below `stop` are
+        assigned, and those below `start` were already assigned at the
+        node's parent (0 at the root).  A true result cuts the node.
         """
         cand = self.seeded(seed)
         self.nodes = 1
@@ -208,11 +212,13 @@ class Network:
                 if mask & (mask - 1):
                     if deadline is not None and time.monotonic() > deadline:
                         raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
-                    stack.append((cand, i, iter(colors)))
+                    if prune is None or not prune(cand, start, i):
+                        stack.append((cand, i, iter(colors)))
                     colors = range(self.k)
                     break
             else:
-                yield itemgetter(*cand)(color_of)  # a tuple: every network has at least two cells
+                if prune is None or not prune(cand, start, len(order)):
+                    yield itemgetter(*cand)(color_of)  # a tuple: every network has at least two cells
             # descend into the next child whose propagation succeeds, backtracking as needed
             cand = None
             while cand is None:

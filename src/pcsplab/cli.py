@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 from . import properties as props
 from . import solvers, structures, symmetric
@@ -108,6 +107,10 @@ def _print_search_json(result: symmetric.SearchResult, **extra) -> int:
     return 0 if result.table is not None else 1
 
 
+def _past_cap_note(arity: int) -> None:
+    print(f"note: arity {arity} is past the default cap {DEFAULT_ARITY_CAP}; table space is large", file=sys.stderr)
+
+
 def _cmd_poly(args) -> int:
     if args.action == "enumerate":
         template = _template_pair(args.source, args.target)
@@ -115,14 +118,12 @@ def _cmd_poly(args) -> int:
             if not args.force:
                 print(f"arity {args.arity} exceeds the default cap {DEFAULT_ARITY_CAP}; pass --force", file=sys.stderr)
                 return 2
-            print(f"note: arity {args.arity} is past the default cap {DEFAULT_ARITY_CAP}; table space is large", file=sys.stderr)
+            _past_cap_note(args.arity)
         count = 0
         order = subset_masks(args.arity)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the note above says it without a source location
-            for values in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
-                print("".join(str(values[m]) for m in order))
-                count += 1
+        for values in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
+            print("".join(str(values[m]) for m in order))
+            count += 1
         print(f"count {count}", file=sys.stderr)
         return 0
 
@@ -217,6 +218,8 @@ def _cmd_verify(args) -> int:
         if not ids:
             print(f"no catalog properties for template {args.template!r}", file=sys.stderr)
             return 2
+        if args.max_arity > DEFAULT_ARITY_CAP:
+            _past_cap_note(args.max_arity)
         template = TemplatePair(named_template("1in3"), named_template(args.template))
         reports = props.check_properties(template, ids, args.max_arity, force=args.force, time_budget=args.time_budget)
         if args.json:

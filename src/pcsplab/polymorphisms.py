@@ -8,9 +8,10 @@ coordinate i) and ordered canonically by (cardinality, element order).
 from __future__ import annotations
 
 import itertools
+import math
 import time
-import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ._network import Network, allowed_table
 from .errors import ArityBoundError, FormatError
@@ -321,15 +322,111 @@ def enumerate_polymorphisms(
     the other two cells that complete it in every ordering of the relation.
     Raises TimeBudgetExceeded once the search runs past time_budget seconds.
     """
-    if n > DEFAULT_ARITY_CAP:
-        if not force:
-            raise ArityBoundError(f"arity {n} exceeds cap {DEFAULT_ARITY_CAP}; pass force to override")
-        warnings.warn(f"enumerating at arity {n} beyond the default cap; table space is large", stacklevel=2)
-    if n < 1:
-        raise ValueError("arity must be >= 1")
+    _require_arity(n, force)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     net = _search_network(template, (1,) * n, subset_masks(n))
     yield from net.solutions({}, None, deadline)
+
+
+def _require_arity(n: int, force: bool) -> None:
+    if n > DEFAULT_ARITY_CAP and not force:
+        raise ArityBoundError(f"arity {n} exceeds cap {DEFAULT_ARITY_CAP}; pass force to override")
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+
+
+ORBIT_BLOCK = 6  # enumerate_orbits permutes at most this many coordinates: 6! = 720 permutations
+
+
+def orbit_permutations(n: int) -> list[tuple[int, ...]]:
+    """The group whose orbits enumerate_orbits walks at arity n, as subset images, identity first.
+
+    The group is S_n up to arity ORBIT_BLOCK and the permutations of the
+    first ORBIT_BLOCK coordinates past it, so that it stays at 720 entries.
+    For a permutation s the entry is img with img[m] the mask of s applied
+    to the coordinates of m, so that itemgetter(*img)(values) is the table
+    X -> values[s(X)], a table with renamed coordinates.  Equal masks share
+    one int object, so a table costs one pointer per subset.
+    """
+    masks = list(range(1 << n))
+    moved = range(min(n, ORBIT_BLOCK))
+    out = []
+    for perm in itertools.permutations(moved):
+        bits = [1 << c for c in perm] + [1 << c for c in range(len(moved), n)]  # bits[i] is the mask of s(i)
+        img = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            img[m] = masks[img[m ^ low] | bits[low.bit_length() - 1]]
+        out.append(tuple(img))
+    return out
+
+
+def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, time_budget: float | None = None):
+    """Yield (values, orbit_size) for one polymorphism of arity n per orbit under permuting the coordinates.
+
+    Permuting the coordinates of a polymorphism of the symmetric 1-in-3
+    source gives a polymorphism, so the stream of enumerate_polymorphisms
+    splits into orbits under the group of orbit_permutations(n).  Each
+    orbit is represented by its lex-leader, its first member in the stream,
+    and the leaders come in stream order; orbit_size is |group| / |Stab|,
+    so the sizes add up to the count of the full stream (Crawford,
+    Ginsberg, Luks and Roy, KR 1996).
+
+    The search is the one of enumerate_polymorphisms with a prune hook.  A
+    leader's singleton layer is sorted on the permuted coordinates, since
+    any other arrangement of it is larger, so only the permutations that fix
+    its singleton colouring can map it to a smaller table.  Whenever a node
+    completes a size layer past the singletons, its assigned prefix is
+    compared with the image of that prefix under each of those
+    permutations, and a smaller image cuts the node.  At a leaf, the same
+    permutations that fix the table give |Stab|.  The permutation tables
+    are built per call.  Raises TimeBudgetExceeded once the search runs
+    past time_budget seconds.
+    """
+    _require_arity(n, force)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    order = subset_masks(n)
+    net = _search_network(template, (1,) * n, order)
+    singles = order[1 : n + 1]
+    ascending = list(zip(singles, singles[1 : ORBIT_BLOCK]))
+    # every compared tuple starts with the empty set, which each permutation fixes, so that it has two entries or more
+    upper = (0, *order[n + 1 :])
+    mine = itemgetter(*upper)
+    colouring_of = itemgetter(*singles)
+    # per permutation but the identity: the getters of its images of the singletons and of upper
+    images = [(itemgetter(*(img[m] for m in singles)), itemgetter(*(img[m] for m in upper))) for img in orbit_permutations(n)[1:]]
+    ends = list(itertools.accumulate(math.comb(n, j) for j in range(n + 1)))  # ends[j]: branch position after layer j
+    # prefix[stop]: length of the compared prefix of upper once the positions below stop are assigned
+    prefix = [0] * (len(order) + 1)
+    for j in range(2, n + 1):
+        for stop in range(ends[j], len(order) + 1):
+            prefix[stop] = 1 + ends[j] - ends[1]
+    fixing = {}  # singleton colouring -> the upper getters of the permutations that fix it
+    stabiliser = 1  # |Stab| of the last solution the prune hook let through
+
+    def prune(cand, start, stop) -> bool:
+        nonlocal stabiliser
+        if stop <= n:
+            return False
+        if start <= n and any(cand[a] > cand[b] for a, b in ascending):
+            return True
+        size = prefix[stop]
+        if size == prefix[start]:
+            return False  # no layer past the singletons completed at this node
+        colouring = colouring_of(cand)
+        getters = fixing.get(colouring)
+        if getters is None:
+            getters = fixing[colouring] = [get for on_singles, get in images if on_singles(cand) == colouring]
+        # a full image is below the prefix exactly when its own prefix is
+        head = mine(cand)[:size]
+        found = [get(cand) for get in getters]
+        if stop == len(order):
+            stabiliser = 1 + found.count(head)
+        return bool(found) and min(found) < head
+
+    group = len(images) + 1
+    for values in net.solutions({}, None, deadline, prune):
+        yield values, group // stabiliser
 
 
 def i_sets(table: PolyTable, color: int, max_size: int) -> list[CoordSet]:

@@ -1,10 +1,12 @@
 """Exhaustive desk-scale verification of structural facts about polymorphisms.
 
 Every catalog entry is a closed predicate over a single table; a check
-streams the polymorphism enumeration for each arity and collects violating
-tables together with witness data, so a reported counterexample can be
-re-verified independently.  Conditional statements pass vacuously when
-their hypotheses fail.
+streams one polymorphism per orbit under permuting the coordinates for
+each arity, weighted by the orbit's size, and collects violating tables
+together with witness data, so a reported counterexample can be
+re-verified independently.  Every predicate's pass or fail is the same on
+all members of an orbit; the failing orbits are listed member by member.
+Conditional statements pass vacuously when their hypotheses fail.
 
 Predicates read a table bit-sliced: a SlicedTable holds one plane per
 colour, an integer whose bit m is set iff the table maps the subset m to
@@ -15,6 +17,7 @@ SlicedTable per table; nothing is built at import or kept between calls.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import time
@@ -26,9 +29,12 @@ from .polymorphisms import (
     CoordSet,
     MinorMap,
     PolyTable,
+    enumerate_orbits,
     enumerate_polymorphisms,
     image_mask,
     minor,
+    orbit_permutations,
+    subset_masks,
 )
 from .structures import TemplatePair
 
@@ -415,12 +421,20 @@ def check_properties(
 ) -> tuple[PropertyReport, ...]:
     """Evaluate catalog properties over every polymorphism up to max_arity.
 
-    Each arity is enumerated once; every table is sliced into one
+    Each arity is enumerated once, one table per orbit under permuting the
+    coordinates (enumerate_orbits): the leader is sliced into one
     SlicedTable, over that arity's MaskTables, and fed to all requested
-    predicates, so memory does not grow with the enumeration.  One report
-    per id comes back, in the given order; each keeps its own counterexample
-    cap and carries the elapsed time of the shared pass.  time_budget bounds
-    the whole pass: each arity's enumeration gets the time that is left and
+    predicates, and `examined` grows by the orbit size, so it counts every
+    polymorphism.  This is sound because each predicate's pass or fail is
+    the same on every member of an orbit, which the tests check.  When a
+    predicate fails on a leader, the orbit's distinct members are listed in
+    stream order, each with its own witness, and merged into that
+    property's counterexamples, which are the first counterexample_cap
+    failing tables of the full stream; a leader that sorts after the last
+    kept failure of a full list is skipped.  Memory does not grow with the
+    enumeration.  One report per id comes back, in the given order; each
+    carries the elapsed time of the shared pass.  time_budget bounds the
+    whole pass: each arity's enumeration gets the time that is left and
     raises TimeBudgetExceeded once it runs out.  A max_arity above the cap
     raises ArityBoundError before any enumeration unless force is set.
     """
@@ -432,25 +446,42 @@ def check_properties(
     if max_arity > DEFAULT_ARITY_CAP and not force:
         raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}; pass force to override")
     specs = [PROPERTY_CATALOG[pid] for pid in property_ids]
-    checks = [(spec.predicate, []) for spec in specs]
+    checks = [(spec, []) for spec in specs]  # kept: ((arity, stream key), Counterexample), in stream order
+
+    def past_cap(kept, key) -> bool:
+        # a full list keeps nothing that sorts after its last entry
+        return len(kept) >= counterexample_cap and (not kept or key > kept[-1][0])
+
     start = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     examined = 0
     k = template.target.domain_size
     for n in range(1, max_arity + 1):
         masks = MaskTables(n, k)
+        stream_key = operator.itemgetter(*subset_masks(n))
+        members = None  # the image getters of the orbit group, built on the first failure
         left = None if deadline is None else deadline - time.monotonic()
-        for values in enumerate_polymorphisms(template, n, force=force, time_budget=left):
-            examined += 1
+        for values, size in enumerate_orbits(template, n, force=force, time_budget=left):
+            examined += size
             view = SlicedTable(values, masks)
-            for predicate, counterexamples in checks:
-                witness = predicate(view)
-                if witness is not None and len(counterexamples) < counterexample_cap:
-                    counterexamples.append(Counterexample(n, PolyTable(n, k, values), witness))
+            for spec, kept in checks:
+                if spec.predicate(view) is None or past_cap(kept, (n, stream_key(values))):
+                    continue
+                if members is None:
+                    members = [operator.itemgetter(*img) for img in orbit_permutations(n)]
+                for member in sorted({get(values) for get in members}, key=stream_key):
+                    key = (n, stream_key(member))
+                    if past_cap(kept, key):
+                        break
+                    witness = spec.predicate(SlicedTable(member, masks))
+                    if witness is None:
+                        raise AssertionError(f"{spec.property_id} holds on a coordinate permutation of a failing table")
+                    bisect.insort(kept, (key, Counterexample(n, PolyTable(n, k, member), witness)), key=operator.itemgetter(0))
+                    del kept[counterexample_cap:]
     elapsed = (time.perf_counter() - start) * 1000.0
     return tuple(
-        PropertyReport(spec.template_name, spec.property_id, max_arity, examined, tuple(found), elapsed)
-        for spec, (_, found) in zip(specs, checks)
+        PropertyReport(spec.template_name, spec.property_id, max_arity, examined, tuple(c for _, c in kept), elapsed)
+        for spec, kept in checks
     )
 
 

@@ -269,6 +269,15 @@ def test_poly_enumerate_past_cap_notice(capsys):
     assert "UserWarning" not in err and ".py:" not in err and not caught
 
 
+def test_verify_lemmas_past_cap_notice(capsys):
+    # the same one-line notice as poly enumerate, and no library warning with a source location
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "lemmas", "CH", "--max-arity", "6", "--force")
+    assert code == 0 and out.count(": ok (examined 224, ") == 3
+    assert err == "note: arity 6 is past the default cap 5; table space is large\n" and not caught
+
+
 def test_hom_lattice_time_budget(capsys):
     code, out, err = run(capsys, "hom", "lattice", "--all3", "--time-budget", "0.01")
     assert code == 2 and out == "" and err.startswith("aborted: ") and "budget" in err

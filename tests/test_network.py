@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-import warnings
 
 import pytest
 
@@ -90,9 +89,7 @@ def search_matrix():
                 result = search_block_symmetric(template, *shape)
                 entries.append((name, "block", shape, result.table is not None, result.nodes, table_values(result)))
         for n in range(1, 4):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                count = sum(1 for _ in enumerate_polymorphisms(template, n))
+            count = sum(1 for _ in enumerate_polymorphisms(template, n))
             entries.append((name, "enumerate", (n,), count > 0, count, count))
     return entries
 

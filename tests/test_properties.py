@@ -10,12 +10,13 @@ import time
 from dataclasses import replace
 
 import pytest
+from full_suites import brute_force_leaders, coordinate_permutations, full_check_properties
 from loop_properties import LOOP_PREDICATES
 
 import pcsplab.properties as properties_module
 from pcsplab.cli import main
 from pcsplab.errors import ArityBoundError, TimeBudgetExceeded
-from pcsplab.polymorphisms import PolyTable, dictator, enumerate_polymorphisms
+from pcsplab.polymorphisms import PolyTable, dictator, enumerate_orbits, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
     SELECTOR_CATALOG,
@@ -269,6 +270,49 @@ def test_sliced_predicates_match_loops_on_arity_four_streams(name):
         _assert_loops_agree(values, masks)
 
 
+ORBIT_TARGETS = ["T1", "D1plus", "D2plus", "CH", "NAE", "T2", "1in3"]
+
+
+@pytest.mark.parametrize("name", ORBIT_TARGETS)
+def test_predicates_invariant_under_coordinate_permutations(name):
+    # check_properties runs each predicate on one table per orbit: pass or fail must not see the coordinate names
+    template = pair("1in3", name)
+    predicates = [spec.predicate for spec in PROPERTY_CATALOG.values()]
+    for n in range(1, 5 if name in ("T1", "CH", "D2plus") else 4):
+        masks = MaskTables(n, template.target.domain_size)
+        permutations = coordinate_permutations(n)
+        for values in enumerate_polymorphisms(template, n):
+            fails = [p(SlicedTable(values, masks)) is not None for p in predicates]
+            for member in {get(values) for get in permutations}:
+                assert [p(SlicedTable(member, masks)) is not None for p in predicates] == fails, (n, values, member)
+
+
+@pytest.mark.parametrize("name", ORBIT_TARGETS)
+def test_orbit_suites_match_full_enumeration(name):
+    template = pair("1in3", name)
+    ids = list(PROPERTY_CATALOG)
+    examined, found = full_check_properties(template, ids, 4, 25)
+    if name == "NAE":
+        assert found["D1_no_disjoint"]  # a D1 fact fails off its template
+    for cap in (2, 25):
+        for report in check_properties(template, ids, 4, counterexample_cap=cap):
+            assert report.examined == examined
+            got = [(c.arity, c.table.values, c.witness) for c in report.counterexamples]
+            assert got == found[report.property_id][:cap], (report.property_id, cap)
+
+
+@pytest.mark.parametrize("name", ORBIT_TARGETS)
+def test_orbit_leaders_match_brute_force(name):
+    template = pair("1in3", name)
+    for n in range(1, 5):
+        assert list(enumerate_orbits(template, n)) == brute_force_leaders(template, n), n
+
+
+def test_orbit_leaders_pinned_t1_arity_five():
+    leaders = list(enumerate_orbits(pair("1in3", "T1"), 5))
+    assert (len(leaders), sum(size for _, size in leaders)) == (4022, 328582)
+
+
 def test_check_properties_keeps_no_module_state():
     # the mask tables live in one pass: none at import, none after it
     code = "import gc, pcsplab.properties as p; print(sum(isinstance(o, p.MaskTables) for o in gc.get_objects()))"
@@ -298,6 +342,7 @@ def test_arity_cap_refused_before_any_enumeration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated before the arity check")
 
+    monkeypatch.setattr(properties_module, "enumerate_orbits", refuse)
     monkeypatch.setattr(properties_module, "enumerate_polymorphisms", refuse)
     template = pair("1in3", "T1")
     with pytest.raises(ArityBoundError):
