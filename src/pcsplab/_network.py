@@ -17,10 +17,18 @@ two cells of each of its constraints through a support row: row[m] is the
 mask of colors that the popped cell's mask and the mask m can complete.
 Two kinds of rows exist, each built on first use of a mask pair:
 
-- `support` ORs `allowed` over every color pair of the two masks.  Search
-  and enumeration use it from a root that queues every cell, so each node
-  is propagated to full (generalised) arc consistency: every candidate of
-  every cell has a completing pair in each of its constraints.
+- `support` ORs `allowed` over every color pair of the two masks.  It
+  treats the two positions of a repeated cell as independent, so it also
+  carries twin tables that are exact on the constraints that repeat a cell:
+  (a, a, c) is a binary constraint, x on a and z on c go together iff z is
+  in allowed[x][x], and (a, a, a) is unary, x stays iff x is in
+  allowed[x][x].  These are the "two equal colors" constraints: two parts
+  of a 3-partition take the same color exactly when they have the same
+  weight vector.  Search and enumeration use `support` from a root that
+  queues every cell, so each node is propagated to full (generalised) arc
+  consistency: every candidate of every cell has a completing assignment of
+  the other cells in each of its constraints, a repeated cell taking one
+  color.
 - `forward` is `allowed` when both masks are singletons and every color
   otherwise, which is forward checking: a constraint with two assigned
   cells narrows the third.  Propagation traces use it.
@@ -35,7 +43,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from .errors import TimeBudgetExceeded
 from .structures import RelStructure
@@ -115,11 +124,25 @@ class Network:
         self.k = k = len(allowed)
         self.full = full = (1 << k) - 1
         self.branch_order = branch_order
+        # twins[cell] holds (other, table, triple) per constraint that repeats a cell;
+        # other's mask narrows to table[cand[cell]]
+        diagonal = [allowed[x][x] for x in range(k)]
+        loops = sum(1 << x for x in range(k) if diagonal[x] >> x & 1)
+        same = _Lazy(lambda m: sum(1 << x for x in range(k) if diagonal[x] & m))
+        once = _Lazy(lambda m: reduce(or_, [diagonal[x] for x in range(k) if m >> x & 1], 0))
+        unary = _Lazy(lambda m: loops)
         self.watch: list[list[tuple[int, int]]] = [[] for _ in range(self.ncells)]
+        twins: list[tuple] = [()] * self.ncells
         for a, b, c in _partition_triples(blocks):
             self.watch[a].append((b, c))
             self.watch[b].append((a, c))
             self.watch[c].append((a, b))
+            if a == c:
+                twins[a] += ((a, unary, (a, b, c)),)
+            elif a == b or b == c:
+                pair, odd = (a, c) if a == b else (c, a)
+                twins[pair] += ((odd, once, (a, b, c)),)
+                twins[odd] += ((pair, same, (a, b, c)),)
         self.nodes = 0
 
         # the row builders close over locals only, so a network is freed as soon as it is dropped
@@ -139,7 +162,9 @@ class Network:
             return allowed[m1.bit_length() - 1][m2.bit_length() - 1]
 
         self.support = _rows(k, pair_support)
+        self.support.twins = twins
         self.forward = _rows(k, pair_forward)
+        self.forward.twins = [()] * self.ncells
 
     def propagate_from(self, cand, queue, rows, on_narrow=None) -> bool:
         """Narrow candidates from the queued cells through `rows`; False on an emptied cell.
@@ -152,6 +177,7 @@ class Network:
         narrowing that empties a cell is reported too.
         """
         watch = self.watch
+        twins = rows.twins
         while queue:
             cell = queue.pop()
             row = rows[cand[cell]]
@@ -175,6 +201,16 @@ class Network:
                         return False
                     cand[o1] = new
                     queue.append(o1)
+            for other, table, triple in twins[cell]:
+                m = cand[other]
+                new = m & table[cand[cell]]
+                if new != m:
+                    if on_narrow is not None:
+                        on_narrow(other, m & ~new, triple)
+                    if not new:
+                        return False
+                    cand[other] = new
+                    queue.append(other)
         return True
 
     def seeded(self, seed: dict[int, int]) -> list[int]:

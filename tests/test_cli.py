@@ -90,11 +90,11 @@ def test_poly_search_sym_json(capsys):
 
 # exact stdout of the search --json schemas: search-sym carries "trace", search-block does not
 SEARCH_JSON_PINS = [
-    (("search-sym", "1in3", "T2", "6"), 1, '{"found": false, "nodes": 5, "values": null, "trace": {"events": []}}\n'),
+    (("search-sym", "1in3", "T2", "6"), 1, '{"found": false, "nodes": 1, "values": null, "trace": {"events": []}}\n'),
     (("search-sym", "1in3", "T2", "7"), 0,
      '{"found": true, "nodes": 4, "values": [0, 1, 2, 0, 1, 2, 0, 1], "trace": null}\n'),
     (("search-block", "1in3", "NAE", "3", "2"), 0,
-     '{"found": true, "nodes": 7, "values": [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]}\n'),
+     '{"found": true, "nodes": 5, "values": [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]}\n'),
 ]
 
 

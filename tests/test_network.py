@@ -104,7 +104,8 @@ def matrix():
 
 
 # node counts move with the strength of propagation; re-recorded when the network became arc consistent
-MATRIX_DIGEST = "a1a24ce1fd324610208eadc175c0c6a177b740d5b85db6fb4832ae3600baf4e4"
+# and again when it became exact on the constraints that repeat a cell
+MATRIX_DIGEST = "628bc60d01428e690f46fb266bae7e53ea31f751ab948b6996586bf73a66f964"
 # verdicts, first tables and enumeration counts must not move with the engine; recorded under forward checking
 VERDICT_DIGEST = "eb2d2b0b5e607053be89f09c8cf4fe76739362bedab6ef054e73f0fcfac5e805"
 
@@ -124,20 +125,22 @@ def test_search_verdicts_pinned(matrix):
 def gac_oracle(triples, ok, domains):
     """Order-free arc consistency over sets of colors.
 
-    Every pass shrinks each position of each constraint to the colors that
-    some pair from its other two positions completes, until a pass changes
-    nothing; a cell repeated in a triple counts as independent positions.
+    Every pass shrinks each cell of each constraint to the colors that some
+    assignment of the constraint's cells completes, until a pass changes
+    nothing; a cell repeated in a triple takes one color.
     """
     domains = [set(d) for d in domains]
     changed = True
     while changed:
         changed = False
         for t in triples:
-            for i in range(3):
-                x, y, z = t[i], t[i - 1], t[i - 2]
-                keep = {v for v in domains[x] if any(ok(v, a, b) for a in domains[y] for b in domains[z])}
-                if keep != domains[x]:
-                    domains[x] = keep
+            cells = sorted(set(t))
+            colorings = (dict(zip(cells, colors)) for colors in itertools.product(*(domains[c] for c in cells)))
+            good = [color for color in colorings if ok(*(color[c] for c in t))]
+            for cell in cells:
+                keep = {color[cell] for color in good}
+                if keep != domains[cell]:
+                    domains[cell] = keep
                     changed = True
     return domains
 
