@@ -127,6 +127,32 @@ class MinorMap:
     def __call__(self, i: int) -> int:
         return self.mapping[i - 1]
 
+    def pull(self) -> tuple[int, ...]:
+        """pull[X] is the mask of the preimage of the target mask X."""
+        bits = [0] * self.target_arity
+        for i, v in enumerate(self.mapping):
+            bits[v - 1] |= 1 << i
+        return _subset_images(bits, range(1 << self.source_arity))
+
+    def push(self) -> tuple[int, ...]:
+        """push[x] is the mask of the image of the source mask x."""
+        return _subset_images([1 << (v - 1) for v in self.mapping], range(1 << self.target_arity))
+
+
+def _subset_images(bits, masks) -> tuple[int, ...]:
+    """The table img with img[x] the OR of bits[i] over the set bits i of x, for x < 2**len(bits).
+
+    Each entry is read as masks[value], so tables built over one shared
+    masks list hold one int object per distinct mask: a table costs one
+    pointer per subset.  The lowest set bit of x splits x into that bit and
+    a smaller mask whose entry is already known.
+    """
+    img = [0] * (1 << len(bits))
+    for x in range(1, len(img)):
+        low = x & -x
+        img[x] = masks[img[x ^ low] | bits[low.bit_length() - 1]]
+    return tuple(img)
+
 
 def identity_minor(n: int) -> MinorMap:
     return MinorMap(n, n, tuple(range(1, n + 1)))
@@ -143,31 +169,13 @@ def minor(table: PolyTable, alpha: MinorMap) -> PolyTable:
     """The table g with g(X) = f({i : alpha(i) in X})."""
     if alpha.source_arity != table.arity:
         raise ValueError(f"arity mismatch: table {table.arity}, map source {alpha.source_arity}")
-    m = alpha.target_arity
-    bits = [1 << (alpha(i) - 1) for i in range(1, table.arity + 1)]
-    values = []
-    for mask in range(1 << m):
-        pull = 0
-        for i, b in enumerate(bits):
-            if mask & b:
-                pull |= 1 << i
-        values.append(table.values[pull])
-    return PolyTable(m, table.target_size, tuple(values))
+    return PolyTable(alpha.target_arity, table.target_size, tuple([table.values[p] for p in alpha.pull()]))
 
 
 def preimage_set(alpha: MinorMap, coords: CoordSet) -> CoordSet:
     if coords.arity != alpha.target_arity:
         raise ValueError(f"arity mismatch: map target {alpha.target_arity}, set {coords.arity}")
-    members = frozenset(i for i in range(1, alpha.source_arity + 1) if alpha(i) in coords.members)
-    return CoordSet(alpha.source_arity, members)
-
-
-def image_mask(alpha: MinorMap, mask: int) -> int:
-    out = 0
-    for i in range(1, alpha.source_arity + 1):
-        if mask >> (i - 1) & 1:
-            out |= 1 << (alpha(i) - 1)
-    return out
+    return CoordSet.from_mask(alpha.source_arity, alpha.pull()[coords.mask])
 
 
 @dataclass(frozen=True)
@@ -345,20 +353,13 @@ def orbit_permutations(n: int) -> list[tuple[int, ...]]:
     first ORBIT_BLOCK coordinates past it, so that it stays at 720 entries.
     For a permutation s the entry is img with img[m] the mask of s applied
     to the coordinates of m, so that itemgetter(*img)(values) is the table
-    X -> values[s(X)], a table with renamed coordinates.  Equal masks share
-    one int object, so a table costs one pointer per subset.
+    X -> values[s(X)], a table with renamed coordinates.  All the tables
+    are built over one masks list, so they share their int objects.
     """
     masks = list(range(1 << n))
     moved = range(min(n, ORBIT_BLOCK))
-    out = []
-    for perm in itertools.permutations(moved):
-        bits = [1 << c for c in perm] + [1 << c for c in range(len(moved), n)]  # bits[i] is the mask of s(i)
-        img = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            img[m] = masks[img[m ^ low] | bits[low.bit_length() - 1]]
-        out.append(tuple(img))
-    return out
+    rest = [1 << c for c in range(len(moved), n)]
+    return [_subset_images([1 << c for c in perm] + rest, masks) for perm in itertools.permutations(moved)]
 
 
 def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, time_budget: float | None = None):

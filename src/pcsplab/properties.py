@@ -31,8 +31,6 @@ from .polymorphisms import (
     PolyTable,
     enumerate_orbits,
     enumerate_polymorphisms,
-    image_mask,
-    minor,
     orbit_permutations,
     subset_masks,
 )
@@ -734,8 +732,9 @@ def verify_selector(
     selection; an extension whose new selection meets any image already
     witnesses the required intersection, so only image-avoiding extensions
     are explored (with memoization).  Any completed avoiding chain is a
-    violation.  Minors are read through one pull-mask tuple per map, as
-    g[X] = f[pull[X]]; test_pull_masks_are_preimages checks the masks.
+    violation.  Each map is read through its pull and push tables, built
+    once per call: the minor is g[X] = f[pull[X]] and a selection x moves
+    forward to push[x].
     time_budget bounds the enumeration and the chain search together, in
     seconds; the deadline is checked at each state, and TimeBudgetExceeded
     is raised once it passes.  A max_arity above the cap raises
@@ -770,10 +769,9 @@ def verify_selector(
 
     all_maps = {n: [] for n in range(1, max_arity + 1)}
     for n, m in itertools.product(all_maps, repeat=2):
-        identity = PolyTable(n, 1 << n, tuple(range(1 << n)))  # its minor along alpha maps X to the preimage of X
         for mapping in itertools.product(range(1, m + 1), repeat=n):
             alpha = MinorMap(n, m, mapping)
-            all_maps[n].append((alpha, minor(identity, alpha).values))
+            all_maps[n].append((m, mapping, alpha.pull(), alpha.push()))
 
     states = 0
     memo: dict[tuple, tuple | None] = {}
@@ -790,20 +788,19 @@ def verify_selector(
         if key in memo:
             return memo[key]
         result = None
-        for alpha, pull in all_maps[n]:
-            m = alpha.target_arity
+        for m, mapping, pull, push in all_maps[n]:
             g = tuple([values[p] for p in pull])  # a generator would over-allocate each tuple
             if g not in poly_sets[m]:
                 raise AssertionError("minor of a polymorphism left the enumerated stream")
             sel_g = get_sel(g, m)
             if sel_g is None:
                 continue
-            images = [image_mask(alpha, x) for x in frontier]
+            images = [push[x] for x in frontier]
             if any(im & sel_g for im in images):
                 continue
             suffix = extend(g, m, images + [sel_g], steps - 1)
             if suffix is not None:
-                result = ((m, g, alpha.mapping),) + suffix
+                result = ((m, g, mapping),) + suffix
                 break
         memo[key] = result
         return result

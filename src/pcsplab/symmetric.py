@@ -20,9 +20,6 @@ from ._network import allowed_table
 from .polymorphisms import _search_network, _table_holds
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
-Cell = int | tuple[int, int]
-
-
 @dataclass(frozen=True)
 class SymTable:
     """Values per weight 0..arity; None marks an unassigned cell."""
@@ -76,21 +73,17 @@ class BlockSymTable:
     def value(self, w1: int, w2: int) -> int | None:
         return self.values[w1 * (self.k2 + 1) + w2]
 
-    @property
-    def fully_assigned(self) -> bool:
-        return all(v is not None for v in self.values)
-
 
 @dataclass(frozen=True)
 class ForceEvent:
-    cell: Cell
+    cell: int
     color: int
     triple: tuple
 
 
 @dataclass(frozen=True)
 class ContradictionEvent:
-    cell: Cell
+    cell: int
     eliminations: tuple[tuple[int, tuple], ...]  # (color, justifying triple)
 
 
@@ -278,7 +271,7 @@ def restrict_block_to_symmetric(table: BlockSymTable) -> SymTable:
     """
     if table.k2 % 3 != 0:
         raise ValueError(f"second block size {table.k2} is not divisible by 3")
-    if not table.fully_assigned:
+    if None in table.values:
         raise ValueError("table has unassigned cells")
     z = table.k2 // 3
     return SymTable(table.k1, table.target_size, tuple(table.value(m, z) for m in range(table.k1 + 1)))

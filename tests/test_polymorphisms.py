@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import itertools
+import math
 import random
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from pcsplab.errors import ArityBoundError, FormatError
 from pcsplab.polymorphisms import (
+    ORBIT_BLOCK,
     CoordSet,
     GeneralTable,
     MinorChain,
@@ -26,6 +28,7 @@ from pcsplab.polymorphisms import (
     is_polymorphism,
     is_polymorphism_general,
     minor,
+    orbit_permutations,
     parse_poly_table,
     preimage_set,
     subset_masks,
@@ -182,16 +185,36 @@ def test_preimage_examples():
 
 
 def test_pull_masks_are_preimages():
-    # verify_selector reads minors through these pull masks; this covers every
-    # map it can use up to the default arity cap
+    # minor, preimage_set and verify_selector read these tables; the oracle
+    # scans the mapping directly, over every map up to the default arity cap
     for n in range(1, 6):
-        identity = PolyTable(n, 1 << n, tuple(range(1 << n)))
         for m in range(1, 6):
             for mapping in itertools.product(range(1, m + 1), repeat=n):
                 alpha = MinorMap(n, m, mapping)
-                pull = minor(identity, alpha).values
+                pull, push = alpha.pull(), alpha.push()
+                assert len(pull) == 1 << m and len(push) == 1 << n
                 for x in range(1 << m):
-                    assert pull[x] == preimage_set(alpha, CoordSet.from_mask(m, x)).mask, (mapping, x)
+                    preimage = sum(1 << i for i, v in enumerate(mapping) if x >> (v - 1) & 1)
+                    assert pull[x] == preimage, (mapping, x)
+                for x in range(1 << n):
+                    image = 0
+                    for i, v in enumerate(mapping):
+                        if x >> i & 1:
+                            image |= 1 << (v - 1)
+                    assert push[x] == image, (mapping, x)
+
+
+def test_orbit_permutations_rename_coordinates():
+    for n in range(1, 8):
+        moved = min(n, ORBIT_BLOCK)
+        tables = orbit_permutations(n)
+        perms = [perm + tuple(range(moved, n)) for perm in itertools.permutations(range(moved))]
+        assert len(tables) == len(perms) == math.factorial(moved)
+        for perm, img in zip(perms, tables):
+            assert img == tuple(sum(1 << perm[i] for i in range(n) if x >> i & 1) for x in range(1 << n)), (n, perm)
+    # the tables share one int object per mask
+    tables = orbit_permutations(9)
+    assert len({id(v) for table in tables for v in table}) == 512
 
 
 def test_i_sets_examples():
