@@ -20,7 +20,6 @@ from .homs import (
 )
 from .polymorphisms import (
     CoordSet,
-    GeneralTable,
     MinorChain,
     MinorMap,
     PolyTable,
@@ -28,7 +27,6 @@ from .polymorphisms import (
     evaluate_on_set,
     i_sets,
     is_polymorphism,
-    is_polymorphism_general,
     minor,
     preimage_set,
 )

@@ -1,15 +1,13 @@
 """The propagation engine shared by the polymorphism searches and enumeration.
 
-A network is built from a tuple of coordinate-block sizes.  Its cells are
-the weight vectors (w_1, ..., w_b) with 0 <= w_i <= blocks[i], indexed in
-mixed radix with the last block least significant: `(n,)` gives one cell
-per weight 0..n, `(k1, k2)` the cell w1 * (k2 + 1) + w2, and `(1,) * n` one
-cell per subset mask of [n].  A table on the cells is a function of the
-subsets of the coordinates that only sees how many coordinates of each block
-a subset holds.  Each unordered 3-partition of the coordinates gives one
-constraint: the colors of its three parts' cells must map into the target
-relation in every order.  `allowed_table` gives, per color pair, the mask of
-colors that complete it.
+A network is `ncells` cells, each to take one of k colors, under ternary
+constraints.  A constraint is a sorted cell triple (a, b, c), a <= b <= c,
+in which a cell may repeat; `allowed[x][y]` is the mask of colors v such
+that the colors (x, y, v) satisfy it.  The table is symmetric in all three
+positions, so every constraint is the same whichever order its cells are
+read in, and one table serves them all.  The engine knows nothing of where
+the cells and triples come from: `polymorphisms` derives them from
+coordinate blocks and owns that layout.
 
 The state of a search is one candidate mask per cell; a cell is assigned
 when its mask is a singleton.  Propagation pops a cell and narrows the other
@@ -22,9 +20,7 @@ Two kinds of rows exist, each built on first use of a mask pair:
   carries twin tables that are exact on the constraints that repeat a cell:
   (a, a, c) is a binary constraint, x on a and z on c go together iff z is
   in allowed[x][x], and (a, a, a) is unary, x stays iff x is in
-  allowed[x][x].  These are the "two equal colors" constraints: two parts
-  of a 3-partition take the same color exactly when they have the same
-  weight vector.  Search and enumeration use `support` from a root that
+  allowed[x][x].  Search and enumeration use `support` from a root that
   queues every cell, so each node is propagated to full (generalised) arc
   consistency: every candidate of every cell has a completing assignment of
   the other cells in each of its constraints, a repeated cell taking one
@@ -40,57 +36,11 @@ out in lexicographic order along the branch order, whichever rows narrow.
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from functools import reduce
 from operator import itemgetter, or_
 
 from .errors import TimeBudgetExceeded
-from .structures import RelStructure
-
-
-def allowed_table(target: RelStructure) -> list[list[int]]:
-    """allowed[x][y] = bitmask of v such that the multiset (x, y, v) maps into R.
-
-    Every ordering is required, which is what the compatibility condition
-    demands of tables on unordered cell triples; for symmetric relations
-    this equals the single-order test.
-    """
-    rel = target.single_ternary().as_set
-    k = target.domain_size
-    table = [[0] * k for _ in range(k)]
-    for x in range(k):
-        for y in range(k):
-            mask = 0
-            for v in range(k):
-                if all(p in rel for p in set(itertools.permutations((x, y, v)))):
-                    mask |= 1 << v
-            table[x][y] = mask
-    return table
-
-
-def _partition_triples(blocks):
-    """One sorted cell triple per unordered 3-partition of the coordinates, in sorted order.
-
-    A 3-partition is an ordered composition of each block's size into three
-    parts; the product over the blocks runs through chained generators, so
-    only the deduplicated triples are held.  Reordering the parts of any
-    3-partition sorts the last block's parts, so that block contributes
-    only its compositions a <= b <= c.
-    """
-    last = blocks[-1]
-    triples = [(a, b, last - a - b) for a in range(last // 3 + 1) for b in range(a, (last - a) // 2 + 1)]
-    stride = last + 1
-    for size in reversed(blocks[:-1]):
-        triples = _add_block(triples, size, stride)
-        stride *= size + 1
-    return sorted({tuple(sorted(t)) for t in triples})
-
-
-def _add_block(triples, size, stride):
-    parts = [(a * stride, b * stride, (size - a - b) * stride) for a in range(size + 1) for b in range(size + 1 - a)]
-    return ((x + a, y + b, z + c) for x, y, z in triples for a, b, c in parts)
 
 
 class _Lazy(dict):
@@ -117,10 +67,10 @@ def _rows(k: int, entry):
 
 
 class Network:
-    """Depth-first search over candidate masks, arc consistent at every node, over the 3-partition constraints of `blocks`."""
+    """Depth-first search over candidate masks, arc consistent at every node, over sorted, deduplicated cell triples."""
 
-    def __init__(self, blocks: tuple[int, ...], branch_order, allowed):
-        self.ncells = math.prod(size + 1 for size in blocks)
+    def __init__(self, ncells: int, triples, branch_order, allowed):
+        self.ncells = ncells
         self.k = k = len(allowed)
         self.full = full = (1 << k) - 1
         self.branch_order = branch_order
@@ -133,7 +83,7 @@ class Network:
         unary = _Lazy(lambda m: loops)
         self.watch: list[list[tuple[int, int]]] = [[] for _ in range(self.ncells)]
         twins: list[tuple] = [()] * self.ncells
-        for a, b, c in _partition_triples(blocks):
+        for a, b, c in triples:
             self.watch[a].append((b, c))
             self.watch[b].append((a, c))
             self.watch[c].append((a, b))
@@ -254,7 +204,7 @@ class Network:
                     break
             else:
                 if prune is None or not prune(cand, start, len(order)):
-                    yield itemgetter(*cand)(color_of)  # a tuple: every network has at least two cells
+                    yield itemgetter(*cand)(color_of)  # a tuple: every caller's network has at least two cells
             # descend into the next child whose propagation succeeds, backtracking as needed
             cand = None
             while cand is None:

@@ -95,18 +95,6 @@ def _template_pair(src_name: str, tgt_name: str) -> TemplatePair:
     return TemplatePair(_load_structure(src_name), _load_structure(tgt_name))
 
 
-def _print_search_json(result: symmetric.SearchResult, **extra) -> int:
-    """One JSON line: found, nodes and values, then the extra keys in order."""
-    payload = {
-        "found": result.table is not None,
-        "nodes": result.nodes,
-        "values": None if result.table is None else list(result.table.values),
-        **extra,
-    }
-    print(json.dumps(payload))
-    return 0 if result.table is not None else 1
-
-
 def _past_cap_note(arity: int) -> None:
     print(f"note: arity {arity} is past the default cap {DEFAULT_ARITY_CAP}; table space is large", file=sys.stderr)
 
@@ -127,39 +115,32 @@ def _cmd_poly(args) -> int:
         print(f"count {count}", file=sys.stderr)
         return 0
 
-    if args.action == "search-sym":
+    if args.action in ("search-sym", "search-block"):
         template = _template_pair(args.source, args.target)
-        result = symmetric.search_symmetric(
-            template, args.arity, use_wlog=not args.no_wlog, time_budget=args.time_budget
-        )
+        options = {"use_wlog": not args.no_wlog, "time_budget": args.time_budget}
+        sym = args.action == "search-sym"
+        if sym:
+            result = symmetric.search_symmetric(template, args.arity, **options)
+        else:
+            result = symmetric.search_block_symmetric(template, args.k1, args.k2, **options)
+        table = result.table
         if args.json:
-            # the command line seeds no weights, so forward checking from the seed forces nothing
-            return _print_search_json(result, trace=None if result.table is not None else {"events": []})
-        if result.table is None:
+            values = None if table is None else list(table.values)
+            payload = {"found": table is not None, "nodes": result.nodes, "values": values}
+            if sym:
+                # the command line seeds no weights, so forward checking from the seed forces nothing
+                payload["trace"] = None if table is not None else {"events": []}
+            print(json.dumps(payload))
+        elif table is None:
             print(f"none (search exhausted, {result.nodes} nodes)")
-            return 1
-        cells = " ".join(f"f({w})={v}" for w, v in enumerate(result.table.values))
-        print(cells)
-        return 0
-
-    if args.action == "search-block":
-        template = _template_pair(args.source, args.target)
-        result = symmetric.search_block_symmetric(
-            template, args.k1, args.k2, use_wlog=not args.no_wlog, time_budget=args.time_budget
-        )
-        if args.json:
-            return _print_search_json(result)
-        if result.table is None:
-            print(f"none (search exhausted, {result.nodes} nodes)")
-            if args.k2 % 3 == 0:
-                print(
-                    f"note: cells g(*, {args.k2 // 3}) form a symmetric arity-{args.k1} subproblem"
-                )
-            return 1
-        for w1 in range(args.k1 + 1):
-            row = " ".join(str(result.table.value(w1, w2)) for w2 in range(args.k2 + 1))
-            print(f"g({w1},*): {row}")
-        return 0
+            if not sym and args.k2 % 3 == 0:
+                print(f"note: cells g(*, {args.k2 // 3}) form a symmetric arity-{args.k1} subproblem")
+        elif sym:
+            print(" ".join(f"f({w})={v}" for w, v in enumerate(table.values)))
+        else:
+            for w1 in range(args.k1 + 1):
+                print(f"g({w1},*): " + " ".join(str(table.value(w1, w2)) for w2 in range(args.k2 + 1)))
+        return 0 if table is not None else 1
 
     if args.action == "verify":
         if args.appendix_b:

@@ -3,6 +3,13 @@
 A table of arity n assigns a target value to every subset of coordinates
 [n] = {1..n}; subsets are carried as bitmasks internally (bit i-1 is
 coordinate i) and ordered canonically by (cardinality, element order).
+
+This module also owns the cells of tables on coordinate blocks: a cell is a
+weight vector, indexed in mixed radix with the last block least
+significant, and each 3-partition of the coordinates gives one cell triple,
+which repeats a cell when two parts have the same weight vector.
+It hands the search engine in `_network` only the cell count and the sorted
+triples, and checks answers with its own walk over the ordered partitions.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ._network import Network, allowed_table
+from ._network import Network
 from .errors import ArityBoundError, FormatError
-from .structures import TemplatePair, named_template
+from .structures import RelStructure, TemplatePair, named_template
 
 DEFAULT_ARITY_CAP = 5
 
@@ -211,6 +218,54 @@ def _require_boolean_one_in_three_source(template: TemplatePair) -> None:
         raise ValueError("partition compatibility requires the exactly-one-1 Boolean source")
 
 
+def allowed_table(target: RelStructure) -> list[list[int]]:
+    """allowed[x][y] = bitmask of v such that the multiset (x, y, v) maps into R.
+
+    Every ordering is required, which is what the compatibility condition
+    demands of tables on unordered cell triples; for symmetric relations
+    this equals the single-order test.
+    """
+    rel = target.single_ternary().as_set
+    k = target.domain_size
+    table = [[0] * k for _ in range(k)]
+    for x in range(k):
+        for y in range(k):
+            mask = 0
+            for v in range(k):
+                if all(p in rel for p in set(itertools.permutations((x, y, v)))):
+                    mask |= 1 << v
+            table[x][y] = mask
+    return table
+
+
+# Two generators of the cell triples of coordinate blocks, kept apart on purpose: the search network's
+# constraints come from _partition_triples, and the answer checker walks _split_block, so a fault in
+# one cannot hide behind the other.
+
+
+def _partition_triples(blocks):
+    """One sorted cell triple per unordered 3-partition of the coordinates, in sorted order.
+
+    A 3-partition is an ordered composition of each block's size into three
+    parts; the product over the blocks runs through chained generators, so
+    only the deduplicated triples are held.  Reordering the parts of any
+    3-partition sorts the last block's parts, so that block contributes
+    only its compositions a <= b <= c.
+    """
+    last = blocks[-1]
+    triples = [(a, b, last - a - b) for a in range(last // 3 + 1) for b in range(a, (last - a) // 2 + 1)]
+    stride = last + 1
+    for size in reversed(blocks[:-1]):
+        triples = _add_block(triples, size, stride)
+        stride *= size + 1
+    return sorted({tuple(sorted(t)) for t in triples})
+
+
+def _add_block(triples, size, stride):
+    parts = [(a * stride, b * stride, (size - a - b) * stride) for a in range(size + 1) for b in range(size + 1 - a)]
+    return ((x + a, y + b, z + c) for x, y, z in triples for a, b, c in parts)
+
+
 def _split_block(triples, size: int):
     """Extend each cell triple by every composition (a, b, c) of one more block of the given size."""
     r = size + 1
@@ -251,7 +306,8 @@ def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bo
 def _search_network(template: TemplatePair, blocks, branch_order) -> Network:
     """The search network on the cells of the coordinate blocks; exactly-one-1 source only."""
     _require_boolean_one_in_three_source(template)
-    return Network(blocks, branch_order, allowed_table(template.target))
+    ncells = math.prod(size + 1 for size in blocks)
+    return Network(ncells, _partition_triples(blocks), branch_order, allowed_table(template.target))
 
 
 def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
@@ -262,56 +318,6 @@ def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
     and leaves the set of 3-partitions as it is.
     """
     return _table_holds(template, (1,) * table.arity, table.target_size, table.values)
-
-
-@dataclass(frozen=True)
-class GeneralTable:
-    """A total table over source_size**arity argument tuples.
-
-    The index of (a_1, ..., a_n) is sum a_i * source_size**(i-1).
-    """
-
-    arity: int
-    source_size: int
-    target_size: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        if len(self.values) != self.source_size ** self.arity:
-            raise ValueError("table has the wrong number of entries")
-        for v in self.values:
-            if not 0 <= v < self.target_size:
-                raise ValueError(f"value {v} outside target domain")
-
-    def value_at(self, args) -> int:
-        idx = 0
-        for i, a in enumerate(args):
-            idx += a * self.source_size ** i
-        return self.values[idx]
-
-
-def boolean_to_general(table: PolyTable) -> GeneralTable:
-    return GeneralTable(table.arity, 2, table.target_size, table.values)
-
-
-def is_polymorphism_general(table: GeneralTable, template: TemplatePair) -> bool:
-    """Column-wise test over all choices of n source tuples, per relation pair."""
-    if table.source_size != template.source.domain_size:
-        raise ValueError("table source size does not match template source")
-    if table.target_size != template.target.domain_size:
-        raise ValueError("table target size does not match template target")
-    for rel_a, rel_b in zip(template.source.relations, template.target.relations):
-        allowed = rel_b.as_set
-        for rows in itertools.product(rel_a.tuples, repeat=table.arity):
-            image = tuple(
-                table.value_at(tuple(rows[j][pos] for j in range(table.arity)))
-                for pos in range(rel_a.arity)
-            )
-            if image not in allowed:
-                return False
-    return True
 
 
 def enumerate_polymorphisms(

@@ -16,8 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ._network import allowed_table
-from .polymorphisms import _search_network, _table_holds
+from .polymorphisms import _search_network, _table_holds, allowed_table
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
 @dataclass(frozen=True)
@@ -71,6 +70,8 @@ class BlockSymTable:
                 raise ValueError(f"value {v} outside target domain")
 
     def value(self, w1: int, w2: int) -> int | None:
+        if not (0 <= w1 <= self.k1 and 0 <= w2 <= self.k2):
+            raise ValueError(f"weights ({w1}, {w2}) outside 0..{self.k1} x 0..{self.k2}")
         return self.values[w1 * (self.k2 + 1) + w2]
 
 
@@ -191,6 +192,18 @@ def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
     return tuple(sorted(min(orbit) for orbit in automorphism_orbits(target)))
 
 
+def _first_solution(template: TemplatePair, blocks, branch_order, seed, use_wlog: bool, time_budget):
+    """The first table on the cells of the coordinate blocks, or None, with the nodes and the wlog colors used.
+
+    The wlog colors restrict the first branched cell, so they apply only
+    when nothing is seeded.
+    """
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    net = _search_network(template, blocks, branch_order)
+    wlog = _wlog_colors(template.target) if use_wlog and not seed else None
+    return next(net.solutions(seed, wlog, deadline), None), net.nodes, wlog
+
+
 def search_symmetric(
     template: TemplatePair,
     n: int,
@@ -208,16 +221,11 @@ def search_symmetric(
             f"partial table shape ({partial.arity}, {partial.target_size}) "
             f"does not match the requested search ({n}, {k})"
         )
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     seed = partial.assigned_weights() if partial is not None else {}
-    net = _search_network(template, (n,), range(n + 1))
-    wlog = _wlog_colors(template.target) if use_wlog and not seed else None
-    values = next(net.solutions(seed, wlog, deadline), None)
-    if values is None:
-        return SearchResult(None, net.nodes, wlog)
-    table = SymTable(n, k, values)
-    assert is_symmetric_polymorphism(table, template)
-    return SearchResult(table, net.nodes, wlog)
+    values, nodes, wlog = _first_solution(template, (n,), range(n + 1), seed, use_wlog, time_budget)
+    table = None if values is None else SymTable(n, k, values)
+    assert table is None or is_symmetric_polymorphism(table, template)
+    return SearchResult(table, nodes, wlog)
 
 
 def _block_branch_order(k1: int, k2: int) -> list[int]:
@@ -251,15 +259,10 @@ def search_block_symmetric(
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be >= 1")
     k = template.target.domain_size
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    net = _search_network(template, (k1, k2), _block_branch_order(k1, k2))
-    wlog = _wlog_colors(template.target) if use_wlog else None
-    values = next(net.solutions({}, wlog, deadline), None)
-    if values is None:
-        return SearchResult(None, net.nodes, wlog)
-    table = BlockSymTable(k1, k2, k, values)
-    assert is_block_symmetric_polymorphism(table, template)
-    return SearchResult(table, net.nodes, wlog)
+    values, nodes, wlog = _first_solution(template, (k1, k2), _block_branch_order(k1, k2), {}, use_wlog, time_budget)
+    table = None if values is None else BlockSymTable(k1, k2, k, values)
+    assert table is None or is_block_symmetric_polymorphism(table, template)
+    return SearchResult(table, nodes, wlog)
 
 
 def restrict_block_to_symmetric(table: BlockSymTable) -> SymTable:

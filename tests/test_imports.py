@@ -54,6 +54,8 @@ def find_cycle(graph):
 def test_import_graph_has_no_cycle():
     graph = import_graph()
     assert "structures" in graph["homs"]
+    # the search engine sees only cells and triples: it knows no structures, blocks or tables
+    assert graph["_network"] == {"errors"}
     assert find_cycle(graph) is None, " -> ".join(find_cycle(graph))
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
-from pcsplab._network import Network, allowed_table
-from pcsplab.polymorphisms import enumerate_polymorphisms
+from pcsplab._network import Network
+from pcsplab.polymorphisms import _partition_triples, allowed_table, enumerate_polymorphisms
 from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
 from pcsplab.symmetric import search_block_symmetric, search_symmetric
 
@@ -55,14 +56,14 @@ SHAPES = (
 
 @pytest.mark.parametrize("blocks", SHAPES, ids=str)
 def test_network_constraints_match_coordinate_partitions(blocks):
-    ncells = 1
-    for size in blocks:
-        ncells *= size + 1
-    allowed = [[1, 1], [1, 1]]
-    net = Network(blocks, range(ncells), allowed)
+    triples = _partition_triples(blocks)
+    # sorted and free of duplicates: the oracle is a set
+    assert triples == sorted(partition_triples(blocks))
+    ncells = math.prod(size + 1 for size in blocks)
+    net = Network(ncells, triples, range(ncells), [[1, 1], [1, 1]])
     assert net.ncells == ncells and net.k == 2
     watched = {tuple(sorted((a, b, c))) for a in range(ncells) for b, c in net.watch[a]}
-    assert watched == partition_triples(blocks)
+    assert watched == set(triples)
     # each constraint is watched once from each of its three cells
     assert sum(len(w) for w in net.watch) == 3 * len(watched)
 
@@ -177,16 +178,43 @@ def test_propagation_reaches_arc_consistency(target):
 
     rng = random.Random(target)
     for blocks in GAC_SHAPES:
-        net = Network(blocks, None, allowed_table(structure))
-        triples = partition_triples(blocks)
+        triples = sorted(partition_triples(blocks))
+        net = Network(math.prod(size + 1 for size in blocks), triples, None, allowed_table(structure))
         for _ in range(8):
-            seed = {cell: rng.randrange(k) for cell in rng.sample(range(net.ncells), rng.randint(0, 2))}
-            domains = [{seed[c]} if c in seed else set(range(k)) for c in range(net.ncells)]
-            expected = gac_oracle(triples, ok, domains)
-            cand = net.seeded(seed)
-            consistent = net.propagate_from(cand, list(range(net.ncells)), net.support)
-            assert consistent == all(expected)
-            if consistent:
-                assert [{v for v in range(k) if m >> v & 1} for m in cand] == expected
-            for table in completions(net.ncells, triples, ok, domains):
-                assert consistent and all(cand[c] >> v & 1 for c, v in enumerate(table))
+            assert_arc_consistent(net, triples, ok, rng)
+
+
+def assert_arc_consistent(net, triples, ok, rng):
+    """Propagate from a random seed of at most two cells and compare with the oracles."""
+    k = net.k
+    seed = {cell: rng.randrange(k) for cell in rng.sample(range(net.ncells), rng.randint(0, 2))}
+    domains = [{seed[c]} if c in seed else set(range(k)) for c in range(net.ncells)]
+    expected = gac_oracle(triples, ok, domains)
+    cand = net.seeded(seed)
+    consistent = net.propagate_from(cand, list(range(net.ncells)), net.support)
+    assert consistent == all(expected)
+    if consistent:
+        assert [{v for v in range(k) if m >> v & 1} for m in cand] == expected
+    for table in completions(net.ncells, triples, ok, domains):
+        assert consistent and all(cand[c] >> v & 1 for c, v in enumerate(table))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_on_random_triples(seed):
+    """Arbitrary sorted triples, repeated cells and cells in no triple included, under a random relation."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    ncells = rng.randint(2, 7)
+    rel = {t for t in itertools.combinations_with_replacement(range(k), 3) if rng.random() < 0.4}
+
+    def ok(a, b, c):
+        return tuple(sorted((a, b, c))) in rel
+
+    allowed = [[sum(1 << v for v in range(k) if ok(x, y, v)) for y in range(k)] for x in range(k)]
+    triples = sorted({tuple(sorted(rng.choices(range(ncells), k=3))) for _ in range(rng.randint(1, 8))})
+    net = Network(ncells, triples, range(ncells), allowed)
+    for _ in range(6):
+        assert_arc_consistent(net, triples, ok, rng)
+    # solutions come out in lexicographic order along the branch order, each exactly once
+    domains = [set(range(k))] * ncells
+    assert list(net.solutions({}, None, None)) == completions(ncells, triples, ok, domains)

@@ -7,16 +7,16 @@ import warnings
 
 import pytest
 
+from general_tables import GeneralTable, boolean_to_general, is_polymorphism_general
+
 from pcsplab.errors import ArityBoundError, FormatError
 from pcsplab.polymorphisms import (
     ORBIT_BLOCK,
     CoordSet,
-    GeneralTable,
     MinorChain,
     MinorMap,
     PolyTable,
     alternating_threshold,
-    boolean_to_general,
     compose_minors,
     dictator,
     enumerate_orbits,
@@ -26,7 +26,6 @@ from pcsplab.polymorphisms import (
     i_sets,
     identity_minor,
     is_polymorphism,
-    is_polymorphism_general,
     minor,
     orbit_permutations,
     parse_poly_table,

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+from general_tables import boolean_to_general, is_polymorphism_general
+
 from pcsplab import symmetric
 from pcsplab.errors import TimeBudgetExceeded
-from pcsplab.polymorphisms import PolyTable, boolean_to_general, is_polymorphism, is_polymorphism_general
+from pcsplab.polymorphisms import PolyTable, is_polymorphism
 from pcsplab.structures import TemplatePair, named_template
 from pcsplab.symmetric import (
     BlockSymTable,
@@ -368,6 +370,14 @@ def test_restrict_block_to_symmetric():
 
     with pytest.raises(ValueError):
         restrict_block_to_symmetric(BlockSymTable(5, 4, 2, (0,) * 30))
+
+
+def test_block_table_value_checks_weights():
+    table = BlockSymTable(2, 2, 3, tuple(range(3)) * 3)
+    assert [table.value(w1, w2) for w1 in range(3) for w2 in range(3)] == list(table.values)
+    for w1, w2 in ((0, 3), (-1, 0), (3, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            table.value(w1, w2)
 
 
 def test_restrict_block_smallest_shape():
