@@ -70,6 +70,8 @@ class Network:
     """Depth-first search over candidate masks, arc consistent at every node, over sorted, deduplicated cell triples."""
 
     def __init__(self, ncells: int, triples, branch_order, allowed):
+        if ncells < 2:
+            raise ValueError(f"a network needs at least two cells, got {ncells}")
         self.ncells = ncells
         self.k = k = len(allowed)
         self.full = full = (1 << k) - 1
@@ -163,31 +165,24 @@ class Network:
                     queue.append(other)
         return True
 
-    def seeded(self, seed: dict[int, int]) -> list[int]:
-        """Candidate masks with the seed cells assigned."""
-        cand = [self.full] * self.ncells
-        for cell, v in seed.items():
-            cand[cell] = 1 << v
-        return cand
-
-    def solutions(self, seed: dict[int, int], first_colors, deadline, prune=None):
+    def solutions(self, first_colors, deadline, prune=None):
         """Yield the value tuple of every solution; the stack holds (cand, branch position, remaining colors) frames.
 
-        The first branched cell tries only `first_colors` when it is given and
-        nothing is seeded; every other cell tries its candidates in ascending
-        order.  When `prune` is given it is called as prune(cand, start, stop)
-        on every node to be expanded and on every solution, after the
-        deadline check: the cells at branch positions below `stop` are
-        assigned, and those below `start` were already assigned at the
-        node's parent (0 at the root).  A true result cuts the node.
+        The first branched cell tries only `first_colors` when it is given;
+        every other cell tries its candidates in ascending order.  When
+        `prune` is given it is called as prune(cand, start, stop) on every
+        node to be expanded and on every solution, after the deadline check:
+        the cells at branch positions below `stop` are assigned, and those
+        below `start` were already assigned at the node's parent (0 at the
+        root).  A true result cuts the node.
         """
-        cand = self.seeded(seed)
+        cand = [self.full] * self.ncells
         self.nodes = 1
         support = self.support
         if not self.propagate_from(cand, list(range(self.ncells)), support):
             return
         color_of = {1 << v: v for v in range(self.k)}
-        colors = first_colors if (first_colors is not None and not seed) else range(self.k)
+        colors = range(self.k) if first_colors is None else first_colors
         order = self.branch_order
         stack = []
         start = 0  # every cell before this position in the branch order is assigned
@@ -204,7 +199,7 @@ class Network:
                     break
             else:
                 if prune is None or not prune(cand, start, len(order)):
-                    yield itemgetter(*cand)(color_of)  # a tuple: every caller's network has at least two cells
+                    yield itemgetter(*cand)(color_of)  # a tuple, since a network has at least two cells
             # descend into the next child whose propagation succeeds, backtracking as needed
             cand = None
             while cand is None:

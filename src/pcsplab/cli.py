@@ -128,7 +128,7 @@ def _cmd_poly(args) -> int:
             values = None if table is None else list(table.values)
             payload = {"found": table is not None, "nodes": result.nodes, "values": values}
             if sym:
-                # the command line seeds no weights, so forward checking from the seed forces nothing
+                # searches take no seeds, so forward checking from the seed forces nothing
                 payload["trace"] = None if table is not None else {"events": []}
             print(json.dumps(payload))
         elif table is None:

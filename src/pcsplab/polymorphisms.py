@@ -91,7 +91,7 @@ class PolyTable:
         if len(self.values) != 1 << self.arity:
             raise ValueError(f"expected {1 << self.arity} entries, got {len(self.values)}")
         for v in self.values:
-            if not 0 <= v < self.target_size:
+            if v is None or not 0 <= v < self.target_size:
                 raise ValueError(f"value {v} outside target domain")
 
 
@@ -296,8 +296,6 @@ def _partitions_map_into(blocks, values, rel) -> bool:
 def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bool:
     """Check a full table on the cells of the coordinate blocks; exactly-one-1 source only."""
     _require_boolean_one_in_three_source(template)
-    if None in values:
-        raise ValueError("table has unassigned cells")
     if target_size != template.target.domain_size:
         raise ValueError("table target size does not match template target")
     return _partitions_map_into(blocks, values, template.target.single_ternary().as_set)
@@ -339,7 +337,7 @@ def enumerate_polymorphisms(
     _require_arity(n, force)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     net = _search_network(template, (1,) * n, subset_masks(n))
-    yield from net.solutions({}, None, deadline)
+    yield from net.solutions(None, deadline)
 
 
 def _require_arity(n: int, force: bool) -> None:
@@ -432,7 +430,7 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, tim
         return bool(found) and min(found) < head
 
     group = len(images) + 1
-    for values in net.solutions({}, None, deadline, prune):
+    for values in net.solutions(None, deadline, prune):
         yield values, group // stabiliser
 
 

@@ -21,11 +21,11 @@ from .structures import RelStructure, TemplatePair, automorphism_orbits
 
 @dataclass(frozen=True)
 class SymTable:
-    """Values per weight 0..arity; None marks an unassigned cell."""
+    """Values per weight 0..arity, each in the target domain."""
 
     arity: int
     target_size: int
-    values: tuple[int | None, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
         if self.arity < 1:
@@ -33,32 +33,18 @@ class SymTable:
         if len(self.values) != self.arity + 1:
             raise ValueError(f"expected {self.arity + 1} cells, got {len(self.values)}")
         for v in self.values:
-            if v is not None and not 0 <= v < self.target_size:
+            if v is None or not 0 <= v < self.target_size:
                 raise ValueError(f"value {v} outside target domain")
-
-    def assigned_weights(self) -> dict[int, int]:
-        return {w: v for w, v in enumerate(self.values) if v is not None}
-
-
-def empty_sym_table(arity: int, target_size: int) -> SymTable:
-    return SymTable(arity, target_size, (None,) * (arity + 1))
-
-
-def seeded_sym_table(arity: int, target_size: int, seed: dict[int, int]) -> SymTable:
-    values: list[int | None] = [None] * (arity + 1)
-    for w, v in seed.items():
-        values[w] = v
-    return SymTable(arity, target_size, tuple(values))
 
 
 @dataclass(frozen=True)
 class BlockSymTable:
-    """Values per weight pair (w1, w2), 0 <= wi <= ki; None marks unassigned."""
+    """Values per weight pair (w1, w2), 0 <= wi <= ki, each in the target domain."""
 
     k1: int
     k2: int
     target_size: int
-    values: tuple[int | None, ...]  # index w1 * (k2 + 1) + w2
+    values: tuple[int, ...]  # index w1 * (k2 + 1) + w2
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:
@@ -66,10 +52,10 @@ class BlockSymTable:
         if len(self.values) != (self.k1 + 1) * (self.k2 + 1):
             raise ValueError("wrong number of cells")
         for v in self.values:
-            if v is not None and not 0 <= v < self.target_size:
+            if v is None or not 0 <= v < self.target_size:
                 raise ValueError(f"value {v} outside target domain")
 
-    def value(self, w1: int, w2: int) -> int | None:
+    def value(self, w1: int, w2: int) -> int:
         if not (0 <= w1 <= self.k1 and 0 <= w2 <= self.k2):
             raise ValueError(f"weights ({w1}, {w2}) outside 0..{self.k1} x 0..{self.k2}")
         return self.values[w1 * (self.k2 + 1) + w2]
@@ -141,25 +127,26 @@ def is_block_symmetric_polymorphism(table: BlockSymTable, template: TemplatePair
     return _table_holds(template, (table.k1, table.k2), table.target_size, table.values)
 
 
-def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, PropagationTrace]:
-    """Forward-checking fixpoint of the search network from the assigned weights of `partial`.
+def propagate(template: TemplatePair, n: int, seed: dict[int, int]) -> tuple[dict[int, int], PropagationTrace]:
+    """Forward-checking fixpoint of the arity-n search network from the seeded weights, weight -> color.
 
     For every triple with two assigned weights the third weight's candidate
     set is intersected with the values compatible with the assigned pair;
     singletons are forced and propagate in turn, and an emptied candidate
-    set stops propagation.  The assigned weights are queued in ascending
+    set stops propagation.  The seeded weights are queued in ascending
     order and the queue propagates its newest weight first, so the event
-    order is deterministic.
+    order is deterministic.  Returns the seed with every forced weight added.
     """
-    k = partial.target_size
-    if k != template.target.domain_size:
-        raise ValueError(
-            f"table target size {k} does not match template target {template.target.domain_size}"
-        )
-    net = _search_network(template, (partial.arity,), range(partial.arity + 1))
-    seed = partial.assigned_weights()
-    cand = net.seeded(seed)
-    values = list(partial.values)
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    net = _search_network(template, (n,), range(n + 1))
+    k = net.k
+    cand = [net.full] * net.ncells
+    for w, v in seed.items():
+        if w not in range(n + 1) or v not in range(k):
+            raise ValueError(f"seed f({w}) = {v} outside weights 0..{n} or colors 0..{k - 1}")
+        cand[w] = 1 << v
+    assigned = dict(seed)
     events: list = []
     eliminations: list[list[tuple[int, tuple]]] = [[] for _ in range(net.ncells)]
 
@@ -169,18 +156,17 @@ def propagate(template: TemplatePair, partial: SymTable) -> tuple[SymTable, Prop
         if not new:
             events.append(ContradictionEvent(cell, tuple(eliminations[cell])))
         elif new & (new - 1) == 0:
-            values[cell] = new.bit_length() - 1
-            events.append(ForceEvent(cell, values[cell], triple))
+            assigned[cell] = new.bit_length() - 1
+            events.append(ForceEvent(cell, assigned[cell], triple))
 
-    net.propagate_from(cand, list(seed), net.forward, on_narrow)
-    return SymTable(partial.arity, k, tuple(values)), PropagationTrace(tuple(events))
+    net.propagate_from(cand, sorted(seed), net.forward, on_narrow)
+    return assigned, PropagationTrace(tuple(events))
 
 
 @dataclass(frozen=True)
 class SearchResult:
     table: SymTable | BlockSymTable | None
     nodes: int
-    wlog_colors: tuple[int, ...] | None  # colors tried at the first branched cell
 
 
 def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
@@ -192,22 +178,17 @@ def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
     return tuple(sorted(min(orbit) for orbit in automorphism_orbits(target)))
 
 
-def _first_solution(template: TemplatePair, blocks, branch_order, seed, use_wlog: bool, time_budget):
-    """The first table on the cells of the coordinate blocks, or None, with the nodes and the wlog colors used.
-
-    The wlog colors restrict the first branched cell, so they apply only
-    when nothing is seeded.
-    """
+def _first_solution(template: TemplatePair, blocks, branch_order, use_wlog: bool, time_budget):
+    """The first table on the cells of the coordinate blocks, or None, with the nodes searched."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     net = _search_network(template, blocks, branch_order)
-    wlog = _wlog_colors(template.target) if use_wlog and not seed else None
-    return next(net.solutions(seed, wlog, deadline), None), net.nodes, wlog
+    wlog = _wlog_colors(template.target) if use_wlog else None
+    return next(net.solutions(wlog, deadline), None), net.nodes
 
 
 def search_symmetric(
     template: TemplatePair,
     n: int,
-    partial: SymTable | None = None,
     *,
     use_wlog: bool = True,
     time_budget: float | None = None,
@@ -215,17 +196,10 @@ def search_symmetric(
     """Backtracking search for a weight table; lowest unassigned weight first."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    k = template.target.domain_size
-    if partial is not None and (partial.arity != n or partial.target_size != k):
-        raise ValueError(
-            f"partial table shape ({partial.arity}, {partial.target_size}) "
-            f"does not match the requested search ({n}, {k})"
-        )
-    seed = partial.assigned_weights() if partial is not None else {}
-    values, nodes, wlog = _first_solution(template, (n,), range(n + 1), seed, use_wlog, time_budget)
-    table = None if values is None else SymTable(n, k, values)
+    values, nodes = _first_solution(template, (n,), range(n + 1), use_wlog, time_budget)
+    table = None if values is None else SymTable(n, template.target.domain_size, values)
     assert table is None or is_symmetric_polymorphism(table, template)
-    return SearchResult(table, nodes, wlog)
+    return SearchResult(table, nodes)
 
 
 def _block_branch_order(k1: int, k2: int) -> list[int]:
@@ -259,10 +233,10 @@ def search_block_symmetric(
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be >= 1")
     k = template.target.domain_size
-    values, nodes, wlog = _first_solution(template, (k1, k2), _block_branch_order(k1, k2), {}, use_wlog, time_budget)
+    values, nodes = _first_solution(template, (k1, k2), _block_branch_order(k1, k2), use_wlog, time_budget)
     table = None if values is None else BlockSymTable(k1, k2, k, values)
     assert table is None or is_block_symmetric_polymorphism(table, template)
-    return SearchResult(table, nodes, wlog)
+    return SearchResult(table, nodes)
 
 
 def restrict_block_to_symmetric(table: BlockSymTable) -> SymTable:
@@ -274,8 +248,6 @@ def restrict_block_to_symmetric(table: BlockSymTable) -> SymTable:
     """
     if table.k2 % 3 != 0:
         raise ValueError(f"second block size {table.k2} is not divisible by 3")
-    if None in table.values:
-        raise ValueError("table has unassigned cells")
     z = table.k2 // 3
     return SymTable(table.k1, table.target_size, tuple(table.value(m, z) for m in range(table.k1 + 1)))
 
@@ -350,8 +322,7 @@ def chplus23_certificate(template: TemplatePair, seed_color: int = 0) -> Forcing
 
     refutations = []
     for color in range(k):
-        partial = seeded_sym_table(n, k, {**assigned, 6: color})
-        _, trace = propagate(template, partial)
+        _, trace = propagate(template, n, {**assigned, 6: color})
         refutations.append((color, trace))
 
     transitive = len(automorphism_orbits(template.target)) == 1

@@ -190,7 +190,7 @@ def assert_arc_consistent(net, triples, ok, rng):
     seed = {cell: rng.randrange(k) for cell in rng.sample(range(net.ncells), rng.randint(0, 2))}
     domains = [{seed[c]} if c in seed else set(range(k)) for c in range(net.ncells)]
     expected = gac_oracle(triples, ok, domains)
-    cand = net.seeded(seed)
+    cand = [sum(1 << v for v in domain) for domain in domains]
     consistent = net.propagate_from(cand, list(range(net.ncells)), net.support)
     assert consistent == all(expected)
     if consistent:
@@ -217,4 +217,10 @@ def test_engine_on_random_triples(seed):
         assert_arc_consistent(net, triples, ok, rng)
     # solutions come out in lexicographic order along the branch order, each exactly once
     domains = [set(range(k))] * ncells
-    assert list(net.solutions({}, None, None)) == completions(ncells, triples, ok, domains)
+    assert list(net.solutions(None, None)) == completions(ncells, triples, ok, domains)
+
+
+def test_network_needs_two_cells():
+    # a one-cell network would yield bare colors, not value tuples
+    with pytest.raises(ValueError, match="at least two cells"):
+        Network(1, [(0, 0, 0)], [0], [[1, 0], [0, 2]])

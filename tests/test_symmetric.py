@@ -6,7 +6,6 @@ import pytest
 
 from general_tables import boolean_to_general, is_polymorphism_general
 
-from pcsplab import symmetric
 from pcsplab.errors import TimeBudgetExceeded
 from pcsplab.polymorphisms import PolyTable, is_polymorphism
 from pcsplab.structures import TemplatePair, named_template
@@ -14,14 +13,12 @@ from pcsplab.symmetric import (
     BlockSymTable,
     SymTable,
     chplus23_certificate,
-    empty_sym_table,
     is_block_symmetric_polymorphism,
     is_symmetric_polymorphism,
     propagate,
     restrict_block_to_symmetric,
     search_block_symmetric,
     search_symmetric,
-    seeded_sym_table,
     sym_compatible_triples,
 )
 
@@ -75,6 +72,22 @@ def test_is_symmetric_polymorphism_examples():
         is_symmetric_polymorphism(SymTable(2, 2, (0, None, 1)), pair("1in3", "NAE"))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda values: PolyTable(1, 2, values),
+        lambda values: SymTable(1, 2, values),
+        lambda values: BlockSymTable(1, 1, 2, values + values),
+    ],
+    ids=["PolyTable", "SymTable", "BlockSymTable"],
+)
+def test_tables_reject_unassigned_cells(make):
+    # every table is total: a cell holds a color of the target, never None
+    assert make((0, 1)).values[-1] == 1
+    with pytest.raises(ValueError, match="outside target domain"):
+        make((0, None))
+
+
 def expand_weight_table(shape, values):
     """Values on every subset of [n]: blocks of the shape in coordinate order, cells in mixed radix."""
     n = sum(shape)
@@ -118,22 +131,22 @@ def test_weight_checkers_agree_with_general_test(target):
 
 def test_propagate_single_weight_force():
     t2 = pair("1in3", "T2")
-    table, trace = propagate(t2, seeded_sym_table(1, 3, {0: 0}))
-    assert table.values == (0, 1)
+    assigned, trace = propagate(t2, 1, {0: 0})
+    assert assigned == {0: 0, 1: 1}
     assert [(e.cell, e.color, e.triple) for e in trace.forced()] == [(1, 1, (0, 0, 1))]
 
 
 def test_propagate_empty_partial_is_inert():
     t2 = pair("1in3", "T2")
-    table, trace = propagate(t2, empty_sym_table(5, 3))
-    assert table.values == (None,) * 6
+    assigned, trace = propagate(t2, 5, {})
+    assert assigned == {}
     assert trace.events == ()
 
 
 def test_propagate_t2_arity7_seed_zero():
     t2 = pair("1in3", "T2")
-    table, trace = propagate(t2, seeded_sym_table(7, 3, {0: 0}))
-    assert table.values[7] == 1
+    assigned, trace = propagate(t2, 7, {0: 0})
+    assert assigned[7] == 1
     assert trace.forced()[0].triple == (0, 0, 7)
 
 
@@ -162,7 +175,7 @@ def fixpoint_oracle(target, n, seed):
 
 def test_propagate_chplus_arity23_seeded_fixpoint():
     chp = pair("1in3", "CHplus")
-    table, trace = propagate(chp, seeded_sym_table(23, 4, {8: 0}))
+    assigned, trace = propagate(chp, 23, {8: 0})
     forced = [(e.cell, e.color, e.triple) for e in trace.forced()]
     assert forced == [
         (7, 1, (7, 8, 8)),
@@ -177,15 +190,15 @@ def test_propagate_chplus_arity23_seeded_fixpoint():
         (18, 0, (0, 5, 18)),
     ]
     assert trace.contradiction is None
-    assert table.assigned_weights() == {
+    assert assigned == {
         0: 3, 2: 1, 5: 3, 7: 1, 8: 0, 9: 2, 13: 0, 14: 2, 18: 0, 19: 2, 23: 0
     }
     # agreement with an order-free fixpoint oracle
     cand = fixpoint_oracle(named_template("CHplus"), 23, {8: 0})
-    for w, v in table.assigned_weights().items():
+    for w, v in assigned.items():
         assert cand[w] == {v}
     for w in range(24):
-        if table.values[w] is None:
+        if w not in assigned:
             assert len(cand[w]) != 1
 
 
@@ -252,30 +265,6 @@ def test_search_wlog_does_not_change_answers():
             with_wlog = search_symmetric(template, n, use_wlog=True).table is not None
             without = search_symmetric(template, n, use_wlog=False).table is not None
             assert with_wlog == without, (name, n)
-
-
-def test_search_symmetric_respects_seed():
-    t2 = pair("1in3", "T2")
-    seeded = seeded_sym_table(7, 3, {0: 1})
-    result = search_symmetric(t2, 7, partial=seeded)
-    assert result.table is not None
-    assert result.table.values[0] == 1
-    assert is_symmetric_polymorphism(result.table, t2)
-
-
-def test_seeded_search_skips_automorphisms(monkeypatch):
-    # wlog colors only apply to an unseeded search, so a seeded one must not compute them
-    template = pair("1in3", "NAE_7")
-    seeded = seeded_sym_table(5, 7, {0: 0})
-    plain = search_symmetric(template, 5, partial=seeded, use_wlog=False)
-
-    def refuse(structure):
-        raise AssertionError("automorphism orbits computed for a seeded search")
-
-    monkeypatch.setattr(symmetric, "automorphism_orbits", refuse)
-    result = search_symmetric(template, 5, partial=seeded)
-    assert (result.table, result.nodes, result.wlog_colors) == (plain.table, plain.nodes, None)
-    assert result.table is not None
 
 
 def test_search_block_nae_exists():
@@ -436,7 +425,7 @@ def test_propagate_contradiction_event_recorded():
     # weights 0 and 2 both pinned to color 0: triple (0, 0, 2) empties the
     # candidate set at the first slot it narrows
     t2 = pair("1in3", "T2")
-    _, trace = propagate(t2, seeded_sym_table(2, 3, {0: 0, 2: 0}))
+    _, trace = propagate(t2, 2, {0: 0, 2: 0})
     contradiction = trace.contradiction
     assert contradiction is not None
     assert contradiction.cell == 0
@@ -495,19 +484,19 @@ def test_propagate_soundness_random_seeds():
         k = target.domain_size
         n = rng.randint(1, 6)
         seed = {w: rng.randrange(k) for w in rng.sample(range(n + 1), rng.randint(0, min(2, n)))}
-        table, trace = propagate(template, seeded_sym_table(n, k, seed))
+        assigned, trace = propagate(template, n, seed)
         # differential check against the order-free fixpoint
         cand = fixpoint_oracle(target, n, seed)
         assert (trace.contradiction is not None) == any(not c for c in cand), (name, n, seed)
         if trace.contradiction is None:
             singletons = {w: next(iter(c)) for w, c in enumerate(cand) if len(c) == 1}
-            assert table.assigned_weights() == singletons, (name, n, seed)
+            assert assigned == singletons, (name, n, seed)
         completions = brute_completions(target, n, seed)
         if trace.contradiction is not None:
             assert not completions, (name, n, seed)
         else:
             for completion in completions:
-                for w, v in table.assigned_weights().items():
+                for w, v in assigned.items():
                     assert completion[w] == v, (name, n, seed, completion)
 
 
@@ -541,11 +530,23 @@ def test_block_search_agrees_with_brute_oracle():
 
 
 def test_shape_mismatches_rejected():
+    # a seed names a weight in 0..n and a color of the target
     chp = pair("1in3", "CHplus")
-    with pytest.raises(ValueError):
-        search_symmetric(chp, 5, partial=seeded_sym_table(23, 4, {8: 0}))
-    with pytest.raises(ValueError):
-        propagate(chp, seeded_sym_table(5, 3, {0: 0}))
+    for seed in ({6: 0}, {-1: 0}, {0: 4}, {0: -1}, {0: 0, 3: None}):
+        with pytest.raises(ValueError, match="outside weights 0..5 or colors 0..3"):
+            propagate(chp, 5, seed)
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        propagate(chp, 0, {})
+
+
+def test_propagate_queues_seeds_in_ascending_order():
+    # the trace depends on the order seeds are queued in, never on the order the dict was built in
+    chp = pair("1in3", "CHplus")
+    seed = {8: 0, 7: 1, 9: 2, 5: 3, 13: 0, 2: 1, 14: 2, 0: 3, 6: 1}
+    ascending = propagate(chp, 23, dict(sorted(seed.items())))
+    assert propagate(chp, 23, seed) == ascending
+    assert propagate(chp, 23, dict(reversed(seed.items()))) == ascending
+    assert ascending[1].contradiction is not None
 
 
 def test_chplus_symmetric_frontier():
@@ -561,7 +562,7 @@ def test_chplus_symmetric_frontier():
 WEIGHT_CALLS = {
     "search_sym": lambda t, k: search_symmetric(t, 4),
     "search_block": lambda t, k: search_block_symmetric(t, 2, 2),
-    "propagate": lambda t, k: propagate(t, seeded_sym_table(3, k, {0: 0})),
+    "propagate": lambda t, k: propagate(t, 3, {0: 0}),
     "is_sym": lambda t, k: is_symmetric_polymorphism(SymTable(3, k, (0,) * 4), t),
     "is_block": lambda t, k: is_block_symmetric_polymorphism(BlockSymTable(2, 2, k, (0,) * 9), t),
 }
