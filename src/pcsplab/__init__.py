@@ -19,16 +19,10 @@ from .homs import (
     lattice_to_dot,
 )
 from .polymorphisms import (
-    CoordSet,
-    MinorChain,
     MinorMap,
     PolyTable,
     enumerate_polymorphisms,
-    evaluate_on_set,
-    i_sets,
     is_polymorphism,
-    minor,
-    preimage_set,
 )
 from .properties import (
     PROPERTY_CATALOG,
@@ -38,7 +32,6 @@ from .properties import (
     SelectorSpec,
     check_properties,
     chromatic_number,
-    compute_Ef,
     kneser_graph,
     verify_selector,
 )

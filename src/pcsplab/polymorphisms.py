@@ -1,8 +1,10 @@
-"""Boolean-source function tables, minors, and polymorphism tests.
+"""Boolean-source function tables, coordinate maps, and polymorphism tests.
 
 A table of arity n assigns a target value to every subset of coordinates
-[n] = {1..n}; subsets are carried as bitmasks internally (bit i-1 is
-coordinate i) and ordered canonically by (cardinality, element order).
+[n] = {1..n}; a subset is a bitmask (bit i-1 is coordinate i), and subsets
+are ordered canonically by (cardinality, element order).  A minor along a
+map of coordinates is read through the map's subset-image tables,
+MinorMap.pull and MinorMap.push.
 
 This module also owns the cells of tables on coordinate blocks: a cell is a
 weight vector, indexed in mixed radix with the last block least
@@ -32,51 +34,6 @@ def subset_masks(n: int) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in c) for j in range(n + 1) for c in itertools.combinations(range(n), j))
 
 
-def coords_of(mask: int) -> tuple[int, ...]:
-    """1-based coordinates of a mask, ascending."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def mask_of(coords) -> int:
-    mask = 0
-    for i in coords:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-@dataclass(frozen=True)
-class CoordSet:
-    """A subset of coordinates of an arity-n function."""
-
-    arity: int
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        for i in self.members:
-            if not 1 <= i <= self.arity:
-                raise ValueError(f"coordinate {i} outside 1..{self.arity}")
-
-    @classmethod
-    def from_mask(cls, arity: int, mask: int) -> CoordSet:
-        return cls(arity, frozenset(coords_of(mask)))
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.members)
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-
 @dataclass(frozen=True)
 class PolyTable:
     """Total table over all 2**arity coordinate subsets, values in the target domain."""
@@ -90,9 +47,14 @@ class PolyTable:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if len(self.values) != 1 << self.arity:
             raise ValueError(f"expected {1 << self.arity} entries, got {len(self.values)}")
-        for v in self.values:
-            if v is None or not 0 <= v < self.target_size:
-                raise ValueError(f"value {v} outside target domain")
+        _require_target_values(self.values, self.target_size)
+
+
+def _require_target_values(values, target_size: int) -> None:
+    """Reject None or a value outside 0..target_size-1 with ValueError; a string still raises TypeError."""
+    for v in values:
+        if v is None or not 0 <= v < target_size:
+            raise ValueError(f"value {v} outside target domain")
 
 
 def dictator(n: int, coordinate: int, target_size: int = 2) -> PolyTable:
@@ -110,12 +72,6 @@ def alternating_threshold(target_size: int = 2) -> PolyTable:
     return PolyTable(3, target_size, tuple(vals))
 
 
-def evaluate_on_set(table: PolyTable, coords: CoordSet) -> int:
-    if coords.arity != table.arity:
-        raise ValueError(f"arity mismatch: table {table.arity}, set {coords.arity}")
-    return table.values[coords.mask]
-
-
 @dataclass(frozen=True)
 class MinorMap:
     """A total map [n] -> [m] used to identify coordinates of a table."""
@@ -130,9 +86,6 @@ class MinorMap:
         for v in self.mapping:
             if not 1 <= v <= self.target_arity:
                 raise ValueError(f"image {v} outside 1..{self.target_arity}")
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i - 1]
 
     def pull(self) -> tuple[int, ...]:
         """pull[X] is the mask of the preimage of the target mask X."""
@@ -159,53 +112,6 @@ def _subset_images(bits, masks) -> tuple[int, ...]:
         low = x & -x
         img[x] = masks[img[x ^ low] | bits[low.bit_length() - 1]]
     return tuple(img)
-
-
-def identity_minor(n: int) -> MinorMap:
-    return MinorMap(n, n, tuple(range(1, n + 1)))
-
-
-def compose_minors(first: MinorMap, second: MinorMap) -> MinorMap:
-    """The map i -> second(first(i))."""
-    if first.target_arity != second.source_arity:
-        raise ValueError("arity mismatch in composition")
-    return MinorMap(first.source_arity, second.target_arity, tuple(second(first(i)) for i in range(1, first.source_arity + 1)))
-
-
-def minor(table: PolyTable, alpha: MinorMap) -> PolyTable:
-    """The table g with g(X) = f({i : alpha(i) in X})."""
-    if alpha.source_arity != table.arity:
-        raise ValueError(f"arity mismatch: table {table.arity}, map source {alpha.source_arity}")
-    return PolyTable(alpha.target_arity, table.target_size, tuple([table.values[p] for p in alpha.pull()]))
-
-
-def preimage_set(alpha: MinorMap, coords: CoordSet) -> CoordSet:
-    if coords.arity != alpha.target_arity:
-        raise ValueError(f"arity mismatch: map target {alpha.target_arity}, set {coords.arity}")
-    return CoordSet.from_mask(alpha.source_arity, alpha.pull()[coords.mask])
-
-
-@dataclass(frozen=True)
-class MinorChain:
-    """Tables f_0..f_l with maps linking consecutive tables as minors."""
-
-    tables: tuple[PolyTable, ...]
-    maps: tuple[MinorMap, ...]
-
-    def __post_init__(self):
-        if len(self.tables) != len(self.maps) + 1:
-            raise ValueError("a chain of l maps needs l+1 tables")
-        for i, alpha in enumerate(self.maps):
-            if minor(self.tables[i], alpha) != self.tables[i + 1]:
-                raise ValueError(f"table {i + 1} is not the stated minor of table {i}")
-
-    def composed_map(self, i: int, j: int) -> MinorMap:
-        if not 0 <= i <= j <= len(self.maps):
-            raise ValueError("bad chain positions")
-        alpha = identity_minor(self.tables[i].arity)
-        for step in range(i, j):
-            alpha = compose_minors(alpha, self.maps[step])
-        return alpha
 
 
 def _require_boolean_one_in_three_source(template: TemplatePair) -> None:
@@ -434,17 +340,6 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, tim
         yield values, group // stabiliser
 
 
-def i_sets(table: PolyTable, color: int, max_size: int) -> list[CoordSet]:
-    """All X with |X| <= max_size and f(X) = color, in canonical order."""
-    if not 0 <= color < table.target_size:
-        raise ValueError(f"color {color} outside target domain")
-    out = []
-    for mask in subset_masks(table.arity):
-        if bin(mask).count("1") <= max_size and table.values[mask] == color:
-            out.append(CoordSet.from_mask(table.arity, mask))
-    return out
-
-
 # --- text format -------------------------------------------------------------
 #
 #   poly <n> <target_size>
@@ -465,24 +360,29 @@ def format_poly_table(table: PolyTable) -> str:
 def parse_poly_table(text: str) -> PolyTable:
     header = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if parts[0] != "poly" or len(parts) != 3:
-                raise FormatError(f"line {lineno}: expected 'poly <n> <target_size>' header")
-            header = (int(parts[1]), int(parts[2]))
-        else:
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected '<bits> <value>'")
-            rows.append((lineno, parts[0], parts[1]))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if header is None:
+                if parts[0] != "poly" or len(parts) != 3:
+                    raise FormatError(f"line {lineno}: expected 'poly <n> <target_size>' header")
+                header = (int(parts[1]), int(parts[2]))
+                if header[0] < 1:
+                    raise FormatError(f"line {lineno}: arity must be >= 1, got {header[0]}")
+            else:
+                if len(parts) != 2:
+                    raise FormatError(f"line {lineno}: expected '<bits> <value>'")
+                rows.append((lineno, parts[0], int(parts[1])))
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise FormatError("missing poly header")
     n, k = header
-    if len(rows) != 1 << n:
-        raise FormatError(f"expected {1 << n} table rows, got {len(rows)}")
+    if n >= len(rows).bit_length() or len(rows) != 1 << n:  # the first test keeps a huge n from building 2**n
+        raise FormatError(f"expected 2**{n} table rows, got {len(rows)}")
     values = [None] * (1 << n)
     for lineno, bits, value in rows:
         if len(bits) != n or any(ch not in "01" for ch in bits):
@@ -490,7 +390,7 @@ def parse_poly_table(text: str) -> PolyTable:
         mask = sum(1 << i for i, ch in enumerate(bits) if ch == "1")
         if values[mask] is not None:
             raise FormatError(f"line {lineno}: duplicate subset {bits!r}")
-        values[mask] = int(value)
+        values[mask] = value
     try:
         return PolyTable(n, k, tuple(values))
     except ValueError as exc:

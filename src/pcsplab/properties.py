@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .errors import ArityBoundError, TimeBudgetExceeded
 from .polymorphisms import (
     DEFAULT_ARITY_CAP,
-    CoordSet,
     MinorMap,
     PolyTable,
     enumerate_orbits,
@@ -35,27 +34,6 @@ from .polymorphisms import (
     subset_masks,
 )
 from .structures import TemplatePair
-
-
-# --- i-set helpers (3-element targets) ----------------------------------------
-
-
-def _residue(value: int) -> int:
-    # collapse {1, 2} to 1; used by the linear-structure facts
-    return 0 if value == 0 else 1
-
-
-def compute_Ef(table: PolyTable) -> tuple[CoordSet, CoordSet]:
-    """Split the coordinates by the residue of their singleton value."""
-    if table.target_size != 3:
-        raise ValueError("residue split is defined for 3-element targets")
-    n = table.arity
-    e = _e_mask(table.values, n)
-    return CoordSet.from_mask(n, e), CoordSet.from_mask(n, e ^ ((1 << n) - 1))
-
-
-def _e_mask(f: tuple[int, ...], n: int) -> int:
-    return sum(1 << i for i in range(n) if _residue(f[1 << i]) == 1)
 
 
 # --- the sliced view ------------------------------------------------------------
@@ -102,7 +80,8 @@ class SlicedTable:
 
     planes has an entry for each colour below max(k, 4), so the CH facts may
     name colours mod 4 on a table of any target.  nonzero is the plane of the
-    sets with a non-zero value and e the split of compute_Ef as a mask.
+    sets with a non-zero value and e the split E_f as a mask: the
+    coordinates whose singleton has a non-zero value.
     """
 
     __slots__ = ("values", "masks", "planes", "nonzero", "e")
@@ -649,6 +628,11 @@ def _sel_d2(f, n):
     return None
 
 
+def _e_mask(f: tuple[int, ...], n: int) -> int:
+    """The coordinates whose singleton has a non-zero value, as a mask: the split E_f."""
+    return sum(1 << i for i in range(n) if f[1 << i])
+
+
 def _sel_t1(f, n):
     m = _first_mask(f, n, 2, 2)
     if m is not None:
@@ -688,11 +672,6 @@ SELECTOR_CATALOG: dict[str, SelectorSpec] = {
         SelectorSpec("SEL_CH", 2, 5, "CH", "small predecessor-color set, else successor singleton", _sel_ch),
     )
 }
-
-
-def selector_rule(spec: SelectorSpec, table: PolyTable) -> CoordSet | None:
-    mask = spec.rule(table.values, table.arity)
-    return None if mask is None else CoordSet.from_mask(table.arity, mask)
 
 
 @dataclass(frozen=True)

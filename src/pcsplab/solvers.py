@@ -334,23 +334,26 @@ def classify_template(target: RelStructure) -> str:
 def parse_instance(text: str) -> Instance:
     header = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if header is not None or len(parts) != 4 or parts[1] != "hyp3":
-                raise FormatError(f"line {lineno}: bad problem header")
-            header = (int(parts[2]), int(parts[3]))
-        elif parts[0] == "e":
-            if header is None:
-                raise FormatError(f"line {lineno}: edge before header")
-            if len(parts) != 4:
-                raise FormatError(f"line {lineno}: edge needs three entries")
-            edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
-        else:
-            raise FormatError(f"line {lineno}: unrecognized directive {parts[0]!r}")
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if header is not None or len(parts) != 4 or parts[1] != "hyp3":
+                    raise FormatError(f"line {lineno}: bad problem header")
+                header = (int(parts[2]), int(parts[3]))
+            elif parts[0] == "e":
+                if header is None:
+                    raise FormatError(f"line {lineno}: edge before header")
+                if len(parts) != 4:
+                    raise FormatError(f"line {lineno}: edge needs three entries")
+                edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
+            else:
+                raise FormatError(f"line {lineno}: unrecognized directive {parts[0]!r}")
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise FormatError("missing problem header")
     nv, ne = header

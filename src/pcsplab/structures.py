@@ -371,29 +371,32 @@ class TemplatePair:
 def parse_structure(text: str) -> RelStructure:
     domain_size = None
     relations: list[tuple[int, list[tuple[int, ...]]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "domain":
-            if domain_size is not None or len(parts) != 2:
-                raise FormatError(f"line {lineno}: bad domain header")
-            domain_size = int(parts[1])
-        elif parts[0] == "rel":
-            if domain_size is None or len(parts) != 2:
-                raise FormatError(f"line {lineno}: bad rel header")
-            relations.append((int(parts[1]), []))
-        elif parts[0] == "t":
-            if not relations:
-                raise FormatError(f"line {lineno}: tuple before any rel header")
-            arity, tuples = relations[-1]
-            entries = tuple(int(x) for x in parts[1:])
-            if len(entries) != arity:
-                raise FormatError(f"line {lineno}: expected {arity} entries, got {len(entries)}")
-            tuples.append(entries)
-        else:
-            raise FormatError(f"line {lineno}: unrecognized directive {parts[0]!r}")
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "domain":
+                if domain_size is not None or len(parts) != 2:
+                    raise FormatError(f"line {lineno}: bad domain header")
+                domain_size = int(parts[1])
+            elif parts[0] == "rel":
+                if domain_size is None or len(parts) != 2:
+                    raise FormatError(f"line {lineno}: bad rel header")
+                relations.append((int(parts[1]), []))
+            elif parts[0] == "t":
+                if not relations:
+                    raise FormatError(f"line {lineno}: tuple before any rel header")
+                arity, tuples = relations[-1]
+                entries = tuple(int(x) for x in parts[1:])
+                if len(entries) != arity:
+                    raise FormatError(f"line {lineno}: expected {arity} entries, got {len(entries)}")
+                tuples.append(entries)
+            else:
+                raise FormatError(f"line {lineno}: unrecognized directive {parts[0]!r}")
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from exc
     if domain_size is None:
         raise FormatError("missing domain header")
     try:

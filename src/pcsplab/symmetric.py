@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .polymorphisms import _search_network, _table_holds, allowed_table
+from .polymorphisms import _require_target_values, _search_network, _table_holds, allowed_table
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class SymTable:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if len(self.values) != self.arity + 1:
             raise ValueError(f"expected {self.arity + 1} cells, got {len(self.values)}")
-        for v in self.values:
-            if v is None or not 0 <= v < self.target_size:
-                raise ValueError(f"value {v} outside target domain")
+        _require_target_values(self.values, self.target_size)
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,7 @@ class BlockSymTable:
             raise ValueError("block sizes must be >= 1")
         if len(self.values) != (self.k1 + 1) * (self.k2 + 1):
             raise ValueError("wrong number of cells")
-        for v in self.values:
-            if v is None or not 0 <= v < self.target_size:
-                raise ValueError(f"value {v} outside target domain")
+        _require_target_values(self.values, self.target_size)
 
     def value(self, w1: int, w2: int) -> int:
         if not (0 <= w1 <= self.k1 and 0 <= w2 <= self.k2):

@@ -6,8 +6,10 @@ import warnings
 import pytest
 
 from pcsplab.cli import main
-from pcsplab.polymorphisms import dictator, format_poly_table
+from pcsplab.errors import FormatError
+from pcsplab.polymorphisms import dictator, format_poly_table, parse_poly_table
 from pcsplab.solvers import format_instance, Instance, parse_instance
+from pcsplab.structures import parse_structure
 
 
 def run(capsys, *argv):
@@ -235,6 +237,32 @@ def test_solve_parse_error(tmp_path, capsys):
     path.write_text("p hyp3 2\n")
     code, _, err = run(capsys, "solve", "T2", str(path))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_structure, "domain x\n", "line 1: invalid literal"),
+        (parse_structure, "domain 2\nrel 3\n\nt 0 0 x\n", "line 4: invalid literal"),
+        (parse_instance, "p hyp3 x 1\n", "line 1: invalid literal"),
+        (parse_instance, "p hyp3 2 1\ne 1 2 x\n", "line 2: invalid literal"),
+        (parse_poly_table, "poly 1 2\n0 x\n1 1\n", "line 2: invalid literal"),
+        (parse_poly_table, "poly -1 2\n", "line 1: arity must be >= 1"),
+        (parse_poly_table, "poly 20000 2\n0 0\n", r"expected 2\*\*20000 table rows, got 1"),
+    ],
+    ids=["structure-domain", "structure-tuple", "instance-header", "instance-edge", "table-value", "table-arity", "table-rows"],
+)
+def test_parsers_name_the_line_of_a_bad_field(parse, text, message):
+    with pytest.raises(FormatError, match=message):
+        parse(text)
+
+
+def test_solve_bad_field_names_its_line(tmp_path, capsys):
+    path = tmp_path / "broken.hyp"
+    path.write_text("p hyp3 3 1\ne 1 2 three\n")
+    code, out, err = run(capsys, "solve", "T2", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: invalid literal")
 
 
 def test_search_time_budget_zero(capsys):

@@ -12,24 +12,16 @@ from general_tables import GeneralTable, boolean_to_general, is_polymorphism_gen
 from pcsplab.errors import ArityBoundError, FormatError
 from pcsplab.polymorphisms import (
     ORBIT_BLOCK,
-    CoordSet,
-    MinorChain,
     MinorMap,
     PolyTable,
     alternating_threshold,
-    compose_minors,
     dictator,
     enumerate_orbits,
     enumerate_polymorphisms,
-    evaluate_on_set,
     format_poly_table,
-    i_sets,
-    identity_minor,
     is_polymorphism,
-    minor,
     orbit_permutations,
     parse_poly_table,
-    preimage_set,
     subset_masks,
 )
 from pcsplab.structures import TemplatePair, make_structure, named_template
@@ -69,16 +61,6 @@ def test_canonical_subset_order():
     # {1,4} (mask 9) precedes {2,3} (mask 6) under element-wise ordering
     assert order4.index(9) < order4.index(6)
     assert order4[:5] == (0, 1, 2, 4, 8)
-
-
-def test_evaluate_on_set():
-    d1 = dictator(3, 1)
-    assert evaluate_on_set(d1, CoordSet(3, frozenset({1, 3}))) == 1
-    assert evaluate_on_set(d1, CoordSet(3, frozenset())) == d1.values[0] == 0
-    at3 = alternating_threshold()
-    assert evaluate_on_set(at3, CoordSet(3, frozenset({2}))) == 0
-    with pytest.raises(ValueError):
-        evaluate_on_set(d1, CoordSet(2, frozenset({1})))
 
 
 def test_is_polymorphism_examples():
@@ -130,61 +112,8 @@ def test_checker_agreement_exhaustive():
                 )
 
 
-def test_minor_examples():
-    d1 = dictator(3, 1)
-    collapse = MinorMap(3, 1, (1, 1, 1))
-    g = minor(d1, collapse)
-    assert g.values == (0, 1)  # unary identity
-    assert minor(d1, identity_minor(3)) == d1
-
-    at3 = alternating_threshold()
-    tie = MinorMap(3, 2, (1, 1, 2))
-    g = minor(at3, tie)
-    # direct substitution: coordinates 1,2 tied, coordinate 3 independent
-    for mask in range(4):
-        a1 = mask & 1
-        a3 = (mask >> 1) & 1
-        pulled = (a1 | (a1 << 1)) | (a3 << 2)
-        assert g.values[mask] == at3.values[pulled]
-
-
-def test_minor_composition_random():
-    rng = random.Random(41)
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        p = rng.randint(1, 4)
-        f = PolyTable(n, 3, tuple(rng.randrange(3) for _ in range(1 << n)))
-        alpha = MinorMap(n, m, tuple(rng.randint(1, m) for _ in range(n)))
-        beta = MinorMap(m, p, tuple(rng.randint(1, p) for _ in range(m)))
-        assert minor(minor(f, alpha), beta) == minor(f, compose_minors(alpha, beta))
-
-
-def test_evaluation_minor_coherence():
-    rng = random.Random(43)
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        f = PolyTable(n, 3, tuple(rng.randrange(3) for _ in range(1 << n)))
-        alpha = MinorMap(n, m, tuple(rng.randint(1, m) for _ in range(n)))
-        g = minor(f, alpha)
-        for mask in range(1 << m):
-            x = CoordSet.from_mask(m, mask)
-            assert evaluate_on_set(g, x) == evaluate_on_set(f, preimage_set(alpha, x))
-
-
-def test_preimage_examples():
-    const = MinorMap(3, 1, (1, 1, 1))
-    assert preimage_set(const, CoordSet(1, frozenset({1}))).members == {1, 2, 3}
-    ident = identity_minor(4)
-    x = CoordSet(4, frozenset({2, 4}))
-    assert preimage_set(ident, x) == x
-    alpha = MinorMap(3, 2, (2, 1, 2))
-    assert preimage_set(alpha, CoordSet(2, frozenset({2}))).members == {1, 3}
-
-
 def test_pull_masks_are_preimages():
-    # minor, preimage_set and verify_selector read these tables; the oracle
+    # verify_selector reads these tables as minors and selection images; the oracle
     # scans the mapping directly, over every map up to the default arity cap
     for n in range(1, 6):
         for m in range(1, 6):
@@ -214,23 +143,6 @@ def test_orbit_permutations_rename_coordinates():
     # the tables share one int object per mask
     tables = orbit_permutations(9)
     assert len({id(v) for table in tables for v in table}) == 512
-
-
-def test_i_sets_examples():
-    at3 = alternating_threshold()
-    ones = i_sets(at3, 1, 1)
-    assert [sorted(c.members) for c in ones] == [[1], [3]]
-    d1 = dictator(3, 1)
-    assert [sorted(c.members) for c in i_sets(d1, 1, 1)] == [[1]]
-    constant0 = PolyTable(3, 2, (0,) * 8)
-    assert i_sets(constant0, 1, 3) == []
-
-
-def test_i_sets_canonical_order():
-    at3 = alternating_threshold()
-    all_ones = i_sets(at3, 1, 3)
-    keys = [(len(c.members), sorted(c.members)) for c in all_ones]
-    assert keys == sorted(keys)
 
 
 def test_enumerate_unary_one_in_three():
@@ -274,7 +186,8 @@ def test_enumerated_minors_stay_polymorphisms():
     for f in rng.sample(tables, 20):
         m = rng.randint(1, 3)
         alpha = MinorMap(3, m, tuple(rng.randint(1, m) for _ in range(3)))
-        assert is_polymorphism(minor(f, alpha), template)
+        g = PolyTable(m, 3, tuple(f.values[p] for p in alpha.pull()))
+        assert is_polymorphism(g, template)
 
 
 def test_enumerate_non_symmetric_target_matches_brute_force():
@@ -326,20 +239,6 @@ def test_enumerate_arity_cap():
             warnings.simplefilter("always")
             next(enumerate_tables(pair("1in3", "1in3"), 6, force=True))
         assert not caught, enumerate_tables
-
-
-def test_minor_chain_validation():
-    f = alternating_threshold()
-    alpha = MinorMap(3, 2, (1, 1, 2))
-    g = minor(f, alpha)
-    beta = MinorMap(2, 1, (1, 1))
-    h = minor(g, beta)
-    chain = MinorChain((f, g, h), (alpha, beta))
-    assert chain.composed_map(0, 2) == compose_minors(alpha, beta)
-    assert chain.composed_map(1, 1) == identity_minor(2)
-    assert minor(f, chain.composed_map(0, 2)) == h
-    with pytest.raises(ValueError):
-        MinorChain((f, g, g), (alpha, beta))
 
 
 def test_table_text_round_trip():

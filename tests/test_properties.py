@@ -16,7 +16,7 @@ from loop_properties import LOOP_PREDICATES
 import pcsplab.properties as properties_module
 from pcsplab.cli import main
 from pcsplab.errors import ArityBoundError, TimeBudgetExceeded
-from pcsplab.polymorphisms import PolyTable, dictator, enumerate_orbits, enumerate_polymorphisms
+from pcsplab.polymorphisms import PolyTable, enumerate_orbits, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
     SELECTOR_CATALOG,
@@ -27,10 +27,8 @@ from pcsplab.properties import (
     _greedy_clique,
     check_properties,
     chromatic_number,
-    compute_Ef,
     kneser_graph,
     properties_for_template,
-    selector_rule,
     verify_selector,
 )
 from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
@@ -40,31 +38,12 @@ def pair(src, tgt):
     return TemplatePair(named_template(src), named_template(tgt))
 
 
-def test_compute_Ef_dictator():
-    template = pair("1in3", "T1")
-    d1 = dictator(4, 1, 3)
-    e, i = compute_Ef(d1)
-    assert sorted(e.members) == [1]
-    assert sorted(i.members) == [2, 3, 4]
-
-
-def test_compute_Ef_all_zero_singletons():
-    f = PolyTable(3, 3, (0, 0, 0, 1, 0, 1, 1, 1))  # singleton masks 1, 2, 4 all zero
-    e, _ = compute_Ef(f)
-    assert e.members == frozenset()
-
-
-def test_compute_Ef_requires_three_colors():
-    with pytest.raises(ValueError):
-        compute_Ef(dictator(3, 1))
-
-
 def test_Ef_odd_for_enumerated_t1_polymorphisms():
     template = pair("1in3", "T1")
     for values in enumerate_polymorphisms(template, 3):
         if values[0] == 0:
-            e, _ = compute_Ef(PolyTable(3, 3, values))
-            assert len(e.members) % 2 == 1
+            e = sum(1 for i in range(3) if values[1 << i] != 0)
+            assert e % 2 == 1
 
 
 def test_kneser_graph_petersen():
@@ -387,9 +366,9 @@ def test_selector_rules_total_and_bounded():
         template = pair("1in3", spec.template_name)
         for n in (1, 2, 3):
             for values in enumerate_polymorphisms(template, n):
-                chosen = selector_rule(spec, PolyTable(n, template.target.domain_size, values))
+                chosen = spec.rule(values, n)
                 assert chosen is not None
-                assert len(chosen.members) <= spec.k
+                assert chosen.bit_count() <= spec.k
 
 
 def test_selector_d1_tie_breaking():
@@ -397,8 +376,8 @@ def test_selector_d1_tie_breaking():
     spec = SELECTOR_CATALOG["SEL_D1"]
     template = pair("1in3", "D1plus")
     for values in enumerate_polymorphisms(template, 3):
-        chosen = selector_rule(spec, PolyTable(3, 3, values))
-        if values[chosen.mask] == 1:
+        chosen = spec.rule(values, 3)
+        if values[chosen] == 1:
             assert all(values[m] != 2 for m in range(8) if bin(m).count("1") <= 3)
 
 
@@ -414,8 +393,9 @@ def test_selector_d1_tie_breaking():
 )
 def test_selector_rule_fallbacks(name, target_size, values, expected):
     # hand-built arity-2 tables, not polymorphisms, that reach each rule's last branches
-    chosen = selector_rule(SELECTOR_CATALOG[name], PolyTable(2, target_size, values))
-    assert (None if chosen is None else set(chosen.members)) == expected
+    table = PolyTable(2, target_size, values)
+    chosen = SELECTOR_CATALOG[name].rule(table.values, table.arity)
+    assert (None if chosen is None else {i + 1 for i in range(2) if chosen >> i & 1}) == expected
 
 
 def test_verify_selectors_hold_at_arity_two():
