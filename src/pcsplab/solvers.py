@@ -8,9 +8,12 @@ edge all-equal because its three integers sum to 1.
 
 Both matrices are a few per cent non-zero: `gauss_gf3` packs each row into
 two integer bitplanes (bit-slicing, Boothby and Bradshaw 2009) and
-`hnf_solve` keeps each column as a dict of its non-zero entries.  Each does
-the operations of the dense kernels in `tests/loop_solvers.py` in the same
-order, so every answer is theirs.
+`hnf_solve` keeps each column as a dict of its non-zero entries.  Both
+return the answers of the dense kernels in `tests/loop_solvers.py`:
+`hnf_solve` does their operations in the same order, which its x depends
+on; `gauss_gf3` does not, but its pivot columns are the greedy leftmost
+independent set, its free variables are 0, and the reduced echelon form
+is unique.
 """
 
 from __future__ import annotations
@@ -96,9 +99,9 @@ def generate_planted(nv: int, ne: int, seed: int) -> tuple[Instance, dict[int, i
     edges = []
     for _ in range(ne):
         one = ones[rng.next_below(len(ones))]
-        z1 = zeros[rng.next_below(len(zeros))]
-        rest = [z for z in zeros if z != z1]
-        z2 = rest[rng.next_below(len(rest))]
+        i1 = rng.next_below(len(zeros))
+        i2 = rng.next_below(len(zeros) - 1)  # an index into zeros without z1
+        z1, z2 = zeros[i1], zeros[i2 + (i2 >= i1)]
         pos = rng.next_below(3)
         edge = [z1, z2]
         edge.insert(pos, one)
@@ -114,48 +117,55 @@ class GF3System:
 
 
 def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
-    """Gauss-Jordan elimination modulo 3; free variables are set to 0.
+    """Gaussian elimination modulo 3; free variables are set to 0.
 
     Each row is two bitplanes (p, m): bit c of p is set iff the coefficient
     of column c is 1, bit c of m iff it is 2, and bit nv holds the
     right-hand side.  Negating a row swaps its planes, and adding one row
-    into another is a dozen bitwise operations on whole planes.  The pivot
-    of each column is the first row at or after the rank with a non-zero
-    entry there, as in a dense elimination, so the reduced echelon form and
-    the solution are those of the dense rows (`tests/loop_solvers.py`).
+    into another is a dozen bitwise operations on whole planes.  Rows wait
+    in buckets by their lowest non-zero column: a column's first row is its
+    pivot, adding it into the others moves them to higher buckets, and a
+    row left with only a right-hand side has no solution.  Back-substitution
+    runs from the highest pivot down.  The pivot columns are the greedy
+    leftmost independent set and the reduced echelon form is unique, so the
+    solution is the dense one in `tests/loop_solvers.py`.
     """
-    rows = []
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    pending = []
     for (i, j, k), rhs in system.rows:
         e = (i, j, k)
         p = sum(1 << (v - 1) for v in set(e) if e.count(v) == 1)
         m = sum(1 << (v - 1) for v in set(e) if e.count(v) == 2)  # three times is 0
-        rows.append((p | (rhs % 3 == 1) << nv, m | (rhs % 3 == 2) << nv))
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(nv):
-        bit = 1 << col
-        pivot = next((r for r in range(rank, len(rows)) if (rows[r][0] | rows[r][1]) & bit), None)
-        if pivot is None:
+        pending.append((p | (rhs % 3 == 1) << nv, m | (rhs % 3 == 2) << nv))
+    pivots = []
+    for col in range(nv + 1):
+        for p, m in pending:  # file each row under its lowest non-zero column
+            low = ((p | m) & -(p | m)).bit_length() - 1
+            if low == nv:  # only the right-hand side is left: 0 = non-zero
+                return None
+            if low >= 0:
+                buckets.setdefault(low, []).append((p, m))
+        pending = buckets.pop(col, [])
+        if not pending:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        if rows[rank][1] & bit:  # times the inverse of 2, that is negated
-            rows[rank] = rows[rank][::-1]
-        ap, am = rows[rank]
+        (ap, am), *pending = pending
+        if am >> col & 1:  # times the inverse of 2, that is negated
+            ap, am = am, ap
+        pivots.append((col, ap, am))
         keep = ~(ap | am)
-        for r, (q, n) in enumerate(rows):
-            if r != rank and (q | n) & bit:
-                # subtract the pivot row times the entry: add its negation for 1, itself for 2
-                bp, bm = (am, ap) if q & bit else (ap, am)
-                skip = ~(q | n)
-                rows[r] = ((q & keep) | (bp & skip) | (n & bm), (n & keep) | (bm & skip) | (q & bp))
-        pivot_of_col[col] = rank
-        rank += 1
-    if any((p | m) >> nv for p, m in rows[rank:]):
-        return None
-    solution = [0] * nv
-    for col, r in pivot_of_col.items():
-        solution[col] = (rows[r][0] >> nv) + 2 * (rows[r][1] >> nv)
-    return solution
+        for i, (q, n) in enumerate(pending):
+            # subtract the pivot row times the entry: add its negation for 1, itself for 2
+            bp, bm = (am, ap) if q >> col & 1 else (ap, am)
+            skip = ~(q | n)
+            pending[i] = ((q & keep) | (bp & skip) | (n & bm), (n & keep) | (bm & skip) | (q & bp))
+    ones = twos = 0  # the solution as bitplanes
+    for col, p, m in reversed(pivots):
+        # x_col = rhs minus the row's other entries times x, with 2 = -1
+        x = (p >> nv) - (m >> nv) - (p & ones).bit_count() - (m & twos).bit_count()
+        x += (p & twos).bit_count() + (m & ones).bit_count()
+        ones |= (x % 3 == 1) << col
+        twos |= (x % 3 == 2) << col
+    return [(ones >> c & 1) + 2 * (twos >> c & 1) for c in range(nv)]
 
 
 def solve_t2(instance: Instance) -> dict[int, int] | None:

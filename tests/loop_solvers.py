@@ -3,9 +3,12 @@
 `gauss_gf3` keeps one list of residues per row and `hnf_solve` one list per
 column (column of A, then column of the transform T).  The kernels of the
 same name in `pcsplab.solvers` store GF(3) rows as two bitplanes and HNF
-columns as dicts of their non-zero entries, but perform the same operations
-in the same order; `test_solvers_match_dense_references` requires equal
-outputs, element for element.
+columns as dicts of their non-zero entries; `test_solvers_match_dense_references`
+requires equal outputs, element for element.  The packed `hnf_solve`
+performs the same operations in the same order, which its x depends on.
+The packed `gauss_gf3` eliminates in another order, but its pivot columns
+are the greedy leftmost independent set, its free variables are 0, and the
+reduced echelon form is unique, so it returns the same solution.
 """
 
 from pcsplab.solvers import GF3System, IntAffineSystem

@@ -8,8 +8,15 @@ import pytest
 from pcsplab.cli import main
 from pcsplab.errors import FormatError
 from pcsplab.polymorphisms import dictator, format_poly_table, parse_poly_table
-from pcsplab.solvers import format_instance, Instance, parse_instance
-from pcsplab.structures import parse_structure
+from pcsplab.solvers import (
+    Instance,
+    format_coloring,
+    format_instance,
+    generate_planted,
+    parse_instance,
+    solve_via_relaxation,
+)
+from pcsplab.structures import named_template, parse_structure
 
 
 def run(capsys, *argv):
@@ -218,6 +225,44 @@ def test_gen_solve_pinned(monkeypatch, capsys):
     assert sha.hexdigest() == GEN_SOLVE_DIGEST
 
 
+# SHA-256 of `gen` stdout, recorded before the second zero of an edge was
+# drawn by index into the zeros
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("240", "180", "7"), "40a38af43802c24513a82eda9c53e546637032a80fed56551fb6b7a31784fdc1"),
+        (("1000", "2000", "3"), "7c236409b6e098086c35c163f08aad29e90976a6af2f8e7883ad2a9325843909"),
+    ],
+)
+def test_gen_stdout_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_successive_calls(monkeypatch, capsys):
+    # main() parses every call with the module's one parser: no option of one
+    # call may leak into the next.  Both routes reach C, with different colorings.
+    instance, planted = generate_planted(20, 30, 1)
+    outputs = {}
+    for route, prefer in (("nae", ("--prefer", "nae")), ("t2", ())):
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_instance(instance, planted)))
+        code, outputs[route], _ = run(capsys, "solve", "C", *prefer)
+        assert code == 0
+        assert outputs[route] == format_coloring(solve_via_relaxation(instance, named_template("C"), prefer=route))
+    assert outputs["nae"] != outputs["t2"]
+
+    code, out, _ = run(capsys, "hom", "lattice", "--all3")
+    assert code == 0 and out.count(" [label=") == 21
+    code, out, _ = run(capsys, "hom", "lattice")
+    assert code == 0 and out.count(" [label=") == 19
+
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "T2", "--prefer", "sat"])
+    assert exc.value.code == 2 and "--prefer" in capsys.readouterr().err
+    code, out, _ = run(capsys, "template", "classify", "T2")
+    assert (code, out) == (0, "P\n")
+
+
 def test_solve_insoluble_edge(tmp_path, capsys):
     path = tmp_path / "bad.hyp"
     path.write_text(format_instance(Instance(1, ((1, 1, 1),))))
@@ -365,10 +410,6 @@ def test_poly_verify_appendix_b_json(capsys):
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):
-    import io
-
-    from pcsplab.solvers import format_instance, generate_planted
-
     instance, planted = generate_planted(6, 8, 99)
     monkeypatch.setattr("sys.stdin", io.StringIO(format_instance(instance, planted)))
     code = main(["solve", "NAE"])

@@ -198,6 +198,17 @@ def test_solver_outputs_pinned(name, solve, nones, digest):
     assert hashlib.sha256(json.dumps(solutions).encode()).hexdigest() == digest
 
 
+def test_gauss_gf3_large_planted_pinned():
+    # SHA-256 of the JSON list of solutions, recorded before the elimination
+    # filed its rows in buckets by lowest column
+    solutions = []
+    for seed in (1, 2, 3):
+        instance = generate_planted(1000, 2000, seed)[0]
+        solutions.append(gauss_gf3(GF3System(tuple((e, 1) for e in instance.edges)), 1000))
+    digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
+    assert digest == "d8a22f31ff28b4dcb7008d5989e67ed38d57f8b582c71dc069dcd9ec0c593c3e"
+
+
 def differential_cases():
     """(nv, rows, right-hand sides): 3,000 random small systems, then planted ones.
 
