@@ -8,12 +8,13 @@ edge all-equal because its three integers sum to 1.
 
 Both matrices are a few per cent non-zero: `gauss_gf3` packs each row into
 two integer bitplanes (bit-slicing, Boothby and Bradshaw 2009) and
-`hnf_solve` keeps each column as a dict of its non-zero entries.  Both
+`hnf_solve` keeps each column of A as a dict of its non-zero entries.  Both
 return the answers of the dense kernels in `tests/loop_solvers.py`:
-`hnf_solve` does their operations in the same order, which its x depends
-on; `gauss_gf3` does not, but its pivot columns are the greedy leftmost
-independent set, its free variables are 0, and the reduced echelon form
-is unique.
+`hnf_solve` chooses their column operations in the same order, which its x
+depends on, but stores no transform: it applies the recorded operations to
+y last to first; `gauss_gf3` eliminates in another order, but its pivot
+columns are the greedy leftmost independent set, its free variables are 0,
+and the reduced echelon form is unique.
 """
 
 from __future__ import annotations
@@ -191,31 +192,30 @@ class IntAffineSystem:
 def hnf_solve(system: IntAffineSystem) -> list[int] | None:
     """An integer solution of A x = 1 via column reduction, or None.
 
-    Column j is one dict of its non-zero entries: rows 0..m-1 hold column j
-    of A and rows m..m+n-1 column j of a unimodular transform T that starts
-    as the identity, so each column operation acts on A T and T at once.
-    Once each row has at most one pivot, back-substitution solves
-    (A T) y = 1 with exact divisibility (free parameters 0), and x = T y.
-    The choice of each operation and their order are those of dense columns
-    (`tests/loop_solvers.py`), so the solution is the same; the matrices are
-    a few per cent non-zero, and the dicts skip the zeros.
+    Column j of A is one dict of its non-zero entries.  Each column operation
+    is recorded as applied: (s, t, f) adds f times column s into column t,
+    (a, b) swaps two columns, (c,) negates one; their product is a unimodular
+    T.  Once each row has at most one pivot, back-substitution solves
+    (A T) y = 1 with exact divisibility (free parameters 0), and x = T y comes
+    from applying the operations to y last to first.  The choice of each
+    operation and their order are those of dense columns
+    (`tests/loop_solvers.py`), so the solution is the same.
     """
     m = len(system.rows)
     n = system.variable_count
-    cols: list[dict[int, int]] = [{m + j: 1} for j in range(n)]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
     for r, (i, j, k) in enumerate(system.rows):
         for v in (i, j, k):
             cols[v - 1][r] = cols[v - 1].get(r, 0) + 1
 
+    ops: list[tuple[int, ...]] = []
     pivots: dict[int, int] = {}  # row -> pivot column
     col = 0
     for row in range(m):
         if col >= n:
             break
-        while True:
-            nonzero = [j for j in range(col, n) if row in cols[j]]
-            if len(nonzero) <= 1:
-                break
+        nonzero = [j for j in range(col, n) if row in cols[j]]
+        while len(nonzero) > 1:
             best = min(nonzero, key=lambda j: (abs(cols[j][row]), j))
             source = cols[best]
             for j in nonzero:
@@ -229,29 +229,41 @@ def hnf_solve(system: IntAffineSystem) -> list[int] | None:
                             target[idx] = a
                         else:
                             del target[idx]
+                    ops.append((best, j, f))
+            # the row's operations touch only these columns; the order stays ascending
+            nonzero = [j for j in nonzero if row in cols[j]]
         if not nonzero:
             continue
         if nonzero[0] != col:
             cols[nonzero[0]], cols[col] = cols[col], cols[nonzero[0]]
+            ops.append((nonzero[0], col))
         if cols[col][row] < 0:
             cols[col] = {idx: -a for idx, a in cols[col].items()}
+            ops.append((col,))
         pivots[row] = col
         col += 1
 
-    acc = [0] * (m + n)  # sum of y_j times column j: A T y in rows 0..m-1, then x = T y
+    acc = [0] * m  # A T y, row by row
+    y = [0] * n
     for row in range(m):
         residual = 1 - acc[row]
         if residual:
             j = pivots.get(row)
             if j is None or residual % cols[j][row]:
                 return None
-            yj = residual // cols[j][row]
+            y[j] = residual // cols[j][row]
             for idx, a in cols[j].items():
-                acc[idx] += a * yj
-    solution = acc[m:]
+                acc[idx] += a * y[j]
+    for op in reversed(ops):  # x = T y, T the product of the operations in order
+        if len(op) == 3:
+            y[op[0]] += op[2] * y[op[1]]
+        elif len(op) == 2:
+            y[op[0]], y[op[1]] = y[op[1]], y[op[0]]
+        else:
+            y[op[0]] = -y[op[0]]
     for i, j, k in system.rows:
-        assert solution[i - 1] + solution[j - 1] + solution[k - 1] == 1
-    return solution
+        assert y[i - 1] + y[j - 1] + y[k - 1] == 1
+    return y
 
 
 def solve_nae(instance: Instance) -> dict[int, int] | None:

@@ -269,8 +269,9 @@ def _maps(source: RelStructure, target: RelStructure, order, images, injective: 
         rank[x] = i
     checks = [[] for _ in range(n)]  # i -> (tuple, allowed) pairs completed by position i
     for rel_x, rel_b in zip(source.relations, target.relations):
+        allowed = rel_b.as_set
         for t in rel_x.tuples:
-            checks[max(rank[x] for x in t)].append((t, rel_b.as_set))
+            checks[max(map(rank.__getitem__, t))].append((t, allowed))
     h = [-1] * n
     pending = [iter(images[order[0]])] + [None] * (n - 1)  # pending[i] yields the images still to try at position i
     i = 0
@@ -281,7 +282,7 @@ def _maps(source: RelStructure, target: RelStructure, order, images, injective: 
                 continue
             h[x] = v
             for t, allowed in checks[i]:
-                if tuple(h[y] for y in t) not in allowed:
+                if tuple(map(h.__getitem__, t)) not in allowed:
                     break
             else:
                 if i == n - 1:

@@ -2,10 +2,12 @@
 
 `gauss_gf3` keeps one list of residues per row and `hnf_solve` one list per
 column (column of A, then column of the transform T).  The kernels of the
-same name in `pcsplab.solvers` store GF(3) rows as two bitplanes and HNF
-columns as dicts of their non-zero entries; `test_solvers_match_dense_references`
-requires equal outputs, element for element.  The packed `hnf_solve`
-performs the same operations in the same order, which its x depends on.
+same name in `pcsplab.solvers` store GF(3) rows as two bitplanes and the
+columns of A alone as dicts of their non-zero entries;
+`test_solvers_match_dense_references` requires equal outputs, element for
+element.  The packed `hnf_solve` chooses the same operations in the same
+order, which its x depends on, records them instead of applying them to T,
+and applies them to y last to first, which gives the same x = T y.
 The packed `gauss_gf3` eliminates in another order, but its pivot columns
 are the greedy leftmost independent set, its free variables are 0, and the
 reduced echelon form is unique, so it returns the same solution.

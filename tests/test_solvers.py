@@ -209,6 +209,32 @@ def test_gauss_gf3_large_planted_pinned():
     assert digest == "d8a22f31ff28b4dcb7008d5989e67ed38d57f8b582c71dc069dcd9ec0c593c3e"
 
 
+def test_hnf_solve_larger_planted_pinned():
+    # SHA-256 of the JSON list of solutions, recorded while the reduction still
+    # carried the transform T in every column
+    solutions = [hnf_solve(IntAffineSystem(400, generate_planted(400, 800, seed)[0].edges)) for seed in (2, 3, 4, 5)]
+    digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
+    assert digest == "f2122b545a45210b886e208ec1bbd8133af066536a0615d22164c2681203eda3"
+
+
+# Systems whose reduction needs each kind of recorded column operation, checked
+# once with a copy of hnf_solve that logged the kinds it applied.
+REPLAY_CASES = [
+    # row 0 holds 2 for x1 and 1 for x2: add -2 times x2's column into x1's, then swap them
+    ("swap", IntAffineSystem(2, ((1, 1, 2),))),
+    # after row 0, row 1 holds -1 for x2 and -2 for x3: add -2 times x2's column into x3's, then negate x2's
+    ("negation", IntAffineSystem(3, ((1, 2, 3), (1, 1, 2)))),
+    # rows 0 and 1 swap; row 2 holds 5 and -2, then -1 and -2, so two Euclid steps, then a negation
+    ("two_euclid_steps", IntAffineSystem(4, ((1, 1, 2), (2, 3, 4), (1, 3, 3)))),
+]
+
+
+@pytest.mark.parametrize("system", [c[1] for c in REPLAY_CASES], ids=[c[0] for c in REPLAY_CASES])
+def test_hnf_solve_replays_each_operation_kind(system):
+    x = hnf_solve(system)
+    assert x is not None and x == loop_solvers.hnf_solve(system)
+
+
 def differential_cases():
     """(nv, rows, right-hand sides): 3,000 random small systems, then planted ones.
 
