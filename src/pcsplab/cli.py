@@ -15,7 +15,7 @@ import sys
 from . import properties as props
 from . import solvers, structures, symmetric
 from .errors import FormatError, PcspError, TimeBudgetExceeded
-from .homs import check_coloring, hom_lattice, hom_order_compare, lattice_to_dot
+from .homs import hom_lattice, hom_order_compare, lattice_to_dot
 from .polymorphisms import (
     DEFAULT_ARITY_CAP,
     enumerate_polymorphisms,
@@ -171,8 +171,8 @@ def _appendix_b(as_json: bool = False) -> int:
         print(json.dumps(payload))
         return 0 if all(c.complete for c in certificates) else 1
     print(f"arity-23 replay over CHplus, seed f({head.seed_weight}) = {head.seed_color}")
-    for line in symmetric.PropagationTrace(head.forced).format_lines():
-        print(line)
+    for e in head.forced:
+        print(f"force f({e.cell}) = {e.color} via {e.triple}")
     print(f"contradiction at f({head.contradiction_weight})")
     for color, trace in head.refutations:
         contradiction = trace.contradiction
@@ -250,7 +250,6 @@ def _cmd_solve(args) -> int:
     if coloring is None:
         print(f"no {args.target}-coloring found; promise violated or instance hard")
         return 1
-    assert check_coloring(instance, coloring, target)
     sys.stdout.write(solvers.format_coloring(coloring))
     return 0
 

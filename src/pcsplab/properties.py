@@ -620,9 +620,7 @@ def _sel_d2(f, n):
     if m is not None:
         return m
     if f[0] == 0:
-        for x in range(n):
-            if f[1 << x] == 1:
-                return 1 << x
+        return _first_mask(f, n, 1, 1)
     if f[0] == 1:
         return _first_mask(f, n, 0, 2)
     return None
@@ -647,10 +645,7 @@ def _sel_ch(f, n):
     m = _first_mask(f, n, (i + 3) % 4, 2)
     if m is not None:
         return m
-    for x in range(n):
-        if f[1 << x] == (i + 1) % 4:
-            return 1 << x
-    return None
+    return _first_mask(f, n, (i + 1) % 4, 1)
 
 
 @dataclass(frozen=True)
@@ -707,10 +702,12 @@ def verify_selector(
 ) -> SelectorReport:
     """Search for a minor chain of length spec.l whose selections never meet.
 
+    The rule selects once per enumerated table, in stream order, before the
+    search; totality and bound failures are listed in (arity, stream) order.
     States carry the current table plus the forward images of every earlier
     selection; an extension whose new selection meets any image already
     witnesses the required intersection, so only image-avoiding extensions
-    are explored (with memoization).  Any completed avoiding chain is a
+    are explored, memoised per state.  Any completed avoiding chain is a
     violation.  Each map is read through its pull and push tables, built
     once per call: the minor is g[X] = f[pull[X]] and a selection x moves
     forward to push[x].
@@ -725,26 +722,14 @@ def verify_selector(
         raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}")
     start = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    polys = {}
+    selections: dict[int, dict[tuple[int, ...], int | None]] = {}
     for n in range(1, max_arity + 1):
         left = None if deadline is None else deadline - time.monotonic()
-        polys[n] = list(enumerate_polymorphisms(template, n, time_budget=left))
-    poly_sets = {n: set(polys[n]) for n in polys}
-
-    sel_cache: dict[tuple, int | None] = {}
-    totality_failures: list[tuple[int, tuple[int, ...]]] = []
-    bound_failures: list[tuple[int, tuple[int, ...]]] = []
-
-    def get_sel(values, n):
-        key = (n, values)
-        if key not in sel_cache:
-            mask = spec.rule(values, n)
-            if mask is None:
-                totality_failures.append((n, values))
-            elif mask.bit_count() > spec.k:
-                bound_failures.append((n, values))
-            sel_cache[key] = mask
-        return sel_cache[key]
+        tables = enumerate_polymorphisms(template, n, time_budget=left)
+        selections[n] = {values: spec.rule(values, n) for values in tables}
+    chosen = [(n, v, mask) for n, sels in selections.items() for v, mask in sels.items()]
+    totality_failures = [(n, v) for n, v, mask in chosen if mask is None]
+    bound_failures = [(n, v) for n, v, mask in chosen if mask is not None and mask.bit_count() > spec.k]
 
     all_maps = {n: [] for n in range(1, max_arity + 1)}
     for n, m in itertools.product(all_maps, repeat=2):
@@ -769,9 +754,9 @@ def verify_selector(
         result = None
         for m, mapping, pull, push in all_maps[n]:
             g = tuple([values[p] for p in pull])  # a generator would over-allocate each tuple
-            if g not in poly_sets[m]:
+            if g not in selections[m]:
                 raise AssertionError("minor of a polymorphism left the enumerated stream")
-            sel_g = get_sel(g, m)
+            sel_g = selections[m][g]
             if sel_g is None:
                 continue
             images = [push[x] for x in frontier]
@@ -785,9 +770,8 @@ def verify_selector(
         return result
 
     violations: list[tuple] = []
-    for n in range(1, max_arity + 1):
-        for values in polys[n]:
-            sel0 = get_sel(values, n)
+    for n, sels in selections.items():
+        for values, sel0 in sels.items():
             if sel0 is None:
                 continue
             suffix = extend(values, n, [sel0], spec.l)

@@ -83,15 +83,6 @@ class PropagationTrace:
     def forced(self) -> list[ForceEvent]:
         return [e for e in self.events if isinstance(e, ForceEvent)]
 
-    def format_lines(self) -> list[str]:
-        lines = []
-        for e in self.events:
-            if isinstance(e, ForceEvent):
-                lines.append(f"force f({e.cell}) = {e.color} via {e.triple}")
-            else:
-                lines.append(f"contradiction at f({e.cell})")
-        return lines
-
     def to_dict(self) -> dict:
         events = []
         for e in self.events:

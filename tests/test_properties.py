@@ -398,6 +398,46 @@ def test_selector_rule_fallbacks(name, target_size, values, expected):
     assert (None if chosen is None else {i + 1 for i in range(2) if chosen >> i & 1}) == expected
 
 
+def _loop_sel_d2(f, n):
+    # the rule with its singleton scan as a plain loop
+    m = properties_module._first_mask(f, n, 2, 2)
+    if m is not None:
+        return m
+    if f[0] == 0:
+        for x in range(n):
+            if f[1 << x] == 1:
+                return 1 << x
+    if f[0] == 1:
+        return properties_module._first_mask(f, n, 0, 2)
+    return None
+
+
+def _loop_sel_ch(f, n):
+    i = f[0]
+    m = properties_module._first_mask(f, n, (i + 3) % 4, 2)
+    if m is not None:
+        return m
+    for x in range(n):
+        if f[1 << x] == (i + 1) % 4:
+            return 1 << x
+    return None
+
+
+def test_selector_rules_match_loops_on_random_tables():
+    rng = random.Random(26)
+    cases = {"SEL_D2": (3, _loop_sel_d2), "SEL_CH": (4, _loop_sel_ch)}
+    found = {name: set() for name in cases}
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        for name, (k, loop) in cases.items():
+            values = tuple(rng.randrange(k) for _ in range(1 << n))
+            chosen = SELECTOR_CATALOG[name].rule(values, n)
+            assert chosen == loop(values, n), (name, values)
+            found[name].add(None if chosen is None else chosen.bit_count())
+    # both rules pick single coordinates and fall through to None on some tables
+    assert all({None, 1} <= sizes for sizes in found.values())
+
+
 def test_verify_selectors_hold_at_arity_two():
     for spec in SELECTOR_CATALOG.values():
         template = pair("1in3", spec.template_name)
@@ -448,6 +488,23 @@ def test_verify_selector_violation_chains_pinned():
         del data["elapsed_ms"]
         assert (data["states_explored"], len(data["violations"])) == (states, chains)
         assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
+
+
+def test_verify_selector_failures_in_arity_then_stream_order():
+    template = pair("1in3", "T1")
+    last_unary = list(enumerate_polymorphisms(template, 1))[-1]
+    calls = []
+
+    def rule(values, n):
+        calls.append((n, values))
+        return None if n == 2 or values == last_unary else 1
+
+    spec = replace(SELECTOR_CATALOG["SEL_T1"], rule=rule)
+    report = verify_selector(template, spec, 2)
+    stream = [(n, v) for n in (1, 2) for v in enumerate_polymorphisms(template, n)]
+    assert calls == stream  # one rule call per table, in stream order
+    assert list(report.totality_failures) == [(n, v) for n, v in stream if rule(v, n) is None]
+    assert not report.bound_failures
 
 
 def test_verify_selector_report_shape():
