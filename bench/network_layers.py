@@ -1,0 +1,138 @@
+"""Time the layers of a polymorphism search, phase by phase, for one or more source trees.
+
+    python bench/network_layers.py --src parent=../parent/src --src change=src --runs 5 --out BENCH.json
+
+A search on coordinate blocks goes through four phases: the sorted cell
+triples (`polymorphisms._partition_triples`), the `_network.Network` built on
+them, the depth-first search for the first table (`Network.solutions`), and
+the answer check of that table (`polymorphisms._table_holds`).  Each case
+below times each phase; a phase that a case does not reach is left out.
+
+Every run is one fresh interpreter per source tree, so no row or cache built
+by one run is seen by the next, and the order of the trees alternates from
+run to run.  The output gives, per case and tree, the median of the runs for
+each phase in seconds and the work counters (triples, nodes), which must
+repeat exactly across runs and trees for the times to compare the same work.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+# (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at
+# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only
+CASES = (
+    ("NAE (31, 30)", "NAE", (31, 30), ("triples", "network", "solutions", "check")),
+    ("CHplus (23, 24)", "CHplus", (23, 24), ("triples", "network", "solutions", "check")),
+    ("T2 (2000,)", "T2", (2000,), ("triples", "network")),
+)
+
+
+def measure_once() -> dict:
+    """One run of every case in this interpreter: {case: {"s": {phase: seconds}, "counters": {...}}}."""
+    from pcsplab._network import Network
+    from pcsplab.polymorphisms import _partition_triples, _table_holds, allowed_table
+    from pcsplab.structures import TemplatePair, named_template
+    from pcsplab.symmetric import _block_branch_order, _wlog_colors
+
+    out = {}
+    for label, target, blocks, phases in CASES:
+        template = TemplatePair(named_template("1in3"), named_template(target))
+        allowed = allowed_table(template.target)
+        order = _block_branch_order(*blocks) if len(blocks) == 2 else range(blocks[0] + 1)
+        ncells = 1
+        for size in blocks:
+            ncells *= size + 1
+        s, counters = {}, {}
+        start = time.perf_counter()
+        triples = _partition_triples(blocks)
+        s["triples"] = time.perf_counter() - start
+        counters["triples"] = len(triples)
+        start = time.perf_counter()
+        net = Network(ncells, triples, order, allowed)
+        s["network"] = time.perf_counter() - start
+        if "solutions" in phases:
+            wlog = _wlog_colors(template.target)
+            start = time.perf_counter()
+            values = next(net.solutions(wlog, None), None)
+            s["solutions"] = time.perf_counter() - start
+            counters["nodes"] = net.nodes
+            counters["found"] = values is not None
+            if values is not None and "check" in phases:
+                start = time.perf_counter()
+                holds = _table_holds(template, blocks, template.target.domain_size, values)
+                s["check"] = time.perf_counter() - start
+                if not holds:
+                    raise SystemExit(f"{label}: the found table fails the answer check")
+        out[label] = {"s": s, "counters": counters}
+    return out
+
+
+def run_tree(path: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(path), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child"], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", required=True, metavar="LABEL=PATH", help="a source tree to measure")
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    args = parser.parse_args(argv)
+    if args.runs < 5:
+        parser.error("--runs must be at least 5: the ledger gives medians of at least 5 runs")
+    trees = []
+    for item in args.src:
+        label, sep, path = item.partition("=")
+        if not sep or not os.path.isdir(os.path.join(path, "pcsplab")):
+            parser.error(f"--src {item!r}: expected LABEL=PATH with PATH holding pcsplab/")
+        trees.append((label, path))
+    samples = {label: [] for label, _ in trees}
+    for run in range(args.runs):
+        for label, path in trees if run % 2 == 0 else trees[::-1]:
+            samples[label].append(run_tree(path))
+            print(f"run {run + 1}/{args.runs} {label} done", file=sys.stderr)
+    cases = {}
+    for case, _, _, phases in CASES:
+        cases[case] = {}
+        for label, runs in samples.items():
+            counters = [r[case]["counters"] for r in runs]
+            if any(c != counters[0] for c in counters):
+                raise SystemExit(f"{case} / {label}: work counters changed between runs: {counters}")
+            medians = {}
+            for phase in phases:
+                times = [r[case]["s"][phase] for r in runs if phase in r[case]["s"]]
+                if times:
+                    medians[phase] = round(statistics.median(times), 4)
+            cases[case][label] = {"median_s": medians, "counters": counters[0]}
+    ledger = {
+        "script": "bench/network_layers.py",
+        "runs": args.runs,
+        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "cases": cases,
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(ledger, handle, indent=2)
+        handle.write("\n")
+    for case, by_tree in cases.items():
+        for label, entry in by_tree.items():
+            phases = " ".join(f"{p} {t:.4f}" for p, t in entry["median_s"].items())
+            print(f"{case:16} {label:8} {phases}  {entry['counters']}")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:  # one run in this interpreter, for run_tree
+        json.dump(measure_once(), sys.stdout)
+        sys.exit(0)
+    sys.exit(main())

@@ -29,6 +29,13 @@ Two kinds of rows exist, each built on first use of a mask pair:
   otherwise, which is forward checking: a constraint with two assigned
   cells narrows the third.  Propagation traces use it.
 
+Rows are monotone in both masks.  So when a set of rows is inert,
+rows[full][1 << y] full for every color y, the row of a full mask keeps
+every candidate of every nonempty mask, and a popped cell whose mask is full
+skips its watch list: it can narrow nothing there.  Its twin tables are
+still applied.  Each network computes the flag once per row set, as
+`support.inert` and `forward.inert`.
+
 Search is depth-first over a fixed branch order with ascending colors.
 Narrowing only removes colors that no solution can use, so solutions come
 out in lexicographic order along the branch order, whichever rows narrow.
@@ -117,6 +124,8 @@ class Network:
         self.support.twins = twins
         self.forward = _rows(k, pair_forward)
         self.forward.twins = [()] * self.ncells
+        for rows, entry in (self.support, pair_support), (self.forward, pair_forward):
+            rows.inert = all(entry(full, 1 << y) == full for y in range(k))  # read off k entries, no row built
 
     def propagate_from(self, cand, queue, rows, on_narrow=None) -> bool:
         """Narrow candidates from the queued cells through `rows`; False on an emptied cell.
@@ -130,29 +139,31 @@ class Network:
         """
         watch = self.watch
         twins = rows.twins
+        skip = self.full if rows.inert else None
         while queue:
             cell = queue.pop()
-            row = rows[cand[cell]]
-            for o1, o2 in watch[cell]:
-                m1 = cand[o1]
-                m2 = cand[o2]
-                new = m2 & row[m1]
-                if new != m2:
-                    if on_narrow is not None:
-                        on_narrow(o2, m2 & ~new, tuple(sorted((cell, o1, o2))))
-                    if not new:
-                        return False
-                    cand[o2] = m2 = new
-                    queue.append(o2)
-                    m1 = cand[o1]  # o1 is o2 when the triple repeats a cell
-                new = m1 & row[m2]
-                if new != m1:
-                    if on_narrow is not None:
-                        on_narrow(o1, m1 & ~new, tuple(sorted((cell, o1, o2))))
-                    if not new:
-                        return False
-                    cand[o1] = new
-                    queue.append(o1)
+            if cand[cell] != skip:
+                row = rows[cand[cell]]
+                for o1, o2 in watch[cell]:
+                    m1 = cand[o1]
+                    m2 = cand[o2]
+                    new = m2 & row[m1]
+                    if new != m2:
+                        if on_narrow is not None:
+                            on_narrow(o2, m2 & ~new, tuple(sorted((cell, o1, o2))))
+                        if not new:
+                            return False
+                        cand[o2] = m2 = new
+                        queue.append(o2)
+                        m1 = cand[o1]  # o1 is o2 when the triple repeats a cell
+                    new = m1 & row[m2]
+                    if new != m1:
+                        if on_narrow is not None:
+                            on_narrow(o1, m1 & ~new, tuple(sorted((cell, o1, o2))))
+                        if not new:
+                            return False
+                        cand[o1] = new
+                        queue.append(o1)
             for other, table, triple in twins[cell]:
                 m = cand[other]
                 new = m & table[cand[cell]]

@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
 from ._network import Network
-from .errors import ArityBoundError, FormatError
+from .errors import ArityBoundError, FormatError, TimeBudgetExceeded
 from .structures import RelStructure, TemplatePair, named_template
 
 DEFAULT_ARITY_CAP = 5
@@ -149,27 +150,39 @@ def allowed_table(target: RelStructure) -> list[list[int]]:
 # one cannot hide behind the other.
 
 
-def _partition_triples(blocks):
+def _partition_triples(blocks, deadline=None):
     """One sorted cell triple per unordered 3-partition of the coordinates, in sorted order.
 
-    A 3-partition is an ordered composition of each block's size into three
-    parts; the product over the blocks runs through chained generators, so
-    only the deduplicated triples are held.  Reordering the parts of any
-    3-partition sorts the last block's parts, so that block contributes
-    only its compositions a <= b <= c.
+    A 3-partition is an ordered composition (a, b, c) of each block's size
+    into three parts, and its cells (x, y, z) are read in mixed radix, so
+    they compare as their weight vectors do, first block first.  The walk
+    runs from the first block to the last and keeps, per partial triple,
+    whether x and y are tied so far and whether y and z are: while x and y
+    are tied only a <= b extends it, and while y and z are tied only b <= c.
+    So it builds exactly the triples with x <= y <= z, each sorted triple
+    once, and sorts the list once.  Raises TimeBudgetExceeded once the
+    monotonic clock passes `deadline`.
     """
-    last = blocks[-1]
-    triples = [(a, b, last - a - b) for a in range(last // 3 + 1) for b in range(a, (last - a) // 2 + 1)]
-    stride = last + 1
-    for size in reversed(blocks[:-1]):
-        triples = _add_block(triples, size, stride)
-        stride *= size + 1
-    return sorted({tuple(sorted(t)) for t in triples})
+    groups = {3: [(0, 0, 0)]}  # partial triples by ties so far: bit 1 for x and y, bit 2 for y and z
+    for size in blocks:
+        r = size + 1
+        extended = defaultdict(list)
+        for tie, prefixes in groups.items():
+            parts = defaultdict(list)  # the compositions this tie admits, by the ties they leave
+            for a in range(r):
+                _check_deadline(deadline)
+                for b in range(a if tie & 1 else 0, (size - a) // 2 + 1 if tie & 2 else r - a):
+                    c = size - a - b
+                    parts[tie & ((a == b) | (b == c) << 1)].append((a, b, c))
+            for left, chunk in parts.items():
+                extended[left] += [(x * r + a, y * r + b, z * r + c) for x, y, z in prefixes for a, b, c in chunk]
+        groups = extended
+    return sorted(itertools.chain.from_iterable(groups.values()))
 
 
-def _add_block(triples, size, stride):
-    parts = [(a * stride, b * stride, (size - a - b) * stride) for a in range(size + 1) for b in range(size + 1 - a)]
-    return ((x + a, y + b, z + c) for x, y, z in triples for a, b, c in parts)
+def _check_deadline(deadline) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
 
 
 def _split_block(triples, size: int):
@@ -188,13 +201,24 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     vector (w_1, ..., w_m), 0 <= w_j <= blocks[j], indexed in mixed radix
     with the last block least significant.  A partition putting (a_j, b_j,
     c_j) elements of block j into its three parts must send its cell triple
-    to a triple of values in rel.  The partitions are streamed, never listed.
+    to a triple of values in rel.  The partitions over every block but the
+    last are streamed, never listed; each one fixes three runs of cells, one
+    value row each, and the last block's compositions are read off those
+    rows together as one chunk.
     """
+    *head, last = blocks
     triples = iter([(0, 0, 0)])
-    for size in blocks:
+    for size in head:
         triples = _split_block(triples, size)
+    r = last + 1
+    w = tuple(range(r))
+    # the last block's compositions (a, b, last - a - b) as three index columns; slices share w's ints
+    get_a = itemgetter(*itertools.chain.from_iterable((a,) * (r - a) for a in w))
+    get_b = itemgetter(*itertools.chain.from_iterable(w[: r - a] for a in w))
+    get_c = itemgetter(*itertools.chain.from_iterable(w[last - a :: -1] for a in w))
     for x, y, z in triples:
-        if (values[x], values[y], values[z]) not in rel:
+        chunk = zip(get_a(values[x * r : x * r + r]), get_b(values[y * r : y * r + r]), get_c(values[z * r : z * r + r]))
+        if not rel.issuperset(chunk):
             return False
     return True
 
@@ -207,11 +231,16 @@ def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bo
     return _partitions_map_into(blocks, values, template.target.single_ternary().as_set)
 
 
-def _search_network(template: TemplatePair, blocks, branch_order) -> Network:
-    """The search network on the cells of the coordinate blocks; exactly-one-1 source only."""
+def _search_network(template: TemplatePair, blocks, branch_order, deadline=None) -> Network:
+    """The search network on the cells of the coordinate blocks; exactly-one-1 source only.
+
+    Raises TimeBudgetExceeded once the monotonic clock passes `deadline` before the network is built.
+    """
     _require_boolean_one_in_three_source(template)
     ncells = math.prod(size + 1 for size in blocks)
-    return Network(ncells, _partition_triples(blocks), branch_order, allowed_table(template.target))
+    triples = _partition_triples(blocks, deadline)
+    _check_deadline(deadline)
+    return Network(ncells, triples, branch_order, allowed_table(template.target))
 
 
 def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
@@ -242,7 +271,7 @@ def enumerate_polymorphisms(
     """
     _require_arity(n, force)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    net = _search_network(template, (1,) * n, subset_masks(n))
+    net = _search_network(template, (1,) * n, subset_masks(n), deadline)
     yield from net.solutions(None, deadline)
 
 
@@ -297,7 +326,7 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, tim
     _require_arity(n, force)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     order = subset_masks(n)
-    net = _search_network(template, (1,) * n, order)
+    net = _search_network(template, (1,) * n, order, deadline)
     singles = order[1 : n + 1]
     ascending = list(zip(singles, singles[1 : ORBIT_BLOCK]))
     # every compared tuple starts with the empty set, which each permutation fixes, so that it has two entries or more

@@ -168,7 +168,7 @@ def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
 def _first_solution(template: TemplatePair, blocks, branch_order, use_wlog: bool, time_budget):
     """The first table on the cells of the coordinate blocks, or None, with the nodes searched."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    net = _search_network(template, blocks, branch_order)
+    net = _search_network(template, blocks, branch_order, deadline)
     wlog = _wlog_colors(template.target) if use_wlog else None
     return next(net.solutions(wlog, deadline), None), net.nodes
 

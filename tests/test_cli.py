@@ -315,6 +315,13 @@ def test_search_time_budget_zero(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_search_budget_covers_building_the_network(capsys):
+    # at arity 2000 the network has 334,334 triples; a zero budget stops before any is built
+    code, out, err = run(capsys, "poly", "search-sym", "1in3", "T2", "2000", "--time-budget", "0")
+    assert (code, out) == (2, "")
+    assert err == "aborted: search ran past its time budget after 0 nodes, while building its network\n"
+
+
 def test_search_sym_large_linear_order_within_budget(capsys):
     # the budget's clock also runs while the wlog colours are found from the automorphisms of LO_9
     code, out, _ = run(capsys, "poly", "search-sym", "1in3", "LO_9", "5", "--time-budget", "5")

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from pcsplab._network import Network
+from pcsplab.errors import TimeBudgetExceeded
 from pcsplab.polymorphisms import _partition_triples, allowed_table, enumerate_polymorphisms
 from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
 from pcsplab.symmetric import search_block_symmetric, search_symmetric
@@ -51,6 +53,8 @@ SHAPES = (
     + [(n,) for n in range(1, 13)]
     + [(k1, k2) for k1 in range(1, 6) for k2 in range(1, 6)]
     + [(2, 1, 3)]
+    # ties running over three or more blocks
+    + [(2, 2, 2), (3, 3, 3), (1,) * 8, (4, 1, 2, 1), (6, 5)]
 )
 
 
@@ -199,9 +203,8 @@ def assert_arc_consistent(net, triples, ok, rng):
         assert consistent and all(cand[c] >> v & 1 for c, v in enumerate(table))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_engine_on_random_triples(seed):
-    """Arbitrary sorted triples, repeated cells and cells in no triple included, under a random relation."""
+def random_relation(seed):
+    """A seeded random symmetric relation on 2 to 4 colors: (rng, k, ncells, ok, allowed), rng past its draws."""
     rng = random.Random(seed)
     k = rng.randint(2, 4)
     ncells = rng.randint(2, 7)
@@ -211,6 +214,13 @@ def test_engine_on_random_triples(seed):
         return tuple(sorted((a, b, c))) in rel
 
     allowed = [[sum(1 << v for v in range(k) if ok(x, y, v)) for y in range(k)] for x in range(k)]
+    return rng, k, ncells, ok, allowed
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_on_random_triples(seed):
+    """Arbitrary sorted triples, repeated cells and cells in no triple included, under a random relation."""
+    rng, k, ncells, ok, allowed = random_relation(seed)
     triples = sorted({tuple(sorted(rng.choices(range(ncells), k=3))) for _ in range(rng.randint(1, 8))})
     net = Network(ncells, triples, range(ncells), allowed)
     for _ in range(6):
@@ -218,6 +228,49 @@ def test_engine_on_random_triples(seed):
     # solutions come out in lexicographic order along the branch order, each exactly once
     domains = [set(range(k))] * ncells
     assert list(net.solutions(None, None)) == completions(ncells, triples, ok, domains)
+
+
+def test_random_relations_reach_both_kinds_of_support_rows():
+    # a full cell skips its watch list only under inert rows, so the seeds above cover both branches
+    kinds = set()
+    for seed in range(40):
+        *_, allowed = random_relation(seed)
+        kinds.add(Network(2, [(0, 0, 1)], range(2), allowed).support.inert)
+    assert kinds == {True, False}
+
+
+# in LO_3 a 2 goes only with two smaller colors, so support[full][1 << 2] lacks the 2
+@pytest.mark.parametrize("target, inert", [("LO_3", False), ("NAE", True), ("CHplus", True)])
+def test_catalog_support_rows_inert(target, inert):
+    net = Network(2, [(0, 0, 1)], range(2), allowed_table(named_template(target)))
+    assert net.support.inert == inert and net.forward.inert
+
+
+def test_arc_consistency_under_rows_that_are_not_inert():
+    # 0 and 1 are not-all-equal, and 2 goes only with itself: a 2 on one cell forces the other two
+    rel = {(0, 0, 1), (0, 1, 1), (2, 2, 2)}
+
+    def ok(a, b, c):
+        return tuple(sorted((a, b, c))) in rel
+
+    allowed = [[sum(1 << v for v in range(3) if ok(x, y, v)) for y in range(3)] for x in range(3)]
+    rng = random.Random(0)
+    for blocks in GAC_SHAPES:
+        triples = sorted(partition_triples(blocks))
+        net = Network(math.prod(size + 1 for size in blocks), triples, None, allowed)
+        assert not net.support.inert and net.support[net.full][0b100] == 0b100
+        for _ in range(8):
+            assert_arc_consistent(net, triples, ok, rng)
+    # queued alone, a full cell still narrows through its watch list: here its 2 forces the third cell
+    net = Network(3, [(0, 1, 2)], None, allowed)
+    cand = [0b111, 0b100, 0b111]
+    assert net.propagate_from(cand, [0], net.support)
+    assert cand == [0b100] * 3
+
+
+def test_partition_triples_stops_at_its_deadline():
+    with pytest.raises(TimeBudgetExceeded, match="while building its network"):
+        _partition_triples((2000,), time.monotonic() - 1)
 
 
 def test_network_needs_two_cells():

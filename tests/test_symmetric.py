@@ -7,7 +7,8 @@ import pytest
 from general_tables import boolean_to_general, is_polymorphism_general
 
 from pcsplab.errors import TimeBudgetExceeded
-from pcsplab.polymorphisms import PolyTable, is_polymorphism
+from pcsplab import polymorphisms
+from pcsplab.polymorphisms import PolyTable, enumerate_orbits, enumerate_polymorphisms, is_polymorphism
 from pcsplab.structures import TemplatePair, named_template
 from pcsplab.symmetric import (
     BlockSymTable,
@@ -127,6 +128,28 @@ def test_weight_checkers_agree_with_general_test(target):
             assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("target", ["NAE", "T2"])
+def test_block_checker_agrees_with_general_test_on_single_cell_changes(target):
+    # a found table with one cell recoloured breaks the partitions through that cell, so across every cell
+    # and shape a failure falls at every position of the checker's last-block chunk
+    template = pair("1in3", target)
+    k = template.target.domain_size
+    shapes = 0
+    for shape in itertools.product(range(1, 5), range(1, 4)):
+        found = search_block_symmetric(template, *shape).table
+        if found is None:
+            continue
+        shapes += 1
+        for cell, color in itertools.product(range(len(found.values)), range(k)):
+            if color == found.values[cell]:
+                continue
+            values = found.values[:cell] + (color,) + found.values[cell + 1 :]
+            got = is_block_symmetric_polymorphism(BlockSymTable(*shape, k, values), template)
+            full = PolyTable(sum(shape), k, tuple(expand_weight_table(shape, values)))
+            assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
+    assert shapes == 11  # (3, 3) has no table for either target
 
 
 def test_propagate_single_weight_force():
@@ -419,6 +442,25 @@ def test_time_budget_aborts():
     chp = pair("1in3", "CHplus")
     with pytest.raises(TimeBudgetExceeded):
         search_symmetric(chp, 23, time_budget=0.0)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda t2: search_symmetric(t2, 2000, time_budget=0),
+        lambda t2: search_block_symmetric(t2, 31, 30, time_budget=0),
+        lambda t2: next(enumerate_polymorphisms(t2, 5, time_budget=0)),
+        lambda t2: next(enumerate_orbits(t2, 5, time_budget=0)),
+    ],
+    ids=["sym", "block", "enumerate", "orbits"],
+)
+def test_time_budget_is_checked_before_the_network_is_built(monkeypatch, search):
+    def refuse(*args):
+        raise AssertionError("a network was built past the time budget")
+
+    monkeypatch.setattr(polymorphisms, "Network", refuse)
+    with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
+        search(pair("1in3", "T2"))
 
 
 def test_propagate_contradiction_event_recorded():
