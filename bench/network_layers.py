@@ -1,4 +1,4 @@
-"""Time the layers of a polymorphism search, phase by phase, for one or more source trees.
+"""Time and weigh the layers of a polymorphism search, phase by phase, for one or more source trees.
 
     python bench/network_layers.py --src parent=../parent/src --src change=src --runs 5 --out BENCH.json
 
@@ -7,12 +7,16 @@ triples (`polymorphisms._partition_triples`), the `_network.Network` built on
 them, the depth-first search for the first table (`Network.solutions`), and
 the answer check of that table (`polymorphisms._table_holds`).  Each case
 below times each phase; a phase that a case does not reach is left out.
+A second pass, apart from the timed one, builds each case's triples and
+network again under tracemalloc and records the peak and the bytes still held
+once both exist, in MB.
 
 Every run is one fresh interpreter per source tree, so no row or cache built
 by one run is seen by the next, and the order of the trees alternates from
 run to run.  The output gives, per case and tree, the median of the runs for
-each phase in seconds and the work counters (triples, nodes), which must
-repeat exactly across runs and trees for the times to compare the same work.
+each phase in seconds, the medians of the memory counters, and the work
+counters (triples, nodes), which must repeat exactly across runs and trees
+for the times to compare the same work.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 # (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at
 # 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only
@@ -35,28 +40,46 @@ CASES = (
 )
 
 
-def measure_once() -> dict:
-    """One run of every case in this interpreter: {case: {"s": {phase: seconds}, "counters": {...}}}."""
-    from pcsplab._network import Network
-    from pcsplab.polymorphisms import _partition_triples, _table_holds, allowed_table
-    from pcsplab.structures import TemplatePair, named_template
-    from pcsplab.symmetric import _block_branch_order, _wlog_colors
+def _feed():
+    """feed(triples, ncells): what the tree's search hands to Network for the output of _partition_triples."""
+    from pcsplab import polymorphisms
 
+    decoded = getattr(polymorphisms, "_decoded_triples", None)
+    if decoded is None:  # a tree whose _partition_triples lists tuples
+        return lambda triples, ncells: triples
+    return lambda codes, ncells: decoded(codes, ncells, None)
+
+
+def _case_inputs(target, blocks):
+    from pcsplab.polymorphisms import allowed_table
+    from pcsplab.structures import TemplatePair, named_template
+    from pcsplab.symmetric import _block_branch_order
+
+    template = TemplatePair(named_template("1in3"), named_template(target))
+    order = _block_branch_order(*blocks) if len(blocks) == 2 else range(blocks[0] + 1)
+    ncells = 1
+    for size in blocks:
+        ncells *= size + 1
+    return template, allowed_table(template.target), order, ncells
+
+
+def measure_once() -> dict:
+    """One run of every case in this interpreter: {case: {"s": {phase: seconds}, "mb": {...}, "counters": {...}}}."""
+    from pcsplab._network import Network
+    from pcsplab.polymorphisms import _partition_triples, _table_holds
+    from pcsplab.symmetric import _wlog_colors
+
+    feed = _feed()
     out = {}
     for label, target, blocks, phases in CASES:
-        template = TemplatePair(named_template("1in3"), named_template(target))
-        allowed = allowed_table(template.target)
-        order = _block_branch_order(*blocks) if len(blocks) == 2 else range(blocks[0] + 1)
-        ncells = 1
-        for size in blocks:
-            ncells *= size + 1
+        template, allowed, order, ncells = _case_inputs(target, blocks)
         s, counters = {}, {}
         start = time.perf_counter()
         triples = _partition_triples(blocks)
         s["triples"] = time.perf_counter() - start
         counters["triples"] = len(triples)
         start = time.perf_counter()
-        net = Network(ncells, triples, order, allowed)
+        net = Network(ncells, feed(triples, ncells), order, allowed)
         s["network"] = time.perf_counter() - start
         if "solutions" in phases:
             wlog = _wlog_colors(template.target)
@@ -72,6 +95,16 @@ def measure_once() -> dict:
                 if not holds:
                     raise SystemExit(f"{label}: the found table fails the answer check")
         out[label] = {"s": s, "counters": counters}
+        del triples, net
+    for label, target, blocks, _ in CASES:
+        _, allowed, order, ncells = _case_inputs(target, blocks)
+        tracemalloc.start()
+        triples = _partition_triples(blocks)
+        net = Network(ncells, feed(triples, ncells), order, allowed)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        out[label]["mb"] = {"peak": peak / 2**20, "held": held / 2**20}
+        del triples, net
     return out
 
 
@@ -114,7 +147,8 @@ def main(argv=None) -> int:
                 times = [r[case]["s"][phase] for r in runs if phase in r[case]["s"]]
                 if times:
                     medians[phase] = round(statistics.median(times), 4)
-            cases[case][label] = {"median_s": medians, "counters": counters[0]}
+            memory = {key: round(statistics.median(r[case]["mb"][key] for r in runs), 2) for key in ("peak", "held")}
+            cases[case][label] = {"median_s": medians, "median_mb": memory, "counters": counters[0]}
     ledger = {
         "script": "bench/network_layers.py",
         "runs": args.runs,
@@ -127,7 +161,8 @@ def main(argv=None) -> int:
     for case, by_tree in cases.items():
         for label, entry in by_tree.items():
             phases = " ".join(f"{p} {t:.4f}" for p, t in entry["median_s"].items())
-            print(f"{case:16} {label:8} {phases}  {entry['counters']}")
+            memory = " ".join(f"{key} {mb:.2f} MB" for key, mb in entry["median_mb"].items())
+            print(f"{case:16} {label:8} {phases}  {memory}  {entry['counters']}")
     return 0
 
 

@@ -5,8 +5,11 @@ constraints.  A constraint is a sorted cell triple (a, b, c), a <= b <= c,
 in which a cell may repeat; `allowed[x][y]` is the mask of colors v such
 that the colors (x, y, v) satisfy it.  The table is symmetric in all three
 positions, so every constraint is the same whichever order its cells are
-read in, and one table serves them all.  The engine knows nothing of where
-the cells and triples come from: `polymorphisms` derives them from
+read in, and one table serves them all.  The triples may come as a stream,
+read once in order: a network keeps no list of them, only per cell a flat
+watch list [o1, o2, o1, o2, ...] of the other two cells of each of its
+constraints, one pointer per cell and no tuple.  The engine knows nothing of
+where the cells and triples come from: `polymorphisms` derives them from
 coordinate blocks and owns that layout.
 
 The state of a search is one candidate mask per cell; a cell is assigned
@@ -90,12 +93,15 @@ class Network:
         same = _Lazy(lambda m: sum(1 << x for x in range(k) if diagonal[x] & m))
         once = _Lazy(lambda m: reduce(or_, [diagonal[x] for x in range(k) if m >> x & 1], 0))
         unary = _Lazy(lambda m: loops)
-        self.watch: list[list[tuple[int, int]]] = [[] for _ in range(self.ncells)]
+        self.watch = watch = [[] for _ in range(self.ncells)]
         twins: list[tuple] = [()] * self.ncells
         for a, b, c in triples:
-            self.watch[a].append((b, c))
-            self.watch[b].append((a, c))
-            self.watch[c].append((a, b))
+            watch[a].append(b)
+            watch[a].append(c)
+            watch[b].append(a)
+            watch[b].append(c)
+            watch[c].append(a)
+            watch[c].append(b)
             if a == c:
                 twins[a] += ((a, unary, (a, b, c)),)
             elif a == b or b == c:
@@ -144,7 +150,8 @@ class Network:
             cell = queue.pop()
             if cand[cell] != skip:
                 row = rows[cand[cell]]
-                for o1, o2 in watch[cell]:
+                pairs = iter(watch[cell])
+                for o1, o2 in zip(pairs, pairs):
                     m1 = cand[o1]
                     m2 = cand[o2]
                     new = m2 & row[m1]

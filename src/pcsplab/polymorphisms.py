@@ -10,8 +10,9 @@ This module also owns the cells of tables on coordinate blocks: a cell is a
 weight vector, indexed in mixed radix with the last block least
 significant, and each 3-partition of the coordinates gives one cell triple,
 which repeats a cell when two parts have the same weight vector.
-It hands the search engine in `_network` only the cell count and the sorted
-triples, and checks answers with its own walk over the ordered partitions.
+It lists the sorted triples as one int code each, hands the search engine in
+`_network` only the cell count and a stream of the decoded triples, and checks
+answers with its own walk over the ordered partitions.
 """
 
 from __future__ import annotations
@@ -150,34 +151,69 @@ def allowed_table(target: RelStructure) -> list[list[int]]:
 # one cannot hide behind the other.
 
 
-def _partition_triples(blocks, deadline=None):
-    """One sorted cell triple per unordered 3-partition of the coordinates, in sorted order.
+def _partition_triples(blocks, deadline=None) -> list[int]:
+    """The sorted codes of the unordered 3-partitions of the coordinates: (x * N + y) * N + z for cells x <= y <= z.
 
-    A 3-partition is an ordered composition (a, b, c) of each block's size
-    into three parts, and its cells (x, y, z) are read in mixed radix, so
-    they compare as their weight vectors do, first block first.  The walk
-    runs from the first block to the last and keeps, per partial triple,
-    whether x and y are tied so far and whether y and z are: while x and y
-    are tied only a <= b extends it, and while y and z are tied only b <= c.
-    So it builds exactly the triples with x <= y <= z, each sorted triple
-    once, and sorts the list once.  Raises TimeBudgetExceeded once the
-    monotonic clock passes `deadline`.
+    N is the cell count.  A 3-partition is an ordered composition (a, b, c)
+    of each block's size into three parts, and its cells (x, y, z) are read
+    in mixed radix, so they compare as their weight vectors do, first block
+    first.  The walk runs from the first block to the last and keeps, per
+    partial triple, whether x and y are tied so far and whether y and z are:
+    while x and y are tied only a <= b extends it, and while y and z are
+    tied only b <= c.  So it builds exactly the triples with x <= y <= z,
+    each sorted triple once.  As z < N, codes sort as their triples do, and
+    an int takes a fraction of the memory of a tuple of three and sorts
+    faster.  The partial triples over every block but the last stay tuples;
+    the last block adds its codes as ranges, one per partial triple and a.
+    Raises TimeBudgetExceeded once the monotonic clock passes `deadline`.
     """
+    *head, last = blocks
+    n = math.prod(size + 1 for size in blocks)
     groups = {3: [(0, 0, 0)]}  # partial triples by ties so far: bit 1 for x and y, bit 2 for y and z
-    for size in blocks:
+    for size in head:
         r = size + 1
         extended = defaultdict(list)
         for tie, prefixes in groups.items():
             parts = defaultdict(list)  # the compositions this tie admits, by the ties they leave
-            for a in range(r):
-                _check_deadline(deadline)
-                for b in range(a if tie & 1 else 0, (size - a) // 2 + 1 if tie & 2 else r - a):
+            for a, bs in _second_parts(size, tie, deadline):
+                for b in bs:
                     c = size - a - b
                     parts[tie & ((a == b) | (b == c) << 1)].append((a, b, c))
             for left, chunk in parts.items():
                 extended[left] += [(x * r + a, y * r + b, z * r + c) for x, y, z in prefixes for a, b, c in chunk]
         groups = extended
-    return sorted(itertools.chain.from_iterable(groups.values()))
+    r, step = last + 1, n - 1
+    codes = []
+    for tie, prefixes in groups.items():
+        spans = []  # composition (a, b, last - a - b) adds a * n * n + last - a + b * step to a prefix's code
+        for a, bs in _second_parts(last, tie, deadline):
+            start = a * n * n + last - a
+            spans.append((start + bs.start * step, start + bs.stop * step))
+        for x, y, z in prefixes:
+            base = r * ((x * n + y) * n + z)
+            for start, stop in spans:
+                codes += range(base + start, base + stop, step)
+    codes.sort()
+    return codes
+
+
+def _second_parts(size: int, tie: int, deadline):
+    """(a, range of b) for the compositions (a, b, size - a - b) that a partial triple with these ties admits."""
+    r = size + 1
+    for a in range(r):
+        _check_deadline(deadline)
+        yield a, range(a if tie & 1 else 0, (size - a) // 2 + 1 if tie & 2 else r - a)
+
+
+def _decoded_triples(codes, ncells: int, deadline):
+    """The cell triples of the codes in order, each cell one shared int; checks `deadline` every 4096 triples."""
+    cells = list(range(ncells))
+    for start in range(0, len(codes), 4096):
+        _check_deadline(deadline)
+        for code in codes[start : start + 4096]:
+            xy, z = divmod(code, ncells)
+            x, y = divmod(xy, ncells)
+            yield cells[x], cells[y], cells[z]
 
 
 def _check_deadline(deadline) -> None:
@@ -238,9 +274,8 @@ def _search_network(template: TemplatePair, blocks, branch_order, deadline=None)
     """
     _require_boolean_one_in_three_source(template)
     ncells = math.prod(size + 1 for size in blocks)
-    triples = _partition_triples(blocks, deadline)
-    _check_deadline(deadline)
-    return Network(ncells, triples, branch_order, allowed_table(template.target))
+    codes = _partition_triples(blocks, deadline)
+    return Network(ncells, _decoded_triples(codes, ncells, deadline), branch_order, allowed_table(template.target))
 
 
 def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:

@@ -3,14 +3,16 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
+from pcsplab import polymorphisms
 from pcsplab._network import Network
 from pcsplab.errors import TimeBudgetExceeded
-from pcsplab.polymorphisms import _partition_triples, allowed_table, enumerate_polymorphisms
+from pcsplab.polymorphisms import _partition_triples, _search_network, allowed_table, enumerate_polymorphisms
 from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
-from pcsplab.symmetric import search_block_symmetric, search_symmetric
+from pcsplab.symmetric import _block_branch_order, search_block_symmetric, search_symmetric, sym_compatible_triples
 
 
 def partition_triples(blocks):
@@ -60,16 +62,62 @@ SHAPES = (
 
 @pytest.mark.parametrize("blocks", SHAPES, ids=str)
 def test_network_constraints_match_coordinate_partitions(blocks):
-    triples = _partition_triples(blocks)
+    ncells = math.prod(size + 1 for size in blocks)
+    triples = [decode(code, ncells) for code in _partition_triples(blocks)]
     # sorted and free of duplicates: the oracle is a set
     assert triples == sorted(partition_triples(blocks))
-    ncells = math.prod(size + 1 for size in blocks)
     net = Network(ncells, triples, range(ncells), [[1, 1], [1, 1]])
     assert net.ncells == ncells and net.k == 2
-    watched = {tuple(sorted((a, b, c))) for a in range(ncells) for b, c in net.watch[a]}
+    watched = {tuple(sorted((a, *w[i : i + 2]))) for a, w in enumerate(net.watch) for i in range(0, len(w), 2)}
     assert watched == set(triples)
-    # each constraint is watched once from each of its three cells
-    assert sum(len(w) for w in net.watch) == 3 * len(watched)
+    # each constraint is watched once from each of its three cells, two cells per watch
+    assert sum(len(w) for w in net.watch) == 2 * 3 * len(watched)
+
+
+def decode(code, ncells):
+    return code // ncells // ncells, code // ncells % ncells, code % ncells
+
+
+def test_partition_triples_encode_one_int_per_triple():
+    codes = _partition_triples((2000,))
+    assert len(codes) == 334_334 and max(codes) > 2**31
+    assert [decode(code, 2001) for code in codes] == sym_compatible_triples(2000)
+    codes = _partition_triples((31, 30))
+    assert len(codes) == 43_776
+    # cells in mixed radix: 991 is (31, 30), 325 is (10, 15) and 341 is (11, 0)
+    assert decode(codes[0], 992) == (0, 0, 991) and decode(codes[-1], 992) == (325, 325, 341)
+
+
+def test_search_network_holds_flat_int_watch_lists():
+    template = TemplatePair(named_template("1in3"), named_template("NAE"))
+    tracemalloc.start()
+    try:
+        net = _search_network(template, (31, 30), _block_branch_order(31, 30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(w) % 2 == 0 and all(type(cell) is int for cell in w) for w in net.watch)
+    # every watched cell is one shared int object, not a fresh one per constraint
+    assert len({id(cell) for w in net.watch for cell in w}) <= net.ncells
+    assert peak < 8 * 2**20
+
+
+def test_network_build_stops_at_its_deadline(monkeypatch):
+    template = TemplatePair(named_template("1in3"), named_template("T2"))
+    calls, stop = 0, math.inf
+
+    def clock():
+        nonlocal calls
+        calls += 1
+        return 0.0 if calls <= stop else 1.0
+
+    monkeypatch.setattr(polymorphisms.time, "monotonic", clock)
+    _partition_triples((2000,), 0.5)
+    # the clock passes the deadline ten reads after the triples are listed, while they stream into the network
+    calls, stop = 0, calls + 10
+    with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
+        _search_network(template, (2000,), range(2001), 0.5)
+    assert calls == stop + 1
 
 
 def catalog_pairs():
