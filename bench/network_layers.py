@@ -6,10 +6,11 @@ A search on coordinate blocks goes through four phases: the sorted cell
 triples (`polymorphisms._partition_triples`), the `_network.Network` built on
 them, the depth-first search for the first table (`Network.solutions`), and
 the answer check of that table (`polymorphisms._table_holds`).  Each case
-below times each phase; a phase that a case does not reach is left out.
-A second pass, apart from the timed one, builds each case's triples and
-network again under tracemalloc and records the peak and the bytes still held
-once both exist, in MB.
+below times each phase; a phase that a case does not reach is left out.  A
+check-only case times the answer check of a given table on unit blocks, as
+`poly verify` runs it.  A second pass, apart from the timed one, builds each
+searching case's triples and network again under tracemalloc and records the
+peak and the bytes still held once both exist, in MB.
 
 Every run is one fresh interpreter per source tree, so no row or cache built
 by one run is seen by the next, and the order of the trees alternates from
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -32,11 +34,14 @@ import time
 import tracemalloc
 
 # (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at
-# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only
+# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only;
+# the check-only case checks the first-coordinate dictator of arity 12, a polymorphism: 177,147 head prefixes,
+# one row triple
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("triples", "network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("triples", "network", "solutions", "check")),
     ("T2 (2000,)", "T2", (2000,), ("triples", "network")),
+    ("dictator 12 / NAE", "NAE", (1,) * 12, ("check",)),
 )
 
 
@@ -45,7 +50,7 @@ def _feed():
     from pcsplab import polymorphisms
 
     decoded = getattr(polymorphisms, "_decoded_triples", None)
-    if decoded is None:  # a tree whose _partition_triples lists tuples
+    if decoded is None:  # a tree whose Network reads the codes, or whose _partition_triples lists tuples
         return lambda triples, ncells: triples
     return lambda codes, ncells: decoded(codes, ncells, None)
 
@@ -56,17 +61,15 @@ def _case_inputs(target, blocks):
     from pcsplab.symmetric import _block_branch_order
 
     template = TemplatePair(named_template("1in3"), named_template(target))
-    order = _block_branch_order(*blocks) if len(blocks) == 2 else range(blocks[0] + 1)
-    ncells = 1
-    for size in blocks:
-        ncells *= size + 1
+    ncells = math.prod(size + 1 for size in blocks)
+    order = _block_branch_order(*blocks) if len(blocks) == 2 else range(ncells)
     return template, allowed_table(template.target), order, ncells
 
 
 def measure_once() -> dict:
     """One run of every case in this interpreter: {case: {"s": {phase: seconds}, "mb": {...}, "counters": {...}}}."""
     from pcsplab._network import Network
-    from pcsplab.polymorphisms import _partition_triples, _table_holds
+    from pcsplab.polymorphisms import _partition_triples, _table_holds, dictator
     from pcsplab.symmetric import _wlog_colors
 
     feed = _feed()
@@ -74,13 +77,18 @@ def measure_once() -> dict:
     for label, target, blocks, phases in CASES:
         template, allowed, order, ncells = _case_inputs(target, blocks)
         s, counters = {}, {}
-        start = time.perf_counter()
-        triples = _partition_triples(blocks)
-        s["triples"] = time.perf_counter() - start
-        counters["triples"] = len(triples)
-        start = time.perf_counter()
-        net = Network(ncells, feed(triples, ncells), order, allowed)
-        s["network"] = time.perf_counter() - start
+        net = values = None
+        if "triples" in phases:
+            start = time.perf_counter()
+            triples = _partition_triples(blocks)
+            s["triples"] = time.perf_counter() - start
+            counters["triples"] = len(triples)
+            start = time.perf_counter()
+            net = Network(ncells, feed(triples, ncells), order, allowed)
+            s["network"] = time.perf_counter() - start
+            del triples
+        else:  # a check-only case checks the first-coordinate dictator
+            values = dictator(len(blocks), 1).values
         if "solutions" in phases:
             wlog = _wlog_colors(template.target)
             start = time.perf_counter()
@@ -88,15 +96,17 @@ def measure_once() -> dict:
             s["solutions"] = time.perf_counter() - start
             counters["nodes"] = net.nodes
             counters["found"] = values is not None
-            if values is not None and "check" in phases:
-                start = time.perf_counter()
-                holds = _table_holds(template, blocks, template.target.domain_size, values)
-                s["check"] = time.perf_counter() - start
-                if not holds:
-                    raise SystemExit(f"{label}: the found table fails the answer check")
+        if values is not None and "check" in phases:
+            start = time.perf_counter()
+            holds = _table_holds(template, blocks, template.target.domain_size, values)
+            s["check"] = time.perf_counter() - start
+            if not holds:
+                raise SystemExit(f"{label}: the checked table fails the answer check")
         out[label] = {"s": s, "counters": counters}
-        del triples, net
-    for label, target, blocks, _ in CASES:
+        del net
+    for label, target, blocks, phases in CASES:
+        if "network" not in phases:
+            continue
         _, allowed, order, ncells = _case_inputs(target, blocks)
         tracemalloc.start()
         triples = _partition_triples(blocks)
@@ -147,8 +157,11 @@ def main(argv=None) -> int:
                 times = [r[case]["s"][phase] for r in runs if phase in r[case]["s"]]
                 if times:
                     medians[phase] = round(statistics.median(times), 4)
-            memory = {key: round(statistics.median(r[case]["mb"][key] for r in runs), 2) for key in ("peak", "held")}
-            cases[case][label] = {"median_s": medians, "median_mb": memory, "counters": counters[0]}
+            cases[case][label] = {"median_s": medians, "counters": counters[0]}
+            if "network" in phases:
+                cases[case][label]["median_mb"] = {
+                    key: round(statistics.median(r[case]["mb"][key] for r in runs), 2) for key in ("peak", "held")
+                }
     ledger = {
         "script": "bench/network_layers.py",
         "runs": args.runs,
@@ -161,7 +174,7 @@ def main(argv=None) -> int:
     for case, by_tree in cases.items():
         for label, entry in by_tree.items():
             phases = " ".join(f"{p} {t:.4f}" for p, t in entry["median_s"].items())
-            memory = " ".join(f"{key} {mb:.2f} MB" for key, mb in entry["median_mb"].items())
+            memory = " ".join(f"{key} {mb:.2f} MB" for key, mb in entry.get("median_mb", {}).items())
             print(f"{case:16} {label:8} {phases}  {memory}  {entry['counters']}")
     return 0
 

@@ -5,10 +5,11 @@ constraints.  A constraint is a sorted cell triple (a, b, c), a <= b <= c,
 in which a cell may repeat; `allowed[x][y]` is the mask of colors v such
 that the colors (x, y, v) satisfy it.  The table is symmetric in all three
 positions, so every constraint is the same whichever order its cells are
-read in, and one table serves them all.  The triples may come as a stream,
-read once in order: a network keeps no list of them, only per cell a flat
-watch list [o1, o2, o1, o2, ...] of the other two cells of each of its
-constraints, one pointer per cell and no tuple.  The engine knows nothing of
+read in, and one table serves them all.  The triples come as a list of int
+codes (a * ncells + b) * ncells + c, which the network empties as it reads
+them in order: it keeps no list of them, only per cell a flat watch list
+[o1, o2, o1, o2, ...] of the other two cells of each of its constraints,
+one pointer per cell and no tuple.  The engine knows nothing of
 where the cells and triples come from: `polymorphisms` derives them from
 coordinate blocks and owns that layout.
 
@@ -76,10 +77,16 @@ def _rows(k: int, entry):
     return _Lazy(lambda m1: _Lazy(lambda m2: entry(m1, m2)))
 
 
+def check_build_deadline(deadline) -> None:
+    """Raise TimeBudgetExceeded once the monotonic clock passes `deadline` while a network is built."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
+
+
 class Network:
     """Depth-first search over candidate masks, arc consistent at every node, over sorted, deduplicated cell triples."""
 
-    def __init__(self, ncells: int, triples, branch_order, allowed):
+    def __init__(self, ncells: int, codes: list[int], branch_order, allowed, deadline=None):
         if ncells < 2:
             raise ValueError(f"a network needs at least two cells, got {ncells}")
         self.ncells = ncells
@@ -95,19 +102,27 @@ class Network:
         unary = _Lazy(lambda m: loops)
         self.watch = watch = [[] for _ in range(self.ncells)]
         twins: list[tuple] = [()] * self.ncells
-        for a, b, c in triples:
-            watch[a].append(b)
-            watch[a].append(c)
-            watch[b].append(a)
-            watch[b].append(c)
-            watch[c].append(a)
-            watch[c].append(b)
-            if a == c:
-                twins[a] += ((a, unary, (a, b, c)),)
-            elif a == b or b == c:
-                pair, odd = (a, c) if a == b else (c, a)
-                twins[pair] += ((odd, once, (a, b, c)),)
-                twins[odd] += ((pair, same, (a, b, c)),)
+        cells = list(range(ncells))  # every watched cell is one of these ints, not a fresh one per constraint
+        square = ncells * ncells
+        codes.reverse()  # then read in order, 4096 at a time off the tail, so the list shrinks as the watch lists grow
+        while codes:
+            check_build_deadline(deadline)
+            chunk = codes[-4096:]
+            del codes[-4096:]
+            for code in reversed(chunk):
+                a, b, c = cells[code // square], cells[code // ncells % ncells], cells[code % ncells]
+                watch[a].append(b)
+                watch[a].append(c)
+                watch[b].append(a)
+                watch[b].append(c)
+                watch[c].append(a)
+                watch[c].append(b)
+                if a == c:
+                    twins[a] += ((a, unary, (a, b, c)),)
+                elif a == b or b == c:
+                    pair, odd = (a, c) if a == b else (c, a)
+                    twins[pair] += ((odd, once, (a, b, c)),)
+                    twins[odd] += ((pair, same, (a, b, c)),)
         self.nodes = 0
 
         # the row builders close over locals only, so a network is freed as soon as it is dropped

@@ -11,8 +11,8 @@ weight vector, indexed in mixed radix with the last block least
 significant, and each 3-partition of the coordinates gives one cell triple,
 which repeats a cell when two parts have the same weight vector.
 It lists the sorted triples as one int code each, hands the search engine in
-`_network` only the cell count and a stream of the decoded triples, and checks
-answers with its own walk over the ordered partitions.
+`_network` only the cell count and that list of codes, and checks answers
+with its own walk over the ordered partitions.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ._network import Network
-from .errors import ArityBoundError, FormatError, TimeBudgetExceeded
+from ._network import Network, check_build_deadline
+from .errors import ArityBoundError, FormatError
 from .structures import RelStructure, TemplatePair, named_template
 
 DEFAULT_ARITY_CAP = 5
@@ -201,24 +201,8 @@ def _second_parts(size: int, tie: int, deadline):
     """(a, range of b) for the compositions (a, b, size - a - b) that a partial triple with these ties admits."""
     r = size + 1
     for a in range(r):
-        _check_deadline(deadline)
+        check_build_deadline(deadline)
         yield a, range(a if tie & 1 else 0, (size - a) // 2 + 1 if tie & 2 else r - a)
-
-
-def _decoded_triples(codes, ncells: int, deadline):
-    """The cell triples of the codes in order, each cell one shared int; checks `deadline` every 4096 triples."""
-    cells = list(range(ncells))
-    for start in range(0, len(codes), 4096):
-        _check_deadline(deadline)
-        for code in codes[start : start + 4096]:
-            xy, z = divmod(code, ncells)
-            x, y = divmod(xy, ncells)
-            yield cells[x], cells[y], cells[z]
-
-
-def _check_deadline(deadline) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
 
 
 def _split_block(triples, size: int):
@@ -240,7 +224,11 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     to a triple of values in rel.  The partitions over every block but the
     last are streamed, never listed; each one fixes three runs of cells, one
     value row each, and the last block's compositions are read off those
-    rows together as one chunk.
+    rows together as one chunk.  Those compositions are the same for every
+    prefix, so a chunk depends only on its three rows: each distinct triple
+    of rows is tested once, the first time the walk meets it, and a failing
+    table still stops at its first bad partition.  Rows are numbered on
+    first use, so an early failure reads few of them.
     """
     *head, last = blocks
     triples = iter([(0, 0, 0)])
@@ -252,11 +240,32 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     get_a = itemgetter(*itertools.chain.from_iterable((a,) * (r - a) for a in w))
     get_b = itemgetter(*itertools.chain.from_iterable(w[: r - a] for a in w))
     get_c = itemgetter(*itertools.chain.from_iterable(w[last - a :: -1] for a in w))
+    row = _RowNumbers(tuple(values), r)
+    seen = set()
     for x, y, z in triples:
+        key = row[x], row[y], row[z]
+        if key in seen:
+            continue
+        seen.add(key)
         chunk = zip(get_a(values[x * r : x * r + r]), get_b(values[y * r : y * r + r]), get_c(values[z * r : z * r + r]))
         if not rel.issuperset(chunk):
             return False
     return True
+
+
+class _RowNumbers(dict):
+    """Prefix x -> the number of its value row values[x * r : x * r + r], rows numbered in order of first lookup.
+
+    `values` is a tuple, so that each row is a hashable slice.
+    """
+
+    def __init__(self, values, r: int):
+        self.values, self.r, self.rows = values, r, {}
+
+    def __missing__(self, x):
+        r = self.r
+        number = self[x] = self.rows.setdefault(self.values[x * r : x * r + r], len(self.rows))
+        return number
 
 
 def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bool:
@@ -274,8 +283,7 @@ def _search_network(template: TemplatePair, blocks, branch_order, deadline=None)
     """
     _require_boolean_one_in_three_source(template)
     ncells = math.prod(size + 1 for size in blocks)
-    codes = _partition_triples(blocks, deadline)
-    return Network(ncells, _decoded_triples(codes, ncells, deadline), branch_order, allowed_table(template.target))
+    return Network(ncells, _partition_triples(blocks, deadline), branch_order, allowed_table(template.target), deadline)
 
 
 def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:

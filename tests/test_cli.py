@@ -7,7 +7,7 @@ import pytest
 
 from pcsplab.cli import main
 from pcsplab.errors import FormatError
-from pcsplab.polymorphisms import dictator, format_poly_table, parse_poly_table
+from pcsplab.polymorphisms import PolyTable, dictator, format_poly_table, parse_poly_table
 from pcsplab.solvers import (
     Instance,
     format_coloring,
@@ -129,6 +129,17 @@ def test_poly_verify_table(tmp_path, capsys):
     bad.write_text("poly 1 2\n0 0\n1 0\n")
     code, out, _ = run(capsys, "poly", "verify", str(bad), "--template", "1in3", "1in3")
     assert code == 1 and "not a polymorphism" in out
+
+
+def test_poly_verify_arity_10_dictator_against_nae(tmp_path, capsys):
+    # the same tables as the CI step: a dictator holds, and flipping its full-set value breaks (full, {}, {})
+    table = dictator(10, 1)
+    good = tmp_path / "dictator.poly"
+    good.write_text(format_poly_table(table))
+    assert run(capsys, "poly", "verify", str(good), "--template", "1in3", "NAE")[:2] == (0, "valid polymorphism\n")
+    flipped = tmp_path / "flipped.poly"
+    flipped.write_text(format_poly_table(PolyTable(10, 2, table.values[:-1] + (1 - table.values[-1],))))
+    assert run(capsys, "poly", "verify", str(flipped), "--template", "1in3", "NAE")[:2] == (1, "not a polymorphism\n")
 
 
 def test_poly_verify_appendix_b(capsys):

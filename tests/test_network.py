@@ -66,7 +66,9 @@ def test_network_constraints_match_coordinate_partitions(blocks):
     triples = [decode(code, ncells) for code in _partition_triples(blocks)]
     # sorted and free of duplicates: the oracle is a set
     assert triples == sorted(partition_triples(blocks))
-    net = Network(ncells, triples, range(ncells), [[1, 1], [1, 1]])
+    codes = encode(triples, ncells)
+    net = Network(ncells, codes, range(ncells), [[1, 1], [1, 1]])
+    assert codes == []  # the network empties the list as it reads it
     assert net.ncells == ncells and net.k == 2
     watched = {tuple(sorted((a, *w[i : i + 2]))) for a, w in enumerate(net.watch) for i in range(0, len(w), 2)}
     assert watched == set(triples)
@@ -76,6 +78,11 @@ def test_network_constraints_match_coordinate_partitions(blocks):
 
 def decode(code, ncells):
     return code // ncells // ncells, code // ncells % ncells, code % ncells
+
+
+def encode(triples, ncells):
+    """A fresh list of the triples' codes, for a Network to read and empty."""
+    return [(a * ncells + b) * ncells + c for a, b, c in triples]
 
 
 def test_partition_triples_encode_one_int_per_triple():
@@ -113,7 +120,7 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
 
     monkeypatch.setattr(polymorphisms.time, "monotonic", clock)
     _partition_triples((2000,), 0.5)
-    # the clock passes the deadline ten reads after the triples are listed, while they stream into the network
+    # the clock passes the deadline ten reads after the triples are listed, while the network reads their codes
     calls, stop = 0, calls + 10
     with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
         _search_network(template, (2000,), range(2001), 0.5)
@@ -231,7 +238,8 @@ def test_propagation_reaches_arc_consistency(target):
     rng = random.Random(target)
     for blocks in GAC_SHAPES:
         triples = sorted(partition_triples(blocks))
-        net = Network(math.prod(size + 1 for size in blocks), triples, None, allowed_table(structure))
+        ncells = math.prod(size + 1 for size in blocks)
+        net = Network(ncells, encode(triples, ncells), None, allowed_table(structure))
         for _ in range(8):
             assert_arc_consistent(net, triples, ok, rng)
 
@@ -270,7 +278,7 @@ def test_engine_on_random_triples(seed):
     """Arbitrary sorted triples, repeated cells and cells in no triple included, under a random relation."""
     rng, k, ncells, ok, allowed = random_relation(seed)
     triples = sorted({tuple(sorted(rng.choices(range(ncells), k=3))) for _ in range(rng.randint(1, 8))})
-    net = Network(ncells, triples, range(ncells), allowed)
+    net = Network(ncells, encode(triples, ncells), range(ncells), allowed)
     for _ in range(6):
         assert_arc_consistent(net, triples, ok, rng)
     # solutions come out in lexicographic order along the branch order, each exactly once
@@ -283,14 +291,14 @@ def test_random_relations_reach_both_kinds_of_support_rows():
     kinds = set()
     for seed in range(40):
         *_, allowed = random_relation(seed)
-        kinds.add(Network(2, [(0, 0, 1)], range(2), allowed).support.inert)
+        kinds.add(Network(2, encode([(0, 0, 1)], 2), range(2), allowed).support.inert)
     assert kinds == {True, False}
 
 
 # in LO_3 a 2 goes only with two smaller colors, so support[full][1 << 2] lacks the 2
 @pytest.mark.parametrize("target, inert", [("LO_3", False), ("NAE", True), ("CHplus", True)])
 def test_catalog_support_rows_inert(target, inert):
-    net = Network(2, [(0, 0, 1)], range(2), allowed_table(named_template(target)))
+    net = Network(2, encode([(0, 0, 1)], 2), range(2), allowed_table(named_template(target)))
     assert net.support.inert == inert and net.forward.inert
 
 
@@ -305,12 +313,13 @@ def test_arc_consistency_under_rows_that_are_not_inert():
     rng = random.Random(0)
     for blocks in GAC_SHAPES:
         triples = sorted(partition_triples(blocks))
-        net = Network(math.prod(size + 1 for size in blocks), triples, None, allowed)
+        ncells = math.prod(size + 1 for size in blocks)
+        net = Network(ncells, encode(triples, ncells), None, allowed)
         assert not net.support.inert and net.support[net.full][0b100] == 0b100
         for _ in range(8):
             assert_arc_consistent(net, triples, ok, rng)
     # queued alone, a full cell still narrows through its watch list: here its 2 forces the third cell
-    net = Network(3, [(0, 1, 2)], None, allowed)
+    net = Network(3, encode([(0, 1, 2)], 3), None, allowed)
     cand = [0b111, 0b100, 0b111]
     assert net.propagate_from(cand, [0], net.support)
     assert cand == [0b100] * 3
@@ -324,4 +333,4 @@ def test_partition_triples_stops_at_its_deadline():
 def test_network_needs_two_cells():
     # a one-cell network would yield bare colors, not value tuples
     with pytest.raises(ValueError, match="at least two cells"):
-        Network(1, [(0, 0, 0)], [0], [[1, 0], [0, 2]])
+        Network(1, [0], [0], [[1, 0], [0, 2]])

@@ -14,6 +14,7 @@ from pcsplab.polymorphisms import (
     ORBIT_BLOCK,
     MinorMap,
     PolyTable,
+    _partitions_map_into,
     alternating_threshold,
     dictator,
     enumerate_orbits,
@@ -25,6 +26,7 @@ from pcsplab.polymorphisms import (
     subset_masks,
 )
 from pcsplab.structures import TemplatePair, make_structure, named_template
+from pcsplab.symmetric import search_block_symmetric
 
 
 def pair(src, tgt):
@@ -110,6 +112,58 @@ def test_checker_agreement_exhaustive():
                 assert is_polymorphism(table, template) == is_polymorphism_general(
                     boolean_to_general(table), template
                 )
+
+
+@pytest.mark.parametrize("target", ["NAE", "T2", "CHplus", "LO_3"])
+def test_checker_agrees_with_general_test_on_repeated_rows(target):
+    # arity 4 to 6 from one to three colours, so the checker's unit-block value rows repeat and it skips
+    # row triples it has met; a dictator with one or two entries changed fails only deep in the walk
+    template = pair("1in3", target)
+    k = template.target.domain_size
+    rng = random.Random(target)
+    verdicts = []
+    for _ in range(100):
+        n = rng.randint(4, 6)
+        if rng.random() < 0.3:
+            colors = rng.sample(range(k), rng.randint(1, min(3, k)))
+            values = tuple(rng.choice(colors) for _ in range(1 << n))
+        else:
+            values = list(dictator(n, rng.randint(1, n), k).values)
+            for mask in rng.sample(range(1 << n), rng.randint(0, 2)):
+                values[mask] = rng.choice([v for v in range(k) if v != values[mask]])
+            values = tuple(values)
+        table = PolyTable(n, k, values)
+        got = is_polymorphism(table, template)
+        assert got == is_polymorphism_general(boolean_to_general(table), template), (n, values)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+class CountingRelation(frozenset):
+    """A relation that counts its issuperset calls: one per chunk the checker tests."""
+
+    calls = 0
+
+    def issuperset(self, other):
+        self.calls += 1
+        return super().issuperset(other)
+
+
+def test_block_checker_tests_each_row_triple_once():
+    template = pair("1in3", "NAE")
+    values = search_block_symmetric(template, 31, 30).table.values
+    rel = CountingRelation(template.target.single_ternary().as_set)
+    assert _partitions_map_into((31, 30), values, rel)
+    # the head prefixes are the compositions (a, b, c) of the first block, each fixing three rows of 31 values
+    rows = [values[w * 31 : w * 31 + 31] for w in range(32)]
+    prefixes = [(a, b, 31 - a - b) for a in range(32) for b in range(32 - a)]
+    assert len(prefixes) == 528
+    assert rel.calls == len({(rows[a], rows[b], rows[c]) for a, b, c in prefixes}) == 6
+    # zeros on the rows of the first prefix, (0, 0, 31), fail it, and the checker stops at that first chunk
+    broken = (0,) * 31 + values[31:-31] + (0,) * 31
+    rel = CountingRelation(template.target.single_ternary().as_set)
+    assert not _partitions_map_into((31, 30), broken, rel)
+    assert rel.calls == 1
 
 
 def test_pull_masks_are_preimages():
