@@ -8,16 +8,20 @@ them, the depth-first search for the first table (`Network.solutions`), and
 the answer check of that table (`polymorphisms._table_holds`).  Each case
 below times each phase; a phase that a case does not reach is left out.  A
 check-only case times the answer check of a given table on unit blocks, as
-`poly verify` runs it.  A second pass, apart from the timed one, builds each
-searching case's triples and network again under tracemalloc and records the
-peak and the bytes still held once both exist, in MB.
+`poly verify` runs it: a dictator, a symmetric table expanded to every
+subset, or a seeded random table, which fails.  A second pass, apart from
+the timed one, builds each searching case's triples and network again under
+tracemalloc and records the peak and the bytes still held once both exist,
+in MB.
 
 Every run is one fresh interpreter per source tree, so no row or cache built
 by one run is seen by the next, and the order of the trees alternates from
 run to run.  The output gives, per case and tree, the median of the runs for
 each phase in seconds, the medians of the memory counters, and the work
 counters (triples, nodes), which must repeat exactly across runs and trees
-for the times to compare the same work.
+for the times to compare the same work, and each tree's commit (`git
+rev-parse HEAD`, with "-dirty" when the tree has uncommitted changes, null
+for a tree outside a git checkout).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -34,25 +39,32 @@ import time
 import tracemalloc
 
 # (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at
-# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only;
-# the check-only case checks the first-coordinate dictator of arity 12, a polymorphism: 177,147 head prefixes,
-# one row triple
+# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only.
+# A check-only case checks the table its label's first word names, on unit blocks: the first-coordinate
+# dictator and the expanded symmetric table are polymorphisms with few distinct sub-tables at each level (the
+# dictator has one), and the random table has nearly all its sub-tables distinct and fails early in the walk
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("triples", "network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("triples", "network", "solutions", "check")),
     ("T2 (2000,)", "T2", (2000,), ("triples", "network")),
     ("dictator 12 / NAE", "NAE", (1,) * 12, ("check",)),
+    ("dictator 14 / NAE", "NAE", (1,) * 14, ("check",)),
+    ("symmetric 14 / T2", "T2", (1,) * 14, ("check",)),
+    ("random 14 / NAE", "NAE", (1,) * 14, ("check",)),
 )
 
 
-def _feed():
-    """feed(triples, ncells): what the tree's search hands to Network for the output of _partition_triples."""
-    from pcsplab import polymorphisms
+def _checked_table(kind, template, n):
+    """The values of the table a check-only case checks, indexed by subset mask."""
+    from pcsplab.polymorphisms import dictator
+    from pcsplab.symmetric import search_symmetric
 
-    decoded = getattr(polymorphisms, "_decoded_triples", None)
-    if decoded is None:  # a tree whose Network reads the codes, or whose _partition_triples lists tuples
-        return lambda triples, ncells: triples
-    return lambda codes, ncells: decoded(codes, ncells, None)
+    if kind == "dictator":
+        return dictator(n, 1).values
+    if kind == "symmetric":
+        weights = search_symmetric(template, n).table.values
+        return tuple(weights[mask.bit_count()] for mask in range(1 << n))
+    return tuple(random.Random(n).choices(range(template.target.domain_size), k=1 << n))
 
 
 def _case_inputs(target, blocks):
@@ -69,10 +81,9 @@ def _case_inputs(target, blocks):
 def measure_once() -> dict:
     """One run of every case in this interpreter: {case: {"s": {phase: seconds}, "mb": {...}, "counters": {...}}}."""
     from pcsplab._network import Network
-    from pcsplab.polymorphisms import _partition_triples, _table_holds, dictator
+    from pcsplab.polymorphisms import _partition_triples, _table_holds
     from pcsplab.symmetric import _wlog_colors
 
-    feed = _feed()
     out = {}
     for label, target, blocks, phases in CASES:
         template, allowed, order, ncells = _case_inputs(target, blocks)
@@ -84,11 +95,11 @@ def measure_once() -> dict:
             s["triples"] = time.perf_counter() - start
             counters["triples"] = len(triples)
             start = time.perf_counter()
-            net = Network(ncells, feed(triples, ncells), order, allowed)
+            net = Network(ncells, triples, order, allowed)
             s["network"] = time.perf_counter() - start
             del triples
-        else:  # a check-only case checks the first-coordinate dictator
-            values = dictator(len(blocks), 1).values
+        else:
+            values = _checked_table(label.split()[0], template, len(blocks))
         if "solutions" in phases:
             wlog = _wlog_colors(template.target)
             start = time.perf_counter()
@@ -100,8 +111,9 @@ def measure_once() -> dict:
             start = time.perf_counter()
             holds = _table_holds(template, blocks, template.target.domain_size, values)
             s["check"] = time.perf_counter() - start
-            if not holds:
-                raise SystemExit(f"{label}: the checked table fails the answer check")
+            counters["holds"] = holds
+            if holds != (label.split()[0] != "random"):
+                raise SystemExit(f"{label}: the answer check gives {holds}")
         out[label] = {"s": s, "counters": counters}
         del net
     for label, target, blocks, phases in CASES:
@@ -110,7 +122,7 @@ def measure_once() -> dict:
         _, allowed, order, ncells = _case_inputs(target, blocks)
         tracemalloc.start()
         triples = _partition_triples(blocks)
-        net = Network(ncells, feed(triples, ncells), order, allowed)
+        net = Network(ncells, triples, order, allowed)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         out[label]["mb"] = {"peak": peak / 2**20, "held": held / 2**20}
@@ -124,6 +136,15 @@ def run_tree(path: str) -> dict:
         [sys.executable, os.path.abspath(__file__), "--child"], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
+
+
+def commit_of(path: str):
+    """The HEAD commit of the git checkout holding path, with "-dirty" if path differs from it; None outside one."""
+    proc = subprocess.run(["git", "-C", path, "rev-parse", "HEAD"], capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None
+    clean = subprocess.run(["git", "-C", path, "diff", "--quiet", "HEAD", "--", "."], capture_output=True)
+    return proc.stdout.strip() + ("" if clean.returncode == 0 else "-dirty")
 
 
 def main(argv=None) -> int:
@@ -165,6 +186,7 @@ def main(argv=None) -> int:
     ledger = {
         "script": "bench/network_layers.py",
         "runs": args.runs,
+        "commits": {label: commit_of(path) for label, path in trees},
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "cases": cases,
     }

@@ -10,9 +10,10 @@ This module also owns the cells of tables on coordinate blocks: a cell is a
 weight vector, indexed in mixed radix with the last block least
 significant, and each 3-partition of the coordinates gives one cell triple,
 which repeats a cell when two parts have the same weight vector.
-It lists the sorted triples as one int code each, hands the search engine in
-`_network` only the cell count and that list of codes, and checks answers
-with its own walk over the ordered partitions.
+It lists the sorted triples as one int code each and hands the search engine
+in `_network` only the cell count and that list of codes.  It checks answers
+with its own walk: equal sub-tables of the table share one number, and each
+distinct triple of sub-tables at each level is visited once.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def allowed_table(target: RelStructure) -> list[list[int]]:
     return table
 
 
-# Two generators of the cell triples of coordinate blocks, kept apart on purpose: the search network's
-# constraints come from _partition_triples, and the answer checker walks _split_block, so a fault in
-# one cannot hide behind the other.
+# Two walks over the 3-partitions of coordinate blocks, kept apart on purpose: the search network's
+# constraints come from _partition_triples' cell triples, and the answer checker walks numbered
+# sub-tables of the found table, so a fault in one cannot hide behind the other.
 
 
 def _partition_triples(blocks, deadline=None) -> list[int]:
@@ -205,15 +206,6 @@ def _second_parts(size: int, tie: int, deadline):
         yield a, range(a if tie & 1 else 0, (size - a) // 2 + 1 if tie & 2 else r - a)
 
 
-def _split_block(triples, size: int):
-    """Extend each cell triple by every composition (a, b, c) of one more block of the given size."""
-    r = size + 1
-    for x, y, z in triples:
-        for a in range(r):
-            for b in range(r - a):
-                yield x * r + a, y * r + b, z * r + size - a - b
-
-
 def _partitions_map_into(blocks, values, rel) -> bool:
     """Does every ordered 3-partition of the coordinates map into rel?
 
@@ -221,51 +213,48 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     vector (w_1, ..., w_m), 0 <= w_j <= blocks[j], indexed in mixed radix
     with the last block least significant.  A partition putting (a_j, b_j,
     c_j) elements of block j into its three parts must send its cell triple
-    to a triple of values in rel.  The partitions over every block but the
-    last are streamed, never listed; each one fixes three runs of cells, one
-    value row each, and the last block's compositions are read off those
-    rows together as one chunk.  Those compositions are the same for every
-    prefix, so a chunk depends only on its three rows: each distinct triple
-    of rows is tested once, the first time the walk meets it, and a failing
-    table still stops at its first bad partition.  Rows are numbered on
-    first use, so an early failure reads few of them.
+    to a triple of values in rel.  Fixing the weights of the first j blocks
+    fixes a contiguous sub-table, and whether every completion of a partial
+    partition maps into rel depends only on its three sub-tables.  So the
+    sub-tables are numbered bottom-up, equal ones sharing a number: a last
+    block sub-table is a value row, and a sub-table one level up is the tuple
+    of its children's numbers, up to the whole table, node 0.  A depth-first
+    walk then visits each distinct (level, x, y, z) once, where a walk over
+    every partition would first meet it, and at the last level reads the last
+    block's compositions off rows x, y and z together as one chunk, so a
+    failing table still stops at its first bad partition.
     """
     *head, last = blocks
-    triples = iter([(0, 0, 0)])
-    for size in head:
-        triples = _split_block(triples, size)
     r = last + 1
     w = tuple(range(r))
     # the last block's compositions (a, b, last - a - b) as three index columns; slices share w's ints
     get_a = itemgetter(*itertools.chain.from_iterable((a,) * (r - a) for a in w))
     get_b = itemgetter(*itertools.chain.from_iterable(w[: r - a] for a in w))
     get_c = itemgetter(*itertools.chain.from_iterable(w[last - a :: -1] for a in w))
-    row = _RowNumbers(tuple(values), r)
+    ids, nodes = tuple(values), []  # nodes: the distinct sub-tables of each level by number, last level first
+    for width in [r, *(size + 1 for size in reversed(head))]:
+        numbers = {}
+        ids = tuple(numbers.setdefault(ids[i : i + width], len(numbers)) for i in range(0, len(ids), width))
+        nodes.append(list(numbers))
+    rows, kids = nodes[0], nodes[:0:-1]
     seen = set()
-    for x, y, z in triples:
-        key = row[x], row[y], row[z]
-        if key in seen:
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        level, x, y, z = stack.pop()
+        if level == len(head):
+            if not rel.issuperset(zip(get_a(rows[x]), get_b(rows[y]), get_c(rows[z]))):
+                return False
             continue
-        seen.add(key)
-        chunk = zip(get_a(values[x * r : x * r + r]), get_b(values[y * r : y * r + r]), get_c(values[z * r : z * r + r]))
-        if not rel.issuperset(chunk):
-            return False
+        size, xs, ys, zs = head[level], kids[level][x], kids[level][y], kids[level][z]
+        fresh = []
+        for a in range(size + 1):
+            for b in range(size + 1 - a):
+                key = level + 1, xs[a], ys[b], zs[size - a - b]
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(key)
+        stack += reversed(fresh)  # so the first composition is popped first
     return True
-
-
-class _RowNumbers(dict):
-    """Prefix x -> the number of its value row values[x * r : x * r + r], rows numbered in order of first lookup.
-
-    `values` is a tuple, so that each row is a hashable slice.
-    """
-
-    def __init__(self, values, r: int):
-        self.values, self.r, self.rows = values, r, {}
-
-    def __missing__(self, x):
-        r = self.r
-        number = self[x] = self.rows.setdefault(self.values[x * r : x * r + r], len(self.rows))
-        return number
 
 
 def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bool:

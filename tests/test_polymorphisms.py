@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 import warnings
 
 import pytest
@@ -26,7 +27,7 @@ from pcsplab.polymorphisms import (
     subset_masks,
 )
 from pcsplab.structures import TemplatePair, make_structure, named_template
-from pcsplab.symmetric import search_block_symmetric
+from pcsplab.symmetric import search_block_symmetric, search_symmetric
 
 
 def pair(src, tgt):
@@ -164,6 +165,29 @@ def test_block_checker_tests_each_row_triple_once():
     rel = CountingRelation(template.target.single_ternary().as_set)
     assert not _partitions_map_into((31, 30), broken, rel)
     assert rel.calls == 1
+
+
+@pytest.mark.parametrize("case", ["dictator-1", "dictator-16", "T2-symmetric"])
+def test_unit_block_checker_scales_to_arity_16(case):
+    # 3**15 head prefixes but few distinct sub-tables: the checker tests each distinct triple of value rows once,
+    # and a value row is (0, 1) everywhere for the first dictator, (0, 0) or (1, 1) for the last one, and fixed
+    # by its prefix's weight for a symmetric table
+    if case == "T2-symmetric":
+        template = pair("1in3", "T2")
+        weights = search_symmetric(template, 16).table.values
+        values = tuple(weights[mask.bit_count()] for mask in range(1 << 16))
+        rows = [weights[w : w + 2] for w in range(16)]
+        triples = len({(rows[a], rows[b], rows[15 - a - b]) for a in range(16) for b in range(16 - a)})
+    else:
+        template = pair("1in3", "NAE")
+        values = dictator(16, int(case[9:])).values
+        triples = 1 if case == "dictator-1" else 3
+    start = time.perf_counter()
+    assert is_polymorphism(PolyTable(16, template.target.domain_size, values), template)
+    assert time.perf_counter() - start < 2
+    rel = CountingRelation(template.target.single_ternary().as_set)
+    assert _partitions_map_into((1,) * 16, values, rel)
+    assert rel.calls == triples
 
 
 def test_pull_masks_are_preimages():

@@ -152,6 +152,30 @@ def test_block_checker_agrees_with_general_test_on_single_cell_changes(target):
     assert shapes == 11  # (3, 3) has no table for either target
 
 
+@pytest.mark.parametrize("target", ["NAE", "T2"])
+def test_unit_block_checker_agrees_with_general_test_past_arity_6(target):
+    # found tables of arity 7 to 9 expanded to every subset; flipping one mask makes one sub-table distinct at
+    # every level on its path, so the unit-block walk must tell it apart from its equal siblings at each level
+    template = pair("1in3", target)
+    k = template.target.domain_size
+    rng = random.Random(target)
+    verdicts = []
+    for shape in [(7,), (8,), (4, 3), (3, 4), (5, 3), (4, 4), (5, 4), (4, 5)]:
+        search = search_symmetric if len(shape) == 1 else search_block_symmetric
+        expanded = expand_weight_table(shape, search(template, *shape).table.values)
+        tables = [tuple(expanded)]
+        for mask in rng.sample(range(len(expanded)), 3):
+            flipped = list(expanded)
+            flipped[mask] = rng.choice([v for v in range(k) if v != flipped[mask]])
+            tables.append(tuple(flipped))
+        for values in tables:
+            full = PolyTable(sum(shape), k, values)
+            got = is_polymorphism(full, template)
+            assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
 def test_propagate_single_weight_force():
     t2 = pair("1in3", "T2")
     assigned, trace = propagate(t2, 1, {0: 0})
