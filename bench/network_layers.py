@@ -9,10 +9,14 @@ the answer check of that table (`polymorphisms._table_holds`).  Each case
 below times each phase; a phase that a case does not reach is left out.  A
 check-only case times the answer check of a given table on unit blocks, as
 `poly verify` runs it: a dictator, a symmetric table expanded to every
-subset, or a seeded random table, which fails.  A second pass, apart from
-the timed one, builds each searching case's triples and network again under
-tracemalloc and records the peak and the bytes still held once both exist,
-in MB.
+subset, or a seeded random table, which fails.  Two enumeration cases time
+the walks that `verify lemmas` and `verify selector` make on unit blocks:
+`enumerate_orbits` run to exhaustion (phase `orbits`, counting leaders and
+the tables their orbits cover) and `verify_selector` with the template's
+selector (phase `selector`, counting chain states).  A second pass, apart
+from the timed one, builds each searching case's triples and network again
+under tracemalloc and records the peak and the bytes still held once both
+exist, in MB.
 
 Every run is one fresh interpreter per source tree, so no row or cache built
 by one run is seen by the next, and the order of the trees alternates from
@@ -51,6 +55,8 @@ CASES = (
     ("dictator 14 / NAE", "NAE", (1,) * 14, ("check",)),
     ("symmetric 14 / T2", "T2", (1,) * 14, ("check",)),
     ("random 14 / NAE", "NAE", (1,) * 14, ("check",)),
+    ("orbits T1 5", "T1", (1,) * 5, ("orbits",)),
+    ("selector CH 4", "CH", (1,) * 4, ("selector",)),
 )
 
 
@@ -81,7 +87,8 @@ def _case_inputs(target, blocks):
 def measure_once() -> dict:
     """One run of every case in this interpreter: {case: {"s": {phase: seconds}, "mb": {...}, "counters": {...}}}."""
     from pcsplab._network import Network
-    from pcsplab.polymorphisms import _partition_triples, _table_holds
+    from pcsplab.polymorphisms import _partition_triples, _table_holds, enumerate_orbits
+    from pcsplab.properties import SELECTOR_CATALOG, verify_selector
     from pcsplab.symmetric import _wlog_colors
 
     out = {}
@@ -98,8 +105,22 @@ def measure_once() -> dict:
             net = Network(ncells, triples, order, allowed)
             s["network"] = time.perf_counter() - start
             del triples
-        else:
+        elif "check" in phases:
             values = _checked_table(label.split()[0], template, len(blocks))
+        if "orbits" in phases:
+            start = time.perf_counter()
+            leaders = list(enumerate_orbits(template, len(blocks)))
+            s["orbits"] = time.perf_counter() - start
+            counters["leaders"] = len(leaders)
+            counters["tables"] = sum(size for _, size in leaders)
+        if "selector" in phases:
+            spec = next(spec for spec in SELECTOR_CATALOG.values() if spec.template_name == target)
+            start = time.perf_counter()
+            report = verify_selector(template, spec, len(blocks))
+            s["selector"] = time.perf_counter() - start
+            counters["states"] = report.states_explored
+            if not report.holds:
+                raise SystemExit(f"{label}: {spec.name} fails")
         if "solutions" in phases:
             wlog = _wlog_colors(template.target)
             start = time.perf_counter()

@@ -348,12 +348,19 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, tim
     leader's singleton layer is sorted on the permuted coordinates, since
     any other arrangement of it is larger, so only the permutations that fix
     its singleton colouring can map it to a smaller table.  Whenever a node
-    completes a size layer past the singletons, its assigned prefix is
-    compared with the image of that prefix under each of those
-    permutations, and a smaller image cuts the node.  At a leaf, the same
-    permutations that fix the table give |Stab|.  The permutation tables
-    are built per call.  Raises TimeBudgetExceeded once the search runs
-    past time_budget seconds.
+    completes size layers past the singletons, its assigned prefix is
+    compared with the image of that prefix under those permutations, and a
+    smaller image cuts the node.  Only the permutations still tied with the
+    prefix are compared, and only on the layers this node completed: tied
+    maps a compared prefix length to the permutations whose image equals
+    the prefix up to it.  A node that completes the layers from length done
+    to size starts from tied[done], written last by its nearest ancestor
+    that compared up to done, or from all the permutations fixing the
+    colouring when done is 0.  A permutation whose image slice is larger is
+    dropped for the whole subtree, and one whose slice is equal goes into
+    tied[size].  At a leaf, the permutations in tied[size] fix the table
+    and give |Stab|.  The permutation tables are built per call.  Raises
+    TimeBudgetExceeded once the search runs past time_budget seconds.
     """
     _require_arity(n, force)
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -374,6 +381,7 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, tim
         for stop in range(ends[j], len(order) + 1):
             prefix[stop] = 1 + ends[j] - ends[1]
     fixing = {}  # singleton colouring -> the upper getters of the permutations that fix it
+    tied = {}  # compared prefix length -> the getters whose image equals the assigned prefix up to it
     stabiliser = 1  # |Stab| of the last solution the prune hook let through
 
     def prune(cand, start, stop) -> bool:
@@ -382,19 +390,27 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, tim
             return False
         if start <= n and any(cand[a] > cand[b] for a, b in ascending):
             return True
-        size = prefix[stop]
-        if size == prefix[start]:
+        done, size = prefix[start], prefix[stop]
+        if size == done:
             return False  # no layer past the singletons completed at this node
-        colouring = colouring_of(cand)
-        getters = fixing.get(colouring)
-        if getters is None:
-            getters = fixing[colouring] = [get for on_singles, get in images if on_singles(cand) == colouring]
-        # a full image is below the prefix exactly when its own prefix is
-        head = mine(cand)[:size]
-        found = [get(cand) for get in getters]
+        if done:
+            getters = tied[done]  # last written by the nearest ancestor that compared up to done
+        else:
+            colouring = colouring_of(cand)
+            getters = fixing.get(colouring)
+            if getters is None:
+                getters = fixing[colouring] = [get for on_singles, get in images if on_singles(cand) == colouring]
+        head = mine(cand)[done:size]
+        still = tied[size] = []
+        for get in getters:
+            image = get(cand)[done:size]
+            if image < head:
+                return True
+            if image == head:
+                still.append(get)
         if stop == len(order):
-            stabiliser = 1 + found.count(head)
-        return bool(found) and min(found) < head
+            stabiliser = 1 + len(still)
+        return False
 
     group = len(images) + 1
     for values in net.solutions(None, deadline, prune):

@@ -708,9 +708,9 @@ def verify_selector(
     selection; an extension whose new selection meets any image already
     witnesses the required intersection, so only image-avoiding extensions
     are explored, memoised per state.  Any completed avoiding chain is a
-    violation.  Each map is read through its pull and push tables, built
-    once per call: the minor is g[X] = f[pull[X]] and a selection x moves
-    forward to push[x].
+    violation.  Each map is read through a getter of its pull table and its
+    push table, built once per call: the getter builds the minor g[X] =
+    f[pull[X]] in one call, and a selection x moves forward to push[x].
     time_budget bounds the enumeration and the chain search together, in
     seconds; the deadline is checked at each state, and TimeBudgetExceeded
     is raised once it passes.  A max_arity above the cap raises
@@ -735,10 +735,11 @@ def verify_selector(
     for n, m in itertools.product(all_maps, repeat=2):
         for mapping in itertools.product(range(1, m + 1), repeat=n):
             alpha = MinorMap(n, m, mapping)
-            all_maps[n].append((m, mapping, alpha.pull(), alpha.push()))
+            all_maps[n].append((m, mapping, operator.itemgetter(*alpha.pull()), alpha.push()))
 
     states = 0
     memo: dict[tuple, tuple | None] = {}
+    missing = object()  # neither None nor a mask, so a lookup of a minor off the stream cannot pass for a selection
 
     def extend(values, n, frontier, steps):
         """Returns a violating chain suffix (possibly empty tuple) or None."""
@@ -753,19 +754,21 @@ def verify_selector(
             return memo[key]
         result = None
         for m, mapping, pull, push in all_maps[n]:
-            g = tuple([values[p] for p in pull])  # a generator would over-allocate each tuple
-            if g not in selections[m]:
+            g = pull(values)
+            sel_g = selections[m].get(g, missing)
+            if sel_g is missing:
                 raise AssertionError("minor of a polymorphism left the enumerated stream")
-            sel_g = selections[m][g]
             if sel_g is None:
                 continue
             images = [push[x] for x in frontier]
-            if any(im & sel_g for im in images):
-                continue
-            suffix = extend(g, m, images + [sel_g], steps - 1)
-            if suffix is not None:
-                result = ((m, g, mapping),) + suffix
-                break
+            for im in images:
+                if im & sel_g:
+                    break
+            else:
+                suffix = extend(g, m, images + [sel_g], steps - 1)
+                if suffix is not None:
+                    result = ((m, g, mapping),) + suffix
+                    break
         memo[key] = result
         return result
 

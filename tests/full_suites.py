@@ -41,12 +41,12 @@ def coordinate_permutations(n):
     ]
 
 
-def brute_force_leaders(template, n):
+def brute_force_leaders(template, n, force=False):
     """[(values, orbit size)] for the tables that come first in stream order among their permutations."""
     key = operator.itemgetter(*subset_masks(n))
     permutations = coordinate_permutations(n)
     leaders = []
-    for values in enumerate_polymorphisms(template, n):
+    for values in enumerate_polymorphisms(template, n, force=force):
         orbit = {get(values) for get in permutations}
         if min(orbit, key=key) == values:
             leaders.append((values, len(orbit)))

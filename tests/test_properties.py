@@ -287,6 +287,14 @@ def test_orbit_leaders_match_brute_force(name):
         assert list(enumerate_orbits(template, n)) == brute_force_leaders(template, n), n
 
 
+@pytest.mark.parametrize("name", ["CH", "T2"])
+def test_orbit_leaders_match_brute_force_past_arity_4(name):
+    # the prune carries tied permutations across layers; arity 6 permutes every coordinate, all 720 of S_6
+    template = pair("1in3", name)
+    for n in (5, 6):
+        assert list(enumerate_orbits(template, n, force=True)) == brute_force_leaders(template, n, force=True), n
+
+
 def test_orbit_leaders_pinned_t1_arity_five():
     leaders = list(enumerate_orbits(pair("1in3", "T1"), 5))
     assert (len(leaders), sum(size for _, size in leaders)) == (4022, 328582)
@@ -474,6 +482,20 @@ def test_verify_selector_deadline_checked_per_state(monkeypatch):
     spec = SELECTOR_CATALOG["SEL_T1"]
     with pytest.raises(TimeBudgetExceeded, match="after 1 states"):
         verify_selector(pair("1in3", spec.template_name), spec, 2, time_budget=0)
+
+
+def test_verify_selector_refuses_a_minor_off_the_stream(monkeypatch):
+    # drop the first unary table from the stream: a minor of a binary table lands on it
+    def short(template, n, time_budget=None):
+        tables = enumerate_polymorphisms(template, n)
+        if n == 1:
+            next(tables)
+        return tables
+
+    monkeypatch.setattr(properties_module, "enumerate_polymorphisms", short)
+    spec = SELECTOR_CATALOG["SEL_T1"]
+    with pytest.raises(AssertionError, match="minor of a polymorphism left the enumerated stream"):
+        verify_selector(pair("1in3", spec.template_name), spec, 2)
 
 
 def test_verify_selector_violation_chains_pinned():
