@@ -266,6 +266,13 @@ def _cmd_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def seconds(text: str) -> float:
+        """A time budget: a float >= 0, inf included; a negative value or NaN (no clock ever passes it) is refused."""
+        value = float(text)
+        if not value >= 0:
+            raise ValueError(text)  # argparse reports it as "invalid seconds value" and exits 2
+        return value
+
     parser = argparse.ArgumentParser(prog="pcsplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--named3", action="store_true", help="named 3-element catalog (default)")
     group.add_argument("--all3", action="store_true", help="all 1023 symmetric ternary structures")
     p_lattice.add_argument("--out", help="write DOT here instead of stdout")
-    p_lattice.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    p_lattice.add_argument("--time-budget", type=seconds, default=None, metavar="SECONDS")
     p_lattice.set_defaults(func=_cmd_hom)
 
     p_poly = sub.add_parser("poly", help="polymorphism searches and table checks")
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("target")
     p_enum.add_argument("arity", type=int)
     p_enum.add_argument("--force", action="store_true")
-    p_enum.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    p_enum.add_argument("--time-budget", type=seconds, default=None, metavar="SECONDS")
     p_enum.set_defaults(func=_cmd_poly)
     for name in ("search-sym", "search-block"):
         p_search = poly_sub.add_parser(name)
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_search.add_argument("k1", type=int)
             p_search.add_argument("k2", type=int)
         p_search.add_argument("--no-wlog", action="store_true", help="disable the automorphism value fixing")
-        p_search.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+        p_search.add_argument("--time-budget", type=seconds, default=None, metavar="SECONDS")
         p_search.add_argument("--json", action="store_true")
         p_search.set_defaults(func=_cmd_poly)
     p_pverify = poly_sub.add_parser("verify")
@@ -326,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas.add_argument("template")
     p_lemmas.add_argument("--max-arity", type=int, default=4)
     p_lemmas.add_argument("--force", action="store_true")
-    p_lemmas.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    p_lemmas.add_argument("--time-budget", type=seconds, default=None, metavar="SECONDS")
     p_lemmas.add_argument("--json", action="store_true")
     p_lemmas.set_defaults(func=_cmd_verify)
     p_selector = verify_sub.add_parser("selector")
     p_selector.add_argument("template")
     p_selector.add_argument("--max-arity", type=int, default=3)
-    p_selector.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    p_selector.add_argument("--time-budget", type=seconds, default=None, metavar="SECONDS")
     p_selector.add_argument("--json", action="store_true")
     p_selector.set_defaults(func=_cmd_verify)
 

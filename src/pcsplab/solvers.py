@@ -397,14 +397,5 @@ def format_instance(instance: Instance, planted: dict[int, int] | None = None) -
     return "\n".join(lines) + "\n"
 
 
-def parse_planted(text: str) -> dict[int, int]:
-    witness = {}
-    for raw in text.splitlines():
-        parts = raw.split()
-        if parts[:2] == ["#", "planted"] and len(parts) == 4:
-            witness[int(parts[2])] = int(parts[3])
-    return witness
-
-
 def format_coloring(coloring: dict[int, int]) -> str:
     return "\n".join(f"v {v} {coloring[v]}" for v in sorted(coloring)) + "\n"

@@ -404,12 +404,3 @@ def parse_structure(text: str) -> RelStructure:
         return make_structure(domain_size, [tuples for _, tuples in relations])
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def format_structure(structure: RelStructure) -> str:
-    lines = [f"domain {structure.domain_size}"]
-    for rel in structure.relations:
-        lines.append(f"rel {rel.arity}")
-        for t in rel.tuples:
-            lines.append("t " + " ".join(str(x) for x in t))
-    return "\n".join(lines) + "\n"

