@@ -47,11 +47,10 @@ out in lexicographic order along the branch order, whichever rows narrow.
 
 from __future__ import annotations
 
-import time
 from functools import reduce
 from operator import itemgetter, or_
 
-from .errors import TimeBudgetExceeded
+from .errors import TimeBudgetExceeded, expired
 
 
 class _Lazy(dict):
@@ -78,8 +77,8 @@ def _rows(k: int, entry):
 
 
 def check_build_deadline(deadline) -> None:
-    """Raise TimeBudgetExceeded once the monotonic clock passes `deadline` while a network is built."""
-    if deadline is not None and time.monotonic() > deadline:
+    """Raise TimeBudgetExceeded once `deadline` has expired while a network is built."""
+    if expired(deadline):
         raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
 
 
@@ -224,7 +223,7 @@ class Network:
             for i in range(start, len(order)):
                 mask = cand[order[i]]
                 if mask & (mask - 1):
-                    if deadline is not None and time.monotonic() > deadline:
+                    if expired(deadline):
                         raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
                     if prune is None or not prune(cand, start, i):
                         stack.append((cand, i, iter(colors)))

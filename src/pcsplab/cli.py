@@ -14,7 +14,7 @@ import sys
 
 from . import properties as props
 from . import solvers, structures, symmetric
-from .errors import FormatError, PcspError, TimeBudgetExceeded
+from .errors import FormatError, PcspError, TimeBudgetExceeded, deadline_after, seconds
 from .homs import hom_lattice, hom_order_compare, lattice_to_dot
 from .polymorphisms import (
     DEFAULT_ARITY_CAP,
@@ -108,8 +108,8 @@ def _cmd_poly(args) -> int:
                 return 2
             _past_cap_note(args.arity)
         count = 0
-        order = subset_masks(args.arity)
-        for values in enumerate_polymorphisms(template, args.arity, force=args.force, time_budget=args.time_budget):
+        order, deadline = subset_masks(args.arity), deadline_after(args.time_budget)
+        for values in enumerate_polymorphisms(template, args.arity, force=args.force, deadline=deadline):
             print("".join(str(values[m]) for m in order))
             count += 1
         print(f"count {count}", file=sys.stderr)
@@ -266,13 +266,6 @@ def _cmd_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def seconds(text: str) -> float:
-        """A time budget: a float >= 0, inf included; a negative value or NaN (no clock ever passes it) is refused."""
-        value = float(text)
-        if not value >= 0:
-            raise ValueError(text)  # argparse reports it as "invalid seconds value" and exits 2
-        return value
-
     parser = argparse.ArgumentParser(prog="pcsplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for time budgets.
+
+An entry point turns its budget into one deadline_after deadline and passes it
+down; every check of it is expired.  No other module reads the monotonic clock.
+"""
+
+import time
 
 
 class PcspError(Exception):
@@ -23,3 +29,24 @@ class UnsupportedTargetError(PcspError):
 
 class TimeBudgetExceeded(PcspError):
     """A search ran past its deadline and was aborted."""
+
+
+def seconds(text) -> float:
+    """A time budget in seconds: a float >= 0, inf included; NaN (no clock passes it) or < 0 is a ValueError.
+
+    It is also the argparse type of every --time-budget, which reports the error as "invalid seconds value".
+    """
+    value = float(text)
+    if not value >= 0:
+        raise ValueError(f"a time budget must be seconds >= 0, got {text!r}")
+    return value
+
+
+def deadline_after(time_budget: float | None) -> float | None:
+    """None for no budget, else time.monotonic() plus a budget that seconds accepts."""
+    return None if time_budget is None else time.monotonic() + seconds(time_budget)
+
+
+def expired(deadline: float | None) -> bool:
+    """Has time.monotonic() passed `deadline`?  None never expires."""
+    return deadline is not None and time.monotonic() > deadline

@@ -11,10 +11,9 @@ per class, and emits the cover edges of the induced partial order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .errors import SignatureMismatchError, TimeBudgetExceeded
+from .errors import SignatureMismatchError, TimeBudgetExceeded, deadline_after, expired
 from .structures import RelStructure, _maps
 
 STRICTLY_BELOW = "strictly_below"
@@ -131,7 +130,7 @@ class HomLattice:
         raise ValueError("structure not in lattice input")
 
 
-def hom_lattice(structures, time_budget: float | None = None) -> HomLattice:
+def hom_lattice(structures, *, time_budget: float | None = None) -> HomLattice:
     """Mutual-homomorphism classes of the input and their Hasse cover edges.
 
     Structures are placed in input order.  Each is tested against the head
@@ -139,10 +138,11 @@ def hom_lattice(structures, time_budget: float | None = None) -> HomLattice:
     the first class it is equivalent to, and otherwise heads a new class whose
     order relation to every earlier head those tests already gave.
     Homomorphisms compose, so a head stands for its whole class.  time_budget
-    bounds the whole call in seconds; the deadline is checked before each hom
-    test, and TimeBudgetExceeded is raised once it passes.
+    bounds the whole call in seconds; its deadline is checked before each hom
+    test, and TimeBudgetExceeded is raised once it passes.  A NaN or negative
+    time_budget raises ValueError before any test.
     """
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = deadline_after(time_budget)
     structures = list(structures)
     if not structures:
         raise ValueError("lattice needs at least one structure")
@@ -150,7 +150,7 @@ def hom_lattice(structures, time_budget: float | None = None) -> HomLattice:
         _check_signatures(structures[0], s)
 
     def hom(source, target, placed):
-        if deadline is not None and time.monotonic() > deadline:
+        if expired(deadline):
             raise TimeBudgetExceeded(
                 f"hom lattice ran past its time budget after placing {placed} of {len(structures)} structures"
             )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -166,7 +165,7 @@ def _partition_triples(blocks, deadline=None) -> list[int]:
     an int takes a fraction of the memory of a tuple of three and sorts
     faster.  The partial triples over every block but the last stay tuples;
     the last block adds its codes as ranges, one per partial triple and a.
-    Raises TimeBudgetExceeded once the monotonic clock passes `deadline`.
+    Raises TimeBudgetExceeded once `deadline` expires.
     """
     *head, last = blocks
     n = math.prod(size + 1 for size in blocks)
@@ -268,7 +267,7 @@ def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bo
 def _search_network(template: TemplatePair, blocks, branch_order, deadline=None) -> Network:
     """The search network on the cells of the coordinate blocks; exactly-one-1 source only.
 
-    Raises TimeBudgetExceeded once the monotonic clock passes `deadline` before the network is built.
+    Raises TimeBudgetExceeded once `deadline` expires before the network is built.
     """
     _require_boolean_one_in_three_source(template)
     ncells = math.prod(size + 1 for size in blocks)
@@ -285,9 +284,7 @@ def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
     return _table_holds(template, (1,) * table.arity, table.target_size, table.values)
 
 
-def enumerate_polymorphisms(
-    template: TemplatePair, n: int, *, force: bool = False, time_budget: float | None = None
-):
+def enumerate_polymorphisms(template: TemplatePair, n: int, *, force: bool = False, deadline: float | None = None):
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
     Each item is a value tuple indexed by subset mask, like PolyTable.values.
@@ -299,10 +296,10 @@ def enumerate_polymorphisms(
     of 3-partitions as it is.  Every node is propagated to arc consistency:
     a value stays only while each partition through its cell has values of
     the other two cells that complete it in every ordering of the relation.
-    Raises TimeBudgetExceeded once the search runs past time_budget seconds.
+    `deadline` comes from errors.deadline_after, None for no limit; once it
+    expires, building the network or the search raises TimeBudgetExceeded.
     """
     _require_arity(n, force)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     net = _search_network(template, (1,) * n, subset_masks(n), deadline)
     yield from net.solutions(None, deadline)
 
@@ -333,7 +330,7 @@ def orbit_permutations(n: int) -> list[tuple[int, ...]]:
     return [_subset_images([1 << c for c in perm] + rest, masks) for perm in itertools.permutations(moved)]
 
 
-def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, time_budget: float | None = None):
+def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, deadline: float | None = None):
     """Yield (values, orbit_size) for one polymorphism of arity n per orbit under permuting the coordinates.
 
     Permuting the coordinates of a polymorphism of the symmetric 1-in-3
@@ -359,11 +356,10 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, tim
     colouring when done is 0.  A permutation whose image slice is larger is
     dropped for the whole subtree, and one whose slice is equal goes into
     tied[size].  At a leaf, the permutations in tied[size] fix the table
-    and give |Stab|.  The permutation tables are built per call.  Raises
-    TimeBudgetExceeded once the search runs past time_budget seconds.
+    and give |Stab|.  The permutation tables are built per call.  `deadline`
+    works as in enumerate_polymorphisms.
     """
     _require_arity(n, force)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     order = subset_masks(n)
     net = _search_network(template, (1,) * n, order, deadline)
     singles = order[1 : n + 1]

@@ -23,7 +23,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .errors import ArityBoundError, TimeBudgetExceeded
+from .errors import ArityBoundError, TimeBudgetExceeded, deadline_after, expired
 from .polymorphisms import (
     DEFAULT_ARITY_CAP,
     MinorMap,
@@ -411,9 +411,10 @@ def check_properties(
     kept failure of a full list is skipped.  Memory does not grow with the
     enumeration.  One report per id comes back, in the given order; each
     carries the elapsed time of the shared pass.  time_budget bounds the
-    whole pass: each arity's enumeration gets the time that is left and
-    raises TimeBudgetExceeded once it runs out.  A max_arity above the cap
-    raises ArityBoundError before any enumeration unless force is set.
+    whole pass: its one deadline_after deadline goes to every arity's
+    enumeration, which raises TimeBudgetExceeded once it passes.  A NaN or
+    negative time_budget raises ValueError, and a max_arity above the cap
+    ArityBoundError unless force is set, before any enumeration.
     """
     for property_id in property_ids:
         if property_id not in PROPERTY_CATALOG:
@@ -430,15 +431,14 @@ def check_properties(
         return len(kept) >= counterexample_cap and (not kept or key > kept[-1][0])
 
     start = time.perf_counter()
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = deadline_after(time_budget)
     examined = 0
     k = template.target.domain_size
     for n in range(1, max_arity + 1):
         masks = MaskTables(n, k)
         stream_key = operator.itemgetter(*subset_masks(n))
         members = None  # the image getters of the orbit group, built on the first failure
-        left = None if deadline is None else deadline - time.monotonic()
-        for values, size in enumerate_orbits(template, n, force=force, time_budget=left):
+        for values, size in enumerate_orbits(template, n, force=force, deadline=deadline):
             examined += size
             view = SlicedTable(values, masks)
             for spec, kept in checks:
@@ -712,20 +712,20 @@ def verify_selector(
     push table, built once per call: the getter builds the minor g[X] =
     f[pull[X]] in one call, and a selection x moves forward to push[x].
     time_budget bounds the enumeration and the chain search together, in
-    seconds; the deadline is checked at each state, and TimeBudgetExceeded
-    is raised once it passes.  A max_arity above the cap raises
-    ArityBoundError before any enumeration.
+    seconds: its one deadline_after deadline goes to every arity's
+    enumeration and is checked at each state, and TimeBudgetExceeded is
+    raised once it passes.  A NaN or negative time_budget raises ValueError,
+    and a max_arity above the cap ArityBoundError, before any enumeration.
     """
     if max_arity < 1:
         raise ValueError(f"max arity must be >= 1, got {max_arity}")
     if max_arity > DEFAULT_ARITY_CAP:
         raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}")
     start = time.perf_counter()
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = deadline_after(time_budget)
     selections: dict[int, dict[tuple[int, ...], int | None]] = {}
     for n in range(1, max_arity + 1):
-        left = None if deadline is None else deadline - time.monotonic()
-        tables = enumerate_polymorphisms(template, n, time_budget=left)
+        tables = enumerate_polymorphisms(template, n, deadline=deadline)
         selections[n] = {values: spec.rule(values, n) for values in tables}
     chosen = [(n, v, mask) for n, sels in selections.items() for v, mask in sels.items()]
     totality_failures = [(n, v) for n, v, mask in chosen if mask is None]
@@ -745,7 +745,7 @@ def verify_selector(
         """Returns a violating chain suffix (possibly empty tuple) or None."""
         nonlocal states
         states += 1
-        if deadline is not None and time.monotonic() > deadline:
+        if expired(deadline):
             raise TimeBudgetExceeded(f"selector search ran past its time budget after {states} states")
         if steps == 0:
             return ()

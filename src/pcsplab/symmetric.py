@@ -13,9 +13,9 @@ accepts only the exactly-one-1 source.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
+from .errors import deadline_after
 from .polymorphisms import _require_target_values, _search_network, _table_holds, allowed_table
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
@@ -167,7 +167,7 @@ def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
 
 def _first_solution(template: TemplatePair, blocks, branch_order, use_wlog: bool, time_budget):
     """The first table on the cells of the coordinate blocks, or None, with the nodes searched."""
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = deadline_after(time_budget)
     net = _search_network(template, blocks, branch_order, deadline)
     wlog = _wlog_colors(template.target) if use_wlog else None
     return next(net.solutions(wlog, deadline), None), net.nodes
@@ -180,7 +180,11 @@ def search_symmetric(
     use_wlog: bool = True,
     time_budget: float | None = None,
 ) -> SearchResult:
-    """Backtracking search for a weight table; lowest unassigned weight first."""
+    """Backtracking search for a weight table; lowest unassigned weight first.
+
+    time_budget, in seconds, bounds building the network and the search, then raises
+    TimeBudgetExceeded; a NaN or negative budget raises ValueError before the build.
+    """
     if n < 1:
         raise ValueError("arity must be >= 1")
     values, nodes = _first_solution(template, (n,), range(n + 1), use_wlog, time_budget)
@@ -216,7 +220,7 @@ def search_block_symmetric(
     use_wlog: bool = True,
     time_budget: float | None = None,
 ) -> SearchResult:
-    """Backtracking search for a two-block weight table."""
+    """Backtracking search for a two-block weight table; time_budget works as in search_symmetric."""
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be >= 1")
     k = template.target.domain_size

@@ -65,3 +65,20 @@ def test_cycle_finder_sees_function_local_imports():
     source = "def f():\n    from .b import g\n"
     graph = {"a": imported_modules(ast.parse(source), {"a", "b"}), "b": {"a"}}
     assert find_cycle(graph) == ["a", "b", "a"]
+
+
+def clock_readers(package=PACKAGE):
+    """The package modules whose source names time.monotonic, as an attribute or a `from time import`."""
+    readers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            attribute = isinstance(node, ast.Attribute) and node.attr == "monotonic"
+            imported = isinstance(node, ast.ImportFrom) and node.module == "time" and "monotonic" in {a.name for a in node.names}
+            if attribute or imported:
+                readers.add(path.stem)
+    return readers
+
+
+def test_only_errors_reads_the_monotonic_clock():
+    # every budget becomes a deadline in errors.deadline_after, and every check of one is errors.expired
+    assert clock_readers() == {"errors"}

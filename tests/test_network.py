@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from pcsplab import polymorphisms
+from pcsplab import errors
 from pcsplab._network import Network
 from pcsplab.errors import TimeBudgetExceeded
 from pcsplab.polymorphisms import _partition_triples, _search_network, allowed_table, enumerate_polymorphisms
@@ -118,7 +118,7 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
         calls += 1
         return 0.0 if calls <= stop else 1.0
 
-    monkeypatch.setattr(polymorphisms.time, "monotonic", clock)
+    monkeypatch.setattr(errors.time, "monotonic", clock)
     _partition_triples((2000,), 0.5)
     # the clock passes the deadline ten reads after the triples are listed, while the network reads their codes
     calls, stop = 0, calls + 10

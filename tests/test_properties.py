@@ -475,7 +475,7 @@ def test_verify_selector_states_pinned(name, max_arity, states):
 
 def test_verify_selector_deadline_checked_per_state(monkeypatch):
     # let the enumeration ignore the budget, so that the chain search meets the deadline
-    def unbounded(template, n, time_budget=None):
+    def unbounded(template, n, deadline=None):
         return enumerate_polymorphisms(template, n)
 
     monkeypatch.setattr(properties_module, "enumerate_polymorphisms", unbounded)
@@ -486,7 +486,7 @@ def test_verify_selector_deadline_checked_per_state(monkeypatch):
 
 def test_verify_selector_refuses_a_minor_off_the_stream(monkeypatch):
     # drop the first unary table from the stream: a minor of a binary table lands on it
-    def short(template, n, time_budget=None):
+    def short(template, n, deadline=None):
         tables = enumerate_polymorphisms(template, n)
         if n == 1:
             next(tables)

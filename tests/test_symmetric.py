@@ -6,7 +6,7 @@ import pytest
 
 from general_tables import boolean_to_general, is_polymorphism_general
 
-from pcsplab.errors import TimeBudgetExceeded
+from pcsplab.errors import TimeBudgetExceeded, deadline_after
 from pcsplab import polymorphisms
 from pcsplab.polymorphisms import PolyTable, enumerate_orbits, enumerate_polymorphisms, is_polymorphism
 from pcsplab.structures import TemplatePair, named_template
@@ -473,8 +473,8 @@ def test_time_budget_aborts():
     [
         lambda t2: search_symmetric(t2, 2000, time_budget=0),
         lambda t2: search_block_symmetric(t2, 31, 30, time_budget=0),
-        lambda t2: next(enumerate_polymorphisms(t2, 5, time_budget=0)),
-        lambda t2: next(enumerate_orbits(t2, 5, time_budget=0)),
+        lambda t2: next(enumerate_polymorphisms(t2, 5, deadline=deadline_after(0))),
+        lambda t2: next(enumerate_orbits(t2, 5, deadline=deadline_after(0))),
     ],
     ids=["sym", "block", "enumerate", "orbits"],
 )
