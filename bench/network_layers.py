@@ -13,7 +13,10 @@ subset, or a seeded random table, which fails.  Two enumeration cases time
 the walks that `verify lemmas` and `verify selector` make on unit blocks:
 `enumerate_orbits` run to exhaustion (phase `orbits`, counting leaders and
 the tables their orbits cover) and `verify_selector` with the template's
-selector (phase `selector`, counting chain states).  A second pass, apart
+selector (phase `selector`, counting chain states).  A colouring case times
+`properties.chromatic_number` on a Kneser graph (phase `colour`) and counts
+the vertices `_dsatur_picks` picks across every colour budget it tries, in a
+second call that is not timed.  A second pass, apart
 from the timed one, builds each searching case's triples and network again
 under tracemalloc and records the peak and the bytes still held once both
 exist, in MB.
@@ -22,7 +25,7 @@ Every run is one fresh interpreter per source tree, so no row or cache built
 by one run is seen by the next, and the order of the trees alternates from
 run to run.  The output gives, per case and tree, the median of the runs for
 each phase in seconds, the medians of the memory counters, and the work
-counters (triples, nodes), which must repeat exactly across runs and trees
+counters (triples, nodes, picks), which must repeat exactly across runs and trees
 for the times to compare the same work, and each tree's commit (`git
 rev-parse HEAD`, with "-dirty" when the tree has uncommitted changes, null
 for a tree outside a git checkout).
@@ -46,7 +49,9 @@ import tracemalloc
 # 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only.
 # A check-only case checks the table its label's first word names, on unit blocks: the first-coordinate
 # dictator and the expanded symmetric table are polymorphisms with few distinct sub-tables at each level (the
-# dictator has one), and the random table has nearly all its sub-tables distinct and fails early in the walk
+# dictator has one), and the random table has nearly all its sub-tables distinct and fails early in the walk.
+# The colouring case's blocks are the Kneser parameters (n, m): KG(10, 4) has 210 vertices and chromatic number 4,
+# and refuting 3 colours takes most of its picks
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("triples", "network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("triples", "network", "solutions", "check")),
@@ -57,7 +62,36 @@ CASES = (
     ("random 14 / NAE", "NAE", (1,) * 14, ("check",)),
     ("orbits T1 5", "T1", (1,) * 5, ("orbits",)),
     ("selector CH 4", "CH", (1,) * 4, ("selector",)),
+    ("colour KG(10, 4)", None, (10, 4), ("colour",)),
 )
+
+
+def _colour_case(n, m):
+    """Time chromatic_number on KG(n, m), then count the picks of every budget it tries in a second, untimed call."""
+    from pcsplab import properties
+
+    graph = properties.kneser_graph(n, m)
+    start = time.perf_counter()
+    chi = properties.chromatic_number(graph, n)
+    seconds = time.perf_counter() - start
+    picks = 0
+    dsatur_picks = properties._dsatur_picks
+
+    def counted(*args):
+        nonlocal picks
+        for vertex in dsatur_picks(*args):
+            picks += vertex is not None
+            yield vertex
+
+    properties._dsatur_picks = counted
+    try:
+        if properties.chromatic_number(graph, n) != chi:
+            raise SystemExit(f"KG({n}, {m}): the chromatic number changed between two calls")
+    finally:
+        properties._dsatur_picks = dsatur_picks
+    if chi != n - 2 * m + 2:
+        raise SystemExit(f"KG({n}, {m}): chromatic number {chi}, not {n - 2 * m + 2}")
+    return {"s": {"colour": seconds}, "counters": {"chi": chi, "picks": picks}}
 
 
 def _checked_table(kind, template, n):
@@ -93,6 +127,9 @@ def measure_once() -> dict:
 
     out = {}
     for label, target, blocks, phases in CASES:
+        if "colour" in phases:
+            out[label] = _colour_case(*blocks)
+            continue
         template, allowed, order, ncells = _case_inputs(target, blocks)
         s, counters = {}, {}
         net = values = None

@@ -496,14 +496,13 @@ def kneser_graph(n: int, m: int) -> KneserGraph:
 
 
 def _greedy_clique(adjacency) -> list[int]:
+    nbr = [sum(1 << w for w in nb) for nb in adjacency]
     best: list[int] = []
     for start in range(len(adjacency)):
-        clique = [start]
-        candidates = set(adjacency[start])
+        clique, candidates = [start], nbr[start]
         while candidates:
-            v = min(candidates)
-            clique.append(v)
-            candidates &= set(adjacency[v])
+            clique.append((candidates & -candidates).bit_length() - 1)  # the least candidate
+            candidates &= nbr[clique[-1]]
         if len(clique) > len(best):
             best = clique
     return best
@@ -515,75 +514,76 @@ def _dsatur_picks(adjacency, k: int, clique):
     Yields None and stops once every vertex is colored; stops without it
     when no k-coloring exists.  A pick is the uncolored vertex of highest
     saturation (distinct neighbor colors), then highest degree, then lowest
-    index.  seen[v][c] counts the neighbors of v colored c and sat[v] the
-    nonzero entries, both updated as colors are set and cleared.
+    index.  Vertex sets are int masks over positions in (-degree, index)
+    order: nbr[p] holds p's neighbors, seen[c] those with a neighbor colored
+    c.  Saturation is a bit-sliced counter, planes[j] holding bit j of every
+    position's, so coloring p with c adds one on nbr[p] & ~seen[c].  A pick
+    narrows the uncolored mask to each plane that meets it, top plane first,
+    and takes the lowest position left.
     """
-    nvert = len(adjacency)
     if len(clique) > k:
         return
-    color = [-1] * nvert
-    seen = [[0] * k for _ in range(nvert)]
-    sat = [0] * nvert
+    order = sorted(range(len(adjacency)), key=lambda v: (-len(adjacency[v]), v))
+    position = {v: p for p, v in enumerate(order)}
+    nbr = [sum(1 << position[w] for w in adjacency[v]) for v in order]
+    planes, seen = [0] * k.bit_length(), [0] * k
 
-    def paint(v: int, c: int) -> None:
-        old = color[v]
-        color[v] = c
-        if old >= 0:
-            for w in adjacency[v]:
-                row = seen[w]
-                row[old] -= 1
-                if not row[old]:
-                    sat[w] -= 1
-        if c >= 0:
-            for w in adjacency[v]:
-                row = seen[w]
-                if not row[c]:
-                    sat[w] += 1
-                row[c] += 1
+    def paint(p: int, c: int) -> None:
+        carry = nbr[p] & ~seen[c]
+        seen[c] |= nbr[p]
+        j = 0
+        while carry:
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
 
-    for i, v in enumerate(clique):
-        paint(v, i)
-    # scanning in (-degree, v) order and keeping strictly higher saturation picks the least (-saturation, -degree, v)
-    by_degree = sorted(range(nvert), key=lambda v: (-len(adjacency[v]), v))
-    todo = nvert - len(clique)
-    if todo == 0:
-        yield None
-        return
-    stack = []  # one (vertex, untried colors, colors used before it) frame per colored vertex
+    uncolored = (1 << len(order)) - 1
+    for c, v in enumerate(clique):
+        paint(position[v], c)
+        uncolored ^= 1 << position[v]
+    stack = []  # one (position, untried colors, colors used before it, planes and seen before it) frame per colored vertex
     used = len(clique)
-    while True:
-        v, best = -1, -1
-        for w in by_degree:
-            if color[w] < 0 and sat[w] > best:
-                v, best = w, sat[w]
-        yield v
-        taken = seen[v]
+    while uncolored:
+        candidates = uncolored
+        for plane in reversed(planes):
+            if candidates & plane:
+                candidates &= plane
+        p = (candidates & -candidates).bit_length() - 1
+        yield order[p]
+        uncolored ^= 1 << p
         # at most one brand-new color keeps color classes canonical
-        stack.append((v, iter([c for c in range(min(k, used + 1)) if not taken[c]]), used))
+        stack.append((p, iter([c for c in range(min(k, used + 1)) if not seen[c] >> p & 1]), used, planes[:], seen[:]))
         while stack:
-            v, colors, used = stack[-1]
+            p, colors, used, planes[:], seen[:] = stack[-1]  # backtracking restores the masks
             c = next(colors, -1)
-            paint(v, c)
-            if c < 0:
-                stack.pop()
-            elif len(stack) == todo:
-                yield None
-                return
-            else:
+            if c >= 0:
+                paint(p, c)
                 used = max(used, c + 1)
                 break
+            stack.pop()
+            uncolored |= 1 << p
         else:
             return
+    yield None
 
 
 def chromatic_number(graph, limit: int) -> int | None:
     """Exact chromatic number when it is <= limit, else None.
 
-    Accepts a KneserGraph or a plain adjacency sequence.  Iterates the
-    color budget upward from a greedy clique bound, deciding each budget by
-    saturation-ordered backtracking with canonical color classes.
+    Accepts a KneserGraph or a plain adjacency sequence listing each edge on
+    both sides; a vertex among its own neighbors, a neighbor outside 0..V-1
+    or an edge listed on one side raises ValueError naming the vertex, before
+    any search.  Iterates the color budget upward from a greedy clique bound,
+    deciding each budget by _dsatur_picks' backtracking over vertex bitsets.
     """
     adjacency = graph.adjacency if isinstance(graph, KneserGraph) else tuple(tuple(nb) for nb in graph)
+    for v, nb in enumerate(adjacency):
+        for w in nb:
+            if not 0 <= w < len(adjacency):
+                raise ValueError(f"vertex {v} has neighbor {w}, which is not a vertex 0..{len(adjacency) - 1}")
+            if w == v:
+                raise ValueError(f"vertex {v} is its own neighbor")
+            if v not in adjacency[w]:
+                raise ValueError(f"vertex {v} has neighbor {w}, which does not list {v} back")
     if not adjacency:
         return 0
     clique = _greedy_clique(adjacency)

@@ -146,6 +146,52 @@ def test_dsatur_picks_match_recomputed_saturation():
     assert budgets == 38
 
 
+def _random_graph(rng, nvert, density):
+    adjacency = [[] for _ in range(nvert)]
+    for v, w in itertools.combinations(range(nvert), 2):
+        if rng.random() < density:
+            adjacency[v].append(w)
+            adjacency[w].append(v)
+    return adjacency
+
+
+def test_dsatur_picks_match_recomputed_saturation_on_random_graphs():
+    # unlike the regular Kneser graphs, these tie on saturation between vertices of different degrees
+    rng = random.Random(37)
+    graphs = [_random_graph(rng, rng.randint(1, 30), rng.random()) for _ in range(300)]
+    assert sum(len({len(nb) for nb in adjacency}) > 1 for adjacency in graphs) > 250
+    graphs += [[[] for _ in range(12)], [[w for w in range(12) if w != v] for v in range(12)]]  # edgeless, complete
+    for adjacency in graphs:
+        clique = _greedy_clique(adjacency)
+        for k in range(1, 7):
+            assert list(_dsatur_picks(adjacency, k, clique)) == list(_loop_dsatur_picks(adjacency, k, clique)), (adjacency, k)
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    ([[0]], "vertex 0 is its own neighbor"),
+    ([[0, 1], [0]], "vertex 0 is its own neighbor"),
+])
+def test_chromatic_number_rejects_a_self_loop(adjacency, message):
+    with pytest.raises(ValueError, match=message):
+        chromatic_number(adjacency, 3)
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    ([[5]], "vertex 0 has neighbor 5, which is not a vertex"),
+    ([[], [-1]], "vertex 1 has neighbor -1, which is not a vertex"),
+])
+def test_chromatic_number_rejects_a_neighbor_that_is_not_a_vertex(adjacency, message):
+    with pytest.raises(ValueError, match=message):
+        chromatic_number(adjacency, 3)
+
+
+def test_chromatic_number_rejects_an_edge_listed_on_one_side():
+    with pytest.raises(ValueError, match="vertex 0 has neighbor 1, which does not list 0 back"):
+        chromatic_number([[1], []], 3)
+    with pytest.raises(ValueError, match="vertex 2 has neighbor 0, which does not list 2 back"):
+        chromatic_number([[1], [0, 2], [1, 0]], 3)
+
+
 def test_chromatic_number_examples():
     assert chromatic_number(kneser_graph(5, 2), 5) == 3
     assert chromatic_number([[], [], []], 5) == 1  # edgeless
