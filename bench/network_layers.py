@@ -16,7 +16,15 @@ the tables their orbits cover) and `verify_selector` with the template's
 selector (phase `selector`, counting chain states).  A colouring case times
 `properties.chromatic_number` on a Kneser graph (phase `colour`) and counts
 the vertices `_dsatur_picks` picks across every colour budget it tries, in a
-second call that is not timed.  A second pass, apart
+second call that is not timed.  Three cases time the hom tests and the
+solver of `hom lattice --all3`, `classify_template` and `gen | solve`:
+`hom_lattice` over the 1023 symmetric ternary structures on three elements
+(phase `lattice`, counting its classes and, in a second call that is not
+timed, its `hom_exists` calls), `classify_template` over the same 1023
+structures (phase `classify`, counting each label), and `gauss_gf3` on the
+systems of 60 planted instances (phase `gauss`, counting the systems solved
+and the sum of their solutions' values).  Each builds its inputs fresh
+before its clock starts.  A second pass, apart
 from the timed one, builds each searching case's triples and network again
 under tracemalloc and records the peak and the bytes still held once both
 exist, in MB.
@@ -25,7 +33,7 @@ Every run is one fresh interpreter per source tree, so no row or cache built
 by one run is seen by the next, and the order of the trees alternates from
 run to run.  The output gives, per case and tree, the median of the runs for
 each phase in seconds, the medians of the memory counters, and the work
-counters (triples, nodes, picks), which must repeat exactly across runs and trees
+counters (triples, nodes, picks, hom tests), which must repeat exactly across runs and trees
 for the times to compare the same work, and each tree's commit (`git
 rev-parse HEAD`, with "-dirty" when the tree has uncommitted changes, null
 for a tree outside a git checkout).
@@ -51,7 +59,8 @@ import tracemalloc
 # dictator and the expanded symmetric table are polymorphisms with few distinct sub-tables at each level (the
 # dictator has one), and the random table has nearly all its sub-tables distinct and fails early in the walk.
 # The colouring case's blocks are the Kneser parameters (n, m): KG(10, 4) has 210 vertices and chromatic number 4,
-# and refuting 3 colours takes most of its picks
+# and refuting 3 colours takes most of its picks.  The GF(3) case's blocks are the planted (nv, ne) of perfbench's
+# `gen | solve` jobs, where the cyclic and the not-all-equal routes cost about the same
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("triples", "network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("triples", "network", "solutions", "check")),
@@ -63,6 +72,9 @@ CASES = (
     ("orbits T1 5", "T1", (1,) * 5, ("orbits",)),
     ("selector CH 4", "CH", (1,) * 4, ("selector",)),
     ("colour KG(10, 4)", None, (10, 4), ("colour",)),
+    ("hom lattice all3", None, (), ("lattice",)),
+    ("classify all3", None, (), ("classify",)),
+    ("gauss_gf3 60 x (240, 180)", None, (240, 180), ("gauss",)),
 )
 
 
@@ -92,6 +104,60 @@ def _colour_case(n, m):
     if chi != n - 2 * m + 2:
         raise SystemExit(f"KG({n}, {m}): chromatic number {chi}, not {n - 2 * m + 2}")
     return {"s": {"colour": seconds}, "counters": {"chi": chi, "picks": picks}}
+
+
+def _lattice_case():
+    """Time hom_lattice on the all3 structures, then count its hom tests in a second, untimed call."""
+    from pcsplab import homs
+    from pcsplab.structures import all_symmetric_ternary_structures
+
+    structures = all_symmetric_ternary_structures()
+    start = time.perf_counter()
+    lattice = homs.hom_lattice(structures)
+    seconds = time.perf_counter() - start
+    tests = 0
+    hom_exists = homs.hom_exists
+
+    def counted(source, target):
+        nonlocal tests
+        tests += 1
+        return hom_exists(source, target)
+
+    homs.hom_exists = counted
+    try:
+        if len(homs.hom_lattice(all_symmetric_ternary_structures()).classes) != len(lattice.classes):
+            raise SystemExit("hom lattice all3: the class count changed between two calls")
+    finally:
+        homs.hom_exists = hom_exists
+    return {"s": {"lattice": seconds}, "counters": {"hom_tests": tests, "classes": len(lattice.classes)}}
+
+
+def _classify_case():
+    """Time classify_template on each all3 structure and count the labels."""
+    from pcsplab.solvers import classify_template
+    from pcsplab.structures import all_symmetric_ternary_structures
+
+    structures = all_symmetric_ternary_structures()
+    start = time.perf_counter()
+    labels = [classify_template(s) for s in structures]
+    seconds = time.perf_counter() - start
+    return {"s": {"classify": seconds}, "counters": {label: labels.count(label) for label in sorted(set(labels))}}
+
+
+def _gauss_case(nv, ne):
+    """Time gauss_gf3 on the cyclic-route systems of the planted instances with seeds 0 to 59."""
+    from pcsplab.solvers import GF3System, gauss_gf3, generate_planted
+
+    systems = [GF3System(tuple((e, 1) for e in generate_planted(nv, ne, seed)[0].edges)) for seed in range(60)]
+    start = time.perf_counter()
+    solutions = [gauss_gf3(system, nv) for system in systems]
+    seconds = time.perf_counter() - start
+    solved = [x for x in solutions if x is not None]
+    return {"s": {"gauss": seconds}, "counters": {"solved": len(solved), "value_sum": sum(map(sum, solved))}}
+
+
+# cases that time one library call on inputs of their own, by phase
+CALL_CASES = {"colour": _colour_case, "lattice": _lattice_case, "classify": _classify_case, "gauss": _gauss_case}
 
 
 def _checked_table(kind, template, n):
@@ -127,8 +193,8 @@ def measure_once() -> dict:
 
     out = {}
     for label, target, blocks, phases in CASES:
-        if "colour" in phases:
-            out[label] = _colour_case(*blocks)
+        if phases[0] in CALL_CASES:
+            out[label] = CALL_CASES[phases[0]](*blocks)
             continue
         template, allowed, order, ncells = _case_inputs(target, blocks)
         s, counters = {}, {}

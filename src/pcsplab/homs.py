@@ -1,8 +1,10 @@
 """Homomorphism search between finite structures and the induced order.
 
 The search is the map backtracker of the structures module, run over source
-elements in degree-descending order; each constraint tuple is tested once,
-when its last-ranked element is assigned.  At the desk scales used here
+elements in degree-descending order; a constraint tuple is tested when its
+last-ranked element is assigned, and into a symmetric target relation one
+tuple per class of permuted tuples is tested for the class.  A found map is
+checked again against every tuple.  At the desk scales used here
 (domains of size two to four, instances with a few dozen variables) this is
 exhaustive and fast.  The lattice construction inserts structures one at a
 time into mutual-homomorphism classes, testing each only against one head
@@ -41,10 +43,16 @@ class HomMap:
         return self.assignment[x]
 
     def preserves(self, source: RelStructure, target: RelStructure) -> bool:
+        """Does the map send every tuple of every source relation into the target's counterpart?
+
+        Every tuple is checked, with no shortcut for symmetric targets: this
+        is the check that the searches are tested against.
+        """
+        image = self.assignment.__getitem__
         for rel_x, rel_b in zip(source.relations, target.relations):
             allowed = rel_b.as_set
             for t in rel_x.tuples:
-                if tuple(self.assignment[x] for x in t) not in allowed:
+                if tuple(map(image, t)) not in allowed:
                     return False
         return True
 
@@ -61,7 +69,10 @@ def find_homomorphism(source: RelStructure, target: RelStructure) -> HomMap | No
     trying the target values in ascending order.  A value is rejected when
     some tuple whose last-ranked element it completes maps outside the target
     relation; partially assigned tuples are not checked, so no candidate
-    values are pruned ahead of assignment.
+    values are pruned ahead of assignment.  Into a symmetric target relation
+    one tuple per class of permuted tuples stands for its class, which
+    rejects the same values.  The map found is checked against every tuple
+    (HomMap.preserves).
     """
     _check_signatures(source, target)
     n, k = source.domain_size, target.domain_size

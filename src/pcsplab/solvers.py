@@ -27,6 +27,13 @@ from .structures import RelStructure, named_template
 
 MASK64 = (1 << 64) - 1
 
+# the reference structures of the solvers and the classifier, built once
+NAE = named_template("NAE")
+T2 = named_template("T2")
+T1 = named_template("T1")
+D1plus = named_template("D1plus")
+D2plus = named_template("D2plus")
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -133,10 +140,11 @@ def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
     """
     buckets: dict[int, list[tuple[int, int]]] = {}
     pending = []
-    for (i, j, k), rhs in system.rows:
-        e = (i, j, k)
-        p = sum(1 << (v - 1) for v in set(e) if e.count(v) == 1)
-        m = sum(1 << (v - 1) for v in set(e) if e.count(v) == 2)  # three times is 0
+    for e, rhs in system.rows:
+        p = m = 0
+        for v in e:  # each occurrence adds 1 to the coefficient of v: 0 -> 1 -> 2 -> 0
+            bit = 1 << (v - 1)
+            p, m = p ^ (bit & ~m), m ^ (bit & (p | m))
         pending.append((p | (rhs % 3 == 1) << nv, m | (rhs % 3 == 2) << nv))
     pivots = []
     for col in range(nv + 1):
@@ -171,13 +179,12 @@ def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
 
 def solve_t2(instance: Instance) -> dict[int, int] | None:
     """Three-coloring via one mod-3 equation per edge; always verified."""
-    t2 = named_template("T2")
     system = GF3System(tuple((e, 1) for e in instance.edges))
     solution = gauss_gf3(system, instance.variable_count)
     if solution is None:
         return None
     coloring = {v: solution[v - 1] for v in range(1, instance.variable_count + 1)}
-    assert check_coloring(instance, coloring, t2)
+    assert check_coloring(instance, coloring, T2)
     return coloring
 
 
@@ -273,12 +280,11 @@ def solve_nae(instance: Instance) -> dict[int, int] | None:
     >= 1 nor all <= 0; the thresholded coloring therefore never makes an
     edge constant.
     """
-    nae = named_template("NAE")
     solution = hnf_solve(IntAffineSystem(instance.variable_count, instance.edges))
     if solution is None:
         return None
     coloring = {v: 1 if solution[v - 1] >= 1 else 0 for v in range(1, instance.variable_count + 1)}
-    assert check_coloring(instance, coloring, nae)
+    assert check_coloring(instance, coloring, NAE)
     return coloring
 
 
@@ -290,7 +296,7 @@ def solve_via_relaxation(instance: Instance, target: RelStructure, prefer: str =
     exact algebra) unless prefer = "nae".
     """
     base_homs = {}
-    for route, base_structure in (("t2", named_template("T2")), ("nae", named_template("NAE"))):
+    for route, base_structure in (("t2", T2), ("nae", NAE)):
         hom = find_homomorphism(base_structure, target)
         if hom is not None:
             base_homs[route] = hom
@@ -325,16 +331,8 @@ def classify_template(target: RelStructure) -> str:
     if not rel.is_symmetric():
         raise ValueError("classification needs a symmetric relation")
     has_constant = any(len(set(t)) == 1 for t in rel.tuples)
-    tractable = (
-        has_constant
-        or hom_exists(named_template("NAE"), target)
-        or hom_exists(named_template("T2"), target)
-    )
-    hard = (
-        hom_exists(target, named_template("T1"))
-        or hom_exists(target, named_template("D1plus"))
-        or hom_exists(target, named_template("D2plus"))
-    )
+    tractable = has_constant or hom_exists(NAE, target) or hom_exists(T2, target)
+    hard = hom_exists(target, T1) or hom_exists(target, D1plus) or hom_exists(target, D2plus)
     assert not (tractable and hard), "tractability and hardness certificates cannot coexist"
     if tractable:
         return P

@@ -6,15 +6,19 @@ small domain; the catalog below fixes one concrete vertex labelling for every
 named template (the labelling is irrelevant up to homomorphic equivalence,
 but fixing it keeps all output reproducible).  One backtracker, _maps,
 searches the maps between two structures: homomorphisms, the validity of
-a template pair and automorphisms all run on it.
+a template pair and automorphisms all run on it.  Into a symmetric
+relation it tests one source tuple per class of tuples that are
+permutations of each other, which decides the whole class.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import FormatError, SignatureMismatchError
 
@@ -42,9 +46,30 @@ class Relation:
     def as_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.tuples)
 
+    @cached_property
+    def orbit_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The first tuple of each class of tuples that are permutations of each other, in order."""
+        firsts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for t in self.tuples:
+            firsts.setdefault(tuple(sorted(t)), t)
+        return tuple(firsts.values())
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Closed under coordinate permutations: each class holds every permutation of its tuples."""
+        return len(self.tuples) == sum(map(_orbit_size, self.orbit_tuples))
+
     def is_symmetric(self) -> bool:
-        s = self.as_set
-        return all(p in s for t in self.tuples for p in itertools.permutations(t))
+        return self.symmetric
+
+
+@lru_cache(maxsize=4096)
+def _orbit_size(t: tuple[int, ...]) -> int:
+    """The number of distinct permutations of t: arity! over the factorials of its multiplicities."""
+    size = math.factorial(len(t))
+    for count in Counter(t).values():
+        size //= math.factorial(count)
+    return size
 
 
 @dataclass(frozen=True)
@@ -262,16 +287,23 @@ def _maps(source: RelStructure, target: RelStructure, order, images, injective: 
     ...) read in those image orders.  A tuple is checked once its last-ranked
     element is assigned, and a partial map sending it outside the target
     relation is not extended.  With injective, no two elements share an image.
+
+    Into a symmetric target relation only the source relation's orbit_tuples
+    are checked: h(t) lies in it iff h of every permutation of t does, and
+    every permutation of t completes at the same position, so the pruning,
+    the order and the maps are those of checking every tuple.
     """
     n = source.domain_size
     rank = [0] * n
     for i, x in enumerate(order):
         rank[x] = i
-    checks = [[] for _ in range(n)]  # i -> (tuple, allowed) pairs completed by position i
+    checks = [[] for _ in range(n)]  # i -> (image getter, allowed) pairs of the tuples completed by position i
     for rel_x, rel_b in zip(source.relations, target.relations):
         allowed = rel_b.as_set
-        for t in rel_x.tuples:
-            checks[max(map(rank.__getitem__, t))].append((t, allowed))
+        if rel_x.arity == 1:  # itemgetter of one index returns the bare image, not a 1-tuple
+            allowed = {v for (v,) in allowed}
+        for t in rel_x.orbit_tuples if rel_b.symmetric else rel_x.tuples:
+            checks[max(map(rank.__getitem__, t))].append((itemgetter(*t), allowed))
     h = [-1] * n
     pending = [iter(images[order[0]])] + [None] * (n - 1)  # pending[i] yields the images still to try at position i
     i = 0
@@ -281,8 +313,8 @@ def _maps(source: RelStructure, target: RelStructure, order, images, injective: 
             if injective and v in h:
                 continue
             h[x] = v
-            for t, allowed in checks[i]:
-                if tuple(map(h.__getitem__, t)) not in allowed:
+            for image, allowed in checks[i]:
+                if image(h) not in allowed:
                     break
             else:
                 if i == n - 1:

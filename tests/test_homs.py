@@ -147,6 +147,51 @@ def test_find_homomorphism_is_first_map_along_degree_order():
     assert min(outcomes.values()) >= 60
 
 
+def test_find_homomorphism_is_first_map_into_symmetric_targets():
+    # into a symmetric target relation the search tests one tuple per class of permuted tuples;
+    # (1, 3) reaches the getter of unary relations, symmetric and asymmetric sources both occur
+    rng = random.Random(37)
+    outcomes = {True: 0, False: 0}
+    signatures = ((3,), (2, 3), (1, 3))
+    for trial in range(360):
+        signature = signatures[trial % 3]
+        source = random_structure(rng, rng.randint(1, 4), signature, rng.choice((0.1, 0.3)))
+        if trial % 2:
+            source = symmetrize(source)
+        target = symmetrize(random_structure(rng, rng.randint(1, 4), signature, rng.choice((0.1, 0.3))))
+        assert all(rel.symmetric for rel in target.relations)
+        expected = brute_first_hom(source, target)
+        assert find_homomorphism(source, target) == expected
+        outcomes[expected is not None] += 1
+    assert min(outcomes.values()) >= 60
+
+
+class RecordingSet(frozenset):
+    """A relation's tuple set that records every tuple tested against it."""
+
+    def __new__(cls, tuples):
+        rel = super().__new__(cls, tuples)
+        rel.asked = []
+        return rel
+
+    def __contains__(self, t):
+        self.asked.append(t)
+        return super().__contains__(t)
+
+
+def test_preserves_checks_every_tuple_of_a_symmetric_target():
+    # the oracle of the searches takes no shortcut: each source tuple's image is tested, one tuple at a time
+    source = make_structure(3, [{(0, 1)}, [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)]])
+    target = symmetrize(make_structure(3, [{(0, 1), (0, 2), (1, 2)}, {(0, 1, 2)}]))
+    recorders = [RecordingSet(rel.as_set) for rel in target.relations]
+    for rel, recorder in zip(target.relations, recorders):
+        rel.__dict__["as_set"] = recorder  # the cached property's slot
+    hom = HomMap(3, 3, (2, 0, 1))
+    assert hom.preserves(source, target)
+    for rel_x, recorder in zip(source.relations, recorders):
+        assert recorder.asked == [tuple(hom(x) for x in t) for t in rel_x.tuples]
+
+
 def test_hom_order_examples():
     assert hom_order_compare(named_template("1in3"), named_template("NAE")) == STRICTLY_BELOW
     assert hom_order_compare(named_template("NAE"), named_template("1in3")) == STRICTLY_ABOVE

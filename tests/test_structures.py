@@ -5,6 +5,8 @@ import pytest
 
 from pcsplab.errors import FormatError, SignatureMismatchError
 from pcsplab.structures import (
+    NAMED_TEMPLATES,
+    Relation,
     all_symmetric_ternary_structures,
     associated_digraph,
     automorphism_orbits,
@@ -177,14 +179,42 @@ def brute_automorphisms(structure):
     ]
 
 
+def catalog_templates():
+    """Every catalog template, the parametric families at sizes 2 to 5."""
+    names = [n for n in NAMED_TEMPLATES if "<" not in n]
+    names += [f"{family}_{k}" for family in ("LO", "NAE") for k in range(2, 6)]
+    return [named_template(n) for n in names]
+
+
 def test_automorphisms_match_permutation_filter():
     rng = random.Random(29)
-    names = template_names_3() + ["CH", "CHplus", "LO_3", "LO_5", "NAE_3", "NAE_5"]
-    structures = all_symmetric_ternary_structures() + [named_template(n) for n in names]
+    structures = all_symmetric_ternary_structures() + catalog_templates()
+    # all symmetric, so the injective search tests one tuple per class of permuted tuples
+    assert all(s.relations[0].symmetric for s in structures)
     structures += [random_ternary(rng, domain_size) for domain_size in (2, 3, 4) for _ in range(20)]
     structures.append(make_structure(4, [{(0, 1)}, {(2, 3, 3), (3, 2, 2)}]))
     for s in structures:
         assert automorphisms(s) == brute_automorphisms(s)
+
+
+def test_relation_orbit_tuples_and_symmetric_match_permutation_brute_force():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        arity, domain_size = rng.randint(1, 4), rng.randint(1, 4)
+        all_tuples = list(itertools.product(range(domain_size), repeat=arity))
+        chosen = [t for t in all_tuples if rng.random() < 0.4] or [rng.choice(all_tuples)]
+        if trial % 2:
+            chosen = perm_closure(chosen)
+        rel = Relation(arity, tuple(chosen))
+        classes = {}
+        for t in sorted(chosen):
+            classes.setdefault(tuple(sorted(t)), t)
+        assert rel.orbit_tuples == tuple(sorted(classes.values()))
+        symmetric = all(p in rel.as_set for t in rel.tuples for p in itertools.permutations(t))
+        assert rel.symmetric == rel.is_symmetric() == symmetric
+        seen[symmetric] += 1
+    assert min(seen.values()) >= 60
 
 
 def test_automorphism_orbits_match_group():
