@@ -47,7 +47,7 @@ def _named_catalog() -> dict[tuple, str]:
 def _cmd_template(args) -> int:
     target = _load_structure(args.name)
     label = None
-    if target.domain_size == 3 and target.signature == (3,) and target.single_ternary().is_symmetric():
+    if target.domain_size == 3 and target.signature == (3,) and target.single_ternary().symmetric:
         label = solvers.classify_template(target)
     if args.action == "classify":
         if label is None:
@@ -62,7 +62,7 @@ def _cmd_template(args) -> int:
         digraph = structures.associated_digraph(target)
         arcs = " ".join(f"{a}->{b}" for a, b in digraph.sorted_arcs())
         print(f"digraph arcs: {arcs}")
-        closed = structures.plus_closure(target) == target if target.single_ternary().is_symmetric() else False
+        closed = structures.plus_closure(target) == target if target.single_ternary().symmetric else False
         print(f"plus-closed: {'yes' if closed else 'no'}")
     if label is not None:
         print(f"classification: {label}")

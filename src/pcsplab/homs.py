@@ -1,22 +1,23 @@
 """Homomorphism search between finite structures and the induced order.
 
-The search is the map backtracker of the structures module, run over source
-elements in degree-descending order; a constraint tuple is tested when its
-last-ranked element is assigned, and into a symmetric target relation one
-tuple per class of permuted tuples is tested for the class.  A found map is
-checked again against every tuple.  At the desk scales used here
-(domains of size two to four, instances with a few dozen variables) this is
-exhaustive and fast.  The lattice construction inserts structures one at a
-time into mutual-homomorphism classes, testing each only against one head
-per class, and emits the cover edges of the induced partial order.
+The search is the map backtracker of the structures module, run along the
+source's degree order; a constraint tuple is tested when its last-ranked
+element is assigned, and into a symmetric target relation one tuple per
+class of permuted tuples is tested for the class.  Structures whose
+signatures differ are refused.  A found map is checked again against every
+tuple.  At the desk scales used here (domains of size two to four, instances
+with a few dozen variables) this is exhaustive and fast.  The lattice
+construction inserts structures one at a time into mutual-homomorphism
+classes, testing each only against one head per class, and emits the cover
+edges of the induced partial order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SignatureMismatchError, TimeBudgetExceeded, deadline_after, expired
-from .structures import RelStructure, _maps
+from .errors import TimeBudgetExceeded, deadline_after, expired
+from .structures import RelStructure, _check_signatures, _maps
 
 STRICTLY_BELOW = "strictly_below"
 STRICTLY_ABOVE = "strictly_above"
@@ -46,8 +47,9 @@ class HomMap:
         """Does the map send every tuple of every source relation into the target's counterpart?
 
         Every tuple is checked, with no shortcut for symmetric targets: this
-        is the check that the searches are tested against.
+        is the check the searches are tested against; it checks signatures too.
         """
+        _check_signatures(source, target)
         image = self.assignment.__getitem__
         for rel_x, rel_b in zip(source.relations, target.relations):
             allowed = rel_b.as_set
@@ -57,32 +59,20 @@ class HomMap:
         return True
 
 
-def _check_signatures(a: RelStructure, b: RelStructure) -> None:
-    if a.signature != b.signature:
-        raise SignatureMismatchError(f"signatures differ: {a.signature} vs {b.signature}")
-
-
 def find_homomorphism(source: RelStructure, target: RelStructure) -> HomMap | None:
     """First homomorphism in deterministic search order, or None.
 
-    Elements are assigned in degree-descending order (ties by index), each
-    trying the target values in ascending order.  A value is rejected when
-    some tuple whose last-ranked element it completes maps outside the target
-    relation; partially assigned tuples are not checked, so no candidate
-    values are pruned ahead of assignment.  Into a symmetric target relation
-    one tuple per class of permuted tuples stands for its class, which
-    rejects the same values.  The map found is checked against every tuple
-    (HomMap.preserves).
+    Elements are assigned along source.degree_order, each trying the target
+    values in ascending order.  A value is rejected when some tuple whose
+    last-ranked element it completes maps outside the target relation;
+    partially assigned tuples are not checked, so no candidate values are
+    pruned ahead of assignment.  Into a symmetric target relation one tuple
+    per class of permuted tuples stands for its class, which rejects the
+    same values.  The map found is checked against every tuple
+    (HomMap.preserves).  Differing signatures raise SignatureMismatchError.
     """
-    _check_signatures(source, target)
     n, k = source.domain_size, target.domain_size
-    degree = [0] * n
-    for rel in source.relations:
-        for t in rel.tuples:
-            for x in t:
-                degree[x] += 1
-    order = sorted(range(n), key=lambda x: (-degree[x], x))
-    assignment = next(_maps(source, target, order, [range(k)] * n), None)
+    assignment = next(_maps(source, target, source.degree_order, [range(k)] * n), None)
     if assignment is None:
         return None
     hom = HomMap(n, k, assignment)

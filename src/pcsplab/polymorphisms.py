@@ -117,12 +117,7 @@ def _subset_images(bits, masks) -> tuple[int, ...]:
 
 
 def _require_boolean_one_in_three_source(template: TemplatePair) -> None:
-    one_in_3 = named_template("1in3")
-    if (
-        template.source.domain_size != 2
-        or template.source.signature != (3,)
-        or template.source.single_ternary().as_set != one_in_3.single_ternary().as_set
-    ):
+    if template.source != named_template("1in3"):
         raise ValueError("partition compatibility requires the exactly-one-1 Boolean source")
 
 

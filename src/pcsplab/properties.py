@@ -495,37 +495,42 @@ def kneser_graph(n: int, m: int) -> KneserGraph:
     return KneserGraph(n, m, vertices, adjacency)
 
 
-def _greedy_clique(adjacency) -> list[int]:
-    nbr = [sum(1 << w for w in nb) for nb in adjacency]
+def _coloring_view(adjacency):
+    """(order, position, nbr): the vertices by (-degree, index), position[v] = v's index in order, nbr[p] = p's neighbors as a mask of positions."""
+    order = sorted(range(len(adjacency)), key=lambda v: (-len(adjacency[v]), v))
+    position = {v: p for p, v in enumerate(order)}
+    return order, position, [sum(1 << position[w] for w in adjacency[v]) for v in order]
+
+
+def _greedy_clique(view) -> list[int]:
+    order, _, nbr = view
     best: list[int] = []
-    for start in range(len(adjacency)):
+    for start in range(len(order)):
         clique, candidates = [start], nbr[start]
         while candidates:
-            clique.append((candidates & -candidates).bit_length() - 1)  # the least candidate
+            clique.append((candidates & -candidates).bit_length() - 1)  # the first candidate in degree order
             candidates &= nbr[clique[-1]]
         if len(clique) > len(best):
             best = clique
-    return best
+    return [order[p] for p in best]
 
 
-def _dsatur_picks(adjacency, k: int, clique):
+def _dsatur_picks(view, k: int, clique):
     """Search for a k-coloring extending the clique's, yielding each vertex as it is picked.
 
     Yields None and stops once every vertex is colored; stops without it
     when no k-coloring exists.  A pick is the uncolored vertex of highest
     saturation (distinct neighbor colors), then highest degree, then lowest
-    index.  Vertex sets are int masks over positions in (-degree, index)
-    order: nbr[p] holds p's neighbors, seen[c] those with a neighbor colored
-    c.  Saturation is a bit-sliced counter, planes[j] holding bit j of every
+    index.  Vertex sets are int masks over positions in the view's order:
+    nbr[p] holds p's neighbors, seen[c] those with a neighbor colored c.
+    Saturation is a bit-sliced counter, planes[j] holding bit j of every
     position's, so coloring p with c adds one on nbr[p] & ~seen[c].  A pick
     narrows the uncolored mask to each plane that meets it, top plane first,
     and takes the lowest position left.
     """
     if len(clique) > k:
         return
-    order = sorted(range(len(adjacency)), key=lambda v: (-len(adjacency[v]), v))
-    position = {v: p for p, v in enumerate(order)}
-    nbr = [sum(1 << position[w] for w in adjacency[v]) for v in order]
+    order, position, nbr = view
     planes, seen = [0] * k.bit_length(), [0] * k
 
     def paint(p: int, c: int) -> None:
@@ -573,7 +578,7 @@ def chromatic_number(graph, limit: int) -> int | None:
     both sides; a vertex among its own neighbors, a neighbor outside 0..V-1
     or an edge listed on one side raises ValueError naming the vertex, before
     any search.  Iterates the color budget upward from a greedy clique bound,
-    deciding each budget by _dsatur_picks' backtracking over vertex bitsets.
+    deciding each with _dsatur_picks over vertex bitsets built once per graph.
     """
     adjacency = graph.adjacency if isinstance(graph, KneserGraph) else tuple(tuple(nb) for nb in graph)
     for v, nb in enumerate(adjacency):
@@ -586,9 +591,10 @@ def chromatic_number(graph, limit: int) -> int | None:
                 raise ValueError(f"vertex {v} has neighbor {w}, which does not list {v} back")
     if not adjacency:
         return 0
-    clique = _greedy_clique(adjacency)
+    view = _coloring_view(adjacency)
+    clique = _greedy_clique(view)
     for k in range(max(1, len(clique)), limit + 1):
-        if None in _dsatur_picks(adjacency, k, clique):  # None marks a completed coloring
+        if None in _dsatur_picks(view, k, clique):  # None marks a completed coloring
             return k
     return None
 

@@ -328,7 +328,7 @@ def classify_template(target: RelStructure) -> str:
     if target.domain_size != 3:
         raise ValueError(f"classification needs a 3-element domain, got {target.domain_size}")
     rel = target.single_ternary()
-    if not rel.is_symmetric():
+    if not rel.symmetric:
         raise ValueError("classification needs a symmetric relation")
     has_constant = any(len(set(t)) == 1 for t in rel.tuples)
     tractable = has_constant or hom_exists(NAE, target) or hom_exists(T2, target)

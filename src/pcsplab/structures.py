@@ -6,9 +6,9 @@ small domain; the catalog below fixes one concrete vertex labelling for every
 named template (the labelling is irrelevant up to homomorphic equivalence,
 but fixing it keeps all output reproducible).  One backtracker, _maps,
 searches the maps between two structures: homomorphisms, the validity of
-a template pair and automorphisms all run on it.  Into a symmetric
-relation it tests one source tuple per class of tuples that are
-permutations of each other, which decides the whole class.
+a template pair and automorphisms all run on it.  It refuses structures
+whose signatures differ, and into a symmetric relation it tests one source
+tuple per class of permuted tuples, which decides the whole class.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class Relation:
         """Closed under coordinate permutations: each class holds every permutation of its tuples."""
         return len(self.tuples) == sum(map(_orbit_size, self.orbit_tuples))
 
-    def is_symmetric(self) -> bool:
-        return self.symmetric
-
 
 @lru_cache(maxsize=4096)
 def _orbit_size(t: tuple[int, ...]) -> int:
@@ -90,12 +87,19 @@ class RelStructure:
                     if not 0 <= x < self.domain_size:
                         raise ValueError(f"tuple entry {x} outside domain 0..{self.domain_size - 1}")
 
-    @property
+    @cached_property
     def signature(self) -> tuple[int, ...]:
         return tuple(rel.arity for rel in self.relations)
 
-    def is_symmetric(self) -> bool:
-        return all(rel.is_symmetric() for rel in self.relations)
+    @cached_property
+    def degree_order(self) -> tuple[int, ...]:
+        """The elements by descending degree (occurrences over all tuples), ties by index."""
+        degree = Counter(x for rel in self.relations for t in rel.tuples for x in t)
+        return tuple(sorted(range(self.domain_size), key=lambda x: (-degree[x], x)))
+
+    @property
+    def symmetric(self) -> bool:
+        return all(rel.symmetric for rel in self.relations)
 
     def single_ternary(self) -> Relation:
         if self.signature != (3,):
@@ -279,6 +283,11 @@ def associated_digraph(structure: RelStructure) -> Digraph:
     return Digraph(structure.domain_size, arcs)
 
 
+def _check_signatures(a: RelStructure, b: RelStructure) -> None:
+    if a.signature != b.signature:
+        raise SignatureMismatchError(f"signatures differ: {a.signature} vs {b.signature}")
+
+
 def _maps(source: RelStructure, target: RelStructure, order, images, injective: bool = False):
     """Yield every map h with h[x] in images[x] that sends each relation of source into its counterpart.
 
@@ -287,12 +296,14 @@ def _maps(source: RelStructure, target: RelStructure, order, images, injective: 
     ...) read in those image orders.  A tuple is checked once its last-ranked
     element is assigned, and a partial map sending it outside the target
     relation is not extended.  With injective, no two elements share an image.
+    Relations pair by position: differing signatures raise SignatureMismatchError.
 
     Into a symmetric target relation only the source relation's orbit_tuples
     are checked: h(t) lies in it iff h of every permutation of t does, and
     every permutation of t completes at the same position, so the pruning,
     the order and the maps are those of checking every tuple.
     """
+    _check_signatures(source, target)
     n = source.domain_size
     rank = [0] * n
     for i, x in enumerate(order):
@@ -376,16 +387,12 @@ def automorphism_orbits(structure: RelStructure) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class TemplatePair:
-    """A pair of same-signature structures with source -> target required."""
+    """A pair of same-signature structures with source -> target required, both checked by _maps."""
 
     source: RelStructure
     target: RelStructure
 
     def __post_init__(self):
-        if self.source.signature != self.target.signature:
-            raise SignatureMismatchError(
-                f"signatures differ: {self.source.signature} vs {self.target.signature}"
-            )
         n, k = self.source.domain_size, self.target.domain_size
         if next(_maps(self.source, self.target, range(n), [range(k)] * n), None) is None:
             raise ValueError("invalid template: no homomorphism from source to target")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -23,6 +24,8 @@ from pcsplab.homs import (
 )
 from pcsplab.solvers import Instance
 from pcsplab.structures import (
+    TemplatePair,
+    _maps,
     all_symmetric_ternary_structures,
     make_structure,
     named_template,
@@ -93,6 +96,31 @@ def test_signature_mismatch():
     binary = make_structure(2, [{(0, 1)}])
     with pytest.raises(SignatureMismatchError):
         find_homomorphism(binary, named_template("1in3"))
+
+
+MISMATCHED_PAIRS = {
+    "(3, 2) vs 1in3": (make_structure(2, [{(0, 0, 1), (0, 1, 0), (1, 0, 0)}, {(0, 1)}]), named_template("1in3")),
+    "binary vs ternary": (make_structure(2, [{(0, 1), (1, 0)}]), named_template("1in3")),
+}
+
+
+@pytest.mark.parametrize("pair", MISMATCHED_PAIRS.values(), ids=MISMATCHED_PAIRS.keys())
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_every_relation_pairing_refuses_mismatched_signatures(pair, reverse):
+    # zipping the relation lists would drop the unpaired relation and let a map through
+    a, b = reversed(pair) if reverse else pair
+    message = re.escape(f"signatures differ: {a.signature} vs {b.signature}")
+    checks = {
+        "_maps": lambda: next(_maps(a, b, range(2), [range(2)] * 2)),
+        "HomMap.preserves": lambda: HomMap(2, 2, (0, 1)).preserves(a, b),
+        "find_homomorphism": lambda: find_homomorphism(a, b),
+        "TemplatePair": lambda: TemplatePair(a, b),
+        "hom_lattice": lambda: hom_lattice([a, b]),
+    }
+    for name, check in checks.items():
+        with pytest.raises(SignatureMismatchError, match=message):
+            check()
+            pytest.fail(f"{name} accepted {a.signature} against {b.signature}")
 
 
 def test_completeness_against_brute_force():

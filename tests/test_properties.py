@@ -23,6 +23,7 @@ from pcsplab.properties import (
     MaskTables,
     SelectorSpec,
     SlicedTable,
+    _coloring_view,
     _dsatur_picks,
     _greedy_clique,
     check_properties,
@@ -139,9 +140,10 @@ def test_dsatur_picks_match_recomputed_saturation():
     budgets = 0
     for n, m in pairs:
         adjacency = kneser_graph(n, m).adjacency
-        clique = _greedy_clique(adjacency)
+        view = _coloring_view(adjacency)
+        clique = _greedy_clique(view)
         for k in range(max(1, len(clique)), n - 2 * m + 3):
-            assert list(_dsatur_picks(adjacency, k, clique)) == list(_loop_dsatur_picks(adjacency, k, clique)), (n, m, k)
+            assert list(_dsatur_picks(view, k, clique)) == list(_loop_dsatur_picks(adjacency, k, clique)), (n, m, k)
             budgets += 1
     assert budgets == 38
 
@@ -162,9 +164,10 @@ def test_dsatur_picks_match_recomputed_saturation_on_random_graphs():
     assert sum(len({len(nb) for nb in adjacency}) > 1 for adjacency in graphs) > 250
     graphs += [[[] for _ in range(12)], [[w for w in range(12) if w != v] for v in range(12)]]  # edgeless, complete
     for adjacency in graphs:
-        clique = _greedy_clique(adjacency)
+        view = _coloring_view(adjacency)
+        clique = _greedy_clique(view)
         for k in range(1, 7):
-            assert list(_dsatur_picks(adjacency, k, clique)) == list(_loop_dsatur_picks(adjacency, k, clique)), (adjacency, k)
+            assert list(_dsatur_picks(view, k, clique)) == list(_loop_dsatur_picks(adjacency, k, clique)), (adjacency, k)
 
 
 @pytest.mark.parametrize("adjacency, message", [

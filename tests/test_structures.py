@@ -113,7 +113,7 @@ def test_symmetrize_idempotent_and_monotone():
     for _ in range(30):
         s = random_ternary(rng)
         sym = symmetrize(s)
-        assert sym.is_symmetric()
+        assert sym.symmetric
         assert symmetrize(sym) == sym
         assert sym.relations[0].as_set >= s.relations[0].as_set
 
@@ -212,7 +212,7 @@ def test_relation_orbit_tuples_and_symmetric_match_permutation_brute_force():
             classes.setdefault(tuple(sorted(t)), t)
         assert rel.orbit_tuples == tuple(sorted(classes.values()))
         symmetric = all(p in rel.as_set for t in rel.tuples for p in itertools.permutations(t))
-        assert rel.symmetric == rel.is_symmetric() == symmetric
+        assert rel.symmetric == symmetric
         seen[symmetric] += 1
     assert min(seen.values()) >= 60
 
