@@ -23,13 +23,20 @@ solver of `hom lattice --all3`, `classify_template` and `gen | solve`:
 timed, its `hom_exists` calls), `classify_template` over the same 1023
 structures (phase `classify`, counting each label), and `gauss_gf3` on the
 systems of 60 planted instances (phase `gauss`, counting the systems solved
-and the sum of their solutions' values).  Each builds its inputs fresh
-before its clock starts.  A second pass, apart
-from the timed one, builds each searching case's triples and network again
-under tracemalloc and records the peak and the bytes still held once both
+and the sum of their solutions' values).  `hnf_solve` runs on the
+not-all-equal systems of the same 60 instances (phase `hnf`), counting the
+systems solved, their values' sum and, in a second call that is not timed,
+the column operations and the columns examined while finding each row's
+entries.  `kneser_graph` builds the 21 Kneser graphs of perfbench's
+`suites` set-up (phase `kneser`, counting vertices and neighbour entries).
+Each builds its inputs fresh before its clock starts.  A memory pass, in
+an interpreter of its own so that nothing a timed case left behind is
+reused, builds each searching case's triples and network again under
+tracemalloc and records the peak and the bytes still held once both
 exist, in MB.
 
-Every run is one fresh interpreter per source tree, so no row or cache built
+Every run is two fresh interpreters per source tree, one timed and one for
+memory, so no row or cache built
 by one run is seen by the next, and the order of the trees alternates from
 run to run.  The output gives, per case and tree, the median of the runs for
 each phase in seconds, the medians of the memory counters, and the work
@@ -60,7 +67,8 @@ import tracemalloc
 # dictator has one), and the random table has nearly all its sub-tables distinct and fails early in the walk.
 # The colouring case's blocks are the Kneser parameters (n, m): KG(10, 4) has 210 vertices and chromatic number 4,
 # and refuting 3 colours takes most of its picks.  The GF(3) case's blocks are the planted (nv, ne) of perfbench's
-# `gen | solve` jobs, where the cyclic and the not-all-equal routes cost about the same
+# `gen | solve` jobs, where the cyclic and the not-all-equal routes cost about the same, and so are the integer
+# case's.  The Kneser case's graphs are those of perfbench's `suites` set-up
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("triples", "network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("triples", "network", "solutions", "check")),
@@ -75,7 +83,10 @@ CASES = (
     ("hom lattice all3", None, (), ("lattice",)),
     ("classify all3", None, (), ("classify",)),
     ("gauss_gf3 60 x (240, 180)", None, (240, 180), ("gauss",)),
+    ("hnf_solve 60 x (240, 180)", None, (240, 180), ("hnf",)),
+    ("kneser_graph perfbench 21", None, (), ("kneser",)),
 )
+KNESER = [(n, m) for n in range(2, 10) for m in range(1, 5) if n >= 2 * m] + [(10, 4)]
 
 
 def _colour_case(n, m):
@@ -156,8 +167,83 @@ def _gauss_case(nv, ne):
     return {"s": {"gauss": seconds}, "counters": {"solved": len(solved), "value_sum": sum(map(sum, solved))}}
 
 
+def _hnf_case(nv, ne):
+    """Time hnf_solve on the not-all-equal-route systems of the planted instances with seeds 0 to 59, then count
+    its column operations and the columns it examines in a second, untimed pass."""
+    from pcsplab import solvers
+
+    systems = [solvers.IntAffineSystem(nv, solvers.generate_planted(nv, ne, seed)[0].edges) for seed in range(60)]
+    start = time.perf_counter()
+    solutions = [solvers.hnf_solve(system) for system in systems]
+    seconds = time.perf_counter() - start
+    solved = [x for x in solutions if x is not None]
+    counters = {"solved": len(solved), "value_sum": sum(map(sum, solved))}
+    counters.update(_hnf_work(solvers, systems, solutions))
+    return {"s": {"hnf": seconds}, "counters": counters}
+
+
+def _hnf_work(solvers, systems, solutions):
+    """hnf_solve's column operations and the columns it examines to find each row's entries, summed over systems.
+
+    The operations are the length of the kernel's `ops` list as it returns, read by a trace function on its frame.
+    The columns examined are the candidates it draws for each row: a scan of every column from the next pivot on
+    is a two-argument `range`, and a read of the row's index is a `sorted`.  Both builtins are shadowed in the
+    module for this pass alone; hnf_solve calls neither for anything else.
+    """
+    work = {"column_ops": 0, "columns_examined": 0}
+
+    def counted_range(*args):
+        work["columns_examined"] += len(range(*args)) if len(args) == 2 else 0
+        return range(*args)
+
+    def counted_sorted(items):
+        out = sorted(items)
+        work["columns_examined"] += len(out)
+        return out
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not solvers.hnf_solve.__code__:
+            return None
+        frame.f_trace_lines = False
+        return on_return
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            work["column_ops"] += len(frame.f_locals["ops"])
+        return on_return
+
+    solvers.range, solvers.sorted = counted_range, counted_sorted
+    sys.settrace(on_call)
+    try:
+        if [solvers.hnf_solve(system) for system in systems] != solutions:
+            raise SystemExit("hnf_solve: the solutions changed between two passes")
+    finally:
+        sys.settrace(None)
+        del solvers.range, solvers.sorted
+    return work
+
+
+def _kneser_case():
+    """Time kneser_graph on the Kneser graphs of perfbench's suites set-up and count their vertices and neighbours."""
+    from pcsplab.properties import kneser_graph
+
+    start = time.perf_counter()
+    graphs = [kneser_graph(n, m) for n, m in KNESER]
+    seconds = time.perf_counter() - start
+    counters = {"vertices": sum(len(g.vertices) for g in graphs)}
+    counters["neighbour_entries"] = sum(len(nb) for g in graphs for nb in g.adjacency)
+    return {"s": {"kneser": seconds}, "counters": counters}
+
+
 # cases that time one library call on inputs of their own, by phase
-CALL_CASES = {"colour": _colour_case, "lattice": _lattice_case, "classify": _classify_case, "gauss": _gauss_case}
+CALL_CASES = {
+    "colour": _colour_case,
+    "lattice": _lattice_case,
+    "classify": _classify_case,
+    "gauss": _gauss_case,
+    "hnf": _hnf_case,
+    "kneser": _kneser_case,
+}
 
 
 def _checked_table(kind, template, n):
@@ -185,7 +271,7 @@ def _case_inputs(target, blocks):
 
 
 def measure_once() -> dict:
-    """One run of every case in this interpreter: {case: {"s": {phase: seconds}, "mb": {...}, "counters": {...}}}."""
+    """One timed run of every case in this interpreter: {case: {"s": {phase: seconds}, "counters": {...}}}."""
     from pcsplab._network import Network
     from pcsplab.polymorphisms import _partition_triples, _table_holds, enumerate_orbits
     from pcsplab.properties import SELECTOR_CATALOG, verify_selector
@@ -240,6 +326,15 @@ def measure_once() -> dict:
                 raise SystemExit(f"{label}: the answer check gives {holds}")
         out[label] = {"s": s, "counters": counters}
         del net
+    return out
+
+
+def measure_memory() -> dict:
+    """The memory pass, run in an interpreter of its own: {case: {"peak": MB, "held": MB}} for each searching case."""
+    from pcsplab._network import Network
+    from pcsplab.polymorphisms import _partition_triples
+
+    out = {}
     for label, target, blocks, phases in CASES:
         if "network" not in phases:
             continue
@@ -249,17 +344,25 @@ def measure_once() -> dict:
         net = Network(ncells, triples, order, allowed)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        out[label]["mb"] = {"peak": peak / 2**20, "held": held / 2**20}
+        out[label] = {"peak": peak / 2**20, "held": held / 2**20}
         del triples, net
     return out
 
 
-def run_tree(path: str) -> dict:
+def _child(path: str, mode: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(path), PYTHONHASHSEED="0")
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child"], env=env, capture_output=True, text=True, check=True
+        [sys.executable, os.path.abspath(__file__), mode], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
+
+
+def run_tree(path: str) -> dict:
+    """One timed run and one memory pass of the tree at path, each in a fresh interpreter."""
+    out = _child(path, "--child")
+    for label, mb in _child(path, "--child-memory").items():
+        out[label]["mb"] = mb
+    return out
 
 
 def commit_of(path: str):
@@ -326,7 +429,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--child"]:  # one run in this interpreter, for run_tree
+    if sys.argv[1:] == ["--child"]:  # one timed run in this interpreter, for run_tree
         json.dump(measure_once(), sys.stdout)
+        sys.exit(0)
+    if sys.argv[1:] == ["--child-memory"]:  # the memory pass in this interpreter, for run_tree
+        json.dump(measure_memory(), sys.stdout)
         sys.exit(0)
     sys.exit(main())

@@ -246,7 +246,8 @@ def _cmd_solve(args) -> int:
         with open(args.instance, encoding="utf-8") as handle:
             text = handle.read()
     instance = solvers.parse_instance(text)
-    coloring = solvers.solve_via_relaxation(instance, target, prefer=args.prefer)
+    deadline = deadline_after(args.time_budget)
+    coloring = solvers.solve_via_relaxation(instance, target, prefer=args.prefer, deadline=deadline)
     if coloring is None:
         print(f"no {args.target}-coloring found; promise violated or instance hard")
         return 1
@@ -340,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("target")
     p_solve.add_argument("instance", nargs="?", default="-", help="instance file (default stdin)")
     p_solve.add_argument("--prefer", choices=["t2", "nae"], default="t2")
+    p_solve.add_argument("--time-budget", type=seconds, default=None, metavar="SECONDS")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="emit a seeded planted instance")

@@ -484,13 +484,18 @@ class KneserGraph:
 
 
 def kneser_graph(n: int, m: int) -> KneserGraph:
+    """KG(n, m), its vertices in lexicographic order and each neighbour list ascending.
+
+    The neighbours of v are the m-subsets of the complement of v, listed by
+    `combinations` over the sorted complement in the vertices' own order.
+    """
     if not 1 <= m <= n:
         raise ValueError(f"need n >= m >= 1, got n={n}, m={m}")
     vertices = tuple(itertools.combinations(range(1, n + 1), m))
-    sets = [frozenset(v) for v in vertices]
+    index = {v: i for i, v in enumerate(vertices)}
     adjacency = tuple(
-        tuple(j for j in range(len(vertices)) if j != i and not (sets[i] & sets[j]))
-        for i in range(len(vertices))
+        tuple(index[w] for w in itertools.combinations([x for x in range(1, n + 1) if x not in v], m))
+        for v in vertices
     )
     return KneserGraph(n, m, vertices, adjacency)
 

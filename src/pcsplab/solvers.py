@@ -8,7 +8,9 @@ edge all-equal because its three integers sum to 1.
 
 Both matrices are a few per cent non-zero: `gauss_gf3` packs each row into
 two integer bitplanes (bit-slicing, Boothby and Bradshaw 2009) and
-`hnf_solve` keeps each column of A as a dict of its non-zero entries.  Both
+`hnf_solve` keeps each column of A as a dict of its non-zero entries, with
+a row index (the columns that may hold each row) so that a row reads its
+entries without scanning every column.  Both
 return the answers of the dense kernels in `tests/loop_solvers.py`:
 `hnf_solve` chooses their column operations in the same order, which its x
 depends on, but stores no transform: it applies the recorded operations to
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, UnsupportedTargetError
+from .errors import FormatError, TimeBudgetExceeded, UnsupportedTargetError, expired
 from .homs import check_coloring, find_homomorphism, hom_exists
 from .structures import RelStructure, named_template
 
@@ -124,7 +126,7 @@ class GF3System:
     rows: tuple[tuple[tuple[int, int, int], int], ...]
 
 
-def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
+def gauss_gf3(system: GF3System, nv: int, *, deadline: float | None = None) -> list[int] | None:
     """Gaussian elimination modulo 3; free variables are set to 0.
 
     Each row is two bitplanes (p, m): bit c of p is set iff the coefficient
@@ -136,7 +138,9 @@ def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
     row left with only a right-hand side has no solution.  Back-substitution
     runs from the highest pivot down.  The pivot columns are the greedy
     leftmost independent set and the reduced echelon form is unique, so the
-    solution is the dense one in `tests/loop_solvers.py`.
+    solution is the dense one in `tests/loop_solvers.py`.  `deadline` (a
+    `errors.deadline_after` value, None for none) is checked at each pivot
+    column; once it has passed, TimeBudgetExceeded is raised.
     """
     buckets: dict[int, list[tuple[int, int]]] = {}
     pending = []
@@ -157,6 +161,8 @@ def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
         pending = buckets.pop(col, [])
         if not pending:
             continue
+        if expired(deadline):
+            raise TimeBudgetExceeded(f"solve ran past its time budget after {col} of {nv} columns")
         (ap, am), *pending = pending
         if am >> col & 1:  # times the inverse of 2, that is negated
             ap, am = am, ap
@@ -177,10 +183,10 @@ def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
     return [(ones >> c & 1) + 2 * (twos >> c & 1) for c in range(nv)]
 
 
-def solve_t2(instance: Instance) -> dict[int, int] | None:
+def solve_t2(instance: Instance, *, deadline: float | None = None) -> dict[int, int] | None:
     """Three-coloring via one mod-3 equation per edge; always verified."""
     system = GF3System(tuple((e, 1) for e in instance.edges))
-    solution = gauss_gf3(system, instance.variable_count)
+    solution = gauss_gf3(system, instance.variable_count, deadline=deadline)
     if solution is None:
         return None
     coloring = {v: solution[v - 1] for v in range(1, instance.variable_count + 1)}
@@ -196,24 +202,31 @@ class IntAffineSystem:
     rows: tuple[tuple[int, int, int], ...]
 
 
-def hnf_solve(system: IntAffineSystem) -> list[int] | None:
+def hnf_solve(system: IntAffineSystem, *, deadline: float | None = None) -> list[int] | None:
     """An integer solution of A x = 1 via column reduction, or None.
 
-    Column j of A is one dict of its non-zero entries.  Each column operation
-    is recorded as applied: (s, t, f) adds f times column s into column t,
-    (a, b) swaps two columns, (c,) negates one; their product is a unimodular
-    T.  Once each row has at most one pivot, back-substitution solves
-    (A T) y = 1 with exact divisibility (free parameters 0), and x = T y comes
-    from applying the operations to y last to first.  The choice of each
-    operation and their order are those of dense columns
-    (`tests/loop_solvers.py`), so the solution is the same.
+    Column j of A is one dict of its non-zero entries, and each row keeps a
+    list of the columns that may hold it: a column joins the list when it
+    gains an entry in the row (the fill, a column operation, a swap) and is
+    never taken off, so a row reads its live entries from its list alone.
+    Each column operation is recorded as applied: (s, t, f) adds f times
+    column s into column t, (a, b) swaps two columns, (c,) negates one; their
+    product is a unimodular T.  Once each row has at most one pivot,
+    back-substitution solves (A T) y = 1 with exact divisibility (free
+    parameters 0), and x = T y comes from applying the operations to y last
+    to first.  The choice of each operation and their order are those of
+    dense columns (`tests/loop_solvers.py`), so the solution is the same.
+    `deadline` (a `errors.deadline_after` value, None for none) is checked
+    before each row; once it has passed, TimeBudgetExceeded is raised.
     """
     m = len(system.rows)
     n = system.variable_count
     cols: list[dict[int, int]] = [{} for _ in range(n)]
+    holders: list[list[int]] = [[] for _ in range(m)]  # row -> columns that may hold it, repeats allowed
     for r, (i, j, k) in enumerate(system.rows):
         for v in (i, j, k):
             cols[v - 1][r] = cols[v - 1].get(r, 0) + 1
+            holders[r].append(v - 1)
 
     ops: list[tuple[int, ...]] = []
     pivots: dict[int, int] = {}  # row -> pivot column
@@ -221,30 +234,39 @@ def hnf_solve(system: IntAffineSystem) -> list[int] | None:
     for row in range(m):
         if col >= n:
             break
-        nonzero = [j for j in range(col, n) if row in cols[j]]
-        while len(nonzero) > 1:
-            best = min(nonzero, key=lambda j: (abs(cols[j][row]), j))
+        if expired(deadline):
+            raise TimeBudgetExceeded(f"solve ran past its time budget after {row} of {m} rows")
+        # the row's entries in columns col.., ascending, so min keeps the least j among equal |entries|
+        entries = {j: a for j in sorted(set(holders[row])) if j >= col and (a := cols[j].get(row))}
+        while len(entries) > 1:
+            best = min(entries, key=lambda j: abs(entries[j]))
             source = cols[best]
-            for j in nonzero:
+            for j, entry in entries.items():
                 if j != best:
                     # never 0: best holds the least absolute value in this row
-                    f = -(cols[j][row] // source[row])
+                    f = -(entry // entries[best])
                     target = cols[j]
                     for idx, b in source.items():
-                        a = target.get(idx, 0) + f * b
-                        if a:
+                        a = target.get(idx)
+                        if a is None:
+                            target[idx] = f * b
+                            holders[idx].append(j)
+                        elif a := a + f * b:
                             target[idx] = a
                         else:
                             del target[idx]
                     ops.append((best, j, f))
             # the row's operations touch only these columns; the order stays ascending
-            nonzero = [j for j in nonzero if row in cols[j]]
-        if not nonzero:
+            entries = {j: a for j in entries if (a := cols[j].get(row))}
+        if not entries:
             continue
-        if nonzero[0] != col:
-            cols[nonzero[0]], cols[col] = cols[col], cols[nonzero[0]]
-            ops.append((nonzero[0], col))
-        if cols[col][row] < 0:
+        [(first, entry)] = entries.items()
+        if first != col:
+            cols[first], cols[col] = cols[col], cols[first]
+            for idx in cols[first]:  # no later row reads column col, the new pivot
+                holders[idx].append(first)
+            ops.append((first, col))
+        if entry < 0:
             cols[col] = {idx: -a for idx, a in cols[col].items()}
             ops.append((col,))
         pivots[row] = col
@@ -273,14 +295,14 @@ def hnf_solve(system: IntAffineSystem) -> list[int] | None:
     return y
 
 
-def solve_nae(instance: Instance) -> dict[int, int] | None:
+def solve_nae(instance: Instance, *, deadline: float | None = None) -> dict[int, int] | None:
     """Two-coloring via the integer relaxation, thresholded at >= 1; verified.
 
     Each edge's three integers sum to exactly 1, so they can be neither all
     >= 1 nor all <= 0; the thresholded coloring therefore never makes an
     edge constant.
     """
-    solution = hnf_solve(IntAffineSystem(instance.variable_count, instance.edges))
+    solution = hnf_solve(IntAffineSystem(instance.variable_count, instance.edges), deadline=deadline)
     if solution is None:
         return None
     coloring = {v: 1 if solution[v - 1] >= 1 else 0 for v in range(1, instance.variable_count + 1)}
@@ -288,12 +310,15 @@ def solve_nae(instance: Instance) -> dict[int, int] | None:
     return coloring
 
 
-def solve_via_relaxation(instance: Instance, target: RelStructure, prefer: str = "t2") -> dict[int, int] | None:
+def solve_via_relaxation(
+    instance: Instance, target: RelStructure, prefer: str = "t2", *, deadline: float | None = None
+) -> dict[int, int] | None:
     """Solve against any target reachable from the cyclic or not-all-equal base.
 
     The base coloring is composed with a homomorphism into the target and
     re-verified.  When both routes apply the cyclic one is taken (cheaper
-    exact algebra) unless prefer = "nae".
+    exact algebra) unless prefer = "nae".  `deadline` goes to the kernel of
+    the route taken.
     """
     base_homs = {}
     for route, base_structure in (("t2", T2), ("nae", NAE)):
@@ -303,7 +328,7 @@ def solve_via_relaxation(instance: Instance, target: RelStructure, prefer: str =
     if not base_homs:
         raise UnsupportedTargetError("target admits neither the cyclic nor the not-all-equal relaxation")
     route = prefer if prefer in base_homs else next(iter(base_homs))
-    base = solve_t2(instance) if route == "t2" else solve_nae(instance)
+    base = (solve_t2 if route == "t2" else solve_nae)(instance, deadline=deadline)
     if base is None:
         return None
     hom = base_homs[route]

@@ -444,6 +444,22 @@ def test_solve_reads_stdin(monkeypatch, capsys):
     assert code == 0 and out.count("v ") == 6
 
 
+def test_solve_time_budget_zero_aborts(monkeypatch, capsys):
+    instance, planted = generate_planted(240, 180, 7)
+    for prefer, unit in (((), "columns"), (("--prefer", "nae"), "rows")):  # Splus admits both routes
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_instance(instance, planted)))
+        code, out, err = run(capsys, "solve", "Splus", *prefer, "--time-budget", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("aborted: solve ran past its time budget after 0 of ") and unit in err
+
+
+def test_solve_time_budget_must_be_seconds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "NAE", "--time-budget", "nan"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--time-budget" in err
+
+
 def test_solve_failure_label_names_target(tmp_path, capsys):
     path = tmp_path / "bad.hyp"
     path.write_text(format_instance(Instance(1, ((1, 1, 1),))))

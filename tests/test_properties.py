@@ -61,6 +61,18 @@ def test_kneser_graph_matching_and_point():
     assert len(point.vertices) == 1 and point.edge_count == 0
 
 
+def test_kneser_graph_matches_disjointness():
+    # the definition, pair by pair: v and w are adjacent iff they are disjoint m-subsets of 1..n
+    for n in range(1, 12):
+        for m in range(1, n + 1):
+            graph = kneser_graph(n, m)
+            assert graph.vertices == tuple(itertools.combinations(range(1, n + 1), m))
+            oracle = tuple(
+                tuple(j for j, w in enumerate(graph.vertices) if not set(v) & set(w)) for v in graph.vertices
+            )
+            assert graph.adjacency == oracle, (n, m)
+
+
 def test_chromatic_number_leaves_recursion_limit_alone():
     # the coloring search keeps its own stack: a path far longer than the interpreter limit is fine
     path_adjacency = [[w for w in (v - 1, v + 1) if 0 <= w < 1200] for v in range(1200)]

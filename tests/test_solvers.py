@@ -8,7 +8,7 @@ import pytest
 
 import loop_solvers
 
-from pcsplab.errors import FormatError, UnsupportedTargetError
+from pcsplab.errors import FormatError, TimeBudgetExceeded, UnsupportedTargetError, deadline_after
 from pcsplab.homs import check_coloring
 from pcsplab.solvers import (
     NP_HARD,
@@ -265,6 +265,50 @@ def test_solvers_match_dense_references():
         insoluble["gauss_gf3"] += solution is None
         insoluble["hnf_solve"] += x is None
     assert 500 < insoluble["gauss_gf3"] < 2500 and 500 < insoluble["hnf_solve"] < 2500
+
+
+# Systems that reach the row index of hnf_solve where it is easy to get wrong,
+# checked once with a copy of hnf_solve that logged its swaps; the third and
+# fourth fail if an operation or a swap does not add its column to the index.
+INDEX_CASES = [
+    # x1, x3, x5 and x7 occur in no row: row 0's pivot moves into the empty column 0's place
+    ("empty_columns", IntAffineSystem(7, ((2, 4, 6), (4, 6, 6), (2, 2, 4)))),
+    # repeated coordinates give entries 2 and 3, and 3 x3 = 1 has no integer solution
+    ("entries_2_and_3", IntAffineSystem(4, ((1, 1, 2), (3, 3, 3), (2, 3, 4)))),
+    # row 0 subtracts x1's column from x3's and x4's, which gives x3's an entry in
+    # row 1 and x4's one in row 2, where the fill listed neither
+    ("operation_creates_entries", IntAffineSystem(4, ((4, 1, 3), (4, 1, 2), (3, 1, 1)))),
+    # row 0 leaves its entry in x2's column, which swaps with x1's: row 1, held by
+    # x1's alone, must find it in x2's old place
+    ("swap_moves_a_later_row", IntAffineSystem(3, ((3, 3, 2), (3, 1, 3)))),
+    # row 0 leaves its entry in x4's column, which swaps with x1's: both hold row 1,
+    # and only x1's holds row 2
+    ("swap_sharing_later_rows", IntAffineSystem(4, ((3, 3, 4), (4, 1, 3), (2, 3, 1)))),
+    # 20 rows on 6 variables: the reduction runs out of columns before it runs out of rows
+    ("more_rows_than_variables", IntAffineSystem(6, generate_planted(6, 20, 3)[0].edges)),
+    ("more_rows_insoluble", IntAffineSystem(3, ((1, 2, 3), (1, 1, 2), (2, 3, 3), (1, 3, 3)))),
+]
+
+
+@pytest.mark.parametrize("system", [c[1] for c in INDEX_CASES], ids=[c[0] for c in INDEX_CASES])
+def test_hnf_solve_row_index_edge_cases(system):
+    assert hnf_solve(system) == loop_solvers.hnf_solve(system)
+
+
+def test_solvers_raise_past_their_deadline():
+    instance = generate_planted(30, 40, 2)[0]
+    gf3 = GF3System(tuple((e, 1) for e in instance.edges))
+    integer = IntAffineSystem(30, instance.edges)
+    past = deadline_after(0) - 1.0
+    with pytest.raises(TimeBudgetExceeded, match=r"^solve ran past its time budget after 0 of 30 columns$"):
+        gauss_gf3(gf3, 30, deadline=past)
+    with pytest.raises(TimeBudgetExceeded, match=r"^solve ran past its time budget after 0 of 40 rows$"):
+        hnf_solve(integer, deadline=past)
+    with pytest.raises(TimeBudgetExceeded):
+        solve_via_relaxation(instance, named_template("NAE"), prefer="nae", deadline=past)
+    never = deadline_after(float("inf"))
+    assert gauss_gf3(gf3, 30, deadline=never) == gauss_gf3(gf3, 30)
+    assert hnf_solve(integer, deadline=never) == hnf_solve(integer)
 
 
 def test_solve_nae_examples():
