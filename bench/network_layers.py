@@ -5,7 +5,7 @@
 A search on coordinate blocks goes through four phases: the sorted cell
 triples (`polymorphisms._partition_triples`), the `_network.Network` built on
 them, the depth-first search for the first table (`Network.solutions`), and
-the answer check of that table (`polymorphisms._table_holds`).  Each case
+the answer check of that table (`polymorphisms.is_polymorphism`).  Each case
 below times each phase; a phase that a case does not reach is left out.  A
 check-only case times the answer check of a given table on unit blocks, as
 `poly verify` runs it: a dictator, a symmetric table expanded to every
@@ -157,11 +157,11 @@ def _classify_case():
 
 def _gauss_case(nv, ne):
     """Time gauss_gf3 on the cyclic-route systems of the planted instances with seeds 0 to 59."""
-    from pcsplab.solvers import GF3System, gauss_gf3, generate_planted
+    from pcsplab.solvers import gauss_gf3, generate_planted
 
-    systems = [GF3System(tuple((e, 1) for e in generate_planted(nv, ne, seed)[0].edges)) for seed in range(60)]
+    systems = [tuple((e, 1) for e in generate_planted(nv, ne, seed)[0].edges) for seed in range(60)]
     start = time.perf_counter()
-    solutions = [gauss_gf3(system, nv) for system in systems]
+    solutions = [gauss_gf3(rows, nv) for rows in systems]
     seconds = time.perf_counter() - start
     solved = [x for x in solutions if x is not None]
     return {"s": {"gauss": seconds}, "counters": {"solved": len(solved), "value_sum": sum(map(sum, solved))}}
@@ -172,17 +172,17 @@ def _hnf_case(nv, ne):
     its column operations and the columns it examines in a second, untimed pass."""
     from pcsplab import solvers
 
-    systems = [solvers.IntAffineSystem(nv, solvers.generate_planted(nv, ne, seed)[0].edges) for seed in range(60)]
+    systems = [solvers.generate_planted(nv, ne, seed)[0].edges for seed in range(60)]
     start = time.perf_counter()
-    solutions = [solvers.hnf_solve(system) for system in systems]
+    solutions = [solvers.hnf_solve(rows, nv) for rows in systems]
     seconds = time.perf_counter() - start
     solved = [x for x in solutions if x is not None]
     counters = {"solved": len(solved), "value_sum": sum(map(sum, solved))}
-    counters.update(_hnf_work(solvers, systems, solutions))
+    counters.update(_hnf_work(solvers, systems, nv, solutions))
     return {"s": {"hnf": seconds}, "counters": counters}
 
 
-def _hnf_work(solvers, systems, solutions):
+def _hnf_work(solvers, systems, nv, solutions):
     """hnf_solve's column operations and the columns it examines to find each row's entries, summed over systems.
 
     The operations are the length of the kernel's `ops` list as it returns, read by a trace function on its frame.
@@ -215,7 +215,7 @@ def _hnf_work(solvers, systems, solutions):
     solvers.range, solvers.sorted = counted_range, counted_sorted
     sys.settrace(on_call)
     try:
-        if [solvers.hnf_solve(system) for system in systems] != solutions:
+        if [solvers.hnf_solve(rows, nv) for rows in systems] != solutions:
             raise SystemExit("hnf_solve: the solutions changed between two passes")
     finally:
         sys.settrace(None)
@@ -273,7 +273,7 @@ def _case_inputs(target, blocks):
 def measure_once() -> dict:
     """One timed run of every case in this interpreter: {case: {"s": {phase: seconds}, "counters": {...}}}."""
     from pcsplab._network import Network
-    from pcsplab.polymorphisms import _partition_triples, _table_holds, enumerate_orbits
+    from pcsplab.polymorphisms import BlockTable, _partition_triples, enumerate_orbits, is_polymorphism
     from pcsplab.properties import SELECTOR_CATALOG, verify_selector
     from pcsplab.symmetric import _wlog_colors
 
@@ -318,8 +318,9 @@ def measure_once() -> dict:
             counters["nodes"] = net.nodes
             counters["found"] = values is not None
         if values is not None and "check" in phases:
+            table = BlockTable(blocks, template.target.domain_size, values)
             start = time.perf_counter()
-            holds = _table_holds(template, blocks, template.target.domain_size, values)
+            holds = is_polymorphism(table, template)
             s["check"] = time.perf_counter() - start
             counters["holds"] = holds
             if holds != (label.split()[0] != "random"):

@@ -1,17 +1,20 @@
-"""Boolean-source function tables, coordinate maps, and polymorphism tests.
+"""Tables on coordinate blocks, coordinate maps, and polymorphism tests.
 
-A table of arity n assigns a target value to every subset of coordinates
-[n] = {1..n}; a subset is a bitmask (bit i-1 is coordinate i), and subsets
-are ordered canonically by (cardinality, element order).  A minor along a
+A table on coordinate blocks, BlockTable, assigns a target value to every
+cell: the coordinates [n] = {1..n} come in blocks, and a cell is a weight
+vector, how many coordinates of each block a subset holds.  Cells are
+indexed in mixed radix with the last block least significant.  One unit
+block per coordinate gives a full table of arity n: its cells are the
+subsets of [n] as bitmasks (bit i-1 is coordinate i), and subsets are
+ordered canonically by (cardinality, element order).  One block of size n
+gives a symmetric table and two blocks a two-block table.  A minor along a
 map of coordinates is read through the map's subset-image tables,
 MinorMap.pull and MinorMap.push.
 
-This module also owns the cells of tables on coordinate blocks: a cell is a
-weight vector, indexed in mixed radix with the last block least
-significant, and each 3-partition of the coordinates gives one cell triple,
-which repeats a cell when two parts have the same weight vector.
-It lists the sorted triples as one int code each and hands the search engine
-in `_network` only the cell count and that list of codes.  It checks answers
+Each 3-partition of the coordinates gives one cell triple, which repeats a
+cell when two parts have the same weight vector.  This module lists the
+sorted triples as one int code each and hands the search engine in
+`_network` only the cell count and that list of codes.  It checks answers
 with its own walk: equal sub-tables of the table share one number, and each
 distinct triple of sub-tables at each level is visited once.
 """
@@ -37,41 +40,57 @@ def subset_masks(n: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class PolyTable:
-    """Total table over all 2**arity coordinate subsets, values in the target domain."""
+class BlockTable:
+    """Total table on the cells of coordinate blocks, values in the target domain.
 
-    arity: int
+    blocks holds the block sizes, each >= 1, and values has one entry per
+    weight vector (w_1, ..., w_m), 0 <= w_j <= blocks[j], at its mixed-radix
+    index, last block least significant.  With unit blocks that index is a
+    subset mask, block j being bit m - j, that is coordinate m + 1 - j, so
+    values[mask] is the value on the subset mask.
+    """
+
+    blocks: tuple[int, ...]
     target_size: int
-    values: tuple[int, ...]  # indexed by mask
+    values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        if len(self.values) != 1 << self.arity:
-            raise ValueError(f"expected {1 << self.arity} entries, got {len(self.values)}")
-        _require_target_values(self.values, self.target_size)
+        if not self.blocks or min(self.blocks) < 1:
+            raise ValueError(f"block sizes must be >= 1, got {self.blocks}")
+        cells = math.prod(size + 1 for size in self.blocks)
+        if len(self.values) != cells:
+            raise ValueError(f"expected {cells} entries, got {len(self.values)}")
+        for v in self.values:  # None or a value outside the domain raises ValueError; a string still raises TypeError
+            if v is None or not 0 <= v < self.target_size:
+                raise ValueError(f"value {v} outside target domain")
+
+    @property
+    def arity(self) -> int:
+        return sum(self.blocks)
+
+    def value(self, *weights: int) -> int:
+        """The value on the cell with these weights, one per block."""
+        if len(weights) != len(self.blocks) or not all(0 <= w <= size for w, size in zip(weights, self.blocks)):
+            raise ValueError(f"weights {weights} outside " + " x ".join(f"0..{size}" for size in self.blocks))
+        index = 0
+        for w, size in zip(weights, self.blocks):
+            index = index * (size + 1) + w
+        return self.values[index]
 
 
-def _require_target_values(values, target_size: int) -> None:
-    """Reject None or a value outside 0..target_size-1 with ValueError; a string still raises TypeError."""
-    for v in values:
-        if v is None or not 0 <= v < target_size:
-            raise ValueError(f"value {v} outside target domain")
-
-
-def dictator(n: int, coordinate: int, target_size: int = 2) -> PolyTable:
+def dictator(n: int, coordinate: int, target_size: int = 2) -> BlockTable:
     """The projection onto one coordinate."""
     bit = 1 << (coordinate - 1)
-    return PolyTable(n, target_size, tuple(1 if mask & bit else 0 for mask in range(1 << n)))
+    return BlockTable((1,) * n, target_size, tuple(1 if mask & bit else 0 for mask in range(1 << n)))
 
 
-def alternating_threshold(target_size: int = 2) -> PolyTable:
+def alternating_threshold(target_size: int = 2) -> BlockTable:
     """Arity-3 table: 1 when the alternating sum of indicators is positive."""
     vals = []
     for mask in range(8):
         s = (mask & 1) - (mask >> 1 & 1) + (mask >> 2 & 1)
         vals.append(1 if s > 0 else 0)
-    return PolyTable(3, target_size, tuple(vals))
+    return BlockTable((1,) * 3, target_size, tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -251,14 +270,6 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     return True
 
 
-def _table_holds(template: TemplatePair, blocks, target_size: int, values) -> bool:
-    """Check a full table on the cells of the coordinate blocks; exactly-one-1 source only."""
-    _require_boolean_one_in_three_source(template)
-    if target_size != template.target.domain_size:
-        raise ValueError("table target size does not match template target")
-    return _partitions_map_into(blocks, values, template.target.single_ternary().as_set)
-
-
 def _search_network(template: TemplatePair, blocks, branch_order, deadline=None) -> Network:
     """The search network on the cells of the coordinate blocks; exactly-one-1 source only.
 
@@ -269,20 +280,24 @@ def _search_network(template: TemplatePair, blocks, branch_order, deadline=None)
     return Network(ncells, _partition_triples(blocks, deadline), branch_order, allowed_table(template.target), deadline)
 
 
-def is_polymorphism(table: PolyTable, template: TemplatePair) -> bool:
-    """Partition test: every ordered 3-partition of [n] must map into the relation.
+def is_polymorphism(table: BlockTable, template: TemplatePair) -> bool:
+    """Partition test: every ordered 3-partition of the coordinates must map into the relation.
 
-    One unit block per coordinate makes the cells the subset masks; the walk
-    numbers the blocks from the high bit down, which relabels coordinates
-    and leaves the set of 3-partitions as it is.
+    This checks a table of every block shape; exactly-one-1 source only.
+    With unit blocks the walk numbers the blocks from the high bit down,
+    which relabels coordinates and leaves the set of 3-partitions as it is.
     """
-    return _table_holds(template, (1,) * table.arity, table.target_size, table.values)
+    _require_boolean_one_in_three_source(template)
+    if table.target_size != template.target.domain_size:
+        raise ValueError("table target size does not match template target")
+    return _partitions_map_into(table.blocks, table.values, template.target.single_ternary().as_set)
 
 
 def enumerate_polymorphisms(template: TemplatePair, n: int, *, force: bool = False, deadline: float | None = None):
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
-    Each item is a value tuple indexed by subset mask, like PolyTable.values.
+    Each item is a value tuple indexed by subset mask, the values of a
+    BlockTable with one unit block per coordinate.
     The stream order is lexicographic in the value vector read along the
     canonical subset order.  The search network has one unit block per
     coordinate, so its cells are the 2**n subset masks and each unordered
@@ -417,7 +432,7 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, dea
 # coordinate i belongs to the subset.
 
 
-def format_poly_table(table: PolyTable) -> str:
+def format_poly_table(table: BlockTable) -> str:
     lines = [f"poly {table.arity} {table.target_size}"]
     for mask in subset_masks(table.arity):
         bits = "".join("1" if mask >> i & 1 else "0" for i in range(table.arity))
@@ -425,7 +440,7 @@ def format_poly_table(table: PolyTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_poly_table(text: str) -> PolyTable:
+def parse_poly_table(text: str) -> BlockTable:
     header = None
     rows = []
     try:
@@ -460,6 +475,6 @@ def parse_poly_table(text: str) -> PolyTable:
             raise FormatError(f"line {lineno}: duplicate subset {bits!r}")
         values[mask] = value
     try:
-        return PolyTable(n, k, tuple(values))
+        return BlockTable((1,) * n, k, tuple(values))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .errors import ArityBoundError, TimeBudgetExceeded, deadline_after, expired
 from .polymorphisms import (
     DEFAULT_ARITY_CAP,
+    BlockTable,
     MinorMap,
-    PolyTable,
     enumerate_orbits,
     enumerate_polymorphisms,
     orbit_permutations,
@@ -356,7 +356,7 @@ PROPERTY_CATALOG: dict[str, PropertySpec] = {
 @dataclass(frozen=True)
 class Counterexample:
     arity: int
-    table: PolyTable
+    table: BlockTable
     witness: tuple
 
 
@@ -453,7 +453,7 @@ def check_properties(
                     witness = spec.predicate(SlicedTable(member, masks))
                     if witness is None:
                         raise AssertionError(f"{spec.property_id} holds on a coordinate permutation of a failing table")
-                    bisect.insort(kept, (key, Counterexample(n, PolyTable(n, k, member), witness)), key=operator.itemgetter(0))
+                    bisect.insort(kept, (key, Counterexample(n, BlockTable((1,) * n, k, member), witness)), key=operator.itemgetter(0))
                     del kept[counterexample_cap:]
     elapsed = (time.perf_counter() - start) * 1000.0
     return tuple(

@@ -119,19 +119,13 @@ def generate_planted(nv: int, ne: int, seed: int) -> tuple[Instance, dict[int, i
     return Instance(nv, tuple(edges)), bits
 
 
-@dataclass(frozen=True)
-class GF3System:
-    """Rows (i, j, k) = rhs interpreted as x_i + x_j + x_k = rhs modulo 3."""
+def gauss_gf3(rows, nv: int, *, deadline: float | None = None) -> list[int] | None:
+    """Gaussian elimination modulo 3 over the variables 1..nv; free variables are set to 0.
 
-    rows: tuple[tuple[tuple[int, int, int], int], ...]
-
-
-def gauss_gf3(system: GF3System, nv: int, *, deadline: float | None = None) -> list[int] | None:
-    """Gaussian elimination modulo 3; free variables are set to 0.
-
-    Each row is two bitplanes (p, m): bit c of p is set iff the coefficient
-    of column c is 1, bit c of m iff it is 2, and bit nv holds the
-    right-hand side.  Negating a row swaps its planes, and adding one row
+    A row ((i, j, k), rhs) is the equation x_i + x_j + x_k = rhs modulo 3.
+    Each row is packed as two bitplanes (p, m): bit c of p is set iff the
+    coefficient of column c is 1, bit c of m iff it is 2, and bit nv holds
+    the right-hand side.  Negating a row swaps its planes, and adding one row
     into another is a dozen bitwise operations on whole planes.  Rows wait
     in buckets by their lowest non-zero column: a column's first row is its
     pivot, adding it into the others moves them to higher buckets, and a
@@ -144,7 +138,7 @@ def gauss_gf3(system: GF3System, nv: int, *, deadline: float | None = None) -> l
     """
     buckets: dict[int, list[tuple[int, int]]] = {}
     pending = []
-    for e, rhs in system.rows:
+    for e, rhs in rows:
         p = m = 0
         for v in e:  # each occurrence adds 1 to the coefficient of v: 0 -> 1 -> 2 -> 0
             bit = 1 << (v - 1)
@@ -185,8 +179,7 @@ def gauss_gf3(system: GF3System, nv: int, *, deadline: float | None = None) -> l
 
 def solve_t2(instance: Instance, *, deadline: float | None = None) -> dict[int, int] | None:
     """Three-coloring via one mod-3 equation per edge; always verified."""
-    system = GF3System(tuple((e, 1) for e in instance.edges))
-    solution = gauss_gf3(system, instance.variable_count, deadline=deadline)
+    solution = gauss_gf3([(e, 1) for e in instance.edges], instance.variable_count, deadline=deadline)
     if solution is None:
         return None
     coloring = {v: solution[v - 1] for v in range(1, instance.variable_count + 1)}
@@ -194,21 +187,15 @@ def solve_t2(instance: Instance, *, deadline: float | None = None) -> dict[int, 
     return coloring
 
 
-@dataclass(frozen=True)
-class IntAffineSystem:
-    """Rows of unit coefficients (possibly coinciding), all right-hand sides 1."""
+def hnf_solve(rows, nv: int, *, deadline: float | None = None) -> list[int] | None:
+    """An integer solution of A x = 1 over the variables 1..nv via column reduction, or None.
 
-    variable_count: int
-    rows: tuple[tuple[int, int, int], ...]
-
-
-def hnf_solve(system: IntAffineSystem, *, deadline: float | None = None) -> list[int] | None:
-    """An integer solution of A x = 1 via column reduction, or None.
-
-    Column j of A is one dict of its non-zero entries, and each row keeps a
-    list of the columns that may hold it: a column joins the list when it
-    gains an entry in the row (the fill, a column operation, a swap) and is
-    never taken off, so a row reads its live entries from its list alone.
+    A row (i, j, k) of A is the equation x_i + x_j + x_k = 1; the three
+    variables may coincide.  Column j of A is one dict of its non-zero
+    entries, and each row keeps a list of the columns that may hold it: a
+    column joins the list when it gains an entry in the row (the fill, a
+    column operation, a swap) and is never taken off, so a row reads its
+    live entries from its list alone.
     Each column operation is recorded as applied: (s, t, f) adds f times
     column s into column t, (a, b) swaps two columns, (c,) negates one; their
     product is a unimodular T.  Once each row has at most one pivot,
@@ -219,11 +206,10 @@ def hnf_solve(system: IntAffineSystem, *, deadline: float | None = None) -> list
     `deadline` (a `errors.deadline_after` value, None for none) is checked
     before each row; once it has passed, TimeBudgetExceeded is raised.
     """
-    m = len(system.rows)
-    n = system.variable_count
+    m, n = len(rows), nv
     cols: list[dict[int, int]] = [{} for _ in range(n)]
     holders: list[list[int]] = [[] for _ in range(m)]  # row -> columns that may hold it, repeats allowed
-    for r, (i, j, k) in enumerate(system.rows):
+    for r, (i, j, k) in enumerate(rows):
         for v in (i, j, k):
             cols[v - 1][r] = cols[v - 1].get(r, 0) + 1
             holders[r].append(v - 1)
@@ -290,7 +276,7 @@ def hnf_solve(system: IntAffineSystem, *, deadline: float | None = None) -> list
             y[op[0]], y[op[1]] = y[op[1]], y[op[0]]
         else:
             y[op[0]] = -y[op[0]]
-    for i, j, k in system.rows:
+    for i, j, k in rows:
         assert y[i - 1] + y[j - 1] + y[k - 1] == 1
     return y
 
@@ -302,7 +288,7 @@ def solve_nae(instance: Instance, *, deadline: float | None = None) -> dict[int,
     >= 1 nor all <= 0; the thresholded coloring therefore never makes an
     edge constant.
     """
-    solution = hnf_solve(IntAffineSystem(instance.variable_count, instance.edges), deadline=deadline)
+    solution = hnf_solve(instance.edges, instance.variable_count, deadline=deadline)
     if solution is None:
         return None
     coloring = {v: 1 if solution[v - 1] >= 1 else 0 for v in range(1, instance.variable_count + 1)}

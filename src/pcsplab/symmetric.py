@@ -1,14 +1,15 @@
-"""Weight-indexed polymorphism tables and propagation-based existence search.
+"""Weight tables and propagation-based existence search.
 
-A symmetric table stores one value per Hamming weight 0..n; compatibility
-says every weight triple (a, b, c) with a+b+c = n must map into the target
-relation (in every order, which is free when the relation is symmetric).
-A two-block table stores one value per weight pair.  Search is chronological
-backtracking that keeps every node arc consistent; when the target's
-automorphism group identifies colors, the first branched cell only tries
-orbit representatives.  Propagation traces record forward checking.
-The checks and the search networks come from `polymorphisms`, which
-accepts only the exactly-one-1 source.
+A symmetric table is a BlockTable with one block: one value per Hamming
+weight 0..n.  Compatibility says every weight triple (a, b, c) with
+a+b+c = n must map into the target relation (in every order, which is free
+when the relation is symmetric).  A two-block table has blocks (k1, k2)
+and one value per weight pair.  Search is chronological backtracking that
+keeps every node arc consistent; when the target's automorphism group
+identifies colors, the first branched cell only tries orbit
+representatives.  Propagation traces record forward checking.  The tables,
+the check and the search networks come from `polymorphisms`, which accepts
+only the exactly-one-1 source.
 """
 
 from __future__ import annotations
@@ -16,45 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import deadline_after
-from .polymorphisms import _require_target_values, _search_network, _table_holds, allowed_table
+from .polymorphisms import BlockTable, _search_network, allowed_table, is_polymorphism
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
-@dataclass(frozen=True)
-class SymTable:
-    """Values per weight 0..arity, each in the target domain."""
 
-    arity: int
-    target_size: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        if len(self.values) != self.arity + 1:
-            raise ValueError(f"expected {self.arity + 1} cells, got {len(self.values)}")
-        _require_target_values(self.values, self.target_size)
+def SymTable(arity: int, target_size: int, values) -> BlockTable:
+    """The symmetric table with values per weight 0..arity; perfbench builds its tables by this name."""
+    return BlockTable((arity,), target_size, values)
 
 
-@dataclass(frozen=True)
-class BlockSymTable:
-    """Values per weight pair (w1, w2), 0 <= wi <= ki, each in the target domain."""
-
-    k1: int
-    k2: int
-    target_size: int
-    values: tuple[int, ...]  # index w1 * (k2 + 1) + w2
-
-    def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError("block sizes must be >= 1")
-        if len(self.values) != (self.k1 + 1) * (self.k2 + 1):
-            raise ValueError("wrong number of cells")
-        _require_target_values(self.values, self.target_size)
-
-    def value(self, w1: int, w2: int) -> int:
-        if not (0 <= w1 <= self.k1 and 0 <= w2 <= self.k2):
-            raise ValueError(f"weights ({w1}, {w2}) outside 0..{self.k1} x 0..{self.k2}")
-        return self.values[w1 * (self.k2 + 1) + w2]
+def BlockSymTable(k1: int, k2: int, target_size: int, values) -> BlockTable:
+    """The two-block table with values per weight pair (w1, w2); perfbench builds its tables by this name."""
+    return BlockTable((k1, k2), target_size, values)
 
 
 @dataclass(frozen=True)
@@ -104,14 +78,14 @@ def sym_compatible_triples(n: int) -> list[tuple[int, int, int]]:
     return [(a, b, n - a - b) for a in range(n + 1) for b in range(a, n + 1) if n - a - b >= b]
 
 
-def is_symmetric_polymorphism(table: SymTable, template: TemplatePair) -> bool:
-    """Compatibility of a fully assigned weight table with the target relation."""
-    return _table_holds(template, (table.arity,), table.target_size, table.values)
+def is_symmetric_polymorphism(table: BlockTable, template: TemplatePair) -> bool:
+    """is_polymorphism under the name search_symmetric asserts through; perfbench traces it by this name."""
+    return is_polymorphism(table, template)
 
 
-def is_block_symmetric_polymorphism(table: BlockSymTable, template: TemplatePair) -> bool:
-    """Compatibility over every pair of weight compositions of the two blocks."""
-    return _table_holds(template, (table.k1, table.k2), table.target_size, table.values)
+def is_block_symmetric_polymorphism(table: BlockTable, template: TemplatePair) -> bool:
+    """is_polymorphism under the name search_block_symmetric asserts through; perfbench traces it by this name."""
+    return is_polymorphism(table, template)
 
 
 def propagate(template: TemplatePair, n: int, seed: dict[int, int]) -> tuple[dict[int, int], PropagationTrace]:
@@ -152,7 +126,7 @@ def propagate(template: TemplatePair, n: int, seed: dict[int, int]) -> tuple[dic
 
 @dataclass(frozen=True)
 class SearchResult:
-    table: SymTable | BlockSymTable | None
+    table: BlockTable | None
     nodes: int
 
 
@@ -188,7 +162,7 @@ def search_symmetric(
     if n < 1:
         raise ValueError("arity must be >= 1")
     values, nodes = _first_solution(template, (n,), range(n + 1), use_wlog, time_budget)
-    table = None if values is None else SymTable(n, template.target.domain_size, values)
+    table = None if values is None else BlockTable((n,), template.target.domain_size, values)
     assert table is None or is_symmetric_polymorphism(table, template)
     return SearchResult(table, nodes)
 
@@ -223,24 +197,23 @@ def search_block_symmetric(
     """Backtracking search for a two-block weight table; time_budget works as in search_symmetric."""
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be >= 1")
-    k = template.target.domain_size
     values, nodes = _first_solution(template, (k1, k2), _block_branch_order(k1, k2), use_wlog, time_budget)
-    table = None if values is None else BlockSymTable(k1, k2, k, values)
+    table = None if values is None else BlockTable((k1, k2), template.target.domain_size, values)
     assert table is None or is_block_symmetric_polymorphism(table, template)
     return SearchResult(table, nodes)
 
 
-def restrict_block_to_symmetric(table: BlockSymTable) -> SymTable:
-    """Symmetric arity-k1 table f(m) = g(m, k2/3); needs 3 | k2.
+def restrict_block_to_symmetric(table: BlockTable) -> BlockTable:
+    """Symmetric arity-k1 table f(m) = g(m, k2/3) of a two-block table g; needs 3 | k2.
 
     Any weight triple of the restriction lifts to a block partition that
     puts k2/3 second-block elements in each part, so compatibility carries
     over from the block table.
     """
-    if table.k2 % 3 != 0:
-        raise ValueError(f"second block size {table.k2} is not divisible by 3")
-    z = table.k2 // 3
-    return SymTable(table.k1, table.target_size, tuple(table.value(m, z) for m in range(table.k1 + 1)))
+    k1, k2 = table.blocks
+    if k2 % 3 != 0:
+        raise ValueError(f"second block size {k2} is not divisible by 3")
+    return BlockTable((k1,), table.target_size, tuple(table.value(m, k2 // 3) for m in range(k1 + 1)))
 
 
 # --- seeded contradiction replay ---------------------------------------------

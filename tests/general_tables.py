@@ -9,7 +9,7 @@ shares no code with it; the tests require both to agree.
 import itertools
 from dataclasses import dataclass
 
-from pcsplab.polymorphisms import PolyTable
+from pcsplab.polymorphisms import BlockTable
 from pcsplab.structures import TemplatePair
 
 
@@ -41,7 +41,7 @@ class GeneralTable:
         return self.values[idx]
 
 
-def boolean_to_general(table: PolyTable) -> GeneralTable:
+def boolean_to_general(table: BlockTable) -> GeneralTable:
     return GeneralTable(table.arity, 2, table.target_size, table.values)
 
 

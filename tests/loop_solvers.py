@@ -13,13 +13,11 @@ are the greedy leftmost independent set, its free variables are 0, and the
 reduced echelon form is unique, so it returns the same solution.
 """
 
-from pcsplab.solvers import GF3System, IntAffineSystem
 
-
-def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
-    """Gaussian elimination modulo 3; free variables are set to 0."""
+def gauss_gf3(rows, nv: int) -> list[int] | None:
+    """Gaussian elimination modulo 3 over the rows ((i, j, k), rhs); free variables are set to 0."""
     matrix = []
-    for (i, j, k), rhs in system.rows:
+    for (i, j, k), rhs in rows:
         row = [0] * (nv + 1)
         for v in (i, j, k):
             row[v - 1] = (row[v - 1] + 1) % 3
@@ -49,8 +47,8 @@ def gauss_gf3(system: GF3System, nv: int) -> list[int] | None:
     return solution
 
 
-def hnf_solve(system: IntAffineSystem) -> list[int] | None:
-    """An integer solution of A x = 1 via column reduction, or None.
+def hnf_solve(rows, nv: int) -> list[int] | None:
+    """An integer solution of A x = 1, rows (i, j, k) of A over the variables 1..nv, via column reduction, or None.
 
     Column j is one list: column j of A, then column j of a unimodular
     transform T that starts as the identity, so each column operation acts
@@ -58,10 +56,9 @@ def hnf_solve(system: IntAffineSystem) -> list[int] | None:
     back-substitution solves (A T) y = 1 with exact divisibility (free
     parameters 0), and x = T y.
     """
-    m = len(system.rows)
-    n = system.variable_count
+    m, n = len(rows), nv
     cols = [[0] * m + [1 if r == j else 0 for r in range(n)] for j in range(n)]
-    for r, (i, j, k) in enumerate(system.rows):
+    for r, (i, j, k) in enumerate(rows):
         for v in (i, j, k):
             cols[v - 1][r] += 1
 
@@ -102,6 +99,6 @@ def hnf_solve(system: IntAffineSystem) -> list[int] | None:
     solution = [0] * n
     for j, yj in y.items():
         solution = [x + yj * t for x, t in zip(solution, cols[j][m:])]
-    for i, j, k in system.rows:
+    for i, j, k in rows:
         assert solution[i - 1] + solution[j - 1] + solution[k - 1] == 1
     return solution

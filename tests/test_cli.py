@@ -7,7 +7,7 @@ import pytest
 
 from pcsplab.cli import main
 from pcsplab.errors import FormatError
-from pcsplab.polymorphisms import PolyTable, dictator, format_poly_table, parse_poly_table
+from pcsplab.polymorphisms import BlockTable, dictator, format_poly_table, parse_poly_table
 from pcsplab.solvers import (
     Instance,
     format_coloring,
@@ -138,7 +138,7 @@ def test_poly_verify_arity_10_dictator_against_nae(tmp_path, capsys):
     good.write_text(format_poly_table(table))
     assert run(capsys, "poly", "verify", str(good), "--template", "1in3", "NAE")[:2] == (0, "valid polymorphism\n")
     flipped = tmp_path / "flipped.poly"
-    flipped.write_text(format_poly_table(PolyTable(10, 2, table.values[:-1] + (1 - table.values[-1],))))
+    flipped.write_text(format_poly_table(BlockTable((1,) * 10, 2, table.values[:-1] + (1 - table.values[-1],))))
     assert run(capsys, "poly", "verify", str(flipped), "--template", "1in3", "NAE")[:2] == (1, "not a polymorphism\n")
 
 

@@ -13,8 +13,8 @@ from general_tables import GeneralTable, boolean_to_general, is_polymorphism_gen
 from pcsplab.errors import ArityBoundError, FormatError
 from pcsplab.polymorphisms import (
     ORBIT_BLOCK,
+    BlockTable,
     MinorMap,
-    PolyTable,
     _partitions_map_into,
     alternating_threshold,
     dictator,
@@ -27,7 +27,7 @@ from pcsplab.polymorphisms import (
     subset_masks,
 )
 from pcsplab.structures import TemplatePair, make_structure, named_template
-from pcsplab.symmetric import search_block_symmetric, search_symmetric
+from pcsplab.symmetric import BlockSymTable, SymTable, search_block_symmetric, search_symmetric
 
 
 def pair(src, tgt):
@@ -69,7 +69,7 @@ def test_canonical_subset_order():
 def test_is_polymorphism_examples():
     assert is_polymorphism(dictator(3, 1), pair("1in3", "1in3"))
     assert is_polymorphism(alternating_threshold(), pair("1in3", "NAE"))
-    constant0 = PolyTable(3, 2, (0,) * 8)
+    constant0 = BlockTable((1, 1, 1), 2, (0,) * 8)
     assert not is_polymorphism(constant0, pair("1in3", "1in3"))
 
 
@@ -89,17 +89,48 @@ def test_general_table_rejects_arity_zero():
     with pytest.raises(ValueError):
         GeneralTable(0, 2, 2, (0,))
     with pytest.raises(ValueError):
-        PolyTable(0, 2, (0,))
+        BlockTable((), 2, (0,))
 
 
 def test_poly_table_rejects_values_outside_target():
     with pytest.raises(ValueError, match="value 2 outside target domain"):
-        PolyTable(2, 2, (0, 1, 2, 0))
+        BlockTable((1, 1), 2, (0, 1, 2, 0))
     with pytest.raises(ValueError, match="value -1 outside target domain"):
-        PolyTable(1, 3, (-1, 0))
+        BlockTable((1,), 3, (-1, 0))
     with pytest.raises(TypeError):
-        PolyTable(1, 2, (0, "1"))
-    assert PolyTable(1, 2, (True, 0)).values == (True, 0)
+        BlockTable((1,), 2, (0, "1"))
+    assert BlockTable((1,), 2, (True, 0)).values == (True, 0)
+
+
+def test_block_table_reads_cells_in_mixed_radix():
+    # itertools.product lists the weight vectors with the last block fastest, so its position is the
+    # mixed-radix index; every malformed weight vector, block or length is refused
+    rng = random.Random(41)
+    for _ in range(200):
+        blocks = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+        k = rng.randint(2, 4)
+        cells = list(itertools.product(*(range(size + 1) for size in blocks)))
+        values = tuple(rng.randrange(k) for _ in cells)
+        table = BlockTable(blocks, k, values)
+        assert table.arity == sum(blocks)
+        assert [table.value(*weights) for weights in cells] == list(values)
+        weights = list(rng.choice(cells))
+        for wrong_count in (weights[:-1], weights + [0]):
+            with pytest.raises(ValueError, match="outside"):
+                table.value(*wrong_count)
+        j = rng.randrange(len(blocks))
+        for bad in (-1, blocks[j] + 1):
+            with pytest.raises(ValueError, match="outside"):
+                table.value(*weights[:j], bad, *weights[j + 1 :])
+        with pytest.raises(ValueError, match="block sizes must be >= 1"):
+            BlockTable(blocks[:j] + (0,) + blocks[j + 1 :], k, values[: len(values) // (blocks[j] + 1)])
+        for wrong_length in (values[:-1], values + (0,)):
+            with pytest.raises(ValueError, match=f"expected {len(values)} entries"):
+                BlockTable(blocks, k, wrong_length)
+        if len(blocks) == 1:
+            assert SymTable(*blocks, k, values) == table
+        elif len(blocks) == 2:
+            assert BlockSymTable(*blocks, k, values) == table
 
 
 def test_checker_agreement_exhaustive():
@@ -109,7 +140,7 @@ def test_checker_agreement_exhaustive():
         k = template.target.domain_size
         for n in (1, 2, 3):
             for values in itertools.product(range(k), repeat=1 << n):
-                table = PolyTable(n, k, values)
+                table = BlockTable((1,) * n, k, values)
                 assert is_polymorphism(table, template) == is_polymorphism_general(
                     boolean_to_general(table), template
                 )
@@ -133,7 +164,7 @@ def test_checker_agrees_with_general_test_on_repeated_rows(target):
             for mask in rng.sample(range(1 << n), rng.randint(0, 2)):
                 values[mask] = rng.choice([v for v in range(k) if v != values[mask]])
             values = tuple(values)
-        table = PolyTable(n, k, values)
+        table = BlockTable((1,) * n, k, values)
         got = is_polymorphism(table, template)
         assert got == is_polymorphism_general(boolean_to_general(table), template), (n, values)
         verdicts.append(got)
@@ -183,7 +214,7 @@ def test_unit_block_checker_scales_to_arity_16(case):
         values = dictator(16, int(case[9:])).values
         triples = 1 if case == "dictator-1" else 3
     start = time.perf_counter()
-    assert is_polymorphism(PolyTable(16, template.target.domain_size, values), template)
+    assert is_polymorphism(BlockTable((1,) * 16, template.target.domain_size, values), template)
     assert time.perf_counter() - start < 2
     rel = CountingRelation(template.target.single_ternary().as_set)
     assert _partitions_map_into((1,) * 16, values, rel)
@@ -260,11 +291,11 @@ def test_enumeration_canonical_stream_order():
 def test_enumerated_minors_stay_polymorphisms():
     rng = random.Random(47)
     template = pair("1in3", "D2plus")
-    tables = [PolyTable(3, 3, values) for values in enumerate_polymorphisms(template, 3)]
+    tables = [BlockTable((1, 1, 1), 3, values) for values in enumerate_polymorphisms(template, 3)]
     for f in rng.sample(tables, 20):
         m = rng.randint(1, 3)
         alpha = MinorMap(3, m, tuple(rng.randint(1, m) for _ in range(3)))
-        g = PolyTable(m, 3, tuple(f.values[p] for p in alpha.pull()))
+        g = BlockTable((1,) * m, 3, tuple(f.values[p] for p in alpha.pull()))
         assert is_polymorphism(g, template)
 
 
@@ -279,7 +310,7 @@ def test_enumerate_non_symmetric_target_matches_brute_force():
             values = [0] * (1 << n)
             for mask, v in zip(order, row):
                 values[mask] = v
-            table = PolyTable(n, 3, tuple(values))
+            table = BlockTable((1,) * n, 3, tuple(values))
             if is_polymorphism(table, template):
                 brute.append(table.values)
         assert list(enumerate_polymorphisms(template, n)) == brute, n

@@ -16,7 +16,7 @@ from loop_properties import LOOP_PREDICATES
 import pcsplab.properties as properties_module
 from pcsplab.cli import main
 from pcsplab.errors import ArityBoundError, TimeBudgetExceeded
-from pcsplab.polymorphisms import PolyTable, enumerate_orbits, enumerate_polymorphisms
+from pcsplab.polymorphisms import BlockTable, enumerate_orbits, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
     SELECTOR_CATALOG,
@@ -462,7 +462,7 @@ def test_selector_d1_tie_breaking():
 )
 def test_selector_rule_fallbacks(name, target_size, values, expected):
     # hand-built arity-2 tables, not polymorphisms, that reach each rule's last branches
-    table = PolyTable(2, target_size, values)
+    table = BlockTable((1, 1), target_size, values)
     chosen = SELECTOR_CATALOG[name].rule(table.values, table.arity)
     assert (None if chosen is None else {i + 1 for i in range(2) if chosen >> i & 1}) == expected
 
@@ -603,7 +603,7 @@ def test_subunion_disjointness_is_needed():
     # the stated fact without disjointness has an arity-2 counterexample;
     # keep it on record so the hypothesis is not dropped by accident
     values = (0, 0, 2, 1)  # f(empty)=0, f({1})=0, f({2})=2, f({1,2})=1
-    table = PolyTable(2, 3, values)
+    table = BlockTable((1, 1), 3, values)
     template = pair("1in3", "T1")
     from pcsplab.polymorphisms import is_polymorphism
 

@@ -14,9 +14,7 @@ from pcsplab.solvers import (
     NP_HARD,
     OPEN,
     P,
-    GF3System,
     Instance,
-    IntAffineSystem,
     SplitMix64,
     classify_template,
     format_coloring,
@@ -85,9 +83,9 @@ def test_generate_planted_too_small():
 
 
 def test_gauss_gf3_examples():
-    assert gauss_gf3(GF3System((((1, 2, 3), 1),)), 3) == [1, 0, 0]
-    assert gauss_gf3(GF3System((((1, 1, 1), 1),)), 1) is None
-    assert gauss_gf3(GF3System((((1, 2, 3), 1), ((1, 2, 4), 1))), 4) == [1, 0, 0, 0]
+    assert gauss_gf3((((1, 2, 3), 1),), 3) == [1, 0, 0]
+    assert gauss_gf3((((1, 1, 1), 1),), 1) is None
+    assert gauss_gf3((((1, 2, 3), 1), ((1, 2, 4), 1)), 4) == [1, 0, 0, 0]
 
 
 def test_gauss_gf3_against_brute_force():
@@ -98,8 +96,7 @@ def test_gauss_gf3_against_brute_force():
             ((rng.randint(1, nv), rng.randint(1, nv), rng.randint(1, nv)), rng.randint(0, 2))
             for _ in range(rng.randint(1, 5))
         )
-        system = GF3System(rows)
-        solution = gauss_gf3(system, nv)
+        solution = gauss_gf3(rows, nv)
 
         def satisfies(assign):
             return all((assign[i - 1] + assign[j - 1] + assign[k - 1]) % 3 == rhs for (i, j, k), rhs in rows)
@@ -128,12 +125,12 @@ def test_solve_t2_examples():
 
 
 def test_hnf_solve_examples():
-    solution = hnf_solve(IntAffineSystem(3, ((1, 2, 3),)))
+    solution = hnf_solve(((1, 2, 3),), 3)
     assert solution is not None and sum(solution) == 1
 
-    assert hnf_solve(IntAffineSystem(1, ((1, 1, 1),))) is None
+    assert hnf_solve(((1, 1, 1),), 1) is None
 
-    solution = hnf_solve(IntAffineSystem(4, ((1, 2, 3), (1, 2, 4))))
+    solution = hnf_solve(((1, 2, 3), (1, 2, 4)), 4)
     assert solution is not None
     assert solution[0] + solution[1] + solution[2] == 1
     assert solution[0] + solution[1] + solution[3] == 1
@@ -154,7 +151,7 @@ def test_hnf_agrees_with_bounded_brute_force():
             (rng.randint(1, nv), rng.randint(1, nv), rng.randint(1, nv))
             for _ in range(rng.randint(1, 4))
         )
-        solution = hnf_solve(IntAffineSystem(nv, rows))
+        solution = hnf_solve(rows, nv)
         brute = brute_integer_solution(rows, nv)
         if brute is not None:
             assert solution is not None
@@ -163,13 +160,13 @@ def test_hnf_agrees_with_bounded_brute_force():
 
 
 def random_system(rng, nv, ne):
-    return IntAffineSystem(nv, tuple(tuple(rng.randint(1, nv) for _ in range(3)) for _ in range(ne)))
+    return tuple(tuple(rng.randint(1, nv) for _ in range(3)) for _ in range(ne)), nv
 
 
 def pinned_systems():
-    """Seeded planted systems, then random ones with repeated coordinates (many insoluble)."""
+    """(rows, nv) of seeded planted systems, then of random ones with repeated coordinates (many insoluble)."""
     systems = [
-        IntAffineSystem(nv, generate_planted(nv, ne, seed)[0].edges)
+        (generate_planted(nv, ne, seed)[0].edges, nv)
         for nv, ne, seed in ((240, 180, 1), (240, 180, 2), (240, 180, 3), (400, 800, 1))
     ]
     rng = random.Random(8)
@@ -184,8 +181,8 @@ def pinned_systems():
 # recorded before the HNF column operations moved onto one list per column: a
 # change in the choice or order of any column operation changes the solutions
 SOLVER_PINS = [
-    ("hnf_solve", hnf_solve, 203, "76692299e2af0de6948c631a7b34abd7724efdf0a3112515eebd69994ba7fcd6"),
-    ("gauss_gf3", lambda s: gauss_gf3(GF3System(tuple((row, 1) for row in s.rows)), s.variable_count), 202,
+    ("hnf_solve", lambda s: hnf_solve(*s), 203, "76692299e2af0de6948c631a7b34abd7724efdf0a3112515eebd69994ba7fcd6"),
+    ("gauss_gf3", lambda s: gauss_gf3(tuple((row, 1) for row in s[0]), s[1]), 202,
      "9b89cb674cb6e3a3c6e447a77890d9bc07106521429e1cc46f1837ea956ff6a4"),
 ]
 
@@ -203,7 +200,7 @@ def test_gauss_gf3_large_planted_pinned():
     solutions = []
     for seed in (1, 2, 3):
         instance = generate_planted(1000, 2000, seed)[0]
-        solutions.append(gauss_gf3(GF3System(tuple((e, 1) for e in instance.edges)), 1000))
+        solutions.append(gauss_gf3(tuple((e, 1) for e in instance.edges), 1000))
     digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
     assert digest == "d8a22f31ff28b4dcb7008d5989e67ed38d57f8b582c71dc069dcd9ec0c593c3e"
 
@@ -211,7 +208,7 @@ def test_gauss_gf3_large_planted_pinned():
 def test_hnf_solve_larger_planted_pinned():
     # SHA-256 of the JSON list of solutions, recorded while the reduction still
     # carried the transform T in every column
-    solutions = [hnf_solve(IntAffineSystem(400, generate_planted(400, 800, seed)[0].edges)) for seed in (2, 3, 4, 5)]
+    solutions = [hnf_solve(generate_planted(400, 800, seed)[0].edges, 400) for seed in (2, 3, 4, 5)]
     digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
     assert digest == "f2122b545a45210b886e208ec1bbd8133af066536a0615d22164c2681203eda3"
 
@@ -220,18 +217,18 @@ def test_hnf_solve_larger_planted_pinned():
 # once with a copy of hnf_solve that logged the kinds it applied.
 REPLAY_CASES = [
     # row 0 holds 2 for x1 and 1 for x2: add -2 times x2's column into x1's, then swap them
-    ("swap", IntAffineSystem(2, ((1, 1, 2),))),
+    ("swap", (((1, 1, 2),), 2)),
     # after row 0, row 1 holds -1 for x2 and -2 for x3: add -2 times x2's column into x3's, then negate x2's
-    ("negation", IntAffineSystem(3, ((1, 2, 3), (1, 1, 2)))),
+    ("negation", (((1, 2, 3), (1, 1, 2)), 3)),
     # rows 0 and 1 swap; row 2 holds 5 and -2, then -1 and -2, so two Euclid steps, then a negation
-    ("two_euclid_steps", IntAffineSystem(4, ((1, 1, 2), (2, 3, 4), (1, 3, 3)))),
+    ("two_euclid_steps", (((1, 1, 2), (2, 3, 4), (1, 3, 3)), 4)),
 ]
 
 
 @pytest.mark.parametrize("system", [c[1] for c in REPLAY_CASES], ids=[c[0] for c in REPLAY_CASES])
 def test_hnf_solve_replays_each_operation_kind(system):
-    x = hnf_solve(system)
-    assert x is not None and x == loop_solvers.hnf_solve(system)
+    x = hnf_solve(*system)
+    assert x is not None and x == loop_solvers.hnf_solve(*system)
 
 
 def differential_cases():
@@ -256,12 +253,11 @@ def test_solvers_match_dense_references():
     # the packed kernels return exactly what the dense list kernels return
     insoluble = Counter()
     for nv, rows, rhs in differential_cases():
-        gf3 = GF3System(tuple(zip(rows, rhs)))
+        gf3 = tuple(zip(rows, rhs))
         solution = gauss_gf3(gf3, nv)
         assert solution == loop_solvers.gauss_gf3(gf3, nv)
-        integer = IntAffineSystem(nv, rows)
-        x = hnf_solve(integer)
-        assert x == loop_solvers.hnf_solve(integer)
+        x = hnf_solve(rows, nv)
+        assert x == loop_solvers.hnf_solve(rows, nv)
         insoluble["gauss_gf3"] += solution is None
         insoluble["hnf_solve"] += x is None
     assert 500 < insoluble["gauss_gf3"] < 2500 and 500 < insoluble["hnf_solve"] < 2500
@@ -272,43 +268,42 @@ def test_solvers_match_dense_references():
 # fourth fail if an operation or a swap does not add its column to the index.
 INDEX_CASES = [
     # x1, x3, x5 and x7 occur in no row: row 0's pivot moves into the empty column 0's place
-    ("empty_columns", IntAffineSystem(7, ((2, 4, 6), (4, 6, 6), (2, 2, 4)))),
+    ("empty_columns", (((2, 4, 6), (4, 6, 6), (2, 2, 4)), 7)),
     # repeated coordinates give entries 2 and 3, and 3 x3 = 1 has no integer solution
-    ("entries_2_and_3", IntAffineSystem(4, ((1, 1, 2), (3, 3, 3), (2, 3, 4)))),
+    ("entries_2_and_3", (((1, 1, 2), (3, 3, 3), (2, 3, 4)), 4)),
     # row 0 subtracts x1's column from x3's and x4's, which gives x3's an entry in
     # row 1 and x4's one in row 2, where the fill listed neither
-    ("operation_creates_entries", IntAffineSystem(4, ((4, 1, 3), (4, 1, 2), (3, 1, 1)))),
+    ("operation_creates_entries", (((4, 1, 3), (4, 1, 2), (3, 1, 1)), 4)),
     # row 0 leaves its entry in x2's column, which swaps with x1's: row 1, held by
     # x1's alone, must find it in x2's old place
-    ("swap_moves_a_later_row", IntAffineSystem(3, ((3, 3, 2), (3, 1, 3)))),
+    ("swap_moves_a_later_row", (((3, 3, 2), (3, 1, 3)), 3)),
     # row 0 leaves its entry in x4's column, which swaps with x1's: both hold row 1,
     # and only x1's holds row 2
-    ("swap_sharing_later_rows", IntAffineSystem(4, ((3, 3, 4), (4, 1, 3), (2, 3, 1)))),
+    ("swap_sharing_later_rows", (((3, 3, 4), (4, 1, 3), (2, 3, 1)), 4)),
     # 20 rows on 6 variables: the reduction runs out of columns before it runs out of rows
-    ("more_rows_than_variables", IntAffineSystem(6, generate_planted(6, 20, 3)[0].edges)),
-    ("more_rows_insoluble", IntAffineSystem(3, ((1, 2, 3), (1, 1, 2), (2, 3, 3), (1, 3, 3)))),
+    ("more_rows_than_variables", (generate_planted(6, 20, 3)[0].edges, 6)),
+    ("more_rows_insoluble", (((1, 2, 3), (1, 1, 2), (2, 3, 3), (1, 3, 3)), 3)),
 ]
 
 
 @pytest.mark.parametrize("system", [c[1] for c in INDEX_CASES], ids=[c[0] for c in INDEX_CASES])
 def test_hnf_solve_row_index_edge_cases(system):
-    assert hnf_solve(system) == loop_solvers.hnf_solve(system)
+    assert hnf_solve(*system) == loop_solvers.hnf_solve(*system)
 
 
 def test_solvers_raise_past_their_deadline():
     instance = generate_planted(30, 40, 2)[0]
-    gf3 = GF3System(tuple((e, 1) for e in instance.edges))
-    integer = IntAffineSystem(30, instance.edges)
+    gf3 = tuple((e, 1) for e in instance.edges)
     past = deadline_after(0) - 1.0
     with pytest.raises(TimeBudgetExceeded, match=r"^solve ran past its time budget after 0 of 30 columns$"):
         gauss_gf3(gf3, 30, deadline=past)
     with pytest.raises(TimeBudgetExceeded, match=r"^solve ran past its time budget after 0 of 40 rows$"):
-        hnf_solve(integer, deadline=past)
+        hnf_solve(instance.edges, 30, deadline=past)
     with pytest.raises(TimeBudgetExceeded):
         solve_via_relaxation(instance, named_template("NAE"), prefer="nae", deadline=past)
     never = deadline_after(float("inf"))
     assert gauss_gf3(gf3, 30, deadline=never) == gauss_gf3(gf3, 30)
-    assert hnf_solve(integer, deadline=never) == hnf_solve(integer)
+    assert hnf_solve(instance.edges, 30, deadline=never) == hnf_solve(instance.edges, 30)
 
 
 def test_solve_nae_examples():

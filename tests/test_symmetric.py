@@ -8,7 +8,7 @@ from general_tables import boolean_to_general, is_polymorphism_general
 
 from pcsplab.errors import TimeBudgetExceeded, deadline_after
 from pcsplab import polymorphisms
-from pcsplab.polymorphisms import PolyTable, enumerate_orbits, enumerate_polymorphisms, is_polymorphism
+from pcsplab.polymorphisms import BlockTable, enumerate_orbits, enumerate_polymorphisms, is_polymorphism
 from pcsplab.structures import TemplatePair, named_template
 from pcsplab.symmetric import (
     BlockSymTable,
@@ -40,7 +40,7 @@ def brute_symmetric_exists(target, n):
 
 
 def sym_table(target_size, values):
-    return SymTable(len(values) - 1, target_size, tuple(values))
+    return BlockTable((len(values) - 1,), target_size, tuple(values))
 
 
 def test_sym_compatible_triples_small():
@@ -70,13 +70,13 @@ def test_is_symmetric_polymorphism_examples():
     assert not is_symmetric_polymorphism(constant, pair("1in3", "NAE"))
 
     with pytest.raises(ValueError):
-        is_symmetric_polymorphism(SymTable(2, 2, (0, None, 1)), pair("1in3", "NAE"))
+        is_symmetric_polymorphism(BlockTable((2,), 2, (0, None, 1)), pair("1in3", "NAE"))
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda values: PolyTable(1, 2, values),
+        lambda values: BlockTable((1,), 2, values),
         lambda values: SymTable(1, 2, values),
         lambda values: BlockSymTable(1, 1, 2, values + values),
     ],
@@ -121,10 +121,10 @@ def test_weight_checkers_agree_with_general_test(target):
             tables.append(tuple(rng.choice(colors) for _ in range(ncells)))
         for values in tables:
             if len(shape) == 1:
-                got = is_symmetric_polymorphism(SymTable(shape[0], k, values), template)
+                got = is_symmetric_polymorphism(BlockTable(shape, k, values), template)
             else:
-                got = is_block_symmetric_polymorphism(BlockSymTable(*shape, k, values), template)
-            full = PolyTable(sum(shape), k, tuple(expand_weight_table(shape, values)))
+                got = is_block_symmetric_polymorphism(BlockTable(shape, k, values), template)
+            full = BlockTable((1,) * sum(shape), k, tuple(expand_weight_table(shape, values)))
             assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
@@ -146,8 +146,8 @@ def test_block_checker_agrees_with_general_test_on_single_cell_changes(target):
             if color == found.values[cell]:
                 continue
             values = found.values[:cell] + (color,) + found.values[cell + 1 :]
-            got = is_block_symmetric_polymorphism(BlockSymTable(*shape, k, values), template)
-            full = PolyTable(sum(shape), k, tuple(expand_weight_table(shape, values)))
+            got = is_block_symmetric_polymorphism(BlockTable(shape, k, values), template)
+            full = BlockTable((1,) * sum(shape), k, tuple(expand_weight_table(shape, values)))
             assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
     assert shapes == 11  # (3, 3) has no table for either target
 
@@ -169,7 +169,7 @@ def test_unit_block_checker_agrees_with_general_test_past_arity_6(target):
             flipped[mask] = rng.choice([v for v in range(k) if v != flipped[mask]])
             tables.append(tuple(flipped))
         for values in tables:
-            full = PolyTable(sum(shape), k, values)
+            full = BlockTable((1,) * sum(shape), k, values)
             got = is_polymorphism(full, template)
             assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
             verdicts.append(got)
@@ -320,7 +320,7 @@ def test_search_block_nae_exists():
     assert result.table is not None
     assert is_block_symmetric_polymorphism(result.table, nae)
     # the weight-comparison table is itself a witness
-    comparison = BlockSymTable(3, 2, 2, tuple(
+    comparison = BlockTable((3, 2), 2, tuple(
         1 if w1 > w2 else 0 for w1 in range(4) for w2 in range(3)
     ))
     assert is_block_symmetric_polymorphism(comparison, nae)
@@ -332,7 +332,7 @@ def test_search_block_t2_exists_mod3():
     result = search_block_symmetric(t2, k1, k2)
     assert result.table is not None
     assert is_block_symmetric_polymorphism(result.table, t2)
-    modsum = BlockSymTable(k1, k2, 3, tuple(
+    modsum = BlockTable((k1, k2), 3, tuple(
         (w1 + w2) % 3 for w1 in range(k1 + 1) for w2 in range(k2 + 1)
     ))
     assert is_block_symmetric_polymorphism(modsum, t2)
@@ -405,11 +405,11 @@ def test_restrict_block_to_symmetric():
     assert is_symmetric_polymorphism(f, nae)
 
     with pytest.raises(ValueError):
-        restrict_block_to_symmetric(BlockSymTable(5, 4, 2, (0,) * 30))
+        restrict_block_to_symmetric(BlockTable((5, 4), 2, (0,) * 30))
 
 
 def test_block_table_value_checks_weights():
-    table = BlockSymTable(2, 2, 3, tuple(range(3)) * 3)
+    table = BlockTable((2, 2), 3, tuple(range(3)) * 3)
     assert [table.value(w1, w2) for w1 in range(3) for w2 in range(3)] == list(table.values)
     for w1, w2 in ((0, 3), (-1, 0), (3, 0), (0, -1)):
         with pytest.raises(ValueError, match="outside"):
@@ -445,7 +445,7 @@ def test_restrict_matches_full_table_expansion():
         w2 = sum(1 for i in range(2, 5) if mask >> i & 1)
         return w1, w2
 
-    full = PolyTable(n, 2, tuple(g.value(*weight_pair(m)) for m in range(1 << n)))
+    full = BlockTable((1,) * n, 2, tuple(g.value(*weight_pair(m)) for m in range(1 << n)))
     assert is_polymorphism(full, nae)
     f = restrict_block_to_symmetric(g)
     for m in range(3):
@@ -629,8 +629,8 @@ WEIGHT_CALLS = {
     "search_sym": lambda t, k: search_symmetric(t, 4),
     "search_block": lambda t, k: search_block_symmetric(t, 2, 2),
     "propagate": lambda t, k: propagate(t, 3, {0: 0}),
-    "is_sym": lambda t, k: is_symmetric_polymorphism(SymTable(3, k, (0,) * 4), t),
-    "is_block": lambda t, k: is_block_symmetric_polymorphism(BlockSymTable(2, 2, k, (0,) * 9), t),
+    "is_sym": lambda t, k: is_symmetric_polymorphism(BlockTable((3,), k, (0,) * 4), t),
+    "is_block": lambda t, k: is_block_symmetric_polymorphism(BlockTable((2, 2), k, (0,) * 9), t),
 }
 
 
@@ -644,6 +644,6 @@ def test_weight_tables_need_one_in_three_source(src, tgt, call):
 
 
 def test_block_checker_rejects_target_size_mismatch():
-    table = BlockSymTable(1, 1, 5, (4, 4, 4, 4))
+    table = BlockTable((1, 1), 5, (4, 4, 4, 4))
     with pytest.raises(ValueError, match="table target size does not match template target"):
         is_block_symmetric_polymorphism(table, pair("1in3", "CHplus"))
