@@ -2,12 +2,14 @@
 
     python bench/network_layers.py --src parent=../parent/src --src change=src --runs 5 --out BENCH.json
 
-A search on coordinate blocks goes through four phases: the sorted cell
-triples (`polymorphisms._partition_triples`), the `_network.Network` built on
-them, the depth-first search for the first table (`Network.solutions`), and
-the answer check of that table (`polymorphisms.is_polymorphism`).  Each case
-below times each phase; a phase that a case does not reach is left out.  A
-check-only case times the answer check of a given table on unit blocks, as
+A search on coordinate blocks goes through three phases: the
+`_network.Network` built on the cell triples of
+`polymorphisms._partition_triples` (phase `network`, which times the triples
+too, since the network reads them as they are listed), the depth-first
+search for the first table (`Network.solutions`), and the answer check of
+that table (`polymorphisms.is_polymorphism`).  Each case below times each
+phase; a phase that a case does not reach is left out.  A check-only case
+times the answer check of a given table on unit blocks, as
 `poly verify` runs it: a dictator, a symmetric table expanded to every
 subset, or a seeded random table, which fails.  Two enumeration cases time
 the walks that `verify lemmas` and `verify selector` make on unit blocks:
@@ -29,18 +31,20 @@ systems solved, their values' sum and, in a second call that is not timed,
 the column operations and the columns examined while finding each row's
 entries.  `kneser_graph` builds the 21 Kneser graphs of perfbench's
 `suites` set-up (phase `kneser`, counting vertices and neighbour entries).
-Each builds its inputs fresh before its clock starts.  A memory pass, in
-an interpreter of its own so that nothing a timed case left behind is
-reused, builds each searching case's triples and network again under
-tracemalloc and records the peak and the bytes still held once both
-exist, in MB.
+Each builds its inputs fresh before its clock starts.  A memory pass runs
+each searching or checking case again, untimed, in an interpreter of its
+own, so that nothing another case left behind hides its growth.  It
+records how far each phase raised the process's peak resident set
+(`ru_maxrss`, as `<phase>_rss`), and then, for a searching case, builds its
+network again under tracemalloc and records the peak and the bytes still
+held once it exists, all in MB.
 
-Every run is two fresh interpreters per source tree, one timed and one for
-memory, so no row or cache built
-by one run is seen by the next, and the order of the trees alternates from
-run to run.  The output gives, per case and tree, the median of the runs for
-each phase in seconds, the medians of the memory counters, and the work
-counters (triples, nodes, picks, hom tests), which must repeat exactly across runs and trees
+Every run is one timed interpreter and one memory interpreter per memory
+case for each source tree, so no row or cache built by one run is seen by
+the next, and the order of the trees alternates from run to run.  The
+output gives, per case and tree, the median of the runs for each phase in
+seconds, the medians of the memory counters, and the work counters
+(triples, nodes, picks, hom tests), which must repeat exactly across runs and trees
 for the times to compare the same work, and each tree's commit (`git
 rev-parse HEAD`, with "-dirty" when the tree has uncommitted changes, null
 for a tree outside a git checkout).
@@ -49,11 +53,13 @@ for a tree outside a git checkout).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -61,7 +67,8 @@ import time
 import tracemalloc
 
 # (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at
-# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and is built only.
+# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and its last
+# block's compositions are the most that any case's answer check reads, and T2 at 601 is that check at a tenth.
 # A check-only case checks the table its label's first word names, on unit blocks: the first-coordinate
 # dictator and the expanded symmetric table are polymorphisms with few distinct sub-tables at each level (the
 # dictator has one), and the random table has nearly all its sub-tables distinct and fails early in the walk.
@@ -70,9 +77,10 @@ import tracemalloc
 # `gen | solve` jobs, where the cyclic and the not-all-equal routes cost about the same, and so are the integer
 # case's.  The Kneser case's graphs are those of perfbench's `suites` set-up
 CASES = (
-    ("NAE (31, 30)", "NAE", (31, 30), ("triples", "network", "solutions", "check")),
-    ("CHplus (23, 24)", "CHplus", (23, 24), ("triples", "network", "solutions", "check")),
-    ("T2 (2000,)", "T2", (2000,), ("triples", "network")),
+    ("NAE (31, 30)", "NAE", (31, 30), ("network", "solutions", "check")),
+    ("CHplus (23, 24)", "CHplus", (23, 24), ("network", "solutions", "check")),
+    ("T2 (601,)", "T2", (601,), ("network", "solutions", "check")),
+    ("T2 (2000,)", "T2", (2000,), ("network", "solutions", "check")),
     ("dictator 12 / NAE", "NAE", (1,) * 12, ("check",)),
     ("dictator 14 / NAE", "NAE", (1,) * 14, ("check",)),
     ("symmetric 14 / T2", "T2", (1,) * 14, ("check",)),
@@ -87,6 +95,8 @@ CASES = (
     ("kneser_graph perfbench 21", None, (), ("kneser",)),
 )
 KNESER = [(n, m) for n in range(2, 10) for m in range(1, 5) if n >= 2 * m] + [(10, 4)]
+# the cases the memory pass runs: those that search or check a table
+MEMORY_CASES = [label for label, _, _, phases in CASES if "network" in phases or "check" in phases]
 
 
 def _colour_case(n, m):
@@ -285,15 +295,11 @@ def measure_once() -> dict:
         template, allowed, order, ncells = _case_inputs(target, blocks)
         s, counters = {}, {}
         net = values = None
-        if "triples" in phases:
+        if "network" in phases:
             start = time.perf_counter()
-            triples = _partition_triples(blocks)
-            s["triples"] = time.perf_counter() - start
-            counters["triples"] = len(triples)
-            start = time.perf_counter()
-            net = Network(ncells, triples, order, allowed)
+            net = Network(ncells, _partition_triples(blocks), order, allowed)
             s["network"] = time.perf_counter() - start
-            del triples
+            counters["triples"] = sum(map(len, net.watch)) // 6  # each triple puts two cells on each of its three
         elif "check" in phases:
             values = _checked_table(label.split()[0], template, len(blocks))
         if "orbits" in phases:
@@ -330,39 +336,68 @@ def measure_once() -> dict:
     return out
 
 
-def measure_memory() -> dict:
-    """The memory pass, run in an interpreter of its own: {case: {"peak": MB, "held": MB}} for each searching case."""
-    from pcsplab._network import Network
-    from pcsplab.polymorphisms import _partition_triples
+def _maxrss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
 
+
+def measure_memory(label: str) -> dict:
+    """The memory pass of one case, run in an interpreter of its own: {counter: MB}.
+
+    `<phase>_rss` is how far the phase raised the peak resident set; a
+    searching case adds the tracemalloc peak of building its network again
+    and the bytes still held once it is built, as `peak` and `held`.
+    """
+    from pcsplab._network import Network
+    from pcsplab.polymorphisms import BlockTable, _partition_triples, is_polymorphism
+    from pcsplab.symmetric import _wlog_colors
+
+    _, target, blocks, phases = next(case for case in CASES if case[0] == label)
+    template, allowed, order, ncells = _case_inputs(target, blocks)
+    values = net = None
+    if "network" not in phases:
+        values = _checked_table(label.split()[0], template, len(blocks))
     out = {}
-    for label, target, blocks, phases in CASES:
-        if "network" not in phases:
-            continue
-        _, allowed, order, ncells = _case_inputs(target, blocks)
+    gc.collect()
+    before = _maxrss_mb()
+
+    def grew(phase):
+        nonlocal before
+        now = _maxrss_mb()
+        out[f"{phase}_rss"] = now - before
+        before = now
+
+    if "network" in phases:
+        net = Network(ncells, _partition_triples(blocks), order, allowed)
+        grew("network")
+        values = next(net.solutions(_wlog_colors(template.target), None), None)
+        grew("solutions")
+    if values is not None:
+        is_polymorphism(BlockTable(blocks, template.target.domain_size, values), template)
+        grew("check")
+    if net is not None:
+        del net
+        gc.collect()
         tracemalloc.start()
-        triples = _partition_triples(blocks)
-        net = Network(ncells, triples, order, allowed)
+        net = Network(ncells, _partition_triples(blocks), order, allowed)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        out[label] = {"peak": peak / 2**20, "held": held / 2**20}
-        del triples, net
+        out.update(peak=peak / 2**20, held=held / 2**20)
     return out
 
 
-def _child(path: str, mode: str) -> dict:
+def _child(path: str, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(path), PYTHONHASHSEED="0")
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), mode], env=env, capture_output=True, text=True, check=True
+        [sys.executable, os.path.abspath(__file__), *args], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
 
 
 def run_tree(path: str) -> dict:
-    """One timed run and one memory pass of the tree at path, each in a fresh interpreter."""
+    """One timed run of the tree at path, and one memory pass per memory case, each in a fresh interpreter."""
     out = _child(path, "--child")
-    for label, mb in _child(path, "--child-memory").items():
-        out[label]["mb"] = mb
+    for label in MEMORY_CASES:
+        out[label]["mb"] = _child(path, "--child-memory", label)
     return out
 
 
@@ -407,9 +442,9 @@ def main(argv=None) -> int:
                 if times:
                     medians[phase] = round(statistics.median(times), 4)
             cases[case][label] = {"median_s": medians, "counters": counters[0]}
-            if "network" in phases:
+            if case in MEMORY_CASES:
                 cases[case][label]["median_mb"] = {
-                    key: round(statistics.median(r[case]["mb"][key] for r in runs), 2) for key in ("peak", "held")
+                    key: round(statistics.median(r[case]["mb"][key] for r in runs), 2) for key in runs[0][case]["mb"]
                 }
     ledger = {
         "script": "bench/network_layers.py",
@@ -433,7 +468,7 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--child"]:  # one timed run in this interpreter, for run_tree
         json.dump(measure_once(), sys.stdout)
         sys.exit(0)
-    if sys.argv[1:] == ["--child-memory"]:  # the memory pass in this interpreter, for run_tree
-        json.dump(measure_memory(), sys.stdout)
+    if sys.argv[1:2] == ["--child-memory"]:  # the memory pass of one case in this interpreter, for run_tree
+        json.dump(measure_memory(sys.argv[2]), sys.stdout)
         sys.exit(0)
     sys.exit(main())

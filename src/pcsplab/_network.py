@@ -5,13 +5,13 @@ constraints.  A constraint is a sorted cell triple (a, b, c), a <= b <= c,
 in which a cell may repeat; `allowed[x][y]` is the mask of colors v such
 that the colors (x, y, v) satisfy it.  The table is symmetric in all three
 positions, so every constraint is the same whichever order its cells are
-read in, and one table serves them all.  The triples come as a list of int
-codes (a * ncells + b) * ncells + c, which the network empties as it reads
-them in order: it keeps no list of them, only per cell a flat watch list
-[o1, o2, o1, o2, ...] of the other two cells of each of its constraints,
-one pointer per cell and no tuple.  The engine knows nothing of
-where the cells and triples come from: `polymorphisms` derives them from
-coordinate blocks and owns that layout.
+read in, and one table serves them all.  The triples come as an iterable
+of ascending int codes (a * ncells + b) * ncells + c, which the network
+reads once, in order, and leaves as it is: it keeps no list of them, only
+per cell a flat watch list [o1, o2, o1, o2, ...] of the other two cells of
+each of its constraints, one pointer per cell and no tuple.  The engine
+knows nothing of where the cells and triples come from: `polymorphisms`
+derives them from coordinate blocks and owns that layout.
 
 The state of a search is one candidate mask per cell; a cell is assigned
 when its mask is a singleton.  Propagation pops a cell and narrows the other
@@ -47,6 +47,7 @@ out in lexicographic order along the branch order, whichever rows narrow.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import reduce
 from operator import itemgetter, or_
 
@@ -76,16 +77,10 @@ def _rows(k: int, entry):
     return _Lazy(lambda m1: _Lazy(lambda m2: entry(m1, m2)))
 
 
-def check_build_deadline(deadline) -> None:
-    """Raise TimeBudgetExceeded once `deadline` has expired while a network is built."""
-    if expired(deadline):
-        raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
-
-
 class Network:
     """Depth-first search over candidate masks, arc consistent at every node, over sorted, deduplicated cell triples."""
 
-    def __init__(self, ncells: int, codes: list[int], branch_order, allowed, deadline=None):
+    def __init__(self, ncells: int, codes: Iterable[int], branch_order, allowed):
         if ncells < 2:
             raise ValueError(f"a network needs at least two cells, got {ncells}")
         self.ncells = ncells
@@ -103,25 +98,20 @@ class Network:
         twins: list[tuple] = [()] * self.ncells
         cells = list(range(ncells))  # every watched cell is one of these ints, not a fresh one per constraint
         square = ncells * ncells
-        codes.reverse()  # then read in order, 4096 at a time off the tail, so the list shrinks as the watch lists grow
-        while codes:
-            check_build_deadline(deadline)
-            chunk = codes[-4096:]
-            del codes[-4096:]
-            for code in reversed(chunk):
-                a, b, c = cells[code // square], cells[code // ncells % ncells], cells[code % ncells]
-                watch[a].append(b)
-                watch[a].append(c)
-                watch[b].append(a)
-                watch[b].append(c)
-                watch[c].append(a)
-                watch[c].append(b)
-                if a == c:
-                    twins[a] += ((a, unary, (a, b, c)),)
-                elif a == b or b == c:
-                    pair, odd = (a, c) if a == b else (c, a)
-                    twins[pair] += ((odd, once, (a, b, c)),)
-                    twins[odd] += ((pair, same, (a, b, c)),)
+        for code in codes:
+            a, b, c = cells[code // square], cells[code // ncells % ncells], cells[code % ncells]
+            watch[a].append(b)
+            watch[a].append(c)
+            watch[b].append(a)
+            watch[b].append(c)
+            watch[c].append(a)
+            watch[c].append(b)
+            if a == c:
+                twins[a] += ((a, unary, (a, b, c)),)
+            elif a == b or b == c:
+                pair, odd = (a, c) if a == b else (c, a)
+                twins[pair] += ((odd, once, (a, b, c)),)
+                twins[odd] += ((pair, same, (a, b, c)),)
         self.nodes = 0
 
         # the row builders close over locals only, so a network is freed as soon as it is dropped
@@ -206,7 +196,9 @@ class Network:
         node to be expanded and on every solution, after the deadline check:
         the cells at branch positions below `stop` are assigned, and those
         below `start` were already assigned at the node's parent (0 at the
-        root).  A true result cuts the node.
+        root).  A true result cuts the node.  The deadline is checked at
+        every node, a solution included, so a propagation that outlasts it
+        stops the search at the node it reaches.
         """
         cand = [self.full] * self.ncells
         self.nodes = 1
@@ -219,12 +211,12 @@ class Network:
         stack = []
         start = 0  # every cell before this position in the branch order is assigned
         while True:
+            if expired(deadline):
+                raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
             # expand the node at its first unassigned cell
             for i in range(start, len(order)):
                 mask = cand[order[i]]
                 if mask & (mask - 1):
-                    if expired(deadline):
-                        raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
                     if prune is None or not prune(cand, start, i):
                         stack.append((cand, i, iter(colors)))
                     colors = range(self.k)

@@ -12,11 +12,12 @@ map of coordinates is read through the map's subset-image tables,
 MinorMap.pull and MinorMap.push.
 
 Each 3-partition of the coordinates gives one cell triple, which repeats a
-cell when two parts have the same weight vector.  This module lists the
-sorted triples as one int code each and hands the search engine in
-`_network` only the cell count and that list of codes.  It checks answers
-with its own walk: equal sub-tables of the table share one number, and each
-distinct triple of sub-tables at each level is visited once.
+cell when two parts have the same weight vector.  This module streams the
+sorted triples as one int code each, in ascending order, and hands the
+search engine in `_network` only the cell count and that stream of codes.
+It checks answers with its own walk: equal sub-tables of the table share
+one number, and each distinct triple of sub-tables at each level is
+visited once.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ._network import Network, check_build_deadline
-from .errors import ArityBoundError, FormatError
+from ._network import Network
+from .errors import ArityBoundError, FormatError, TimeBudgetExceeded, expired
 from .structures import RelStructure, TemplatePair, named_template
 
 DEFAULT_ARITY_CAP = 5
@@ -165,8 +167,8 @@ def allowed_table(target: RelStructure) -> list[list[int]]:
 # sub-tables of the found table, so a fault in one cannot hide behind the other.
 
 
-def _partition_triples(blocks, deadline=None) -> list[int]:
-    """The sorted codes of the unordered 3-partitions of the coordinates: (x * N + y) * N + z for cells x <= y <= z.
+def _partition_triples(blocks, deadline=None) -> Iterator[int]:
+    """The ascending codes of the unordered 3-partitions of the coordinates: (x * N + y) * N + z for cells x <= y <= z.
 
     N is the cell count.  A 3-partition is an ordered composition (a, b, c)
     of each block's size into three parts, and its cells (x, y, z) are read
@@ -176,10 +178,16 @@ def _partition_triples(blocks, deadline=None) -> list[int]:
     while x and y are tied only a <= b extends it, and while y and z are
     tied only b <= c.  So it builds exactly the triples with x <= y <= z,
     each sorted triple once.  As z < N, codes sort as their triples do, and
-    an int takes a fraction of the memory of a tuple of three and sorts
-    faster.  The partial triples over every block but the last stay tuples;
-    the last block adds its codes as ranges, one per partial triple and a.
-    Raises TimeBudgetExceeded once `deadline` expires.
+    an int takes a fraction of the memory of a tuple of three.  The partial
+    triples over every block but the last are built before this returns,
+    as tuples bucketed by their head cell x.  The codes are not: the
+    returned iterator yields them one first cell X = x * r + a at a time, in
+    ascending X, where r is the last block's size + 1 and a its first part.
+    A partial triple adds one range of codes to each of its first cells, so
+    a first cell's codes are sorted only when several partial triples share
+    x, and no more than one first cell's codes are held at once.  Raises
+    TimeBudgetExceeded once `deadline` expires, while the partial triples
+    are built or as the iterator reaches a first cell.
     """
     *head, last = blocks
     n = math.prod(size + 1 for size in blocks)
@@ -197,18 +205,29 @@ def _partition_triples(blocks, deadline=None) -> list[int]:
                 extended[left] += [(x * r + a, y * r + b, z * r + c) for x, y, z in prefixes for a, b, c in chunk]
         groups = extended
     r, step = last + 1, n - 1
-    codes = []
+    heads = defaultdict(list)  # head cell x -> (code base, spans by a) of each partial triple (x, y, z)
     for tie, prefixes in groups.items():
         spans = []  # composition (a, b, last - a - b) adds a * n * n + last - a + b * step to a prefix's code
         for a, bs in _second_parts(last, tie, deadline):
             start = a * n * n + last - a
             spans.append((start + bs.start * step, start + bs.stop * step))
         for x, y, z in prefixes:
-            base = r * ((x * n + y) * n + z)
-            for start, stop in spans:
-                codes += range(base + start, base + stop, step)
-    codes.sort()
-    return codes
+            heads[x].append((r * ((x * n + y) * n + z), spans))
+
+    def first_cells():
+        for x in sorted(heads):
+            for a in range(r):
+                check_build_deadline(deadline)
+                runs = [range(base + spans[a][0], base + spans[a][1], step) for base, spans in heads[x]]
+                yield runs[0] if len(runs) == 1 else sorted(itertools.chain.from_iterable(runs))
+
+    return itertools.chain.from_iterable(first_cells())
+
+
+def check_build_deadline(deadline) -> None:
+    """Raise TimeBudgetExceeded once `deadline` has expired while a network's constraints are listed."""
+    if expired(deadline):
+        raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
 
 
 def _second_parts(size: int, tie: int, deadline):
@@ -233,17 +252,15 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     block sub-table is a value row, and a sub-table one level up is the tuple
     of its children's numbers, up to the whole table, node 0.  A depth-first
     walk then visits each distinct (level, x, y, z) once, where a walk over
-    every partition would first meet it, and at the last level reads the last
-    block's compositions off rows x, y and z together as one chunk, so a
-    failing table still stops at its first bad partition.
+    every partition would first meet it.  At the last level it tests the
+    last block's compositions (a, b, last - a - b) against rel in one call,
+    read off rows x, y and z one first part a at a time, as a slice of row y
+    and a reversed slice of row z.  So it holds no more than one row's
+    length of values at once, and a failing table still stops at its first
+    bad partition.
     """
     *head, last = blocks
     r = last + 1
-    w = tuple(range(r))
-    # the last block's compositions (a, b, last - a - b) as three index columns; slices share w's ints
-    get_a = itemgetter(*itertools.chain.from_iterable((a,) * (r - a) for a in w))
-    get_b = itemgetter(*itertools.chain.from_iterable(w[: r - a] for a in w))
-    get_c = itemgetter(*itertools.chain.from_iterable(w[last - a :: -1] for a in w))
     ids, nodes = tuple(values), []  # nodes: the distinct sub-tables of each level by number, last level first
     for width in [r, *(size + 1 for size in reversed(head))]:
         numbers = {}
@@ -255,7 +272,9 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     while stack:
         level, x, y, z = stack.pop()
         if level == len(head):
-            if not rel.issuperset(zip(get_a(rows[x]), get_b(rows[y]), get_c(rows[z]))):
+            rx, ry, rz = rows[x], rows[y], rows[z]
+            parts = (zip(itertools.repeat(rx[a], r - a), ry[: r - a], rz[last - a :: -1]) for a in range(r))
+            if not rel.issuperset(itertools.chain.from_iterable(parts)):
                 return False
             continue
         size, xs, ys, zs = head[level], kids[level][x], kids[level][y], kids[level][z]
@@ -277,7 +296,7 @@ def _search_network(template: TemplatePair, blocks, branch_order, deadline=None)
     """
     _require_boolean_one_in_three_source(template)
     ncells = math.prod(size + 1 for size in blocks)
-    return Network(ncells, _partition_triples(blocks, deadline), branch_order, allowed_table(template.target), deadline)
+    return Network(ncells, _partition_triples(blocks, deadline), branch_order, allowed_table(template.target))
 
 
 def is_polymorphism(table: BlockTable, template: TemplatePair) -> bool:

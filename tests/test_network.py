@@ -68,7 +68,7 @@ def test_network_constraints_match_coordinate_partitions(blocks):
     assert triples == sorted(partition_triples(blocks))
     codes = encode(triples, ncells)
     net = Network(ncells, codes, range(ncells), [[1, 1], [1, 1]])
-    assert codes == []  # the network empties the list as it reads it
+    assert codes == encode(triples, ncells)  # the network reads the list and leaves it as it is
     assert net.ncells == ncells and net.k == 2
     watched = {tuple(sorted((a, *w[i : i + 2]))) for a, w in enumerate(net.watch) for i in range(0, len(w), 2)}
     assert watched == set(triples)
@@ -81,18 +81,38 @@ def decode(code, ncells):
 
 
 def encode(triples, ncells):
-    """A fresh list of the triples' codes, for a Network to read and empty."""
+    """A fresh list of the triples' codes, for a Network to read."""
     return [(a * ncells + b) * ncells + c for a, b, c in triples]
 
 
 def test_partition_triples_encode_one_int_per_triple():
-    codes = _partition_triples((2000,))
+    codes = list(_partition_triples((2000,)))
     assert len(codes) == 334_334 and max(codes) > 2**31
     assert [decode(code, 2001) for code in codes] == sym_compatible_triples(2000)
-    codes = _partition_triples((31, 30))
+    codes = list(_partition_triples((31, 30)))
     assert len(codes) == 43_776
     # cells in mixed radix: 991 is (31, 30), 325 is (10, 15) and 341 is (11, 0)
     assert decode(codes[0], 992) == (0, 0, 991) and decode(codes[-1], 992) == (325, 325, 341)
+
+
+def test_partition_triples_stream_in_constant_memory():
+    # the codes come one first cell at a time: as one list, these 334,334 took 13.28 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _partition_triples((2000,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 334_334 and peak < 2**20
+
+
+def test_networks_built_from_one_code_list_agree():
+    # a network reads its codes and leaves the list as it is, so a caller may build from it again
+    codes = list(_partition_triples((31, 30)))
+    first = Network(992, codes, range(992), [[1, 1], [1, 1]])
+    second = Network(992, codes, range(992), [[1, 1], [1, 1]])
+    assert len(codes) == 43_776 and first.watch == second.watch
+    assert sum(map(len, first.watch)) == 6 * len(codes)
 
 
 def test_search_network_holds_flat_int_watch_lists():
@@ -120,11 +140,30 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
 
     monkeypatch.setattr(errors.time, "monotonic", clock)
     _partition_triples((2000,), 0.5)
-    # the clock passes the deadline ten reads after the triples are listed, while the network reads their codes
+    # the clock passes the deadline ten reads after the partial triples are built, while the network reads the codes
     calls, stop = 0, calls + 10
     with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
         _search_network(template, (2000,), range(2001), 0.5)
     assert calls == stop + 1
+
+
+def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):
+    # one propagation can outlast the budget: the solution it reaches is not yielded
+    now = 0.0
+    monkeypatch.setattr(errors.time, "monotonic", lambda: now)
+    net = _search_network(TemplatePair(named_template("1in3"), named_template("T2")), (7,), range(8))
+    propagate = net.propagate_from
+
+    def slow(cand, queue, rows, on_narrow=None):
+        nonlocal now
+        holds = propagate(cand, queue, rows, on_narrow)
+        if all(mask & (mask - 1) == 0 for mask in cand):
+            now = 1.0
+        return holds
+
+    net.propagate_from = slow
+    with pytest.raises(TimeBudgetExceeded, match=r"past its time budget after \d+ nodes$"):
+        next(net.solutions(None, 0.5))
 
 
 def catalog_pairs():

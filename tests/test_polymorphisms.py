@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -219,6 +220,19 @@ def test_unit_block_checker_scales_to_arity_16(case):
     rel = CountingRelation(template.target.single_ternary().as_set)
     assert _partitions_map_into((1,) * 16, values, rel)
     assert rel.calls == triples
+
+
+def test_checker_reads_the_last_block_one_part_at_a_time():
+    # index columns over the r(r+1)/2 compositions of this table's one block took 8.33 MB
+    template = pair("1in3", "T2")
+    table = search_symmetric(template, 601).table
+    tracemalloc.start()
+    try:
+        holds = is_polymorphism(table, template)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds and peak < 2**20
 
 
 def test_pull_masks_are_preimages():
