@@ -79,7 +79,7 @@ def _cmd_hom(args) -> int:
         inputs = all_symmetric_ternary_structures()
     else:
         inputs = [named_template(name) for name in structures.template_names_3()]
-    lattice = hom_lattice(inputs, time_budget=args.time_budget)
+    lattice = hom_lattice(inputs, deadline=deadline_after(args.time_budget))
     catalog = _named_catalog()
     dot = lattice_to_dot(lattice, labeler=lambda s: catalog.get(s.encoding()))
     if args.out:
@@ -117,7 +117,7 @@ def _cmd_poly(args) -> int:
 
     if args.action in ("search-sym", "search-block"):
         template = _template_pair(args.source, args.target)
-        options = {"use_wlog": not args.no_wlog, "time_budget": args.time_budget}
+        options = {"use_wlog": not args.no_wlog, "deadline": deadline_after(args.time_budget)}
         sym = args.action == "search-sym"
         if sym:
             result = symmetric.search_symmetric(template, args.arity, **options)
@@ -202,7 +202,8 @@ def _cmd_verify(args) -> int:
         if args.max_arity > DEFAULT_ARITY_CAP:
             _past_cap_note(args.max_arity)
         template = TemplatePair(named_template("1in3"), named_template(args.template))
-        reports = props.check_properties(template, ids, args.max_arity, force=args.force, time_budget=args.time_budget)
+        deadline = deadline_after(args.time_budget)
+        reports = props.check_properties(template, ids, args.max_arity, force=args.force, deadline=deadline)
         if args.json:
             print(json.dumps([report.to_dict() for report in reports], indent=2))
         failed = 0
@@ -221,9 +222,10 @@ def _cmd_verify(args) -> int:
             return 2
         ok = True
         results = []
+        deadline = deadline_after(args.time_budget)
         for spec in specs:
             template = TemplatePair(named_template("1in3"), named_template(spec.template_name))
-            report = props.verify_selector(template, spec, args.max_arity, time_budget=args.time_budget)
+            report = props.verify_selector(template, spec, args.max_arity, deadline=deadline)
             results.append(report.to_dict())
             if not args.json:
                 status = "ok" if report.holds else "FAIL"

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and its one rule for time budgets.
 
-An entry point turns its budget into one deadline_after deadline and passes it
-down; every check of it is expired.  No other module reads the monotonic clock.
+Budgeted functions take a deadline that only the command line makes, with
+deadline_after; every check of it is expired.  No other module reads the clock.
 """
 
 import time
@@ -42,11 +42,11 @@ def seconds(text) -> float:
     return value
 
 
-def deadline_after(time_budget: float | None) -> float | None:
+def deadline_after(budget: float | None) -> float | None:
     """None for no budget, else time.monotonic() plus a budget that seconds accepts."""
-    return None if time_budget is None else time.monotonic() + seconds(time_budget)
+    return None if budget is None else time.monotonic() + seconds(budget)
 
 
 def expired(deadline: float | None) -> bool:
-    """Has time.monotonic() passed `deadline`?  None never expires."""
-    return deadline is not None and time.monotonic() > deadline
+    """Has time.monotonic() passed `deadline`?  None never expires, and NaN always has."""
+    return deadline is not None and not time.monotonic() <= deadline

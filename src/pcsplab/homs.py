@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TimeBudgetExceeded, deadline_after, expired
+from .errors import TimeBudgetExceeded, expired
 from .structures import RelStructure, _check_signatures, _maps
 
 STRICTLY_BELOW = "strictly_below"
@@ -131,19 +131,17 @@ class HomLattice:
         raise ValueError("structure not in lattice input")
 
 
-def hom_lattice(structures, *, time_budget: float | None = None) -> HomLattice:
+def hom_lattice(structures, *, deadline: float | None = None) -> HomLattice:
     """Mutual-homomorphism classes of the input and their Hasse cover edges.
 
     Structures are placed in input order.  Each is tested against the head
     (first member) of every class found so far, in both directions; it joins
     the first class it is equivalent to, and otherwise heads a new class whose
     order relation to every earlier head those tests already gave.
-    Homomorphisms compose, so a head stands for its whole class.  time_budget
-    bounds the whole call in seconds; its deadline is checked before each hom
-    test, and TimeBudgetExceeded is raised once it passes.  A NaN or negative
-    time_budget raises ValueError before any test.
+    Homomorphisms compose, so a head stands for its whole class.  `deadline`
+    is checked before each hom test, and TimeBudgetExceeded is raised once it
+    passes.
     """
-    deadline = deadline_after(time_budget)
     structures = list(structures)
     if not structures:
         raise ValueError("lattice needs at least one structure")

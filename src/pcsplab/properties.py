@@ -23,7 +23,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .errors import ArityBoundError, TimeBudgetExceeded, deadline_after, expired
+from .errors import ArityBoundError, TimeBudgetExceeded, expired
 from .polymorphisms import (
     DEFAULT_ARITY_CAP,
     BlockTable,
@@ -394,7 +394,7 @@ def check_properties(
     *,
     force: bool = False,
     counterexample_cap: int = 25,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> tuple[PropertyReport, ...]:
     """Evaluate catalog properties over every polymorphism up to max_arity.
 
@@ -410,10 +410,9 @@ def check_properties(
     failing tables of the full stream; a leader that sorts after the last
     kept failure of a full list is skipped.  Memory does not grow with the
     enumeration.  One report per id comes back, in the given order; each
-    carries the elapsed time of the shared pass.  time_budget bounds the
-    whole pass: its one deadline_after deadline goes to every arity's
-    enumeration, which raises TimeBudgetExceeded once it passes.  A NaN or
-    negative time_budget raises ValueError, and a max_arity above the cap
+    carries the elapsed time of the shared pass.  `deadline` bounds the
+    whole pass: it goes to every arity's enumeration, which raises
+    TimeBudgetExceeded once it passes.  A max_arity above the cap raises
     ArityBoundError unless force is set, before any enumeration.
     """
     for property_id in property_ids:
@@ -431,7 +430,6 @@ def check_properties(
         return len(kept) >= counterexample_cap and (not kept or key > kept[-1][0])
 
     start = time.perf_counter()
-    deadline = deadline_after(time_budget)
     examined = 0
     k = template.target.domain_size
     for n in range(1, max_arity + 1):
@@ -709,7 +707,7 @@ class SelectorReport:
 
 
 def verify_selector(
-    template: TemplatePair, spec: SelectorSpec, max_arity: int, *, time_budget: float | None = None
+    template: TemplatePair, spec: SelectorSpec, max_arity: int, *, deadline: float | None = None
 ) -> SelectorReport:
     """Search for a minor chain of length spec.l whose selections never meet.
 
@@ -722,18 +720,16 @@ def verify_selector(
     violation.  Each map is read through a getter of its pull table and its
     push table, built once per call: the getter builds the minor g[X] =
     f[pull[X]] in one call, and a selection x moves forward to push[x].
-    time_budget bounds the enumeration and the chain search together, in
-    seconds: its one deadline_after deadline goes to every arity's
-    enumeration and is checked at each state, and TimeBudgetExceeded is
-    raised once it passes.  A NaN or negative time_budget raises ValueError,
-    and a max_arity above the cap ArityBoundError, before any enumeration.
+    `deadline` bounds the enumeration and the chain search together: it
+    goes to every arity's enumeration and is checked at each state, and
+    TimeBudgetExceeded is raised once it passes.  A max_arity above the cap
+    raises ArityBoundError before any enumeration.
     """
     if max_arity < 1:
         raise ValueError(f"max arity must be >= 1, got {max_arity}")
     if max_arity > DEFAULT_ARITY_CAP:
         raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}")
     start = time.perf_counter()
-    deadline = deadline_after(time_budget)
     selections: dict[int, dict[tuple[int, ...], int | None]] = {}
     for n in range(1, max_arity + 1):
         tables = enumerate_polymorphisms(template, n, deadline=deadline)

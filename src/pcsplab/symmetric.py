@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import deadline_after
 from .polymorphisms import BlockTable, _search_network, allowed_table, is_polymorphism
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
@@ -139,9 +138,8 @@ def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
     return tuple(sorted(min(orbit) for orbit in automorphism_orbits(target)))
 
 
-def _first_solution(template: TemplatePair, blocks, branch_order, use_wlog: bool, time_budget):
+def _first_solution(template: TemplatePair, blocks, branch_order, use_wlog: bool, deadline):
     """The first table on the cells of the coordinate blocks, or None, with the nodes searched."""
-    deadline = deadline_after(time_budget)
     net = _search_network(template, blocks, branch_order, deadline)
     wlog = _wlog_colors(template.target) if use_wlog else None
     return next(net.solutions(wlog, deadline), None), net.nodes
@@ -152,16 +150,15 @@ def search_symmetric(
     n: int,
     *,
     use_wlog: bool = True,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> SearchResult:
     """Backtracking search for a weight table; lowest unassigned weight first.
 
-    time_budget, in seconds, bounds building the network and the search, then raises
-    TimeBudgetExceeded; a NaN or negative budget raises ValueError before the build.
+    `deadline` bounds building the network and the search, then raises TimeBudgetExceeded.
     """
     if n < 1:
         raise ValueError("arity must be >= 1")
-    values, nodes = _first_solution(template, (n,), range(n + 1), use_wlog, time_budget)
+    values, nodes = _first_solution(template, (n,), range(n + 1), use_wlog, deadline)
     table = None if values is None else BlockTable((n,), template.target.domain_size, values)
     assert table is None or is_symmetric_polymorphism(table, template)
     return SearchResult(table, nodes)
@@ -192,12 +189,12 @@ def search_block_symmetric(
     k2: int,
     *,
     use_wlog: bool = True,
-    time_budget: float | None = None,
+    deadline: float | None = None,
 ) -> SearchResult:
-    """Backtracking search for a two-block weight table; time_budget works as in search_symmetric."""
+    """Backtracking search for a two-block weight table; `deadline` works as in search_symmetric."""
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be >= 1")
-    values, nodes = _first_solution(template, (k1, k2), _block_branch_order(k1, k2), use_wlog, time_budget)
+    values, nodes = _first_solution(template, (k1, k2), _block_branch_order(k1, k2), use_wlog, deadline)
     table = None if values is None else BlockTable((k1, k2), template.target.domain_size, values)
     assert table is None or is_block_symmetric_polymorphism(table, template)
     return SearchResult(table, nodes)

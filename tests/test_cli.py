@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pcsplab.cli import main
 from pcsplab.errors import FormatError
 from pcsplab.polymorphisms import BlockTable, dictator, format_poly_table, parse_poly_table
+from pcsplab.properties import properties_for_template
 from pcsplab.solvers import (
     Instance,
     format_coloring,
@@ -32,6 +34,12 @@ def test_template_classify(capsys):
     assert code == 0 and out.strip() == "open"
     code, _, err = run(capsys, "template", "classify", "NOSUCH")
     assert code == 2 and "NOSUCH" in err
+
+
+def test_template_classify_refuses_a_four_element_structure(capsys):
+    code, out, err = run(capsys, "template", "classify", "CH")
+    assert (code, out) == (2, "")
+    assert err == "error: classification needs a 3-element symmetric single ternary structure\n"
 
 
 def test_template_show(capsys):
@@ -131,6 +139,12 @@ def test_poly_verify_table(tmp_path, capsys):
     assert code == 1 and "not a polymorphism" in out
 
 
+def test_poly_verify_needs_a_table_or_the_replay(capsys):
+    code, out, err = run(capsys, "poly", "verify")
+    assert (code, out) == (2, "")
+    assert err == "poly verify needs a table file plus --template SRC TGT, or --appendix-b\n"
+
+
 def test_poly_verify_arity_10_dictator_against_nae(tmp_path, capsys):
     # the same tables as the CI step: a dictator holds, and flipping its full-set value breaks (full, {}, {})
     table = dictator(10, 1)
@@ -169,6 +183,19 @@ def test_verify_lemmas(capsys):
     assert "D2_unions: ok" in out
 
 
+def test_verify_lemmas_json(capsys):
+    code, out, _ = run(capsys, "verify", "lemmas", "CH", "--max-arity", "2", "--json")
+    assert code == 0
+    records = json.loads(out)
+    assert [record["property"] for record in records] == list(properties_for_template("CH"))
+    keys = {"template", "property", "arities", "examined", "counterexamples", "elapsed_ms"}
+    assert all(set(record) == keys for record in records)
+    code, text, _ = run(capsys, "verify", "lemmas", "CH", "--max-arity", "2")
+    assert code == 0
+    examined = [int(re.search(r"\(examined (\d+), ", line).group(1)) for line in text.splitlines()]
+    assert [record["examined"] for record in records] == examined
+
+
 def test_verify_lemmas_bound_guard(capsys):
     code, _, err = run(capsys, "verify", "lemmas", "D1plus", "--max-arity", "99")
     assert code == 2 and "cap" in err
@@ -195,6 +222,12 @@ def test_verify_lemmas_unknown_template(capsys):
 def test_verify_selector(capsys):
     code, out, _ = run(capsys, "verify", "selector", "T1", "--max-arity", "2")
     assert code == 0 and "SEL_T1" in out and "ok" in out
+
+
+def test_verify_selector_unknown_template(capsys):
+    code, out, err = run(capsys, "verify", "selector", "NAE")
+    assert (code, out) == (2, "")
+    assert err == "no selector for template 'NAE'\n"
 
 
 def test_verify_selector_json(capsys):

@@ -1,4 +1,4 @@
-"""Time budgets: each budgeted entry point turns its budget into one deadline, and only errors reads the clock."""
+"""Time budgets: each budgeted entry point takes one deadline, and only errors reads the clock."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 
 import pcsplab.properties as properties_module
 from pcsplab import errors, homs, polymorphisms
-from pcsplab.errors import TimeBudgetExceeded
+from pcsplab.errors import TimeBudgetExceeded, deadline_after, expired
 from pcsplab.homs import hom_lattice
 from pcsplab.properties import SELECTOR_CATALOG, check_properties, properties_for_template, verify_selector
 from pcsplab.structures import TemplatePair, named_template, template_names_3
@@ -18,32 +18,43 @@ def pair(src, tgt):
 
 
 BUDGETED = {
-    "hom_lattice": lambda budget: hom_lattice([named_template(name) for name in template_names_3()], time_budget=budget),
-    "search_symmetric": lambda budget: search_symmetric(pair("1in3", "T2"), 300, time_budget=budget),
-    "search_block_symmetric": lambda budget: search_block_symmetric(pair("1in3", "T2"), 31, 30, time_budget=budget),
-    "check_properties": lambda budget: check_properties(
-        pair("1in3", "T1"), properties_for_template("T1"), 3, time_budget=budget
+    "hom_lattice": lambda deadline: hom_lattice([named_template(name) for name in template_names_3()], deadline=deadline),
+    "search_symmetric": lambda deadline: search_symmetric(pair("1in3", "T2"), 300, deadline=deadline),
+    "search_block_symmetric": lambda deadline: search_block_symmetric(pair("1in3", "T2"), 31, 30, deadline=deadline),
+    "check_properties": lambda deadline: check_properties(
+        pair("1in3", "T1"), properties_for_template("T1"), 3, deadline=deadline
     ),
-    "verify_selector": lambda budget: verify_selector(pair("1in3", "T1"), SELECTOR_CATALOG["SEL_T1"], 3, time_budget=budget),
+    "verify_selector": lambda deadline: verify_selector(pair("1in3", "T1"), SELECTOR_CATALOG["SEL_T1"], 3, deadline=deadline),
 }
 
 
 @pytest.mark.parametrize("budget", [math.nan, -1.0], ids=["nan", "-1"])
+def test_deadline_after_refuses_a_budget_below_zero_or_nan(budget):
+    with pytest.raises(ValueError, match="time budget must be seconds >= 0"):
+        deadline_after(budget)
+
+
+def test_a_nan_deadline_has_passed_and_none_or_inf_never_does():
+    assert expired(math.nan)
+    assert not expired(None) and not expired(math.inf)
+
+
+@pytest.mark.parametrize("deadline", [math.nan, -1.0], ids=["nan", "-1"])
 @pytest.mark.parametrize("entry", list(BUDGETED))
-def test_a_budget_below_zero_or_nan_is_refused_before_any_work(monkeypatch, entry, budget):
-    # no clock ever passes a NaN deadline, so it would turn the budget off
+def test_a_budget_below_zero_or_nan_is_refused_before_any_work(monkeypatch, entry, deadline):
+    # a NaN deadline counts as passed, as one below zero has, so no deadline value turns the budget off
     def refuse(*args, **kwargs):
         raise AssertionError("work started under a refused time budget")
 
     monkeypatch.setattr(polymorphisms, "Network", refuse)
     monkeypatch.setattr(homs, "hom_exists", refuse)
-    with pytest.raises(ValueError, match="time budget must be seconds >= 0"):
-        BUDGETED[entry](budget)
+    with pytest.raises(TimeBudgetExceeded):
+        BUDGETED[entry](deadline)
 
 
 SUITES = {  # suite -> (the enumerator it calls per arity, a run of it up to arity 3 under a 60 s budget)
-    "check_properties": ("enumerate_orbits", lambda: BUDGETED["check_properties"](60)),
-    "verify_selector": ("enumerate_polymorphisms", lambda: BUDGETED["verify_selector"](60)),
+    "check_properties": ("enumerate_orbits", lambda: BUDGETED["check_properties"](deadline_after(60))),
+    "verify_selector": ("enumerate_polymorphisms", lambda: BUDGETED["verify_selector"](deadline_after(60))),
 }
 
 

@@ -82,3 +82,16 @@ def clock_readers(package=PACKAGE):
 def test_only_errors_reads_the_monotonic_clock():
     # every budget becomes a deadline in errors.deadline_after, and every check of one is errors.expired
     assert clock_readers() == {"errors"}
+
+
+def test_only_the_command_line_makes_a_deadline():
+    # every budgeted function takes deadline=; only cli turns --time-budget seconds into one, with errors.deadline_after
+    makers, budget_parameters = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "deadline_after" in {getattr(node, field, None) for field in ("id", "attr", "name")}:
+                makers.add(path.stem)  # a name, an attribute, an import or the definition
+            if isinstance(node, ast.arg) and node.arg == "time_budget":
+                budget_parameters.add(path.stem)
+    assert makers == {"errors", "cli"}
+    assert budget_parameters == set()

@@ -298,6 +298,32 @@ def assert_arc_consistent(net, triples, ok, rng):
         assert consistent and all(cand[c] >> v & 1 for c, v in enumerate(table))
 
 
+@pytest.mark.parametrize("target", ["LO_3", "T1", "D1plus", "CHplus", "NAE", "T2"])
+def test_on_narrow_reports_every_narrowing_under_support_rows(target):
+    # twin tables narrow only under support rows, so this is the one place their reports are seen
+    template = TemplatePair(named_template("1in3"), named_template(target))
+    rng = random.Random(target)
+    narrowed = 0
+    for blocks in [(4,), (5,), (2, 2), (1, 1, 1), (3, 2)]:
+        ncells = math.prod(size + 1 for size in blocks)
+        net = _search_network(template, blocks, range(ncells))
+        for _ in range(20):
+            start = [net.full] * ncells
+            for cell in rng.sample(range(ncells), rng.randint(0, 2)):
+                start[cell] = 1 << rng.randrange(net.k)
+            cand, reported = list(start), [0] * ncells
+
+            def record(cell, removed, triple):
+                assert cell in triple
+                assert removed & reported[cell] == 0  # no colour is reported twice
+                reported[cell] |= removed
+
+            if net.propagate_from(cand, list(range(ncells)), net.support, record):
+                assert reported == [s & ~c for s, c in zip(start, cand)]
+                narrowed += any(reported)
+    assert narrowed
+
+
 def random_relation(seed):
     """A seeded random symmetric relation on 2 to 4 colors: (rng, k, ncells, ok, allowed), rng past its draws."""
     rng = random.Random(seed)

@@ -15,7 +15,7 @@ from loop_properties import LOOP_PREDICATES
 
 import pcsplab.properties as properties_module
 from pcsplab.cli import main
-from pcsplab.errors import ArityBoundError, TimeBudgetExceeded
+from pcsplab.errors import ArityBoundError, TimeBudgetExceeded, deadline_after
 from pcsplab.polymorphisms import BlockTable, enumerate_orbits, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
@@ -542,7 +542,7 @@ def test_verify_selector_deadline_checked_per_state(monkeypatch):
     monkeypatch.setattr(properties_module, "enumerate_polymorphisms", unbounded)
     spec = SELECTOR_CATALOG["SEL_T1"]
     with pytest.raises(TimeBudgetExceeded, match="after 1 states"):
-        verify_selector(pair("1in3", spec.template_name), spec, 2, time_budget=0)
+        verify_selector(pair("1in3", spec.template_name), spec, 2, deadline=deadline_after(0))
 
 
 def test_verify_selector_refuses_a_minor_off_the_stream(monkeypatch):

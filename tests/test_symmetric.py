@@ -386,7 +386,7 @@ def test_lo3_frontier():
         ("block", search_block_symmetric, is_block_symmetric_polymorphism, [(k + 1, k) for k in range(1, 16)]),
     ):
         for shape in shapes:
-            result = search(lo3, *shape, time_budget=5)
+            result = search(lo3, *shape, deadline=deadline_after(5))
             if result.table is None:
                 assert result.nodes <= 4, shape
             else:
@@ -465,14 +465,14 @@ def test_block_and_symmetric_nonexistence_consistency():
 def test_time_budget_aborts():
     chp = pair("1in3", "CHplus")
     with pytest.raises(TimeBudgetExceeded):
-        search_symmetric(chp, 23, time_budget=0.0)
+        search_symmetric(chp, 23, deadline=deadline_after(0.0))
 
 
 @pytest.mark.parametrize(
     "search",
     [
-        lambda t2: search_symmetric(t2, 2000, time_budget=0),
-        lambda t2: search_block_symmetric(t2, 31, 30, time_budget=0),
+        lambda t2: search_symmetric(t2, 2000, deadline=deadline_after(0)),
+        lambda t2: search_block_symmetric(t2, 31, 30, deadline=deadline_after(0)),
         lambda t2: next(enumerate_polymorphisms(t2, 5, deadline=deadline_after(0))),
         lambda t2: next(enumerate_orbits(t2, 5, deadline=deadline_after(0))),
     ],
