@@ -39,6 +39,9 @@ records how far each phase raised the process's peak resident set
 network again under tracemalloc and records the peak and the bytes still
 held once it exists, all in MB.
 
+Each tree's library must take the target alone, with 1-in-3 as the fixed
+source: the cases call `search_symmetric`, `enumerate_orbits`,
+`verify_selector` and `is_polymorphism` with a target, not a pair.
 Every run is one timed interpreter and one memory interpreter per memory
 case for each source tree, so no row or cache built by one run is seen by
 the next, and the order of the trees alternates from run to run.  The
@@ -256,7 +259,7 @@ CALL_CASES = {
 }
 
 
-def _checked_table(kind, template, n):
+def _checked_table(kind, structure, n):
     """The values of the table a check-only case checks, indexed by subset mask."""
     from pcsplab.polymorphisms import dictator
     from pcsplab.symmetric import search_symmetric
@@ -264,20 +267,20 @@ def _checked_table(kind, template, n):
     if kind == "dictator":
         return dictator(n, 1).values
     if kind == "symmetric":
-        weights = search_symmetric(template, n).table.values
+        weights = search_symmetric(structure, n).table.values
         return tuple(weights[mask.bit_count()] for mask in range(1 << n))
-    return tuple(random.Random(n).choices(range(template.target.domain_size), k=1 << n))
+    return tuple(random.Random(n).choices(range(structure.domain_size), k=1 << n))
 
 
 def _case_inputs(target, blocks):
     from pcsplab.polymorphisms import allowed_table
-    from pcsplab.structures import TemplatePair, named_template
+    from pcsplab.structures import named_template
     from pcsplab.symmetric import _block_branch_order
 
-    template = TemplatePair(named_template("1in3"), named_template(target))
+    structure = named_template(target)
     ncells = math.prod(size + 1 for size in blocks)
     order = _block_branch_order(*blocks) if len(blocks) == 2 else range(ncells)
-    return template, allowed_table(template.target), order, ncells
+    return structure, allowed_table(structure), order, ncells
 
 
 def measure_once() -> dict:
@@ -292,7 +295,7 @@ def measure_once() -> dict:
         if phases[0] in CALL_CASES:
             out[label] = CALL_CASES[phases[0]](*blocks)
             continue
-        template, allowed, order, ncells = _case_inputs(target, blocks)
+        structure, allowed, order, ncells = _case_inputs(target, blocks)
         s, counters = {}, {}
         net = values = None
         if "network" in phases:
@@ -301,32 +304,32 @@ def measure_once() -> dict:
             s["network"] = time.perf_counter() - start
             counters["triples"] = sum(map(len, net.watch)) // 6  # each triple puts two cells on each of its three
         elif "check" in phases:
-            values = _checked_table(label.split()[0], template, len(blocks))
+            values = _checked_table(label.split()[0], structure, len(blocks))
         if "orbits" in phases:
             start = time.perf_counter()
-            leaders = list(enumerate_orbits(template, len(blocks)))
+            leaders = list(enumerate_orbits(structure, len(blocks)))
             s["orbits"] = time.perf_counter() - start
             counters["leaders"] = len(leaders)
             counters["tables"] = sum(size for _, size in leaders)
         if "selector" in phases:
             spec = next(spec for spec in SELECTOR_CATALOG.values() if spec.template_name == target)
             start = time.perf_counter()
-            report = verify_selector(template, spec, len(blocks))
+            report = verify_selector(structure, spec, len(blocks))
             s["selector"] = time.perf_counter() - start
             counters["states"] = report.states_explored
             if not report.holds:
                 raise SystemExit(f"{label}: {spec.name} fails")
         if "solutions" in phases:
-            wlog = _wlog_colors(template.target)
+            wlog = _wlog_colors(structure)
             start = time.perf_counter()
             values = next(net.solutions(wlog, None), None)
             s["solutions"] = time.perf_counter() - start
             counters["nodes"] = net.nodes
             counters["found"] = values is not None
         if values is not None and "check" in phases:
-            table = BlockTable(blocks, template.target.domain_size, values)
+            table = BlockTable(blocks, structure.domain_size, values)
             start = time.perf_counter()
-            holds = is_polymorphism(table, template)
+            holds = is_polymorphism(table, structure)
             s["check"] = time.perf_counter() - start
             counters["holds"] = holds
             if holds != (label.split()[0] != "random"):
@@ -352,10 +355,10 @@ def measure_memory(label: str) -> dict:
     from pcsplab.symmetric import _wlog_colors
 
     _, target, blocks, phases = next(case for case in CASES if case[0] == label)
-    template, allowed, order, ncells = _case_inputs(target, blocks)
+    structure, allowed, order, ncells = _case_inputs(target, blocks)
     values = net = None
     if "network" not in phases:
-        values = _checked_table(label.split()[0], template, len(blocks))
+        values = _checked_table(label.split()[0], structure, len(blocks))
     out = {}
     gc.collect()
     before = _maxrss_mb()
@@ -369,10 +372,10 @@ def measure_memory(label: str) -> dict:
     if "network" in phases:
         net = Network(ncells, _partition_triples(blocks), order, allowed)
         grew("network")
-        values = next(net.solutions(_wlog_colors(template.target), None), None)
+        values = next(net.solutions(_wlog_colors(structure), None), None)
         grew("solutions")
     if values is not None:
-        is_polymorphism(BlockTable(blocks, template.target.domain_size, values), template)
+        is_polymorphism(BlockTable(blocks, structure.domain_size, values), structure)
         grew("check")
     if net is not None:
         del net

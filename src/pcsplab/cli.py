@@ -20,6 +20,7 @@ from .polymorphisms import (
     DEFAULT_ARITY_CAP,
     enumerate_polymorphisms,
     is_polymorphism,
+    one_in_three_target,
     parse_poly_table,
     subset_masks,
 )
@@ -91,8 +92,8 @@ def _cmd_hom(args) -> int:
     return 0
 
 
-def _template_pair(src_name: str, tgt_name: str) -> TemplatePair:
-    return TemplatePair(_load_structure(src_name), _load_structure(tgt_name))
+def _pair_target(src_name: str, tgt_name: str) -> structures.RelStructure:
+    return one_in_three_target(TemplatePair(_load_structure(src_name), _load_structure(tgt_name)))
 
 
 def _past_cap_note(arity: int) -> None:
@@ -101,7 +102,7 @@ def _past_cap_note(arity: int) -> None:
 
 def _cmd_poly(args) -> int:
     if args.action == "enumerate":
-        template = _template_pair(args.source, args.target)
+        target = _pair_target(args.source, args.target)
         if args.arity > DEFAULT_ARITY_CAP:
             if not args.force:
                 print(f"arity {args.arity} exceeds the default cap {DEFAULT_ARITY_CAP}; pass --force", file=sys.stderr)
@@ -109,20 +110,20 @@ def _cmd_poly(args) -> int:
             _past_cap_note(args.arity)
         count = 0
         order, deadline = subset_masks(args.arity), deadline_after(args.time_budget)
-        for values in enumerate_polymorphisms(template, args.arity, force=args.force, deadline=deadline):
+        for values in enumerate_polymorphisms(target, args.arity, force=args.force, deadline=deadline):
             print("".join(str(values[m]) for m in order))
             count += 1
         print(f"count {count}", file=sys.stderr)
         return 0
 
     if args.action in ("search-sym", "search-block"):
-        template = _template_pair(args.source, args.target)
+        target = _pair_target(args.source, args.target)
         options = {"use_wlog": not args.no_wlog, "deadline": deadline_after(args.time_budget)}
         sym = args.action == "search-sym"
         if sym:
-            result = symmetric.search_symmetric(template, args.arity, **options)
+            result = symmetric.search_symmetric(target, args.arity, **options)
         else:
-            result = symmetric.search_block_symmetric(template, args.k1, args.k2, **options)
+            result = symmetric.search_block_symmetric(target, args.k1, args.k2, **options)
         table = result.table
         if args.json:
             values = None if table is None else list(table.values)
@@ -148,18 +149,18 @@ def _cmd_poly(args) -> int:
         if not args.table or not args.template:
             print("poly verify needs a table file plus --template SRC TGT, or --appendix-b", file=sys.stderr)
             return 2
-        template = _template_pair(args.template[0], args.template[1])
+        target = _pair_target(*args.template)
         with open(args.table, encoding="utf-8") as handle:
             table = parse_poly_table(handle.read())
-        ok = is_polymorphism(table, template)
+        ok = is_polymorphism(table, target)
         print("valid polymorphism" if ok else "not a polymorphism")
         return 0 if ok else 1
     raise AssertionError(f"unhandled poly action {args.action}")
 
 
 def _appendix_b(as_json: bool = False) -> int:
-    template = TemplatePair(named_template("1in3"), named_template("CHplus"))
-    certificates = [symmetric.chplus23_certificate(template, seed) for seed in range(4)]
+    target = named_template("CHplus")
+    certificates = [symmetric.chplus23_certificate(target, seed) for seed in range(4)]
     head = certificates[0]
     if as_json:
         payload = {
@@ -201,9 +202,8 @@ def _cmd_verify(args) -> int:
             return 2
         if args.max_arity > DEFAULT_ARITY_CAP:
             _past_cap_note(args.max_arity)
-        template = TemplatePair(named_template("1in3"), named_template(args.template))
-        deadline = deadline_after(args.time_budget)
-        reports = props.check_properties(template, ids, args.max_arity, force=args.force, deadline=deadline)
+        target, deadline = named_template(args.template), deadline_after(args.time_budget)
+        reports = props.check_properties(target, ids, args.max_arity, force=args.force, deadline=deadline)
         if args.json:
             print(json.dumps([report.to_dict() for report in reports], indent=2))
         failed = 0
@@ -224,8 +224,7 @@ def _cmd_verify(args) -> int:
         results = []
         deadline = deadline_after(args.time_budget)
         for spec in specs:
-            template = TemplatePair(named_template("1in3"), named_template(spec.template_name))
-            report = props.verify_selector(template, spec, args.max_arity, deadline=deadline)
+            report = props.verify_selector(named_template(spec.template_name), spec, args.max_arity, deadline=deadline)
             results.append(report.to_dict())
             if not args.json:
                 status = "ok" if report.holds else "FAIL"

@@ -18,6 +18,9 @@ search engine in `_network` only the cell count and that stream of codes.
 It checks answers with its own walk: equal sub-tables of the table share
 one number, and each distinct triple of sub-tables at each level is
 visited once.
+
+The source is always 1-in-3, the exactly-one-1 Boolean structure, so every
+function takes the target alone; one_in_three_target checks a pair once.
 """
 
 from __future__ import annotations
@@ -137,9 +140,11 @@ def _subset_images(bits, masks) -> tuple[int, ...]:
     return tuple(img)
 
 
-def _require_boolean_one_in_three_source(template: TemplatePair) -> None:
+def one_in_three_target(template: TemplatePair) -> RelStructure:
+    """The target of a pair with source 1-in-3, the one source whose constraints are 3-partitions; else ValueError."""
     if template.source != named_template("1in3"):
         raise ValueError("partition compatibility requires the exactly-one-1 Boolean source")
+    return template.target
 
 
 def allowed_table(target: RelStructure) -> list[list[int]]:
@@ -289,30 +294,28 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     return True
 
 
-def _search_network(template: TemplatePair, blocks, branch_order, deadline=None) -> Network:
-    """The search network on the cells of the coordinate blocks; exactly-one-1 source only.
+def _search_network(target: RelStructure, blocks, branch_order, deadline=None) -> Network:
+    """The search network for tables from 1-in-3 to target on the cells of the coordinate blocks.
 
     Raises TimeBudgetExceeded once `deadline` expires before the network is built.
     """
-    _require_boolean_one_in_three_source(template)
     ncells = math.prod(size + 1 for size in blocks)
-    return Network(ncells, _partition_triples(blocks, deadline), branch_order, allowed_table(template.target))
+    return Network(ncells, _partition_triples(blocks, deadline), branch_order, allowed_table(target))
 
 
-def is_polymorphism(table: BlockTable, template: TemplatePair) -> bool:
+def is_polymorphism(table: BlockTable, target: RelStructure) -> bool:
     """Partition test: every ordered 3-partition of the coordinates must map into the relation.
 
-    This checks a table of every block shape; exactly-one-1 source only.
+    This checks a table of every block shape from 1-in-3 to target.
     With unit blocks the walk numbers the blocks from the high bit down,
     which relabels coordinates and leaves the set of 3-partitions as it is.
     """
-    _require_boolean_one_in_three_source(template)
-    if table.target_size != template.target.domain_size:
+    if table.target_size != target.domain_size:
         raise ValueError("table target size does not match template target")
-    return _partitions_map_into(table.blocks, table.values, template.target.single_ternary().as_set)
+    return _partitions_map_into(table.blocks, table.values, target.single_ternary().as_set)
 
 
-def enumerate_polymorphisms(template: TemplatePair, n: int, *, force: bool = False, deadline: float | None = None):
+def enumerate_polymorphisms(target: RelStructure, n: int, *, force: bool = False, deadline: float | None = None):
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
     Each item is a value tuple indexed by subset mask, the values of a
@@ -329,7 +332,7 @@ def enumerate_polymorphisms(template: TemplatePair, n: int, *, force: bool = Fal
     expires, building the network or the search raises TimeBudgetExceeded.
     """
     _require_arity(n, force)
-    net = _search_network(template, (1,) * n, subset_masks(n), deadline)
+    net = _search_network(target, (1,) * n, subset_masks(n), deadline)
     yield from net.solutions(None, deadline)
 
 
@@ -359,7 +362,7 @@ def orbit_permutations(n: int) -> list[tuple[int, ...]]:
     return [_subset_images([1 << c for c in perm] + rest, masks) for perm in itertools.permutations(moved)]
 
 
-def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, deadline: float | None = None):
+def enumerate_orbits(target: RelStructure, n: int, *, force: bool = False, deadline: float | None = None):
     """Yield (values, orbit_size) for one polymorphism of arity n per orbit under permuting the coordinates.
 
     Permuting the coordinates of a polymorphism of the symmetric 1-in-3
@@ -390,7 +393,7 @@ def enumerate_orbits(template: TemplatePair, n: int, *, force: bool = False, dea
     """
     _require_arity(n, force)
     order = subset_masks(n)
-    net = _search_network(template, (1,) * n, order, deadline)
+    net = _search_network(target, (1,) * n, order, deadline)
     singles = order[1 : n + 1]
     ascending = list(zip(singles, singles[1 : ORBIT_BLOCK]))
     # every compared tuple starts with the empty set, which each permutation fixes, so that it has two entries or more

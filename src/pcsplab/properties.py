@@ -33,7 +33,7 @@ from .polymorphisms import (
     orbit_permutations,
     subset_masks,
 )
-from .structures import TemplatePair
+from .structures import RelStructure
 
 
 # --- the sliced view ------------------------------------------------------------
@@ -388,7 +388,7 @@ class PropertyReport:
 
 
 def check_properties(
-    template: TemplatePair,
+    target: RelStructure,
     property_ids,
     max_arity: int,
     *,
@@ -431,12 +431,12 @@ def check_properties(
 
     start = time.perf_counter()
     examined = 0
-    k = template.target.domain_size
+    k = target.domain_size
     for n in range(1, max_arity + 1):
         masks = MaskTables(n, k)
         stream_key = operator.itemgetter(*subset_masks(n))
         members = None  # the image getters of the orbit group, built on the first failure
-        for values, size in enumerate_orbits(template, n, force=force, deadline=deadline):
+        for values, size in enumerate_orbits(target, n, force=force, deadline=deadline):
             examined += size
             view = SlicedTable(values, masks)
             for spec, kept in checks:
@@ -707,7 +707,7 @@ class SelectorReport:
 
 
 def verify_selector(
-    template: TemplatePair, spec: SelectorSpec, max_arity: int, *, deadline: float | None = None
+    target: RelStructure, spec: SelectorSpec, max_arity: int, *, deadline: float | None = None
 ) -> SelectorReport:
     """Search for a minor chain of length spec.l whose selections never meet.
 
@@ -732,7 +732,7 @@ def verify_selector(
     start = time.perf_counter()
     selections: dict[int, dict[tuple[int, ...], int | None]] = {}
     for n in range(1, max_arity + 1):
-        tables = enumerate_polymorphisms(template, n, deadline=deadline)
+        tables = enumerate_polymorphisms(target, n, deadline=deadline)
         selections[n] = {values: spec.rule(values, n) for values in tables}
     chosen = [(n, v, mask) for n, sels in selections.items() for v, mask in sels.items()]
     totality_failures = [(n, v) for n, v, mask in chosen if mask is None]

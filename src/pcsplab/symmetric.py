@@ -8,15 +8,15 @@ and one value per weight pair.  Search is chronological backtracking that
 keeps every node arc consistent; when the target's automorphism group
 identifies colors, the first branched cell only tries orbit
 representatives.  Propagation traces record forward checking.  The tables,
-the check and the search networks come from `polymorphisms`, which accepts
-only the exactly-one-1 source.
+the check and the search networks come from `polymorphisms`; the source is
+always 1-in-3, so every function takes the target alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polymorphisms import BlockTable, _search_network, allowed_table, is_polymorphism
+from .polymorphisms import BlockTable, _search_network, allowed_table, is_polymorphism, one_in_three_target
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
 
@@ -78,16 +78,16 @@ def sym_compatible_triples(n: int) -> list[tuple[int, int, int]]:
 
 
 def is_symmetric_polymorphism(table: BlockTable, template: TemplatePair) -> bool:
-    """is_polymorphism under the name search_symmetric asserts through; perfbench traces it by this name."""
-    return is_polymorphism(table, template)
+    """is_polymorphism of a 1-in-3 pair's target; perfbench checks found symmetric tables by this name."""
+    return is_polymorphism(table, one_in_three_target(template))
 
 
 def is_block_symmetric_polymorphism(table: BlockTable, template: TemplatePair) -> bool:
-    """is_polymorphism under the name search_block_symmetric asserts through; perfbench traces it by this name."""
-    return is_polymorphism(table, template)
+    """is_polymorphism of a 1-in-3 pair's target; perfbench checks found two-block tables by this name."""
+    return is_polymorphism(table, one_in_three_target(template))
 
 
-def propagate(template: TemplatePair, n: int, seed: dict[int, int]) -> tuple[dict[int, int], PropagationTrace]:
+def propagate(target: RelStructure, n: int, seed: dict[int, int]) -> tuple[dict[int, int], PropagationTrace]:
     """Forward-checking fixpoint of the arity-n search network from the seeded weights, weight -> color.
 
     For every triple with two assigned weights the third weight's candidate
@@ -99,7 +99,7 @@ def propagate(template: TemplatePair, n: int, seed: dict[int, int]) -> tuple[dic
     """
     if n < 1:
         raise ValueError("arity must be >= 1")
-    net = _search_network(template, (n,), range(n + 1))
+    net = _search_network(target, (n,), range(n + 1))
     k = net.k
     cand = [net.full] * net.ncells
     for w, v in seed.items():
@@ -138,15 +138,17 @@ def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
     return tuple(sorted(min(orbit) for orbit in automorphism_orbits(target)))
 
 
-def _first_solution(template: TemplatePair, blocks, branch_order, use_wlog: bool, deadline):
-    """The first table on the cells of the coordinate blocks, or None, with the nodes searched."""
-    net = _search_network(template, blocks, branch_order, deadline)
-    wlog = _wlog_colors(template.target) if use_wlog else None
-    return next(net.solutions(wlog, deadline), None), net.nodes
+def _first_solution(target: RelStructure, blocks, branch_order, use_wlog: bool, deadline) -> SearchResult:
+    """The first table on the cells of the coordinate blocks, or None, checked, with the nodes searched."""
+    net = _search_network(target, blocks, branch_order, deadline)
+    values = next(net.solutions(_wlog_colors(target) if use_wlog else None, deadline), None)
+    table = None if values is None else BlockTable(blocks, target.domain_size, values)
+    assert table is None or is_polymorphism(table, target)
+    return SearchResult(table, net.nodes)
 
 
 def search_symmetric(
-    template: TemplatePair,
+    target: RelStructure,
     n: int,
     *,
     use_wlog: bool = True,
@@ -158,10 +160,7 @@ def search_symmetric(
     """
     if n < 1:
         raise ValueError("arity must be >= 1")
-    values, nodes = _first_solution(template, (n,), range(n + 1), use_wlog, deadline)
-    table = None if values is None else BlockTable((n,), template.target.domain_size, values)
-    assert table is None or is_symmetric_polymorphism(table, template)
-    return SearchResult(table, nodes)
+    return _first_solution(target, (n,), range(n + 1), use_wlog, deadline)
 
 
 def _block_branch_order(k1: int, k2: int) -> list[int]:
@@ -184,7 +183,7 @@ def _block_branch_order(k1: int, k2: int) -> list[int]:
 
 
 def search_block_symmetric(
-    template: TemplatePair,
+    target: RelStructure,
     k1: int,
     k2: int,
     *,
@@ -194,10 +193,7 @@ def search_block_symmetric(
     """Backtracking search for a two-block weight table; `deadline` works as in search_symmetric."""
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be >= 1")
-    values, nodes = _first_solution(template, (k1, k2), _block_branch_order(k1, k2), use_wlog, deadline)
-    table = None if values is None else BlockTable((k1, k2), template.target.domain_size, values)
-    assert table is None or is_block_symmetric_polymorphism(table, template)
-    return SearchResult(table, nodes)
+    return _first_solution(target, (k1, k2), _block_branch_order(k1, k2), use_wlog, deadline)
 
 
 def restrict_block_to_symmetric(table: BlockTable) -> BlockTable:
@@ -253,7 +249,7 @@ class ForcingCertificate:
         }
 
 
-def chplus23_certificate(template: TemplatePair, seed_color: int = 0) -> ForcingCertificate:
+def chplus23_certificate(target: RelStructure, seed_color: int = 0) -> ForcingCertificate:
     """Replay the arity-23 forced chain from f(8) = seed over the 4-cycle-plus target.
 
     Each step narrows one weight with a single compatibility triple whose
@@ -264,8 +260,8 @@ def chplus23_certificate(template: TemplatePair, seed_color: int = 0) -> Forcing
     arity 23 altogether.
     """
     n = 23
-    k = template.target.domain_size
-    allowed = allowed_table(template.target)
+    k = target.domain_size
+    allowed = allowed_table(target)
     assigned: dict[int, int] = {8: seed_color}
     forced: list[ForceEvent] = []
     for weight, triple in _REPLAY_SCRIPT:
@@ -283,10 +279,10 @@ def chplus23_certificate(template: TemplatePair, seed_color: int = 0) -> Forcing
 
     refutations = []
     for color in range(k):
-        _, trace = propagate(template, n, {**assigned, 6: color})
+        _, trace = propagate(target, n, {**assigned, 6: color})
         refutations.append((color, trace))
 
-    transitive = len(automorphism_orbits(template.target)) == 1
+    transitive = len(automorphism_orbits(target)) == 1
     return ForcingCertificate(
         n, 8, seed_color, tuple(forced), 6, tuple(refutations), transitive
     )

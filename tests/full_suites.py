@@ -16,14 +16,14 @@ from pcsplab.polymorphisms import enumerate_polymorphisms, subset_masks
 from pcsplab.properties import PROPERTY_CATALOG, MaskTables, SlicedTable
 
 
-def full_check_properties(template, property_ids, max_arity, counterexample_cap):
+def full_check_properties(target, property_ids, max_arity, counterexample_cap):
     """(examined, {id: [(arity, values, witness), ...]}) over every polymorphism up to max_arity."""
-    k = template.target.domain_size
+    k = target.domain_size
     examined = 0
     found = {pid: [] for pid in property_ids}
     for n in range(1, max_arity + 1):
         masks = MaskTables(n, k)
-        for values in enumerate_polymorphisms(template, n):
+        for values in enumerate_polymorphisms(target, n):
             examined += 1
             view = SlicedTable(values, masks)
             for pid in property_ids:
@@ -41,12 +41,12 @@ def coordinate_permutations(n):
     ]
 
 
-def brute_force_leaders(template, n, force=False):
+def brute_force_leaders(target, n, force=False):
     """[(values, orbit size)] for the tables that come first in stream order among their permutations."""
     key = operator.itemgetter(*subset_masks(n))
     permutations = coordinate_permutations(n)
     leaders = []
-    for values in enumerate_polymorphisms(template, n, force=force):
+    for values in enumerate_polymorphisms(target, n, force=force):
         orbit = {get(values) for get in permutations}
         if min(orbit, key=key) == values:
             leaders.append((values, len(orbit)))

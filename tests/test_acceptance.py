@@ -100,18 +100,18 @@ def test_criterion_2_tractability_witnesses():
 
         for n in range(1, 32):
             if n % 3 == 1:
-                result = search_symmetric(t2, n)
+                result = search_symmetric(t2.target, n)
                 assert result.table is not None, f"missing witness at arity {n}"
                 assert is_symmetric_polymorphism(result.table, t2)
 
         for n in range(1, 9):
-            assert (search_symmetric(t2, n).table is not None) == brute_symmetric_exists(
+            assert (search_symmetric(t2.target, n).table is not None) == brute_symmetric_exists(
                 named_template("T2"), n
             ), f"search disagrees with the brute-force oracle at arity {n}"
 
         nae = pair("1in3", "NAE")
         for k in range(1, 16):
-            result = search_block_symmetric(nae, k + 1, k)
+            result = search_block_symmetric(nae.target, k + 1, k)
             assert result.table is not None, f"missing block witness at ({k + 1}, {k})"
             assert is_block_symmetric_polymorphism(result.table, nae)
 
@@ -121,11 +121,11 @@ def test_criterion_2_tractability_witnesses():
         # n = 0 mod 3: the triple (n/3, n/3, n/3) forces 3 f(n/3) = 1 mod 3, impossible.
         for n in range(1, 11):
             if n % 3 == 0:
-                assert search_symmetric(t2, n).table is None, (
+                assert search_symmetric(t2.target, n).table is None, (
                     f"a symmetric witness was reported at arity {n} = 0 mod 3"
                 )
             elif n % 3 == 2:
-                result = search_symmetric(t2, n)
+                result = search_symmetric(t2.target, n)
                 assert result.table is not None, f"missing witness at arity {n} = 2 mod 3"
                 assert is_symmetric_polymorphism(result.table, t2)
 
@@ -134,7 +134,7 @@ def test_criterion_3_lemma_suites():
     with criterion(3, "all 15 catalog properties at arities <= 4"):
         start = time.monotonic()
         for pid, spec in sorted(PROPERTY_CATALOG.items()):
-            template = pair("1in3", spec.template_name)
+            template = named_template(spec.template_name)
             report = check_properties(template, [pid], 4)[0]
             assert report.holds, (pid, report.counterexamples[:1])
         assert time.monotonic() - start <= 600
@@ -144,7 +144,7 @@ def test_criterion_4_selector_suites():
     with criterion(4, "all 4 selectors over chains within arity <= 3"):
         start = time.monotonic()
         for name, spec in sorted(SELECTOR_CATALOG.items()):
-            template = pair("1in3", spec.template_name)
+            template = named_template(spec.template_name)
             report = verify_selector(template, spec, 3)
             assert report.holds, (name, report.violations[:1])
         assert time.monotonic() - start <= 600
@@ -256,9 +256,8 @@ def naive_polymorphism_set(target, n):
 def test_criterion_8_enumeration_oracle_equivalence():
     with criterion(8, "pruned enumeration equals naive filtering at arity <= 3"):
         for name in ("1in3", "NAE", "T1", "T2", "D1plus", "D2plus", "CH", "CHplus"):
-            template = pair("1in3", name)
             target = named_template(name)
             for n in (1, 2, 3):
-                stream = list(enumerate_polymorphisms(template, n))
+                stream = list(enumerate_polymorphisms(target, n))
                 assert len(stream) == len(set(stream)), "stream emitted a duplicate"
                 assert set(stream) == naive_polymorphism_set(target, n), (name, n)

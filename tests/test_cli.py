@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import re
 import warnings
@@ -338,12 +339,29 @@ def test_solve_parse_error(tmp_path, capsys):
         (parse_poly_table, "poly 1 2\n0 x\n1 1\n", "line 2: invalid literal"),
         (parse_poly_table, "poly -1 2\n", "line 1: arity must be >= 1"),
         (parse_poly_table, "poly 20000 2\n0 0\n", r"expected 2\*\*20000 table rows, got 1"),
+        (parse_poly_table, "", "missing poly header"),
+        (parse_poly_table, "poly 1 2\n0 0 0\n1 1\n", "line 2: expected '<bits> <value>'"),
+        (parse_poly_table, "poly 1 2\n2 0\n1 1\n", "line 2: bad subset bits"),
+        (parse_structure, "domain 2\ndomain 2\n", "line 2: bad domain header"),
+        (parse_structure, "domain 2\nt 0 0 1\n", "line 2: tuple before any rel header"),
+        (parse_structure, "", "missing domain header"),
+        (parse_instance, "p hyp3 3 1\ne 1 2\n", "line 2: edge needs three entries"),
+        (parse_instance, "", "missing problem header"),
     ],
-    ids=["structure-domain", "structure-tuple", "instance-header", "instance-edge", "table-value", "table-arity", "table-rows"],
+    ids=[
+        "structure-domain", "structure-tuple", "instance-header", "instance-edge", "table-value", "table-arity", "table-rows",
+        "table-empty", "table-row-fields", "table-bits", "structure-second-domain", "structure-tuple-first",
+        "structure-empty", "instance-short-edge", "instance-empty",
+    ],
 )
 def test_parsers_name_the_line_of_a_bad_field(parse, text, message):
     with pytest.raises(FormatError, match=message):
         parse(text)
+
+
+def test_poly_table_parser_skips_comments_and_blank_lines():
+    table = parse_poly_table("# c\n\npoly 1 2\n0 0  # empty set\n1 1\n")
+    assert table.values == (0, 1)
 
 
 def test_solve_bad_field_names_its_line(tmp_path, capsys):
@@ -500,14 +518,58 @@ def test_solve_failure_label_names_target(tmp_path, capsys):
     assert code == 1 and "no T2-coloring found" in out
 
 
+SEARCH_SYM, SEARCH_BLOCK = ("search-sym", "NAE", "NAE", "4"), ("search-block", "NAE", "NAE", "2", "2")
+VERIFY = ("verify", "{table}", "--template", "NAE", "NAE")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [("search-sym", "NAE", "NAE", "4"), ("search-block", "NAE", "NAE", "2", "2")],
-    ids=["search-sym", "search-block"],
+    [
+        SEARCH_SYM,
+        (*SEARCH_SYM, "--json"),
+        SEARCH_BLOCK,
+        (*SEARCH_BLOCK, "--json"),
+        ("enumerate", "NAE", "NAE", "2"),
+        VERIFY,
+        (*VERIFY, "--json"),
+    ],
+    ids=[
+        "text-search-sym", "json-search-sym", "text-search-block", "json-search-block",
+        "text-enumerate", "text-verify", "json-verify",
+    ],
 )
-@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
-def test_poly_search_rejects_other_sources(capsys, argv, json_flag):
-    # weight tables are checked and searched only against the exactly-one-1 source
-    code, out, err = run(capsys, "poly", *argv, *json_flag)
+def test_poly_search_rejects_other_sources(tmp_path, capsys, argv):
+    # weight tables are checked and searched only against the exactly-one-1 source, on every poly command that takes a pair
+    table = tmp_path / "dictator.poly"
+    table.write_text(format_poly_table(dictator(2, 1)))
+    code, out, err = run(capsys, "poly", *(arg.format(table=table) for arg in argv))
     assert (code, out) == (2, "")
     assert err == "error: partition compatibility requires the exactly-one-1 Boolean source\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("search-sym", "1in3", "{target}", "4"), ("enumerate", "1in3", "{target}", "2")], ids=["search-sym", "enumerate"]
+)
+def test_poly_refuses_a_pair_without_a_homomorphism(tmp_path, capsys, argv):
+    # 1in3 repeats a value in every tuple, so it has no homomorphism to the six rainbow triples on 3 elements
+    target = tmp_path / "rainbow.txt"
+    target.write_text("domain 3\nrel 3\n" + "".join(f"t {a} {b} {c}\n" for a, b, c in itertools.permutations(range(3))))
+    code, out, err = run(capsys, "poly", *(arg.format(target=target) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid template: no homomorphism from source to target\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search-sym", "1in3", "T2", "0"), "arity must be >= 1"),
+        (("search-block", "1in3", "T2", "0", "3"), "block sizes must be >= 1"),
+        (("search-block", "1in3", "T2", "3", "0"), "block sizes must be >= 1"),
+    ],
+    ids=["sym-0", "block-0-3", "block-3-0"],
+)
+def test_poly_search_refuses_an_empty_shape(capsys, argv, message):
+    # the blocks (0, 3) have 4 cells, so without its guard that search would build a network and run
+    code, out, err = run(capsys, "poly", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

@@ -9,22 +9,18 @@ from pcsplab import errors, homs, polymorphisms
 from pcsplab.errors import TimeBudgetExceeded, deadline_after, expired
 from pcsplab.homs import hom_lattice
 from pcsplab.properties import SELECTOR_CATALOG, check_properties, properties_for_template, verify_selector
-from pcsplab.structures import TemplatePair, named_template, template_names_3
+from pcsplab.structures import named_template, template_names_3
 from pcsplab.symmetric import search_block_symmetric, search_symmetric
-
-
-def pair(src, tgt):
-    return TemplatePair(named_template(src), named_template(tgt))
 
 
 BUDGETED = {
     "hom_lattice": lambda deadline: hom_lattice([named_template(name) for name in template_names_3()], deadline=deadline),
-    "search_symmetric": lambda deadline: search_symmetric(pair("1in3", "T2"), 300, deadline=deadline),
-    "search_block_symmetric": lambda deadline: search_block_symmetric(pair("1in3", "T2"), 31, 30, deadline=deadline),
+    "search_symmetric": lambda deadline: search_symmetric(named_template("T2"), 300, deadline=deadline),
+    "search_block_symmetric": lambda deadline: search_block_symmetric(named_template("T2"), 31, 30, deadline=deadline),
     "check_properties": lambda deadline: check_properties(
-        pair("1in3", "T1"), properties_for_template("T1"), 3, deadline=deadline
+        named_template("T1"), properties_for_template("T1"), 3, deadline=deadline
     ),
-    "verify_selector": lambda deadline: verify_selector(pair("1in3", "T1"), SELECTOR_CATALOG["SEL_T1"], 3, deadline=deadline),
+    "verify_selector": lambda deadline: verify_selector(named_template("T1"), SELECTOR_CATALOG["SEL_T1"], 3, deadline=deadline),
 }
 
 
@@ -63,9 +59,9 @@ def spy_on(monkeypatch, enumerator, after=lambda n: None):
     real = getattr(properties_module, enumerator)
     calls = []
 
-    def spy(template, n, **kwargs):
+    def spy(target, n, **kwargs):
         calls.append((n, kwargs["deadline"]))
-        yield from real(template, n, **kwargs)
+        yield from real(target, n, **kwargs)
         after(n)
 
     monkeypatch.setattr(properties_module, enumerator, spy)

@@ -95,3 +95,14 @@ def test_only_the_command_line_makes_a_deadline():
                 budget_parameters.add(path.stem)
     assert makers == {"errors", "cli"}
     assert budget_parameters == set()
+
+
+def test_only_the_boundary_modules_name_template_pair():
+    # the library takes the target alone: a pair is built in structures, made from the command line's SRC TGT in cli,
+    # checked once by polymorphisms.one_in_three_target, and taken by symmetric's two answer checks of perfbench
+    namers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "TemplatePair" in {getattr(node, field, None) for field in ("id", "attr", "name")}:
+                namers.add(path.stem)  # a name, an attribute, an import or the definition
+    assert namers == {"structures", "cli", "polymorphisms", "symmetric"}

@@ -116,10 +116,9 @@ def test_networks_built_from_one_code_list_agree():
 
 
 def test_search_network_holds_flat_int_watch_lists():
-    template = TemplatePair(named_template("1in3"), named_template("NAE"))
     tracemalloc.start()
     try:
-        net = _search_network(template, (31, 30), _block_branch_order(31, 30))
+        net = _search_network(named_template("NAE"), (31, 30), _block_branch_order(31, 30))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -130,7 +129,7 @@ def test_search_network_holds_flat_int_watch_lists():
 
 
 def test_network_build_stops_at_its_deadline(monkeypatch):
-    template = TemplatePair(named_template("1in3"), named_template("T2"))
+    target = named_template("T2")
     calls, stop = 0, math.inf
 
     def clock():
@@ -143,7 +142,7 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
     # the clock passes the deadline ten reads after the partial triples are built, while the network reads the codes
     calls, stop = 0, calls + 10
     with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
-        _search_network(template, (2000,), range(2001), 0.5)
+        _search_network(target, (2000,), range(2001), 0.5)
     assert calls == stop + 1
 
 
@@ -151,7 +150,7 @@ def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):
     # one propagation can outlast the budget: the solution it reaches is not yielded
     now = 0.0
     monkeypatch.setattr(errors.time, "monotonic", lambda: now)
-    net = _search_network(TemplatePair(named_template("1in3"), named_template("T2")), (7,), range(8))
+    net = _search_network(named_template("T2"), (7,), range(8))
     propagate = net.propagate_from
 
     def slow(cand, queue, rows, on_narrow=None):
@@ -167,11 +166,12 @@ def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):
 
 
 def catalog_pairs():
+    """(name, target) for each catalog target that 1in3 maps to: TemplatePair refuses the others."""
     names = [name for name in NAMED_TEMPLATES if "<" not in name] + ["LO_3", "LO_4", "NAE_3", "NAE_4"]
     source = named_template("1in3")
     for name in names:
         try:
-            yield name, TemplatePair(source, named_template(name))
+            yield name, TemplatePair(source, named_template(name)).target
         except ValueError:
             continue
 
@@ -179,16 +179,16 @@ def catalog_pairs():
 def search_matrix():
     """(target, kind, shape, found, nodes or count, table values or count) over the catalog targets with a 1in3 pair."""
     entries = []
-    for name, template in catalog_pairs():
+    for name, target in catalog_pairs():
         for n in range(1, 13):
-            result = search_symmetric(template, n)
+            result = search_symmetric(target, n)
             entries.append((name, "sym", (n,), result.table is not None, result.nodes, table_values(result)))
         for k in range(1, 5):
             for shape in ((k + 1, k), (k, k + 1)):
-                result = search_block_symmetric(template, *shape)
+                result = search_block_symmetric(target, *shape)
                 entries.append((name, "block", shape, result.table is not None, result.nodes, table_values(result)))
         for n in range(1, 4):
-            count = sum(1 for _ in enumerate_polymorphisms(template, n))
+            count = sum(1 for _ in enumerate_polymorphisms(target, n))
             entries.append((name, "enumerate", (n,), count > 0, count, count))
     return entries
 
@@ -301,12 +301,12 @@ def assert_arc_consistent(net, triples, ok, rng):
 @pytest.mark.parametrize("target", ["LO_3", "T1", "D1plus", "CHplus", "NAE", "T2"])
 def test_on_narrow_reports_every_narrowing_under_support_rows(target):
     # twin tables narrow only under support rows, so this is the one place their reports are seen
-    template = TemplatePair(named_template("1in3"), named_template(target))
+    structure = named_template(target)
     rng = random.Random(target)
     narrowed = 0
     for blocks in [(4,), (5,), (2, 2), (1, 1, 1), (3, 2)]:
         ncells = math.prod(size + 1 for size in blocks)
-        net = _search_network(template, blocks, range(ncells))
+        net = _search_network(structure, blocks, range(ncells))
         for _ in range(20):
             start = [net.full] * ncells
             for cell in rng.sample(range(ncells), rng.randint(0, 2)):

@@ -23,6 +23,7 @@ from pcsplab.polymorphisms import (
     enumerate_polymorphisms,
     format_poly_table,
     is_polymorphism,
+    one_in_three_target,
     orbit_permutations,
     parse_poly_table,
     subset_masks,
@@ -68,15 +69,15 @@ def test_canonical_subset_order():
 
 
 def test_is_polymorphism_examples():
-    assert is_polymorphism(dictator(3, 1), pair("1in3", "1in3"))
-    assert is_polymorphism(alternating_threshold(), pair("1in3", "NAE"))
+    assert is_polymorphism(dictator(3, 1), named_template("1in3"))
+    assert is_polymorphism(alternating_threshold(), named_template("NAE"))
     constant0 = BlockTable((1, 1, 1), 2, (0,) * 8)
-    assert not is_polymorphism(constant0, pair("1in3", "1in3"))
+    assert not is_polymorphism(constant0, named_template("1in3"))
 
 
 def test_is_polymorphism_requires_one_in_three_source():
     with pytest.raises(ValueError):
-        is_polymorphism(dictator(2, 1), pair("NAE", "NAE"))
+        one_in_three_target(pair("NAE", "NAE"))
 
 
 def test_general_checker_unary_identity():
@@ -137,12 +138,12 @@ def test_block_table_reads_cells_in_mixed_radix():
 def test_checker_agreement_exhaustive():
     # partition test vs column-wise definition on every table of arity <= 3
     for name in ("T1", "D2plus"):
-        template = pair("1in3", name)
+        template = pair("1in3", name)  # the general test takes a pair
         k = template.target.domain_size
         for n in (1, 2, 3):
             for values in itertools.product(range(k), repeat=1 << n):
                 table = BlockTable((1,) * n, k, values)
-                assert is_polymorphism(table, template) == is_polymorphism_general(
+                assert is_polymorphism(table, template.target) == is_polymorphism_general(
                     boolean_to_general(table), template
                 )
 
@@ -151,7 +152,7 @@ def test_checker_agreement_exhaustive():
 def test_checker_agrees_with_general_test_on_repeated_rows(target):
     # arity 4 to 6 from one to three colours, so the checker's unit-block value rows repeat and it skips
     # row triples it has met; a dictator with one or two entries changed fails only deep in the walk
-    template = pair("1in3", target)
+    template = pair("1in3", target)  # the general test takes a pair
     k = template.target.domain_size
     rng = random.Random(target)
     verdicts = []
@@ -166,7 +167,7 @@ def test_checker_agrees_with_general_test_on_repeated_rows(target):
                 values[mask] = rng.choice([v for v in range(k) if v != values[mask]])
             values = tuple(values)
         table = BlockTable((1,) * n, k, values)
-        got = is_polymorphism(table, template)
+        got = is_polymorphism(table, template.target)
         assert got == is_polymorphism_general(boolean_to_general(table), template), (n, values)
         verdicts.append(got)
     assert True in verdicts and False in verdicts
@@ -183,9 +184,9 @@ class CountingRelation(frozenset):
 
 
 def test_block_checker_tests_each_row_triple_once():
-    template = pair("1in3", "NAE")
-    values = search_block_symmetric(template, 31, 30).table.values
-    rel = CountingRelation(template.target.single_ternary().as_set)
+    target = named_template("NAE")
+    values = search_block_symmetric(target, 31, 30).table.values
+    rel = CountingRelation(target.single_ternary().as_set)
     assert _partitions_map_into((31, 30), values, rel)
     # the head prefixes are the compositions (a, b, c) of the first block, each fixing three rows of 31 values
     rows = [values[w * 31 : w * 31 + 31] for w in range(32)]
@@ -194,7 +195,7 @@ def test_block_checker_tests_each_row_triple_once():
     assert rel.calls == len({(rows[a], rows[b], rows[c]) for a, b, c in prefixes}) == 6
     # zeros on the rows of the first prefix, (0, 0, 31), fail it, and the checker stops at that first chunk
     broken = (0,) * 31 + values[31:-31] + (0,) * 31
-    rel = CountingRelation(template.target.single_ternary().as_set)
+    rel = CountingRelation(target.single_ternary().as_set)
     assert not _partitions_map_into((31, 30), broken, rel)
     assert rel.calls == 1
 
@@ -205,30 +206,30 @@ def test_unit_block_checker_scales_to_arity_16(case):
     # and a value row is (0, 1) everywhere for the first dictator, (0, 0) or (1, 1) for the last one, and fixed
     # by its prefix's weight for a symmetric table
     if case == "T2-symmetric":
-        template = pair("1in3", "T2")
-        weights = search_symmetric(template, 16).table.values
+        target = named_template("T2")
+        weights = search_symmetric(target, 16).table.values
         values = tuple(weights[mask.bit_count()] for mask in range(1 << 16))
         rows = [weights[w : w + 2] for w in range(16)]
         triples = len({(rows[a], rows[b], rows[15 - a - b]) for a in range(16) for b in range(16 - a)})
     else:
-        template = pair("1in3", "NAE")
+        target = named_template("NAE")
         values = dictator(16, int(case[9:])).values
         triples = 1 if case == "dictator-1" else 3
     start = time.perf_counter()
-    assert is_polymorphism(BlockTable((1,) * 16, template.target.domain_size, values), template)
+    assert is_polymorphism(BlockTable((1,) * 16, target.domain_size, values), target)
     assert time.perf_counter() - start < 2
-    rel = CountingRelation(template.target.single_ternary().as_set)
+    rel = CountingRelation(target.single_ternary().as_set)
     assert _partitions_map_into((1,) * 16, values, rel)
     assert rel.calls == triples
 
 
 def test_checker_reads_the_last_block_one_part_at_a_time():
     # index columns over the r(r+1)/2 compositions of this table's one block took 8.33 MB
-    template = pair("1in3", "T2")
-    table = search_symmetric(template, 601).table
+    target = named_template("T2")
+    table = search_symmetric(target, 601).table
     tracemalloc.start()
     try:
-        holds = is_polymorphism(table, template)
+        holds = is_polymorphism(table, target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,11 +271,11 @@ def test_orbit_permutations_rename_coordinates():
 
 def test_enumerate_unary_one_in_three():
     assert inspect.isgeneratorfunction(enumerate_polymorphisms)
-    assert list(enumerate_polymorphisms(pair("1in3", "1in3"), 1)) == [(0, 1)]
+    assert list(enumerate_polymorphisms(named_template("1in3"), 1)) == [(0, 1)]
 
 
 def test_enumerate_includes_at3_and_dictators():
-    found = set(enumerate_polymorphisms(pair("1in3", "NAE"), 3))
+    found = set(enumerate_polymorphisms(named_template("NAE"), 3))
     assert alternating_threshold().values in found
     for i in (1, 2, 3):
         assert dictator(3, i).values in found
@@ -282,15 +283,14 @@ def test_enumerate_includes_at3_and_dictators():
 
 def test_enumerate_unconstrained_target():
     full = make_structure(2, [set(itertools.product(range(2), repeat=3))])
-    template = TemplatePair(named_template("1in3"), full)
-    assert sum(1 for _ in enumerate_polymorphisms(template, 2)) == 2 ** 4
+    assert sum(1 for _ in enumerate_polymorphisms(full, 2)) == 2 ** 4
 
 
 def test_enumerate_matches_naive_counts():
-    template = pair("1in3", "T2")
+    target = named_template("T2")
     expected = [3, 9, 27]  # brute-force filter counts at arities 1..3
     for n, count in zip((1, 2, 3), expected):
-        stream = list(enumerate_polymorphisms(template, n))
+        stream = list(enumerate_polymorphisms(target, n))
         assert len(stream) == count
         assert len(set(stream)) == count
         assert set(stream) == naive_polymorphisms(named_template("T2"), n)
@@ -298,25 +298,24 @@ def test_enumerate_matches_naive_counts():
 
 def test_enumeration_canonical_stream_order():
     order = subset_masks(3)
-    keys = [tuple(values[m] for m in order) for values in enumerate_polymorphisms(pair("1in3", "D2plus"), 3)]
+    keys = [tuple(values[m] for m in order) for values in enumerate_polymorphisms(named_template("D2plus"), 3)]
     assert keys == sorted(keys)
 
 
 def test_enumerated_minors_stay_polymorphisms():
     rng = random.Random(47)
-    template = pair("1in3", "D2plus")
-    tables = [BlockTable((1, 1, 1), 3, values) for values in enumerate_polymorphisms(template, 3)]
+    target = named_template("D2plus")
+    tables = [BlockTable((1, 1, 1), 3, values) for values in enumerate_polymorphisms(target, 3)]
     for f in rng.sample(tables, 20):
         m = rng.randint(1, 3)
         alpha = MinorMap(3, m, tuple(rng.randint(1, m) for _ in range(3)))
         g = BlockTable((1,) * m, 3, tuple(f.values[p] for p in alpha.pull()))
-        assert is_polymorphism(g, template)
+        assert is_polymorphism(g, target)
 
 
 def test_enumerate_non_symmetric_target_matches_brute_force():
     # a table value triple must fit the relation in every order, not in some order
     target = make_structure(3, [{(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 1)}])
-    template = TemplatePair(named_template("1in3"), target)
     for n in (1, 2, 3):
         order = subset_masks(n)
         brute = []
@@ -325,9 +324,9 @@ def test_enumerate_non_symmetric_target_matches_brute_force():
             for mask, v in zip(order, row):
                 values[mask] = v
             table = BlockTable((1,) * n, 3, tuple(values))
-            if is_polymorphism(table, template):
+            if is_polymorphism(table, target):
                 brute.append(table.values)
-        assert list(enumerate_polymorphisms(template, n)) == brute, n
+        assert list(enumerate_polymorphisms(target, n)) == brute, n
 
 
 # count and SHA-256 of `poly enumerate` stdout (one line of values along the
@@ -347,7 +346,7 @@ def test_enumeration_stream_pinned(name, n, count, digest):
     order = subset_masks(n)
     sha = hashlib.sha256()
     seen = 0
-    for values in enumerate_polymorphisms(pair("1in3", name), n, force=True):
+    for values in enumerate_polymorphisms(named_template(name), n, force=True):
         sha.update(("".join(str(values[m]) for m in order) + "\n").encode())
         seen += 1
     assert (seen, sha.hexdigest()) == (count, digest)
@@ -357,10 +356,10 @@ def test_enumerate_arity_cap():
     # past the cap the library raises without force and stays silent with it: the command line gives the notice
     for enumerate_tables in (enumerate_polymorphisms, enumerate_orbits):
         with pytest.raises(ArityBoundError):
-            next(enumerate_tables(pair("1in3", "1in3"), 6))
+            next(enumerate_tables(named_template("1in3"), 6))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            next(enumerate_tables(pair("1in3", "1in3"), 6, force=True))
+            next(enumerate_tables(named_template("1in3"), 6, force=True))
         assert not caught, enumerate_tables
 
 

@@ -32,15 +32,11 @@ from pcsplab.properties import (
     properties_for_template,
     verify_selector,
 )
-from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
-
-
-def pair(src, tgt):
-    return TemplatePair(named_template(src), named_template(tgt))
+from pcsplab.structures import NAMED_TEMPLATES, named_template
 
 
 def test_Ef_odd_for_enumerated_t1_polymorphisms():
-    template = pair("1in3", "T1")
+    template = named_template("T1")
     for values in enumerate_polymorphisms(template, 3):
         if values[0] == 0:
             e = sum(1 for i in range(3) if values[1 << i] != 0)
@@ -227,21 +223,21 @@ def test_property_catalog_complete():
 
 def test_all_properties_hold_at_arity_three():
     for pid, spec in PROPERTY_CATALOG.items():
-        template = pair("1in3", spec.template_name)
+        template = named_template(spec.template_name)
         report = check_properties(template, [pid], 3)[0]
         assert report.holds, (pid, report.counterexamples[:1])
         assert report.examined > 0
 
 
 def test_property_sanity_on_projection_minion():
-    report = check_properties(pair("1in3", "1in3"), ["D1_no_disjoint"], 3)[0]
+    report = check_properties(named_template("1in3"), ["D1_no_disjoint"], 3)[0]
     assert report.holds
 
 
 def test_property_counterexample_reporting_and_reverification():
     # the no-disjoint fact is specific to its home template: against the
     # not-all-equal target it fails and every witness must re-verify
-    report = check_properties(pair("1in3", "NAE"), ["D1_no_disjoint"], 3)[0]
+    report = check_properties(named_template("NAE"), ["D1_no_disjoint"], 3)[0]
     assert not report.holds
     for ce in report.counterexamples:
         tag, color, x, y = ce.witness
@@ -253,7 +249,7 @@ def test_property_counterexample_reporting_and_reverification():
 def test_one_pass_reports_match_single_property_checks():
     # the shared pass keeps each property's own counterexamples and cap;
     # D1_no_disjoint fails against NAE, so its cap of two is reached
-    template = pair("1in3", "NAE")
+    template = named_template("NAE")
     ids = ["D1_small_iset", "D1_no_disjoint"]
     joint = check_properties(template, ids, 3, counterexample_cap=2)
     assert [report.property_id for report in joint] == ids
@@ -281,9 +277,9 @@ def test_sliced_predicates_match_loops_on_catalog_tables():
     for name in NAMED_TEMPLATES:
         if "<" in name:
             continue
-        template = pair("1in3", name)
+        template = named_template(name)
         for n in (1, 2, 3):
-            masks = MaskTables(n, template.target.domain_size)
+            masks = MaskTables(n, template.domain_size)
             for values in enumerate_polymorphisms(template, n):
                 violations += len(_assert_loops_agree(values, masks))
     assert violations > 30000
@@ -304,8 +300,8 @@ def test_sliced_predicates_match_loops_on_random_tables():
 
 @pytest.mark.parametrize("name", ["T1", "CH"])
 def test_sliced_predicates_match_loops_on_arity_four_streams(name):
-    template = pair("1in3", name)
-    masks = MaskTables(4, template.target.domain_size)
+    template = named_template(name)
+    masks = MaskTables(4, template.domain_size)
     for values in enumerate_polymorphisms(template, 4):
         _assert_loops_agree(values, masks)
 
@@ -316,10 +312,10 @@ ORBIT_TARGETS = ["T1", "D1plus", "D2plus", "CH", "NAE", "T2", "1in3"]
 @pytest.mark.parametrize("name", ORBIT_TARGETS)
 def test_predicates_invariant_under_coordinate_permutations(name):
     # check_properties runs each predicate on one table per orbit: pass or fail must not see the coordinate names
-    template = pair("1in3", name)
+    template = named_template(name)
     predicates = [spec.predicate for spec in PROPERTY_CATALOG.values()]
     for n in range(1, 5 if name in ("T1", "CH", "D2plus") else 4):
-        masks = MaskTables(n, template.target.domain_size)
+        masks = MaskTables(n, template.domain_size)
         permutations = coordinate_permutations(n)
         for values in enumerate_polymorphisms(template, n):
             fails = [p(SlicedTable(values, masks)) is not None for p in predicates]
@@ -329,7 +325,7 @@ def test_predicates_invariant_under_coordinate_permutations(name):
 
 @pytest.mark.parametrize("name", ORBIT_TARGETS)
 def test_orbit_suites_match_full_enumeration(name):
-    template = pair("1in3", name)
+    template = named_template(name)
     ids = list(PROPERTY_CATALOG)
     examined, found = full_check_properties(template, ids, 4, 25)
     if name == "NAE":
@@ -343,7 +339,7 @@ def test_orbit_suites_match_full_enumeration(name):
 
 @pytest.mark.parametrize("name", ORBIT_TARGETS)
 def test_orbit_leaders_match_brute_force(name):
-    template = pair("1in3", name)
+    template = named_template(name)
     for n in range(1, 5):
         assert list(enumerate_orbits(template, n)) == brute_force_leaders(template, n), n
 
@@ -351,13 +347,13 @@ def test_orbit_leaders_match_brute_force(name):
 @pytest.mark.parametrize("name", ["CH", "T2"])
 def test_orbit_leaders_match_brute_force_past_arity_4(name):
     # the prune carries tied permutations across layers; arity 6 permutes every coordinate, all 720 of S_6
-    template = pair("1in3", name)
+    template = named_template(name)
     for n in (5, 6):
         assert list(enumerate_orbits(template, n, force=True)) == brute_force_leaders(template, n, force=True), n
 
 
 def test_orbit_leaders_pinned_t1_arity_five():
-    leaders = list(enumerate_orbits(pair("1in3", "T1"), 5))
+    leaders = list(enumerate_orbits(named_template("T1"), 5))
     assert (len(leaders), sum(size for _, size in leaders)) == (4022, 328582)
 
 
@@ -367,7 +363,7 @@ def test_check_properties_keeps_no_module_state():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout == "0\n"
     before = dict(vars(properties_module))
-    template = pair("1in3", "T1")
+    template = named_template("T1")
     ids = properties_for_template("T1")
     first = check_properties(template, ids, 3)
     second = check_properties(template, ids, 3)
@@ -393,7 +389,7 @@ def test_arity_cap_refused_before_any_enumeration(monkeypatch):
 
     monkeypatch.setattr(properties_module, "enumerate_orbits", refuse)
     monkeypatch.setattr(properties_module, "enumerate_polymorphisms", refuse)
-    template = pair("1in3", "T1")
+    template = named_template("T1")
     with pytest.raises(ArityBoundError):
         check_properties(template, properties_for_template("T1"), 6)
     with pytest.raises(ArityBoundError):
@@ -405,11 +401,11 @@ def test_arity_cap_refused_before_any_enumeration(monkeypatch):
 
 def test_unknown_property_id():
     with pytest.raises(KeyError):
-        check_properties(pair("1in3", "T1"), ["NOSUCH"], 2)
+        check_properties(named_template("T1"), ["NOSUCH"], 2)
 
 
 def test_report_json_shape():
-    report = check_properties(pair("1in3", "D2plus"), ["D2_unions"], 2)[0]
+    report = check_properties(named_template("D2plus"), ["D2_unions"], 2)[0]
     data = report.to_dict()
     assert data["property"] == "D2_unions"
     assert data["examined"] == report.examined
@@ -418,7 +414,7 @@ def test_report_json_shape():
 
 def test_counterexample_report_json_pinned():
     # SHA-256 of the failing report without elapsed_ms: pins the --json schema of counterexamples
-    data = check_properties(pair("1in3", "NAE"), ["D1_no_disjoint"], 3)[0].to_dict()
+    data = check_properties(named_template("NAE"), ["D1_no_disjoint"], 3)[0].to_dict()
     del data["elapsed_ms"]
     assert (data["examined"], len(data["counterexamples"])) == (44, 25)
     digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
@@ -432,7 +428,7 @@ def test_selector_catalog_parameters():
 
 def test_selector_rules_total_and_bounded():
     for spec in SELECTOR_CATALOG.values():
-        template = pair("1in3", spec.template_name)
+        template = named_template(spec.template_name)
         for n in (1, 2, 3):
             for values in enumerate_polymorphisms(template, n):
                 chosen = spec.rule(values, n)
@@ -443,7 +439,7 @@ def test_selector_rules_total_and_bounded():
 def test_selector_d1_tie_breaking():
     # prefers a 2-set over a 1-set, then smaller, then lexicographic
     spec = SELECTOR_CATALOG["SEL_D1"]
-    template = pair("1in3", "D1plus")
+    template = named_template("D1plus")
     for values in enumerate_polymorphisms(template, 3):
         chosen = spec.rule(values, 3)
         if values[chosen] == 1:
@@ -509,7 +505,7 @@ def test_selector_rules_match_loops_on_random_tables():
 
 def test_verify_selectors_hold_at_arity_two():
     for spec in SELECTOR_CATALOG.values():
-        template = pair("1in3", spec.template_name)
+        template = named_template(spec.template_name)
         report = verify_selector(template, spec, 2)
         assert report.holds, (spec.name, report.violations[:1])
         assert report.states_explored > 0
@@ -529,7 +525,7 @@ SELECTOR_STATE_PINS = [
 @pytest.mark.parametrize("name, max_arity, states", SELECTOR_STATE_PINS)
 def test_verify_selector_states_pinned(name, max_arity, states):
     spec = SELECTOR_CATALOG[name]
-    report = verify_selector(pair("1in3", spec.template_name), spec, max_arity)
+    report = verify_selector(named_template(spec.template_name), spec, max_arity)
     assert report.holds
     assert report.states_explored == states
 
@@ -542,7 +538,7 @@ def test_verify_selector_deadline_checked_per_state(monkeypatch):
     monkeypatch.setattr(properties_module, "enumerate_polymorphisms", unbounded)
     spec = SELECTOR_CATALOG["SEL_T1"]
     with pytest.raises(TimeBudgetExceeded, match="after 1 states"):
-        verify_selector(pair("1in3", spec.template_name), spec, 2, deadline=deadline_after(0))
+        verify_selector(named_template(spec.template_name), spec, 2, deadline=deadline_after(0))
 
 
 def test_verify_selector_refuses_a_minor_off_the_stream(monkeypatch):
@@ -556,7 +552,7 @@ def test_verify_selector_refuses_a_minor_off_the_stream(monkeypatch):
     monkeypatch.setattr(properties_module, "enumerate_polymorphisms", short)
     spec = SELECTOR_CATALOG["SEL_T1"]
     with pytest.raises(AssertionError, match="minor of a polymorphism left the enumerated stream"):
-        verify_selector(pair("1in3", spec.template_name), spec, 2)
+        verify_selector(named_template(spec.template_name), spec, 2)
 
 
 def test_verify_selector_violation_chains_pinned():
@@ -567,14 +563,14 @@ def test_verify_selector_violation_chains_pinned():
         3: (157, 77, "b44dd77f8e9244a78e2f22feb8e17a0c50c2e6bd1b9d481e0f9d879e5f3d67fe"),
     }
     for max_arity, (states, chains, digest) in pins.items():
-        data = verify_selector(pair("1in3", "T1"), empty_rule, max_arity).to_dict()
+        data = verify_selector(named_template("T1"), empty_rule, max_arity).to_dict()
         del data["elapsed_ms"]
         assert (data["states_explored"], len(data["violations"])) == (states, chains)
         assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
 
 
 def test_verify_selector_failures_in_arity_then_stream_order():
-    template = pair("1in3", "T1")
+    template = named_template("T1")
     last_unary = list(enumerate_polymorphisms(template, 1))[-1]
     calls = []
 
@@ -592,7 +588,7 @@ def test_verify_selector_failures_in_arity_then_stream_order():
 
 def test_verify_selector_report_shape():
     spec = SELECTOR_CATALOG["SEL_T1"]
-    report = verify_selector(pair("1in3", "T1"), spec, 2)
+    report = verify_selector(named_template("T1"), spec, 2)
     data = report.to_dict()
     assert data["selector"] == "SEL_T1"
     assert data["violations"] == []
@@ -604,7 +600,7 @@ def test_subunion_disjointness_is_needed():
     # keep it on record so the hypothesis is not dropped by accident
     values = (0, 0, 2, 1)  # f(empty)=0, f({1})=0, f({2})=2, f({1,2})=1
     table = BlockTable((1, 1), 3, values)
-    template = pair("1in3", "T1")
+    template = named_template("T1")
     from pcsplab.polymorphisms import is_polymorphism
 
     assert is_polymorphism(table, template)
@@ -619,7 +615,7 @@ def test_subunion_disjointness_is_needed():
 def test_verify_selector_detects_bad_rules():
     from pcsplab.properties import SelectorSpec, verify_selector
 
-    template = pair("1in3", "T1")
+    template = named_template("T1")
     # an empty selection can never intersect anything: every chain violates
     empty_rule = SelectorSpec("SEL_EMPTY", 1, 2, "T1", "always empty", lambda f, n: 0)
     report = verify_selector(template, empty_rule, 2)

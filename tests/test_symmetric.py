@@ -8,7 +8,7 @@ from general_tables import boolean_to_general, is_polymorphism_general
 
 from pcsplab.errors import TimeBudgetExceeded, deadline_after
 from pcsplab import polymorphisms
-from pcsplab.polymorphisms import BlockTable, enumerate_orbits, enumerate_polymorphisms, is_polymorphism
+from pcsplab.polymorphisms import BlockTable, enumerate_orbits, enumerate_polymorphisms, is_polymorphism, one_in_three_target
 from pcsplab.structures import TemplatePair, named_template
 from pcsplab.symmetric import (
     BlockSymTable,
@@ -111,9 +111,9 @@ def test_weight_checkers_agree_with_general_test(target):
     verdicts = []
     for shape in shapes:
         if len(shape) == 1:
-            found = search_symmetric(template, shape[0]).table
+            found = search_symmetric(template.target, shape[0]).table
         else:
-            found = search_block_symmetric(template, *shape).table
+            found = search_block_symmetric(template.target, *shape).table
         ncells = (shape[0] + 1) * (shape[1] + 1) if len(shape) == 2 else shape[0] + 1
         tables = [] if found is None else [found.values]
         for _ in range(6):
@@ -138,7 +138,7 @@ def test_block_checker_agrees_with_general_test_on_single_cell_changes(target):
     k = template.target.domain_size
     shapes = 0
     for shape in itertools.product(range(1, 5), range(1, 4)):
-        found = search_block_symmetric(template, *shape).table
+        found = search_block_symmetric(template.target, *shape).table
         if found is None:
             continue
         shapes += 1
@@ -162,7 +162,7 @@ def test_unit_block_checker_agrees_with_general_test_past_arity_6(target):
     verdicts = []
     for shape in [(7,), (8,), (4, 3), (3, 4), (5, 3), (4, 4), (5, 4), (4, 5)]:
         search = search_symmetric if len(shape) == 1 else search_block_symmetric
-        expanded = expand_weight_table(shape, search(template, *shape).table.values)
+        expanded = expand_weight_table(shape, search(template.target, *shape).table.values)
         tables = [tuple(expanded)]
         for mask in rng.sample(range(len(expanded)), 3):
             flipped = list(expanded)
@@ -170,28 +170,28 @@ def test_unit_block_checker_agrees_with_general_test_past_arity_6(target):
             tables.append(tuple(flipped))
         for values in tables:
             full = BlockTable((1,) * sum(shape), k, values)
-            got = is_polymorphism(full, template)
+            got = is_polymorphism(full, template.target)
             assert got == is_polymorphism_general(boolean_to_general(full), template), (shape, values)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
 
 
 def test_propagate_single_weight_force():
-    t2 = pair("1in3", "T2")
+    t2 = named_template("T2")
     assigned, trace = propagate(t2, 1, {0: 0})
     assert assigned == {0: 0, 1: 1}
     assert [(e.cell, e.color, e.triple) for e in trace.forced()] == [(1, 1, (0, 0, 1))]
 
 
 def test_propagate_empty_partial_is_inert():
-    t2 = pair("1in3", "T2")
+    t2 = named_template("T2")
     assigned, trace = propagate(t2, 5, {})
     assert assigned == {}
     assert trace.events == ()
 
 
 def test_propagate_t2_arity7_seed_zero():
-    t2 = pair("1in3", "T2")
+    t2 = named_template("T2")
     assigned, trace = propagate(t2, 7, {0: 0})
     assert assigned[7] == 1
     assert trace.forced()[0].triple == (0, 0, 7)
@@ -221,7 +221,7 @@ def fixpoint_oracle(target, n, seed):
 
 
 def test_propagate_chplus_arity23_seeded_fixpoint():
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     assigned, trace = propagate(chp, 23, {8: 0})
     forced = [(e.cell, e.color, e.triple) for e in trace.forced()]
     assert forced == [
@@ -250,7 +250,7 @@ def test_propagate_chplus_arity23_seeded_fixpoint():
 
 
 def test_chplus23_certificate_seed_zero():
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     cert = chplus23_certificate(chp, 0)
     assert [(e.cell, e.color, e.triple) for e in cert.forced] == [
         (7, 1, (7, 8, 8)),
@@ -269,7 +269,7 @@ def test_chplus23_certificate_seed_zero():
 
 
 def test_chplus23_certificate_other_seeds_shift():
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     base = {7: 1, 9: 2, 5: 3, 13: 0, 2: 1, 14: 2, 0: 3}
     for seed in (1, 2, 3):
         cert = chplus23_certificate(chp, seed)
@@ -280,17 +280,17 @@ def test_chplus23_certificate_other_seeds_shift():
 
 def test_search_symmetric_t2():
     t2 = pair("1in3", "T2")
-    found = search_symmetric(t2, 7)
+    found = search_symmetric(t2.target, 7)
     assert found.table is not None
     assert is_symmetric_polymorphism(found.table, t2)
 
-    missing = search_symmetric(t2, 6)
+    missing = search_symmetric(t2.target, 6)
     assert missing.table is None
     assert brute_symmetric_exists(named_template("T2"), 6) is None
 
 
 def test_search_symmetric_chplus23_nonexistence():
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     result = search_symmetric(chp, 23)
     assert result.table is None
 
@@ -298,16 +298,15 @@ def test_search_symmetric_chplus23_nonexistence():
 def test_search_agrees_with_brute_oracle():
     cases = [("T2", range(1, 8)), ("NAE", range(1, 8)), ("CHplus", range(1, 7)), ("T1", range(1, 7))]
     for name, arities in cases:
-        template = pair("1in3", name)
         target = named_template(name)
         for n in arities:
-            found = search_symmetric(template, n).table is not None
+            found = search_symmetric(target, n).table is not None
             assert found == (brute_symmetric_exists(target, n) is not None), (name, n)
 
 
 def test_search_wlog_does_not_change_answers():
     for name in ("T2", "NAE", "T1", "D2plus", "CHplus", "CH"):
-        template = pair("1in3", name)
+        template = named_template(name)
         for n in (3, 4, 6, 7, 10):
             with_wlog = search_symmetric(template, n, use_wlog=True).table is not None
             without = search_symmetric(template, n, use_wlog=False).table is not None
@@ -316,7 +315,7 @@ def test_search_wlog_does_not_change_answers():
 
 def test_search_block_nae_exists():
     nae = pair("1in3", "NAE")
-    result = search_block_symmetric(nae, 3, 2)
+    result = search_block_symmetric(nae.target, 3, 2)
     assert result.table is not None
     assert is_block_symmetric_polymorphism(result.table, nae)
     # the weight-comparison table is itself a witness
@@ -329,7 +328,7 @@ def test_search_block_nae_exists():
 def test_search_block_t2_exists_mod3():
     t2 = pair("1in3", "T2")
     k1, k2 = 4, 3  # k1 = k2 + 1 and k1 + k2 = 7 = 1 mod 3
-    result = search_block_symmetric(t2, k1, k2)
+    result = search_block_symmetric(t2.target, k1, k2)
     assert result.table is not None
     assert is_block_symmetric_polymorphism(result.table, t2)
     modsum = BlockTable((k1, k2), 3, tuple(
@@ -339,14 +338,14 @@ def test_search_block_t2_exists_mod3():
 
 
 def test_search_block_chplus_23_24_nonexistence():
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     result = search_block_symmetric(chp, 23, 24)
     assert result.table is None
 
 
 def test_search_leaves_recursion_limit_alone():
     # the search keeps its own stack: a low interpreter limit is enough and stays as set
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
@@ -368,7 +367,7 @@ def test_search_leaves_recursion_limit_alone():
 )
 def test_search_node_counts_pinned(target, shape, found, nodes):
     # the branch order and the wlog colors fix these counts; any engine change that alters them shows here
-    template = pair("1in3", target)
+    template = named_template(target)
     if len(shape) == 1:
         result = search_symmetric(template, *shape)
     else:
@@ -386,7 +385,7 @@ def test_lo3_frontier():
         ("block", search_block_symmetric, is_block_symmetric_polymorphism, [(k + 1, k) for k in range(1, 16)]),
     ):
         for shape in shapes:
-            result = search(lo3, *shape, deadline=deadline_after(5))
+            result = search(lo3.target, *shape, deadline=deadline_after(5))
             if result.table is None:
                 assert result.nodes <= 4, shape
             else:
@@ -397,7 +396,7 @@ def test_lo3_frontier():
 
 def test_restrict_block_to_symmetric():
     nae = pair("1in3", "NAE")
-    g = search_block_symmetric(nae, 4, 3).table
+    g = search_block_symmetric(nae.target, 4, 3).table
     assert g is not None
     f = restrict_block_to_symmetric(g)
     assert f.arity == 4
@@ -418,7 +417,7 @@ def test_block_table_value_checks_weights():
 
 def test_restrict_block_smallest_shape():
     nae = pair("1in3", "NAE")
-    g = search_block_symmetric(nae, 1, 3).table
+    g = search_block_symmetric(nae.target, 1, 3).table
     assert g is not None
     f = restrict_block_to_symmetric(g)
     assert f.arity == 1
@@ -428,14 +427,14 @@ def test_restrict_block_smallest_shape():
 def test_block_triples_rule_out_three_by_three():
     # with both blocks divisible by 3 the equal-split partition forces a
     # constant triple, so no not-all-equal block table exists at (3,3)
-    nae = pair("1in3", "NAE")
+    nae = named_template("NAE")
     assert search_block_symmetric(nae, 3, 3).table is None
 
 
 def test_restrict_matches_full_table_expansion():
     # expand a block table over blocks {1,2}, {3,4,5} to a full cube table
     # and compare the restriction against concrete subset evaluations
-    nae = pair("1in3", "NAE")
+    nae = named_template("NAE")
     g = search_block_symmetric(nae, 2, 3).table
     assert g is not None
     n = 5
@@ -456,14 +455,14 @@ def test_restrict_matches_full_table_expansion():
 def test_block_and_symmetric_nonexistence_consistency():
     # restriction argument: a block (23,24) table would yield an arity-23
     # table, so the two negative answers must agree
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     sym_none = search_symmetric(chp, 23).table is None
     block_none = search_block_symmetric(chp, 23, 24).table is None
     assert sym_none and block_none
 
 
 def test_time_budget_aborts():
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     with pytest.raises(TimeBudgetExceeded):
         search_symmetric(chp, 23, deadline=deadline_after(0.0))
 
@@ -484,13 +483,13 @@ def test_time_budget_is_checked_before_the_network_is_built(monkeypatch, search)
 
     monkeypatch.setattr(polymorphisms, "Network", refuse)
     with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
-        search(pair("1in3", "T2"))
+        search(named_template("T2"))
 
 
 def test_propagate_contradiction_event_recorded():
     # weights 0 and 2 both pinned to color 0: triple (0, 0, 2) empties the
     # candidate set at the first slot it narrows
-    t2 = pair("1in3", "T2")
+    t2 = named_template("T2")
     _, trace = propagate(t2, 2, {0: 0, 2: 0})
     contradiction = trace.contradiction
     assert contradiction is not None
@@ -516,7 +515,7 @@ def test_wlog_equivalence_all_named_targets():
     from pcsplab.structures import template_names_3
 
     for name in template_names_3() + ["CH", "CHplus"]:
-        template = pair("1in3", name)
+        template = named_template(name)
         for n in range(1, 11):
             with_wlog = search_symmetric(template, n, use_wlog=True).table is not None
             without = search_symmetric(template, n, use_wlog=False).table is not None
@@ -545,12 +544,11 @@ def test_propagate_soundness_random_seeds():
     targets = ["T2", "NAE", "T1", "D2plus", "CH"]
     for _ in range(60):
         name = rng.choice(targets)
-        template = pair("1in3", name)
         target = named_template(name)
         k = target.domain_size
         n = rng.randint(1, 6)
         seed = {w: rng.randrange(k) for w in rng.sample(range(n + 1), rng.randint(0, min(2, n)))}
-        assigned, trace = propagate(template, n, seed)
+        assigned, trace = propagate(target, n, seed)
         # differential check against the order-free fixpoint
         cand = fixpoint_oracle(target, n, seed)
         assert (trace.contradiction is not None) == any(not c for c in cand), (name, n, seed)
@@ -587,17 +585,16 @@ def brute_block_exists(target, k1, k2):
 
 def test_block_search_agrees_with_brute_oracle():
     for name in ("T2", "NAE", "1in3"):
-        template = pair("1in3", name)
         target = named_template(name)
         for k1 in (1, 2):
             for k2 in (1, 2):
-                found = search_block_symmetric(template, k1, k2).table is not None
+                found = search_block_symmetric(target, k1, k2).table is not None
                 assert found == brute_block_exists(target, k1, k2), (name, k1, k2)
 
 
 def test_shape_mismatches_rejected():
     # a seed names a weight in 0..n and a color of the target
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     for seed in ({6: 0}, {-1: 0}, {0: 4}, {0: -1}, {0: 0, 3: None}):
         with pytest.raises(ValueError, match="outside weights 0..5 or colors 0..3"):
             propagate(chp, 5, seed)
@@ -607,7 +604,7 @@ def test_shape_mismatches_rejected():
 
 def test_propagate_queues_seeds_in_ascending_order():
     # the trace depends on the order seeds are queued in, never on the order the dict was built in
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     seed = {8: 0, 7: 1, 9: 2, 5: 3, 13: 0, 2: 1, 14: 2, 0: 3, 6: 1}
     ascending = propagate(chp, 23, dict(sorted(seed.items())))
     assert propagate(chp, 23, seed) == ascending
@@ -617,18 +614,19 @@ def test_propagate_queues_seeds_in_ascending_order():
 
 def test_chplus_symmetric_frontier():
     # existence flips for good between arities 14 and 17; instant either way
-    chp = pair("1in3", "CHplus")
+    chp = named_template("CHplus")
     assert search_symmetric(chp, 11).table is not None
     assert search_symmetric(chp, 14).table is not None
     assert search_symmetric(chp, 17).table is None
     assert search_symmetric(chp, 20).table is None
 
 
-# every weight-table check and search, each on a shape that fits a target of k colors
+# every weight-table check and search, each on a shape that fits a target of k colors; the searches and
+# propagate take a target, so a pair reaches them through one_in_three_target, as on the command line
 WEIGHT_CALLS = {
-    "search_sym": lambda t, k: search_symmetric(t, 4),
-    "search_block": lambda t, k: search_block_symmetric(t, 2, 2),
-    "propagate": lambda t, k: propagate(t, 3, {0: 0}),
+    "search_sym": lambda t, k: search_symmetric(one_in_three_target(t), 4),
+    "search_block": lambda t, k: search_block_symmetric(one_in_three_target(t), 2, 2),
+    "propagate": lambda t, k: propagate(one_in_three_target(t), 3, {0: 0}),
     "is_sym": lambda t, k: is_symmetric_polymorphism(BlockTable((3,), k, (0,) * 4), t),
     "is_block": lambda t, k: is_block_symmetric_polymorphism(BlockTable((2, 2), k, (0,) * 9), t),
 }
