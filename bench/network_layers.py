@@ -39,6 +39,16 @@ records how far each phase raised the process's peak resident set
 network again under tracemalloc and records the peak and the bytes still
 held once it exists, all in MB.
 
+Four start-up cases time whole fresh processes, from spawn to exit, as the
+`pcsplab` console script runs them: `import pcsplab.cli` alone, `gen 240
+180 7`, `solve NAE --prefer nae` reading that `gen`'s output, and `poly
+search-sym 1in3 LO_3 64` (phase `process`).  Each case runs once more,
+untimed, in an interpreter that counts the `pcsplab` modules loaded and the
+`@dataclass` decorations run; its exit code and a digest of its stdout are
+counters too.  The ledger records whether PYTHONDONTWRITEBYTECODE was set,
+since without it every interpreter after the first reads cached bytecode
+instead of compiling the package.
+
 Each tree's library must take the target alone, with 1-in-3 as the fixed
 source: the cases call `search_symmetric`, `enumerate_orbits`,
 `verify_selector` and `is_polymorphism` with a target, not a pair.
@@ -57,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import math
 import os
@@ -100,6 +111,38 @@ CASES = (
 KNESER = [(n, m) for n in range(2, 10) for m in range(1, 5) if n >= 2 * m] + [(10, 4)]
 # the cases the memory pass runs: those that search or check a table
 MEMORY_CASES = [label for label, _, _, phases in CASES if "network" in phases or "check" in phases]
+# (label, interpreter arguments, the label of the case whose stdout is this one's stdin); CONSOLE is what the
+# console script runs
+CONSOLE = "import sys; from pcsplab.cli import main; sys.exit(main())"
+STARTUP_CASES = (
+    ("start-up import pcsplab.cli", ["-c", "import pcsplab.cli"], None),
+    ("start-up gen 240 180 7", ["-c", CONSOLE, "gen", "240", "180", "7"], None),
+    ("start-up solve NAE", ["-c", CONSOLE, "solve", "NAE", "--prefer", "nae"], "start-up gen 240 180 7"),
+    ("start-up search-sym LO_3 64", ["-c", CONSOLE, "poly", "search-sym", "1in3", "LO_3", "64"], None),
+)
+# runs `-c CODE ARGS` given as CODE ARGS, counting the @dataclass decorations, and ends stderr with a JSON line of
+# that count and the pcsplab modules loaded
+COUNTING = """
+import dataclasses, json, sys
+decorations = 0
+plain = dataclasses.dataclass
+
+def counted(cls=None, /, **options):
+    def decorate(cls):
+        global decorations
+        decorations += 1
+        return plain(**options)(cls)
+    return decorate if cls is None else decorate(cls)
+
+dataclasses.dataclass = counted
+code, sys.argv = sys.argv[1], ["-c", *sys.argv[2:]]
+try:
+    exec(code, {"__name__": "__main__"})
+except SystemExit:
+    pass
+modules = [name for name in sys.modules if name == "pcsplab" or name.startswith("pcsplab.")]
+print(json.dumps({"pcsplab_modules": len(modules), "dataclass_decorations": decorations}), file=sys.stderr)
+"""
 
 
 def _colour_case(n, m):
@@ -388,19 +431,42 @@ def measure_memory(label: str) -> dict:
     return out
 
 
+def _tree_env(path: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.abspath(path), PYTHONHASHSEED="0")
+
+
 def _child(path: str, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(path), PYTHONHASHSEED="0")
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, os.path.abspath(__file__), *args], env=_tree_env(path), capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
 
 
+def measure_startup(path: str) -> dict:
+    """Each start-up case of the tree at path, timed in a fresh interpreter and then counted in another."""
+    out, stdout = {}, {}
+    for label, argv, stdin_from in STARTUP_CASES:
+        stdin = stdout[stdin_from] if stdin_from else None
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *argv], env=_tree_env(path), input=stdin, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+        counted = subprocess.run(
+            [sys.executable, "-c", COUNTING, *argv[1:]], env=_tree_env(path), input=stdin, capture_output=True, text=True
+        )
+        stdout[label] = proc.stdout
+        counters = {"exit": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16]}
+        counters.update(json.loads(counted.stderr.splitlines()[-1]))
+        out[label] = {"s": {"process": seconds}, "counters": counters}
+    return out
+
+
 def run_tree(path: str) -> dict:
-    """One timed run of the tree at path, and one memory pass per memory case, each in a fresh interpreter."""
+    """One timed run of the tree at path, one memory pass per memory case and the start-up cases, each in fresh
+    interpreters."""
     out = _child(path, "--child")
     for label in MEMORY_CASES:
         out[label]["mb"] = _child(path, "--child-memory", label)
+    out.update(measure_startup(path))
     return out
 
 
@@ -433,7 +499,7 @@ def main(argv=None) -> int:
             samples[label].append(run_tree(path))
             print(f"run {run + 1}/{args.runs} {label} done", file=sys.stderr)
     cases = {}
-    for case, _, _, phases in CASES:
+    for case, phases in [(case[0], case[3]) for case in CASES] + [(case[0], ("process",)) for case in STARTUP_CASES]:
         cases[case] = {}
         for label, runs in samples.items():
             counters = [r[case]["counters"] for r in runs]
@@ -453,7 +519,12 @@ def main(argv=None) -> int:
         "script": "bench/network_layers.py",
         "runs": args.runs,
         "commits": {label: commit_of(path) for label, path in trees},
-        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        },
         "cases": cases,
     }
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -3,27 +3,18 @@
 Exit codes: 0 for a positive result (found / holds), 1 for a negative one
 (not found / refuted), 2 for usage or input errors.  Long-running jobs sit
 behind explicit flags and honor --time-budget by aborting with exit 2.
+Each command imports the modules it runs in its own handler, so a command
+starts up paying only for those: `gen` and `solve` load no search code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import properties as props
-from . import solvers, structures, symmetric
+from . import structures
 from .errors import FormatError, PcspError, TimeBudgetExceeded, deadline_after, seconds
-from .homs import hom_lattice, hom_order_compare, lattice_to_dot
-from .polymorphisms import (
-    DEFAULT_ARITY_CAP,
-    enumerate_polymorphisms,
-    is_polymorphism,
-    one_in_three_target,
-    parse_poly_table,
-    subset_masks,
-)
 from .structures import TemplatePair, all_symmetric_ternary_structures, named_template
 
 
@@ -46,6 +37,8 @@ def _named_catalog() -> dict[tuple, str]:
 
 
 def _cmd_template(args) -> int:
+    from . import solvers
+
     target = _load_structure(args.name)
     label = None
     if target.domain_size == 3 and target.signature == (3,) and target.single_ternary().symmetric:
@@ -71,6 +64,8 @@ def _cmd_template(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    from .homs import hom_lattice, hom_order_compare, lattice_to_dot
+
     if args.action == "compare":
         first = _load_structure(args.first)
         second = _load_structure(args.second)
@@ -93,14 +88,23 @@ def _cmd_hom(args) -> int:
 
 
 def _pair_target(src_name: str, tgt_name: str) -> structures.RelStructure:
+    from .polymorphisms import one_in_three_target
+
     return one_in_three_target(TemplatePair(_load_structure(src_name), _load_structure(tgt_name)))
 
 
 def _past_cap_note(arity: int) -> None:
+    from .polymorphisms import DEFAULT_ARITY_CAP
+
     print(f"note: arity {arity} is past the default cap {DEFAULT_ARITY_CAP}; table space is large", file=sys.stderr)
 
 
 def _cmd_poly(args) -> int:
+    import json
+
+    from . import symmetric
+    from .polymorphisms import DEFAULT_ARITY_CAP, enumerate_polymorphisms, is_polymorphism, parse_poly_table, subset_masks
+
     if args.action == "enumerate":
         target = _pair_target(args.source, args.target)
         if args.arity > DEFAULT_ARITY_CAP:
@@ -159,6 +163,10 @@ def _cmd_poly(args) -> int:
 
 
 def _appendix_b(as_json: bool = False) -> int:
+    import json
+
+    from . import symmetric
+
     target = named_template("CHplus")
     certificates = [symmetric.chplus23_certificate(target, seed) for seed in range(4)]
     head = certificates[0]
@@ -191,6 +199,11 @@ def _appendix_b(as_json: bool = False) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from . import properties as props
+    from .polymorphisms import DEFAULT_ARITY_CAP
+
     if args.max_arity > DEFAULT_ARITY_CAP and not (args.action == "lemmas" and args.force):
         hint = "; pass --force" if args.action == "lemmas" else ""  # only lemmas has --force
         print(f"max arity {args.max_arity} exceeds the default cap {DEFAULT_ARITY_CAP}{hint}", file=sys.stderr)
@@ -240,6 +253,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solvers
+
     target = _load_structure(args.target)
     if args.instance == "-":
         text = sys.stdin.read()
@@ -257,6 +272,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import solvers
+
     instance, planted = solvers.generate_planted(args.nv, args.ne, args.seed)
     text = solvers.format_instance(instance, planted)
     if args.out:

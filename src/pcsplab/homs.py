@@ -14,7 +14,7 @@ edges of the induced partial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import TimeBudgetExceeded, expired
 from .structures import RelStructure, _check_signatures, _maps
@@ -25,20 +25,18 @@ EQUIVALENT = "equivalent"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class HomMap:
+class HomMap(namedtuple("HomMap", "source_size target_size assignment")):
     """A total map between domains, with on-demand verification."""
 
-    source_size: int
-    target_size: int
-    assignment: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.assignment) != self.source_size:
+    def __new__(cls, source_size: int, target_size: int, assignment: tuple[int, ...]):
+        if len(assignment) != source_size:
             raise ValueError("assignment must be total on the source domain")
-        for v in self.assignment:
-            if not 0 <= v < self.target_size:
+        for v in assignment:
+            if not 0 <= v < target_size:
                 raise ValueError(f"assignment value {v} outside target domain")
+        return super().__new__(cls, source_size, target_size, assignment)
 
     def __call__(self, x: int) -> int:
         return self.assignment[x]
@@ -111,18 +109,16 @@ def check_coloring(instance, coloring: dict[int, int], target: RelStructure) -> 
     return all((coloring[a], coloring[b], coloring[c]) in rel for a, b, c in instance.edges)
 
 
-@dataclass(frozen=True)
-class HomClass:
-    """One mutual-homomorphism class with its canonical representative."""
+class HomClass(namedtuple("HomClass", "members representative")):
+    """One mutual-homomorphism class (members: tuple[RelStructure, ...]) with its canonical representative."""
 
-    members: tuple[RelStructure, ...]
-    representative: RelStructure
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HomLattice:
-    classes: tuple[HomClass, ...]
-    cover_edges: frozenset[tuple[int, int]]  # (lower index, higher index)
+class HomLattice(namedtuple("HomLattice", "classes cover_edges")):
+    """The classes (tuple[HomClass, ...]) and the cover edges (frozenset of (lower index, higher index))."""
+
+    __slots__ = ()
 
     def class_index_of(self, structure: RelStructure) -> int:
         for i, cls in enumerate(self.classes):

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import itemgetter
 
 from ._network import Network
@@ -44,8 +43,7 @@ def subset_masks(n: int) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in c) for j in range(n + 1) for c in itertools.combinations(range(n), j))
 
 
-@dataclass(frozen=True)
-class BlockTable:
+class BlockTable(namedtuple("BlockTable", "blocks target_size values")):
     """Total table on the cells of coordinate blocks, values in the target domain.
 
     blocks holds the block sizes, each >= 1, and values has one entry per
@@ -55,19 +53,18 @@ class BlockTable:
     values[mask] is the value on the subset mask.
     """
 
-    blocks: tuple[int, ...]
-    target_size: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blocks or min(self.blocks) < 1:
-            raise ValueError(f"block sizes must be >= 1, got {self.blocks}")
-        cells = math.prod(size + 1 for size in self.blocks)
-        if len(self.values) != cells:
-            raise ValueError(f"expected {cells} entries, got {len(self.values)}")
-        for v in self.values:  # None or a value outside the domain raises ValueError; a string still raises TypeError
-            if v is None or not 0 <= v < self.target_size:
+    def __new__(cls, blocks: tuple[int, ...], target_size: int, values: tuple[int, ...]):
+        if not blocks or min(blocks) < 1:
+            raise ValueError(f"block sizes must be >= 1, got {blocks}")
+        cells = math.prod(size + 1 for size in blocks)
+        if len(values) != cells:
+            raise ValueError(f"expected {cells} entries, got {len(values)}")
+        for v in values:  # None or a value outside the domain raises ValueError; a string still raises TypeError
+            if v is None or not 0 <= v < target_size:
                 raise ValueError(f"value {v} outside target domain")
+        return super().__new__(cls, blocks, target_size, values)
 
     @property
     def arity(self) -> int:
@@ -98,20 +95,18 @@ def alternating_threshold(target_size: int = 2) -> BlockTable:
     return BlockTable((1,) * 3, target_size, tuple(vals))
 
 
-@dataclass(frozen=True)
-class MinorMap:
-    """A total map [n] -> [m] used to identify coordinates of a table."""
+class MinorMap(namedtuple("MinorMap", "source_arity target_arity mapping")):
+    """A total map [n] -> [m] used to identify coordinates of a table; mapping[i-1] is the image of coordinate i."""
 
-    source_arity: int
-    target_arity: int
-    mapping: tuple[int, ...]  # mapping[i-1] = image of coordinate i
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.mapping) != self.source_arity:
+    def __new__(cls, source_arity: int, target_arity: int, mapping: tuple[int, ...]):
+        if len(mapping) != source_arity:
             raise ValueError("mapping must be total on source coordinates")
-        for v in self.mapping:
-            if not 1 <= v <= self.target_arity:
-                raise ValueError(f"image {v} outside 1..{self.target_arity}")
+        for v in mapping:
+            if not 1 <= v <= target_arity:
+                raise ValueError(f"image {v} outside 1..{target_arity}")
+        return super().__new__(cls, source_arity, target_arity, mapping)
 
     def pull(self) -> tuple[int, ...]:
         """pull[X] is the mask of the preimage of the target mask X."""

@@ -21,6 +21,7 @@ import bisect
 import itertools
 import operator
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ArityBoundError, TimeBudgetExceeded, expired
@@ -323,12 +324,10 @@ def _p_ch_singleton(t):
     return ("no-successor-singleton",)
 
 
-@dataclass(frozen=True)
-class PropertySpec:
-    property_id: str
-    template_name: str
-    description: str
-    predicate: object  # (SlicedTable) -> witness | None; the sliced view is built once per table
+class PropertySpec(namedtuple("PropertySpec", "property_id template_name description predicate")):
+    """A catalog property; predicate maps a SlicedTable, built once per table, to a witness or None."""
+
+    __slots__ = ()
 
 
 PROPERTY_CATALOG: dict[str, PropertySpec] = {
@@ -353,14 +352,11 @@ PROPERTY_CATALOG: dict[str, PropertySpec] = {
 }
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    arity: int
-    table: BlockTable
-    witness: tuple
+class Counterexample(namedtuple("Counterexample", "arity table witness")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass because the tests call dataclasses.replace on it
 class PropertyReport:
     template_label: str
     property_id: str
@@ -467,14 +463,10 @@ def properties_for_template(template_name: str) -> list[str]:
 # --- Kneser graphs and exact coloring ----------------------------------------
 
 
-@dataclass(frozen=True)
-class KneserGraph:
+class KneserGraph(namedtuple("KneserGraph", "n m vertices adjacency")):
     """m-element subsets of [n]; adjacency is disjointness."""
 
-    n: int
-    m: int
-    vertices: tuple[tuple[int, ...], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def edge_count(self) -> int:
@@ -657,7 +649,7 @@ def _sel_ch(f, n):
     return _first_mask(f, n, (i + 1) % 4, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass because the tests call dataclasses.replace on it
 class SelectorSpec:
     name: str
     k: int
@@ -678,16 +670,15 @@ SELECTOR_CATALOG: dict[str, SelectorSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class SelectorReport:
-    selector: str
-    max_arity: int
-    chain_length: int
-    states_explored: int
-    violations: tuple[tuple, ...]  # each a tuple of (arity, values, mapping) steps
-    totality_failures: tuple[tuple[int, tuple[int, ...]], ...]
-    bound_failures: tuple[tuple[int, tuple[int, ...]], ...]
-    elapsed_ms: float
+class SelectorReport(
+    namedtuple(
+        "SelectorReport",
+        "selector max_arity chain_length states_explored violations totality_failures bound_failures elapsed_ms",
+    )
+):
+    """violations holds chains of (arity, values, mapping) steps; each failure is (arity, values)."""
+
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

@@ -21,7 +21,7 @@ and the reduced echelon form is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FormatError, TimeBudgetExceeded, UnsupportedTargetError, expired
 from .homs import check_coloring, find_homomorphism, hom_exists
@@ -37,22 +37,21 @@ D1plus = named_template("D1plus")
 D2plus = named_template("D2plus")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "variable_count edges")):
     """A 3-uniform hypergraph with ordered triples over variables 1..variable_count."""
 
-    variable_count: int
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variable_count < 0:
+    def __new__(cls, variable_count: int, edges: tuple[tuple[int, int, int], ...]):
+        if variable_count < 0:
             raise ValueError("variable count must be >= 0")
-        for e in self.edges:
+        for e in edges:
             if len(e) != 3:
                 raise ValueError(f"edge {e} is not a triple")
             for v in e:
-                if not 1 <= v <= self.variable_count:
-                    raise ValueError(f"edge entry {v} outside 1..{self.variable_count}")
+                if not 1 <= v <= variable_count:
+                    raise ValueError(f"edge entry {v} outside 1..{variable_count}")
+        return super().__new__(cls, variable_count, edges)
 
 
 class SplitMix64:

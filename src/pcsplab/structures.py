@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -23,24 +23,19 @@ from operator import itemgetter
 from .errors import FormatError, SignatureMismatchError
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "arity tuples")):
     """A nonempty set of same-arity tuples, stored sorted for determinism."""
 
-    arity: int
-    tuples: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"relation arity must be >= 1, got {self.arity}")
-        if not self.tuples:
+    def __new__(cls, arity: int, tuples: tuple[tuple[int, ...], ...]):
+        if arity < 1:
+            raise ValueError(f"relation arity must be >= 1, got {arity}")
+        if not tuples:
             raise ValueError("relation must be nonempty")
-        canon = tuple(sorted(set(self.tuples)))
-        if canon != self.tuples:
-            object.__setattr__(self, "tuples", canon)
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise ValueError(f"tuple {t} does not have arity {self.arity}")
+        tuples = tuple(sorted(set(tuples)))
+        for t in tuples:
+            if len(t) != arity:
+                raise ValueError(f"tuple {t} does not have arity {arity}")
+        return super().__new__(cls, arity, tuples)
 
     @cached_property
     def as_set(self) -> frozenset[tuple[int, ...]]:
@@ -69,23 +64,19 @@ def _orbit_size(t: tuple[int, ...]) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class RelStructure:
+class RelStructure(namedtuple("RelStructure", "domain_size relations")):
     """A finite domain 0..domain_size-1 with an ordered list of relations."""
 
-    domain_size: int
-    relations: tuple[Relation, ...]
-
-    def __post_init__(self):
-        if self.domain_size < 1:
-            raise ValueError(f"domain size must be >= 1, got {self.domain_size}")
-        if not isinstance(self.relations, tuple):
-            object.__setattr__(self, "relations", tuple(self.relations))
-        for rel in self.relations:
+    def __new__(cls, domain_size: int, relations: tuple[Relation, ...]):
+        if domain_size < 1:
+            raise ValueError(f"domain size must be >= 1, got {domain_size}")
+        relations = tuple(relations)
+        for rel in relations:
             for t in rel.tuples:
                 for x in t:
-                    if not 0 <= x < self.domain_size:
-                        raise ValueError(f"tuple entry {x} outside domain 0..{self.domain_size - 1}")
+                    if not 0 <= x < domain_size:
+                        raise ValueError(f"tuple entry {x} outside domain 0..{domain_size - 1}")
+        return super().__new__(cls, domain_size, relations)
 
     @cached_property
     def signature(self) -> tuple[int, ...]:
@@ -111,17 +102,16 @@ class RelStructure:
         return (self.domain_size, tuple((rel.arity, rel.tuples) for rel in self.relations))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(namedtuple("Digraph", "vertex_count arcs")):
     """Arc b -> b' recorded whenever (b, b, b') lies in the ternary relation."""
 
-    vertex_count: int
-    arcs: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in self.arcs:
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
+    def __new__(cls, vertex_count: int, arcs: frozenset[tuple[int, int]]):
+        for a, b in arcs:
+            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"arc ({a},{b}) outside vertex range")
+        return super().__new__(cls, vertex_count, arcs)
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -385,7 +375,7 @@ def automorphism_orbits(structure: RelStructure) -> list[frozenset[int]]:
     return sorted(set(orbit), key=min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass because perfbench/tracing.py wraps its __post_init__
 class TemplatePair:
     """A pair of same-signature structures with source -> target required, both checked by _maps."""
 

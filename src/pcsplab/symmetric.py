@@ -14,7 +14,7 @@ always 1-in-3, so every function takes the target alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polymorphisms import BlockTable, _search_network, allowed_table, is_polymorphism, one_in_three_target
 from .structures import RelStructure, TemplatePair, automorphism_orbits
@@ -30,22 +30,18 @@ def BlockSymTable(k1: int, k2: int, target_size: int, values) -> BlockTable:
     return BlockTable((k1, k2), target_size, values)
 
 
-@dataclass(frozen=True)
-class ForceEvent:
-    cell: int
-    color: int
-    triple: tuple
+class ForceEvent(namedtuple("ForceEvent", "cell color triple")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ContradictionEvent:
-    cell: int
-    eliminations: tuple[tuple[int, tuple], ...]  # (color, justifying triple)
+class ContradictionEvent(namedtuple("ContradictionEvent", "cell eliminations")):
+    """eliminations holds (color, justifying triple) pairs."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PropagationTrace:
-    events: tuple
+class PropagationTrace(namedtuple("PropagationTrace", "events")):
+    __slots__ = ()
 
     @property
     def contradiction(self) -> ContradictionEvent | None:
@@ -123,10 +119,10 @@ def propagate(target: RelStructure, n: int, seed: dict[int, int]) -> tuple[dict[
     return assigned, PropagationTrace(tuple(events))
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    table: BlockTable | None
-    nodes: int
+class SearchResult(namedtuple("SearchResult", "table nodes")):
+    """The table found, or None, and the search nodes it took."""
+
+    __slots__ = ()
 
 
 def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
@@ -222,17 +218,18 @@ _REPLAY_SCRIPT: tuple[tuple[int, tuple[int, int, int]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ForcingCertificate:
-    """A machine-checked derivation: seeded value, forced chain, dead cell."""
+class ForcingCertificate(
+    namedtuple(
+        "ForcingCertificate",
+        "arity seed_weight seed_color forced contradiction_weight refutations automorphism_transitive",
+    )
+):
+    """A machine-checked derivation: seeded value, forced chain, dead cell.
 
-    arity: int
-    seed_weight: int
-    seed_color: int
-    forced: tuple[ForceEvent, ...]
-    contradiction_weight: int
-    refutations: tuple[tuple[int, PropagationTrace], ...]  # color -> failing trace
-    automorphism_transitive: bool
+    refutations pairs each color of the refuted cell with its failing trace.
+    """
+
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:

@@ -1,7 +1,11 @@
-"""The intra-package imports of pcsplab form no cycle, function-local imports included."""
+"""What the package's modules import: no cycle, function-local imports included, and per command only what it runs."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pcsplab"
 
@@ -106,3 +110,54 @@ def test_only_the_boundary_modules_name_template_pair():
             if "TemplatePair" in {getattr(node, field, None) for field in ("id", "attr", "name")}:
                 namers.add(path.stem)  # a name, an attribute, an import or the definition
     assert namers == {"structures", "cli", "polymorphisms", "symmetric"}
+
+
+def test_dataclass_decorates_only_the_records_an_outside_reader_needs():
+    # every other record is a namedtuple subclass: a decoration execs five or six generated methods at import
+    decorated = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    called = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if "dataclass" in {getattr(called, "id", None), getattr(called, "attr", None)}:
+                        decorated.add(node.name)
+    assert decorated == {
+        "PropertyReport",  # the tests pass reports to dataclasses.replace to zero their elapsed_ms
+        "SelectorSpec",  # the tests pass catalog specs to dataclasses.replace to swap their rule
+        "TemplatePair",  # perfbench/tracing.py wraps TemplatePair.__post_init__ to count the pairs built
+    }
+
+
+# runs the commands of argv[1] in turn in one fresh interpreter, each reading the stdout of the one before,
+# then prints their exit codes and the pcsplab modules loaded
+FRESH_COMMANDS = """
+import io, json, sys
+from pcsplab import cli
+codes, text = [], ""
+for argv in json.loads(sys.argv[1]):
+    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
+    codes.append(cli.main(argv))
+    text, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith("pcsplab"))]))
+"""
+SEARCH_MODULES = {"pcsplab.properties", "pcsplab.polymorphisms", "pcsplab.symmetric", "pcsplab._network"}
+
+
+def run_fresh(*commands):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_COMMANDS, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
+    )
+    codes, modules = json.loads(proc.stdout)
+    return codes, set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    codes, modules = run_fresh(["gen", "12", "8", "1"], ["solve", "NAE"])
+    assert codes == [0, 0]
+    assert {"pcsplab.cli", "pcsplab.solvers"} <= modules
+    assert not modules & SEARCH_MODULES
+    codes, modules = run_fresh(["poly", "search-sym", "1in3", "LO_3", "12"])
+    assert codes == [1]
+    assert modules & SEARCH_MODULES == SEARCH_MODULES - {"pcsplab.properties"}  # a search runs no fact suite
