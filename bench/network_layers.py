@@ -2,39 +2,43 @@
 
     python bench/network_layers.py --src parent=../parent/src --src change=src --runs 5 --out BENCH.json
 
-A search on coordinate blocks goes through three phases: the
-`_network.Network` built on the cell triples of
-`polymorphisms._partition_triples` (phase `network`, which times the triples
-too, since the network reads them as they are listed), the depth-first
+A search on coordinate blocks goes through three phases: the search network
+that `polymorphisms._search_network` builds for the target on the blocks
+(phase `network`, which times listing the constraints too), the depth-first
 search for the first table (`Network.solutions`), and the answer check of
 that table (`polymorphisms.is_polymorphism`).  Each case below times each
-phase; a phase that a case does not reach is left out.  A check-only case
-times the answer check of a given table on unit blocks, as
-`poly verify` runs it: a dictator, a symmetric table expanded to every
-subset, or a seeded random table, which fails.  Two enumeration cases time
-the walks that `verify lemmas` and `verify selector` make on unit blocks:
-`enumerate_orbits` run to exhaustion (phase `orbits`, counting leaders and
-the tables their orbits cover) and `verify_selector` with the template's
-selector (phase `selector`, counting chain states).  A colouring case times
-`properties.chromatic_number` on a Kneser graph (phase `colour`) and counts
-the vertices `_dsatur_picks` picks across every colour budget it tries, in a
-second call that is not timed.  Three cases time the hom tests and the
-solver of `hom lattice --all3`, `classify_template` and `gen | solve`:
-`hom_lattice` over the 1023 symmetric ternary structures on three elements
-(phase `lattice`, counting its classes and, in a second call that is not
-timed, its `hom_exists` calls), `classify_template` over the same 1023
-structures (phase `classify`, counting each label), and `gauss_gf3` on the
-systems of 60 planted instances (phase `gauss`, counting the systems solved
-and the sum of their solutions' values).  `hnf_solve` runs on the
-not-all-equal systems of the same 60 instances (phase `hnf`), counting the
-systems solved, their values' sum and, in a second call that is not timed,
-the column operations and the columns examined while finding each row's
-entries.  `kneser_graph` builds the 21 Kneser graphs of perfbench's
-`suites` set-up (phase `kneser`, counting vertices and neighbour entries).
-Each builds its inputs fresh before its clock starts.  A memory pass runs
-each searching or checking case again, untimed, in an interpreter of its
-own, so that nothing another case left behind hides its growth.  It
-records how far each phase raised the process's peak resident set
+phase; a phase that a case does not reach is left out.  Its `triples` counter
+is the number of sorted cell triples of the blocks' 3-partitions, counted
+from the block sizes alone, so it reads the same whatever a tree's network
+keeps.  One more case times 1000 builds of the 32-cell network of `verify
+lemmas` at arity 5 (phase `networks`).  A check-only case times the answer
+check of a given table on unit blocks, as `poly verify` runs it: a dictator,
+a symmetric table expanded to every subset, or a seeded random table, which
+fails.  Two enumeration cases time the walks that `verify lemmas` and `verify
+selector` make on unit blocks: `enumerate_orbits` run to exhaustion (phase
+`orbits`, counting leaders and the tables their orbits cover) and
+`verify_selector` with the template's selector (phase `selector`, counting
+chain states).  A colouring case times `properties.chromatic_number` on a
+Kneser graph (phase `colour`) and counts the vertices `_dsatur_picks` picks
+across every colour budget it tries, in a second call that is not timed.
+Three cases time the hom tests and the solver of `hom lattice --all3`,
+`classify_template` and `gen | solve`: `hom_lattice` over the 1023 symmetric
+ternary structures on three elements (phase `lattice`, counting its classes
+and, in a second call that is not timed, its `hom_exists` calls),
+`classify_template` over the same 1023 structures (phase `classify`,
+counting each label), and `gauss_gf3` on the systems of 60 planted instances
+(phase `gauss`, counting the systems solved and the sum of their solutions'
+values).  `hnf_solve` runs on the not-all-equal systems of the same 60
+instances (phase `hnf`), counting the systems solved, their values' sum and,
+in a second call that is not timed, the column operations and the columns
+examined while finding each row's entries.  `kneser_graph` builds the 21
+Kneser graphs of perfbench's `suites` set-up (phase `kneser`, counting
+vertices and neighbour entries).  Each builds its inputs fresh before its
+clock starts.  A memory pass runs each searching or checking case again,
+untimed, in an interpreter of its own, so that nothing another case left
+behind hides its growth, after importing every `pcsplab` module in name
+order, so that the imports a tree happens to make do not move its baseline.
+It records how far each phase raised the process's peak resident set
 (`ru_maxrss`, as `<phase>_rss`), and then, for a searching case, builds its
 network again under tracemalloc and records the peak and the bytes still
 held once it exists, all in MB.
@@ -51,13 +55,14 @@ instead of compiling the package.
 
 Each tree's library must take the target alone, with 1-in-3 as the fixed
 source: the cases call `search_symmetric`, `enumerate_orbits`,
-`verify_selector` and `is_polymorphism` with a target, not a pair.
+`verify_selector`, `is_polymorphism` and `_search_network` with a target,
+not a pair.
 Every run is one timed interpreter and one memory interpreter per memory
 case for each source tree, so no row or cache built by one run is seen by
 the next, and the order of the trees alternates from run to run.  The
 output gives, per case and tree, the median of the runs for each phase in
 seconds, the medians of the memory counters, and the work counters
-(triples, nodes, picks, hom tests), which must repeat exactly across runs and trees
+(triples, nodes, builds, picks, hom tests), which must repeat exactly across runs and trees
 for the times to compare the same work, and each tree's commit (`git
 rev-parse HEAD`, with "-dirty" when the tree has uncommitted changes, null
 for a tree outside a git checkout).
@@ -68,9 +73,11 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import platform
 import random
 import resource
@@ -80,21 +87,23 @@ import sys
 import time
 import tracemalloc
 
-# (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at
-# 12, so both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and its last
-# block's compositions are the most that any case's answer check reads, and T2 at 601 is that check at a tenth.
-# A check-only case checks the table its label's first word names, on unit blocks: the first-coordinate
-# dictator and the expanded symmetric table are polymorphisms with few distinct sub-tables at each level (the
-# dictator has one), and the random table has nearly all its sub-tables distinct and fails early in the walk.
-# The colouring case's blocks are the Kneser parameters (n, m): KG(10, 4) has 210 vertices and chromatic number 4,
-# and refuting 3 colours takes most of its picks.  The GF(3) case's blocks are the planted (nv, ne) of perfbench's
-# `gen | solve` jobs, where the cyclic and the not-all-equal routes cost about the same, and so are the integer
-# case's.  The Kneser case's graphs are those of perfbench's `suites` set-up
+# (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at 12, so
+# both spend their time on the network; T2 at symmetric arity 2000 has 334,334 triples and its last block's
+# compositions are the most that any case's answer check reads, and T2 at 601 is that check at a tenth.  The networks
+# case builds the network that `verify lemmas` enumerates at arity 5.  A check-only case checks the table its
+# label's first word names, on unit blocks: the first-coordinate dictator and the expanded symmetric table are
+# polymorphisms with few distinct sub-tables at each level (the dictator has one), and the random table has nearly all
+# its sub-tables distinct and fails early in the walk.  The colouring case's blocks are the Kneser parameters (n, m):
+# KG(10, 4) has 210 vertices and chromatic number 4, and refuting 3 colours takes most of its picks.  The GF(3) case's
+# blocks are the planted (nv, ne) of perfbench's `gen | solve` jobs, where the cyclic and the not-all-equal routes
+# cost about the same, and so are the integer case's.  The Kneser case's graphs are those of perfbench's `suites`
+# set-up
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("network", "solutions", "check")),
     ("T2 (601,)", "T2", (601,), ("network", "solutions", "check")),
     ("T2 (2000,)", "T2", (2000,), ("network", "solutions", "check")),
+    ("networks T1 5 x 1000", "T1", (1,) * 5, ("networks",)),
     ("dictator 12 / NAE", "NAE", (1,) * 12, ("check",)),
     ("dictator 14 / NAE", "NAE", (1,) * 14, ("check",)),
     ("symmetric 14 / T2", "T2", (1,) * 14, ("check",)),
@@ -108,6 +117,7 @@ CASES = (
     ("hnf_solve 60 x (240, 180)", None, (240, 180), ("hnf",)),
     ("kneser_graph perfbench 21", None, (), ("kneser",)),
 )
+NETWORK_BUILDS = 1000
 KNESER = [(n, m) for n in range(2, 10) for m in range(1, 5) if n >= 2 * m] + [(10, 4)]
 # the cases the memory pass runs: those that search or check a table
 MEMORY_CASES = [label for label, _, _, phases in CASES if "network" in phases or "check" in phases]
@@ -316,20 +326,29 @@ def _checked_table(kind, structure, n):
 
 
 def _case_inputs(target, blocks):
-    from pcsplab.polymorphisms import allowed_table
     from pcsplab.structures import named_template
     from pcsplab.symmetric import _block_branch_order
 
-    structure = named_template(target)
     ncells = math.prod(size + 1 for size in blocks)
-    order = _block_branch_order(*blocks) if len(blocks) == 2 else range(ncells)
-    return structure, allowed_table(structure), order, ncells
+    return named_template(target), _block_branch_order(*blocks) if len(blocks) == 2 else range(ncells)
+
+
+def triple_count(blocks) -> int:
+    """The sorted cell triples of the 3-partitions of the blocks, by Burnside's lemma over orderings of the parts.
+
+    A block of size s splits into (s + 2 choose 2) ordered triples of parts,
+    s // 2 + 1 of them with two equal parts, and one with three equal parts
+    when 3 divides s.
+    """
+    ordered = math.prod(math.comb(size + 2, 2) for size in blocks)
+    two_equal = math.prod(size // 2 + 1 for size in blocks)
+    all_equal = math.prod(size % 3 == 0 for size in blocks)
+    return (ordered + 3 * two_equal + 2 * all_equal) // 6
 
 
 def measure_once() -> dict:
     """One timed run of every case in this interpreter: {case: {"s": {phase: seconds}, "counters": {...}}}."""
-    from pcsplab._network import Network
-    from pcsplab.polymorphisms import BlockTable, _partition_triples, enumerate_orbits, is_polymorphism
+    from pcsplab.polymorphisms import BlockTable, _search_network, enumerate_orbits, is_polymorphism
     from pcsplab.properties import SELECTOR_CATALOG, verify_selector
     from pcsplab.symmetric import _wlog_colors
 
@@ -338,14 +357,20 @@ def measure_once() -> dict:
         if phases[0] in CALL_CASES:
             out[label] = CALL_CASES[phases[0]](*blocks)
             continue
-        structure, allowed, order, ncells = _case_inputs(target, blocks)
+        structure, order = _case_inputs(target, blocks)
         s, counters = {}, {}
         net = values = None
         if "network" in phases:
             start = time.perf_counter()
-            net = Network(ncells, _partition_triples(blocks), order, allowed)
+            net = _search_network(structure, blocks, order)
             s["network"] = time.perf_counter() - start
-            counters["triples"] = sum(map(len, net.watch)) // 6  # each triple puts two cells on each of its three
+            counters["triples"] = triple_count(blocks)
+        elif "networks" in phases:
+            start = time.perf_counter()
+            for _ in range(NETWORK_BUILDS):
+                _search_network(structure, blocks, order)
+            s["networks"] = time.perf_counter() - start
+            counters.update(builds=NETWORK_BUILDS, triples=triple_count(blocks))
         elif "check" in phases:
             values = _checked_table(label.split()[0], structure, len(blocks))
         if "orbits" in phases:
@@ -393,12 +418,15 @@ def measure_memory(label: str) -> dict:
     searching case adds the tracemalloc peak of building its network again
     and the bytes still held once it is built, as `peak` and `held`.
     """
-    from pcsplab._network import Network
-    from pcsplab.polymorphisms import BlockTable, _partition_triples, is_polymorphism
+    import pcsplab
+
+    for module in sorted(info.name for info in pkgutil.iter_modules(pcsplab.__path__)):
+        importlib.import_module(f"pcsplab.{module}")
+    from pcsplab.polymorphisms import BlockTable, _search_network, is_polymorphism
     from pcsplab.symmetric import _wlog_colors
 
     _, target, blocks, phases = next(case for case in CASES if case[0] == label)
-    structure, allowed, order, ncells = _case_inputs(target, blocks)
+    structure, order = _case_inputs(target, blocks)
     values = net = None
     if "network" not in phases:
         values = _checked_table(label.split()[0], structure, len(blocks))
@@ -413,7 +441,7 @@ def measure_memory(label: str) -> dict:
         before = now
 
     if "network" in phases:
-        net = Network(ncells, _partition_triples(blocks), order, allowed)
+        net = _search_network(structure, blocks, order)
         grew("network")
         values = next(net.solutions(_wlog_colors(structure), None), None)
         grew("solutions")
@@ -424,7 +452,7 @@ def measure_memory(label: str) -> dict:
         del net
         gc.collect()
         tracemalloc.start()
-        net = Network(ncells, _partition_triples(blocks), order, allowed)
+        net = _search_network(structure, blocks, order)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         out.update(peak=peak / 2**20, held=held / 2**20)

@@ -5,13 +5,16 @@ constraints.  A constraint is a sorted cell triple (a, b, c), a <= b <= c,
 in which a cell may repeat; `allowed[x][y]` is the mask of colors v such
 that the colors (x, y, v) satisfy it.  The table is symmetric in all three
 positions, so every constraint is the same whichever order its cells are
-read in, and one table serves them all.  The triples come as an iterable
-of ascending int codes (a * ncells + b) * ncells + c, which the network
-reads once, in order, and leaves as it is: it keeps no list of them, only
-per cell a flat watch list [o1, o2, o1, o2, ...] of the other two cells of
-each of its constraints, one pointer per cell and no tuple.  The engine
-knows nothing of where the cells and triples come from: `polymorphisms`
-derives them from coordinate blocks and owns that layout.
+read in, and one table serves them all.  The network takes its
+constraints as `partners`, per cell w a pair of equally long lists (us,
+vs) of the other two cells of each constraint through w, u <= v, one
+entry per constraint and the constraints in ascending order of their
+triples, and as `repeated`, the ascending triples that repeat a cell, from
+which it builds twin tables.  It keeps the lists as they are: each is one
+pointer per cell, and lists from a shared list of cell ints add no int
+objects.  The engine knows nothing of where the cells and constraints come
+from: `polymorphisms` derives them from coordinate blocks and owns that
+layout.
 
 The state of a search is one candidate mask per cell; a cell is assigned
 when its mask is a singleton.  Propagation pops a cell and narrows the other
@@ -36,7 +39,7 @@ Two kinds of rows exist, each built on first use of a mask pair:
 Rows are monotone in both masks.  So when a set of rows is inert,
 rows[full][1 << y] full for every color y, the row of a full mask keeps
 every candidate of every nonempty mask, and a popped cell whose mask is full
-skips its watch list: it can narrow nothing there.  Its twin tables are
+skips its partner lists: it can narrow nothing there.  Its twin tables are
 still applied.  Each network computes the flag once per row set, as
 `support.inert` and `forward.inert`.
 
@@ -47,7 +50,6 @@ out in lexicographic order along the branch order, whichever rows narrow.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import reduce
 from operator import itemgetter, or_
 
@@ -78,15 +80,16 @@ def _rows(k: int, entry):
 
 
 class Network:
-    """Depth-first search over candidate masks, arc consistent at every node, over sorted, deduplicated cell triples."""
+    """Depth-first search over candidate masks, arc consistent at every node, over per-cell partner lists."""
 
-    def __init__(self, ncells: int, codes: Iterable[int], branch_order, allowed):
+    def __init__(self, ncells: int, partners, repeated, branch_order, allowed):
         if ncells < 2:
             raise ValueError(f"a network needs at least two cells, got {ncells}")
         self.ncells = ncells
         self.k = k = len(allowed)
         self.full = full = (1 << k) - 1
         self.branch_order = branch_order
+        self.partners = partners
         # twins[cell] holds (other, table, triple) per constraint that repeats a cell;
         # other's mask narrows to table[cand[cell]]
         diagonal = [allowed[x][x] for x in range(k)]
@@ -94,24 +97,15 @@ class Network:
         same = _Lazy(lambda m: sum(1 << x for x in range(k) if diagonal[x] & m))
         once = _Lazy(lambda m: reduce(or_, [diagonal[x] for x in range(k) if m >> x & 1], 0))
         unary = _Lazy(lambda m: loops)
-        self.watch = watch = [[] for _ in range(self.ncells)]
-        twins: list[tuple] = [()] * self.ncells
-        cells = list(range(ncells))  # every watched cell is one of these ints, not a fresh one per constraint
-        square = ncells * ncells
-        for code in codes:
-            a, b, c = cells[code // square], cells[code // ncells % ncells], cells[code % ncells]
-            watch[a].append(b)
-            watch[a].append(c)
-            watch[b].append(a)
-            watch[b].append(c)
-            watch[c].append(a)
-            watch[c].append(b)
+        twins: list[tuple] = [()] * ncells
+        for triple in repeated:
+            a, b, c = triple
             if a == c:
-                twins[a] += ((a, unary, (a, b, c)),)
-            elif a == b or b == c:
+                twins[a] += ((a, unary, triple),)
+            else:
                 pair, odd = (a, c) if a == b else (c, a)
-                twins[pair] += ((odd, once, (a, b, c)),)
-                twins[odd] += ((pair, same, (a, b, c)),)
+                twins[pair] += ((odd, once, triple),)
+                twins[odd] += ((pair, same, triple),)
         self.nodes = 0
 
         # the row builders close over locals only, so a network is freed as soon as it is dropped
@@ -147,15 +141,15 @@ class Network:
         `triple` the narrowing constraint's cells in ascending order.  The
         narrowing that empties a cell is reported too.
         """
-        watch = self.watch
+        partners = self.partners
         twins = rows.twins
         skip = self.full if rows.inert else None
         while queue:
             cell = queue.pop()
             if cand[cell] != skip:
                 row = rows[cand[cell]]
-                pairs = iter(watch[cell])
-                for o1, o2 in zip(pairs, pairs):
+                us, vs = partners[cell]
+                for o1, o2 in zip(us, vs):
                     m1 = cand[o1]
                     m2 = cand[o2]
                     new = m2 & row[m1]

@@ -12,12 +12,15 @@ map of coordinates is read through the map's subset-image tables,
 MinorMap.pull and MinorMap.push.
 
 Each 3-partition of the coordinates gives one cell triple, which repeats a
-cell when two parts have the same weight vector.  This module streams the
-sorted triples as one int code each, in ascending order, and hands the
-search engine in `_network` only the cell count and that stream of codes.
-It checks answers with its own walk: equal sub-tables of the table share
-one number, and each distinct triple of sub-tables at each level is
-visited once.
+cell when two parts have the same weight vector.  The three weight vectors
+add up to the block sizes, so the cells that share a constraint with cell
+w are the pairs that add up to its complement, blocks - w.  This module
+reads those pairs off the box of each complement, with no list of
+triples, and hands the search engine in `_network` each cell's pairs and
+the triples that repeat a cell; the engine knows nothing of blocks.  It
+checks answers with its own walk: equal sub-tables of the table share one
+number, and each distinct triple of sub-tables at each level is visited
+once.
 
 The source is always 1-in-3, the exactly-one-1 Boolean structure, so every
 function takes the target alone; one_in_three_target checks a pair once.
@@ -27,9 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict, namedtuple
-from collections.abc import Iterator
-from operator import itemgetter
+from collections import namedtuple
+from operator import itemgetter, mul
 
 from ._network import Network
 from .errors import ArityBoundError, FormatError, TimeBudgetExceeded, expired
@@ -163,79 +165,64 @@ def allowed_table(target: RelStructure) -> list[list[int]]:
 
 
 # Two walks over the 3-partitions of coordinate blocks, kept apart on purpose: the search network's
-# constraints come from _partition_triples' cell triples, and the answer checker walks numbered
+# constraints come from _cell_partners' weight arithmetic, and the answer checker walks numbered
 # sub-tables of the found table, so a fault in one cannot hide behind the other.
 
 
-def _partition_triples(blocks, deadline=None) -> Iterator[int]:
-    """The ascending codes of the unordered 3-partitions of the coordinates: (x * N + y) * N + z for cells x <= y <= z.
+def _cell_partners(blocks, deadline=None):
+    """(partners, repeated): the constraints of the search network on the cells of the coordinate blocks.
 
-    N is the cell count.  A 3-partition is an ordered composition (a, b, c)
-    of each block's size into three parts, and its cells (x, y, z) are read
-    in mixed radix, so they compare as their weight vectors do, first block
-    first.  The walk runs from the first block to the last and keeps, per
-    partial triple, whether x and y are tied so far and whether y and z are:
-    while x and y are tied only a <= b extends it, and while y and z are
-    tied only b <= c.  So it builds exactly the triples with x <= y <= z,
-    each sorted triple once.  As z < N, codes sort as their triples do, and
-    an int takes a fraction of the memory of a tuple of three.  The partial
-    triples over every block but the last are built before this returns,
-    as tuples bucketed by their head cell x.  The codes are not: the
-    returned iterator yields them one first cell X = x * r + a at a time, in
-    ascending X, where r is the last block's size + 1 and a its first part.
-    A partial triple adds one range of codes to each of its first cells, so
-    a first cell's codes are sorted only when several partial triples share
-    x, and no more than one first cell's codes are held at once.  Raises
-    TimeBudgetExceeded once `deadline` expires, while the partial triples
-    are built or as the iterator reaches a first cell.
+    The three parts of a 3-partition of the coordinates have weight vectors
+    that add up to the block sizes, weight by weight.  So the pairs that
+    complete cell w to a constraint are the cells u, v with u + v = blocks -
+    w, the cell of index R = ncells - 1 - w.  Such sums carry nothing in
+    mixed radix: the u's are box(R), the cells <= R weight by weight, in
+    ascending order, and v = R - u is box(R) read backwards.  partners[w]
+    is (us, vs), the pairs with u <= v in ascending u, the first half of
+    box(R) and its last half reversed, so each constraint through w comes
+    once.  box(R) is a prefix of the box of (blocks[0], R's other weights),
+    shared by every R with those other weights, so each list is a C-level
+    slice of one such pattern; the patterns are built from slices of one
+    list of the cell ints, so the lists hold no more than ncells int
+    objects between them.  `repeated` holds the ascending triples that
+    repeat a cell, (a, a, blocks - 2a) sorted, for each 2a <= blocks.
+    Raises TimeBudgetExceeded once `deadline` expires, checked per cell.
     """
-    *head, last = blocks
-    n = math.prod(size + 1 for size in blocks)
-    groups = {3: [(0, 0, 0)]}  # partial triples by ties so far: bit 1 for x and y, bit 2 for y and z
-    for size in head:
-        r = size + 1
-        extended = defaultdict(list)
-        for tie, prefixes in groups.items():
-            parts = defaultdict(list)  # the compositions this tie admits, by the ties they leave
-            for a, bs in _second_parts(size, tie, deadline):
-                for b in bs:
-                    c = size - a - b
-                    parts[tie & ((a == b) | (b == c) << 1)].append((a, b, c))
-            for left, chunk in parts.items():
-                extended[left] += [(x * r + a, y * r + b, z * r + c) for x, y, z in prefixes for a, b, c in chunk]
-        groups = extended
-    r, step = last + 1, n - 1
-    heads = defaultdict(list)  # head cell x -> (code base, spans by a) of each partial triple (x, y, z)
-    for tie, prefixes in groups.items():
-        spans = []  # composition (a, b, last - a - b) adds a * n * n + last - a + b * step to a prefix's code
-        for a, bs in _second_parts(last, tie, deadline):
-            start = a * n * n + last - a
-            spans.append((start + bs.start * step, start + bs.stop * step))
-        for x, y, z in prefixes:
-            heads[x].append((r * ((x * n + y) * n + z), spans))
-
-    def first_cells():
-        for x in sorted(heads):
-            for a in range(r):
-                check_build_deadline(deadline)
-                runs = [range(base + spans[a][0], base + spans[a][1], step) for base, spans in heads[x]]
-                yield runs[0] if len(runs) == 1 else sorted(itertools.chain.from_iterable(runs))
-
-    return itertools.chain.from_iterable(first_cells())
-
-
-def check_build_deadline(deadline) -> None:
-    """Raise TimeBudgetExceeded once `deadline` has expired while a network's constraints are listed."""
-    if expired(deadline):
-        raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
-
-
-def _second_parts(size: int, tie: int, deadline):
-    """(a, range of b) for the compositions (a, b, size - a - b) that a partial triple with these ties admits."""
-    r = size + 1
-    for a in range(r):
-        check_build_deadline(deadline)
-        yield a, range(a if tie & 1 else 0, (size - a) // 2 + 1 if tie & 2 else r - a)
+    first, *tail = blocks
+    ncells = math.prod(size + 1 for size in blocks)
+    cells = list(range(ncells))
+    strides = list(itertools.accumulate([size + 1 for size in reversed(tail)], mul, initial=1))[::-1]
+    # boxes[t]: the box of each index t over the blocks past the first, built from the last block up: the box of
+    # weight d in a block and t past it is the box of weight d - 1 and t, then the box of t moved to weight d
+    boxes = [[0]]
+    for size, stride in zip(reversed(tail), strides[:0:-1]):
+        level = list(boxes)
+        for d in range(1, size + 1):
+            move = cells[d * stride : (d + 1) * stride].__getitem__
+            level += [[*run, *map(move, box)] for run, box in zip(level[-stride:], boxes)]
+        boxes = level
+    # patterns[t]: the box of (blocks[0], t's weights), whose prefixes are the boxes of every R = t mod strides[0]
+    patterns = [[] for _ in boxes]
+    for d in range(first + 1):
+        move = cells[d * strides[0] : (d + 1) * strides[0]].__getitem__
+        for pattern, box in zip(patterns, boxes):
+            pattern += map(move, box)
+    partners = []
+    for R in reversed(cells):  # R = ncells - 1 - w, the index of blocks - w, for w = 0, 1, ...
+        if expired(deadline):
+            raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
+        q, t = divmod(R, strides[0])
+        pattern = patterns[t]
+        # box(R) = pattern[:end] pairs u with R - u from its two ends inwards, and holds R / 2 when end is odd,
+        # so the pairs with u <= v are its first end - end // 2 cells
+        end = (q + 1) * len(boxes[t])
+        half = end // 2
+        partners.append((pattern[: end - half], pattern[end - 1 : half - 1 if half else None : -1]))
+    halves = [0]  # the cells a with 2a <= blocks, ascending
+    for size, stride in zip(blocks, strides):
+        halves = [a + d * stride for a in halves for d in range(size // 2 + 1)]
+    repeated = sorted(tuple(sorted((a, a, ncells - 1 - 2 * a))) for a in halves)
+    return partners, repeated
 
 
 def _partitions_map_into(blocks, values, rel) -> bool:
@@ -294,8 +281,8 @@ def _search_network(target: RelStructure, blocks, branch_order, deadline=None) -
 
     Raises TimeBudgetExceeded once `deadline` expires before the network is built.
     """
-    ncells = math.prod(size + 1 for size in blocks)
-    return Network(ncells, _partition_triples(blocks, deadline), branch_order, allowed_table(target))
+    partners, repeated = _cell_partners(blocks, deadline)
+    return Network(len(partners), partners, repeated, branch_order, allowed_table(target))
 
 
 def is_polymorphism(table: BlockTable, target: RelStructure) -> bool:

@@ -10,9 +10,9 @@ import pytest
 from pcsplab import errors
 from pcsplab._network import Network
 from pcsplab.errors import TimeBudgetExceeded
-from pcsplab.polymorphisms import _partition_triples, _search_network, allowed_table, enumerate_polymorphisms
+from pcsplab.polymorphisms import _cell_partners, _search_network, allowed_table, enumerate_polymorphisms
 from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
-from pcsplab.symmetric import _block_branch_order, search_block_symmetric, search_symmetric, sym_compatible_triples
+from pcsplab.symmetric import propagate, search_block_symmetric, search_symmetric, sym_compatible_triples
 
 
 def partition_triples(blocks):
@@ -63,69 +63,62 @@ SHAPES = (
 @pytest.mark.parametrize("blocks", SHAPES, ids=str)
 def test_network_constraints_match_coordinate_partitions(blocks):
     ncells = math.prod(size + 1 for size in blocks)
-    triples = [decode(code, ncells) for code in _partition_triples(blocks)]
-    # sorted and free of duplicates: the oracle is a set
-    assert triples == sorted(partition_triples(blocks))
-    codes = encode(triples, ncells)
-    net = Network(ncells, codes, range(ncells), [[1, 1], [1, 1]])
-    assert codes == encode(triples, ncells)  # the network reads the list and leaves it as it is
-    assert net.ncells == ncells and net.k == 2
-    watched = {tuple(sorted((a, *w[i : i + 2]))) for a, w in enumerate(net.watch) for i in range(0, len(w), 2)}
-    assert watched == set(triples)
-    # each constraint is watched once from each of its three cells, two cells per watch
-    assert sum(len(w) for w in net.watch) == 2 * 3 * len(watched)
+    partners, repeated = _cell_partners(blocks)
+    # per cell, the other two cells of each triple through it, once per distinct cell, in ascending triple order
+    expected, expected_repeated = constraints_of(ncells, partition_triples(blocks))
+    assert [(list(us), list(vs)) for us, vs in partners] == expected
+    assert repeated == expected_repeated
+    for us, vs in partners:
+        assert all(u <= v for u, v in zip(us, vs)) and list(us) == sorted(set(us))
+    net = Network(ncells, partners, repeated, range(ncells), [[1, 1], [1, 1]])
+    assert net.ncells == ncells and net.k == 2 and net.partners is partners  # the network keeps the lists as they are
 
 
-def decode(code, ncells):
-    return code // ncells // ncells, code // ncells % ncells, code % ncells
+def constraints_of(ncells, triples):
+    """(partners, repeated) for a Network, from sorted cell triples: the test-side twin of _cell_partners."""
+    partners = [([], []) for _ in range(ncells)]
+    for triple in sorted(set(triples)):
+        for cell in sorted(set(triple)):
+            rest = list(triple)
+            rest.remove(cell)
+            partners[cell][0].append(rest[0])
+            partners[cell][1].append(rest[1])
+    return partners, [t for t in sorted(set(triples)) if len(set(t)) < 3]
 
 
-def encode(triples, ncells):
-    """A fresh list of the triples' codes, for a Network to read."""
-    return [(a * ncells + b) * ncells + c for a, b, c in triples]
+def triples_of(partners):
+    """The sorted cell triples that partner lists hold."""
+    return sorted({tuple(sorted((w, u, v))) for w, (us, vs) in enumerate(partners) for u, v in zip(us, vs)})
 
 
-def test_partition_triples_encode_one_int_per_triple():
-    codes = list(_partition_triples((2000,)))
-    assert len(codes) == 334_334 and max(codes) > 2**31
-    assert [decode(code, 2001) for code in codes] == sym_compatible_triples(2000)
-    codes = list(_partition_triples((31, 30)))
-    assert len(codes) == 43_776
+def test_partner_lists_count_each_constraint_once():
+    partners, repeated = _cell_partners((2000,))
+    triples = triples_of(partners)
+    assert len(triples) == 334_334 and triples == sym_compatible_triples(2000)
+    # a triple is listed once from each of its distinct cells
+    assert sum(len(us) for us, _ in partners) == 3 * len(triples) - sum(3 - len(set(t)) for t in repeated)
+    partners, repeated = _cell_partners((31, 30))
+    triples = triples_of(partners)
+    assert len(triples) == 43_776
     # cells in mixed radix: 991 is (31, 30), 325 is (10, 15) and 341 is (11, 0)
-    assert decode(codes[0], 992) == (0, 0, 991) and decode(codes[-1], 992) == (325, 325, 341)
+    assert triples[0] == (0, 0, 991) and triples[-1] == (325, 325, 341)
+    assert len(repeated) == 16 * 16 and repeated[0] == (0, 0, 991)
 
 
-def test_partition_triples_stream_in_constant_memory():
-    # the codes come one first cell at a time: as one list, these 334,334 took 13.28 MB
+@pytest.mark.parametrize("target, blocks, mb", [("NAE", (31, 30), 4), ("T2", (2000,), 18), ("T1", (1,) * 8, 1)], ids=str)
+def test_search_network_partner_lists_share_the_cell_ints(target, blocks, mb):
+    ncells = math.prod(size + 1 for size in blocks)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in _partition_triples((2000,)))
-        peak = tracemalloc.get_traced_memory()[1]
+        net = _search_network(named_template(target), blocks, range(ncells))
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == 334_334 and peak < 2**20
-
-
-def test_networks_built_from_one_code_list_agree():
-    # a network reads its codes and leaves the list as it is, so a caller may build from it again
-    codes = list(_partition_triples((31, 30)))
-    first = Network(992, codes, range(992), [[1, 1], [1, 1]])
-    second = Network(992, codes, range(992), [[1, 1], [1, 1]])
-    assert len(codes) == 43_776 and first.watch == second.watch
-    assert sum(map(len, first.watch)) == 6 * len(codes)
-
-
-def test_search_network_holds_flat_int_watch_lists():
-    tracemalloc.start()
-    try:
-        net = _search_network(named_template("NAE"), (31, 30), _block_branch_order(31, 30))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(len(w) % 2 == 0 and all(type(cell) is int for cell in w) for w in net.watch)
-    # every watched cell is one shared int object, not a fresh one per constraint
-    assert len({id(cell) for w in net.watch for cell in w}) <= net.ncells
-    assert peak < 8 * 2**20
+    assert all(len(us) == len(vs) and type(us) is type(vs) is list for us, vs in net.partners)
+    # every listed cell is one of ncells shared int objects, not a fresh one per constraint
+    assert len({id(cell) for lists in net.partners for cell in itertools.chain(*lists)}) <= ncells
+    # the build keeps no more than the lists it hands over: one pointer per listed cell, no list of triples
+    assert peak - held < 2**18 and peak < mb * 2**20
 
 
 def test_network_build_stops_at_its_deadline(monkeypatch):
@@ -138,12 +131,18 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
         return 0.0 if calls <= stop else 1.0
 
     monkeypatch.setattr(errors.time, "monotonic", clock)
-    _partition_triples((2000,), 0.5)
-    # the clock passes the deadline ten reads after the partial triples are built, while the network reads the codes
-    calls, stop = 0, calls + 10
+    _cell_partners((2000,), 0.5)
+    assert calls == 2001  # one read per cell
+    # the clock passes the deadline halfway through the cells
+    calls, stop = 0, 1000
     with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
         _search_network(target, (2000,), range(2001), 0.5)
     assert calls == stop + 1
+
+
+def test_cell_partners_stop_at_their_deadline():
+    with pytest.raises(TimeBudgetExceeded, match="while building its network"):
+        _cell_partners((2000,), time.monotonic() - 1)
 
 
 def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):
@@ -221,6 +220,24 @@ def test_search_verdicts_pinned(matrix):
     assert digest == VERDICT_DIGEST, "\n".join(map(repr, entries))
 
 
+# forced chains and contradictions of every single-weight seed, the raw material of refutation proofs;
+# they must not move with how the network stores its constraints
+TRACE_DIGEST = "f10625c8013a2affdcb74825be25add68ff952b691527a8d1259430c139176c7"
+
+
+def test_propagation_traces_pinned():
+    entries = []
+    for name, target in catalog_pairs():
+        for n in range(1, 13):
+            for w in range(n + 1):
+                for color in range(target.domain_size):
+                    assigned, trace = propagate(target, n, {w: color})
+                    entries.append((name, n, w, color, sorted(assigned.items()), trace.events))
+    assert sum(len(entry[-1]) for entry in entries) == 3996
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == TRACE_DIGEST, "\n".join(map(repr, entries))
+
+
 def gac_oracle(triples, ok, domains):
     """Order-free arc consistency over sets of colors.
 
@@ -278,7 +295,7 @@ def test_propagation_reaches_arc_consistency(target):
     for blocks in GAC_SHAPES:
         triples = sorted(partition_triples(blocks))
         ncells = math.prod(size + 1 for size in blocks)
-        net = Network(ncells, encode(triples, ncells), None, allowed_table(structure))
+        net = Network(ncells, *constraints_of(ncells, triples), None, allowed_table(structure))
         for _ in range(8):
             assert_arc_consistent(net, triples, ok, rng)
 
@@ -343,7 +360,7 @@ def test_engine_on_random_triples(seed):
     """Arbitrary sorted triples, repeated cells and cells in no triple included, under a random relation."""
     rng, k, ncells, ok, allowed = random_relation(seed)
     triples = sorted({tuple(sorted(rng.choices(range(ncells), k=3))) for _ in range(rng.randint(1, 8))})
-    net = Network(ncells, encode(triples, ncells), range(ncells), allowed)
+    net = Network(ncells, *constraints_of(ncells, triples), range(ncells), allowed)
     for _ in range(6):
         assert_arc_consistent(net, triples, ok, rng)
     # solutions come out in lexicographic order along the branch order, each exactly once
@@ -352,18 +369,18 @@ def test_engine_on_random_triples(seed):
 
 
 def test_random_relations_reach_both_kinds_of_support_rows():
-    # a full cell skips its watch list only under inert rows, so the seeds above cover both branches
+    # a full cell skips its partner lists only under inert rows, so the seeds above cover both branches
     kinds = set()
     for seed in range(40):
         *_, allowed = random_relation(seed)
-        kinds.add(Network(2, encode([(0, 0, 1)], 2), range(2), allowed).support.inert)
+        kinds.add(Network(2, *constraints_of(2, [(0, 0, 1)]), range(2), allowed).support.inert)
     assert kinds == {True, False}
 
 
 # in LO_3 a 2 goes only with two smaller colors, so support[full][1 << 2] lacks the 2
 @pytest.mark.parametrize("target, inert", [("LO_3", False), ("NAE", True), ("CHplus", True)])
 def test_catalog_support_rows_inert(target, inert):
-    net = Network(2, encode([(0, 0, 1)], 2), range(2), allowed_table(named_template(target)))
+    net = Network(2, *constraints_of(2, [(0, 0, 1)]), range(2), allowed_table(named_template(target)))
     assert net.support.inert == inert and net.forward.inert
 
 
@@ -379,12 +396,12 @@ def test_arc_consistency_under_rows_that_are_not_inert():
     for blocks in GAC_SHAPES:
         triples = sorted(partition_triples(blocks))
         ncells = math.prod(size + 1 for size in blocks)
-        net = Network(ncells, encode(triples, ncells), None, allowed)
+        net = Network(ncells, *constraints_of(ncells, triples), None, allowed)
         assert not net.support.inert and net.support[net.full][0b100] == 0b100
         for _ in range(8):
             assert_arc_consistent(net, triples, ok, rng)
-    # queued alone, a full cell still narrows through its watch list: here its 2 forces the third cell
-    net = Network(3, encode([(0, 1, 2)], 3), None, allowed)
+    # queued alone, a full cell still narrows through its partner lists: here its 2 forces the third cell
+    net = Network(3, *constraints_of(3, [(0, 1, 2)]), None, allowed)
     cand = [0b111, 0b100, 0b111]
     assert net.propagate_from(cand, [0], net.support)
     assert cand == [0b100] * 3
@@ -392,18 +409,13 @@ def test_arc_consistency_under_rows_that_are_not_inert():
     # and only the rows of the full cells take it away
     rel.discard((2, 2, 2))
     allowed = [[sum(1 << v for v in range(3) if ok(x, y, v)) for y in range(3)] for x in range(3)]
-    net = Network(3, encode([(0, 1, 2)], 3), None, allowed)
+    net = Network(3, *constraints_of(3, [(0, 1, 2)]), None, allowed)
     cand = [0b111] * 3
     assert net.propagate_from(cand, [0, 1, 2], net.support)
     assert cand == [0b011] * 3
 
 
-def test_partition_triples_stops_at_its_deadline():
-    with pytest.raises(TimeBudgetExceeded, match="while building its network"):
-        _partition_triples((2000,), time.monotonic() - 1)
-
-
 def test_network_needs_two_cells():
     # a one-cell network would yield bare colors, not value tuples
     with pytest.raises(ValueError, match="at least two cells"):
-        Network(1, [0], [0], [[1, 0], [0, 2]])
+        Network(1, [([0], [0])], [(0, 0, 0)], [0], [[1, 0], [0, 2]])
