@@ -17,6 +17,8 @@ from . import structures
 from .errors import FormatError, PcspError, TimeBudgetExceeded, deadline_after, seconds
 from .structures import TemplatePair, all_symmetric_ternary_structures, named_template
 
+DEFAULT_ARITY_CAP = 5  # poly enumerate and verify lemmas go past it only with --force; the library takes any arity
+
 
 def _load_structure(arg: str) -> structures.RelStructure:
     try:
@@ -29,11 +31,11 @@ def _load_structure(arg: str) -> structures.RelStructure:
     raise FormatError(f"{arg!r} is neither a catalog template nor a readable structure file")
 
 
-def _named_catalog() -> dict[tuple, str]:
-    labels: dict[tuple, list[str]] = {}
+def _named_catalog() -> dict[structures.RelStructure, str]:
+    labels: dict[structures.RelStructure, list[str]] = {}
     for name in structures.template_names_3() + ["CH", "CHplus"]:
-        labels.setdefault(named_template(name).encoding(), []).append(name)
-    return {enc: "=".join(sorted(names)) for enc, names in labels.items()}
+        labels.setdefault(named_template(name), []).append(name)
+    return {structure: "=".join(sorted(names)) for structure, names in labels.items()}
 
 
 def _cmd_template(args) -> int:
@@ -77,7 +79,7 @@ def _cmd_hom(args) -> int:
         inputs = [named_template(name) for name in structures.template_names_3()]
     lattice = hom_lattice(inputs, deadline=deadline_after(args.time_budget))
     catalog = _named_catalog()
-    dot = lattice_to_dot(lattice, labeler=lambda s: catalog.get(s.encoding()))
+    dot = lattice_to_dot(lattice, labeler=catalog.get)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dot)
@@ -94,8 +96,6 @@ def _pair_target(src_name: str, tgt_name: str) -> structures.RelStructure:
 
 
 def _past_cap_note(arity: int) -> None:
-    from .polymorphisms import DEFAULT_ARITY_CAP
-
     print(f"note: arity {arity} is past the default cap {DEFAULT_ARITY_CAP}; table space is large", file=sys.stderr)
 
 
@@ -103,7 +103,7 @@ def _cmd_poly(args) -> int:
     import json
 
     from . import symmetric
-    from .polymorphisms import DEFAULT_ARITY_CAP, enumerate_polymorphisms, is_polymorphism, parse_poly_table, subset_masks
+    from .polymorphisms import enumerate_polymorphisms, is_polymorphism, parse_poly_table, subset_masks
 
     if args.action == "enumerate":
         target = _pair_target(args.source, args.target)
@@ -114,7 +114,7 @@ def _cmd_poly(args) -> int:
             _past_cap_note(args.arity)
         count = 0
         order, deadline = subset_masks(args.arity), deadline_after(args.time_budget)
-        for values in enumerate_polymorphisms(target, args.arity, force=args.force, deadline=deadline):
+        for values in enumerate_polymorphisms(target, args.arity, deadline=deadline):
             print("".join(str(values[m]) for m in order))
             count += 1
         print(f"count {count}", file=sys.stderr)
@@ -202,7 +202,6 @@ def _cmd_verify(args) -> int:
     import json
 
     from . import properties as props
-    from .polymorphisms import DEFAULT_ARITY_CAP
 
     if args.max_arity > DEFAULT_ARITY_CAP and not (args.action == "lemmas" and args.force):
         hint = "; pass --force" if args.action == "lemmas" else ""  # only lemmas has --force
@@ -216,7 +215,7 @@ def _cmd_verify(args) -> int:
         if args.max_arity > DEFAULT_ARITY_CAP:
             _past_cap_note(args.max_arity)
         target, deadline = named_template(args.template), deadline_after(args.time_budget)
-        reports = props.check_properties(target, ids, args.max_arity, force=args.force, deadline=deadline)
+        reports = props.check_properties(target, ids, args.max_arity, deadline=deadline)
         if args.json:
             print(json.dumps([report.to_dict() for report in reports], indent=2))
         failed = 0

@@ -19,10 +19,6 @@ class FormatError(PcspError):
     """A text artifact (structure, table, instance) could not be parsed."""
 
 
-class ArityBoundError(PcspError):
-    """A requested arity exceeds the configured enumeration bound."""
-
-
 class UnsupportedTargetError(PcspError):
     """No relaxation route exists for the requested target structure."""
 

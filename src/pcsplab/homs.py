@@ -170,10 +170,10 @@ def hom_lattice(structures, *, deadline: float | None = None) -> HomLattice:
             members.append([s])
             above.append(up)
 
-    classes = []  # (hom class, its index in members), by representative encoding
+    classes = []  # (hom class, its index in members), by representative
     for c, cls in enumerate(members):
-        classes.append((HomClass(tuple(cls), min(cls, key=lambda s: s.encoding())), c))
-    classes.sort(key=lambda item: item[0].representative.encoding())
+        classes.append((HomClass(tuple(cls), min(cls)), c))
+    classes.sort(key=lambda item: item[0].representative)
     hom_classes = [cls for cls, _ in classes]
     heads = [c for _, c in classes]
     below = [[b in above[a] for b in heads] for a in heads]

@@ -34,10 +34,8 @@ from collections import namedtuple
 from operator import itemgetter, mul
 
 from ._network import Network
-from .errors import ArityBoundError, FormatError, TimeBudgetExceeded, expired
+from .errors import FormatError, TimeBudgetExceeded, expired
 from .structures import RelStructure, TemplatePair, named_template
-
-DEFAULT_ARITY_CAP = 5
 
 
 def subset_masks(n: int) -> tuple[int, ...]:
@@ -186,9 +184,13 @@ def _cell_partners(blocks, deadline=None):
     list of the cell ints, so the lists hold no more than ncells int
     objects between them.  `repeated` holds the ascending triples that
     repeat a cell, (a, a, blocks - 2a) sorted, for each 2a <= blocks.
-    Raises TimeBudgetExceeded once `deadline` expires, checked per cell.
+    Raises TimeBudgetExceeded once `deadline` expires, checked before
+    each box that either pre-pass copies and before each cell, so that no
+    pass outlasts it by more than one box: the boxes of n unit blocks hold
+    3**(n-1) cells between them.
     """
     first, *tail = blocks
+    late = "search ran past its time budget after 0 nodes, while building its network"
     ncells = math.prod(size + 1 for size in blocks)
     cells = list(range(ncells))
     strides = list(itertools.accumulate([size + 1 for size in reversed(tail)], mul, initial=1))[::-1]
@@ -199,18 +201,23 @@ def _cell_partners(blocks, deadline=None):
         level = list(boxes)
         for d in range(1, size + 1):
             move = cells[d * stride : (d + 1) * stride].__getitem__
-            level += [[*run, *map(move, box)] for run, box in zip(level[-stride:], boxes)]
+            for run, box in zip(level[-stride:], boxes):
+                if expired(deadline):
+                    raise TimeBudgetExceeded(late)
+                level.append([*run, *map(move, box)])
         boxes = level
     # patterns[t]: the box of (blocks[0], t's weights), whose prefixes are the boxes of every R = t mod strides[0]
     patterns = [[] for _ in boxes]
     for d in range(first + 1):
         move = cells[d * strides[0] : (d + 1) * strides[0]].__getitem__
         for pattern, box in zip(patterns, boxes):
+            if expired(deadline):
+                raise TimeBudgetExceeded(late)
             pattern += map(move, box)
     partners = []
     for R in reversed(cells):  # R = ncells - 1 - w, the index of blocks - w, for w = 0, 1, ...
         if expired(deadline):
-            raise TimeBudgetExceeded("search ran past its time budget after 0 nodes, while building its network")
+            raise TimeBudgetExceeded(late)
         q, t = divmod(R, strides[0])
         pattern = patterns[t]
         # box(R) = pattern[:end] pairs u with R - u from its two ends inwards, and holds R / 2 when end is odd,
@@ -297,7 +304,7 @@ def is_polymorphism(table: BlockTable, target: RelStructure) -> bool:
     return _partitions_map_into(table.blocks, table.values, target.single_ternary().as_set)
 
 
-def enumerate_polymorphisms(target: RelStructure, n: int, *, force: bool = False, deadline: float | None = None):
+def enumerate_polymorphisms(target: RelStructure, n: int, *, deadline: float | None = None):
     """Yield every polymorphism of arity n exactly once, in canonical order.
 
     Each item is a value tuple indexed by subset mask, the values of a
@@ -310,17 +317,16 @@ def enumerate_polymorphisms(target: RelStructure, n: int, *, force: bool = False
     of 3-partitions as it is.  Every node is propagated to arc consistency:
     a value stays only while each partition through its cell has values of
     the other two cells that complete it in every ordering of the relation.
-    `deadline` comes from errors.deadline_after, None for no limit; once it
+    Any arity n >= 1 is taken, and `deadline` is the one bound on the work:
+    it comes from errors.deadline_after, None for no limit; once it
     expires, building the network or the search raises TimeBudgetExceeded.
     """
-    _require_arity(n, force)
+    _require_arity(n)
     net = _search_network(target, (1,) * n, subset_masks(n), deadline)
     yield from net.solutions(None, deadline)
 
 
-def _require_arity(n: int, force: bool) -> None:
-    if n > DEFAULT_ARITY_CAP and not force:
-        raise ArityBoundError(f"arity {n} exceeds cap {DEFAULT_ARITY_CAP}; pass force to override")
+def _require_arity(n: int) -> None:
     if n < 1:
         raise ValueError("arity must be >= 1")
 
@@ -344,7 +350,7 @@ def orbit_permutations(n: int) -> list[tuple[int, ...]]:
     return [_subset_images([1 << c for c in perm] + rest, masks) for perm in itertools.permutations(moved)]
 
 
-def enumerate_orbits(target: RelStructure, n: int, *, force: bool = False, deadline: float | None = None):
+def enumerate_orbits(target: RelStructure, n: int, *, deadline: float | None = None):
     """Yield (values, orbit_size) for one polymorphism of arity n per orbit under permuting the coordinates.
 
     Permuting the coordinates of a polymorphism of the symmetric 1-in-3
@@ -373,7 +379,7 @@ def enumerate_orbits(target: RelStructure, n: int, *, force: bool = False, deadl
     and give |Stab|.  The permutation tables are built per call.  `deadline`
     works as in enumerate_polymorphisms.
     """
-    _require_arity(n, force)
+    _require_arity(n)
     order = subset_masks(n)
     net = _search_network(target, (1,) * n, order, deadline)
     singles = order[1 : n + 1]

@@ -24,9 +24,8 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import ArityBoundError, TimeBudgetExceeded, expired
+from .errors import TimeBudgetExceeded, expired
 from .polymorphisms import (
-    DEFAULT_ARITY_CAP,
     BlockTable,
     MinorMap,
     enumerate_orbits,
@@ -388,7 +387,6 @@ def check_properties(
     property_ids,
     max_arity: int,
     *,
-    force: bool = False,
     counterexample_cap: int = 25,
     deadline: float | None = None,
 ) -> tuple[PropertyReport, ...]:
@@ -406,18 +404,16 @@ def check_properties(
     failing tables of the full stream; a leader that sorts after the last
     kept failure of a full list is skipped.  Memory does not grow with the
     enumeration.  One report per id comes back, in the given order; each
-    carries the elapsed time of the shared pass.  `deadline` bounds the
-    whole pass: it goes to every arity's enumeration, which raises
-    TimeBudgetExceeded once it passes.  A max_arity above the cap raises
-    ArityBoundError unless force is set, before any enumeration.
+    carries the elapsed time of the shared pass.  Any max_arity >= 1 is
+    taken, and `deadline` is the one bound on the whole pass: it goes to
+    every arity's enumeration, which raises TimeBudgetExceeded once it
+    passes.  The arity cap and its note belong to the command line.
     """
     for property_id in property_ids:
         if property_id not in PROPERTY_CATALOG:
             raise KeyError(f"unknown property id {property_id!r}")
     if max_arity < 1:
         raise ValueError(f"max arity must be >= 1, got {max_arity}")
-    if max_arity > DEFAULT_ARITY_CAP and not force:
-        raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}; pass force to override")
     specs = [PROPERTY_CATALOG[pid] for pid in property_ids]
     checks = [(spec, []) for spec in specs]  # kept: ((arity, stream key), Counterexample), in stream order
 
@@ -432,7 +428,7 @@ def check_properties(
         masks = MaskTables(n, k)
         stream_key = operator.itemgetter(*subset_masks(n))
         members = None  # the image getters of the orbit group, built on the first failure
-        for values, size in enumerate_orbits(target, n, force=force, deadline=deadline):
+        for values, size in enumerate_orbits(target, n, deadline=deadline):
             examined += size
             view = SlicedTable(values, masks)
             for spec, kept in checks:
@@ -711,15 +707,13 @@ def verify_selector(
     violation.  Each map is read through a getter of its pull table and its
     push table, built once per call: the getter builds the minor g[X] =
     f[pull[X]] in one call, and a selection x moves forward to push[x].
-    `deadline` bounds the enumeration and the chain search together: it
-    goes to every arity's enumeration and is checked at each state, and
-    TimeBudgetExceeded is raised once it passes.  A max_arity above the cap
-    raises ArityBoundError before any enumeration.
+    Any max_arity >= 1 is taken, and `deadline` is the one bound on the
+    enumeration and the chain search together: it goes to every arity's
+    enumeration and is checked at each state, and TimeBudgetExceeded is
+    raised once it passes.  The arity cap belongs to the command line.
     """
     if max_arity < 1:
         raise ValueError(f"max arity must be >= 1, got {max_arity}")
-    if max_arity > DEFAULT_ARITY_CAP:
-        raise ArityBoundError(f"arity {max_arity} exceeds cap {DEFAULT_ARITY_CAP}")
     start = time.perf_counter()
     selections: dict[int, dict[tuple[int, ...], int | None]] = {}
     for n in range(1, max_arity + 1):

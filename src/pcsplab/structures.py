@@ -97,10 +97,6 @@ class RelStructure(namedtuple("RelStructure", "domain_size relations")):
             raise SignatureMismatchError(f"expected a single ternary relation, signature is {self.signature}")
         return self.relations[0]
 
-    def encoding(self) -> tuple:
-        """Deterministic comparable encoding (used for canonical choices)."""
-        return (self.domain_size, tuple((rel.arity, rel.tuples) for rel in self.relations))
-
 
 class Digraph(namedtuple("Digraph", "vertex_count arcs")):
     """Arc b -> b' recorded whenever (b, b, b') lies in the ternary relation."""

@@ -41,12 +41,12 @@ def coordinate_permutations(n):
     ]
 
 
-def brute_force_leaders(target, n, force=False):
+def brute_force_leaders(target, n):
     """[(values, orbit size)] for the tables that come first in stream order among their permutations."""
     key = operator.itemgetter(*subset_masks(n))
     permutations = coordinate_permutations(n)
     leaders = []
-    for values in enumerate_polymorphisms(target, n, force=force):
+    for values in enumerate_polymorphisms(target, n):
         orbit = {get(values) for get in permutations}
         if min(orbit, key=key) == values:
             leaders.append((values, len(orbit)))

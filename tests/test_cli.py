@@ -86,6 +86,28 @@ def test_poly_enumerate_cap(capsys):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["poly", "enumerate", "1in3", "T1", "6"], "arity 6 exceeds the default cap 5; pass --force\n"),
+        (["verify", "lemmas", "T1", "--max-arity", "6"], "max arity 6 exceeds the default cap 5; pass --force\n"),
+        (["verify", "selector", "T1", "--max-arity", "6"], "max arity 6 exceeds the default cap 5\n"),
+    ],
+    ids=["poly enumerate", "verify lemmas", "verify selector"],
+)
+def test_arity_cap_refused_before_any_enumeration(capsys, monkeypatch, argv, message):
+    # the cap is the command line's rule alone: it refuses before any library call enumerates a table
+    from pcsplab import polymorphisms, properties
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the arity check")
+
+    for module in (polymorphisms, properties):
+        monkeypatch.setattr(module, "enumerate_polymorphisms", refuse)
+        monkeypatch.setattr(module, "enumerate_orbits", refuse)
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_poly_enumerate_rejects_nonpositive_arity(capsys):
     for arity in ("0", "-1"):
         code, out, err = run(capsys, "poly", "enumerate", "1in3", "NAE", arity)

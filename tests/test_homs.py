@@ -332,7 +332,7 @@ def test_lattice_matches_pairwise_oracle():
         if not any(i in ids for ids in class_ids):
             class_ids.append([j for j in range(m) if hom[i][j] and hom[j][i]])
     classes = [tuple(inputs[j] for j in ids) for ids in class_ids]
-    order = sorted(range(len(classes)), key=lambda c: min(s.encoding() for s in classes[c]))
+    order = sorted(range(len(classes)), key=lambda c: min(classes[c]))
     below = [[a != b and hom[class_ids[a][0]][class_ids[b][0]] for b in order] for a in order]
     n = len(order)
     covers = {
@@ -342,7 +342,7 @@ def test_lattice_matches_pairwise_oracle():
         if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))
     }
     expected = HomLattice(
-        tuple(HomClass(classes[c], min(classes[c], key=lambda s: s.encoding())) for c in order),
+        tuple(HomClass(classes[c], min(classes[c])) for c in order),
         frozenset(covers),
     )
     assert len(expected.classes) > 1 and expected.cover_edges
@@ -374,8 +374,7 @@ def test_lattice_dot_digests_pinned():
     assert len(lattice.classes) == 21
     # SHA-256 of `hom lattice --all3` and `--named3` stdout, recorded before the
     # classes were sorted ahead of building the order relation
-    catalog = _named_catalog()
-    labeler = lambda s: catalog.get(s.encoding())
+    labeler = _named_catalog().get
     named = hom_lattice([named_template(name) for name in template_names_3()])
     digests = [hashlib.sha256(lattice_to_dot(lat, labeler).encode()).hexdigest() for lat in (lattice, named)]
     assert digests == [

@@ -101,6 +101,19 @@ def test_only_the_command_line_makes_a_deadline():
     assert budget_parameters == set()
 
 
+def test_only_the_command_line_knows_the_arity_cap():
+    # the library takes any arity, bounded by deadline= alone; cli refuses past the cap without --force and notes it
+    namers, force_parameters = {"DEFAULT_ARITY_CAP": set(), "ArityBoundError": set()}, set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for name in namers.keys() & {getattr(node, field, None) for field in ("id", "attr", "name")}:
+                namers[name].add(path.stem)  # a name, an attribute, an import or the definition
+            if isinstance(node, ast.arg) and node.arg == "force":
+                force_parameters.add(path.stem)
+    assert namers == {"DEFAULT_ARITY_CAP": {"cli"}, "ArityBoundError": set()}
+    assert force_parameters == set()
+
+
 def test_only_the_boundary_modules_name_template_pair():
     # the library takes the target alone: a pair is built in structures, made from the command line's SRC TGT in cli,
     # checked once by polymorphisms.one_in_three_target, and taken by symmetric's two answer checks of perfbench

@@ -132,9 +132,9 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
 
     monkeypatch.setattr(errors.time, "monotonic", clock)
     _cell_partners((2000,), 0.5)
-    assert calls == 2001  # one read per cell
+    assert calls == 4002  # one read per box the pre-passes copy, here the one box at each of 2001 weights, and one per cell
     # the clock passes the deadline halfway through the cells
-    calls, stop = 0, 1000
+    calls, stop = 0, 3000
     with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
         _search_network(target, (2000,), range(2001), 0.5)
     assert calls == stop + 1
@@ -143,6 +143,18 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
 def test_cell_partners_stop_at_their_deadline():
     with pytest.raises(TimeBudgetExceeded, match="while building its network"):
         _cell_partners((2000,), time.monotonic() - 1)
+
+
+def test_cell_partners_stop_before_building_their_boxes():
+    # the boxes of 14 unit blocks hold 3**13 cells between them: a past deadline stops the first of them
+    tracemalloc.start()
+    try:
+        with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
+            _cell_partners((1,) * 14, time.monotonic() - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):

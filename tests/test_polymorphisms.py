@@ -11,7 +11,7 @@ import pytest
 
 from general_tables import GeneralTable, boolean_to_general, is_polymorphism_general
 
-from pcsplab.errors import ArityBoundError, FormatError
+from pcsplab.errors import FormatError
 from pcsplab.polymorphisms import (
     ORBIT_BLOCK,
     BlockTable,
@@ -346,21 +346,22 @@ def test_enumeration_stream_pinned(name, n, count, digest):
     order = subset_masks(n)
     sha = hashlib.sha256()
     seen = 0
-    for values in enumerate_polymorphisms(named_template(name), n, force=True):
+    for values in enumerate_polymorphisms(named_template(name), n):
         sha.update(("".join(str(values[m]) for m in order) + "\n").encode())
         seen += 1
     assert (seen, sha.hexdigest()) == (count, digest)
 
 
-def test_enumerate_arity_cap():
-    # past the cap the library raises without force and stays silent with it: the command line gives the notice
+def test_enumerate_takes_any_arity():
+    # the arity cap and its notice belong to the command line: the library takes arity 6 with no flag, silently
     for enumerate_tables in (enumerate_polymorphisms, enumerate_orbits):
-        with pytest.raises(ArityBoundError):
-            next(enumerate_tables(named_template("1in3"), 6))
+        assert list(inspect.signature(enumerate_tables).parameters) == ["target", "n", "deadline"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            next(enumerate_tables(named_template("1in3"), 6, force=True))
+            first = next(enumerate_tables(named_template("1in3"), 6))
         assert not caught, enumerate_tables
+        values = first if enumerate_tables is enumerate_polymorphisms else first[0]
+        assert is_polymorphism(BlockTable((1,) * 6, 2, values), named_template("1in3"))
 
 
 def test_table_text_round_trip():

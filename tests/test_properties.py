@@ -15,7 +15,7 @@ from loop_properties import LOOP_PREDICATES
 
 import pcsplab.properties as properties_module
 from pcsplab.cli import main
-from pcsplab.errors import ArityBoundError, TimeBudgetExceeded, deadline_after
+from pcsplab.errors import TimeBudgetExceeded, deadline_after
 from pcsplab.polymorphisms import BlockTable, enumerate_orbits, enumerate_polymorphisms
 from pcsplab.properties import (
     PROPERTY_CATALOG,
@@ -349,7 +349,7 @@ def test_orbit_leaders_match_brute_force_past_arity_4(name):
     # the prune carries tied permutations across layers; arity 6 permutes every coordinate, all 720 of S_6
     template = named_template(name)
     for n in (5, 6):
-        assert list(enumerate_orbits(template, n, force=True)) == brute_force_leaders(template, n, force=True), n
+        assert list(enumerate_orbits(template, n)) == brute_force_leaders(template, n), n
 
 
 def test_orbit_leaders_pinned_t1_arity_five():
@@ -383,20 +383,27 @@ def test_verify_lemmas_honours_time_budget(budget, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("aborted: ")
 
 
-def test_arity_cap_refused_before_any_enumeration(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerated before the arity check")
+def test_suites_take_any_arity(monkeypatch):
+    # the arity cap belongs to the command line: past it, each suite enumerates every arity up to 6
+    asked = []
 
-    monkeypatch.setattr(properties_module, "enumerate_orbits", refuse)
-    monkeypatch.setattr(properties_module, "enumerate_polymorphisms", refuse)
+    def enumerate_stub(target, n, *, deadline=None):
+        asked.append(n)
+        if n == 6:
+            raise LookupError("reached arity 6")
+        return iter(())
+
+    monkeypatch.setattr(properties_module, "enumerate_orbits", enumerate_stub)
+    monkeypatch.setattr(properties_module, "enumerate_polymorphisms", enumerate_stub)
     template = named_template("T1")
-    with pytest.raises(ArityBoundError):
-        check_properties(template, properties_for_template("T1"), 6)
-    with pytest.raises(ArityBoundError):
-        verify_selector(template, SELECTOR_CATALOG["SEL_T1"], 6)
-    # force lets the suite past the cap, so it reaches the enumeration
-    with pytest.raises(AssertionError, match="enumerated"):
-        check_properties(template, properties_for_template("T1"), 6, force=True)
+    for suite in (
+        lambda: check_properties(template, properties_for_template("T1"), 6),
+        lambda: verify_selector(template, SELECTOR_CATALOG["SEL_T1"], 6),
+    ):
+        asked.clear()
+        with pytest.raises(LookupError, match="reached arity 6"):
+            suite()
+        assert asked == [1, 2, 3, 4, 5, 6]
 
 
 def test_unknown_property_id():
