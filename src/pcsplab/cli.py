@@ -112,9 +112,9 @@ def _cmd_poly(args) -> int:
                 print(f"arity {args.arity} exceeds the default cap {DEFAULT_ARITY_CAP}; pass --force", file=sys.stderr)
                 return 2
             _past_cap_note(args.arity)
-        count = 0
-        order, deadline = subset_masks(args.arity), deadline_after(args.time_budget)
-        for values in enumerate_polymorphisms(target, args.arity, deadline=deadline):
+        count, order = 0, None
+        for values in enumerate_polymorphisms(target, args.arity, deadline=deadline_after(args.time_budget)):
+            order = order or subset_masks(args.arity)  # built on the first table, so an abort never pays for it
             print("".join(str(values[m]) for m in order))
             count += 1
         print(f"count {count}", file=sys.stderr)

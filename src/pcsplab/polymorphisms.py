@@ -40,7 +40,8 @@ from .structures import RelStructure, TemplatePair, named_template
 
 def subset_masks(n: int) -> tuple[int, ...]:
     """All masks over [n] in canonical (cardinality, lexicographic) order."""
-    return tuple(sum(1 << i for i in c) for j in range(n + 1) for c in itertools.combinations(range(n), j))
+    bits = [1 << i for i in range(n)]
+    return tuple(sum(c) for j in range(n + 1) for c in itertools.combinations(bits, j))
 
 
 class BlockTable(namedtuple("BlockTable", "blocks target_size values")):

@@ -22,7 +22,6 @@ import itertools
 import operator
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import TimeBudgetExceeded, expired
 from .polymorphisms import (
@@ -355,14 +354,10 @@ class Counterexample(namedtuple("Counterexample", "arity table witness")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)  # a dataclass because the tests call dataclasses.replace on it
-class PropertyReport:
-    template_label: str
-    property_id: str
-    max_arity: int
-    examined: int
-    counterexamples: tuple[Counterexample, ...]
-    elapsed_ms: float
+class PropertyReport(
+    namedtuple("PropertyReport", "template_label property_id max_arity examined counterexamples elapsed_ms")
+):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -645,14 +640,10 @@ def _sel_ch(f, n):
     return _first_mask(f, n, (i + 1) % 4, 1)
 
 
-@dataclass(frozen=True)  # a dataclass because the tests call dataclasses.replace on it
-class SelectorSpec:
-    name: str
-    k: int
-    l: int
-    template_name: str
-    description: str
-    rule: object  # (values, arity) -> mask | None
+class SelectorSpec(namedtuple("SelectorSpec", "name k l template_name description rule")):
+    """rule maps (values, arity) to a mask or None."""
+
+    __slots__ = ()
 
 
 SELECTOR_CATALOG: dict[str, SelectorSpec] = {

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -371,12 +370,15 @@ def automorphism_orbits(structure: RelStructure) -> list[frozenset[int]]:
     return sorted(set(orbit), key=min)
 
 
-@dataclass(frozen=True)  # a dataclass because perfbench/tracing.py wraps its __post_init__
-class TemplatePair:
+class TemplatePair(namedtuple("TemplatePair", "source target")):
     """A pair of same-signature structures with source -> target required, both checked by _maps."""
 
-    source: RelStructure
-    target: RelStructure
+    __slots__ = ()
+
+    def __new__(cls, source: RelStructure, target: RelStructure):
+        pair = super().__new__(cls, source, target)
+        pair.__post_init__()  # looked up on the class per call, so perfbench/tracing.py can wrap it to count pairs
+        return pair
 
     def __post_init__(self):
         n, k = self.source.domain_size, self.target.domain_size

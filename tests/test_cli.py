@@ -433,6 +433,18 @@ def test_poly_enumerate_time_budget(capsys):
     assert code == 2 and "aborted:" in err and "budget" in err
 
 
+def test_poly_enumerate_abort_builds_the_print_order_at_most_once(capsys, monkeypatch):
+    # the command line builds its print order on the first table, so an abort pays only for the network's one
+    from pcsplab import polymorphisms
+
+    calls = []
+    original = polymorphisms.subset_masks
+    monkeypatch.setattr(polymorphisms, "subset_masks", lambda n: calls.append(n) or original(n))
+    code, out, err = run(capsys, "poly", "enumerate", "1in3", "NAE", "12", "--force", "--time-budget", "0")
+    assert code == 2 and out == "" and "aborted:" in err
+    assert calls == [12]
+
+
 def test_poly_enumerate_past_cap_notice(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

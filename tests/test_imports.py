@@ -125,25 +125,23 @@ def test_only_the_boundary_modules_name_template_pair():
     assert namers == {"structures", "cli", "polymorphisms", "symmetric"}
 
 
-def test_dataclass_decorates_only_the_records_an_outside_reader_needs():
-    # every other record is a namedtuple subclass: a decoration execs five or six generated methods at import
-    decorated = set()
+def test_no_module_imports_or_names_dataclass():
+    # every record is a namedtuple subclass: a decoration execs five or six generated methods at import, and
+    # importing dataclasses loads inspect in every command
+    namers = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                for decorator in node.decorator_list:
-                    called = decorator.func if isinstance(decorator, ast.Call) else decorator
-                    if "dataclass" in {getattr(called, "id", None), getattr(called, "attr", None)}:
-                        decorated.add(node.name)
-    assert decorated == {
-        "PropertyReport",  # the tests pass reports to dataclasses.replace to zero their elapsed_ms
-        "SelectorSpec",  # the tests pass catalog specs to dataclasses.replace to swap their rule
-        "TemplatePair",  # perfbench/tracing.py wraps TemplatePair.__post_init__ to count the pairs built
-    }
+            imported = {alias.name for alias in node.names} if isinstance(node, ast.Import) else set()
+            if isinstance(node, ast.ImportFrom):
+                imported = {node.module} | {alias.name for alias in node.names}
+            named = imported | {getattr(node, field, None) for field in ("id", "attr")}
+            if named & {"dataclass", "dataclasses"}:
+                namers.add(path.stem)
+    assert namers == set()
 
 
 # runs the commands of argv[1] in turn in one fresh interpreter, each reading the stdout of the one before,
-# then prints their exit codes and the pcsplab modules loaded
+# then prints their exit codes and the pcsplab modules, dataclasses and inspect if loaded
 FRESH_COMMANDS = """
 import io, json, sys
 from pcsplab import cli
@@ -152,9 +150,11 @@ for argv in json.loads(sys.argv[1]):
     sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
     codes.append(cli.main(argv))
     text, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
-print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith("pcsplab"))]))
+loaded = sorted(name for name in sys.modules if name.startswith("pcsplab") or name in ("dataclasses", "inspect"))
+print(json.dumps([codes, loaded]))
 """
 SEARCH_MODULES = {"pcsplab.properties", "pcsplab.polymorphisms", "pcsplab.symmetric", "pcsplab._network"}
+HEAVY_MODULES = {"dataclasses", "inspect"}  # no record needs them, and together they cost a command 6-8 ms
 
 
 def run_fresh(*commands):
@@ -171,6 +171,18 @@ def test_each_command_loads_only_the_modules_it_runs():
     assert codes == [0, 0]
     assert {"pcsplab.cli", "pcsplab.solvers"} <= modules
     assert not modules & SEARCH_MODULES
+    assert not modules & HEAVY_MODULES
     codes, modules = run_fresh(["poly", "search-sym", "1in3", "LO_3", "12"])
     assert codes == [1]
     assert modules & SEARCH_MODULES == SEARCH_MODULES - {"pcsplab.properties"}  # a search runs no fact suite
+    assert not modules & HEAVY_MODULES
+    # nor does any other command, however many run in one interpreter
+    codes, modules = run_fresh(
+        ["gen", "12", "8", "1"],
+        ["solve", "NAE"],
+        ["verify", "lemmas", "CH", "--max-arity", "2"],
+        ["poly", "search-sym", "1in3", "LO_3", "12"],
+        ["hom", "lattice", "--named3"],
+    )
+    assert codes == [0, 0, 0, 1, 0]
+    assert SEARCH_MODULES <= modules and not modules & HEAVY_MODULES

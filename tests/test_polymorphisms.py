@@ -68,6 +68,12 @@ def test_canonical_subset_order():
     assert order4[:5] == (0, 1, 2, 4, 8)
 
 
+def test_subset_masks_match_the_per_index_sum():
+    for n in range(13):
+        expected = tuple(sum(1 << i for i in c) for j in range(n + 1) for c in itertools.combinations(range(n), j))
+        assert subset_masks(n) == expected
+
+
 def test_is_polymorphism_examples():
     assert is_polymorphism(dictator(3, 1), named_template("1in3"))
     assert is_polymorphism(alternating_threshold(), named_template("NAE"))

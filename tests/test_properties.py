@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 from full_suites import brute_force_leaders, coordinate_permutations, full_check_properties
@@ -256,7 +255,7 @@ def test_one_pass_reports_match_single_property_checks():
     assert len(joint[1].counterexamples) == 2
     for pid, report in zip(ids, joint):
         single = check_properties(template, [pid], 3, counterexample_cap=2)[0]
-        assert replace(report, elapsed_ms=0.0) == replace(single, elapsed_ms=0.0)
+        assert report._replace(elapsed_ms=0.0) == single._replace(elapsed_ms=0.0)
 
 
 def _assert_loops_agree(values, masks):
@@ -367,7 +366,7 @@ def test_check_properties_keeps_no_module_state():
     ids = properties_for_template("T1")
     first = check_properties(template, ids, 3)
     second = check_properties(template, ids, 3)
-    assert [replace(r, elapsed_ms=0.0) for r in first] == [replace(r, elapsed_ms=0.0) for r in second]
+    assert [r._replace(elapsed_ms=0.0) for r in first] == [r._replace(elapsed_ms=0.0) for r in second]
     assert dict(vars(properties_module)) == before
     gc.collect()
     assert not any(isinstance(o, MaskTables) for o in gc.get_objects())
@@ -585,7 +584,7 @@ def test_verify_selector_failures_in_arity_then_stream_order():
         calls.append((n, values))
         return None if n == 2 or values == last_unary else 1
 
-    spec = replace(SELECTOR_CATALOG["SEL_T1"], rule=rule)
+    spec = SELECTOR_CATALOG["SEL_T1"]._replace(rule=rule)
     report = verify_selector(template, spec, 2)
     stream = [(n, v) for n in (1, 2) for v in enumerate_polymorphisms(template, n)]
     assert calls == stream  # one rule call per table, in stream order

@@ -4,9 +4,16 @@ import pytest
 
 from pcsplab.homs import HomClass, HomLattice, HomMap
 from pcsplab.polymorphisms import BlockTable, MinorMap
-from pcsplab.properties import Counterexample, KneserGraph, PropertySpec, SelectorReport
+from pcsplab.properties import (
+    Counterexample,
+    KneserGraph,
+    PropertyReport,
+    PropertySpec,
+    SelectorReport,
+    SelectorSpec,
+)
 from pcsplab.solvers import Instance
-from pcsplab.structures import Digraph, Relation, RelStructure
+from pcsplab.structures import Digraph, Relation, RelStructure, TemplatePair, named_template
 from pcsplab.symmetric import (
     ContradictionEvent,
     ForceEvent,
@@ -25,6 +32,7 @@ TRACE = PropagationTrace((FORCE, ContradictionEvent(6, ((0, (6, 8, 9)),))))
 RECORDS = [
     (Relation, ("arity", "tuples"), (2, ((0, 1), (1, 0))), ("tuples", ((0, 1),))),
     (RelStructure, ("domain_size", "relations"), (2, (ONE_IN_THREE,)), ("domain_size", 3)),
+    (TemplatePair, ("source", "target"), (STRUCTURE, STRUCTURE), ("target", named_template("NAE"))),
     (Digraph, ("vertex_count", "arcs"), (2, frozenset({(0, 1)})), ("arcs", frozenset({(1, 0)}))),
     (HomMap, ("source_size", "target_size", "assignment"), (2, 3, (0, 2)), ("assignment", (2, 0))),
     (HomClass, ("members", "representative"), ((STRUCTURE,), STRUCTURE), ("members", ())),
@@ -33,6 +41,12 @@ RECORDS = [
     (MinorMap, ("source_arity", "target_arity", "mapping"), (3, 2, (1, 2, 1)), ("mapping", (2, 1, 1))),
     (PropertySpec, ("property_id", "template_name", "description", "predicate"), ("P", "T1", "none", len), ("predicate", bool)),
     (Counterexample, ("arity", "table", "witness"), (2, TABLE, (1, 2)), ("witness", ())),
+    (
+        PropertyReport,
+        ("template_label", "property_id", "max_arity", "examined", "counterexamples", "elapsed_ms"),
+        ("T1", "T1_parity", 4, 328, (), 1.5),
+        ("examined", 327),
+    ),
     (KneserGraph, ("n", "m", "vertices", "adjacency"), (2, 1, ((1,), (2,)), ((1,), (0,))), ("adjacency", ((), ()))),
     (
         SelectorReport,
@@ -48,6 +62,12 @@ RECORDS = [
         ),
         ("SEL_CH", 4, 5, 3588, (), (), (), 12.5),
         ("states_explored", 3587),
+    ),
+    (
+        SelectorSpec,
+        ("name", "k", "l", "template_name", "description", "rule"),
+        ("SEL_CH", 2, 5, "CH", "small set", len),
+        ("rule", bool),
     ),
     (Instance, ("variable_count", "edges"), (3, ((1, 2, 3),)), ("edges", ((3, 2, 1),))),
     (ForceEvent, ("cell", "color", "triple"), (8, 0, (6, 8, 9)), ("color", 1)),

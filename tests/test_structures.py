@@ -7,6 +7,7 @@ from pcsplab.errors import FormatError, SignatureMismatchError
 from pcsplab.structures import (
     NAMED_TEMPLATES,
     Relation,
+    TemplatePair,
     all_symmetric_ternary_structures,
     associated_digraph,
     automorphism_orbits,
@@ -277,3 +278,27 @@ def test_text_format_comments_and_errors():
         parse_structure("domain 2\nrel 3\n")
     with pytest.raises(FormatError):
         parse_structure("domain 2\nbogus 1\n")
+
+
+def test_template_pair_check_can_be_wrapped_on_the_class():
+    # perfbench/tracing.py counts the pairs built by wrapping TemplatePair.__post_init__ with setattr
+    original, calls = TemplatePair.__post_init__, []
+
+    def counting(pair):
+        calls.append(pair)
+        return original(pair)
+
+    one_in_three, nae = named_template("1in3"), named_template("NAE")
+    setattr(TemplatePair, "__post_init__", counting)
+    try:
+        pair = TemplatePair(one_in_three, nae)
+        with pytest.raises(ValueError, match="no homomorphism from source to target"):
+            TemplatePair(nae, one_in_three)
+    finally:
+        setattr(TemplatePair, "__post_init__", original)
+    assert calls == [pair, (nae, one_in_three)]
+    assert TemplatePair.__post_init__ is original
+    TemplatePair(one_in_three, nae)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="no homomorphism from source to target"):
+        TemplatePair(nae, one_in_three)
