@@ -47,16 +47,18 @@ Four start-up cases time whole fresh processes, from spawn to exit, as the
 `pcsplab` console script runs them: `import pcsplab.cli` alone, `gen 240
 180 7`, `solve NAE --prefer nae` reading that `gen`'s output, and `poly
 search-sym 1in3 LO_3 64` (phase `process`).  Each case runs once more,
-untimed, in an interpreter that counts the `pcsplab` modules loaded and the
-`@dataclass` decorations run; its exit code and a digest of its stdout are
-counters too.  The ledger records whether PYTHONDONTWRITEBYTECODE was set,
+untimed, in an interpreter that counts the `pcsplab` modules loaded; its
+exit code and a digest of its stdout are counters too.  The ledger records whether PYTHONDONTWRITEBYTECODE was set,
 since without it every interpreter after the first reads cached bytecode
 instead of compiling the package.
 
 Each tree's library must take the target alone, with 1-in-3 as the fixed
 source: the cases call `search_symmetric`, `enumerate_orbits`,
 `verify_selector`, `is_polymorphism` and `_search_network` with a target,
-not a pair.
+not a pair.  Its network must hold no branch order: the cases build it as
+`_search_network(target, blocks)` and give the order to
+`Network.solutions(order, first_colors, deadline)`, so a tree whose
+network still takes the order in its constructor cannot be measured.
 Every run is one timed interpreter and one memory interpreter per memory
 case for each source tree, so no row or cache built by one run is seen by
 the next, and the order of the trees alternates from run to run.  The
@@ -130,28 +132,16 @@ STARTUP_CASES = (
     ("start-up solve NAE", ["-c", CONSOLE, "solve", "NAE", "--prefer", "nae"], "start-up gen 240 180 7"),
     ("start-up search-sym LO_3 64", ["-c", CONSOLE, "poly", "search-sym", "1in3", "LO_3", "64"], None),
 )
-# runs `-c CODE ARGS` given as CODE ARGS, counting the @dataclass decorations, and ends stderr with a JSON line of
-# that count and the pcsplab modules loaded
+# runs `-c CODE ARGS` given as CODE ARGS and ends stderr with a JSON line of the count of pcsplab modules loaded
 COUNTING = """
-import dataclasses, json, sys
-decorations = 0
-plain = dataclasses.dataclass
-
-def counted(cls=None, /, **options):
-    def decorate(cls):
-        global decorations
-        decorations += 1
-        return plain(**options)(cls)
-    return decorate if cls is None else decorate(cls)
-
-dataclasses.dataclass = counted
+import json, sys
 code, sys.argv = sys.argv[1], ["-c", *sys.argv[2:]]
 try:
     exec(code, {"__name__": "__main__"})
 except SystemExit:
     pass
 modules = [name for name in sys.modules if name == "pcsplab" or name.startswith("pcsplab.")]
-print(json.dumps({"pcsplab_modules": len(modules), "dataclass_decorations": decorations}), file=sys.stderr)
+print(json.dumps({"pcsplab_modules": len(modules)}), file=sys.stderr)
 """
 
 
@@ -362,13 +352,13 @@ def measure_once() -> dict:
         net = values = None
         if "network" in phases:
             start = time.perf_counter()
-            net = _search_network(structure, blocks, order)
+            net = _search_network(structure, blocks)
             s["network"] = time.perf_counter() - start
             counters["triples"] = triple_count(blocks)
         elif "networks" in phases:
             start = time.perf_counter()
             for _ in range(NETWORK_BUILDS):
-                _search_network(structure, blocks, order)
+                _search_network(structure, blocks)
             s["networks"] = time.perf_counter() - start
             counters.update(builds=NETWORK_BUILDS, triples=triple_count(blocks))
         elif "check" in phases:
@@ -390,7 +380,7 @@ def measure_once() -> dict:
         if "solutions" in phases:
             wlog = _wlog_colors(structure)
             start = time.perf_counter()
-            values = next(net.solutions(wlog, None), None)
+            values = next(net.solutions(order, wlog, None), None)
             s["solutions"] = time.perf_counter() - start
             counters["nodes"] = net.nodes
             counters["found"] = values is not None
@@ -441,9 +431,9 @@ def measure_memory(label: str) -> dict:
         before = now
 
     if "network" in phases:
-        net = _search_network(structure, blocks, order)
+        net = _search_network(structure, blocks)
         grew("network")
-        values = next(net.solutions(_wlog_colors(structure), None), None)
+        values = next(net.solutions(order, _wlog_colors(structure), None), None)
         grew("solutions")
     if values is not None:
         is_polymorphism(BlockTable(blocks, structure.domain_size, values), structure)
@@ -452,7 +442,7 @@ def measure_memory(label: str) -> dict:
         del net
         gc.collect()
         tracemalloc.start()
-        net = _search_network(structure, blocks, order)
+        net = _search_network(structure, blocks)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         out.update(peak=peak / 2**20, held=held / 2**20)

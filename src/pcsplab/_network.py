@@ -1,20 +1,20 @@
 """The propagation engine shared by the polymorphism searches and enumeration.
 
-A network is `ncells` cells, each to take one of k colors, under ternary
-constraints.  A constraint is a sorted cell triple (a, b, c), a <= b <= c,
-in which a cell may repeat; `allowed[x][y]` is the mask of colors v such
-that the colors (x, y, v) satisfy it.  The table is symmetric in all three
-positions, so every constraint is the same whichever order its cells are
-read in, and one table serves them all.  The network takes its
-constraints as `partners`, per cell w a pair of equally long lists (us,
-vs) of the other two cells of each constraint through w, u <= v, one
-entry per constraint and the constraints in ascending order of their
-triples, and as `repeated`, the ascending triples that repeat a cell, from
-which it builds twin tables.  It keeps the lists as they are: each is one
-pointer per cell, and lists from a shared list of cell ints add no int
-objects.  The engine knows nothing of where the cells and constraints come
-from: `polymorphisms` derives them from coordinate blocks and owns that
-layout.
+A network is cells, each to take one of k colors, ternary constraints and
+their table, and no more: each search is given its branch order.  A
+constraint is a sorted cell triple (a, b, c), a <= b <= c, in which a cell
+may repeat; `allowed[x][y]` is the mask of colors v such that the colors
+(x, y, v) satisfy it.  The table is symmetric in all three positions, so
+every constraint is the same whichever order its cells are read in, and one
+table serves them all.  The network takes its constraints as `partners`, per
+cell w a pair of equally long lists (us, vs) of the other two cells of each
+constraint through w, u <= v, one entry per constraint and the constraints
+in ascending order of their triples, and as `repeated`, the ascending
+triples that repeat a cell, from which it builds twin tables.  It keeps the
+lists as they are: each is one pointer per cell, and lists from a shared
+list of cell ints add no int objects.  The engine knows nothing of where the
+cells and constraints come from: `polymorphisms` derives them from
+coordinate blocks and owns that layout.
 
 The state of a search is one candidate mask per cell; a cell is assigned
 when its mask is a singleton.  Propagation pops a cell and narrows the other
@@ -43,7 +43,7 @@ skips its partner lists: it can narrow nothing there.  Its twin tables are
 still applied.  Each network computes the flag once per row set, as
 `support.inert` and `forward.inert`.
 
-Search is depth-first over a fixed branch order with ascending colors.
+Search is depth-first over the branch order it is given, ascending colors.
 Narrowing only removes colors that no solution can use, so solutions come
 out in lexicographic order along the branch order, whichever rows narrow.
 """
@@ -82,13 +82,12 @@ def _rows(k: int, entry):
 class Network:
     """Depth-first search over candidate masks, arc consistent at every node, over per-cell partner lists."""
 
-    def __init__(self, ncells: int, partners, repeated, branch_order, allowed):
+    def __init__(self, partners, repeated, allowed):
+        self.ncells = ncells = len(partners)
         if ncells < 2:
             raise ValueError(f"a network needs at least two cells, got {ncells}")
-        self.ncells = ncells
         self.k = k = len(allowed)
         self.full = full = (1 << k) - 1
-        self.branch_order = branch_order
         self.partners = partners
         # twins[cell] holds (other, table, triple) per constraint that repeats a cell;
         # other's mask narrows to table[cand[cell]]
@@ -127,7 +126,7 @@ class Network:
         self.support = _rows(k, pair_support)
         self.support.twins = twins
         self.forward = _rows(k, pair_forward)
-        self.forward.twins = [()] * self.ncells
+        self.forward.twins = [()] * ncells
         for rows, entry in (self.support, pair_support), (self.forward, pair_forward):
             rows.inert = all(entry(full, 1 << y) == full for y in range(k))  # read off k entries, no row built
 
@@ -181,18 +180,20 @@ class Network:
                     queue.append(other)
         return True
 
-    def solutions(self, first_colors, deadline, prune=None):
+    def solutions(self, branch_order, first_colors, deadline, prune=None):
         """Yield the value tuple of every solution; the stack holds (cand, branch position, remaining colors) frames.
 
-        The first branched cell tries only `first_colors` when it is given;
-        every other cell tries its candidates in ascending order.  When
-        `prune` is given it is called as prune(cand, start, stop) on every
-        node to be expanded and on every solution, after the deadline check:
-        the cells at branch positions below `stop` are assigned, and those
-        below `start` were already assigned at the node's parent (0 at the
-        root).  A true result cuts the node.  The deadline is checked at
-        every node, a solution included, so a propagation that outlasts it
-        stops the search at the node it reaches.
+        Cells are branched on in `branch_order`, which lists every cell once,
+        and `nodes` counts this search's nodes.  The first branched cell
+        tries only `first_colors` when it is given; every other cell tries
+        its candidates in ascending order.  When `prune` is given it is
+        called as prune(cand, start, stop) on every node to be expanded and
+        on every solution, after the deadline check: the cells at branch
+        positions below `stop` are assigned, and those below `start` were
+        already assigned at the node's parent (0 at the root).  A true result
+        cuts the node.  The deadline is checked at every node, a solution
+        included, so a propagation that outlasts it stops the search at the
+        node it reaches.
         """
         cand = [self.full] * self.ncells
         self.nodes = 1
@@ -201,22 +202,21 @@ class Network:
             return
         color_of = {1 << v: v for v in range(self.k)}
         colors = range(self.k) if first_colors is None else first_colors
-        order = self.branch_order
         stack = []
         start = 0  # every cell before this position in the branch order is assigned
         while True:
             if expired(deadline):
                 raise TimeBudgetExceeded(f"search ran past its time budget after {self.nodes} nodes")
             # expand the node at its first unassigned cell
-            for i in range(start, len(order)):
-                mask = cand[order[i]]
+            for i in range(start, len(branch_order)):
+                mask = cand[branch_order[i]]
                 if mask & (mask - 1):
                     if prune is None or not prune(cand, start, i):
                         stack.append((cand, i, iter(colors)))
                     colors = range(self.k)
                     break
             else:
-                if prune is None or not prune(cand, start, len(order)):
+                if prune is None or not prune(cand, start, len(branch_order)):
                     yield itemgetter(*cand)(color_of)  # a tuple, since a network has at least two cells
             # descend into the next child whose propagation succeeds, backtracking as needed
             cand = None
@@ -224,7 +224,7 @@ class Network:
                 if not stack:
                     return
                 parent, start, remaining = stack[-1]
-                cell = order[start]
+                cell = branch_order[start]
                 for v in remaining:
                     if not parent[cell] >> v & 1:
                         continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import TimeBudgetExceeded, expired
-from .structures import RelStructure, _check_signatures, _maps
+from .structures import Checked, RelStructure, _check_signatures, _maps
 
 STRICTLY_BELOW = "strictly_below"
 STRICTLY_ABOVE = "strictly_above"
@@ -25,7 +25,7 @@ EQUIVALENT = "equivalent"
 INCOMPARABLE = "incomparable"
 
 
-class HomMap(namedtuple("HomMap", "source_size target_size assignment")):
+class HomMap(Checked, namedtuple("HomMap", "source_size target_size assignment")):
     """A total map between domains, with on-demand verification."""
 
     __slots__ = ()

@@ -35,7 +35,7 @@ from operator import itemgetter, mul
 
 from ._network import Network
 from .errors import FormatError, TimeBudgetExceeded, expired
-from .structures import RelStructure, TemplatePair, named_template
+from .structures import Checked, RelStructure, TemplatePair, named_template
 
 
 def subset_masks(n: int) -> tuple[int, ...]:
@@ -44,7 +44,7 @@ def subset_masks(n: int) -> tuple[int, ...]:
     return tuple(sum(c) for j in range(n + 1) for c in itertools.combinations(bits, j))
 
 
-class BlockTable(namedtuple("BlockTable", "blocks target_size values")):
+class BlockTable(Checked, namedtuple("BlockTable", "blocks target_size values")):
     """Total table on the cells of coordinate blocks, values in the target domain.
 
     blocks holds the block sizes, each >= 1, and values has one entry per
@@ -96,7 +96,7 @@ def alternating_threshold(target_size: int = 2) -> BlockTable:
     return BlockTable((1,) * 3, target_size, tuple(vals))
 
 
-class MinorMap(namedtuple("MinorMap", "source_arity target_arity mapping")):
+class MinorMap(Checked, namedtuple("MinorMap", "source_arity target_arity mapping")):
     """A total map [n] -> [m] used to identify coordinates of a table; mapping[i-1] is the image of coordinate i."""
 
     __slots__ = ()
@@ -284,13 +284,13 @@ def _partitions_map_into(blocks, values, rel) -> bool:
     return True
 
 
-def _search_network(target: RelStructure, blocks, branch_order, deadline=None) -> Network:
+def _search_network(target: RelStructure, blocks, deadline=None) -> Network:
     """The search network for tables from 1-in-3 to target on the cells of the coordinate blocks.
 
     Raises TimeBudgetExceeded once `deadline` expires before the network is built.
     """
     partners, repeated = _cell_partners(blocks, deadline)
-    return Network(len(partners), partners, repeated, branch_order, allowed_table(target))
+    return Network(partners, repeated, allowed_table(target))
 
 
 def is_polymorphism(table: BlockTable, target: RelStructure) -> bool:
@@ -323,8 +323,8 @@ def enumerate_polymorphisms(target: RelStructure, n: int, *, deadline: float | N
     expires, building the network or the search raises TimeBudgetExceeded.
     """
     _require_arity(n)
-    net = _search_network(target, (1,) * n, subset_masks(n), deadline)
-    yield from net.solutions(None, deadline)
+    net = _search_network(target, (1,) * n, deadline)
+    yield from net.solutions(subset_masks(n), None, deadline)
 
 
 def _require_arity(n: int) -> None:
@@ -381,8 +381,8 @@ def enumerate_orbits(target: RelStructure, n: int, *, deadline: float | None = N
     works as in enumerate_polymorphisms.
     """
     _require_arity(n)
+    net = _search_network(target, (1,) * n, deadline)
     order = subset_masks(n)
-    net = _search_network(target, (1,) * n, order, deadline)
     singles = order[1 : n + 1]
     ascending = list(zip(singles, singles[1 : ORBIT_BLOCK]))
     # every compared tuple starts with the empty set, which each permutation fixes, so that it has two entries or more
@@ -430,7 +430,7 @@ def enumerate_orbits(target: RelStructure, n: int, *, deadline: float | None = N
         return False
 
     group = len(images) + 1
-    for values in net.solutions(None, deadline, prune):
+    for values in net.solutions(order, None, deadline, prune):
         yield values, group // stabiliser
 
 

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import FormatError, TimeBudgetExceeded, UnsupportedTargetError, expired
 from .homs import check_coloring, find_homomorphism, hom_exists
-from .structures import RelStructure, named_template
+from .structures import Checked, RelStructure, named_template
 
 MASK64 = (1 << 64) - 1
 
@@ -37,7 +37,7 @@ D1plus = named_template("D1plus")
 D2plus = named_template("D2plus")
 
 
-class Instance(namedtuple("Instance", "variable_count edges")):
+class Instance(Checked, namedtuple("Instance", "variable_count edges")):
     """A 3-uniform hypergraph with ordered triples over variables 1..variable_count."""
 
     __slots__ = ()

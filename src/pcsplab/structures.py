@@ -22,7 +22,17 @@ from operator import itemgetter
 from .errors import FormatError, SignatureMismatchError
 
 
-class Relation(namedtuple("Relation", "arity tuples")):
+class Checked:
+    """Mixin of the records whose __new__ checks or normalises: _make, and so _replace, builds through it too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class Relation(Checked, namedtuple("Relation", "arity tuples")):
     """A nonempty set of same-arity tuples, stored sorted for determinism."""
 
     def __new__(cls, arity: int, tuples: tuple[tuple[int, ...], ...]):
@@ -63,7 +73,7 @@ def _orbit_size(t: tuple[int, ...]) -> int:
     return size
 
 
-class RelStructure(namedtuple("RelStructure", "domain_size relations")):
+class RelStructure(Checked, namedtuple("RelStructure", "domain_size relations")):
     """A finite domain 0..domain_size-1 with an ordered list of relations."""
 
     def __new__(cls, domain_size: int, relations: tuple[Relation, ...]):
@@ -97,7 +107,7 @@ class RelStructure(namedtuple("RelStructure", "domain_size relations")):
         return self.relations[0]
 
 
-class Digraph(namedtuple("Digraph", "vertex_count arcs")):
+class Digraph(Checked, namedtuple("Digraph", "vertex_count arcs")):
     """Arc b -> b' recorded whenever (b, b, b') lies in the ternary relation."""
 
     __slots__ = ()
@@ -370,7 +380,7 @@ def automorphism_orbits(structure: RelStructure) -> list[frozenset[int]]:
     return sorted(set(orbit), key=min)
 
 
-class TemplatePair(namedtuple("TemplatePair", "source target")):
+class TemplatePair(Checked, namedtuple("TemplatePair", "source target")):
     """A pair of same-signature structures with source -> target required, both checked by _maps."""
 
     __slots__ = ()

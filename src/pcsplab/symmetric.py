@@ -7,15 +7,17 @@ when the relation is symmetric).  A two-block table has blocks (k1, k2)
 and one value per weight pair.  Search is chronological backtracking that
 keeps every node arc consistent; when the target's automorphism group
 identifies colors, the first branched cell only tries orbit
-representatives.  Propagation traces record forward checking.  The tables,
-the check and the search networks come from `polymorphisms`; the source is
-always 1-in-3, so every function takes the target alone.
+representatives.  Propagation traces record forward checking on a network
+built once.  The tables, the check and the search networks come from
+`polymorphisms`; the source is always 1-in-3, so every function takes the
+target alone, or a network built for it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from ._network import Network
 from .polymorphisms import BlockTable, _search_network, allowed_table, is_polymorphism, one_in_three_target
 from .structures import RelStructure, TemplatePair, automorphism_orbits
 
@@ -83,8 +85,8 @@ def is_block_symmetric_polymorphism(table: BlockTable, template: TemplatePair) -
     return is_polymorphism(table, one_in_three_target(template))
 
 
-def propagate(target: RelStructure, n: int, seed: dict[int, int]) -> tuple[dict[int, int], PropagationTrace]:
-    """Forward-checking fixpoint of the arity-n search network from the seeded weights, weight -> color.
+def propagate(net: Network, seed: dict[int, int]) -> tuple[dict[int, int], PropagationTrace]:
+    """Forward-checking fixpoint of a symmetric search network from the seeded weights, weight -> color.
 
     For every triple with two assigned weights the third weight's candidate
     set is intersected with the values compatible with the assigned pair;
@@ -92,15 +94,13 @@ def propagate(target: RelStructure, n: int, seed: dict[int, int]) -> tuple[dict[
     set stops propagation.  The seeded weights are queued in ascending
     order and the queue propagates its newest weight first, so the event
     order is deterministic.  Returns the seed with every forced weight added.
+    Each call starts from fresh candidates, so one network serves every seed.
     """
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    net = _search_network(target, (n,), range(n + 1))
     k = net.k
     cand = [net.full] * net.ncells
     for w, v in seed.items():
-        if w not in range(n + 1) or v not in range(k):
-            raise ValueError(f"seed f({w}) = {v} outside weights 0..{n} or colors 0..{k - 1}")
+        if w not in range(net.ncells) or v not in range(k):
+            raise ValueError(f"seed f({w}) = {v} outside weights 0..{net.ncells - 1} or colors 0..{k - 1}")
         cand[w] = 1 << v
     assigned = dict(seed)
     events: list = []
@@ -136,8 +136,8 @@ def _wlog_colors(target: RelStructure) -> tuple[int, ...]:
 
 def _first_solution(target: RelStructure, blocks, branch_order, use_wlog: bool, deadline) -> SearchResult:
     """The first table on the cells of the coordinate blocks, or None, checked, with the nodes searched."""
-    net = _search_network(target, blocks, branch_order, deadline)
-    values = next(net.solutions(_wlog_colors(target) if use_wlog else None, deadline), None)
+    net = _search_network(target, blocks, deadline)
+    values = next(net.solutions(branch_order, _wlog_colors(target) if use_wlog else None, deadline), None)
     table = None if values is None else BlockTable(blocks, target.domain_size, values)
     assert table is None or is_polymorphism(table, target)
     return SearchResult(table, net.nodes)
@@ -252,9 +252,9 @@ def chplus23_certificate(target: RelStructure, seed_color: int = 0) -> ForcingCe
     Each step narrows one weight with a single compatibility triple whose
     other slots are already assigned and asserts the candidate set is a
     singleton; afterwards every color for weight 6 is refuted by running
-    the general propagator.  A complete certificate plus the transitivity
-    of the target's automorphism group rules out symmetric tables of
-    arity 23 altogether.
+    the general propagator on one arity-23 network.  A complete certificate
+    plus the transitivity of the target's automorphism group rules out
+    symmetric tables of arity 23 altogether.
     """
     n = 23
     k = target.domain_size
@@ -274,10 +274,8 @@ def chplus23_certificate(target: RelStructure, seed_color: int = 0) -> ForcingCe
         assigned[weight] = color
         forced.append(ForceEvent(weight, color, triple))
 
-    refutations = []
-    for color in range(k):
-        _, trace = propagate(target, n, {**assigned, 6: color})
-        refutations.append((color, trace))
+    net = _search_network(target, (n,))
+    refutations = [(color, propagate(net, {**assigned, 6: color})[1]) for color in range(k)]
 
     transitive = len(automorphism_orbits(target)) == 1
     return ForcingCertificate(

@@ -70,7 +70,7 @@ def test_network_constraints_match_coordinate_partitions(blocks):
     assert repeated == expected_repeated
     for us, vs in partners:
         assert all(u <= v for u, v in zip(us, vs)) and list(us) == sorted(set(us))
-    net = Network(ncells, partners, repeated, range(ncells), [[1, 1], [1, 1]])
+    net = Network(partners, repeated, [[1, 1], [1, 1]])
     assert net.ncells == ncells and net.k == 2 and net.partners is partners  # the network keeps the lists as they are
 
 
@@ -110,7 +110,7 @@ def test_search_network_partner_lists_share_the_cell_ints(target, blocks, mb):
     ncells = math.prod(size + 1 for size in blocks)
     tracemalloc.start()
     try:
-        net = _search_network(named_template(target), blocks, range(ncells))
+        net = _search_network(named_template(target), blocks)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -136,7 +136,7 @@ def test_network_build_stops_at_its_deadline(monkeypatch):
     # the clock passes the deadline halfway through the cells
     calls, stop = 0, 3000
     with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
-        _search_network(target, (2000,), range(2001), 0.5)
+        _search_network(target, (2000,), 0.5)
     assert calls == stop + 1
 
 
@@ -161,7 +161,7 @@ def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):
     # one propagation can outlast the budget: the solution it reaches is not yielded
     now = 0.0
     monkeypatch.setattr(errors.time, "monotonic", lambda: now)
-    net = _search_network(named_template("T2"), (7,), range(8))
+    net = _search_network(named_template("T2"), (7,))
     propagate = net.propagate_from
 
     def slow(cand, queue, rows, on_narrow=None):
@@ -173,7 +173,7 @@ def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):
 
     net.propagate_from = slow
     with pytest.raises(TimeBudgetExceeded, match=r"past its time budget after \d+ nodes$"):
-        next(net.solutions(None, 0.5))
+        next(net.solutions(range(8), None, 0.5))
 
 
 def catalog_pairs():
@@ -241,9 +241,10 @@ def test_propagation_traces_pinned():
     entries = []
     for name, target in catalog_pairs():
         for n in range(1, 13):
+            net = _search_network(target, (n,))
             for w in range(n + 1):
                 for color in range(target.domain_size):
-                    assigned, trace = propagate(target, n, {w: color})
+                    assigned, trace = propagate(net, {w: color})
                     entries.append((name, n, w, color, sorted(assigned.items()), trace.events))
     assert sum(len(entry[-1]) for entry in entries) == 3996
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
@@ -307,7 +308,7 @@ def test_propagation_reaches_arc_consistency(target):
     for blocks in GAC_SHAPES:
         triples = sorted(partition_triples(blocks))
         ncells = math.prod(size + 1 for size in blocks)
-        net = Network(ncells, *constraints_of(ncells, triples), None, allowed_table(structure))
+        net = Network(*constraints_of(ncells, triples), allowed_table(structure))
         for _ in range(8):
             assert_arc_consistent(net, triples, ok, rng)
 
@@ -335,7 +336,7 @@ def test_on_narrow_reports_every_narrowing_under_support_rows(target):
     narrowed = 0
     for blocks in [(4,), (5,), (2, 2), (1, 1, 1), (3, 2)]:
         ncells = math.prod(size + 1 for size in blocks)
-        net = _search_network(structure, blocks, range(ncells))
+        net = _search_network(structure, blocks)
         for _ in range(20):
             start = [net.full] * ncells
             for cell in rng.sample(range(ncells), rng.randint(0, 2)):
@@ -372,12 +373,33 @@ def test_engine_on_random_triples(seed):
     """Arbitrary sorted triples, repeated cells and cells in no triple included, under a random relation."""
     rng, k, ncells, ok, allowed = random_relation(seed)
     triples = sorted({tuple(sorted(rng.choices(range(ncells), k=3))) for _ in range(rng.randint(1, 8))})
-    net = Network(ncells, *constraints_of(ncells, triples), range(ncells), allowed)
+    net = Network(*constraints_of(ncells, triples), allowed)
     for _ in range(6):
         assert_arc_consistent(net, triples, ok, rng)
     # solutions come out in lexicographic order along the branch order, each exactly once
     domains = [set(range(k))] * ncells
-    assert list(net.solutions(None, None)) == completions(ncells, triples, ok, domains)
+    assert list(net.solutions(range(ncells), None, None)) == completions(ncells, triples, ok, domains)
+
+
+def test_one_network_serves_two_branch_orders():
+    # restarts rerun one network under shuffled orders: each run yields every solution once, in lexicographic
+    # order along its own branch order, and counts its own nodes
+    reordered = 0
+    for seed in range(40):
+        rng, k, ncells, ok, allowed = random_relation(seed)
+        triples = sorted({tuple(sorted(rng.choices(range(ncells), k=3))) for _ in range(rng.randint(1, 8))})
+        net = Network(*constraints_of(ncells, triples), allowed)
+        orders = [range(ncells), rng.sample(range(ncells), ncells)]
+        runs = []
+        for order in orders + orders[:1]:
+            found = list(net.solutions(order, None, None))
+            assert found == sorted(found, key=lambda values: [values[cell] for cell in order])
+            runs.append((found, net.nodes))
+        assert runs[0][0] == completions(ncells, triples, ok, [set(range(k))] * ncells)
+        assert sorted(runs[1][0]) == runs[0][0]
+        assert runs[2] == runs[0]  # the same order again: the same stream and the same nodes, counted afresh
+        reordered += runs[1][0] != runs[0][0]
+    assert reordered
 
 
 def test_random_relations_reach_both_kinds_of_support_rows():
@@ -385,14 +407,14 @@ def test_random_relations_reach_both_kinds_of_support_rows():
     kinds = set()
     for seed in range(40):
         *_, allowed = random_relation(seed)
-        kinds.add(Network(2, *constraints_of(2, [(0, 0, 1)]), range(2), allowed).support.inert)
+        kinds.add(Network(*constraints_of(2, [(0, 0, 1)]), allowed).support.inert)
     assert kinds == {True, False}
 
 
 # in LO_3 a 2 goes only with two smaller colors, so support[full][1 << 2] lacks the 2
 @pytest.mark.parametrize("target, inert", [("LO_3", False), ("NAE", True), ("CHplus", True)])
 def test_catalog_support_rows_inert(target, inert):
-    net = Network(2, *constraints_of(2, [(0, 0, 1)]), range(2), allowed_table(named_template(target)))
+    net = Network(*constraints_of(2, [(0, 0, 1)]), allowed_table(named_template(target)))
     assert net.support.inert == inert and net.forward.inert
 
 
@@ -408,12 +430,12 @@ def test_arc_consistency_under_rows_that_are_not_inert():
     for blocks in GAC_SHAPES:
         triples = sorted(partition_triples(blocks))
         ncells = math.prod(size + 1 for size in blocks)
-        net = Network(ncells, *constraints_of(ncells, triples), None, allowed)
+        net = Network(*constraints_of(ncells, triples), allowed)
         assert not net.support.inert and net.support[net.full][0b100] == 0b100
         for _ in range(8):
             assert_arc_consistent(net, triples, ok, rng)
     # queued alone, a full cell still narrows through its partner lists: here its 2 forces the third cell
-    net = Network(3, *constraints_of(3, [(0, 1, 2)]), None, allowed)
+    net = Network(*constraints_of(3, [(0, 1, 2)]), allowed)
     cand = [0b111, 0b100, 0b111]
     assert net.propagate_from(cand, [0], net.support)
     assert cand == [0b100] * 3
@@ -421,7 +443,7 @@ def test_arc_consistency_under_rows_that_are_not_inert():
     # and only the rows of the full cells take it away
     rel.discard((2, 2, 2))
     allowed = [[sum(1 << v for v in range(3) if ok(x, y, v)) for y in range(3)] for x in range(3)]
-    net = Network(3, *constraints_of(3, [(0, 1, 2)]), None, allowed)
+    net = Network(*constraints_of(3, [(0, 1, 2)]), allowed)
     cand = [0b111] * 3
     assert net.propagate_from(cand, [0, 1, 2], net.support)
     assert cand == [0b011] * 3
@@ -430,4 +452,4 @@ def test_arc_consistency_under_rows_that_are_not_inert():
 def test_network_needs_two_cells():
     # a one-cell network would yield bare colors, not value tuples
     with pytest.raises(ValueError, match="at least two cells"):
-        Network(1, [([0], [0])], [(0, 0, 0)], [0], [[1, 0], [0, 2]])
+        Network([([0], [0])], [(0, 0, 0)], [[1, 0], [0, 2]])

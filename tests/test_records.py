@@ -1,4 +1,8 @@
-"""The records are immutable values: equal fields make equal, hashable records with a readable repr."""
+"""The records are immutable values: equal fields make equal, hashable records with a readable repr.
+
+A record that checks or normalises its fields does so on every construction path: the constructor, `_make`
+and `_replace`.
+"""
 
 import pytest
 
@@ -96,3 +100,35 @@ def test_record_is_an_immutable_value(cls, fields, values, change):
         with pytest.raises(AttributeError):
             setattr(record, field, value)
     assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{field}={value!r}" for field, value in zip(fields, values)) + ")"
+
+
+# (class, valid fields in order, one field and an invalid value for it) for each record whose __new__ checks
+CHECKED = [
+    (Relation, (2, ((0, 1),)), ("tuples", ((0, 1, 2),))),
+    (RelStructure, (2, (ONE_IN_THREE,)), ("domain_size", 1)),
+    (TemplatePair, (named_template("NAE"), named_template("NAE")), ("target", named_template("1in3"))),
+    (Digraph, (2, frozenset({(0, 1)})), ("arcs", frozenset({(0, 2)}))),
+    (HomMap, (2, 3, (0, 2)), ("assignment", (0, 3))),
+    (BlockTable, ((1, 1), 2, (0, 1, 0, 1)), ("values", (0, 1, 0, 2))),
+    (MinorMap, (3, 2, (1, 2, 1)), ("mapping", (1, 2, 3))),
+    (Instance, (3, ((1, 2, 3),)), ("edges", ((1, 2, 4),))),
+]
+
+
+@pytest.mark.parametrize("cls, values, bad", CHECKED, ids=[case[0].__name__ for case in CHECKED])
+def test_every_construction_path_checks_the_fields(cls, values, bad):
+    record = cls(*values)
+    made = cls._make(values)
+    assert made == record and type(made) is cls and type(record._replace()) is cls
+    name, value = bad
+    fields = {**record._asdict(), name: value}
+    for build in (lambda: cls(**fields), lambda: cls._make(fields.values()), lambda: record._replace(**{name: value})):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_relation_replace_sorts_and_deduplicates():
+    unsorted = ((1, 0, 0), (0, 0, 1), (1, 0, 0))
+    relation = ONE_IN_THREE._replace(tuples=unsorted)
+    assert relation.tuples == ((0, 0, 1), (1, 0, 0))
+    assert Relation._make((3, unsorted)) == relation == Relation(3, unsorted)

@@ -294,11 +294,15 @@ def test_template_pair_check_can_be_wrapped_on_the_class():
         pair = TemplatePair(one_in_three, nae)
         with pytest.raises(ValueError, match="no homomorphism from source to target"):
             TemplatePair(nae, one_in_three)
+        # _replace builds through __new__, so the wrapper counts it too, refused or not
+        same = pair._replace(target=nae)
+        with pytest.raises(ValueError, match="no homomorphism from source to target"):
+            pair._replace(source=nae, target=one_in_three)
     finally:
         setattr(TemplatePair, "__post_init__", original)
-    assert calls == [pair, (nae, one_in_three)]
+    assert calls == [pair, (nae, one_in_three), same, (nae, one_in_three)]
     assert TemplatePair.__post_init__ is original
     TemplatePair(one_in_three, nae)
-    assert len(calls) == 2
+    assert len(calls) == 4
     with pytest.raises(ValueError, match="no homomorphism from source to target"):
         TemplatePair(nae, one_in_three)

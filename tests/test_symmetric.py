@@ -8,7 +8,7 @@ from general_tables import boolean_to_general, is_polymorphism_general
 
 from pcsplab.errors import TimeBudgetExceeded, deadline_after
 from pcsplab import polymorphisms
-from pcsplab.polymorphisms import BlockTable, enumerate_orbits, enumerate_polymorphisms, is_polymorphism, one_in_three_target
+from pcsplab.polymorphisms import BlockTable, _search_network, enumerate_orbits, enumerate_polymorphisms, is_polymorphism, one_in_three_target
 from pcsplab.structures import TemplatePair, named_template
 from pcsplab.symmetric import (
     BlockSymTable,
@@ -26,6 +26,11 @@ from pcsplab.symmetric import (
 
 def pair(src, tgt):
     return TemplatePair(named_template(src), named_template(tgt))
+
+
+def sym_network(target, n):
+    """The arity-n symmetric search network that propagate runs on."""
+    return _search_network(target, (n,))
 
 
 def brute_symmetric_exists(target, n):
@@ -178,21 +183,21 @@ def test_unit_block_checker_agrees_with_general_test_past_arity_6(target):
 
 def test_propagate_single_weight_force():
     t2 = named_template("T2")
-    assigned, trace = propagate(t2, 1, {0: 0})
+    assigned, trace = propagate(sym_network(t2, 1), {0: 0})
     assert assigned == {0: 0, 1: 1}
     assert [(e.cell, e.color, e.triple) for e in trace.forced()] == [(1, 1, (0, 0, 1))]
 
 
 def test_propagate_empty_partial_is_inert():
     t2 = named_template("T2")
-    assigned, trace = propagate(t2, 5, {})
+    assigned, trace = propagate(sym_network(t2, 5), {})
     assert assigned == {}
     assert trace.events == ()
 
 
 def test_propagate_t2_arity7_seed_zero():
     t2 = named_template("T2")
-    assigned, trace = propagate(t2, 7, {0: 0})
+    assigned, trace = propagate(sym_network(t2, 7), {0: 0})
     assert assigned[7] == 1
     assert trace.forced()[0].triple == (0, 0, 7)
 
@@ -222,7 +227,7 @@ def fixpoint_oracle(target, n, seed):
 
 def test_propagate_chplus_arity23_seeded_fixpoint():
     chp = named_template("CHplus")
-    assigned, trace = propagate(chp, 23, {8: 0})
+    assigned, trace = propagate(sym_network(chp, 23), {8: 0})
     forced = [(e.cell, e.color, e.triple) for e in trace.forced()]
     assert forced == [
         (7, 1, (7, 8, 8)),
@@ -490,7 +495,7 @@ def test_propagate_contradiction_event_recorded():
     # weights 0 and 2 both pinned to color 0: triple (0, 0, 2) empties the
     # candidate set at the first slot it narrows
     t2 = named_template("T2")
-    _, trace = propagate(t2, 2, {0: 0, 2: 0})
+    _, trace = propagate(sym_network(t2, 2), {0: 0, 2: 0})
     contradiction = trace.contradiction
     assert contradiction is not None
     assert contradiction.cell == 0
@@ -548,7 +553,7 @@ def test_propagate_soundness_random_seeds():
         k = target.domain_size
         n = rng.randint(1, 6)
         seed = {w: rng.randrange(k) for w in rng.sample(range(n + 1), rng.randint(0, min(2, n)))}
-        assigned, trace = propagate(target, n, seed)
+        assigned, trace = propagate(sym_network(target, n), seed)
         # differential check against the order-free fixpoint
         cand = fixpoint_oracle(target, n, seed)
         assert (trace.contradiction is not None) == any(not c for c in cand), (name, n, seed)
@@ -595,20 +600,44 @@ def test_block_search_agrees_with_brute_oracle():
 def test_shape_mismatches_rejected():
     # a seed names a weight in 0..n and a color of the target
     chp = named_template("CHplus")
+    net = sym_network(chp, 5)
     for seed in ({6: 0}, {-1: 0}, {0: 4}, {0: -1}, {0: 0, 3: None}):
         with pytest.raises(ValueError, match="outside weights 0..5 or colors 0..3"):
-            propagate(chp, 5, seed)
-    with pytest.raises(ValueError, match="arity must be >= 1"):
-        propagate(chp, 0, {})
+            propagate(net, seed)
+    # arity 0 has one weight, and the builder refuses a network of fewer than two cells
+    with pytest.raises(ValueError, match="at least two cells"):
+        _search_network(chp, (0,))
+
+
+def test_propagation_builds_networks_only_where_asked(monkeypatch, capsys):
+    # propagate runs on the network it is given; a certificate builds one arity-23 network for its four refutations
+    from pcsplab._network import Network
+    from pcsplab.cli import main
+
+    builds = []
+    init = Network.__init__
+    monkeypatch.setattr(Network, "__init__", lambda self, *args: builds.append(len(args[0])) or init(self, *args))
+    chp = named_template("CHplus")
+    net = sym_network(chp, 23)
+    assert builds == [24]
+    propagate(net, {8: 0})
+    propagate(net, {8: 0, 6: 1})
+    assert builds == [24]
+    assert chplus23_certificate(chp).complete and builds == [24, 24]
+    builds.clear()
+    assert main(["poly", "verify", "--appendix-b"]) == 0
+    assert capsys.readouterr().out.endswith("no symmetric polymorphism of arity 23 exists\n")
+    assert builds == [24] * 4  # one network per seed color, where each refuted color built its own
 
 
 def test_propagate_queues_seeds_in_ascending_order():
     # the trace depends on the order seeds are queued in, never on the order the dict was built in
     chp = named_template("CHplus")
     seed = {8: 0, 7: 1, 9: 2, 5: 3, 13: 0, 2: 1, 14: 2, 0: 3, 6: 1}
-    ascending = propagate(chp, 23, dict(sorted(seed.items())))
-    assert propagate(chp, 23, seed) == ascending
-    assert propagate(chp, 23, dict(reversed(seed.items()))) == ascending
+    net = sym_network(chp, 23)
+    ascending = propagate(net, dict(sorted(seed.items())))
+    assert propagate(net, seed) == ascending
+    assert propagate(net, dict(reversed(seed.items()))) == ascending
     assert ascending[1].contradiction is not None
 
 
@@ -626,7 +655,7 @@ def test_chplus_symmetric_frontier():
 WEIGHT_CALLS = {
     "search_sym": lambda t, k: search_symmetric(one_in_three_target(t), 4),
     "search_block": lambda t, k: search_block_symmetric(one_in_three_target(t), 2, 2),
-    "propagate": lambda t, k: propagate(one_in_three_target(t), 3, {0: 0}),
+    "propagate": lambda t, k: propagate(sym_network(one_in_three_target(t), 3), {0: 0}),
     "is_sym": lambda t, k: is_symmetric_polymorphism(BlockTable((3,), k, (0,) * 4), t),
     "is_block": lambda t, k: is_block_symmetric_polymorphism(BlockTable((2, 2), k, (0,) * 9), t),
 }
