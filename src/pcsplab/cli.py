@@ -31,13 +31,6 @@ def _load_structure(arg: str) -> structures.RelStructure:
     raise FormatError(f"{arg!r} is neither a catalog template nor a readable structure file")
 
 
-def _named_catalog() -> dict[structures.RelStructure, str]:
-    labels: dict[structures.RelStructure, list[str]] = {}
-    for name in structures.template_names_3() + ["CH", "CHplus"]:
-        labels.setdefault(named_template(name), []).append(name)
-    return {structure: "=".join(sorted(names)) for structure, names in labels.items()}
-
-
 def _cmd_template(args) -> int:
     from . import solvers
 
@@ -78,8 +71,7 @@ def _cmd_hom(args) -> int:
     else:
         inputs = [named_template(name) for name in structures.template_names_3()]
     lattice = hom_lattice(inputs, deadline=deadline_after(args.time_budget))
-    catalog = _named_catalog()
-    dot = lattice_to_dot(lattice, labeler=catalog.get)
+    dot = lattice_to_dot(lattice)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dot)

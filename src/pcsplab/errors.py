@@ -1,7 +1,9 @@
 """Exception types shared across the package, and its one rule for time budgets.
 
 Budgeted functions take a deadline that only the command line makes, with
-deadline_after; every check of it is expired.  No other module reads the clock.
+deadline_after; every check of it is expired.  No other module reads the
+monotonic clock; properties reads time.perf_counter only to time its passes
+for elapsed_ms.
 """
 
 import time

@@ -8,8 +8,8 @@ signatures differ are refused.  A found map is checked again against every
 tuple.  At the desk scales used here (domains of size two to four, instances
 with a few dozen variables) this is exhaustive and fast.  The lattice
 construction inserts structures one at a time into mutual-homomorphism
-classes, testing each only against one head per class, and emits the cover
-edges of the induced partial order.
+classes, testing each only against one head per class, and reads the cover
+edges of the induced partial order off those tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import TimeBudgetExceeded, expired
-from .structures import Checked, RelStructure, _check_signatures, _maps
+from .structures import Checked, RelStructure, _check_signatures, _maps, named_template, template_names_3
 
 STRICTLY_BELOW = "strictly_below"
 STRICTLY_ABOVE = "strictly_above"
@@ -170,44 +170,33 @@ def hom_lattice(structures, *, deadline: float | None = None) -> HomLattice:
             members.append([s])
             above.append(up)
 
-    classes = []  # (hom class, its index in members), by representative
-    for c, cls in enumerate(members):
-        classes.append((HomClass(tuple(cls), min(cls)), c))
-    classes.sort(key=lambda item: item[0].representative)
-    hom_classes = [cls for cls, _ in classes]
-    heads = [c for _, c in classes]
-    below = [[b in above[a] for b in heads] for a in heads]
-
-    nclasses = len(hom_classes)
-    covers = set()
-    for i in range(nclasses):
-        for j in range(nclasses):
-            if not below[i][j]:
-                continue
-            if any(below[i][k] and below[k][j] for k in range(nclasses)):
-                continue
-            covers.add((i, j))
-    return HomLattice(tuple(hom_classes), frozenset(covers))
-
-
-def _default_label(structure: RelStructure) -> str:
-    rel_txt = ";".join(
-        ",".join("".join(str(x) for x in t) for t in rel.tuples) for rel in structure.relations
+    # above is transitively closed, every pair of heads having been tested both ways: d covers c when d is above c
+    # and above no other class above c
+    order = sorted(range(len(members)), key=lambda c: min(members[c]))  # class indices by representative
+    index = {c: i for i, c in enumerate(order)}
+    covers = frozenset(
+        (index[c], index[d]) for c in order for d in above[c] if not any(d in above[e] for e in above[c])
     )
-    return f"d{structure.domain_size}:{rel_txt}"
+    return HomLattice(tuple(HomClass(tuple(members[c]), min(members[c])) for c in order), covers)
 
 
-def lattice_to_dot(lattice: HomLattice, labeler=None) -> str:
-    """DOT digraph with one node per class and one edge per cover pair (low to high)."""
+def lattice_to_dot(lattice: HomLattice) -> str:
+    """DOT digraph with one node per class and one edge per cover pair (low to high).
+
+    A class is labelled with the sorted names of its catalog members, joined
+    by "=" (the fixed names: template_names_3, CH and CHplus); a class with
+    none is labelled d{k}: and its representative's tuples.
+    """
+    catalog: dict[RelStructure, list[str]] = {}
+    for name in template_names_3() + ["CH", "CHplus"]:
+        catalog.setdefault(named_template(name), []).append(name)
     lines = ["digraph hom_lattice {", "  rankdir=BT;"]
     for i, cls in enumerate(lattice.classes):
-        label = None
-        if labeler is not None:
-            names = sorted({name for member in cls.members for name in [labeler(member)] if name})
-            if names:
-                label = "=".join(names)
-        if label is None:
-            label = _default_label(cls.representative)
+        label = "=".join(sorted({name for member in cls.members for name in catalog.get(member, ())}))
+        if not label:
+            rep = cls.representative
+            rel_txt = ";".join(",".join("".join(map(str, t)) for t in rel.tuples) for rel in rep.relations)
+            label = f"d{rep.domain_size}:{rel_txt}"
         lines.append(f'  c{i} [label="{label}"];')
     for i, j in sorted(lattice.cover_edges):
         lines.append(f"  c{i} -> c{j};")

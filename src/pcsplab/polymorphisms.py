@@ -148,18 +148,13 @@ def allowed_table(target: RelStructure) -> list[list[int]]:
 
     Every ordering is required, which is what the compatibility condition
     demands of tables on unordered cell triples; for symmetric relations
-    this equals the single-order test.
+    every tuple of R is in R in every order.
     """
-    rel = target.single_ternary().as_set
-    k = target.domain_size
-    table = [[0] * k for _ in range(k)]
-    for x in range(k):
-        for y in range(k):
-            mask = 0
-            for v in range(k):
-                if all(p in rel for p in set(itertools.permutations((x, y, v)))):
-                    mask |= 1 << v
-            table[x][y] = mask
+    rel = target.single_ternary()
+    table = [[0] * target.domain_size for _ in range(target.domain_size)]
+    for x, y, v in rel.tuples:
+        if rel.symmetric or rel.as_set.issuperset(itertools.permutations((x, y, v))):
+            table[x][y] |= 1 << v
     return table
 
 
@@ -186,14 +181,19 @@ def _cell_partners(blocks, deadline=None):
     objects between them.  `repeated` holds the ascending triples that
     repeat a cell, (a, a, blocks - 2a) sorted, for each 2a <= blocks.
     Raises TimeBudgetExceeded once `deadline` expires, checked before
-    each box that either pre-pass copies and before each cell, so that no
-    pass outlasts it by more than one box: the boxes of n unit blocks hold
-    3**(n-1) cells between them.
+    each chunk of 65,536 cell ints but the first, before each box that
+    either pre-pass copies and before each cell, so that no pass outlasts
+    it by more than one box: the boxes of n unit blocks hold 3**(n-1)
+    cells between them.
     """
     first, *tail = blocks
     late = "search ran past its time budget after 0 nodes, while building its network"
     ncells = math.prod(size + 1 for size in blocks)
-    cells = list(range(ncells))
+    cells = []  # the cell ints, 2**16 at a time, so that a passed deadline stops even a list of 2**20 cells early
+    for start in range(0, ncells, 1 << 16):
+        if start and expired(deadline):
+            raise TimeBudgetExceeded(late)
+        cells += range(start, min(start + (1 << 16), ncells))
     strides = list(itertools.accumulate([size + 1 for size in reversed(tail)], mul, initial=1))[::-1]
     # boxes[t]: the box of each index t over the blocks past the first, built from the last block up: the box of
     # weight d in a block and t past it is the box of weight d - 1 and t, then the box of t moved to weight d

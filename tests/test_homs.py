@@ -322,6 +322,25 @@ def test_lattice_dot_output():
     assert dot.count("->") >= 1
 
 
+def test_lattice_dot_names_catalog_classes():
+    # every fixed catalog name, and all3 structures outside the catalog, some in classes of their own
+    catalog = {name: named_template(name) for name in template_names_3() + ["CH", "CHplus"]}
+    others = [s for s in all_symmetric_ternary_structures()[::97] if s not in catalog.values()]
+    lattice = hom_lattice(list(catalog.values()) + others)
+    labels = re.findall(r'^  c(\d+) \[label="([^"]*)"\];$', lattice_to_dot(lattice), re.M)
+    assert [int(i) for i, _ in labels] == list(range(len(lattice.classes)))
+    unnamed = 0
+    for cls, (_, label) in zip(lattice.classes, labels):
+        names = sorted(name for name, structure in catalog.items() if structure in cls.members)
+        if names:
+            assert label == "=".join(names)
+        else:
+            unnamed += 1
+            assert label.startswith("d3:") and "=" not in label
+    assert unnamed and unnamed < len(lattice.classes)
+    assert any("=" in label for _, label in labels)
+
+
 def test_lattice_matches_pairwise_oracle():
     # the reference: every ordered pair tested, classes and covers read off the full matrix
     inputs = all_symmetric_ternary_structures()[::12] + [named_template(name) for name in template_names_3()]
@@ -368,15 +387,12 @@ def test_lattice_hom_test_count_pinned(monkeypatch):
 
 
 def test_lattice_dot_digests_pinned():
-    from pcsplab.cli import _named_catalog
-
     lattice = hom_lattice(all_symmetric_ternary_structures())
     assert len(lattice.classes) == 21
     # SHA-256 of `hom lattice --all3` and `--named3` stdout, recorded before the
     # classes were sorted ahead of building the order relation
-    labeler = _named_catalog().get
     named = hom_lattice([named_template(name) for name in template_names_3()])
-    digests = [hashlib.sha256(lattice_to_dot(lat, labeler).encode()).hexdigest() for lat in (lattice, named)]
+    digests = [hashlib.sha256(lattice_to_dot(lat).encode()).hexdigest() for lat in (lattice, named)]
     assert digests == [
         "1e4e34d2e5cc2ac18186f58fc5491e91d0588d6179be79546ffc7ba808af3612",
         "6bc20cdd9c6c56822026a95fd3e1fcc165cd857590288c5d98ae426237812c77",

@@ -88,6 +88,19 @@ def test_only_errors_reads_the_monotonic_clock():
     assert clock_readers() == {"errors"}
 
 
+def test_only_errors_and_properties_import_time():
+    # errors reads time.monotonic for every deadline, and properties times its passes with time.perf_counter for
+    # elapsed_ms; no other module reads a clock
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and "time" in {alias.name.split(".")[0] for alias in node.names}:
+                importers.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "time":
+                importers.add(path.stem)
+    assert importers == {"errors", "properties"}
+
+
 def test_only_the_command_line_makes_a_deadline():
     # every budgeted function takes deadline=; only cli turns --time-budget seconds into one, with errors.deadline_after
     makers, budget_parameters = set(), set()

@@ -11,7 +11,14 @@ from pcsplab import errors
 from pcsplab._network import Network
 from pcsplab.errors import TimeBudgetExceeded
 from pcsplab.polymorphisms import _cell_partners, _search_network, allowed_table, enumerate_polymorphisms
-from pcsplab.structures import NAMED_TEMPLATES, TemplatePair, named_template
+from pcsplab.structures import (
+    NAMED_TEMPLATES,
+    TemplatePair,
+    all_symmetric_ternary_structures,
+    make_structure,
+    named_template,
+    template_names_3,
+)
 from pcsplab.symmetric import propagate, search_block_symmetric, search_symmetric, sym_compatible_triples
 
 
@@ -155,6 +162,18 @@ def test_cell_partners_stop_before_building_their_boxes():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_cell_partners_stop_before_listing_their_cells():
+    # 20 unit blocks have 2**20 cells: a past deadline stops their list after its first 2**16 ints
+    tracemalloc.start()
+    try:
+        with pytest.raises(TimeBudgetExceeded, match="after 0 nodes, while building its network"):
+            _cell_partners((1,) * 20, time.monotonic() - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_search_stops_at_a_node_it_reaches_past_its_deadline(monkeypatch):
@@ -416,6 +435,29 @@ def test_random_relations_reach_both_kinds_of_support_rows():
 def test_catalog_support_rows_inert(target, inert):
     net = Network(*constraints_of(2, [(0, 0, 1)]), allowed_table(named_template(target)))
     assert net.support.inert == inert and net.forward.inert
+
+
+def every_order_table(target):
+    """allowed_table's definition read literally: bit v of [x][y] when every order of (x, y, v) is in the relation."""
+    rel = target.single_ternary().as_set
+    k = target.domain_size
+    return [
+        [sum(1 << v for v in range(k) if all(p in rel for p in itertools.permutations((x, y, v)))) for y in range(k)]
+        for x in range(k)
+    ]
+
+
+def test_allowed_table_matches_every_order_oracle():
+    names = template_names_3() + ["CH", "CHplus", "LO_5", "NAE_4", "LO_9"]
+    targets = all_symmetric_ternary_structures() + [named_template(name) for name in names]
+    rng = random.Random(50)
+    for _ in range(300):  # mostly not symmetric
+        k = rng.randint(1, 4)
+        triples = list(itertools.product(range(k), repeat=3))
+        targets.append(make_structure(k, [rng.sample(triples, rng.randint(1, len(triples)))]))
+    assert sum(not target.symmetric for target in targets) > 150
+    for target in targets:
+        assert allowed_table(target) == every_order_table(target)
 
 
 def test_arc_consistency_under_rows_that_are_not_inert():
