@@ -7,14 +7,16 @@ may repeat; `allowed[x][y]` is the mask of colors v such that the colors
 (x, y, v) satisfy it.  The table is symmetric in all three positions, so
 every constraint is the same whichever order its cells are read in, and one
 table serves them all.  The network takes its constraints as `partners`, per
-cell w a pair of equally long lists (us, vs) of the other two cells of each
-constraint through w, u <= v, one entry per constraint and the constraints
-in ascending order of their triples, and as `repeated`, the ascending
-triples that repeat a cell, from which it builds twin tables.  It keeps the
-lists as they are: each is one pointer per cell, and lists from a shared
-list of cell ints add no int objects.  The engine knows nothing of where the
-cells and constraints come from: `polymorphisms` derives them from
-coordinate blocks and owns that layout.
+cell w a list of cells and a slice s: the pairs zip(cells, cells[s]) are the
+other two cells (u, v) of each constraint through w, u <= v, one pair per
+constraint and the constraints in ascending order of their triples.  From
+pair lists us and vs, cells is us + vs[::-1] and s is slice(len(cells) - 1,
+len(us) - 1, -1); zip stops at the slice's end, so cells may run on past the
+pairs, and many cells can share one list.  The network keeps the lists as
+they are, and a scan copies only its slice.  It also takes `repeated`, the
+ascending triples that repeat a cell, from which it builds twin tables.  The
+engine knows nothing of where the cells and constraints come from:
+`polymorphisms` derives them from coordinate blocks and owns that layout.
 
 The state of a search is one candidate mask per cell; a cell is assigned
 when its mask is a singleton.  Propagation pops a cell and narrows the other
@@ -80,7 +82,7 @@ def _rows(k: int, entry):
 
 
 class Network:
-    """Depth-first search over candidate masks, arc consistent at every node, over per-cell partner lists."""
+    """Depth-first search over candidate masks, arc consistent at every node, over per-cell partner slices."""
 
     def __init__(self, partners, repeated, allowed):
         self.ncells = ncells = len(partners)
@@ -147,8 +149,8 @@ class Network:
             cell = queue.pop()
             if cand[cell] != skip:
                 row = rows[cand[cell]]
-                us, vs = partners[cell]
-                for o1, o2 in zip(us, vs):
+                cells, s = partners[cell]
+                for o1, o2 in zip(cells, cells[s]):
                     m1 = cand[o1]
                     m2 = cand[o2]
                     new = m2 & row[m1]

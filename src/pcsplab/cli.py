@@ -70,7 +70,7 @@ def _cmd_hom(args) -> int:
         inputs = all_symmetric_ternary_structures()
     else:
         inputs = [named_template(name) for name in structures.template_names_3()]
-    lattice = hom_lattice(inputs, deadline=deadline_after(args.time_budget))
+    lattice = hom_lattice(inputs, deadline=args.deadline)
     dot = lattice_to_dot(lattice)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -105,7 +105,7 @@ def _cmd_poly(args) -> int:
                 return 2
             _past_cap_note(args.arity)
         count, order = 0, None
-        for values in enumerate_polymorphisms(target, args.arity, deadline=deadline_after(args.time_budget)):
+        for values in enumerate_polymorphisms(target, args.arity, deadline=args.deadline):
             order = order or subset_masks(args.arity)  # built on the first table, so an abort never pays for it
             print("".join(str(values[m]) for m in order))
             count += 1
@@ -114,7 +114,7 @@ def _cmd_poly(args) -> int:
 
     if args.action in ("search-sym", "search-block"):
         target = _pair_target(args.source, args.target)
-        options = {"use_wlog": not args.no_wlog, "deadline": deadline_after(args.time_budget)}
+        options = {"use_wlog": not args.no_wlog, "deadline": args.deadline}
         sym = args.action == "search-sym"
         if sym:
             result = symmetric.search_symmetric(target, args.arity, **options)
@@ -206,8 +206,7 @@ def _cmd_verify(args) -> int:
             return 2
         if args.max_arity > DEFAULT_ARITY_CAP:
             _past_cap_note(args.max_arity)
-        target, deadline = named_template(args.template), deadline_after(args.time_budget)
-        reports = props.check_properties(target, ids, args.max_arity, deadline=deadline)
+        reports = props.check_properties(named_template(args.template), ids, args.max_arity, deadline=args.deadline)
         if args.json:
             print(json.dumps([report.to_dict() for report in reports], indent=2))
         failed = 0
@@ -226,9 +225,8 @@ def _cmd_verify(args) -> int:
             return 2
         ok = True
         results = []
-        deadline = deadline_after(args.time_budget)
         for spec in specs:
-            report = props.verify_selector(named_template(spec.template_name), spec, args.max_arity, deadline=deadline)
+            report = props.verify_selector(named_template(spec.template_name), spec, args.max_arity, deadline=args.deadline)
             results.append(report.to_dict())
             if not args.json:
                 status = "ok" if report.holds else "FAIL"
@@ -253,8 +251,7 @@ def _cmd_solve(args) -> int:
         with open(args.instance, encoding="utf-8") as handle:
             text = handle.read()
     instance = solvers.parse_instance(text)
-    deadline = deadline_after(args.time_budget)
-    coloring = solvers.solve_via_relaxation(instance, target, prefer=args.prefer, deadline=deadline)
+    coloring = solvers.solve_via_relaxation(instance, target, prefer=args.prefer, deadline=args.deadline)
     if coloring is None:
         print(f"no {args.target}-coloring found; promise violated or instance hard")
         return 1
@@ -367,6 +364,8 @@ PARSER = build_parser()  # each parse fills a fresh namespace, so one parser ser
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
+    # taken before the handler loads anything, so a budget covers loading and checking the target too
+    args.deadline = deadline_after(getattr(args, "time_budget", None))
     try:
         return args.func(args)
     except TimeBudgetExceeded as exc:

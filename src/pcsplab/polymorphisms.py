@@ -171,20 +171,19 @@ def _cell_partners(blocks, deadline=None):
     complete cell w to a constraint are the cells u, v with u + v = blocks -
     w, the cell of index R = ncells - 1 - w.  Such sums carry nothing in
     mixed radix: the u's are box(R), the cells <= R weight by weight, in
-    ascending order, and v = R - u is box(R) read backwards.  partners[w]
-    is (us, vs), the pairs with u <= v in ascending u, the first half of
-    box(R) and its last half reversed, so each constraint through w comes
-    once.  box(R) is a prefix of the box of (blocks[0], R's other weights),
-    shared by every R with those other weights, so each list is a C-level
-    slice of one such pattern; the patterns are built from slices of one
-    list of the cell ints, so the lists hold no more than ncells int
-    objects between them.  `repeated` holds the ascending triples that
-    repeat a cell, (a, a, blocks - 2a) sorted, for each 2a <= blocks.
-    Raises TimeBudgetExceeded once `deadline` expires, checked before
-    each chunk of 65,536 cell ints but the first, before each box that
-    either pre-pass copies and before each cell, so that no pass outlasts
-    it by more than one box: the boxes of n unit blocks hold 3**(n-1)
-    cells between them.
+    ascending order, and v = R - u is box(R) read backwards.  box(R) is a
+    prefix of the pattern of R, the box of (blocks[0], R's other weights),
+    and partners[w] is (pattern, s), s the slice that reads box(R)'s last
+    half backwards: zip(pattern, pattern[s]) pairs the u <= v in ascending
+    u, so each constraint through w comes once.  A cell costs one tuple and
+    one slice; the patterns are built from slices of one list of the cell
+    ints, so they hold no more than ncells int objects between them.
+    `repeated` holds the ascending triples that repeat a cell, (a, a,
+    blocks - 2a) sorted, for each 2a <= blocks.  Raises TimeBudgetExceeded
+    once `deadline` expires, checked before each chunk of 65,536 cell ints
+    but the first, before each box that either pre-pass copies and before
+    each cell, so that no pass outlasts it by more than one box: the boxes
+    of n unit blocks hold 3**(n-1) cells between them.
     """
     first, *tail = blocks
     late = "search ran past its time budget after 0 nodes, while building its network"
@@ -222,10 +221,10 @@ def _cell_partners(blocks, deadline=None):
         q, t = divmod(R, strides[0])
         pattern = patterns[t]
         # box(R) = pattern[:end] pairs u with R - u from its two ends inwards, and holds R / 2 when end is odd,
-        # so the pairs with u <= v are its first end - end // 2 cells
+        # so the pairs with u <= v are its first end - end // 2 cells, as many as the slice reads
         end = (q + 1) * len(boxes[t])
         half = end // 2
-        partners.append((pattern[: end - half], pattern[end - 1 : half - 1 if half else None : -1]))
+        partners.append((pattern, slice(end - 1, half - 1 if half else None, -1)))
     halves = [0]  # the cells a with 2a <= blocks, ascending
     for size, stride in zip(blocks, strides):
         halves = [a + d * stride for a in halves for d in range(size // 2 + 1)]

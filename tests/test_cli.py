@@ -406,6 +406,29 @@ def test_search_budget_covers_building_the_network(capsys):
     assert err == "aborted: search ran past its time budget after 0 nodes, while building its network\n"
 
 
+def test_search_budget_covers_loading_the_target(monkeypatch, capsys):
+    # the clock passes the deadline while the target loads, so the network build stops the search before the
+    # wlog colours are found: a deadline taken after loading would let the search run on
+    from pcsplab import cli, errors, symmetric
+
+    now = [0.0]
+    load = cli._load_structure
+
+    def slow_load(arg):
+        now[0] += 1.0
+        return load(arg)
+
+    def no_wlog(target):
+        raise AssertionError("the wlog colours were found past the time budget")
+
+    monkeypatch.setattr(errors.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(cli, "_load_structure", slow_load)
+    monkeypatch.setattr(symmetric, "_wlog_colors", no_wlog)
+    code, out, err = run(capsys, "poly", "search-sym", "1in3", "LO_60", "5", "--time-budget", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "aborted: search ran past its time budget after 0 nodes, while building its network\n"
+
+
 @pytest.mark.parametrize("budget", ["nan", "-1"])
 def test_time_budget_must_be_seconds_at_least_zero(capsys, budget):
     # no clock ever passes a NaN deadline, so it would turn the budget off

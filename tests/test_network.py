@@ -73,29 +73,36 @@ def test_network_constraints_match_coordinate_partitions(blocks):
     partners, repeated = _cell_partners(blocks)
     # per cell, the other two cells of each triple through it, once per distinct cell, in ascending triple order
     expected, expected_repeated = constraints_of(ncells, partition_triples(blocks))
-    assert [(list(us), list(vs)) for us, vs in partners] == expected
+    assert pairs_of(partners) == pairs_of(expected)
     assert repeated == expected_repeated
-    for us, vs in partners:
-        assert all(u <= v for u, v in zip(us, vs)) and list(us) == sorted(set(us))
+    for pairs in pairs_of(partners):
+        us = [u for u, _ in pairs]
+        assert all(u <= v for u, v in pairs) and us == sorted(set(us))
     net = Network(partners, repeated, [[1, 1], [1, 1]])
     assert net.ncells == ncells and net.k == 2 and net.partners is partners  # the network keeps the lists as they are
 
 
 def constraints_of(ncells, triples):
     """(partners, repeated) for a Network, from sorted cell triples: the test-side twin of _cell_partners."""
-    partners = [([], []) for _ in range(ncells)]
+    pairs = [([], []) for _ in range(ncells)]
     for triple in sorted(set(triples)):
         for cell in sorted(set(triple)):
             rest = list(triple)
             rest.remove(cell)
-            partners[cell][0].append(rest[0])
-            partners[cell][1].append(rest[1])
+            pairs[cell][0].append(rest[0])
+            pairs[cell][1].append(rest[1])
+    partners = [(us + vs[::-1], slice(2 * len(us) - 1, len(us) - 1, -1)) for us, vs in pairs]
     return partners, [t for t in sorted(set(triples)) if len(set(t)) < 3]
+
+
+def pairs_of(partners):
+    """Per cell, the (u, v) pairs that its list and slice hold."""
+    return [list(zip(cells, cells[s])) for cells, s in partners]
 
 
 def triples_of(partners):
     """The sorted cell triples that partner lists hold."""
-    return sorted({tuple(sorted((w, u, v))) for w, (us, vs) in enumerate(partners) for u, v in zip(us, vs)})
+    return sorted({tuple(sorted((w, u, v))) for w, pairs in enumerate(pairs_of(partners)) for u, v in pairs})
 
 
 def test_partner_lists_count_each_constraint_once():
@@ -103,7 +110,7 @@ def test_partner_lists_count_each_constraint_once():
     triples = triples_of(partners)
     assert len(triples) == 334_334 and triples == sym_compatible_triples(2000)
     # a triple is listed once from each of its distinct cells
-    assert sum(len(us) for us, _ in partners) == 3 * len(triples) - sum(3 - len(set(t)) for t in repeated)
+    assert sum(map(len, pairs_of(partners))) == 3 * len(triples) - sum(3 - len(set(t)) for t in repeated)
     partners, repeated = _cell_partners((31, 30))
     triples = triples_of(partners)
     assert len(triples) == 43_776
@@ -112,7 +119,7 @@ def test_partner_lists_count_each_constraint_once():
     assert len(repeated) == 16 * 16 and repeated[0] == (0, 0, 991)
 
 
-@pytest.mark.parametrize("target, blocks, mb", [("NAE", (31, 30), 4), ("T2", (2000,), 18), ("T1", (1,) * 8, 1)], ids=str)
+@pytest.mark.parametrize("target, blocks, mb", [("NAE", (31, 30), 1), ("T2", (2000,), 2), ("T1", (1,) * 8, 1)], ids=str)
 def test_search_network_partner_lists_share_the_cell_ints(target, blocks, mb):
     ncells = math.prod(size + 1 for size in blocks)
     tracemalloc.start()
@@ -121,11 +128,15 @@ def test_search_network_partner_lists_share_the_cell_ints(target, blocks, mb):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(len(us) == len(vs) and type(us) is type(vs) is list for us, vs in net.partners)
+    assert all(type(cells) is list and type(s) is slice for cells, s in net.partners)
+    # every cell's list is one of the box patterns, one per weight vector past the first block, not one per cell
+    lists = {id(cells): cells for cells, _ in net.partners}.values()
+    assert len(lists) <= ncells // (blocks[0] + 1)
     # every listed cell is one of ncells shared int objects, not a fresh one per constraint
-    assert len({id(cell) for lists in net.partners for cell in itertools.chain(*lists)}) <= ncells
-    # the build keeps no more than the lists it hands over: one pointer per listed cell, no list of triples
-    assert peak - held < 2**18 and peak < mb * 2**20
+    assert len({id(cell) for cells in lists for cell in cells}) <= ncells
+    # the build keeps no more than the patterns and one tuple and slice per cell, no list of triples, and holds
+    # under mb / 2 MB: a network that copied two lists per cell would hold 2.3 MB for NAE (31, 30), 16 MB for T2 (2000,)
+    assert peak - held < 2**18 and held < mb * 2**19 and peak < mb * 2**20
 
 
 def test_network_build_stops_at_its_deadline(monkeypatch):
@@ -494,4 +505,4 @@ def test_arc_consistency_under_rows_that_are_not_inert():
 def test_network_needs_two_cells():
     # a one-cell network would yield bare colors, not value tuples
     with pytest.raises(ValueError, match="at least two cells"):
-        Network([([0], [0])], [(0, 0, 0)], [[1, 0], [0, 2]])
+        Network(*constraints_of(1, [(0, 0, 0)]), [[1, 0], [0, 2]])
