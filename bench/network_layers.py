@@ -33,9 +33,10 @@ instances (phase `hnf`), counting the systems solved, their values' sum and,
 in a second call that is not timed, the column operations and the columns
 examined while finding each row's entries.  `kneser_graph` builds the 21
 Kneser graphs of perfbench's `suites` set-up (phase `kneser`, counting
-vertices and neighbour entries).  Each builds its inputs fresh before its
-clock starts.  A memory pass runs each searching or checking case again,
-untimed, in an interpreter of its own, so that nothing another case left
+vertices and neighbour entries).  Two cases time `named_template` loading
+`LO_60` and `NAE_60` (phase `template`, counting the relation's tuples).
+Each builds its inputs fresh before its clock starts.  A memory pass runs
+each searching or checking case again, untimed, in an interpreter of its own, so that nothing another case left
 behind hides its growth, after importing every `pcsplab` module in name
 order, so that the imports a tree happens to make do not move its baseline.
 It records how far each phase raised the process's peak resident set
@@ -48,9 +49,15 @@ Four start-up cases time whole fresh processes, from spawn to exit, as the
 180 7`, `solve NAE --prefer nae` reading that `gen`'s output, and `poly
 search-sym 1in3 LO_3 64` (phase `process`).  Each case runs once more,
 untimed, in an interpreter that counts the `pcsplab` modules loaded; its
-exit code and a digest of its stdout are counters too.  The ledger records whether PYTHONDONTWRITEBYTECODE was set,
-since without it every interpreter after the first reads cached bytecode
-instead of compiling the package.
+exit code and a digest of its stdout are counters too.
+
+Every interpreter of a tree reads and writes bytecode under one
+PYTHONPYCACHEPREFIX directory made fresh for that tree, so no tree reads a
+`__pycache__` that tests or earlier runs left in its checkout.  Without
+PYTHONDONTWRITEBYTECODE the first interpreter of each tree fills its cache
+and the rest read it; with it set, every interpreter compiles every module
+it imports, the standard library's too.  The ledger's `host` block records
+both settings.
 
 Each tree's library must take the target alone, with 1-in-3 as the fixed
 source: the cases call `search_symmetric`, `enumerate_orbits`,
@@ -86,6 +93,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -100,7 +108,7 @@ import tracemalloc
 # KG(10, 4) has 210 vertices and chromatic number 4, and refuting 3 colours takes most of its picks.  The GF(3) case's
 # blocks are the planted (nv, ne) of perfbench's `gen | solve` jobs, where the cyclic and the not-all-equal routes
 # cost about the same, and so are the integer case's.  The Kneser case's graphs are those of perfbench's `suites`
-# set-up
+# set-up.  The template cases load the largest LO_k and NAE_k that the README's budget paragraph names
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("network", "solutions", "check")),
@@ -120,6 +128,8 @@ CASES = (
     ("gauss_gf3 60 x (240, 180)", None, (240, 180), ("gauss",)),
     ("hnf_solve 60 x (240, 180)", None, (240, 180), ("hnf",)),
     ("kneser_graph perfbench 21", None, (), ("kneser",)),
+    ("template LO_60", None, ("LO_60",), ("template",)),
+    ("template NAE_60", None, ("NAE_60",), ("template",)),
 )
 NETWORK_BUILDS = 1000
 KNESER = [(n, m) for n in range(2, 10) for m in range(1, 5) if n >= 2 * m] + [(10, 4)]
@@ -293,6 +303,16 @@ def _kneser_case():
     return {"s": {"kneser": seconds}, "counters": counters}
 
 
+def _template_case(name):
+    """Time named_template on the name and count its relation's tuples."""
+    from pcsplab.structures import named_template
+
+    start = time.perf_counter()
+    structure = named_template(name)
+    seconds = time.perf_counter() - start
+    return {"s": {"template": seconds}, "counters": {"tuples": len(structure.single_ternary().tuples)}}
+
+
 # cases that time one library call on inputs of their own, by phase
 CALL_CASES = {
     "colour": _colour_case,
@@ -301,6 +321,7 @@ CALL_CASES = {
     "gauss": _gauss_case,
     "hnf": _hnf_case,
     "kneser": _kneser_case,
+    "template": _template_case,
 }
 
 
@@ -451,27 +472,30 @@ def measure_memory(label: str) -> dict:
     return out
 
 
-def _tree_env(path: str) -> dict:
-    return dict(os.environ, PYTHONPATH=os.path.abspath(path), PYTHONHASHSEED="0")
+def _tree_env(path: str, pycache: str) -> dict:
+    """The environment of the tree's interpreters: its library first on the path and its own bytecode cache."""
+    return dict(os.environ, PYTHONPATH=os.path.abspath(path), PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=pycache)
 
 
-def _child(path: str, *args: str) -> dict:
+def _child(path: str, pycache: str, *args: str) -> dict:
+    env = _tree_env(path, pycache)
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), *args], env=_tree_env(path), capture_output=True, text=True, check=True
+        [sys.executable, os.path.abspath(__file__), *args], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
 
 
-def measure_startup(path: str) -> dict:
+def measure_startup(path: str, pycache: str) -> dict:
     """Each start-up case of the tree at path, timed in a fresh interpreter and then counted in another."""
     out, stdout = {}, {}
+    env = _tree_env(path, pycache)
     for label, argv, stdin_from in STARTUP_CASES:
         stdin = stdout[stdin_from] if stdin_from else None
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, *argv], env=_tree_env(path), input=stdin, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *argv], env=env, input=stdin, capture_output=True, text=True)
         seconds = time.perf_counter() - start
         counted = subprocess.run(
-            [sys.executable, "-c", COUNTING, *argv[1:]], env=_tree_env(path), input=stdin, capture_output=True, text=True
+            [sys.executable, "-c", COUNTING, *argv[1:]], env=env, input=stdin, capture_output=True, text=True
         )
         stdout[label] = proc.stdout
         counters = {"exit": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16]}
@@ -480,13 +504,13 @@ def measure_startup(path: str) -> dict:
     return out
 
 
-def run_tree(path: str) -> dict:
+def run_tree(path: str, pycache: str) -> dict:
     """One timed run of the tree at path, one memory pass per memory case and the start-up cases, each in fresh
-    interpreters."""
-    out = _child(path, "--child")
+    interpreters that keep their bytecode under pycache."""
+    out = _child(path, pycache, "--child")
     for label in MEMORY_CASES:
-        out[label]["mb"] = _child(path, "--child-memory", label)
-    out.update(measure_startup(path))
+        out[label]["mb"] = _child(path, pycache, "--child-memory", label)
+    out.update(measure_startup(path, pycache))
     return out
 
 
@@ -514,10 +538,12 @@ def main(argv=None) -> int:
             parser.error(f"--src {item!r}: expected LABEL=PATH with PATH holding pcsplab/")
         trees.append((label, path))
     samples = {label: [] for label, _ in trees}
-    for run in range(args.runs):
-        for label, path in trees if run % 2 == 0 else trees[::-1]:
-            samples[label].append(run_tree(path))
-            print(f"run {run + 1}/{args.runs} {label} done", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="network_layers-") as root:
+        pycaches = {label: os.path.join(root, f"tree{i}") for i, (label, _) in enumerate(trees)}
+        for run in range(args.runs):
+            for label, path in trees if run % 2 == 0 else trees[::-1]:
+                samples[label].append(run_tree(path, pycaches[label]))
+                print(f"run {run + 1}/{args.runs} {label} done", file=sys.stderr)
     cases = {}
     for case, phases in [(case[0], case[3]) for case in CASES] + [(case[0], ("process",)) for case in STARTUP_CASES]:
         cases[case] = {}
@@ -544,6 +570,7 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "PYTHONPYCACHEPREFIX": "a fresh directory per tree",
         },
         "cases": cases,
     }

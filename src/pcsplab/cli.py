@@ -51,7 +51,8 @@ def _cmd_template(args) -> int:
         digraph = structures.associated_digraph(target)
         arcs = " ".join(f"{a}->{b}" for a, b in digraph.sorted_arcs())
         print(f"digraph arcs: {arcs}")
-        closed = structures.plus_closure(target) == target if target.single_ternary().symmetric else False
+        rel = target.single_ternary()
+        closed = rel.symmetric and structures.rainbow_triples(target.domain_size) <= rel.as_set
         print(f"plus-closed: {'yes' if closed else 'no'}")
     if label is not None:
         print(f"classification: {label}")
@@ -227,7 +228,7 @@ def _cmd_verify(args) -> int:
         results = []
         for spec in specs:
             report = props.verify_selector(named_template(spec.template_name), spec, args.max_arity, deadline=args.deadline)
-            results.append(report.to_dict())
+            results.append(report._asdict())
             if not args.json:
                 status = "ok" if report.holds else "FAIL"
                 print(

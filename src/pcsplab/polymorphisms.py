@@ -87,13 +87,13 @@ def dictator(n: int, coordinate: int, target_size: int = 2) -> BlockTable:
     return BlockTable((1,) * n, target_size, tuple(1 if mask & bit else 0 for mask in range(1 << n)))
 
 
-def alternating_threshold(target_size: int = 2) -> BlockTable:
+def alternating_threshold() -> BlockTable:
     """Arity-3 table: 1 when the alternating sum of indicators is positive."""
     vals = []
     for mask in range(8):
         s = (mask & 1) - (mask >> 1 & 1) + (mask >> 2 & 1)
         vals.append(1 if s > 0 else 0)
-    return BlockTable((1,) * 3, target_size, tuple(vals))
+    return BlockTable((1,) * 3, 2, tuple(vals))
 
 
 class MinorMap(Checked, namedtuple("MinorMap", "source_arity target_arity mapping")):

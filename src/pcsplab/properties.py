@@ -377,13 +377,11 @@ class PropertyReport(
         }
 
 
+COUNTEREXAMPLE_CAP = 25  # the failing tables check_properties keeps per property
+
+
 def check_properties(
-    target: RelStructure,
-    property_ids,
-    max_arity: int,
-    *,
-    counterexample_cap: int = 25,
-    deadline: float | None = None,
+    target: RelStructure, property_ids, max_arity: int, *, deadline: float | None = None
 ) -> tuple[PropertyReport, ...]:
     """Evaluate catalog properties over every polymorphism up to max_arity.
 
@@ -395,7 +393,7 @@ def check_properties(
     the same on every member of an orbit, which the tests check.  When a
     predicate fails on a leader, the orbit's distinct members are listed in
     stream order, each with its own witness, and merged into that
-    property's counterexamples, which are the first counterexample_cap
+    property's counterexamples, which are the first COUNTEREXAMPLE_CAP
     failing tables of the full stream; a leader that sorts after the last
     kept failure of a full list is skipped.  Memory does not grow with the
     enumeration.  One report per id comes back, in the given order; each
@@ -414,7 +412,7 @@ def check_properties(
 
     def past_cap(kept, key) -> bool:
         # a full list keeps nothing that sorts after its last entry
-        return len(kept) >= counterexample_cap and (not kept or key > kept[-1][0])
+        return len(kept) >= COUNTEREXAMPLE_CAP and (not kept or key > kept[-1][0])
 
     start = time.perf_counter()
     examined = 0
@@ -439,7 +437,7 @@ def check_properties(
                     if witness is None:
                         raise AssertionError(f"{spec.property_id} holds on a coordinate permutation of a failing table")
                     bisect.insort(kept, (key, Counterexample(n, BlockTable((1,) * n, k, member), witness)), key=operator.itemgetter(0))
-                    del kept[counterexample_cap:]
+                    del kept[COUNTEREXAMPLE_CAP:]
     elapsed = (time.perf_counter() - start) * 1000.0
     return tuple(
         PropertyReport(spec.template_name, spec.property_id, max_arity, examined, tuple(c for _, c in kept), elapsed)
@@ -663,25 +661,13 @@ class SelectorReport(
         "selector max_arity chain_length states_explored violations totality_failures bound_failures elapsed_ms",
     )
 ):
-    """violations holds chains of (arity, values, mapping) steps; each failure is (arity, values)."""
+    """violations: chains of (arity, values, mapping) steps; failures: (arity, values); _asdict() is the --json form."""
 
     __slots__ = ()
 
     @property
     def holds(self) -> bool:
         return not (self.violations or self.totality_failures or self.bound_failures)
-
-    def to_dict(self) -> dict:
-        return {
-            "selector": self.selector,
-            "max_arity": self.max_arity,
-            "chain_length": self.chain_length,
-            "states_explored": self.states_explored,
-            "violations": [list(map(list, chain)) for chain in self.violations],
-            "totality_failures": [[arity, list(values)] for arity, values in self.totality_failures],
-            "bound_failures": [[arity, list(values)] for arity, values in self.bound_failures],
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def verify_selector(

@@ -33,14 +33,14 @@ class Checked:
 
 
 class Relation(Checked, namedtuple("Relation", "arity tuples")):
-    """A nonempty set of same-arity tuples, stored sorted for determinism."""
+    """A nonempty set of same-arity tuples, stored sorted for determinism; sorted input sorts in one linear pass."""
 
     def __new__(cls, arity: int, tuples: tuple[tuple[int, ...], ...]):
         if arity < 1:
             raise ValueError(f"relation arity must be >= 1, got {arity}")
         if not tuples:
             raise ValueError("relation must be nonempty")
-        tuples = tuple(sorted(set(tuples)))
+        tuples = tuple(dict.fromkeys(sorted(tuples)))
         for t in tuples:
             if len(t) != arity:
                 raise ValueError(f"tuple {t} does not have arity {arity}")
@@ -171,20 +171,6 @@ def ternary_structure(domain_size: int, orbit_tuples) -> RelStructure:
     return make_structure(domain_size, [_perm_closure(orbit_tuples)])
 
 
-def _linear_order_template(k: int) -> RelStructure:
-    # two equal entries force the third strictly above them; rainbow always allowed
-    tuples = rainbow_triples(k)
-    for b in range(k):
-        for c in range(b + 1, k):
-            tuples |= _perm_closure([(b, b, c)])
-    return make_structure(k, [tuples])
-
-
-def _nae_template(k: int) -> RelStructure:
-    tuples = {t for t in itertools.product(range(k), repeat=3) if len(set(t)) > 1}
-    return make_structure(k, [tuples])
-
-
 # Fixed vertex labels for the catalog; base names are the smaller of the two
 # structures sharing an associated digraph, "<name>plus" adds the rainbow orbit.
 _BASE_ORBITS: dict[str, tuple[int, tuple[tuple[int, int, int], ...]]] = {
@@ -211,8 +197,10 @@ def named_template(name: str) -> RelStructure:
     """Return a catalog template by name.
 
     Accepts the fixed names (1in3, NAE, D1..S, CH and their "plus" variants)
-    and the parametric families LO_k and NAE_k, spelled with the size in the
-    name ("LO_3").
+    and the parametric families LO_k and NAE_k on {0, ..., k-1}, spelled with
+    the size in the name ("LO_3").  LO_k holds the triples whose largest
+    entry occurs once: two equal entries force the third strictly above
+    them.  NAE_k holds the triples whose entries are not all equal.
     """
     if name.startswith(("LO_", "NAE_")):
         prefix, _, suffix = name.partition("_")
@@ -222,7 +210,8 @@ def named_template(name: str) -> RelStructure:
             raise ValueError(f"unknown template name {name!r}") from None
         if k < 2:
             raise ValueError(f"parametric template {prefix}_{k}: size must be >= 2")
-        return _linear_order_template(k) if prefix == "LO" else _nae_template(k)
+        keep = (lambda t: t.count(max(t)) == 1) if prefix == "LO" else (lambda t: min(t) < max(t))
+        return RelStructure(k, (Relation(3, tuple(filter(keep, itertools.product(range(k), repeat=3)))),))
     base = name[:-4] if name.endswith("plus") else name
     if base not in _BASE_ORBITS:
         raise ValueError(f"unknown template name {name!r}")
@@ -238,10 +227,10 @@ def template_names_3() -> list[str]:
     return [n for base in _BASE_ORBITS if base != "CH" for n in (base, base + "plus")]
 
 
-def all_symmetric_ternary_structures(domain_size: int = 3) -> list[RelStructure]:
-    """Every nonempty symmetric ternary relation on the domain, one structure each."""
+def all_symmetric_ternary_structures() -> list[RelStructure]:
+    """Every nonempty symmetric ternary relation on three elements, one structure each, all sharing 27 triples."""
     orbits: dict[tuple, set] = {}
-    for t in itertools.product(range(domain_size), repeat=3):
+    for t in itertools.product(range(3), repeat=3):
         orbits.setdefault(tuple(sorted(t)), set()).add(t)
     orbit_list = sorted(orbits)
     out = []
@@ -250,13 +239,13 @@ def all_symmetric_ternary_structures(domain_size: int = 3) -> list[RelStructure]
         for i, key in enumerate(orbit_list):
             if bits >> i & 1:
                 tuples |= orbits[key]
-        out.append(make_structure(domain_size, [tuples]))
+        out.append(make_structure(3, [tuples]))
     return out
 
 
 def symmetrize(structure: RelStructure) -> RelStructure:
     """Close every relation under coordinate permutations."""
-    rels = [Relation(rel.arity, tuple(sorted(_perm_closure(rel.tuples)))) for rel in structure.relations]
+    rels = [Relation(rel.arity, tuple(_perm_closure(rel.tuples))) for rel in structure.relations]
     return RelStructure(structure.domain_size, tuple(rels))
 
 
@@ -264,7 +253,7 @@ def plus_closure(structure: RelStructure) -> RelStructure:
     """Add every rainbow triple to the single ternary relation."""
     rel = structure.single_ternary()
     tuples = set(rel.tuples) | rainbow_triples(structure.domain_size)
-    return RelStructure(structure.domain_size, (Relation(3, tuple(sorted(tuples))),))
+    return RelStructure(structure.domain_size, (Relation(3, tuple(tuples)),))
 
 
 def associated_digraph(structure: RelStructure) -> Digraph:

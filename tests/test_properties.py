@@ -245,16 +245,17 @@ def test_property_counterexample_reporting_and_reverification():
         assert ce.table.values[x] == color and ce.table.values[y] == color
 
 
-def test_one_pass_reports_match_single_property_checks():
+def test_one_pass_reports_match_single_property_checks(monkeypatch):
     # the shared pass keeps each property's own counterexamples and cap;
     # D1_no_disjoint fails against NAE, so its cap of two is reached
+    monkeypatch.setattr(properties_module, "COUNTEREXAMPLE_CAP", 2)
     template = named_template("NAE")
     ids = ["D1_small_iset", "D1_no_disjoint"]
-    joint = check_properties(template, ids, 3, counterexample_cap=2)
+    joint = check_properties(template, ids, 3)
     assert [report.property_id for report in joint] == ids
     assert len(joint[1].counterexamples) == 2
     for pid, report in zip(ids, joint):
-        single = check_properties(template, [pid], 3, counterexample_cap=2)[0]
+        single = check_properties(template, [pid], 3)[0]
         assert report._replace(elapsed_ms=0.0) == single._replace(elapsed_ms=0.0)
 
 
@@ -323,14 +324,16 @@ def test_predicates_invariant_under_coordinate_permutations(name):
 
 
 @pytest.mark.parametrize("name", ORBIT_TARGETS)
-def test_orbit_suites_match_full_enumeration(name):
+def test_orbit_suites_match_full_enumeration(name, monkeypatch):
     template = named_template(name)
     ids = list(PROPERTY_CATALOG)
     examined, found = full_check_properties(template, ids, 4, 25)
     if name == "NAE":
         assert found["D1_no_disjoint"]  # a D1 fact fails off its template
+    assert properties_module.COUNTEREXAMPLE_CAP == 25
     for cap in (2, 25):
-        for report in check_properties(template, ids, 4, counterexample_cap=cap):
+        monkeypatch.setattr(properties_module, "COUNTEREXAMPLE_CAP", cap)
+        for report in check_properties(template, ids, 4):
             assert report.examined == examined
             got = [(c.arity, c.table.values, c.witness) for c in report.counterexamples]
             assert got == found[report.property_id][:cap], (report.property_id, cap)
@@ -569,7 +572,7 @@ def test_verify_selector_violation_chains_pinned():
         3: (157, 77, "b44dd77f8e9244a78e2f22feb8e17a0c50c2e6bd1b9d481e0f9d879e5f3d67fe"),
     }
     for max_arity, (states, chains, digest) in pins.items():
-        data = verify_selector(named_template("T1"), empty_rule, max_arity).to_dict()
+        data = verify_selector(named_template("T1"), empty_rule, max_arity)._asdict()
         del data["elapsed_ms"]
         assert (data["states_explored"], len(data["violations"])) == (states, chains)
         assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
@@ -595,9 +598,9 @@ def test_verify_selector_failures_in_arity_then_stream_order():
 def test_verify_selector_report_shape():
     spec = SELECTOR_CATALOG["SEL_T1"]
     report = verify_selector(named_template("T1"), spec, 2)
-    data = report.to_dict()
+    data = report._asdict()
     assert data["selector"] == "SEL_T1"
-    assert data["violations"] == []
+    assert data["violations"] == ()
     assert data["chain_length"] == 2
 
 
@@ -634,7 +637,7 @@ def test_verify_selector_detects_bad_rules():
     )
     report = verify_selector(template, partial_rule, 2)
     assert report.totality_failures
-    entries = json.loads(json.dumps(report.to_dict()))["totality_failures"]
+    entries = json.loads(json.dumps(report._asdict()))["totality_failures"]
     assert len(entries) == len(report.totality_failures)
     assert all(arity == 2 and len(values) == 4 for arity, values in entries)
 
@@ -642,6 +645,6 @@ def test_verify_selector_detects_bad_rules():
     big_rule = SelectorSpec("SEL_BIG", 1, 2, "T1", "whole coordinate set", lambda f, n: (1 << n) - 1)
     report = verify_selector(template, big_rule, 2)
     assert report.bound_failures
-    entries = json.loads(json.dumps(report.to_dict()))["bound_failures"]
+    entries = json.loads(json.dumps(report._asdict()))["bound_failures"]
     assert entries == [[arity, list(values)] for arity, values in report.bound_failures]
     assert all(arity == 2 and len(values) == 4 for arity, values in entries)

@@ -4,6 +4,9 @@ A record that checks or normalises its fields does so on every construction path
 and `_replace`.
 """
 
+import itertools
+import random
+
 import pytest
 
 from pcsplab.homs import HomClass, HomLattice, HomMap
@@ -132,3 +135,13 @@ def test_relation_replace_sorts_and_deduplicates():
     relation = ONE_IN_THREE._replace(tuples=unsorted)
     assert relation.tuples == ((0, 0, 1), (1, 0, 0))
     assert Relation._make((3, unsorted)) == relation == Relation(3, unsorted)
+    # shuffled, repeated and sorted input give one normal form
+    rng = random.Random(52)
+    for _ in range(50):
+        arity = rng.randint(1, 4)
+        chosen = rng.sample(list(itertools.product(range(3), repeat=arity)), rng.randint(1, 3**arity))
+        expected = tuple(sorted(chosen))
+        repeated = chosen + rng.choices(chosen, k=len(chosen))
+        rng.shuffle(repeated)
+        for tuples in (chosen, repeated, sorted(repeated), expected, set(chosen)):
+            assert Relation(arity, tuples).tuples == expected

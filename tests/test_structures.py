@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -88,6 +89,42 @@ def test_named_nae_k():
     assert nae3.relations[0].as_set == {
         t for t in itertools.product(range(3), repeat=3) if len(set(t)) > 1
     }
+
+
+def linear_order_oracle(k):
+    # two equal entries force the third strictly above them; rainbow always allowed
+    tuples = rainbow_triples(k)
+    for b in range(k):
+        for c in range(b + 1, k):
+            tuples |= perm_closure([(b, b, c)])
+    return make_structure(k, [tuples])
+
+
+def nae_oracle(k):
+    return make_structure(k, [{t for t in itertools.product(range(k), repeat=3) if len(set(t)) > 1}])
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_parametric_families_match_their_definitions(k):
+    assert named_template(f"LO_{k}") == linear_order_oracle(k)
+    assert named_template(f"NAE_{k}") == nae_oracle(k)
+
+
+def test_catalog_structures_pinned():
+    # SHA-256 of the reprs of every fixed catalog template, LO_k and NAE_k at k = 2..12, 17 or 31, and 60, and the
+    # all3 list, recorded before the parametric families were built from their rules: every tuple, in order
+    names = [name for name in NAMED_TEMPLATES if "<" not in name]
+    names += [f"{family}_{k}" for family in ("LO", "NAE") for k in [*range(2, 13), 60]] + ["LO_31", "NAE_17"]
+    digest = hashlib.sha256()
+    for structure in [named_template(name) for name in names] + all_symmetric_ternary_structures():
+        digest.update(repr(structure).encode())
+    assert digest.hexdigest() == "7528c62bc2014ff5e26c1d4141b0ca05f52ffe64010c5e41e63df948154f4610"
+
+
+def test_all3_structures_share_the_27_triples():
+    structures = all_symmetric_ternary_structures()
+    assert len(structures) == 1023
+    assert len({id(t) for s in structures for t in s.relations[0].tuples}) == 27
 
 
 def test_named_unknown_and_bad_k():
