@@ -97,9 +97,9 @@ import tempfile
 import time
 import tracemalloc
 
-# (label, target, blocks, phases): NAE (31, 30) finds a table after 116 nodes and CHplus (23, 24) refutes at 12, so
-# both spend their time on the network, while CHplus (17, 16) refutes after 84,010 nodes on a small network, so its
-# time is the engine's scans of the partner lists; T2 at symmetric arity 2000 has 334,334 triples and its last block's
+# (label, target, blocks, phases): NAE (31, 30) finds a table after 32 nodes and CHplus (23, 24) refutes at 2, so
+# both spend their time on the network, while NAE_3 (31, 30) finds its table after 993 nodes, so its time is the
+# engine's scans of the partner lists; T2 at symmetric arity 2000 has 334,334 triples and its last block's
 # compositions are the most that any case's answer check reads, and T2 at 601 is that check at a tenth.  The networks
 # case builds the network that `verify lemmas` enumerates at arity 5.  A check-only case checks the table its
 # label's first word names, on unit blocks: the first-coordinate dictator and the expanded symmetric table are
@@ -112,7 +112,7 @@ import tracemalloc
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("network", "solutions", "check")),
-    ("CHplus (17, 16)", "CHplus", (17, 16), ("network", "solutions", "check")),
+    ("NAE_3 (31, 30)", "NAE_3", (31, 30), ("network", "solutions", "check")),
     ("T2 (601,)", "T2", (601,), ("network", "solutions", "check")),
     ("T2 (2000,)", "T2", (2000,), ("network", "solutions", "check")),
     ("networks T1 5 x 1000", "T1", (1,) * 5, ("networks",)),

@@ -134,7 +134,7 @@ SEARCH_JSON_PINS = [
     (("search-sym", "1in3", "T2", "7"), 0,
      '{"found": true, "nodes": 4, "values": [0, 1, 2, 0, 1, 2, 0, 1], "trace": null}\n'),
     (("search-block", "1in3", "NAE", "3", "2"), 0,
-     '{"found": true, "nodes": 5, "values": [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]}\n'),
+     '{"found": true, "nodes": 5, "values": [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0]}\n'),
 ]
 
 

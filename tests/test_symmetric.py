@@ -356,7 +356,7 @@ def test_search_leaves_recursion_limit_alone():
     try:
         result = search_block_symmetric(chp, 23, 24)
         assert result.table is None
-        assert result.nodes == 12
+        assert result.nodes == 2
         assert sys.getrecursionlimit() == 300
     finally:
         sys.setrecursionlimit(saved)
@@ -367,7 +367,7 @@ def test_search_leaves_recursion_limit_alone():
     [
         pytest.param("LO_3", (50,), False, 1, id="LO_3-50"),
         pytest.param("LO_3", (6, 5), True, 16, id="LO_3-6x5"),
-        pytest.param("NAE", (31, 30), True, 116, id="NAE-31x30"),
+        pytest.param("NAE", (31, 30), True, 32, id="NAE-31x30"),
     ],
 )
 def test_search_node_counts_pinned(target, shape, found, nodes):
@@ -397,6 +397,28 @@ def test_lo3_frontier():
                 assert check(result.table, lo3)
                 found[kind].add(shape[-1])
     assert found == {"sym": {1, 2, 5}, "block": {1, 2, 4, 5}}
+
+
+SWEEP_TARGETS = ("LO_3", "LO_4", "LO_5", "LO_6", "NAE_3", "NAE_4", "CHplus", "T1", "D1plus", "D2plus", "T2", "C", "Q1plus")
+
+
+def test_block_sweep_decides_every_search():
+    # the (L+1, L) tables decide whether BLP+AIP solves PCSP(1in3, B); each search here must decide well inside its
+    # budget (at most 993 nodes), and each table it finds must check
+    undecided, found, nodes = [], 0, 0
+    for name in SWEEP_TARGETS:
+        target = named_template(name)
+        for k in range(1, 31):
+            try:
+                result = search_block_symmetric(target, k + 1, k, deadline=deadline_after(5))
+            except TimeBudgetExceeded:
+                undecided.append((name, k))
+                continue
+            nodes += result.nodes
+            if result.table is not None:
+                found += 1
+                assert is_polymorphism(result.table, target), (name, k)
+    assert (undecided, found, nodes) == ([], 242, 41_951)
 
 
 def test_restrict_block_to_symmetric():
