@@ -29,10 +29,11 @@ and, in a second call that is not timed, its `hom_exists` calls),
 counting each label), and `gauss_gf3` on the systems of 60 planted instances
 (phase `gauss`, counting the systems solved and the sum of their solutions'
 values).  `hnf_solve` runs on the not-all-equal systems of the same 60
-instances (phase `hnf`), counting the systems solved, their values' sum and,
-in a second call that is not timed, the column operations and the columns
-examined while finding each row's entries.  `kneser_graph` builds the 21
-Kneser graphs of perfbench's `suites` set-up (phase `kneser`, counting
+instances, and of 20 planted instances at (400, 800) (phase `hnf`), counting
+the systems solved, their values' sum, the largest bit length of a value
+and, in a second call that is not timed, the column operations and the
+columns examined while finding each row's entries.  `kneser_graph` builds
+the 21 Kneser graphs of perfbench's `suites` set-up (phase `kneser`, counting
 vertices and neighbour entries).  Two cases time `named_template` loading
 `LO_60` and `NAE_60` (phase `template`, counting the relation's tuples).
 Each builds its inputs fresh before its clock starts.  A memory pass runs
@@ -107,7 +108,8 @@ import tracemalloc
 # its sub-tables distinct and fails early in the walk.  The colouring case's blocks are the Kneser parameters (n, m):
 # KG(10, 4) has 210 vertices and chromatic number 4, and refuting 3 colours takes most of its picks.  The GF(3) case's
 # blocks are the planted (nv, ne) of perfbench's `gen | solve` jobs, where the cyclic and the not-all-equal routes
-# cost about the same, and so are the integer case's.  The Kneser case's graphs are those of perfbench's `suites`
+# cost about the same, and so are the first integer case's; the second has twice as many edges as variables, where
+# the integer values grow with nv.  The Kneser case's graphs are those of perfbench's `suites`
 # set-up.  The template cases load the largest LO_k and NAE_k that the README's budget paragraph names
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("network", "solutions", "check")),
@@ -126,7 +128,8 @@ CASES = (
     ("hom lattice all3", None, (), ("lattice",)),
     ("classify all3", None, (), ("classify",)),
     ("gauss_gf3 60 x (240, 180)", None, (240, 180), ("gauss",)),
-    ("hnf_solve 60 x (240, 180)", None, (240, 180), ("hnf",)),
+    ("hnf_solve 60 x (240, 180)", None, (240, 180, 60), ("hnf",)),
+    ("hnf_solve 20 x (400, 800)", None, (400, 800, 20), ("hnf",)),
     ("kneser_graph perfbench 21", None, (), ("kneser",)),
     ("template LO_60", None, ("LO_60",), ("template",)),
     ("template NAE_60", None, ("NAE_60",), ("template",)),
@@ -235,17 +238,18 @@ def _gauss_case(nv, ne):
     return {"s": {"gauss": seconds}, "counters": {"solved": len(solved), "value_sum": sum(map(sum, solved))}}
 
 
-def _hnf_case(nv, ne):
-    """Time hnf_solve on the not-all-equal-route systems of the planted instances with seeds 0 to 59, then count
-    its column operations and the columns it examines in a second, untimed pass."""
+def _hnf_case(nv, ne, count):
+    """Time hnf_solve on the not-all-equal-route systems of the planted instances with seeds 0 to count - 1, then
+    count its column operations and the columns it examines in a second, untimed pass."""
     from pcsplab import solvers
 
-    systems = [solvers.generate_planted(nv, ne, seed)[0].edges for seed in range(60)]
+    systems = [solvers.generate_planted(nv, ne, seed)[0].edges for seed in range(count)]
     start = time.perf_counter()
     solutions = [solvers.hnf_solve(rows, nv) for rows in systems]
     seconds = time.perf_counter() - start
     solved = [x for x in solutions if x is not None]
     counters = {"solved": len(solved), "value_sum": sum(map(sum, solved))}
+    counters["max_bits"] = max((abs(v).bit_length() for x in solved for v in x), default=0)
     counters.update(_hnf_work(solvers, systems, nv, solutions))
     return {"s": {"hnf": seconds}, "counters": counters}
 

@@ -13,10 +13,11 @@ a row index (the columns that may hold each row) so that a row reads its
 entries without scanning every column.  Both
 return the answers of the dense kernels in `tests/loop_solvers.py`:
 `hnf_solve` chooses their column operations in the same order, which its x
-depends on, but stores no transform: it applies the recorded operations to
-y last to first; `gauss_gf3` eliminates in another order, but its pivot
-columns are the greedy leftmost independent set, its free variables are 0,
-and the reduced echelon form is unique.
+depends on (both pivot on the least (|entry|, the column's count of
+non-zero entries, column index)), but stores no transform: it applies the
+recorded operations to y last to first; `gauss_gf3` eliminates in another
+order, but its pivot columns are the greedy leftmost independent set, its
+free variables are 0, and the reduced echelon form is unique.
 """
 
 from __future__ import annotations
@@ -195,13 +196,18 @@ def hnf_solve(rows, nv: int, *, deadline: float | None = None) -> list[int] | No
     column joins the list when it gains an entry in the row (the fill, a
     column operation, a swap) and is never taken off, so a row reads its
     live entries from its list alone.
+    Within a row the pivot is the column of least (|entry|, count of non-zero
+    entries, index): the least |entry| keeps each Euclid step shrinking the
+    row's minimum, and among equal ones the sparsest column spreads the
+    least fill into later rows (Markowitz's rule as a tie-break).
     Each column operation is recorded as applied: (s, t, f) adds f times
     column s into column t, (a, b) swaps two columns, (c,) negates one; their
     product is a unimodular T.  Once each row has at most one pivot,
     back-substitution solves (A T) y = 1 with exact divisibility (free
     parameters 0), and x = T y comes from applying the operations to y last
     to first.  The choice of each operation and their order are those of
-    dense columns (`tests/loop_solvers.py`), so the solution is the same.
+    dense columns (`tests/loop_solvers.py`, same key), so the solution is
+    the same.
     `deadline` (a `errors.deadline_after` value, None for none) is checked
     before each row; once it has passed, TimeBudgetExceeded is raised.
     """
@@ -221,10 +227,10 @@ def hnf_solve(rows, nv: int, *, deadline: float | None = None) -> list[int] | No
             break
         if expired(deadline):
             raise TimeBudgetExceeded(f"solve ran past its time budget after {row} of {m} rows")
-        # the row's entries in columns col.., ascending, so min keeps the least j among equal |entries|
+        # the row's entries in columns col.., ascending, so the operations are recorded in the dense code's order
         entries = {j: a for j in sorted(set(holders[row])) if j >= col and (a := cols[j].get(row))}
         while len(entries) > 1:
-            best = min(entries, key=lambda j: abs(entries[j]))
+            best = min(entries, key=lambda j: (abs(entries[j]), len(cols[j]), j))
             source = cols[best]
             for j, entry in entries.items():
                 if j != best:

@@ -6,8 +6,10 @@ same name in `pcsplab.solvers` store GF(3) rows as two bitplanes and the
 columns of A alone as dicts of their non-zero entries;
 `test_solvers_match_dense_references` requires equal outputs, element for
 element.  The packed `hnf_solve` chooses the same operations in the same
-order, which its x depends on, records them instead of applying them to T,
-and applies them to y last to first, which gives the same x = T y.
+order, which its x depends on: both pivot on the least (|entry|, count of
+non-zero entries in the column of A, column index).  It records the
+operations instead of applying them to T, and applies them to y last to
+first, which gives the same x = T y.
 The packed `gauss_gf3` eliminates in another order, but its pivot columns
 are the greedy leftmost independent set, its free variables are 0, and the
 reduced echelon form is unique, so it returns the same solution.
@@ -52,7 +54,8 @@ def hnf_solve(rows, nv: int) -> list[int] | None:
 
     Column j is one list: column j of A, then column j of a unimodular
     transform T that starts as the identity, so each column operation acts
-    on A T and T at once.  Once each row has at most one pivot,
+    on A T and T at once.  A row pivots on the column of least (|entry|,
+    non-zeros in its A part, index).  Once each row has at most one pivot,
     back-substitution solves (A T) y = 1 with exact divisibility (free
     parameters 0), and x = T y.
     """
@@ -71,7 +74,7 @@ def hnf_solve(rows, nv: int) -> list[int] | None:
             nonzero = [j for j in range(col, n) if cols[j][row]]
             if len(nonzero) <= 1:
                 break
-            best = min(nonzero, key=lambda j: (abs(cols[j][row]), j))
+            best = min(nonzero, key=lambda j: (abs(cols[j][row]), m - cols[j][:m].count(0), j))
             for j in nonzero:
                 if j != best:
                     f = -(cols[j][row] // cols[best][row])

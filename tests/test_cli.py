@@ -274,9 +274,9 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
 
 
 # SHA-256 of exit code and stdout of `gen 240 180 S | solve T [--prefer nae]`
-# over the cases below, recorded before the HNF column operations moved onto
-# one list per column
-GEN_SOLVE_DIGEST = "37453588d94dcd0e7ebe2e89d61df1c2ffcadacd9dbbc4362fda2850db0f4582"
+# over the cases below, recorded when hnf_solve's pivot key took the column's
+# count of entries; the cyclic-route stdout was the same under the old key
+GEN_SOLVE_DIGEST = "e4fd229e6b7fbacf68315e5df1235f40b23f461c5d8ee07ead2373b48546b3ba"
 
 
 def test_gen_solve_pinned(monkeypatch, capsys):

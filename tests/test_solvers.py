@@ -177,11 +177,12 @@ def pinned_systems():
     return systems
 
 
-# count of None and SHA-256 of the JSON list of solutions over pinned_systems(),
-# recorded before the HNF column operations moved onto one list per column: a
-# change in the choice or order of any column operation changes the solutions
+# count of None and SHA-256 of the JSON list of solutions over pinned_systems():
+# a change in the choice or order of any column operation changes the solutions.
+# gauss_gf3's was recorded before the HNF column operations moved onto one list
+# per column, hnf_solve's when its pivot key took the column's count of entries
 SOLVER_PINS = [
-    ("hnf_solve", lambda s: hnf_solve(*s), 203, "76692299e2af0de6948c631a7b34abd7724efdf0a3112515eebd69994ba7fcd6"),
+    ("hnf_solve", lambda s: hnf_solve(*s), 203, "fb30711efa7b8884e9978f1b3ad54d7b58b0a845149d2dd99a8ffdd9ac0b0a15"),
     ("gauss_gf3", lambda s: gauss_gf3(tuple((row, 1) for row in s[0]), s[1]), 202,
      "9b89cb674cb6e3a3c6e447a77890d9bc07106521429e1cc46f1837ea956ff6a4"),
 ]
@@ -206,22 +207,23 @@ def test_gauss_gf3_large_planted_pinned():
 
 
 def test_hnf_solve_larger_planted_pinned():
-    # SHA-256 of the JSON list of solutions, recorded while the reduction still
-    # carried the transform T in every column
+    # SHA-256 of the JSON list of solutions, recorded when the pivot key took the
+    # column's count of entries
     solutions = [hnf_solve(generate_planted(400, 800, seed)[0].edges, 400) for seed in (2, 3, 4, 5)]
     digest = hashlib.sha256(json.dumps(solutions).encode()).hexdigest()
-    assert digest == "f2122b545a45210b886e208ec1bbd8133af066536a0615d22164c2681203eda3"
+    assert digest == "b0a0bb4dba65f44be65327affd2cf09becb6985bb31b60c3fefa3e527b576b5a"
 
 
 # Systems whose reduction needs each kind of recorded column operation, checked
-# once with a copy of hnf_solve that logged the kinds it applied.
+# once with a copy of hnf_solve that logged the kinds it applied under the pivot
+# key (|entry|, the column's count of entries, j).  Columns count from 0.
 REPLAY_CASES = [
     # row 0 holds 2 for x1 and 1 for x2: add -2 times x2's column into x1's, then swap them
     ("swap", (((1, 1, 2),), 2)),
-    # after row 0, row 1 holds -1 for x2 and -2 for x3: add -2 times x2's column into x3's, then negate x2's
-    ("negation", (((1, 2, 3), (1, 1, 2)), 3)),
-    # rows 0 and 1 swap; row 2 holds 5 and -2, then -1 and -2, so two Euclid steps, then a negation
-    ("two_euclid_steps", (((1, 1, 2), (2, 3, 4), (1, 3, 3)), 4)),
+    # row 0 as above; row 1 then holds -1 and 1 in columns 1 and 2: add column 1 into column 2, then negate column 1
+    ("negation", (((1, 1, 2), (1, 2, 3)), 3)),
+    # row 1 holds -2, 1 and 1 and swaps; row 2 holds 5 and -2, then -1 and -2, so two Euclid steps, then a negation
+    ("two_euclid_steps", (((1, 2, 2), (3, 1, 5), (3, 3, 2), (2, 5, 4)), 5)),
 ]
 
 
@@ -261,19 +263,22 @@ def test_solvers_match_dense_references():
         insoluble["gauss_gf3"] += solution is None
         insoluble["hnf_solve"] += x is None
     assert 500 < insoluble["gauss_gf3"] < 2500 and 500 < insoluble["hnf_solve"] < 2500
+    # recorded under the pivot key (|entry|, j); a pivot order may move solutions, never whether one exists
+    assert insoluble["hnf_solve"] == 1949
 
 
 # Systems that reach the row index of hnf_solve where it is easy to get wrong,
-# checked once with a copy of hnf_solve that logged its swaps; the third and
-# fourth fail if an operation or a swap does not add its column to the index.
+# checked once under the same key with a copy of hnf_solve that logged its
+# operations; the third and fourth fail if an operation or a swap does not add
+# its column to the index (checked with a copy that left out each append).
 INDEX_CASES = [
     # x1, x3, x5 and x7 occur in no row: row 0's pivot moves into the empty column 0's place
     ("empty_columns", (((2, 4, 6), (4, 6, 6), (2, 2, 4)), 7)),
     # repeated coordinates give entries 2 and 3, and 3 x3 = 1 has no integer solution
     ("entries_2_and_3", (((1, 1, 2), (3, 3, 3), (2, 3, 4)), 4)),
-    # row 0 subtracts x1's column from x3's and x4's, which gives x3's an entry in
-    # row 1 and x4's one in row 2, where the fill listed neither
-    ("operation_creates_entries", (((4, 1, 3), (4, 1, 2), (3, 1, 1)), 4)),
+    # row 1 adds -2 times x4's column into x3's, which gives x3's an entry in row 2
+    # that only the fill lists
+    ("operation_creates_entries", (((1, 1, 2), (3, 3, 4), (2, 2, 4)), 4)),
     # row 0 leaves its entry in x2's column, which swaps with x1's: row 1, held by
     # x1's alone, must find it in x2's old place
     ("swap_moves_a_later_row", (((3, 3, 2), (3, 1, 3)), 3)),
