@@ -32,7 +32,12 @@ values).  `hnf_solve` runs on the not-all-equal systems of the same 60
 instances, and of 20 planted instances at (400, 800) (phase `hnf`), counting
 the systems solved, their values' sum, the largest bit length of a value
 and, in a second call that is not timed, the column operations and the
-columns examined while finding each row's entries.  `kneser_graph` builds
+columns examined while finding each row's entries.  Two more cases time
+`solve_t2` and `solve_nae` on the same 60 instances (phase `solve`),
+counting the colourings found and, in a second pass that is not timed, the
+rows the route's kernel solves (`core_rows`) and the rest (`set_aside`):
+the kernel cases feed every row to the kernel, the solve cases only the
+rows that the route does.  `kneser_graph` builds
 the 21 Kneser graphs of perfbench's `suites` set-up (phase `kneser`, counting
 vertices and neighbour entries).  Two cases time `named_template` loading
 `LO_60` and `NAE_60` (phase `template`, counting the relation's tuples).
@@ -108,9 +113,10 @@ import tracemalloc
 # its sub-tables distinct and fails early in the walk.  The colouring case's blocks are the Kneser parameters (n, m):
 # KG(10, 4) has 210 vertices and chromatic number 4, and refuting 3 colours takes most of its picks.  The GF(3) case's
 # blocks are the planted (nv, ne) of perfbench's `gen | solve` jobs, where the cyclic and the not-all-equal routes
-# cost about the same, and so are the first integer case's; the second has twice as many edges as variables, where
-# the integer values grow with nv.  The Kneser case's graphs are those of perfbench's `suites`
-# set-up.  The template cases load the largest LO_k and NAE_k that the README's budget paragraph names
+# cost about the same, and so are the first integer case's and the two solve cases'; the second integer case has
+# twice as many edges as variables, where the integer values grow with nv.  The Kneser case's graphs are those of
+# perfbench's `suites` set-up.  The template cases load the largest LO_k and NAE_k that the README's budget paragraph
+# names
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("network", "solutions", "check")),
@@ -130,6 +136,8 @@ CASES = (
     ("gauss_gf3 60 x (240, 180)", None, (240, 180), ("gauss",)),
     ("hnf_solve 60 x (240, 180)", None, (240, 180, 60), ("hnf",)),
     ("hnf_solve 20 x (400, 800)", None, (400, 800, 20), ("hnf",)),
+    ("solve_t2 60 x (240, 180)", None, ("t2", 240, 180), ("solve",)),
+    ("solve_nae 60 x (240, 180)", None, ("nae", 240, 180), ("solve",)),
     ("kneser_graph perfbench 21", None, (), ("kneser",)),
     ("template LO_60", None, ("LO_60",), ("template",)),
     ("template NAE_60", None, ("NAE_60",), ("template",)),
@@ -254,6 +262,36 @@ def _hnf_case(nv, ne, count):
     return {"s": {"hnf": seconds}, "counters": counters}
 
 
+def _solve_case(route, nv, ne):
+    """Time solve_t2 or solve_nae on the planted instances with seeds 0 to 59, then count the rows the route's kernel
+    solves in a second, untimed pass with the kernel wrapped; the rows it never sees were set aside."""
+    from pcsplab import solvers
+
+    solve = getattr(solvers, f"solve_{route}")
+    instances = [solvers.generate_planted(nv, ne, seed)[0] for seed in range(60)]
+    start = time.perf_counter()
+    colorings = [solve(instance) for instance in instances]
+    seconds = time.perf_counter() - start
+    name = "gauss_gf3" if route == "t2" else "hnf_solve"
+    kernel = getattr(solvers, name)
+    core_rows = 0
+
+    def counted(rows, *args, **kwargs):
+        nonlocal core_rows
+        core_rows += len(rows)
+        return kernel(rows, *args, **kwargs)
+
+    setattr(solvers, name, counted)
+    try:
+        if [solve(instance) for instance in instances] != colorings:
+            raise SystemExit(f"solve_{route}: the colourings changed between two passes")
+    finally:
+        setattr(solvers, name, kernel)
+    counters = {"solved": sum(c is not None for c in colorings), "core_rows": core_rows}
+    counters["set_aside"] = len(instances) * ne - core_rows
+    return {"s": {"solve": seconds}, "counters": counters}
+
+
 def _hnf_work(solvers, systems, nv, solutions):
     """hnf_solve's column operations and the columns it examines to find each row's entries, summed over systems.
 
@@ -324,6 +362,7 @@ CALL_CASES = {
     "classify": _classify_case,
     "gauss": _gauss_case,
     "hnf": _hnf_case,
+    "solve": _solve_case,
     "kneser": _kneser_case,
     "template": _template_case,
 }

@@ -10,14 +10,20 @@ Both matrices are a few per cent non-zero: `gauss_gf3` packs each row into
 two integer bitplanes (bit-slicing, Boothby and Bradshaw 2009) and
 `hnf_solve` keeps each column of A as a dict of its non-zero entries, with
 a row index (the columns that may hold each row) so that a row reads its
-entries without scanning every column.  Both
-return the answers of the dense kernels in `tests/loop_solvers.py`:
+entries without scanning every column.  Both kernels return the answers
+of the dense kernels in `tests/loop_solvers.py`:
 `hnf_solve` chooses their column operations in the same order, which its x
 depends on (both pivot on the least (|entry|, the column's count of
 non-zero entries, column index)), but stores no transform: it applies the
 recorded operations to y last to first; `gauss_gf3` eliminates in another
 order, but its pivot columns are the greedy leftmost independent set, its
 free variables are 0, and the reduced echelon form is unique.
+
+`solve_t2` and `solve_nae` first set aside each row that a variable
+occurring nowhere else satisfies (`peel`), run their kernel on the 2-core
+that is left and fill the set-aside rows in last.  So a coloring from
+`solve` is no longer the kernel's answer on the whole system, though the
+kernels still equal the dense references and the verdicts are theirs.
 """
 
 from __future__ import annotations
@@ -133,9 +139,12 @@ def gauss_gf3(rows, nv: int, *, deadline: float | None = None) -> list[int] | No
     runs from the highest pivot down.  The pivot columns are the greedy
     leftmost independent set and the reduced echelon form is unique, so the
     solution is the dense one in `tests/loop_solvers.py`.  `deadline` (a
-    `errors.deadline_after` value, None for none) is checked at each pivot
-    column; once it has passed, TimeBudgetExceeded is raised.
+    `errors.deadline_after` value, None for none) is checked before the loop
+    and at each pivot column; once it has passed, TimeBudgetExceeded is
+    raised.
     """
+    if expired(deadline):  # also for a system without rows, which reaches no pivot column
+        raise TimeBudgetExceeded(f"solve ran past its time budget after 0 of {nv} columns")
     buckets: dict[int, list[tuple[int, int]]] = {}
     pending = []
     for e, rhs in rows:
@@ -177,11 +186,72 @@ def gauss_gf3(rows, nv: int, *, deadline: float | None = None) -> list[int] | No
     return [(ones >> c & 1) + 2 * (twos >> c & 1) for c in range(nv)]
 
 
+def peel(rows, nv: int, *, deadline: float | None = None):
+    """Split rows, each x_i + x_j + x_k = 1 over the variables 1..nv, into (set_aside, core).
+
+    A variable that occurs once in the rows left, counted with repeats (twice
+    in (v, v, w)), satisfies its row whatever the other variables hold, so
+    the row is set aside with it as the row's private variable, which may
+    free the row's other variables in turn: the peeling of a hypergraph to
+    its 2-core (Molloy 2005).  A variable's count and XOR of row indices
+    name its one row when the count is 1.  set_aside holds the pairs (row,
+    private variable) in the order set aside, core the rows left in input
+    order.  `fill_set_aside` extends any solution of the core to every row,
+    so the rows have a solution exactly when the core has.  `deadline` is
+    checked before each 4,096 rows set aside but the first.
+    """
+    count = [0] * (nv + 1)
+    xor = [0] * (nv + 1)
+    for r, row in enumerate(rows):
+        for v in row:
+            count[v] += 1
+            xor[v] ^= r
+    free = [v for v in range(1, nv + 1) if count[v] == 1]
+    set_aside = []
+    kept = [True] * len(rows)
+    while free:
+        v = free.pop()
+        if count[v] != 1:  # 0: its one row went with another private variable
+            continue
+        if set_aside and not len(set_aside) % 4096 and expired(deadline):
+            raise TimeBudgetExceeded(
+                f"solve ran past its time budget after setting aside {len(set_aside)} of {len(rows)} rows"
+            )
+        r = xor[v]
+        set_aside.append((rows[r], v))
+        kept[r] = False
+        for u in rows[r]:
+            count[u] -= 1
+            xor[u] ^= r
+            if count[u] == 1:
+                free.append(u)
+    return set_aside, [row for row, keep in zip(rows, kept) if keep]
+
+
+def fill_set_aside(x: list[int], set_aside, modulus: int | None = None) -> None:
+    """Extend x (x[v - 1] for variable v), a solution of `peel`'s core, to the set-aside rows, in place.
+
+    Last set aside first, each private variable becomes 1 minus its row's
+    other entries, mod `modulus` if given.  It occurs in no row set aside
+    later nor in the core, and the private variables filled after it do not
+    occur in its row, so every row holds at the end.
+    """
+    for row, v in reversed(set_aside):
+        value = 1 - sum(x[u - 1] for u in row if u != v)
+        x[v - 1] = value % modulus if modulus else value
+
+
 def solve_t2(instance: Instance, *, deadline: float | None = None) -> dict[int, int] | None:
-    """Three-coloring via one mod-3 equation per edge; always verified."""
-    solution = gauss_gf3([(e, 1) for e in instance.edges], instance.variable_count, deadline=deadline)
+    """Three-coloring via one mod-3 equation per edge; always verified.
+
+    `gauss_gf3` solves `peel`'s core and the set-aside rows are filled in mod
+    3; None comes back exactly when the kernel finds none for the whole system.
+    """
+    set_aside, core = peel(instance.edges, instance.variable_count, deadline=deadline)
+    solution = gauss_gf3([(e, 1) for e in core], instance.variable_count, deadline=deadline)
     if solution is None:
         return None
+    fill_set_aside(solution, set_aside, 3)
     coloring = {v: solution[v - 1] for v in range(1, instance.variable_count + 1)}
     assert check_coloring(instance, coloring, T2)
     return coloring
@@ -209,9 +279,12 @@ def hnf_solve(rows, nv: int, *, deadline: float | None = None) -> list[int] | No
     dense columns (`tests/loop_solvers.py`, same key), so the solution is
     the same.
     `deadline` (a `errors.deadline_after` value, None for none) is checked
-    before each row; once it has passed, TimeBudgetExceeded is raised.
+    before the loop and before each row; once it has passed,
+    TimeBudgetExceeded is raised.
     """
     m, n = len(rows), nv
+    if expired(deadline):  # also for a system without rows
+        raise TimeBudgetExceeded(f"solve ran past its time budget after 0 of {m} rows")
     cols: list[dict[int, int]] = [{} for _ in range(n)]
     holders: list[list[int]] = [[] for _ in range(m)]  # row -> columns that may hold it, repeats allowed
     for r, (i, j, k) in enumerate(rows):
@@ -291,11 +364,15 @@ def solve_nae(instance: Instance, *, deadline: float | None = None) -> dict[int,
 
     Each edge's three integers sum to exactly 1, so they can be neither all
     >= 1 nor all <= 0; the thresholded coloring therefore never makes an
-    edge constant.
+    edge constant.  `hnf_solve` solves the core and the set-aside rows are
+    filled in; None comes back exactly when the kernel finds none for the
+    whole system.
     """
-    solution = hnf_solve(instance.edges, instance.variable_count, deadline=deadline)
+    set_aside, core = peel(instance.edges, instance.variable_count, deadline=deadline)
+    solution = hnf_solve(core, instance.variable_count, deadline=deadline)
     if solution is None:
         return None
+    fill_set_aside(solution, set_aside)
     coloring = {v: 1 if solution[v - 1] >= 1 else 0 for v in range(1, instance.variable_count + 1)}
     assert check_coloring(instance, coloring, NAE)
     return coloring
@@ -308,8 +385,8 @@ def solve_via_relaxation(
 
     The base coloring is composed with a homomorphism into the target and
     re-verified.  When both routes apply the cyclic one is taken (cheaper
-    exact algebra) unless prefer = "nae".  `deadline` goes to the kernel of
-    the route taken.
+    exact algebra) unless prefer = "nae".  `deadline` goes to `peel` and
+    the kernel of the route taken.
     """
     base_homs = {}
     for route, base_structure in (("t2", T2), ("nae", NAE)):

@@ -274,9 +274,9 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
 
 
 # SHA-256 of exit code and stdout of `gen 240 180 S | solve T [--prefer nae]`
-# over the cases below, recorded when hnf_solve's pivot key took the column's
-# count of entries; the cyclic-route stdout was the same under the old key
-GEN_SOLVE_DIGEST = "e4fd229e6b7fbacf68315e5df1235f40b23f461c5d8ee07ead2373b48546b3ba"
+# over the cases below, recorded when solve began to set aside the rows with a
+# private variable before either kernel runs; the exit codes were the same before
+GEN_SOLVE_DIGEST = "da92dcd63dd633773a9eed1c0c723709659aa455c9261117b9b1511acb4a02a9"
 
 
 def test_gen_solve_pinned(monkeypatch, capsys):

@@ -23,6 +23,7 @@ from pcsplab.solvers import (
     generate_planted,
     hnf_solve,
     parse_instance,
+    peel,
     solve_nae,
     solve_t2,
     solve_via_relaxation,
@@ -265,6 +266,48 @@ def test_solvers_match_dense_references():
     assert 500 < insoluble["gauss_gf3"] < 2500 and 500 < insoluble["hnf_solve"] < 2500
     # recorded under the pivot key (|entry|, j); a pivot order may move solutions, never whether one exists
     assert insoluble["hnf_solve"] == 1949
+
+
+def test_solve_routes_peel_without_moving_a_verdict():
+    # a set-aside row holds whatever the rest holds, so each route returns None exactly when its kernel does on the
+    # whole system, though its colouring is built from the core's solution
+    nones = Counter()
+    for nv, rows, _ in differential_cases():
+        instance = Instance(nv, rows)
+        t2, nae = solve_t2(instance), solve_nae(instance)
+        assert (t2 is None) == (gauss_gf3(tuple((row, 1) for row in rows), nv) is None)
+        assert (nae is None) == (hnf_solve(rows, nv) is None)
+        nones["t2"] += t2 is None
+        nones["nae"] += nae is None
+        set_aside, core = peel(rows, nv)
+        assert sorted(core + [row for row, _ in set_aside]) == sorted(rows)
+        core_variables = {v for row in core for v in row}
+        for i, (row, v) in enumerate(set_aside):
+            assert row.count(v) == 1 and v not in core_variables
+            assert all(v not in later for later, _ in set_aside[i + 1 :])
+    assert 500 < nones["t2"] < 2500 and nones["nae"] == 1949
+
+
+# (nv, ne, seed, rows set aside, core rows) of planted systems: at ne < nv every row of seed 7 is set aside, at
+# ne = 2 nv the core keeps nearly all of them
+PEEL_PINS = [(240, 180, 7, 180, 0), (400, 800, 2, 27, 773), (400, 800, 3, 19, 781), (400, 800, 4, 12, 788),
+             (400, 800, 5, 19, 781)]
+
+
+@pytest.mark.parametrize("nv, ne, seed, set_aside, core", PEEL_PINS)
+def test_peel_counts_pinned(nv, ne, seed, set_aside, core):
+    rows = generate_planted(nv, ne, seed)[0].edges
+    assert tuple(map(len, peel(rows, nv))) == (set_aside, core)
+
+
+def test_peel_reads_its_deadline_after_each_4096_rows():
+    rows = generate_planted(6000, 4500, 1)[0].edges
+    past = deadline_after(0) - 1.0
+    late = r"^solve ran past its time budget after setting aside 4096 of 4500 rows$"
+    with pytest.raises(TimeBudgetExceeded, match=late):
+        peel(rows, 6000, deadline=past)
+    # no more than one chunk: peel reads no clock, and the kernels read it before their loops
+    assert tuple(map(len, peel(rows[:4096], 6000, deadline=past))) == (4096, 0)
 
 
 # Systems that reach the row index of hnf_solve where it is easy to get wrong,
