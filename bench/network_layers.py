@@ -41,6 +41,13 @@ rows that the route does.  `kneser_graph` builds
 the 21 Kneser graphs of perfbench's `suites` set-up (phase `kneser`, counting
 vertices and neighbour entries).  Two cases time `named_template` loading
 `LO_60` and `NAE_60` (phase `template`, counting the relation's tuples).
+Two cases time the instance generator: `generate_planted` on the planted
+instances with seeds 0 to 107 at perfbench's `gen | solve` size (phase
+`planted`), and the `gen 20000 15000 1` command run in the interpreter with
+its stdout kept in memory (phase `gen`).  Each counts the splitmix64 words
+drawn, in a second pass that is not timed, and a digest of its output.  The
+words are counted at `solvers._splitmix64`, or at `SplitMix64.next_word` in
+a tree that draws them one call at a time.
 Each builds its inputs fresh before its clock starts.  A memory pass runs
 each searching or checking case again, untimed, in an interpreter of its own, so that nothing another case left
 behind hides its growth, after importing every `pcsplab` module in name
@@ -86,9 +93,11 @@ for a tree outside a git checkout).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -116,7 +125,7 @@ import tracemalloc
 # cost about the same, and so are the first integer case's and the two solve cases'; the second integer case has
 # twice as many edges as variables, where the integer values grow with nv.  The Kneser case's graphs are those of
 # perfbench's `suites` set-up.  The template cases load the largest LO_k and NAE_k that the README's budget paragraph
-# names
+# names.  The generator cases draw 103,680 and 80,000 words (about 101 and 78 chunks of 1024)
 CASES = (
     ("NAE (31, 30)", "NAE", (31, 30), ("network", "solutions", "check")),
     ("CHplus (23, 24)", "CHplus", (23, 24), ("network", "solutions", "check")),
@@ -141,6 +150,8 @@ CASES = (
     ("kneser_graph perfbench 21", None, (), ("kneser",)),
     ("template LO_60", None, ("LO_60",), ("template",)),
     ("template NAE_60", None, ("NAE_60",), ("template",)),
+    ("generate_planted 108 x (240, 180)", None, (108, 240, 180), ("planted",)),
+    ("gen 20000 15000 1", None, (20000, 15000, 1), ("gen",)),
 )
 NETWORK_BUILDS = 1000
 KNESER = [(n, m) for n in range(2, 10) for m in range(1, 5) if n >= 2 * m] + [(10, 4)]
@@ -355,6 +366,71 @@ def _template_case(name):
     return {"s": {"template": seconds}, "counters": {"tuples": len(structure.single_ternary().tuples)}}
 
 
+def _planted_case(count, nv, ne):
+    """Time generate_planted on the planted instances with seeds 0 to count - 1, then count the words they draw."""
+    from pcsplab import solvers
+
+    start = time.perf_counter()
+    planted = [solvers.generate_planted(nv, ne, seed) for seed in range(count)]
+    seconds = time.perf_counter() - start
+    words, again = _words_drawn(solvers, lambda: [solvers.generate_planted(nv, ne, seed) for seed in range(count)])
+    if again != planted:
+        raise SystemExit("generate_planted: the instances changed between two passes")
+    digest = hashlib.sha256(repr(planted).encode()).hexdigest()[:16]
+    return {"s": {"planted": seconds}, "counters": {"words": words, "sha256": digest}}
+
+
+def _gen_case(nv, ne, seed):
+    """Time the gen command in this interpreter, its stdout kept in memory, then count the words it draws."""
+    from pcsplab import cli, solvers
+
+    def gen():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            if cli.main(["gen", str(nv), str(ne), str(seed)]) != 0:
+                raise SystemExit(f"gen {nv} {ne} {seed}: non-zero exit")
+        return out.getvalue()
+
+    start = time.perf_counter()
+    text = gen()
+    seconds = time.perf_counter() - start
+    words, again = _words_drawn(solvers, gen)
+    if again != text:
+        raise SystemExit(f"gen {nv} {ne} {seed}: the output changed between two runs")
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return {"s": {"gen": seconds}, "counters": {"words": words, "stdout_sha256": digest}}
+
+
+def _words_drawn(solvers, call):
+    """(the splitmix64 words that call() draws, its result), counted at `solvers._splitmix64`, or at
+    `SplitMix64.next_word` in a tree that draws them one call at a time."""
+    drawn = 0
+    if hasattr(solvers, "_splitmix64"):
+        owner, name = solvers, "_splitmix64"
+
+        def counted(seed):
+            nonlocal drawn
+            for word in original(seed):
+                drawn += 1
+                yield word
+
+    else:
+        owner, name = solvers.SplitMix64, "next_word"
+
+        def counted(rng):
+            nonlocal drawn
+            drawn += 1
+            return original(rng)
+
+    original = getattr(owner, name)
+    setattr(owner, name, counted)
+    try:
+        result = call()
+    finally:
+        setattr(owner, name, original)
+    return drawn, result
+
+
 # cases that time one library call on inputs of their own, by phase
 CALL_CASES = {
     "colour": _colour_case,
@@ -365,6 +441,8 @@ CALL_CASES = {
     "solve": _solve_case,
     "kneser": _kneser_case,
     "template": _template_case,
+    "planted": _planted_case,
+    "gen": _gen_case,
 }
 
 

@@ -24,11 +24,17 @@ occurring nowhere else satisfies (`peel`), run their kernel on the 2-core
 that is left and fill the set-aside rows in last.  So a coloring from
 `solve` is no longer the kernel's answer on the whole system, though the
 kernels still equal the dense references and the verdicts are theirs.
+
+`generate_planted` reads the splitmix64 words (Steele, Lea and Flood 2014)
+a chunk at a time: `_splitmix64` packs a chunk's states into the 128-bit
+lanes of one int, so each xor-shift, mask and multiply acts on every lane.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
+from itertools import cycle, islice
 
 from .errors import FormatError, TimeBudgetExceeded, UnsupportedTargetError, expired
 from .homs import check_coloring, find_homomorphism, hom_exists
@@ -61,66 +67,71 @@ class Instance(Checked, namedtuple("Instance", "variable_count edges")):
         return super().__new__(cls, variable_count, edges)
 
 
-class SplitMix64:
-    """The splitmix64 mixing generator, fixed bit-exactly for reproducibility.
+SPLITMIX_CHUNK = 1024  # words; lane k of a chunk is bits 128k..128k + 127
+_GAMMA = 0x9E3779B97F4A7C15
+_LANE_ONES = int.from_bytes((b"\1" + bytes(15)) * SPLITMIX_CHUNK, "little")  # 1 in every lane
+_LANE_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * SPLITMIX_CHUNK, "little")  # each lane's low 64 bits
+# k * _GAMMA mod 2**64 in lane k - 1 for k = 1..SPLITMIX_CHUNK, built without a loop: for X = 2**128,
+# (SPLITMIX_CHUNK * X**SPLITMIX_CHUNK - _LANE_ONES) / (X - 1) holds k in lane k - 1
+_LANE_STEPS = _GAMMA * (((SPLITMIX_CHUNK << 128 * SPLITMIX_CHUNK) - _LANE_ONES) // ((1 << 128) - 1)) & _LANE_LOW
+_LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)  # of a chunk's bytes read as "Q"
 
-    state <- (state + 0x9E3779B97F4A7C15) mod 2**64
-    z <- state; z <- (z XOR (z >> 30)) * 0xBF58476D1CE4E5B9 mod 2**64
-    z <- (z XOR (z >> 27)) * 0x94D049BB133111EB mod 2**64
-    output z XOR (z >> 31)
 
-    next_below(n) draws 64-bit values, rejecting those >= 2**64 - (2**64 mod n),
-    and returns the first accepted value mod n.
+def _splitmix64(seed: int):
+    """The splitmix64 words from seed (README, Determinism), forever, SPLITMIX_CHUNK at a time.
+
+    A 64-bit lane times a 64-bit constant stays in its 128-bit lane; masking each lane to
+    its low 64 bits reduces mod 2**64 and drops what a right shift moved in from the lane above.
     """
+    steps, low = _LANE_STEPS, _LANE_LOW
+    state = seed & MASK64
+    while True:
+        z = (state * _LANE_ONES + steps) & low
+        z = ((z ^ z >> 30) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
+        z ^= z >> 31  # what moves in from the lane above lands in the high half, which is not read
+        yield from memoryview(z.to_bytes(16 * SPLITMIX_CHUNK, sys.byteorder)).cast("Q")[_LOW_HALVES].tolist()
+        state = (state + SPLITMIX_CHUNK * _GAMMA) & MASK64
 
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
 
-    def next_word(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
-
-    def next_below(self, n: int) -> int:
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_word()
-            if v < limit:
-                return v % n
+def _draws_below(words, bounds):
+    """Draws below each n of bounds in turn, forever: each skips the words >= 2**64 - (2**64 mod n) and reduces the
+    first other word mod n."""
+    limits = [(n, (1 << 64) - (1 << 64) % n) for n in bounds]
+    for n, limit in cycle(limits):
+        w = next(words)
+        while w >= limit:
+            w = next(words)
+        yield w % n
 
 
 def generate_planted(nv: int, ne: int, seed: int) -> tuple[Instance, dict[int, int]]:
     """A seeded instance built around a hidden exactly-one-1 witness.
 
-    Procedure (bit-exact given the generator above): draw one bit per
+    Procedure (bit-exact given the words of `_splitmix64`): draw one bit per
     variable (low bit of one word each, variables ascending) until the
     assignment has at least one 1 and at least one 0, and at least two 0s
     whenever edges are requested; then for each edge pick a 1-variable, two
     distinct 0-variables, and the position of the 1-variable inside the
-    triple, each via next_below over the ascending candidate lists.
+    triple, each by `_draws_below` over the ascending candidate lists.
     """
     if nv < 3:
         raise ValueError(f"need at least 3 variables to sample distinct indices, got {nv}")
     if ne < 0:
         raise ValueError("edge count must be >= 0")
-    rng = SplitMix64(seed)
+    words = _splitmix64(seed)
     while True:
-        bits = {v: rng.next_word() & 1 for v in range(1, nv + 1)}
+        bits = {v: w & 1 for v, w in zip(range(1, nv + 1), words)}
         ones = [v for v in range(1, nv + 1) if bits[v] == 1]
         zeros = [v for v in range(1, nv + 1) if bits[v] == 0]
         if ones and zeros and (ne == 0 or len(zeros) >= 2):
             break
+    # with ne = 0 no draw is made, so the bound len(zeros) - 1 is never read when it is 0
+    draws = _draws_below(words, (len(ones), len(zeros), len(zeros) - 1, 3))
     edges = []
-    for _ in range(ne):
-        one = ones[rng.next_below(len(ones))]
-        i1 = rng.next_below(len(zeros))
-        i2 = rng.next_below(len(zeros) - 1)  # an index into zeros without z1
-        z1, z2 = zeros[i1], zeros[i2 + (i2 >= i1)]
-        pos = rng.next_below(3)
-        edge = [z1, z2]
-        edge.insert(pos, one)
+    for one, i1, i2, pos in islice(zip(draws, draws, draws, draws), ne):
+        edge = [zeros[i1], zeros[i2 + (i2 >= i1)]]  # i2 indexes zeros without zeros[i1]
+        edge.insert(pos, ones[one])
         edges.append(tuple(edge))
     return Instance(nv, tuple(edges)), bits
 
@@ -236,8 +247,8 @@ def fill_set_aside(x: list[int], set_aside, modulus: int | None = None) -> None:
     later nor in the core, and the private variables filled after it do not
     occur in its row, so every row holds at the end.
     """
-    for row, v in reversed(set_aside):
-        value = 1 - sum(x[u - 1] for u in row if u != v)
+    for (a, b, c), v in reversed(set_aside):
+        value = 1 - x[a - 1] - x[b - 1] - x[c - 1] + x[v - 1]  # v occurs once in (a, b, c)
         x[v - 1] = value % modulus if modulus else value
 
 
@@ -480,11 +491,8 @@ def parse_instance(text: str) -> Instance:
 
 def format_instance(instance: Instance, planted: dict[int, int] | None = None) -> str:
     lines = [f"p hyp3 {instance.variable_count} {len(instance.edges)}"]
-    for a, b, c in instance.edges:
-        lines.append(f"e {a} {b} {c}")
-    if planted is not None:
-        for v in sorted(planted):
-            lines.append(f"# planted {v} {planted[v]}")
+    lines += [f"e {a} {b} {c}" for a, b, c in instance.edges]
+    lines += [f"# planted {v} {planted[v]}" for v in sorted(planted or ())]
     return "\n".join(lines) + "\n"
 
 

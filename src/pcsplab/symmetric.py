@@ -189,19 +189,6 @@ def search_block_symmetric(
     return _first_solution(target, (k1, k2), _block_branch_order(k1, k2), use_wlog, deadline)
 
 
-def restrict_block_to_symmetric(table: BlockTable) -> BlockTable:
-    """Symmetric arity-k1 table f(m) = g(m, k2/3) of a two-block table g; needs 3 | k2.
-
-    Any weight triple of the restriction lifts to a block partition that
-    puts k2/3 second-block elements in each part, so compatibility carries
-    over from the block table.
-    """
-    k1, k2 = table.blocks
-    if k2 % 3 != 0:
-        raise ValueError(f"second block size {k2} is not divisible by 3")
-    return BlockTable((k1,), table.target_size, tuple(table.value(m, k2 // 3) for m in range(k1 + 1)))
-
-
 # --- seeded contradiction replay ---------------------------------------------
 
 _REPLAY_SCRIPT: tuple[tuple[int, tuple[int, int, int]], ...] = (

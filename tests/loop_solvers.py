@@ -13,7 +13,67 @@ first, which gives the same x = T y.
 The packed `gauss_gf3` eliminates in another order, but its pivot columns
 are the greedy leftmost independent set, its free variables are 0, and the
 reduced echelon form is unique, so it returns the same solution.
+
+`SplitMix64` draws one word per call and `generate_planted` builds a planted
+instance from it a draw at a time: the reference for `pcsplab.solvers`,
+which computes the same words a chunk at a time in the lanes of one integer.
 """
+
+from pcsplab.solvers import Instance
+
+MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """The splitmix64 mixing generator, fixed bit-exactly for reproducibility.
+
+    state <- (state + 0x9E3779B97F4A7C15) mod 2**64
+    z <- state; z <- (z XOR (z >> 30)) * 0xBF58476D1CE4E5B9 mod 2**64
+    z <- (z XOR (z >> 27)) * 0x94D049BB133111EB mod 2**64
+    output z XOR (z >> 31)
+
+    next_below(n) draws 64-bit values, rejecting those >= 2**64 - (2**64 mod n),
+    and returns the first accepted value mod n.
+    """
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_word(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def next_below(self, n: int) -> int:
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            v = self.next_word()
+            if v < limit:
+                return v % n
+
+
+def generate_planted(nv: int, ne: int, seed: int) -> tuple[Instance, dict[int, int]]:
+    """The planted instance of `pcsplab.solvers.generate_planted`, one `SplitMix64` call per word or draw."""
+    rng = SplitMix64(seed)
+    while True:
+        bits = {v: rng.next_word() & 1 for v in range(1, nv + 1)}
+        ones = [v for v in range(1, nv + 1) if bits[v] == 1]
+        zeros = [v for v in range(1, nv + 1) if bits[v] == 0]
+        if ones and zeros and (ne == 0 or len(zeros) >= 2):
+            break
+    edges = []
+    for _ in range(ne):
+        one = ones[rng.next_below(len(ones))]
+        i1 = rng.next_below(len(zeros))
+        i2 = rng.next_below(len(zeros) - 1)  # an index into zeros without z1
+        z1, z2 = zeros[i1], zeros[i2 + (i2 >= i1)]
+        pos = rng.next_below(3)
+        edge = [z1, z2]
+        edge.insert(pos, one)
+        edges.append(tuple(edge))
+    return Instance(nv, tuple(edges)), bits
 
 
 def gauss_gf3(rows, nv: int) -> list[int] | None:

@@ -8,6 +8,8 @@ import sys
 import time
 from contextlib import contextmanager
 
+from loop_solvers import SplitMix64
+
 from pcsplab.cli import all_symmetric_ternary_structures, main
 from pcsplab.homs import check_coloring, hom_exists, hom_lattice
 from pcsplab.polymorphisms import enumerate_polymorphisms
@@ -22,7 +24,6 @@ from pcsplab.properties import (
 from pcsplab.solvers import (
     OPEN,
     Instance,
-    SplitMix64,
     classify_template,
     generate_planted,
     solve_nae,

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import loop_solvers
+from loop_solvers import SplitMix64
 
 from pcsplab.errors import FormatError, TimeBudgetExceeded, UnsupportedTargetError, deadline_after
 from pcsplab.homs import check_coloring
@@ -14,9 +15,12 @@ from pcsplab.solvers import (
     NP_HARD,
     OPEN,
     P,
+    SPLITMIX_CHUNK,
     Instance,
-    SplitMix64,
+    _draws_below,
+    _splitmix64,
     classify_template,
+    fill_set_aside,
     format_coloring,
     format_instance,
     gauss_gf3,
@@ -31,27 +35,61 @@ from pcsplab.solvers import (
 from pcsplab.structures import make_structure, named_template, symmetrize
 
 
-def test_splitmix64_matches_reference_recurrence():
-    # straight-line reimplementation of the documented recurrence
+def step(state):
+    """One step of the documented recurrence, straight-line: (word, next state)."""
     mask = (1 << 64) - 1
-    state = 42
+    state = (state + 0x9E3779B97F4A7C15) & mask
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31), state
 
-    def step(state):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31), state
 
-    rng = SplitMix64(42)
-    for _ in range(100):
-        expected, state = step(state)
-        assert rng.next_word() == expected
+def test_splitmix64_matches_reference_recurrence():
+    # the chunked words across three chunk boundaries, and the scalar oracle of tests/loop_solvers.py
+    for seed in (0, 42, (1 << 64) - 1):
+        words = _splitmix64(seed)
+        oracle = SplitMix64(seed)
+        state = seed
+        for _ in range(3 * SPLITMIX_CHUNK + 5):
+            expected, state = step(state)
+            assert next(words) == expected == oracle.next_word()
 
 
 def test_splitmix64_known_vector_seed_zero():
-    rng = SplitMix64(0)
-    assert rng.next_word() == 0xE220A8397B1DCDAF
+    assert next(_splitmix64(0)) == SplitMix64(0).next_word() == 0xE220A8397B1DCDAF
+
+
+def test_draws_below_skip_rejected_words_as_next_below():
+    # n = 2**63 + 1 rejects the words >= 2**64 - (2**64 mod n) = n, about half of them
+    n = 2**63 + 1
+    for seed in (7, 42):
+        draws = _draws_below(_splitmix64(seed), (n,))
+        oracle = SplitMix64(seed)
+        assert [next(draws) for _ in range(1000)] == [oracle.next_below(n) for _ in range(1000)]
+    words = _splitmix64(7)
+    assert sum(next(words) >= n for _ in range(1000)) > 400
+    draws = _draws_below(_splitmix64(3), (n, 3, 5))  # bounds in turn, each with its own limit
+    oracle = SplitMix64(3)
+    assert [next(draws) for _ in range(300)] == [oracle.next_below(b) for _ in range(100) for b in (n, 3, 5)]
+
+
+def test_generate_planted_matches_scalar_reference():
+    # criterion 7's (nv, ne, seed) triples, and nv = 3, where with edges 5 of 8 first assignments are redrawn
+    sizes = SplitMix64(20240)
+    for i in range(1000):
+        nv = 3 + sizes.next_below(48)
+        ne = sizes.next_below(101)
+        assert generate_planted(nv, ne, 31337 + i) == loop_solvers.generate_planted(nv, ne, 31337 + i)
+    redraws = 0
+    for seed in range(200):
+        oracle = SplitMix64(seed)
+        redraws += sum(oracle.next_word() & 1 for _ in range(3)) != 1
+        for ne in (0, 1, 4):
+            assert generate_planted(3, ne, seed) == loop_solvers.generate_planted(3, ne, seed)
+    assert redraws > 100
+    # criterion 7 draws at most 450 words an instance, all in the first chunk; this draws 6,600, across six boundaries
+    assert generate_planted(600, 1500, 5) == loop_solvers.generate_planted(600, 1500, 5)
 
 
 def test_generate_planted_minimal():
@@ -286,6 +324,19 @@ def test_solve_routes_peel_without_moving_a_verdict():
             assert row.count(v) == 1 and v not in core_variables
             assert all(v not in later for later, _ in set_aside[i + 1 :])
     assert 500 < nones["t2"] < 2500 and nones["nae"] == 1949
+
+
+def test_fill_set_aside_ignores_what_a_private_variable_held():
+    # the kernels leave each private variable at 0, so only a solution holding other values there tests the fill;
+    # gen 240 180 7 peels to an empty core, of which any x is a solution
+    rows = generate_planted(240, 180, 7)[0].edges
+    set_aside, core = peel(rows, 240)
+    assert core == []
+    for modulus in (None, 3):
+        x = [v % 5 - 2 for v in range(240)]
+        fill_set_aside(x, set_aside, modulus)
+        sums = [x[a - 1] + x[b - 1] + x[c - 1] for a, b, c in rows]
+        assert all(s % 3 == 1 for s in sums) if modulus else all(s == 1 for s in sums)
 
 
 # (nv, ne, seed, rows set aside, core rows) of planted systems: at ne < nv every row of seed 7 is set aside, at

@@ -17,7 +17,6 @@ from pcsplab.symmetric import (
     is_block_symmetric_polymorphism,
     is_symmetric_polymorphism,
     propagate,
-    restrict_block_to_symmetric,
     search_block_symmetric,
     search_symmetric,
     sym_compatible_triples,
@@ -31,6 +30,19 @@ def pair(src, tgt):
 def sym_network(target, n):
     """The arity-n symmetric search network that propagate runs on."""
     return _search_network(target, (n,))
+
+
+def restrict_block_to_symmetric(table: BlockTable) -> BlockTable:
+    """Symmetric arity-k1 table f(m) = g(m, k2/3) of a two-block table g; needs 3 | k2.
+
+    Any weight triple of the restriction lifts to a block partition that
+    puts k2/3 second-block elements in each part, so compatibility carries
+    over from the block table.
+    """
+    k1, k2 = table.blocks
+    if k2 % 3 != 0:
+        raise ValueError(f"second block size {k2} is not divisible by 3")
+    return BlockTable((k1,), table.target_size, tuple(table.value(m, k2 // 3) for m in range(k1 + 1)))
 
 
 def brute_symmetric_exists(target, n):
